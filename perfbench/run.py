@@ -1,16 +1,17 @@
 """Benchmark of vneap: one workload, one seed, one JSON result line.
 
-    python3 perfbench/run.py --workload solve-arnes-four --seed 1 --seconds 35 --trace 0
+    python3 perfbench/run.py --workload solve-arnes-two --seed 1 --seconds 55 --trace 0
 
 Run from the root of a source checkout; vneap is imported from its
-``src/`` directory.  Set-up builds three instances (input sets) from the
-seed.  Measuring is closed-loop, one client and one thread: every
-operation is called once, then always the one with the least time so
-far, until each has had a fifth of ``--seconds``.
+``src/`` directory.  Measuring is closed-loop, one client and one
+thread, in rounds until ``--seconds`` have passed: round ``r`` builds
+instance (input set) ``r`` from the seed and calls every operation once
+on it.
 
 With ``--trace 0`` the result carries the end-to-end metrics: the
-median over an operation's calls (over the set-ups for ``setup_s``) and
-the process's peak RSS.  With ``--trace 1`` every call into vneap runs
+median over an operation's calls (over the set-ups for ``setup_s``),
+scaled to the reference speed (``reference.py``), and the process's
+peak RSS.  With ``--trace 1`` every call into vneap runs
 inside a span, and the result carries per-layer self times and the
 counts read from the outputs; each operation is first called once
 untraced on instance 0, and the difference to its first traced call is
@@ -29,7 +30,6 @@ import resource
 import shutil
 import statistics
 import sys
-import time
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
@@ -113,7 +113,7 @@ COUNTS = {
     "validator.tanto_rejection_rate": "ratio",
     "validator.greedy_rejection_rate": "ratio",
 }
-RUN_LEVEL = {"bench.error_rate": "ratio", "trace.overhead_s": "s"}
+RUN_LEVEL = {"bench.error_rate": "ratio", "bench.reference_s": "s", "trace.overhead_s": "s"}
 
 
 def per_layer_units() -> dict[str, str]:
@@ -169,29 +169,23 @@ def run_workload(w, seed: int, seconds: float, trace: bool, out_dir: Path):
     from tracing import Tracer, write_spans
 
     tracer = Tracer(w.name, enabled=trace)
-    instances, setup_times = [], []
-    for i in range(workloads.INSTANCES):
-        tracer.at("setup", i)
-        t0 = time.perf_counter()
-        with tracer.span("bench.setup"):
-            instances.append(workloads.build_instance(w, seed, i, tracer))
-        setup_times.append(time.perf_counter() - t0)
-
-    ops = workloads.Operations(instances, tracer, out_dir)
+    ops = workloads.Operations(w, seed, tracer, out_dir)
     if trace:
         tracer.enabled = False
         baseline = workloads.Outcome()
+        inst = ops.setup(0)
         for op in workloads.OPERATIONS:
-            ops.call(op, baseline)
+            ops.call(op, baseline, inst)
         tracer.enabled = True
     o = workloads.Outcome()
     ops.measure(o, seconds)
     for p in o.problems:
         print(f"check failed: {w.name} {p}", file=sys.stderr)
 
-    # metric -> samples; its value is their median
-    samples = {f"{op}_s": o.times.get(op, []) for op in workloads.OPERATIONS}
-    samples["setup_s"] = setup_times
+    # metric -> samples; its value is their median.  End-to-end timings
+    # are scaled to the reference speed; per-layer times stay wall seconds.
+    samples = {f"{op}_s": o.scaled.get(op, []) for op in ("setup", *workloads.OPERATIONS)}
+    samples["bench.reference_s"] = ops.reference_times
     samples["peak_rss_mb"] = [resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0]
     samples.update({name: [v] for name, v in o.counts.items() if name in COUNTS})
     samples.update({name: o.reported.get(name, []) for name in REPORTED})
@@ -214,6 +208,7 @@ def run_workload(w, seed: int, seconds: float, trace: bool, out_dir: Path):
         raise SystemExit(f"error: no measurement of {', '.join(missing)}")
     shown = {**END_TO_END, **{k: COUNTS[k] for k in COUNTS if k.startswith("validator.")}}
     shown["bench.error_rate"] = "ratio"
+    shown["bench.reference_s"] = "s"
     table = [
         (name, values[name], unit, len(samples[name]))
         for name, unit in (per_layer_units() if trace else shown).items()

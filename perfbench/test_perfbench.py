@@ -88,7 +88,6 @@ def reduced(w):
 
 @pytest.fixture
 def small_workloads(monkeypatch):
-    monkeypatch.setattr(workloads, "INSTANCES", 1)
     monkeypatch.setattr(
         workloads, "WORKLOADS", {name: reduced(w) for name, w in workloads.WORKLOADS.items()}
     )
@@ -138,7 +137,7 @@ def test_corrupted_embedding_raises_the_error_rate(small_workloads, capsys, monk
         return embeddings, report
 
     monkeypatch.setattr(workloads, "greedy_embed_all", corrupted)
-    result = bench(capsys, "solve-arnes-four", 0)
+    result = bench(capsys, "solve-arnes-two", 0)
     assert not result["correct"]
     assert 0 < result["failed"] < result["attempted"]
 

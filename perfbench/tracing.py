@@ -53,8 +53,8 @@ class Tracer:
 
     def at(self, phase: str, repetition: int) -> None:
         """Tag the spans that follow with a phase (``setup`` or
-        ``measure``) and an index: the set-up's, or the call's among the
-        calls of its operation."""
+        ``measure``) and an index: the round, which is also the index of
+        the instance built or used."""
         self.phase = phase
         self.repetition = repetition
 

@@ -11,7 +11,7 @@ end-to-end metric exists on every workload:
 
 A workload stresses a layer by giving its operation a large input; on
 the other workload that operation runs on a small input (a
-one-repetition scenario on a 10-node topology, a 3-request toy, 300
+one-repetition scenario on a 10-node topology, a 3-request toy, 1 000
 requests), where the prediction is no change.
 
 Only public functions of vneap are called.  Inputs come from
@@ -21,12 +21,13 @@ index, so a seed always gives the same inputs.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 import traceback
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, Optional
 
 import numpy as np
 
@@ -62,6 +63,7 @@ from vneap.validator import (
     total_cost,
 )
 
+import reference
 from tracing import Tracer
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -74,8 +76,10 @@ OPERATIONS = ("lp", "tanto", "greedy", "compare", "exact")
 CALIBRATION_SAMPLE = 20_000
 # Target node and link utilization of the generated instances.  At 1.0
 # the point where capacity runs out varies with the draw: between seeds
-# HiGHS iterations on solve-arnes-four vary by about 25% and greedy_s on
-# round-amres-many by about 20%; at 0.8 by 1-2%.
+# HiGHS iterations on arnes_si vary by about 25% and greedy_s on
+# round-amres-many by about 20%.  At 0.8 the iterations on
+# solve-arnes-two range over 3 700-4 500 across ten seeds, which the
+# median over a run's instances evens out.
 TARGET_UTILIZATION = 0.8
 # Relative tolerance of the objective checks (the validator's own).
 REL_TOL = 1e-6
@@ -87,14 +91,12 @@ REL_TOL = 1e-6
 TOY_UPLINK = 250.0
 TOY_PSI = 1050.0
 # Optimal exact objectives by request count, recorded when the benchmark
-# was written; a different value is a wrong answer, not a new baseline.
-EXACT_OBJECTIVE = {3: 690.0, 5: 1325.0}
+# was written and confirmed with scipy.optimize.milp; a different value
+# is a wrong answer, not a new baseline.
+EXACT_OBJECTIVE = {3: 690.0, 4: 1045.0}
 # solve_milp_exact refuses more binaries than this (the default cap is
-# 40; the 5-request toy has 110).
+# 40; the 4-request toy has 88).
 EXACT_MAX_BINARIES = 200
-# Set-up builds this many instances (setup_s is their median), and the
-# calls of each operation cycle through them.
-INSTANCES = 3
 
 
 @dataclass(frozen=True)
@@ -113,26 +115,27 @@ class Workload:
 
 SMALL_SCENARIO = DATA / "compare_small.json"
 
-# solve-arnes-four also carries the inputs that stress compare (the
-# arnes_si scenario file) and exact (the 5-request toy): two workloads
-# with longer runs proved steadier on a machine whose speed drifts over
-# tens of seconds than four with shorter ones.
+# solve-arnes-two also carries the inputs that stress compare (the
+# arnes_si scenario file) and exact (the 4-request toy): two workloads
+# with long runs proved steadier on a machine whose speed drifts over
+# tens of seconds than four with shorter ones.  Every operation takes at
+# most a few seconds, so a run calls each one several times.
 WORKLOADS = {
     w.name: w
     for w in (
         Workload(
-            "solve-arnes-four",
+            "solve-arnes-two",
             graphml=TOPOLOGIES / "arnes_si.graphml",
-            catalog="cctv_four",
+            catalog="cctv_two",
             requests=1000,
             scenario=DATA / "compare_arnes_two.json",
-            exact_requests=5,
+            exact_requests=4,
         ),
         Workload(
             "round-amres-many",
             graphml=TOPOLOGIES / "amres_rs.graphml",
             catalog="cctv_two",
-            requests=15_000,
+            requests=12_000,
             scenario=SMALL_SCENARIO,
             exact_requests=3,
         ),
@@ -258,11 +261,13 @@ def build_instance(w: Workload, seed: int, index: int, t: Tracer) -> Instance:
 @dataclass
 class Outcome:
     """What a run measured and found: per operation the wall seconds of
-    each call, durations vneap reported itself (one sample per call),
-    counts and ratios read from the first call of each operation, and
-    the problems the checks found."""
+    each call, and the same scaled to the reference speed (``scaled``
+    also holds the set-ups, under ``setup``), durations vneap reported
+    itself (one sample per call), counts and ratios read from the first
+    call of each operation, and the problems the checks found."""
 
     times: dict[str, list[float]] = field(default_factory=dict)
+    scaled: dict[str, list[float]] = field(default_factory=dict)
     reported: dict[str, list[float]] = field(default_factory=dict)
     counts: dict[str, float] = field(default_factory=dict)
     problems: list[str] = field(default_factory=list)
@@ -278,52 +283,77 @@ def _close(a: float, b: float) -> bool:
 
 
 class Operations:
-    """The five operations over a workload's instances, each call timed
-    and then checked outside its timing.
+    """The five operations of a workload, each call timed and then
+    checked outside its timing.
 
-    Call ``k`` of an operation within one :class:`Outcome` runs on
-    instance ``k mod n``, so the first call of each is on instance 0,
-    and the lp call comes first: the gaps of tanto and greedy need its
-    objective."""
+    Measuring runs in rounds; round ``r`` builds instance ``r`` and calls
+    every operation once on it, lp first: the gaps of tanto and greedy
+    need its objective.  So call ``k`` of an operation runs on instance
+    ``k``, and a seed always gives the same sequence of inputs."""
 
-    def __init__(self, instances: list[Instance], t: Tracer, out_dir: Path):
-        self.instances = instances
+    def __init__(self, w: Workload, seed: int, t: Tracer, out_dir: Path):
+        self.w = w
+        self.seed = seed
         self.t = t
         self.out_dir = out_dir
         self.broken: set[str] = set()  # operations that raised; not called again
         self.lp_objective = math.nan
+        self.reference_times: list[float] = []
+
+    def setup(self, index: int) -> Instance:
+        self.t.at("setup", index)
+        with self.t.span("bench.setup"):
+            return build_instance(self.w, self.seed, index, self.t)
 
     def measure(self, o: Outcome, seconds: float) -> None:
-        """Call every operation once, then always the one with the least
-        time so far, until each has taken ``seconds / 5``.  So each
-        operation's calls spread over the whole run instead of bunching
-        where the machine happened to be slow."""
-        spent = {op: self.call(op, o) for op in OPERATIONS}
-        share = seconds / len(OPERATIONS)
-        while True:
-            live = [op for op in OPERATIONS if op not in self.broken]
-            op = min(live, key=spent.__getitem__, default=None)
-            if op is None or spent[op] >= share:
-                return
-            spent[op] += self.call(op, o)
+        """Rounds of one set-up and one call of every operation, until
+        ``seconds`` have passed (checked before each step, after a first
+        whole round).  Each operation's calls and the set-ups spread
+        evenly over the run, and their medians are over as many
+        instances as there were rounds.
 
-    def call(self, op: str, o: Outcome) -> float:
-        """One checked call of ``op``; returns its wall seconds."""
+        The reference work runs before the first step and after every
+        step; each step's wall time is scaled by the mean of the
+        reference times on either side of it, which saw the same
+        stretch of the machine's speed."""
+        deadline = time.perf_counter() + seconds
+        self.reference_times.append(reference.run())
+        for r in itertools.count():
+            for op in ("setup", *OPERATIONS):
+                if r and time.perf_counter() >= deadline:
+                    return
+                if op in self.broken:
+                    continue
+                if op == "setup":
+                    t0 = time.perf_counter()
+                    inst = self.setup(r)
+                    wall = time.perf_counter() - t0
+                else:
+                    wall = self.call(op, o, inst)
+                before = self.reference_times[-1]
+                self.reference_times.append(reference.run())
+                if wall is not None:
+                    o.scaled.setdefault(op, []).append(
+                        reference.scaled(wall, before, self.reference_times[-1])
+                    )
+
+    def call(self, op: str, o: Outcome, inst: Instance) -> Optional[float]:
+        """One checked call of ``op`` on ``inst``.  Returns its wall
+        seconds, also kept in ``o.times``, or None if it raised."""
         samples = o.times.setdefault(op, [])
-        inst = self.instances[len(samples) % len(self.instances)]
         first = not samples
-        self.t.at("measure", len(samples))
+        self.t.at("measure", inst.index)
         t0 = time.perf_counter()
+        wall = None
         try:
             with self.t.span(f"bench.{op}"):
                 result = getattr(self, op)(inst)
-            seconds = time.perf_counter() - t0
-            samples.append(seconds)
+            wall = time.perf_counter() - t0
+            samples.append(wall)
             with self.t.span("bench.check"):
                 problems = getattr(self, f"check_{op}")(o, inst, result, first)
         except Exception:
             traceback.print_exc()
-            seconds = time.perf_counter() - t0
             self.broken.add(op)
             problems = ["raised"]
         if op in ("lp", "tanto", "greedy") and len(inst.requests) != inst.requested:
@@ -332,7 +362,7 @@ class Operations:
         if problems:
             o.failed += 1
             o.problems.extend(f"{op}: {p}" for p in problems)
-        return seconds
+        return wall
 
     # -- the operations ------------------------------------------------------
 
