@@ -9,7 +9,7 @@ rejects the request at a penalty.
 The package provides:
 
 * an exact MILP / LP formulation of the problem (:mod:`vneap.formulation`),
-* a solver backend with a branch-and-bound oracle (:mod:`vneap.lp`),
+* a solver backend with an exact HiGHS MILP oracle (:mod:`vneap.lp`),
 * a greedy per-request embedder (:mod:`vneap.greedy`),
 * an aggregate-LP randomized-rounding embedder (:mod:`vneap.tanto`),
 * an independent feasibility/cost validator (:mod:`vneap.validator`),

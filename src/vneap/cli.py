@@ -221,7 +221,7 @@ def solve(substrate, apps, requests_path, algo, seed, psi, efficiency, out):
     status = row.get("status", "ok")
     if status in ("infeasible", "unbounded"):
         _fail(f"solver status: {status}", EXIT_INFEASIBLE)
-    if status in ("iteration_limit", "time_limit"):
+    if status == "iteration_limit":
         _fail(f"solver status: {status}", EXIT_LIMIT)
 
     report = {"schema_version": vio.SCHEMA_VERSION, "psi": psi}

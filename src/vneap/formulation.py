@@ -386,45 +386,6 @@ def fractional_solution(
     return FractionalSolution(values, objective, rejection, tuple(aggregates))
 
 
-def split_solution(
-    y: Mapping[VariableKey, float], requests: Sequence[Request]
-) -> dict[VariableKey, float]:
-    """Derive a per-request fractional solution from an aggregate one:
-    each member receives the aggregate values scaled by its share
-    ``d(r) / d_total`` of the aggregate demand."""
-    aggregates = aggregate_requests(requests)
-    by_owner: dict[str, AggregatedRequest] = {g.owner: g for g in aggregates}
-    out: dict[VariableKey, float] = {}
-    for key, val in y.items():
-        g = by_owner.get(key.owner)
-        if g is None:
-            raise KeyError(f"value for unknown aggregate {key.owner!r}")
-        for member in g.members:
-            share = requests[member].demand / g.demand
-            out[VariableKey(request_owner(member), key.alt, key.kind)] = val * share
-    return out
-
-
-def merge_solution(
-    x: Mapping[VariableKey, float], requests: Sequence[Request]
-) -> dict[VariableKey, float]:
-    """Inverse of :func:`split_solution`: sum member values back into
-    their aggregate."""
-    aggregates = aggregate_requests(requests)
-    owner_of_member = {}
-    for g in aggregates:
-        for member in g.members:
-            owner_of_member[request_owner(member)] = g.owner
-    out: dict[VariableKey, float] = {}
-    for key, val in x.items():
-        owner = owner_of_member.get(key.owner)
-        if owner is None:
-            raise KeyError(f"value for unknown request owner {key.owner!r}")
-        merged = VariableKey(owner, key.alt, key.kind)
-        out[merged] = out.get(merged, 0.0) + val
-    return out
-
-
 def restrict_to_alternative(
     apps: Mapping[str, Application], t: int
 ) -> dict[str, Application]:

@@ -30,11 +30,13 @@ from scipy import stats as _stats
 
 from . import rng as _rng
 from .formulation import (
+    AggregatedRequest,
     aggregate_requests,
     build_milp,
     build_relaxed_aggregate_lp,
     compute_rejection_penalty,
     fractional_solution,
+    request_owner,
     restrict_to_alternative,
 )
 from .greedy import greedy_embed_all
@@ -51,7 +53,7 @@ from .model import (
     SubstrateNode,
     SubstrateNetwork,
 )
-from .tanto import TantoOptions, tanto
+from .tanto import tanto
 from .validator import (
     alternative_shares,
     check_feasibility,
@@ -488,120 +490,67 @@ def _run_algorithm(
         catalog = restrict_to_alternative(apps, int(algo.split(":", 1)[1]))
 
     embeddings = None
-    if algo == "lp" or algo.startswith("vnep:"):
+    if algo in ("lp", "milp") or algo.startswith("vnep:"):
         t0 = time.perf_counter()
-        aggregates = aggregate_requests(requests)
-        lp = build_relaxed_aggregate_lp(net, catalog, efficiency, aggregates, psi)
-        sol = solve_lp(lp)
+        if algo == "milp":
+            lp = build_milp(net, catalog, efficiency, requests, psi)
+            sol = solve_milp_exact(lp)
+            # the exact model's variables are owned per request; its
+            # values are integral, so the fractional accounting is exact
+            aggregates = _milp_aggregates(requests)
+        else:
+            aggregates = aggregate_requests(requests)
+            lp = build_relaxed_aggregate_lp(net, catalog, efficiency, aggregates, psi)
+            sol = solve_lp(lp)
         timing["runtime_s"] = time.perf_counter() - t0
         if not sol.optimal:
             row["status"] = sol.status
             return row, timing, None
         frac = fractional_solution(lp, sol.x, sol.objective, aggregates, catalog)
         cost = fractional_cost(catalog, net, efficiency, frac, psi)
-        row["served_demand"] = total_demand - frac.total_rejected_demand
-        row["rejected_demand"] = frac.total_rejected_demand
-        row["rejection_rate"] = (
-            frac.total_rejected_demand / total_demand if total_demand else 0.0
-        )
-        row["objective"] = sol.objective
-        row["objective_delta"] = objective_consistency(
-            net, catalog, efficiency, psi, sol.objective, frac
+        rejected = frac.total_rejected_demand
+        row.update(
+            served_demand=total_demand - rejected,
+            rejected_demand=rejected,
+            rejection_rate=rejected / total_demand if total_demand else 0.0,
+            objective=sol.objective,
+            objective_delta=objective_consistency(
+                net, catalog, efficiency, psi, sol.objective, frac
+            ),
         )
         shares = fractional_alternative_shares(frac, catalog)
-        row.update(
-            compute_cost=cost.compute,
-            bandwidth_cost=cost.bandwidth,
-            rejection_cost=cost.rejection,
-            total_cost=cost.total,
-        )
-    elif algo == "milp":
-        t0 = time.perf_counter()
-        lp = build_milp(net, catalog, efficiency, requests, psi)
-        sol = solve_milp_exact(lp)
-        timing["runtime_s"] = time.perf_counter() - t0
-        if not sol.optimal:
-            row["status"] = sol.status
-            return row, timing, None
-        row["objective"] = sol.objective
-        # metrics via the per-request variable values (integral, so the
-        # fractional accounting is exact here)
-        frac_like = fractional_solution(
-            lp, sol.x, sol.objective, _milp_aggregates(requests), catalog
-        )
-        cost = fractional_cost(catalog, net, efficiency, frac_like, psi)
-        row["served_demand"] = total_demand - frac_like.total_rejected_demand
-        row["rejected_demand"] = frac_like.total_rejected_demand
-        row["rejection_rate"] = (
-            frac_like.total_rejected_demand / total_demand if total_demand else 0.0
-        )
-        row["objective_delta"] = objective_consistency(
-            net, catalog, efficiency, psi, sol.objective, frac_like
-        )
-        shares = fractional_alternative_shares(frac_like, catalog)
-        row.update(
-            compute_cost=cost.compute,
-            bandwidth_cost=cost.bandwidth,
-            rejection_cost=cost.rejection,
-            total_cost=cost.total,
-        )
-    elif algo == "greedy":
-        embeddings, rep = greedy_embed_all(net, catalog, efficiency, requests, psi, seed)
+    elif algo in ("greedy", "tanto"):
+        if algo == "greedy":
+            embeddings, rep = greedy_embed_all(net, catalog, efficiency, requests, psi, seed)
+        else:
+            embeddings, rep = tanto(net, catalog, efficiency, requests, psi, seed=seed)
+            timing["lp_runtime_s"] = rep.lp_runtime_s
+            timing["rounding_runtime_s"] = rep.rounding_runtime_s
         timing["runtime_s"] = rep.runtime_s
         violations = check_feasibility(net, catalog, efficiency, embeddings)
         if violations:
-            raise RuntimeError(f"greedy produced an infeasible embedding set: {violations[0]}")
+            raise RuntimeError(f"{algo} produced an infeasible embedding set: {violations[0]}")
         cost = total_cost(net, catalog, efficiency, embeddings, psi, validate=False)
-        row["served_demand"] = total_demand - rep.rejected_demand
-        row["rejected_demand"] = rep.rejected_demand
-        row["rejection_rate"] = rejection_rate(embeddings)
-        row["objective"] = rep.objective
-        row["objective_delta"] = abs(rep.objective - cost.total)
+        row.update(
+            served_demand=total_demand - rep.rejected_demand,
+            rejected_demand=rep.rejected_demand,
+            rejection_rate=rejection_rate(embeddings),
+        )
+        if algo == "greedy":
+            row.update(objective=rep.objective, objective_delta=abs(rep.objective - cost.total))
+        else:
+            row.update(objective=cost.total, objective_delta=0.0)
+            row.update({c: getattr(rep, c) for c in _BOUND_COLUMNS})
         shares = alternative_shares(embeddings)
-        row.update(
-            compute_cost=cost.compute,
-            bandwidth_cost=cost.bandwidth,
-            rejection_cost=cost.rejection,
-            total_cost=cost.total,
-        )
-    elif algo == "tanto":
-        embeddings, rep = tanto(
-            net, catalog, efficiency, requests, psi, TantoOptions(), seed
-        )
-        timing["runtime_s"] = rep.runtime_s
-        timing["lp_runtime_s"] = rep.lp_runtime_s
-        timing["rounding_runtime_s"] = rep.rounding_runtime_s
-        violations = check_feasibility(net, catalog, efficiency, embeddings)
-        if violations:
-            raise RuntimeError(f"tanto produced an infeasible embedding set: {violations[0]}")
-        cost = total_cost(net, catalog, efficiency, embeddings, psi, validate=False)
-        row["served_demand"] = total_demand - rep.rejected_demand
-        row["rejected_demand"] = rep.rejected_demand
-        row["rejection_rate"] = rejection_rate(embeddings)
-        row["objective"] = cost.total
-        row["objective_delta"] = 0.0
-        shares = alternative_shares(embeddings)
-        row.update(
-            compute_cost=cost.compute,
-            bandwidth_cost=cost.bandwidth,
-            rejection_cost=cost.rejection,
-            total_cost=cost.total,
-        )
-        row.update(
-            initial_nonzero_y=rep.initial_nonzero_y,
-            rounding_rejections=rep.rounding_rejections,
-            stranded_rejections=rep.stranded_rejections,
-            lp_exhausted_rejections=rep.lp_exhausted_rejections,
-            overflow_rejections=rep.overflow_rejections,
-            max_request_steps=rep.max_request_steps,
-            request_step_budget=rep.request_step_budget,
-            rejection_bound_ok=rep.rejection_bound_ok,
-            psi_gap_ok=rep.psi_gap_ok,
-            steps_ok=rep.steps_ok,
-        )
     else:
         raise ValueError(f"unknown algorithm {algo!r}")
 
+    row.update(
+        compute_cost=cost.compute,
+        bandwidth_cost=cost.bandwidth,
+        rejection_cost=cost.rejection,
+        total_cost=cost.total,
+    )
     for t in catalog_alternative_indices(apps):
         row[f"share_{t}"] = shares.get(t, 0.0)
     return row, timing, embeddings
@@ -610,8 +559,6 @@ def _run_algorithm(
 def _milp_aggregates(requests: Sequence[Request]):
     """Per-request singleton aggregates matching the exact model's
     variable owners."""
-    from .formulation import AggregatedRequest, request_owner
-
     return tuple(
         AggregatedRequest(request_owner(k), r.origin, r.app, r.demand, (k,))
         for k, r in enumerate(requests)

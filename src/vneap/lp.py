@@ -1,59 +1,43 @@
-"""Solver backend: continuous LPs via scipy's HiGHS interface, exact
-small binary programs via branch-and-bound on the LP relaxation, and a
-text-format bridge for cross-checking with external solvers.
+"""Solver backend: continuous LPs via scipy's HiGHS ``linprog`` and exact
+small binary programs via HiGHS branch-and-cut (``scipy.optimize.milp``).
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import linprog
+from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 
-from .formulation import LinearProgram, Row, VariableKey
-
-log = logging.getLogger("vneap.lp")
+from .formulation import LinearProgram
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 ITERATION_LIMIT = "iteration_limit"
 UNBOUNDED = "unbounded"
 
+# scipy's ``linprog`` and ``milp`` share these status codes; any other
+# code (numerical trouble) is a solver failure and raises.
+_STATUS = {0: OPTIMAL, 1: ITERATION_LIMIT, 2: INFEASIBLE, 3: UNBOUNDED}
+
+# Primal feasibility and dual (optimality) tolerance handed to HiGHS.
+_TOL = 1e-7
+
 
 @dataclass(frozen=True)
 class SolveOptions:
-    """Solver knobs.
+    """Limits of :func:`solve_milp_exact`.
 
     Parameters
     ----------
-    feas_tol, opt_tol : float
-        Feasibility and optimality tolerances handed to the LP solver.
-    iteration_limit : int, optional
-        Simplex iteration cap; exhaustion is reported as a status, not
-        an exception.
-    time_limit : float, optional
-        Wall-clock cap in seconds for one LP solve.
-    seed : int
-        Reserved for perturbation strategies; the default backend is
-        deterministic and ignores it.
     max_binaries : int
         Refusal threshold for :func:`solve_milp_exact`; exact search is
         a desk-scale oracle, not a production solver.
     """
 
-    feas_tol: float = 1e-7
-    opt_tol: float = 1e-7
-    iteration_limit: Optional[int] = None
-    time_limit: Optional[float] = None
-    seed: int = 0
     max_binaries: int = 40
-
-    def __post_init__(self):
-        if self.feas_tol <= 0 or self.opt_tol <= 0:
-            raise ValueError("tolerances must be positive")
 
 
 @dataclass
@@ -101,33 +85,32 @@ def _split_rows(lp: LinearProgram):
     )
 
 
-def solve_lp(lp: LinearProgram, opts: Optional[SolveOptions] = None) -> Solution:
+def _solution(res, lp: LinearProgram, stats: dict) -> Solution:
+    status = _STATUS.get(res.status)
+    if status is None:
+        raise RuntimeError(f"HiGHS failure: {res.message}")
+    if status != OPTIMAL:
+        return Solution(status, None, None, stats)
+    return Solution(OPTIMAL, float(res.fun) + lp.objective_constant, res.x, stats)
+
+
+def solve_lp(lp: LinearProgram) -> Solution:
     """Solve the continuous program (integrality marks are ignored).
 
     Returns a :class:`Solution`; infeasibility and limit exhaustion are
     reported through ``status`` rather than raised.
     """
-    opts = opts or SolveOptions()
     if lp.n_vars == 0:
         # constant objective; feasible iff no row is violated by x = ()
         for row in lp.rows:
-            if row.sense == "<=" and 0.0 > row.rhs + opts.feas_tol:
+            if row.sense == "<=" and 0.0 > row.rhs + _TOL:
                 return Solution(INFEASIBLE, None, None)
-            if row.sense == ">=" and 0.0 < row.rhs - opts.feas_tol:
+            if row.sense == ">=" and 0.0 < row.rhs - _TOL:
                 return Solution(INFEASIBLE, None, None)
-            if row.sense == "==" and abs(row.rhs) > opts.feas_tol:
+            if row.sense == "==" and abs(row.rhs) > _TOL:
                 return Solution(INFEASIBLE, None, None)
         return Solution(OPTIMAL, lp.objective_constant, np.zeros(0))
     A_ub, b_ub, A_eq, b_eq = _split_rows(lp)
-    options = {
-        "presolve": True,
-        "primal_feasibility_tolerance": opts.feas_tol,
-        "dual_feasibility_tolerance": opts.opt_tol,
-    }
-    if opts.time_limit is not None:
-        options["time_limit"] = opts.time_limit
-    if opts.iteration_limit is not None:
-        options["maxiter"] = opts.iteration_limit
     res = linprog(
         lp.objective,
         A_ub=A_ub,
@@ -136,28 +119,24 @@ def solve_lp(lp: LinearProgram, opts: Optional[SolveOptions] = None) -> Solution
         b_eq=b_eq,
         bounds=np.column_stack([lp.lower, lp.upper]),
         method="highs",
-        options=options,
+        options={
+            "presolve": True,
+            "primal_feasibility_tolerance": _TOL,
+            "dual_feasibility_tolerance": _TOL,
+        },
     )
-    stats = {"iterations": int(getattr(res, "nit", 0))}
-    if res.status == 0:
-        return Solution(OPTIMAL, float(res.fun) + lp.objective_constant, res.x, stats)
-    if res.status == 2:
-        return Solution(INFEASIBLE, None, None, stats)
-    if res.status == 1:
-        return Solution(ITERATION_LIMIT, None, None, stats)
-    if res.status == 3:
-        return Solution(UNBOUNDED, None, None, stats)
-    raise RuntimeError(f"LP solver failure: {res.message}")
+    return _solution(res, lp, {"iterations": int(getattr(res, "nit", 0))})
 
 
 def solve_milp_exact(lp: LinearProgram, opts: Optional[SolveOptions] = None) -> Solution:
-    """Globally optimal solution of a small binary program by
-    depth-first branch-and-bound over LP relaxations.
+    """Globally optimal solution of a small binary program by HiGHS
+    branch-and-cut, run to a zero relative gap.
 
     Intended as an oracle for desk-scale instances: refuses programs
-    with more than ``opts.max_binaries`` binary variables.  Branching
-    picks the lowest-index fractional variable (deterministic); the
-    one-branch is explored first.
+    with more than ``opts.max_binaries`` binary variables.  A program
+    without binaries is solved as a plain LP.  Binary values in ``x``
+    are rounded to exact 0/1; ``stats["nodes"]`` counts the
+    branch-and-cut nodes.
     """
     opts = opts or SolveOptions()
     if len(lp.binary) > opts.max_binaries:
@@ -166,290 +145,25 @@ def solve_milp_exact(lp: LinearProgram, opts: Optional[SolveOptions] = None) -> 
             f"the cap of {opts.max_binaries} (raise SolveOptions.max_binaries "
             f"only for oracle-scale instances)"
         )
+    if not lp.binary:
+        return solve_lp(lp)
     binaries = sorted(lp.binary)
-    int_tol = 1e-6
-    incumbent: Optional[Solution] = None
-    nodes = 0
-    # stack of (lower, upper) bound overrides
-    stack = [(lp.lower.copy(), lp.upper.copy())]
-    relaxed = lp.relax()
-    while stack:
-        lo, hi = stack.pop()
-        nodes += 1
-        node_lp = replace_bounds(relaxed, lo, hi)
-        sol = solve_lp(node_lp, opts)
-        if sol.status == INFEASIBLE:
-            continue
-        if not sol.optimal:
-            return Solution(sol.status, None, None, {"nodes": nodes})
-        if incumbent is not None and sol.objective >= incumbent.objective - 1e-12:
-            continue  # cannot improve
-        frac = None
-        for i in binaries:
-            if abs(sol.x[i] - round(sol.x[i])) > int_tol:
-                frac = i
-                break
-        if frac is None:
-            x = sol.x.copy()
-            for i in binaries:
-                x[i] = round(x[i])
-            incumbent = Solution(OPTIMAL, sol.objective, x, {"nodes": nodes})
-            continue
-        lo0, hi0 = lo.copy(), hi.copy()
-        hi0[frac] = 0.0
-        lo1, hi1 = lo.copy(), hi.copy()
-        lo1[frac] = 1.0
-        stack.append((lo0, hi0))  # zero-branch explored second
-        stack.append((lo1, hi1))
-    if incumbent is None:
-        return Solution(INFEASIBLE, None, None, {"nodes": nodes})
-    incumbent.stats["nodes"] = nodes
-    return incumbent
-
-
-def replace_bounds(lp: LinearProgram, lower: np.ndarray, upper: np.ndarray) -> LinearProgram:
-    return LinearProgram(
-        lp.keys, lower, upper, lp.objective, lp.objective_constant, lp.rows, lp.binary
+    integrality = np.zeros(lp.n_vars)
+    integrality[binaries] = 1
+    A_ub, b_ub, A_eq, b_eq = _split_rows(lp)
+    constraints = []
+    if A_ub is not None:
+        constraints.append(LinearConstraint(A_ub, -np.inf, b_ub))
+    if A_eq is not None:
+        constraints.append(LinearConstraint(A_eq, b_eq, b_eq))
+    res = milp(
+        lp.objective,
+        integrality=integrality,
+        bounds=Bounds(lp.lower, lp.upper),
+        constraints=constraints,
+        options={"mip_rel_gap": 0.0},
     )
-
-
-# -- LP text format ----------------------------------------------------------
-#
-# The industry-standard LP file layout: objective, "Subject To" rows,
-# "Bounds", "Binary", "End".  Variables are exported as x0, x1, ...; a
-# comment block maps each name back to its structural meaning so the file
-# can be cross-checked by hand or fed to an external solver.
-
-
-def _num(x: float) -> str:
-    return repr(float(x))
-
-
-def _expr(coeffs, names) -> str:
-    parts = []
-    for i, c in coeffs:
-        sign = "-" if c < 0 else "+"
-        parts.append(f"{sign} {_num(abs(c))} {names[i]}")
-    if not parts:
-        return "0 " + (names[0] if names else "x0")
-    text = " ".join(parts)
-    return text[2:] if text.startswith("+ ") else text
-
-
-def export_lp_text(lp: LinearProgram) -> str:
-    names = [f"x{i}" for i in range(lp.n_vars)]
-    out = [f"\\ {lp.n_vars} variables, {len(lp.rows)} rows"]
-    for i, key in enumerate(lp.keys):
-        out.append(f"\\ {names[i]} = {key.describe()}")
-    out.append("Minimize")
-    obj_terms = [(i, c) for i, c in enumerate(lp.objective) if c != 0.0]
-    obj = _expr(obj_terms, names) if obj_terms else "0 " + (names[0] if names else "x0")
-    if lp.objective_constant:
-        obj += f" + {_num(lp.objective_constant)}"
-    out.append(f" obj: {obj}")
-    out.append("Subject To")
-    sense_txt = {"<=": "<=", ">=": ">=", "==": "="}
-    for row in lp.rows:
-        if not row.coeffs:
-            continue  # vacuous rows carry no information in text form
-        out.append(f" {row.name}: {_expr(row.coeffs, names)} {sense_txt[row.sense]} {_num(row.rhs)}")
-    out.append("Bounds")
-    for i, name in enumerate(names):
-        out.append(f" {_num(lp.lower[i])} <= {name} <= {_num(lp.upper[i])}")
-    if lp.binary:
-        out.append("Binary")
-        for i in sorted(lp.binary):
-            out.append(f" {names[i]}")
-    out.append("End")
-    return "\n".join(out) + "\n"
-
-
-class LpTextError(ValueError):
-    def __init__(self, line_no: int, message: str):
-        super().__init__(f"line {line_no}: {message}")
-        self.line_no = line_no
-
-
-def _parse_terms(tokens: list[str], line_no: int) -> list[tuple[str, float]]:
-    """Parse '3 x0 + 2.5 x1 - x2 + 7' into [(name, coef), ...]; bare
-    numbers become constant terms keyed by ''."""
-    terms: list[tuple[str, float]] = []
-    sign = 1.0
-    pending: Optional[float] = None
-    for tok in tokens:
-        if tok == "+":
-            if pending is not None:
-                terms.append(("", sign * pending))
-                pending = None
-            sign = 1.0
-        elif tok == "-":
-            if pending is not None:
-                terms.append(("", sign * pending))
-                pending = None
-            sign = -1.0
-        else:
-            try:
-                value = float(tok)
-            except ValueError:
-                coef = pending if pending is not None else 1.0
-                terms.append((tok, sign * coef))
-                pending = None
-                sign = 1.0
-            else:
-                if pending is not None:
-                    terms.append(("", sign * pending))
-                    sign = 1.0
-                pending = value
-    if pending is not None:
-        terms.append(("", sign * pending))
-    return terms
-
-
-def parse_lp_text(text: str) -> LinearProgram:
-    """Inverse of :func:`export_lp_text`, for round-trip checks and for
-    ingesting models cross-produced by external tools."""
-    section = None
-    obj_terms: list[tuple[str, float]] = []
-    obj_const = 0.0
-    rows: list[tuple[str, list[tuple[str, float]], str, float]] = []
-    bounds: dict[str, tuple[float, float]] = {}
-    binaries: list[str] = []
-    var_order: list[str] = []
-    seen: set[str] = set()
-
-    def note_var(name: str):
-        if name and name not in seen:
-            seen.add(name)
-            var_order.append(name)
-
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("\\")[0].strip()
-        if not line:
-            continue
-        low = line.lower()
-        if low in ("minimize", "minimise", "min"):
-            section = "obj"
-            continue
-        if low in ("subject to", "st", "s.t.", "such that"):
-            section = "rows"
-            continue
-        if low == "bounds":
-            section = "bounds"
-            continue
-        if low in ("binary", "binaries", "bin"):
-            section = "binary"
-            continue
-        if low == "end":
-            section = "end"
-            continue
-        if section == "obj":
-            body = line.split(":", 1)[1] if ":" in line else line
-            for name, coef in _parse_terms(body.split(), line_no):
-                if name == "":
-                    obj_const += coef
-                else:
-                    note_var(name)
-                    obj_terms.append((name, coef))
-        elif section == "rows":
-            if ":" not in line:
-                raise LpTextError(line_no, "constraint row must be 'name: expr sense rhs'")
-            name, body = line.split(":", 1)
-            tokens = body.split()
-            sense_at = next(
-                (k for k, t in enumerate(tokens) if t in ("<=", ">=", "=", "==")), None
-            )
-            if sense_at is None or sense_at == len(tokens) - 1:
-                raise LpTextError(line_no, "missing sense or right-hand side")
-            sense = {"=": "==", "==": "==", "<=": "<=", ">=": ">="}[tokens[sense_at]]
-            try:
-                rhs = float(tokens[sense_at + 1])
-            except ValueError:
-                raise LpTextError(line_no, f"bad right-hand side {tokens[sense_at + 1]!r}")
-            terms = _parse_terms(tokens[:sense_at], line_no)
-            for n, _ in terms:
-                note_var(n)
-            rows.append((name.strip(), [(n, c) for n, c in terms if n], sense, rhs))
-        elif section == "bounds":
-            tokens = line.split()
-            if len(tokens) != 5 or tokens[1] != "<=" or tokens[3] != "<=":
-                raise LpTextError(line_no, "bounds line must be 'lo <= name <= hi'")
-            try:
-                lo, hi = float(tokens[0]), float(tokens[4])
-            except ValueError:
-                raise LpTextError(line_no, "bad bound value")
-            note_var(tokens[2])
-            bounds[tokens[2]] = (lo, hi)
-        elif section == "binary":
-            note_var(line.strip())
-            binaries.append(line.strip())
-        elif section == "end":
-            raise LpTextError(line_no, "content after End")
-        else:
-            raise LpTextError(line_no, f"unexpected content before a section header: {line!r}")
-    index = {name: i for i, name in enumerate(var_order)}
-    n = len(var_order)
-    objective = np.zeros(n)
-    for name, coef in obj_terms:
-        objective[index[name]] += coef
-    lower = np.zeros(n)
-    upper = np.ones(n)
-    for name, (lo, hi) in bounds.items():
-        lower[index[name]] = lo
-        upper[index[name]] = hi
-    keys = tuple(VariableKey(name, 0, ("n", name, "")) for name in var_order)
-    out_rows = tuple(
-        Row(
-            name,
-            tuple(sorted(_accumulate(terms, index).items())),
-            sense,
-            rhs,
-        )
-        for name, terms, sense, rhs in rows
-    )
-    return LinearProgram(
-        keys,
-        lower,
-        upper,
-        objective,
-        obj_const,
-        out_rows,
-        frozenset(index[b] for b in binaries),
-    )
-
-
-def _accumulate(terms, index) -> dict[int, float]:
-    out: dict[int, float] = {}
-    for name, coef in terms:
-        i = index[name]
-        out[i] = out.get(i, 0.0) + coef
-    return out
-
-
-def import_solution_text(text: str) -> dict[str, float]:
-    """Parse 'name value' (or 'name = value') lines into a mapping.
-    Blank lines and '#'/'\\' comments are ignored; anything else raises
-    with its line number."""
-    out: dict[str, float] = {}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#") or line.startswith("\\"):
-            continue
-        parts = [p for p in line.replace("=", " ").split() if p]
-        if len(parts) != 2:
-            raise LpTextError(line_no, f"expected 'name value', got {raw!r}")
-        try:
-            out[parts[0]] = float(parts[1])
-        except ValueError:
-            raise LpTextError(line_no, f"bad value {parts[1]!r}")
-    return out
-
-
-def export_solution_text(lp: LinearProgram, sol: Solution) -> str:
-    names = [f"x{i}" for i in range(lp.n_vars)]
-    lines = [f"# status {sol.status}"]
-    if sol.objective is not None:
-        lines.append(f"# objective {_num(sol.objective)}")
-    if sol.x is not None:
-        for i, name in enumerate(names):
-            lines.append(f"{name} = {_num(float(sol.x[i]))}")
-    return "\n".join(lines) + "\n"
+    sol = _solution(res, lp, {"nodes": int(res.mip_node_count or 0)})
+    if sol.optimal:
+        sol.x[binaries] = np.round(sol.x[binaries])
+    return sol

@@ -9,14 +9,12 @@ fractions of a feasible fractional solution are themselves feasible, so
 every accepted embedding is feasible by construction.
 
 Each (origin, application) aggregate owns a disjoint variable slice and
-its own random stream, so aggregates round independently (and in
-parallel) with results identical to the sequential order.
+its own random stream, so aggregates round independently of each other.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
@@ -30,7 +28,7 @@ from .formulation import (
     build_relaxed_aggregate_lp,
     fractional_solution,
 )
-from .lp import SolveOptions, solve_lp
+from .lp import solve_lp
 from .model import (
     AlternativeTopology,
     Application,
@@ -47,6 +45,8 @@ from .model import (
 _SLACK = 1e-9
 # Mass below this is solver dust, treated as zero.
 _DUST = 1e-12
+# Per-request step budget = factor·|nodes|·max |alternative|.
+_STEP_FACTOR = 4
 
 
 def weighted_random_select(weights: Sequence[float], rng: np.random.Generator) -> int:
@@ -111,7 +111,6 @@ class RoundingState:
         agg: AggregatedRequest,
         values: Mapping[VariableKey, float],
         alternatives: Sequence[AlternativeTopology],
-        step_factor: int = 4,
     ) -> "RoundingState":
         y = {k: v for k, v in values.items() if k.owner == agg.owner and v > _DUST}
         n_nodes = len(net.nodes)
@@ -123,7 +122,7 @@ class RoundingState:
             y=y,
             net=net,
             per_link_cap=max(1, n_nodes * n_arcs),
-            request_budget=max(1, step_factor * n_nodes * biggest),
+            request_budget=max(1, _STEP_FACTOR * n_nodes * biggest),
         )
 
 
@@ -229,13 +228,6 @@ def embed_request(
     return IntegralEmbedding(r, alt.index, placement, link_map)
 
 
-@dataclass(frozen=True)
-class TantoOptions:
-    solve: SolveOptions = field(default_factory=SolveOptions)
-    jobs: int = 1
-    step_factor: int = 4  # per-request step budget = factor·|nodes|·max |alternative|
-
-
 @dataclass
 class TantoReport:
     """Run statistics, including the fields needed to assert the
@@ -276,13 +268,12 @@ def _round_aggregate(
     values: Mapping[VariableKey, float],
     alternatives: Sequence[AlternativeTopology],
     seed: int,
-    step_factor: int,
 ) -> tuple[list[tuple[int, IntegralEmbedding]], RoundingState]:
     """Round every member request of one aggregate, in a seeded shuffle
     of the member order.  Owns its random stream and variable slice, so
-    concurrent calls for distinct aggregates never interact."""
+    calls for distinct aggregates never interact."""
     stream = _rng.stream(seed, "round", agg.origin, agg.app)
-    state = RoundingState.for_aggregate(net, agg, values, alternatives, step_factor)
+    state = RoundingState.for_aggregate(net, agg, values, alternatives)
     order = stream.permutation(len(agg.members))
     out: list[tuple[int, IntegralEmbedding]] = []
     for pos in order:
@@ -297,7 +288,6 @@ def tanto(
     efficiency: EfficiencyMap,
     requests: Sequence[Request],
     psi: float,
-    opts: Optional[TantoOptions] = None,
     seed: int = 0,
 ) -> tuple[list[IntegralEmbedding], TantoReport]:
     """Embed all requests: aggregate, solve the relaxation, round.
@@ -308,11 +298,10 @@ def tanto(
     optimality (with the rejection slack in the model this indicates a
     broken instance, not load).
     """
-    opts = opts or TantoOptions()
     t0 = time.perf_counter()
     aggregates = aggregate_requests(requests)
     lp = build_relaxed_aggregate_lp(net, apps, efficiency, aggregates, psi)
-    sol = solve_lp(lp, opts.solve)
+    sol = solve_lp(lp)
     t1 = time.perf_counter()
     if not sol.optimal:
         raise RuntimeError(f"aggregate relaxation did not solve: {sol.status}")
@@ -322,23 +311,13 @@ def tanto(
     for key, value in frac.values.items():
         by_owner[key.owner][key] = value
 
-    def work(agg: AggregatedRequest):
-        return _round_aggregate(
-            net,
-            agg,
-            requests,
-            by_owner[agg.owner],
-            apps[agg.app].alternatives,
-            seed,
-            opts.step_factor,
-        )
-
     t2 = time.perf_counter()
-    if opts.jobs > 1 and len(aggregates) > 1:
-        with ThreadPoolExecutor(max_workers=opts.jobs) as pool:
-            pieces = list(pool.map(work, aggregates))
-    else:
-        pieces = [work(agg) for agg in aggregates]
+    pieces = [
+        _round_aggregate(
+            net, agg, requests, by_owner[agg.owner], apps[agg.app].alternatives, seed
+        )
+        for agg in aggregates
+    ]
     t3 = time.perf_counter()
 
     results: list[Optional[IntegralEmbedding]] = [None] * len(requests)

@@ -9,16 +9,12 @@ import numpy as np
 import pytest
 
 from vneap.formulation import (
-    VariableKey,
     aggregate_requests,
     build_milp,
     build_relaxed_aggregate_lp,
     compute_rejection_penalty,
     fractional_solution,
-    merge_solution,
-    request_owner,
     restrict_to_alternative,
-    split_solution,
 )
 from vneap.lp import solve_lp
 from vneap.model import (
@@ -190,53 +186,6 @@ def test_lp_objective_scales_with_demand_and_capacity():
     )
     assert base.status == doubled.status == "optimal"
     assert doubled.objective == pytest.approx(2 * base.objective, rel=1e-6)
-
-
-# -- split / merge -------------------------------------------------------------
-
-
-def solved_toy_values(requests, link_cap=5000.0):
-    _, apps, aggs, lp = toy_lp(requests, link_cap=link_cap)
-    sol = solve_lp(lp)
-    assert sol.status == "optimal"
-    return fractional_solution(lp, sol.x, sol.objective, aggs, apps).values
-
-
-def test_split_single_member_is_the_identity():
-    requests = [Request("E", "cam", 4.0)]
-    y = solved_toy_values(requests)
-    x = split_solution(y, requests)
-    assert set(x) == {VariableKey(request_owner(0), k.alt, k.kind) for k in y}
-    for key, val in y.items():
-        assert x[VariableKey(request_owner(0), key.alt, key.kind)] == val
-
-
-def test_split_two_equal_members_halves_each_value():
-    requests = unit_requests(2)
-    y = solved_toy_values(requests)
-    x = split_solution(y, requests)
-    for key, val in y.items():
-        for member in (0, 1):
-            got = x[VariableKey(request_owner(member), key.alt, key.kind)]
-            assert got == pytest.approx(val / 2, rel=1e-12)
-
-
-def test_merge_inverts_split():
-    requests = [Request("E", "cam", float(d)) for d in (1, 2, 4)] + [
-        Request("C", "cam", 3.0)
-    ]
-    y = solved_toy_values(requests)
-    back = merge_solution(split_solution(y, requests), requests)
-    assert set(back) == set(y)
-    for key, val in y.items():
-        assert back[key] == pytest.approx(val, rel=1e-12, abs=1e-15)
-
-
-def test_split_rejects_unknown_owner():
-    with pytest.raises(KeyError, match="unknown aggregate"):
-        split_solution(
-            {VariableKey("g99", 0, ("n", "theta", "E")): 1.0}, unit_requests(1)
-        )
 
 
 # -- single-alternative restriction --------------------------------------------

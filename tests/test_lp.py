@@ -1,5 +1,5 @@
-"""Solver backend: LP solves against brute-force oracles, exact binary
-search, and the text-format bridge."""
+"""Solver backend: LP solves against brute-force oracles and exact binary
+search."""
 
 from __future__ import annotations
 
@@ -14,16 +14,7 @@ from vneap.formulation import (
     build_milp,
     build_relaxed_aggregate_lp,
 )
-from vneap.lp import (
-    LpTextError,
-    SolveOptions,
-    export_lp_text,
-    export_solution_text,
-    import_solution_text,
-    parse_lp_text,
-    solve_lp,
-    solve_milp_exact,
-)
+from vneap.lp import SolveOptions, solve_lp, solve_milp_exact
 from vneap.model import EfficiencyMap, Request
 
 from conftest import random_instance, toy_apps, toy_net, unit_requests
@@ -103,6 +94,13 @@ def test_small_lp_matches_vertex_enumeration(seed):
     assert sol.objective == pytest.approx(oracle, abs=1e-6)
 
 
+def test_empty_program_solves_to_zero():
+    sol = solve_lp(hand_lp([], [], [], []))
+    assert sol.status == "optimal"
+    assert sol.objective == pytest.approx(0.0)
+    assert sol.x.shape == (0,)
+
+
 def test_twenty_variable_box_lp_matches_corner_scan():
     # without rows the optimum separates per coordinate, so scanning both
     # bounds of each variable enumerates exactly the relevant vertices
@@ -150,6 +148,21 @@ def test_no_binaries_degenerates_to_plain_solve():
     assert exact.objective == pytest.approx(plain.objective, abs=1e-12)
 
 
+def test_exact_infeasible_binary_program_is_a_status():
+    # two binaries cannot sum to 3
+    lp = hand_lp(
+        [1.0, 1.0],
+        [Row("three", ((0, 1.0), (1, 1.0)), ">=", 3.0)],
+        [0.0, 0.0],
+        [1.0, 1.0],
+        binary=(0, 1),
+    )
+    sol = solve_milp_exact(lp)
+    assert sol.status == "infeasible"
+    assert sol.objective is None
+    assert "nodes" in sol.stats
+
+
 def test_binary_cap_is_a_refusal():
     net, apps = toy_net(), toy_apps()
     milp = build_milp(net, apps, EfficiencyMap(), unit_requests(2), PSI_TOY)
@@ -181,68 +194,3 @@ def test_exact_never_beats_its_own_relaxation(seed):
     relaxed = solve_lp(milp)
     assert exact.status == "optimal" and relaxed.status == "optimal"
     assert exact.objective >= relaxed.objective - 1e-9
-
-
-# -- text bridge ---------------------------------------------------------------
-
-
-def test_toy_model_round_trips_through_text():
-    net, apps = toy_net(5000.0, 300.0), toy_apps()
-    lp = build_milp(net, apps, EfficiencyMap(), unit_requests(1), PSI_TOY)
-    back = parse_lp_text(export_lp_text(lp))
-    assert back.n_vars == lp.n_vars
-    assert len(back.binary) == len(lp.binary)
-    assert sorted(r.name for r in back.rows) == sorted(
-        r.name for r in lp.rows if r.coeffs
-    )
-    a = solve_milp_exact(lp)
-    b = solve_milp_exact(back)
-    assert b.objective == pytest.approx(a.objective, abs=1e-9)
-
-
-def test_empty_model_exports_headers_only():
-    lp = hand_lp([], [], [], [])
-    text = export_lp_text(lp)
-    lines = text.splitlines()
-    assert "Minimize" in lines and "End" in lines
-    between = lines[lines.index("Subject To") + 1 : lines.index("Bounds")]
-    assert between == []
-    back = parse_lp_text(text)
-    assert solve_lp(back).objective == pytest.approx(0.0)
-
-
-@pytest.mark.parametrize("seed", range(8))
-def test_fuzzed_round_trip_preserves_the_optimum(seed):
-    rng = np.random.default_rng(seed + 1000)
-    lp, _, _, _ = random_box_lp(rng, int(rng.integers(1, 7)), int(rng.integers(0, 4)))
-    direct = solve_lp(lp)
-    reparsed = solve_lp(parse_lp_text(export_lp_text(lp)))
-    assert reparsed.status == direct.status
-    if direct.optimal:
-        assert reparsed.objective == pytest.approx(direct.objective, abs=1e-9)
-
-
-def test_solution_text_round_trip():
-    lp = hand_lp([1.0, -2.0], [], [0.0, 0.0], [4.0, 5.0])
-    sol = solve_lp(lp)
-    values = import_solution_text(export_solution_text(lp, sol))
-    assert values == {"x0": pytest.approx(0.0), "x1": pytest.approx(5.0)}
-
-
-@pytest.mark.parametrize(
-    "text,fragment",
-    [
-        ("Subject To\n r1: x0 <= \nEnd\n", "missing sense"),
-        ("Minimize\n obj: x0\nBounds\n 0 <= x0\nEnd\n", "bounds line"),
-        ("garbage before anything\n", "unexpected content"),
-        ("Minimize\n obj: x0\nEnd\nextra\n", "content after End"),
-    ],
-)
-def test_malformed_text_reports_the_line(text, fragment):
-    with pytest.raises(LpTextError, match=fragment):
-        parse_lp_text(text)
-
-
-def test_malformed_solution_text_reports_the_line():
-    with pytest.raises(LpTextError, match="line 2"):
-        import_solution_text("x0 = 1.0\nx1 = one\n")

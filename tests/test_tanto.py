@@ -33,7 +33,6 @@ from vneap.model import (
 )
 from vneap.tanto import (
     RoundingState,
-    TantoOptions,
     embed_request,
     tanto,
     weighted_random_select,
@@ -261,17 +260,6 @@ def test_fixed_seed_reproduces_the_run():
     ]
     assert ra.rejected == rb.rejected
     assert ra.total_steps == rb.total_steps
-
-
-def test_worker_count_does_not_change_the_result():
-    net, apps, eff = toy_net(link_cap=3000.0), toy_apps(), EfficiencyMap()
-    requests = [Request(origin, "cam", 1.0) for origin in ("E", "C") for _ in range(30)]
-    serial, rs = tanto(net, apps, eff, requests, PSI_TOY, TantoOptions(jobs=1), seed=9)
-    threaded, rt = tanto(net, apps, eff, requests, PSI_TOY, TantoOptions(jobs=4), seed=9)
-    assert [(e.alternative, dict(e.node_map), dict(e.link_map)) for e in serial] == [
-        (e.alternative, dict(e.node_map), dict(e.link_map)) for e in threaded
-    ]
-    assert rs.rejected == rt.rejected
 
 
 @pytest.mark.parametrize("seed", [1, 7, 19])
