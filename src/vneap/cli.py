@@ -1,7 +1,9 @@
 """Command-line interface: reproducible runs over substrate/application
 JSON files, GraphML topologies, and scenario configs.
 
-Exit codes: 0 success, 2 input error, 3 infeasible, 4 resource limit.
+Exit codes: 0 success, 2 input error, 3 infeasible or unbounded, 4
+iteration limit or solver failure (from the solver status, not the
+message).
 Set VNEAP_LOG=debug|info|warning|error to control logging.  All
 randomness derives from --seed through stable per-component labels.
 """
@@ -33,6 +35,7 @@ from .harness import (
     write_result,
 )
 from .io import FormatError
+from .lp import INFEASIBLE, UNBOUNDED, SolverError
 from .model import validate_application, validate_requests, validate_substrate
 
 EXIT_OK = 0
@@ -54,6 +57,11 @@ def _setup_logging() -> None:
 def _fail(message: str, code: int) -> None:
     click.echo(f"error: {message}", err=True)
     sys.exit(code)
+
+
+def _status_exit(status: str) -> int:
+    """Exit code of a solver status other than optimal."""
+    return EXIT_INFEASIBLE if status in (INFEASIBLE, UNBOUNDED) else EXIT_LIMIT
 
 
 def _load_catalog(spec: str):
@@ -213,16 +221,12 @@ def solve(substrate, apps, requests_path, algo, seed, psi, efficiency, out):
         row, _, embeddings = harness._run_algorithm(algo, net, catalog, eff, reqs, psi, seed)
     except ValueError as exc:
         _fail(str(exc), EXIT_INPUT)
-    except RuntimeError as exc:
-        if "infeasible" in str(exc):
-            _fail(str(exc), EXIT_INFEASIBLE)
-        _fail(str(exc), EXIT_LIMIT)
+    except SolverError as exc:
+        _fail(str(exc), _status_exit(exc.status))
 
     status = row.get("status", "ok")
-    if status in ("infeasible", "unbounded"):
-        _fail(f"solver status: {status}", EXIT_INFEASIBLE)
-    if status == "iteration_limit":
-        _fail(f"solver status: {status}", EXIT_LIMIT)
+    if status != "ok":
+        _fail(f"solver status: {status}", _status_exit(status))
 
     report = {"schema_version": vio.SCHEMA_VERSION, "psi": psi}
     report.update({k: v for k, v in sorted(row.items())})

@@ -6,6 +6,14 @@ into maximal downward chains and embeds each chain with a Dijkstra run
 over (substrate node, chain progress) states, so hops pay bandwidth and
 placements pay compute.  Subtrees hanging off a placed branch node are
 embedded recursively with the same rule.
+
+The search runs on integer-indexed tables built once per run
+(`_ChainSearch`): substrate nodes and arcs are numbered, efficiency
+coefficients are read into per-element rows on first use, each
+alternative's chains are planned once, and the Dijkstra keeps its
+distances in flat lists indexed by ``m * n + v``.  Every load and cost
+is computed with the same float operations in the same order as a
+search over id-keyed dicts would, so results are identical to the bit.
 """
 
 from __future__ import annotations
@@ -82,79 +90,213 @@ def _chains(alt: AlternativeTopology) -> list[tuple[str, list[VirtualLink]]]:
     return out
 
 
-def _embed_chain(
-    net: SubstrateNetwork,
-    efficiency: EfficiencyMap,
-    alt: AlternativeTopology,
-    chain: Sequence[VirtualLink],
-    start_node: str,
-    demand: float,
-    residual: ResidualState,
-    node_index: Mapping[str, int],
-):
-    """Cheapest placement of one chain of functions, starting from the
-    fixed substrate position of the chain's first (already placed)
-    function.  Returns (placements, paths, cost) or None.
+class _ChainSearch:
+    """Integer-indexed tables of one (network, efficiency) pair, plus the
+    residual capacities the chain search tests moves against.
 
-    States are (substrate node, number of chain functions placed);
-    Dijkstra explores 'place here' and 'hop one arc' moves.  Capacity is
-    checked per individual move against the residual snapshot — the
-    caller rechecks the assembled embedding cumulatively.
+    Substrate nodes are numbered in network order and arcs by endpoint
+    pair; coefficient rows (one value per substrate node or arc, keyed by
+    virtual node id or virtual link pair, as :class:`EfficiencyMap` is)
+    and per-alternative chain plans are filled on first use and shared
+    by every later search.  Capacities are kept with ``_EPS`` already
+    added, mirrored from ``residual`` on every :meth:`consume`.
     """
-    k = len(chain)
-    dist: dict[tuple[str, int], float] = {(start_node, 0): 0.0}
-    prev: dict[tuple[str, int], tuple[tuple[str, int], str]] = {}
-    heap = [(0.0, 0, node_index[start_node], start_node)]
-    best_final: Optional[tuple[str, int]] = None
-    while heap:
-        d, m, _, v = heapq.heappop(heap)
-        if d > dist.get((v, m), float("inf")) + _EPS:
-            continue
-        if m == k:
-            best_final = (v, m)
-            break
-        link = chain[m]
-        func = alt.node_by_id[link.child]
-        # place the next function on the current node
-        coeff = efficiency.node(func.id, v)
-        if coeff is not FORBIDDEN:
-            load = demand * func.size * coeff
-            if load <= residual.node[v] + _EPS:
-                nd = d + load * net.node_by_id[v].cost
-                if nd < dist.get((v, m + 1), float("inf")) - _EPS:
-                    dist[(v, m + 1)] = nd
-                    prev[(v, m + 1)] = ((v, m), "place")
-                    heapq.heappush(heap, (nd, m + 1, node_index[v], v))
-        # or carry the pending virtual link one arc further
-        for arc in net.out_arcs.get(v, ()):
-            w = arc.dst
-            lcoeff = efficiency.link((link.parent, link.child), (v, w))
-            if lcoeff is FORBIDDEN:
+
+    def __init__(
+        self, net: SubstrateNetwork, efficiency: EfficiencyMap, residual: ResidualState
+    ):
+        self.ids = [n.id for n in net.nodes]
+        self.node_index = {v: i for i, v in enumerate(self.ids)}
+        self.node_cost = [n.cost for n in net.nodes]
+        self.pairs = list(net.arc_by_pair)
+        self.arc_index = {pair: k for k, pair in enumerate(self.pairs)}
+        # out-arcs as (destination index, arc index, cost)
+        self.out = [
+            [
+                (self.node_index[a.dst], self.arc_index[(a.src, a.dst)], a.cost)
+                for a in net.out_arcs[v]
+            ]
+            for v in self.ids
+        ]
+        self.efficiency = efficiency
+        self.residual = residual
+        self.node_cap = [residual.node[v] + _EPS for v in self.ids]
+        self.arc_cap = [residual.arc[pair] + _EPS for pair in self.pairs]
+        self._node_rows: dict[str, list[Optional[float]]] = {}
+        self._link_rows: dict[tuple[str, str], list[Optional[float]]] = {}
+        self._plans: dict[AlternativeTopology, tuple] = {}
+
+    def node_row(self, func: str) -> list[Optional[float]]:
+        row = self._node_rows.get(func)
+        if row is None:
+            row = self._node_rows[func] = [self.efficiency.node(func, v) for v in self.ids]
+        return row
+
+    def link_row(self, pair: tuple[str, str]) -> list[Optional[float]]:
+        row = self._link_rows.get(pair)
+        if row is None:
+            row = self._link_rows[pair] = [self.efficiency.link(pair, arc) for arc in self.pairs]
+        return row
+
+    def plan(self, alt: AlternativeTopology) -> tuple:
+        """(root row, chains, node terms, link terms) of ``alt``.  A chain
+        is (start function, steps), a step (link, child size, child row,
+        link row); the terms give the size and row of every
+        function and link for the cumulative recheck."""
+        plan = self._plans.get(alt)
+        if plan is None:
+            chains = [
+                (
+                    start,
+                    [
+                        (
+                            link,
+                            alt.node_by_id[link.child].size,
+                            self.node_row(link.child),
+                            self.link_row((link.parent, link.child)),
+                        )
+                        for link in chain
+                    ],
+                )
+                for start, chain in _chains(alt)
+            ]
+            node_terms = {n.id: (n.size, self.node_row(n.id)) for n in alt.nodes}
+            link_terms = [
+                ((vl.parent, vl.child), vl.size, self.link_row((vl.parent, vl.child)))
+                for vl in alt.links
+            ]
+            plan = self._plans[alt] = (self.node_row(alt.root), chains, node_terms, link_terms)
+        return plan
+
+    def consume(self, node_loads: Mapping[str, float], arc_loads: Mapping) -> None:
+        self.residual.consume(node_loads, arc_loads)
+        for v in node_loads:
+            self.node_cap[self.node_index[v]] = self.residual.node[v] + _EPS
+        for vw in arc_loads:
+            self.arc_cap[self.arc_index[vw]] = self.residual.arc[vw] + _EPS
+
+    def embed_chain(self, steps: Sequence[tuple], start: int, demand: float):
+        """Cheapest placement of one chain of functions, starting from the
+        fixed substrate position (node index) of the chain's first, already
+        placed function.  Returns (placements, paths, cost) or None.
+
+        States are (substrate node, number of chain functions placed),
+        stored at ``m * n + v``; Dijkstra explores 'place here' and 'hop
+        one arc' moves.  Capacity is checked per individual move against
+        the residual snapshot — the caller rechecks the assembled
+        embedding cumulatively.
+        """
+        n = len(self.ids)
+        k = len(steps)
+        node_cap, arc_cap, node_cost, out = self.node_cap, self.arc_cap, self.node_cost, self.out
+        # demand * size first, as in the load formula demand * size * coeff
+        moves = [(demand * fs, frow, demand * link.size, lrow) for link, fs, frow, lrow in steps]
+        inf = float("inf")
+        dist = [inf] * ((k + 1) * n)
+        prev = [-1] * ((k + 1) * n)
+        dist[start] = 0.0
+        heap = [(0.0, 0, start)]
+        pop, push = heapq.heappop, heapq.heappush
+        final = -1
+        while heap:
+            d, m, v = pop(heap)
+            s = m * n + v
+            if d > dist[s] + _EPS:
                 continue
-            load = demand * link.size * lcoeff
-            if load > residual.arc[(v, w)] + _EPS:
-                continue
-            nd = d + load * arc.cost
-            if nd < dist.get((w, m), float("inf")) - _EPS:
-                dist[(w, m)] = nd
-                prev[(w, m)] = ((v, m), "hop")
-                heapq.heappush(heap, (nd, m, node_index[w], w))
-    if best_final is None:
-        return None
-    # walk predecessors back to the start state to recover placements/paths
-    placements: dict[str, str] = {}
-    paths: dict[tuple[str, str], list[tuple[str, str]]] = {
-        (vl.parent, vl.child): [] for vl in chain
-    }
-    state = best_final
-    while state in prev:
-        (pv, pm), move = prev[state]
-        if move == "place":
-            placements[chain[pm].child] = state[0]
-        else:
-            paths[(chain[pm].parent, chain[pm].child)].insert(0, (pv, state[0]))
-        state = (pv, pm)
-    return placements, {pair: tuple(p) for pair, p in paths.items()}, dist[best_final]
+            if m == k:
+                final = s
+                break
+            node_demand, node_row, link_demand, link_row = moves[m]
+            # place the next function on the current node
+            coeff = node_row[v]
+            if coeff is not FORBIDDEN:
+                load = node_demand * coeff
+                if load <= node_cap[v]:
+                    nd = d + load * node_cost[v]
+                    t = s + n
+                    if nd < dist[t] - _EPS:
+                        dist[t] = nd
+                        prev[t] = s
+                        push(heap, (nd, m + 1, v))
+            # or carry the pending virtual link one arc further
+            base = s - v
+            for w, a, arc_cost in out[v]:
+                lcoeff = link_row[a]
+                if lcoeff is FORBIDDEN:
+                    continue
+                load = link_demand * lcoeff
+                if load > arc_cap[a]:
+                    continue
+                nd = d + load * arc_cost
+                t = base + w
+                if nd < dist[t] - _EPS:
+                    dist[t] = nd
+                    prev[t] = s
+                    push(heap, (nd, m, w))
+        if final < 0:
+            return None
+        # walk predecessors back to the start state to recover placements/paths
+        ids = self.ids
+        placements: dict[str, str] = {}
+        paths: dict[tuple[str, str], list[tuple[str, str]]] = {
+            (step[0].parent, step[0].child): [] for step in steps
+        }
+        s = final
+        while prev[s] >= 0:
+            p = prev[s]
+            pm, pv = divmod(p, n)
+            link = steps[pm][0]
+            if s - p == n:  # same node, one more function placed
+                placements[link.child] = ids[pv]
+            else:
+                paths[(link.parent, link.child)].insert(0, (ids[pv], ids[s - pm * n]))
+            s = p
+        return placements, {pair: tuple(p) for pair, p in paths.items()}, dist[final]
+
+    def embed(
+        self, alt: AlternativeTopology, origin: str, demand: float
+    ) -> Optional[CandidateEmbedding]:
+        """:func:`minv_embed` against this search's residual capacities."""
+        o = self.node_index.get(origin)
+        if o is None:
+            return None
+        root_row, chains, node_terms, link_terms = self.plan(alt)
+        if root_row[o] is FORBIDDEN:
+            return None
+        node_index = self.node_index
+        node_map: dict[str, str] = {alt.root: origin}
+        link_map: dict[tuple[str, str], tuple[tuple[str, str], ...]] = {}
+        cost = 0.0
+        for start_func, steps in chains:
+            got = self.embed_chain(steps, node_index[node_map[start_func]], demand)
+            if got is None:
+                return None
+            placements, paths, chain_cost = got
+            node_map.update(placements)
+            link_map.update(paths)
+            cost += chain_cost
+        # cumulative recheck: per-move checks were against the untouched
+        # residual, so co-located functions / shared arcs need a joint pass
+        node_loads: dict[str, float] = {}
+        arc_loads: dict[tuple[str, str], float] = {}
+        for i, v in node_map.items():
+            size, row = node_terms[i]
+            load = demand * size * row[node_index[v]]
+            if load:
+                node_loads[v] = node_loads.get(v, 0.0) + load
+        arc_index = self.arc_index
+        for pair, size, row in link_terms:
+            for arc in link_map[pair]:
+                load = demand * size * row[arc_index[arc]]
+                if load:
+                    arc_loads[arc] = arc_loads.get(arc, 0.0) + load
+        for v, load in node_loads.items():
+            if load > self.node_cap[node_index[v]]:
+                return None
+        for vw, load in arc_loads.items():
+            if load > self.arc_cap[arc_index[vw]]:
+                return None
+        return CandidateEmbedding(node_map, link_map, cost, node_loads, arc_loads)
 
 
 def minv_embed(
@@ -173,45 +315,7 @@ def minv_embed(
     then rechecked cumulatively (several functions sharing one node must
     fit together), so a returned candidate is always safe to accept.
     """
-    if origin not in net.node_by_id:
-        return None
-    if efficiency.node(alt.root, origin) is FORBIDDEN:
-        return None
-    node_index = {n.id: i for i, n in enumerate(net.nodes)}
-    node_map: dict[str, str] = {alt.root: origin}
-    link_map: dict[tuple[str, str], tuple[tuple[str, str], ...]] = {}
-    cost = 0.0
-    for start_func, chain in _chains(alt):
-        got = _embed_chain(
-            net, efficiency, alt, chain, node_map[start_func], demand, residual, node_index
-        )
-        if got is None:
-            return None
-        placements, paths, chain_cost = got
-        node_map.update(placements)
-        link_map.update(paths)
-        cost += chain_cost
-    # cumulative recheck: per-move checks were against the untouched
-    # residual, so co-located functions / shared arcs need a joint pass
-    node_loads: dict[str, float] = {}
-    arc_loads: dict[tuple[str, str], float] = {}
-    for i, v in node_map.items():
-        coeff = efficiency.node(i, v)
-        load = demand * alt.node_by_id[i].size * coeff
-        if load:
-            node_loads[v] = node_loads.get(v, 0.0) + load
-    for vl in alt.links:
-        for arc in link_map[(vl.parent, vl.child)]:
-            load = demand * vl.size * efficiency.link((vl.parent, vl.child), arc)
-            if load:
-                arc_loads[arc] = arc_loads.get(arc, 0.0) + load
-    for v, load in node_loads.items():
-        if load > residual.node[v] + _EPS:
-            return None
-    for vw, load in arc_loads.items():
-        if load > residual.arc[vw] + _EPS:
-            return None
-    return CandidateEmbedding(node_map, link_map, cost, node_loads, arc_loads)
+    return _ChainSearch(net, efficiency, residual).embed(alt, origin, demand)
 
 
 @dataclass
@@ -243,17 +347,17 @@ def greedy_embed_all(
     equal-cost alternatives go to the lower alternative index.
     """
     t0 = time.perf_counter()
-    residual = ResidualState.from_network(net)
+    search = _ChainSearch(net, efficiency, ResidualState.from_network(net))
+    ranked = {a: sorted(app.alternatives, key=lambda alt: alt.index) for a, app in apps.items()}
     order = _rng.stream(order_seed, "greedy-order").permutation(len(requests))
     results: list[Optional[IntegralEmbedding]] = [None] * len(requests)
     report = GreedyReport(order=tuple(int(i) for i in order))
     for pos in order:
         req = requests[pos]
-        app = apps[req.app]
         best: Optional[CandidateEmbedding] = None
         best_alt: Optional[int] = None
-        for alt in sorted(app.alternatives, key=lambda a: a.index):
-            cand = minv_embed(net, alt, req.origin, req.demand, efficiency, residual)
+        for alt in ranked[req.app]:
+            cand = search.embed(alt, req.origin, req.demand)
             if cand is not None and (best is None or cand.cost < best.cost):
                 best, best_alt = cand, alt.index
         if best is None:
@@ -261,7 +365,7 @@ def greedy_embed_all(
             report.rejected += 1
             report.rejected_demand += req.demand
         else:
-            residual.consume(best.node_loads, best.arc_loads)
+            search.consume(best.node_loads, best.arc_loads)
             results[pos] = IntegralEmbedding(req, best_alt, best.node_map, best.link_map)
             report.accepted += 1
             report.embed_cost += best.cost

@@ -17,13 +17,24 @@ OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 ITERATION_LIMIT = "iteration_limit"
 UNBOUNDED = "unbounded"
+FAILURE = "failure"
 
 # scipy's ``linprog`` and ``milp`` share these status codes; any other
-# code (numerical trouble) is a solver failure and raises.
+# code (numerical trouble) is a solver failure and raises
+# ``SolverError(FAILURE)``.
 _STATUS = {0: OPTIMAL, 1: ITERATION_LIMIT, 2: INFEASIBLE, 3: UNBOUNDED}
 
 # Primal feasibility and dual (optimality) tolerance handed to HiGHS.
 _TOL = 1e-7
+
+
+class SolverError(RuntimeError):
+    """A program that did not solve to optimality where the caller needs
+    an optimum; ``status`` is one of the status names above."""
+
+    def __init__(self, status: str, message: str):
+        super().__init__(message)
+        self.status = status
 
 
 @dataclass(frozen=True)
@@ -88,7 +99,7 @@ def _split_rows(lp: LinearProgram):
 def _solution(res, lp: LinearProgram, stats: dict) -> Solution:
     status = _STATUS.get(res.status)
     if status is None:
-        raise RuntimeError(f"HiGHS failure: {res.message}")
+        raise SolverError(FAILURE, f"HiGHS failure: {res.message}")
     if status != OPTIMAL:
         return Solution(status, None, None, stats)
     return Solution(OPTIMAL, float(res.fun) + lp.objective_constant, res.x, stats)

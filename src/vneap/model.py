@@ -10,6 +10,7 @@ report every problem at once.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
 
 #: Marker for a (virtual element, substrate element) pairing that must
@@ -134,6 +135,12 @@ class AlternativeTopology:
 
     def size_of(self, node_id: str) -> float:
         return self.node_by_id[node_id].size
+
+    @cached_property
+    def preorder(self) -> tuple[VirtualLink, ...]:
+        """:func:`link_preorder` of this alternative, validated and
+        computed on first use only."""
+        return tuple(link_preorder(self))
 
     def __repr__(self) -> str:
         return (

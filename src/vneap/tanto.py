@@ -28,7 +28,7 @@ from .formulation import (
     build_relaxed_aggregate_lp,
     fractional_solution,
 )
-from .lp import solve_lp
+from .lp import SolverError, solve_lp
 from .model import (
     AlternativeTopology,
     Application,
@@ -36,7 +36,6 @@ from .model import (
     IntegralEmbedding,
     Request,
     SubstrateNetwork,
-    link_preorder,
 )
 
 # Residual comparisons ``d <= y`` carry this much slack (in normalized
@@ -133,7 +132,8 @@ def embed_request(
     rng: np.random.Generator,
 ) -> IntegralEmbedding:
     """Round one request against its aggregate's residual fractional
-    solution.
+    solution.  ``alt_set`` lists the application's alternatives in index
+    order.
 
     The walk: pick an alternative by weighted random selection over the
     root variables, embed the root at the origin, then route each
@@ -174,22 +174,19 @@ def embed_request(
             return True
         return False
 
-    alternatives = sorted(alt_set, key=lambda a: a.index)
-    root_keys = [
-        VariableKey(state.owner, a.index, ("n", a.root, r.origin)) for a in alternatives
-    ]
+    root_keys = [VariableKey(state.owner, a.index, ("n", a.root, r.origin)) for a in alt_set]
     root_weights = [state.y.get(k, 0.0) for k in root_keys]
     steps += 1
     if sum(root_weights) <= _DUST:
         return reject("lp_exhausted_rejections")
     pick = weighted_random_select(root_weights, rng)
-    alt = alternatives[pick]
+    alt = alt_set[pick]
     if not consume(root_keys[pick]):
         return reject("rounding_rejections", zero_key=root_keys[pick])
     placement: dict[str, str] = {alt.root: r.origin}
     link_map: dict[tuple[str, str], tuple[tuple[str, str], ...]] = {}
 
-    for link in link_preorder(alt):
+    for link in alt.preorder:
         v = placement[link.parent]
         path: list[tuple[str, str]] = []
         link_steps = 0
@@ -273,6 +270,7 @@ def _round_aggregate(
     of the member order.  Owns its random stream and variable slice, so
     calls for distinct aggregates never interact."""
     stream = _rng.stream(seed, "round", agg.origin, agg.app)
+    alternatives = sorted(alternatives, key=lambda a: a.index)
     state = RoundingState.for_aggregate(net, agg, values, alternatives)
     order = stream.permutation(len(agg.members))
     out: list[tuple[int, IntegralEmbedding]] = []
@@ -294,9 +292,9 @@ def tanto(
 
     Returns embeddings in the input request order plus a report carrying
     the LP objective and the counters for the guarantee assertions.
-    Raises ``RuntimeError`` if the relaxation does not solve to
-    optimality (with the rejection slack in the model this indicates a
-    broken instance, not load).
+    Raises :class:`~vneap.lp.SolverError`, carrying the solver status,
+    if the relaxation does not solve to optimality (with the rejection
+    slack in the model this indicates a broken instance, not load).
     """
     t0 = time.perf_counter()
     aggregates = aggregate_requests(requests)
@@ -304,7 +302,7 @@ def tanto(
     sol = solve_lp(lp)
     t1 = time.perf_counter()
     if not sol.optimal:
-        raise RuntimeError(f"aggregate relaxation did not solve: {sol.status}")
+        raise SolverError(sol.status, f"aggregate relaxation did not solve: {sol.status}")
     frac = fractional_solution(lp, sol.x, sol.objective, aggregates, apps)
 
     by_owner: dict[str, dict[VariableKey, float]] = {g.owner: {} for g in aggregates}

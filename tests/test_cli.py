@@ -11,7 +11,9 @@ import pytest
 from click.testing import CliRunner
 
 import vneap.io as vio
+import vneap.tanto
 from vneap.cli import main
+from vneap.lp import Solution
 from vneap.harness import measured_utilization
 
 from conftest import toy_net, unit_requests
@@ -243,6 +245,32 @@ def test_solve_milp_refuses_oversized_search(runner, toy_files):
     result = runner.invoke(main, solve_args(toy_files, "milp", toy_files["dir"] / "x.json"))
     assert result.exit_code == 2
     assert "exact search refused" in result.output
+
+
+@pytest.mark.parametrize(
+    "status, code", [("unbounded", 3), ("infeasible", 3), ("iteration_limit", 4)]
+)
+def test_solve_maps_a_failed_relaxation_by_its_status(runner, toy_files, monkeypatch, status, code):
+    """tanto's relaxation ends with ``status``; the exit code follows the
+    status the error carries ("unbounded" is nowhere in the message's
+    wording of infeasibility, yet exits 3)."""
+    monkeypatch.setattr(vneap.tanto, "solve_lp", lambda lp: Solution(status, None, None))
+    result = runner.invoke(main, solve_args(toy_files, "tanto", toy_files["dir"] / "x.json"))
+    assert result.exit_code == code
+    assert f"did not solve: {status}" in result.output
+
+
+def test_solve_does_not_read_exit_codes_from_messages(runner, toy_files, monkeypatch):
+    """An error that is not a solver status is not mapped to exit 3 for
+    saying "infeasible": it propagates as the defect it is."""
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("greedy produced an infeasible embedding set")
+
+    monkeypatch.setattr(vneap.harness, "greedy_embed_all", broken)
+    result = runner.invoke(main, solve_args(toy_files, "greedy", toy_files["dir"] / "x.json"))
+    assert result.exit_code == 1
+    assert isinstance(result.exception, RuntimeError)
 
 
 def test_solve_psi_override(runner, toy_files):

@@ -2,8 +2,16 @@
 
 from __future__ import annotations
 
+import json
+from importlib import resources
+from pathlib import Path
+
+import numpy as np
 import pytest
 
+import vneap.io as vio
+from vneap import harness
+from vneap.formulation import compute_rejection_penalty
 from vneap.greedy import ResidualState, greedy_embed_all, minv_embed
 from vneap.model import (
     FORBIDDEN,
@@ -22,6 +30,7 @@ from vneap.validator import check_feasibility, load_vector, total_cost
 from conftest import random_instance, toy_apps, toy_net, unit_requests
 
 PSI_TOY = 1050.0
+RECORDED = Path(__file__).parent / "data" / "greedy_recorded.jsonl"
 
 
 def theta_chain(size: float) -> AlternativeTopology:
@@ -131,6 +140,71 @@ def test_fully_forbidden_function_yields_none():
     assert cand is None
 
 
+def test_forbidden_uplink_forces_collocation_at_the_origin():
+    """Crossing to C costs 100*1 + 100*1 = 200 and collocating 100*10 =
+    1000, but the link may not use E->C at all."""
+    net = toy_net()
+    eff = EfficiencyMap(link_coeffs={(("theta", "f"), ("E", "C")): FORBIDDEN})
+    cand = minv_embed(net, theta_chain(100.0), "E", 1.0, eff, ResidualState.from_network(net))
+    assert cand.node_map == {"theta": "E", "f": "E"}
+    assert cand.link_map == {("theta", "f"): ()}
+    assert cand.cost == 1000.0
+
+
+def detour_net() -> SubstrateNetwork:
+    """E (cost 10) and C (cost 1) joined directly (arc cost 1) and through
+    M (cost 10, arcs of cost 0.75)."""
+    arcs = []
+    for u, v, cost in (("E", "C", 1.0), ("E", "M", 0.75), ("M", "C", 0.75)):
+        arcs += [SubstrateArc(u, v, cost, 1e12), SubstrateArc(v, u, cost, 1e12)]
+    nodes = [SubstrateNode(v, cost, 1e12) for v, cost in (("E", 10.0), ("M", 10.0), ("C", 1.0))]
+    return SubstrateNetwork(nodes, arcs)
+
+
+def test_reweighted_link_takes_the_detour():
+    """f (size 100) goes to C either way.  The direct hop carries 100
+    units at cost 1 (total 200) against 100 * 0.75 twice through M
+    (total 250); a coefficient of 3 on E->C makes the direct hop cost
+    300, so the detour wins at 250."""
+    net = detour_net()
+    plain = minv_embed(
+        net, theta_chain(100.0), "E", 1.0, EfficiencyMap(), ResidualState.from_network(net)
+    )
+    assert plain.link_map == {("theta", "f"): (("E", "C"),)}
+    assert plain.cost == 200.0
+    eff = EfficiencyMap(link_coeffs={(("theta", "f"), ("E", "C")): 3.0})
+    cand = minv_embed(net, theta_chain(100.0), "E", 1.0, eff, ResidualState.from_network(net))
+    assert cand.node_map == {"theta": "E", "f": "C"}
+    assert cand.link_map == {("theta", "f"): (("E", "M"), ("M", "C"))}
+    assert cand.cost == 250.0
+    assert cand.arc_loads == {("E", "M"): 100.0, ("M", "C"): 100.0}
+
+
+def test_shared_virtual_ids_keep_their_own_sizes():
+    """Two apps name their function f and their link theta->f alike, with
+    one coefficient 2 for f on C.  small (f 5, link 100) collocates at E
+    for 5*10 = 50 (crossing: 5*2*1 + 100 = 110); large (f 100, link 50)
+    crosses for 100*2*1 + 50 = 250 (collocating: 1000)."""
+
+    def app(name: str, func: float, link: float) -> Application:
+        alt = AlternativeTopology(
+            name,
+            0,
+            [VirtualNode("theta", 0.0), VirtualNode("f", func)],
+            [VirtualLink("theta", "f", link)],
+            "theta",
+        )
+        return Application(name, (alt,))
+
+    apps = {"small": app("small", 5.0, 100.0), "large": app("large", 100.0, 50.0)}
+    eff = EfficiencyMap(node_coeffs={("f", "C"): 2.0})
+    requests = [Request("E", "small", 1.0), Request("E", "large", 1.0)]
+    for order_seed in (0, 1):
+        embeddings, report = greedy_embed_all(toy_net(), apps, eff, requests, 500.0, order_seed)
+        assert [e.node_map["f"] for e in embeddings] == ["E", "C"]
+        assert report.objective == 300.0
+
+
 # -- invariants over random instances -----------------------------------------
 
 
@@ -210,3 +284,69 @@ def test_report_cost_matches_validator():
     embeddings, report = greedy_embed_all(net, apps, eff, requests, psi, 31)
     breakdown = total_cost(net, apps, eff, embeddings, psi)
     assert breakdown.total == pytest.approx(report.objective, rel=1e-9)
+
+
+# -- pinned output ------------------------------------------------------------
+
+
+def arnes_overloaded_instance():
+    """arnes_si with cctv_two: 300 requests, capacities calibrated to TU 1.3
+    for exactly those requests, and a seeded sprinkling of forbidden and
+    reweighted link coefficients.  Greedy rejects a good share of the
+    requests here, so capacity prunes its searches."""
+    root = resources.files("vneap")
+    graph = harness.ingest_graphml(str(root.joinpath("fixtures/topologies/arnes_si.graphml")))
+    base = harness.assign_costs_capacities(graph, harness.classify_tiers(graph))
+    apps = vio.load_applications(json.loads(root.joinpath("fixtures/cctv_two.json").read_text()))
+    gen = harness.GenParams(count=300, app="cctv", enforce_origin_cap=False)
+    requests = harness.generate_requests(base, apps, gen, 11)
+    net = harness.calibrate_target_utilization(base, apps, requests, 1.3, 1.3)
+    rng = np.random.default_rng(11)
+    pairs = sorted({(l.parent, l.child) for a in apps["cctv"].alternatives for l in a.links})
+    link_coeffs = {}
+    for pair in pairs:
+        for arc in net.arcs:
+            roll = rng.random()
+            if roll < 0.03:
+                link_coeffs[(pair, (arc.src, arc.dst))] = FORBIDDEN
+            elif roll < 0.15:
+                link_coeffs[(pair, (arc.src, arc.dst))] = round(float(rng.uniform(0.5, 2.0)), 3)
+    eff = EfficiencyMap(link_coeffs=link_coeffs)
+    return net, apps, eff, requests, compute_rejection_penalty(net, apps, eff)
+
+
+def pinned_runs():
+    """(name, instance, order seed) of every run in the recorded fixture."""
+    for seed in range(30):
+        yield f"random-{seed}", random_instance(seed), seed
+    yield "arnes_si-tu1.3", arnes_overloaded_instance(), 5
+
+
+def recorded_form(name, embeddings, report) -> dict:
+    """A run as the fixture stores it: per request in input order the
+    alternative, node map and link map, plus the objective."""
+    return {
+        "name": name,
+        "objective": report.objective,
+        "embeddings": [
+            [
+                e.alternative,
+                dict(e.node_map),
+                sorted([i, j, [list(arc) for arc in path]] for (i, j), path in e.link_map.items()),
+            ]
+            for e in embeddings
+        ],
+    }
+
+
+def test_output_matches_the_recorded_run():
+    """Greedy's embeddings and objective equal, exactly, those recorded
+    from an earlier implementation of the same search (30 random instances
+    and an overloaded arnes_si run with link coefficients)."""
+    recorded = [json.loads(line) for line in RECORDED.read_text().splitlines()]
+    runs = list(pinned_runs())
+    assert [r["name"] for r in recorded] == [name for name, _, _ in runs]
+    for (name, (net, apps, eff, requests, psi), order_seed), want in zip(runs, recorded):
+        embeddings, report = greedy_embed_all(net, apps, eff, requests, psi, order_seed)
+        got = json.loads(json.dumps(recorded_form(name, embeddings, report)))
+        assert got == want, name
