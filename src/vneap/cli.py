@@ -251,7 +251,8 @@ def compare(scenario, out_dir, jobs, seed):
     paths = write_result(result, out_dir, config.apps)
     for err in result.errors:
         click.echo(
-            f"repetition {err['repetition']} {err['algorithm']}: {err['error']}", err=True
+            f"repetition {err['repetition']} {err['algorithm']}: {err['type']}: {err['error']}",
+            err=True,
         )
     click.echo(f"{len(result.rows)} rows -> {paths['rows']}")
     if not result.rows:

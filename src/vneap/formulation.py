@@ -35,9 +35,8 @@ from __future__ import annotations
 
 import logging
 import math
-import re
-from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -53,30 +52,22 @@ from .model import (
 log = logging.getLogger("vneap.formulation")
 
 
-@dataclass(frozen=True)
-class VariableKey:
+class VariableKey(NamedTuple):
     """Identifies one placement variable.
 
     ``kind`` is ``("n", virtual_node, substrate_node)`` for node
     placements and ``("l", parent, child, arc_src, arc_dst)`` for link
-    placements.
+    placements.  A plain tuple, so rounding's many lookups hash and
+    compare keys in C.
     """
 
     owner: str
     alt: int
     kind: tuple
 
-    def describe(self) -> str:
-        if self.kind[0] == "n":
-            _, i, v = self.kind
-            return f"{self.owner} t={self.alt} node {i} -> {v}"
-        _, i, j, v, w = self.kind
-        return f"{self.owner} t={self.alt} link {i}->{j} on arc {v}->{w}"
-
 
 @dataclass(frozen=True)
 class Row:
-    name: str
     coeffs: tuple[tuple[int, float], ...]  # (variable index, coefficient)
     sense: str  # "<=", ">=", "=="
     rhs: float
@@ -99,16 +90,9 @@ class LinearProgram:
     rows: tuple[Row, ...]
     binary: frozenset[int]
 
-    def __post_init__(self):
-        self.index: dict[VariableKey, int] = {k: i for i, k in enumerate(self.keys)}
-
     @property
     def n_vars(self) -> int:
         return len(self.keys)
-
-    @property
-    def is_milp(self) -> bool:
-        return bool(self.binary)
 
     def relax(self) -> "LinearProgram":
         """Continuous copy: same rows/bounds, no integrality marks."""
@@ -121,14 +105,6 @@ class LinearProgram:
             self.rows,
             frozenset(),
         )
-
-    def value_map(self, x: np.ndarray, drop_below: float = 0.0) -> dict[VariableKey, float]:
-        out = {}
-        for i, k in enumerate(self.keys):
-            v = float(x[i])
-            if abs(v) > drop_below:
-                out[k] = v
-        return out
 
 
 @dataclass(frozen=True)
@@ -159,13 +135,6 @@ class FractionalSolution:
         return sum(self.rejection_mass.values())
 
 
-_SANE = re.compile(r"[^A-Za-z0-9_.]")
-
-
-def _clean(s: str) -> str:
-    return _SANE.sub("_", s)
-
-
 def request_owner(index: int) -> str:
     return f"r{index}"
 
@@ -176,23 +145,21 @@ def _owner_rows(
     eff: EfficiencyMap,
     owners: Sequence[tuple[str, str, str, float]],
     psi: float,
-):
-    """Shared builder core.  ``owners`` holds
-    ``(owner_id, origin, app_id, demand)`` tuples; demand is the
-    request's demand for the per-request MILP and the aggregate total
-    for the aggregate LP."""
+) -> LinearProgram:
+    """Shared builder core: the continuous program over ``owners``,
+    which holds ``(owner_id, origin, app_id, demand)`` tuples; demand is
+    the request's demand for the per-request MILP and the aggregate
+    total for the aggregate LP."""
     if psi < 0:
         raise ValueError(f"rejection penalty must be nonnegative, got {psi}")
     keys: list[VariableKey] = []
     objective: list[float] = []
     obj_const = 0.0
-    index: dict[VariableKey, int] = {}
 
     def new_var(key: VariableKey, cost: float) -> int:
         idx = len(keys)
         keys.append(key)
         objective.append(cost)
-        index[key] = idx
         return idx
 
     rows: list[Row] = []
@@ -269,47 +236,23 @@ def _owner_rows(
                     coeffs = {i: c for i, c in coeffs.items() if c != 0.0}
                     if not coeffs:
                         continue
-                    rows.append(
-                        Row(
-                            _clean(
-                                f"flow_{owner}_t{alt.index}_{vl.parent}.{vl.child}_{sn.id}"
-                            ),
-                            tuple(sorted(coeffs.items())),
-                            "==",
-                            0.0,
-                        )
-                    )
+                    rows.append(Row(tuple(sorted(coeffs.items())), "==", 0.0))
         if root_vars:
-            rows.append(
-                Row(
-                    _clean(f"one_{owner}"),
-                    tuple((i, 1.0) for i in root_vars),
-                    "<=",
-                    1.0,
-                )
-            )
+            rows.append(Row(tuple((i, 1.0) for i in root_vars), "<=", 1.0))
     # capacity rows last, kept even when no variable touches them
     for n in net.nodes:
-        rows.append(
-            Row(_clean(f"ncap_{n.id}"), tuple(node_cap_coeffs[n.id]), "<=", n.capacity)
-        )
+        rows.append(Row(tuple(node_cap_coeffs[n.id]), "<=", n.capacity))
     for a in net.arcs:
-        rows.append(
-            Row(
-                _clean(f"acap_{a.src}_{a.dst}"),
-                tuple(arc_cap_coeffs[(a.src, a.dst)]),
-                "<=",
-                a.capacity,
-            )
-        )
+        rows.append(Row(tuple(arc_cap_coeffs[(a.src, a.dst)]), "<=", a.capacity))
     n = len(keys)
-    return (
+    return LinearProgram(
         tuple(keys),
         np.zeros(n),
         np.ones(n),
         np.asarray(objective, dtype=float),
         obj_const,
         tuple(rows),
+        frozenset(),
     )
 
 
@@ -324,8 +267,8 @@ def build_milp(
     owners = [
         (request_owner(k), r.origin, r.app, r.demand) for k, r in enumerate(requests)
     ]
-    keys, lo, hi, obj, const, rows = _owner_rows(net, apps, efficiency, owners, psi)
-    return LinearProgram(keys, lo, hi, obj, const, rows, frozenset(range(len(keys))))
+    lp = _owner_rows(net, apps, efficiency, owners, psi)
+    return replace(lp, binary=frozenset(range(lp.n_vars)))
 
 
 def aggregate_requests(requests: Sequence[Request]) -> list[AggregatedRequest]:
@@ -361,8 +304,7 @@ def build_relaxed_aggregate_lp(
     depends on the number of distinct (origin, application) pairs, not
     on the number of requests."""
     owners = [(g.owner, g.origin, g.app, g.demand) for g in aggregates]
-    keys, lo, hi, obj, const, rows = _owner_rows(net, apps, efficiency, owners, psi)
-    return LinearProgram(keys, lo, hi, obj, const, rows, frozenset())
+    return _owner_rows(net, apps, efficiency, owners, psi)
 
 
 def fractional_solution(
@@ -372,9 +314,10 @@ def fractional_solution(
     aggregates: Sequence[AggregatedRequest],
     apps: Mapping[str, Application],
 ) -> FractionalSolution:
-    """Package solver output: values by key plus per-aggregate rejected
-    demand (the demand-weighted slack of the one-alternative rows)."""
-    values = lp.value_map(x)
+    """Package solver output: the nonzero values by key plus
+    per-aggregate rejected demand (the demand-weighted slack of the
+    one-alternative rows)."""
+    values = {k: v for k, v in zip(lp.keys, x.tolist()) if abs(v) > 0.0}
     rejection = {}
     for g in aggregates:
         served = 0.0

@@ -610,7 +610,9 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
             )
             requests = generate_requests(net, config.apps, gen, req_seed)
         except Exception as exc:
-            errors.append({"repetition": rep, "algorithm": "", "error": str(exc)})
+            errors.append(
+                {"repetition": rep, "algorithm": "", "type": type(exc).__name__, "error": str(exc)}
+            )
             return rows, timings, errors
         for algo in config.algorithms:
             algo_seed = _rng.substream_seed(config.seed, "algo", algo, rep)
@@ -619,7 +621,14 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
                     algo, net, config.apps, config.efficiency, requests, psi, algo_seed
                 )
             except Exception as exc:
-                errors.append({"repetition": rep, "algorithm": algo, "error": str(exc)})
+                errors.append(
+                    {
+                        "repetition": rep,
+                        "algorithm": algo,
+                        "type": type(exc).__name__,
+                        "error": str(exc),
+                    }
+                )
                 continue
             row["scenario"] = config.name
             row["repetition"] = rep

@@ -356,16 +356,6 @@ def link_preorder(alt: AlternativeTopology) -> list[VirtualLink]:
     return order
 
 
-def application_catalog(apps: Sequence[Application]) -> dict[str, Application]:
-    """Index applications by id, rejecting duplicates."""
-    catalog: dict[str, Application] = {}
-    for app in apps:
-        if app.id in catalog:
-            raise ValueError(f"duplicate application id {app.id!r}")
-        catalog[app.id] = app
-    return catalog
-
-
 def validate_requests(
     requests: Sequence[Request],
     net: SubstrateNetwork,

@@ -91,7 +91,6 @@ class RoundingState:
     request_budget: int
     zeroed: set[VariableKey] = field(default_factory=set)
     initial_nonzero: int = -1
-    consumed_mass: float = 0.0  # normalized mass consumed by accepted requests
     accepted: int = 0
     rounding_rejections: int = 0
     stranded_rejections: int = 0
@@ -220,7 +219,6 @@ def embed_request(
         link_map[(link.parent, link.child)] = tuple(path)
 
     state.accepted += 1
-    state.consumed_mass += d
     finish_steps()
     return IntegralEmbedding(r, alt.index, placement, link_map)
 
@@ -267,8 +265,10 @@ def _round_aggregate(
     seed: int,
 ) -> tuple[list[tuple[int, IntegralEmbedding]], RoundingState]:
     """Round every member request of one aggregate, in a seeded shuffle
-    of the member order.  Owns its random stream and variable slice, so
-    calls for distinct aggregates never interact."""
+    of the member order.  ``values`` may hold every aggregate's
+    variables; only this aggregate's are read.  Owns its random stream
+    and variable slice, so calls for distinct aggregates never
+    interact."""
     stream = _rng.stream(seed, "round", agg.origin, agg.app)
     alternatives = sorted(alternatives, key=lambda a: a.index)
     state = RoundingState.for_aggregate(net, agg, values, alternatives)
@@ -305,15 +305,9 @@ def tanto(
         raise SolverError(sol.status, f"aggregate relaxation did not solve: {sol.status}")
     frac = fractional_solution(lp, sol.x, sol.objective, aggregates, apps)
 
-    by_owner: dict[str, dict[VariableKey, float]] = {g.owner: {} for g in aggregates}
-    for key, value in frac.values.items():
-        by_owner[key.owner][key] = value
-
     t2 = time.perf_counter()
     pieces = [
-        _round_aggregate(
-            net, agg, requests, by_owner[agg.owner], apps[agg.app].alternatives, seed
-        )
+        _round_aggregate(net, agg, requests, frac.values, apps[agg.app].alternatives, seed)
         for agg in aggregates
     ]
     t3 = time.perf_counter()

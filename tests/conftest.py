@@ -1,11 +1,17 @@
 """Shared test fixtures: the two-node toy instance, a seeded random-instance
-generator, and the acceptance-criteria summary banner."""
+generator, the runs pinned by the recorded-output fixtures, and the
+acceptance-criteria summary banner."""
 
 from __future__ import annotations
+
+import json
+from importlib import resources
 
 import numpy as np
 import pytest
 
+import vneap.io as vio
+from vneap import harness
 from vneap.formulation import (
     aggregate_requests,
     build_relaxed_aggregate_lp,
@@ -175,6 +181,56 @@ def random_instance(
     except ValueError:
         psi = 500.0
     return net, apps, efficiency, requests, psi
+
+
+# -- runs pinned by the recorded-output fixtures in tests/data --------------------
+
+
+def arnes_overloaded_instance():
+    """arnes_si with cctv_two: 300 requests, capacities calibrated to TU 1.3
+    for exactly those requests, and a seeded sprinkling of forbidden and
+    reweighted link coefficients.  Greedy and tanto both reject a good
+    share of the requests here, so capacity prunes greedy's searches and
+    rounding meets exhausted and zeroed variables."""
+    root = resources.files("vneap")
+    graph = harness.ingest_graphml(str(root.joinpath("fixtures/topologies/arnes_si.graphml")))
+    base = harness.assign_costs_capacities(graph, harness.classify_tiers(graph))
+    apps = vio.load_applications(json.loads(root.joinpath("fixtures/cctv_two.json").read_text()))
+    gen = harness.GenParams(count=300, app="cctv", enforce_origin_cap=False)
+    requests = harness.generate_requests(base, apps, gen, 11)
+    net = harness.calibrate_target_utilization(base, apps, requests, 1.3, 1.3)
+    rng = np.random.default_rng(11)
+    pairs = sorted({(l.parent, l.child) for a in apps["cctv"].alternatives for l in a.links})
+    link_coeffs = {}
+    for pair in pairs:
+        for arc in net.arcs:
+            roll = rng.random()
+            if roll < 0.03:
+                link_coeffs[(pair, (arc.src, arc.dst))] = FORBIDDEN
+            elif roll < 0.15:
+                link_coeffs[(pair, (arc.src, arc.dst))] = round(float(rng.uniform(0.5, 2.0)), 3)
+    eff = EfficiencyMap(link_coeffs=link_coeffs)
+    return net, apps, eff, requests, compute_rejection_penalty(net, apps, eff)
+
+
+def pinned_runs():
+    """(name, instance, seed) of every run in the recorded fixtures."""
+    for seed in range(30):
+        yield f"random-{seed}", random_instance(seed), seed
+    yield "arnes_si-tu1.3", arnes_overloaded_instance(), 5
+
+
+def recorded_embeddings(embeddings) -> list:
+    """Per request in input order: the alternative, node map and link map,
+    in the form the recorded fixtures store them."""
+    return [
+        [
+            e.alternative,
+            dict(e.node_map),
+            sorted([i, j, [list(arc) for arc in path]] for (i, j), path in e.link_map.items()),
+        ]
+        for e in embeddings
+    ]
 
 
 MATRIX_SEEDS = range(200)

@@ -3,15 +3,10 @@
 from __future__ import annotations
 
 import json
-from importlib import resources
 from pathlib import Path
 
-import numpy as np
 import pytest
 
-import vneap.io as vio
-from vneap import harness
-from vneap.formulation import compute_rejection_penalty
 from vneap.greedy import ResidualState, greedy_embed_all, minv_embed
 from vneap.model import (
     FORBIDDEN,
@@ -27,7 +22,14 @@ from vneap.model import (
 )
 from vneap.validator import check_feasibility, load_vector, total_cost
 
-from conftest import random_instance, toy_apps, toy_net, unit_requests
+from conftest import (
+    pinned_runs,
+    random_instance,
+    recorded_embeddings,
+    toy_apps,
+    toy_net,
+    unit_requests,
+)
 
 PSI_TOY = 1050.0
 RECORDED = Path(__file__).parent / "data" / "greedy_recorded.jsonl"
@@ -289,53 +291,12 @@ def test_report_cost_matches_validator():
 # -- pinned output ------------------------------------------------------------
 
 
-def arnes_overloaded_instance():
-    """arnes_si with cctv_two: 300 requests, capacities calibrated to TU 1.3
-    for exactly those requests, and a seeded sprinkling of forbidden and
-    reweighted link coefficients.  Greedy rejects a good share of the
-    requests here, so capacity prunes its searches."""
-    root = resources.files("vneap")
-    graph = harness.ingest_graphml(str(root.joinpath("fixtures/topologies/arnes_si.graphml")))
-    base = harness.assign_costs_capacities(graph, harness.classify_tiers(graph))
-    apps = vio.load_applications(json.loads(root.joinpath("fixtures/cctv_two.json").read_text()))
-    gen = harness.GenParams(count=300, app="cctv", enforce_origin_cap=False)
-    requests = harness.generate_requests(base, apps, gen, 11)
-    net = harness.calibrate_target_utilization(base, apps, requests, 1.3, 1.3)
-    rng = np.random.default_rng(11)
-    pairs = sorted({(l.parent, l.child) for a in apps["cctv"].alternatives for l in a.links})
-    link_coeffs = {}
-    for pair in pairs:
-        for arc in net.arcs:
-            roll = rng.random()
-            if roll < 0.03:
-                link_coeffs[(pair, (arc.src, arc.dst))] = FORBIDDEN
-            elif roll < 0.15:
-                link_coeffs[(pair, (arc.src, arc.dst))] = round(float(rng.uniform(0.5, 2.0)), 3)
-    eff = EfficiencyMap(link_coeffs=link_coeffs)
-    return net, apps, eff, requests, compute_rejection_penalty(net, apps, eff)
-
-
-def pinned_runs():
-    """(name, instance, order seed) of every run in the recorded fixture."""
-    for seed in range(30):
-        yield f"random-{seed}", random_instance(seed), seed
-    yield "arnes_si-tu1.3", arnes_overloaded_instance(), 5
-
-
 def recorded_form(name, embeddings, report) -> dict:
-    """A run as the fixture stores it: per request in input order the
-    alternative, node map and link map, plus the objective."""
+    """A run as the fixture stores it: its embeddings plus the objective."""
     return {
         "name": name,
         "objective": report.objective,
-        "embeddings": [
-            [
-                e.alternative,
-                dict(e.node_map),
-                sorted([i, j, [list(arc) for arc in path]] for (i, j), path in e.link_map.items()),
-            ]
-            for e in embeddings
-        ],
+        "embeddings": recorded_embeddings(embeddings),
     }
 
 

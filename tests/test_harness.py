@@ -399,6 +399,7 @@ def test_run_scenario_records_algorithm_errors():
     assert result.rows[0]["algorithm"] == "greedy"
     assert len(result.errors) == 1
     assert result.errors[0]["algorithm"] == "bogus"
+    assert result.errors[0]["type"] == "ValueError"
     assert "unknown algorithm" in result.errors[0]["error"]
 
 

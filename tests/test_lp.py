@@ -49,7 +49,7 @@ def random_box_lp(rng, n, n_rows):
     A = rng.normal(size=(n_rows, n))
     for r in range(n_rows):
         rhs = float(A[r] @ interior + rng.uniform(0.1, 2.0))
-        rows.append(Row(f"c{r}", tuple((i, float(A[r, i])) for i in range(n)), "<=", rhs))
+        rows.append(Row(tuple((i, float(A[r, i])) for i in range(n)), "<=", rhs))
     return hand_lp(c, rows, lo, hi), A, lo, hi
 
 
@@ -57,7 +57,7 @@ def random_box_lp(rng, n, n_rows):
 
 
 def test_minimize_x_at_least_three():
-    lp = hand_lp([1.0], [Row("floor", ((0, 1.0),), ">=", 3.0)], [0.0], [10.0])
+    lp = hand_lp([1.0], [Row(((0, 1.0),), ">=", 3.0)], [0.0], [10.0])
     sol = solve_lp(lp)
     assert sol.status == "optimal"
     assert sol.objective == pytest.approx(3.0, abs=1e-9)
@@ -74,7 +74,7 @@ def test_toy_unlimited_capacity_costs_205_per_unit():
 
 
 def test_infeasible_is_a_status_not_an_exception():
-    lp = hand_lp([1.0], [Row("no", ((0, 1.0),), "<=", -1.0)], [0.0], [1.0])
+    lp = hand_lp([1.0], [Row(((0, 1.0),), "<=", -1.0)], [0.0], [1.0])
     sol = solve_lp(lp)
     assert sol.status == "infeasible"
     assert sol.objective is None
@@ -142,7 +142,7 @@ def test_no_binaries_degenerates_to_plain_solve():
     lp = build_relaxed_aggregate_lp(
         net, apps, EfficiencyMap(), aggregate_requests(unit_requests(40)), PSI_TOY
     )
-    assert not lp.is_milp
+    assert not lp.binary
     exact = solve_milp_exact(lp)
     plain = solve_lp(lp)
     assert exact.objective == pytest.approx(plain.objective, abs=1e-12)
@@ -152,7 +152,7 @@ def test_exact_infeasible_binary_program_is_a_status():
     # two binaries cannot sum to 3
     lp = hand_lp(
         [1.0, 1.0],
-        [Row("three", ((0, 1.0), (1, 1.0)), ">=", 3.0)],
+        [Row(((0, 1.0), (1, 1.0)), ">=", 3.0)],
         [0.0, 0.0],
         [1.0, 1.0],
         binary=(0, 1),

@@ -16,7 +16,6 @@ from vneap.model import (
     SubstrateNode,
     VirtualLink,
     VirtualNode,
-    application_catalog,
     link_preorder,
     validate_application,
     validate_requests,
@@ -179,12 +178,6 @@ def test_application_needs_alternatives():
 def test_duplicate_alternative_indices_are_flagged():
     alts = (chain_alt(1.0, index=0), chain_alt(2.0, index=0))
     assert "DuplicateAlternative" in rules(validate_application(Application("app", alts)))
-
-
-def test_application_catalog_rejects_duplicate_ids():
-    app = Application("app", (chain_alt(1.0),))
-    with pytest.raises(ValueError, match="duplicate"):
-        application_catalog([app, app])
 
 
 # -- requests --------------------------------------------------------------

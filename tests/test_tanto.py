@@ -3,7 +3,9 @@ semantics, and end-to-end behaviour against the fractional optimum."""
 
 from __future__ import annotations
 
+import json
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,9 +45,17 @@ from vneap.validator import (
     total_cost,
 )
 
-from conftest import random_instance, toy_apps, toy_net, unit_requests
+from conftest import (
+    pinned_runs,
+    random_instance,
+    recorded_embeddings,
+    toy_apps,
+    toy_net,
+    unit_requests,
+)
 
 PSI_TOY = 1050.0
+RECORDED = Path(__file__).parent / "data" / "tanto_recorded.jsonl"
 
 
 # -- weighted random selection -------------------------------------------------
@@ -279,3 +289,45 @@ def test_reported_guarantees_hold_and_are_recomputable(seed):
     bound = psi * d_max * len(net.nodes) * len(net.arcs) * catalog_size
     assert report.psi_gap_bound == pytest.approx(bound, rel=1e-12)
     assert report.psi_tanto - report.psi_lp <= bound + 1e-6 * (1 + bound)
+
+
+# -- pinned output ------------------------------------------------------------
+
+COUNTERS = (
+    "aggregates",
+    "initial_nonzero_y",
+    "accepted",
+    "rejected",
+    "rounding_rejections",
+    "stranded_rejections",
+    "lp_exhausted_rejections",
+    "overflow_rejections",
+    "max_request_steps",
+    "total_steps",
+    "request_step_budget",
+    "per_link_step_cap",
+)
+
+
+def recorded_form(name, embeddings, report) -> dict:
+    """A run as the fixture stores it: its embeddings, the LP objective and
+    the report's counters."""
+    return {
+        "name": name,
+        "lp_objective": report.lp_objective,
+        "counters": {c: getattr(report, c) for c in COUNTERS},
+        "embeddings": recorded_embeddings(embeddings),
+    }
+
+
+def test_output_matches_the_recorded_run():
+    """tanto's embeddings, LP objective and counters equal, exactly, those
+    recorded from an earlier implementation (the greedy fixture's 30 random
+    instances and overloaded arnes_si run, with tanto seed = instance seed)."""
+    recorded = [json.loads(line) for line in RECORDED.read_text().splitlines()]
+    runs = list(pinned_runs())
+    assert [r["name"] for r in recorded] == [name for name, _, _ in runs]
+    for (name, (net, apps, eff, requests, psi), seed), want in zip(runs, recorded):
+        embeddings, report = tanto(net, apps, eff, requests, psi, seed=seed)
+        got = json.loads(json.dumps(recorded_form(name, embeddings, report)))
+        assert got == want, name
