@@ -203,15 +203,15 @@ def _serialize_embedding(emb) -> dict:
 @click.option("--out", required=True, type=click.Path())
 def solve(substrate, apps, requests_path, algo, seed, psi, efficiency, out):
     """Run one algorithm on one instance and write its report."""
-    known = {"lp", "milp", "greedy", "tanto"}
-    if algo not in known and not algo.startswith("vnep:"):
-        _fail(f"unknown algorithm {algo!r}", EXIT_INPUT)
     try:
         net, catalog, reqs, eff = _load_inputs(substrate, apps, requests_path, efficiency)
         if algo.startswith("vnep:"):
             t = int(algo.split(":", 1)[1])
-            if not any(any(a.index == t for a in app.alternatives) for app in catalog.values()):
-                raise FormatError(f"no alternative with index {t}")
+            missing = sorted(
+                app.id for app in catalog.values() if all(a.index != t for a in app.alternatives)
+            )
+            if missing:
+                raise FormatError(f"no alternative with index {t} in {', '.join(missing)}")
         if psi is None:
             psi = compute_rejection_penalty(net, catalog, eff)
     except (FormatError, ValueError) as exc:

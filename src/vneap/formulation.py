@@ -95,16 +95,8 @@ class LinearProgram:
         return len(self.keys)
 
     def relax(self) -> "LinearProgram":
-        """Continuous copy: same rows/bounds, no integrality marks."""
-        return LinearProgram(
-            self.keys,
-            self.lower.copy(),
-            self.upper.copy(),
-            self.objective.copy(),
-            self.objective_constant,
-            self.rows,
-            frozenset(),
-        )
+        """The same program without integrality marks."""
+        return replace(self, binary=frozenset())
 
 
 @dataclass(frozen=True)

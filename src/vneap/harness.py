@@ -5,7 +5,9 @@ and scenario execution with deterministic result rows.
 Scenario flow per repetition: generate a calibration request set, scale
 substrate capacities to the configured target utilizations, generate the
 run request set, execute each configured algorithm, and collect metrics
-through the validator.  All randomness is derived from the scenario seed
+through the validator.  The full catalog's aggregate relaxation is
+solved at most once per repetition: the ``lp`` row reports it and
+``tanto`` rounds it.  All randomness is derived from the scenario seed
 via labeled streams, so rows are byte-stable across runs and across
 worker counts; wall-clock timings are kept out of the rows and reported
 in a separate timings table.
@@ -14,6 +16,7 @@ in a separate timings table.
 from __future__ import annotations
 
 import csv
+import functools
 import io as _stdio
 import json
 import logging
@@ -22,7 +25,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Mapping, Optional, Sequence, Union
+from typing import Callable, Mapping, Optional, Sequence, Union
 
 import networkx as nx
 import numpy as np
@@ -31,9 +34,7 @@ from scipy import stats as _stats
 from . import rng as _rng
 from .formulation import (
     AggregatedRequest,
-    aggregate_requests,
     build_milp,
-    build_relaxed_aggregate_lp,
     compute_rejection_penalty,
     fractional_solution,
     request_owner,
@@ -41,7 +42,7 @@ from .formulation import (
 )
 from .greedy import greedy_embed_all
 from .io import FormatError
-from .lp import solve_lp, solve_milp_exact
+from .lp import solve_milp_exact
 from .model import (
     CORE,
     EDGE,
@@ -53,13 +54,12 @@ from .model import (
     SubstrateNode,
     SubstrateNetwork,
 )
-from .tanto import tanto
+from .tanto import Relaxation, round_relaxation, solve_relaxation
 from .validator import (
+    InfeasibleEmbeddingSet,
     alternative_shares,
-    check_feasibility,
     fractional_alternative_shares,
     fractional_cost,
-    objective_consistency,
     rejection_rate,
     total_cost,
 )
@@ -474,9 +474,12 @@ def _run_algorithm(
     requests: Sequence[Request],
     psi: float,
     seed: int,
+    relaxation: Optional[Callable[[], Relaxation]] = None,
 ) -> tuple[dict, dict, Optional[list]]:
     """One algorithm on one prepared repetition; returns (row, timing,
-    embeddings) — embeddings is None for fractional algorithms."""
+    embeddings) — embeddings is None for fractional algorithms.
+    ``relaxation`` returns the full catalog's solved relaxation, which
+    ``lp`` reports and ``tanto`` rounds; by default each call solves it."""
     total_demand = sum(r.demand for r in requests)
     row = {
         "algorithm": algo,
@@ -488,25 +491,30 @@ def _run_algorithm(
     catalog = apps
     if algo.startswith("vnep:"):
         catalog = restrict_to_alternative(apps, int(algo.split(":", 1)[1]))
+        relaxation = None  # a shared relaxation is the full catalog's
+    if relaxation is None:
+        relaxation = functools.partial(solve_relaxation, net, catalog, efficiency, requests, psi)
 
     embeddings = None
     if algo in ("lp", "milp") or algo.startswith("vnep:"):
-        t0 = time.perf_counter()
         if algo == "milp":
+            t0 = time.perf_counter()
             lp = build_milp(net, catalog, efficiency, requests, psi)
             sol = solve_milp_exact(lp)
-            # the exact model's variables are owned per request; its
-            # values are integral, so the fractional accounting is exact
-            aggregates = _milp_aggregates(requests)
+            timing["runtime_s"] = time.perf_counter() - t0
         else:
-            aggregates = aggregate_requests(requests)
-            lp = build_relaxed_aggregate_lp(net, catalog, efficiency, aggregates, psi)
-            sol = solve_lp(lp)
-        timing["runtime_s"] = time.perf_counter() - t0
+            sol, frac, timing["runtime_s"] = relaxation()
         if not sol.optimal:
             row["status"] = sol.status
             return row, timing, None
-        frac = fractional_solution(lp, sol.x, sol.objective, aggregates, catalog)
+        if algo == "milp":
+            # the exact model's variables are owned per request and are
+            # integral, so per-request aggregates account for them exactly
+            singletons = [
+                AggregatedRequest(request_owner(k), r.origin, r.app, r.demand, (k,))
+                for k, r in enumerate(requests)
+            ]
+            frac = fractional_solution(lp, sol.x, sol.objective, singletons, catalog)
         cost = fractional_cost(catalog, net, efficiency, frac, psi)
         rejected = frac.total_rejected_demand
         row.update(
@@ -514,23 +522,23 @@ def _run_algorithm(
             rejected_demand=rejected,
             rejection_rate=rejected / total_demand if total_demand else 0.0,
             objective=sol.objective,
-            objective_delta=objective_consistency(
-                net, catalog, efficiency, psi, sol.objective, frac
-            ),
+            objective_delta=abs(sol.objective - cost.total),
         )
         shares = fractional_alternative_shares(frac, catalog)
     elif algo in ("greedy", "tanto"):
         if algo == "greedy":
             embeddings, rep = greedy_embed_all(net, catalog, efficiency, requests, psi, seed)
         else:
-            embeddings, rep = tanto(net, catalog, efficiency, requests, psi, seed=seed)
+            embeddings, rep = round_relaxation(net, catalog, requests, relaxation(), psi, seed)
             timing["lp_runtime_s"] = rep.lp_runtime_s
             timing["rounding_runtime_s"] = rep.rounding_runtime_s
         timing["runtime_s"] = rep.runtime_s
-        violations = check_feasibility(net, catalog, efficiency, embeddings)
-        if violations:
-            raise RuntimeError(f"{algo} produced an infeasible embedding set: {violations[0]}")
-        cost = total_cost(net, catalog, efficiency, embeddings, psi, validate=False)
+        try:
+            cost = total_cost(net, catalog, efficiency, embeddings, psi)
+        except InfeasibleEmbeddingSet as exc:
+            raise RuntimeError(
+                f"{algo} produced an infeasible embedding set: {exc.violations[0]}"
+            ) from exc
         row.update(
             served_demand=total_demand - rep.rejected_demand,
             rejected_demand=rep.rejected_demand,
@@ -556,13 +564,8 @@ def _run_algorithm(
     return row, timing, embeddings
 
 
-def _milp_aggregates(requests: Sequence[Request]):
-    """Per-request singleton aggregates matching the exact model's
-    variable owners."""
-    return tuple(
-        AggregatedRequest(request_owner(k), r.origin, r.app, r.demand, (k,))
-        for k, r in enumerate(requests)
-    )
+def _error_entry(rep: int, algo: str, exc: Exception) -> dict:
+    return {"repetition": rep, "algorithm": algo, "type": type(exc).__name__, "error": str(exc)}
 
 
 def run_scenario(config: ScenarioConfig) -> ScenarioResult:
@@ -610,25 +613,20 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
             )
             requests = generate_requests(net, config.apps, gen, req_seed)
         except Exception as exc:
-            errors.append(
-                {"repetition": rep, "algorithm": "", "type": type(exc).__name__, "error": str(exc)}
-            )
+            errors.append(_error_entry(rep, "", exc))
             return rows, timings, errors
+        # solved on first use, then shared by this repetition's lp and tanto
+        relaxation = functools.cache(
+            functools.partial(solve_relaxation, net, config.apps, config.efficiency, requests, psi)
+        )
         for algo in config.algorithms:
             algo_seed = _rng.substream_seed(config.seed, "algo", algo, rep)
             try:
                 row, timing, _ = _run_algorithm(
-                    algo, net, config.apps, config.efficiency, requests, psi, algo_seed
+                    algo, net, config.apps, config.efficiency, requests, psi, algo_seed, relaxation
                 )
             except Exception as exc:
-                errors.append(
-                    {
-                        "repetition": rep,
-                        "algorithm": algo,
-                        "type": type(exc).__name__,
-                        "error": str(exc),
-                    }
-                )
+                errors.append(_error_entry(rep, algo, exc))
                 continue
             row["scenario"] = config.name
             row["repetition"] = rep
@@ -679,16 +677,21 @@ def catalog_alternative_indices(apps: Mapping[str, Application]) -> list[int]:
     return sorted(seen)
 
 
+def _csv(header: Sequence[str], records) -> str:
+    """CSV text of a header line and one line per record, every value
+    written by :func:`_fmt`."""
+    buf = _stdio.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([_fmt(v) for v in record] for record in records)
+    return buf.getvalue()
+
+
 def rows_to_csv(rows: Sequence[dict], alt_indices: Sequence[int]) -> str:
     """Render rows with a fixed column set and repr-exact floats, so the
     bytes are stable for a given row content."""
     columns = result_columns(alt_indices)
-    buf = _stdio.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow([_fmt(row.get(c)) for c in columns])
-    return buf.getvalue()
+    return _csv(columns, ([row.get(c) for c in columns] for row in rows))
 
 
 def long_rows(rows: Sequence[dict], alt_indices: Sequence[int]) -> list[tuple]:
@@ -714,22 +717,13 @@ def long_rows(rows: Sequence[dict], alt_indices: Sequence[int]) -> list[tuple]:
 
 
 def long_rows_to_csv(rows: Sequence[dict], alt_indices: Sequence[int]) -> str:
-    buf = _stdio.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["scenario", "repetition", "seed", "algorithm", "metric", "value"])
-    for entry in long_rows(rows, alt_indices):
-        writer.writerow([_fmt(v) for v in entry])
-    return buf.getvalue()
+    header = ["scenario", "repetition", "seed", "algorithm", "metric", "value"]
+    return _csv(header, long_rows(rows, alt_indices))
 
 
 def timings_to_csv(timings: Sequence[dict]) -> str:
-    buf = _stdio.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
     columns = ["scenario", "repetition", "algorithm", "runtime_s", "lp_runtime_s", "rounding_runtime_s"]
-    writer.writerow(columns)
-    for t in timings:
-        writer.writerow([_fmt(t.get(c)) for c in columns])
-    return buf.getvalue()
+    return _csv(columns, ([t.get(c) for c in columns] for t in timings))
 
 
 def write_result(result: ScenarioResult, out_dir: Union[str, Path], apps: Mapping[str, Application]) -> dict[str, Path]:

@@ -129,13 +129,6 @@ class AlternativeTopology:
             k: tuple(v) for k, v in kids.items()
         }
 
-    @property
-    def id(self) -> tuple[str, int]:
-        return (self.app_id, self.index)
-
-    def size_of(self, node_id: str) -> float:
-        return self.node_by_id[node_id].size
-
     @cached_property
     def preorder(self) -> tuple[VirtualLink, ...]:
         """:func:`link_preorder` of this alternative, validated and
@@ -285,10 +278,9 @@ def _tree_violations(alt: AlternativeTopology) -> list[Violation]:
     if alt.root not in alt.node_by_id:
         out.append(Violation("UnknownRoot", ident, f"root {alt.root!r} not a node"))
         return out
-    if alt.size_of(alt.root) != 0:
-        out.append(
-            Violation("RootSizeNonzero", ident, f"size {alt.size_of(alt.root)}")
-        )
+    root_size = alt.node_by_id[alt.root].size
+    if root_size != 0:
+        out.append(Violation("RootSizeNonzero", ident, f"size {root_size}"))
     parents: dict[str, str] = {}
     for l in alt.links:
         if l.parent not in alt.node_by_id or l.child not in alt.node_by_id:

@@ -1,12 +1,12 @@
-"""Randomized rounding of the aggregate fractional embedding.
+"""The LP-rounding embedder: solve the aggregate relaxation, then round it.
 
-The pipeline: aggregate requests by (origin, application), solve the
-continuous relaxation once, then turn each individual request into an
-integral embedding by a weighted random walk over its aggregate's
-fractional variables, consuming residual fractional mass as it goes.
-Rounding never touches substrate capacities directly — consumed
-fractions of a feasible fractional solution are themselves feasible, so
-every accepted embedding is feasible by construction.
+:func:`solve_relaxation` aggregates requests by (origin, application)
+and solves the continuous relaxation once; :func:`round_relaxation`
+turns each request into an integral embedding by a weighted random walk
+over its aggregate's fractional variables, consuming residual fractional
+mass as it goes.  Rounding never touches substrate capacities directly —
+consumed fractions of a feasible fractional solution are themselves
+feasible, so every accepted embedding is feasible by construction.
 
 Each (origin, application) aggregate owns a disjoint variable slice and
 its own random stream, so aggregates round independently of each other.
@@ -16,19 +16,20 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from . import rng as _rng
 from .formulation import (
     AggregatedRequest,
+    FractionalSolution,
     VariableKey,
     aggregate_requests,
     build_relaxed_aggregate_lp,
     fractional_solution,
 )
-from .lp import SolverError, solve_lp
+from .lp import Solution, SolverError, solve_lp
 from .model import (
     AlternativeTopology,
     Application,
@@ -46,6 +47,35 @@ _SLACK = 1e-9
 _DUST = 1e-12
 # Per-request step budget = factor·|nodes|·max |alternative|.
 _STEP_FACTOR = 4
+
+
+class Relaxation(NamedTuple):
+    """A solved aggregate relaxation: the solver's answer, its unpacked
+    values (None unless optimal) and the wall seconds of the pipeline."""
+
+    solution: Solution
+    fractional: Optional[FractionalSolution]
+    runtime_s: float
+
+
+def solve_relaxation(
+    net: SubstrateNetwork,
+    apps: Mapping[str, Application],
+    efficiency: EfficiencyMap,
+    requests: Sequence[Request],
+    psi: float,
+) -> Relaxation:
+    """Aggregate the requests, build the continuous relaxation, solve it
+    and unpack the optimum.  A status other than optimal is returned,
+    not raised."""
+    t0 = time.perf_counter()
+    aggregates = aggregate_requests(requests)
+    lp = build_relaxed_aggregate_lp(net, apps, efficiency, aggregates, psi)
+    sol = solve_lp(lp)
+    frac = None
+    if sol.optimal:
+        frac = fractional_solution(lp, sol.x, sol.objective, aggregates, apps)
+    return Relaxation(sol, frac, time.perf_counter() - t0)
 
 
 def weighted_random_select(weights: Sequence[float], rng: np.random.Generator) -> int:
@@ -90,7 +120,7 @@ class RoundingState:
     per_link_cap: int
     request_budget: int
     zeroed: set[VariableKey] = field(default_factory=set)
-    initial_nonzero: int = -1
+    initial_nonzero: int = 0
     accepted: int = 0
     rounding_rejections: int = 0
     stranded_rejections: int = 0
@@ -98,10 +128,6 @@ class RoundingState:
     overflow_rejections: int = 0
     total_steps: int = 0
     max_request_steps: int = 0
-
-    def __post_init__(self):
-        if self.initial_nonzero < 0:
-            self.initial_nonzero = sum(1 for v in self.y.values() if v > _DUST)
 
     @staticmethod
     def for_aggregate(
@@ -118,6 +144,7 @@ class RoundingState:
             owner=agg.owner,
             demand=agg.demand,
             y=y,
+            initial_nonzero=len(y),
             net=net,
             per_link_cap=max(1, n_nodes * n_arcs),
             request_budget=max(1, _STEP_FACTOR * n_nodes * biggest),
@@ -145,7 +172,7 @@ def embed_request(
     """
     state = Y_residual
     d = r.demand / state.demand
-    consumed: list[VariableKey] = []
+    consumed: list[tuple] = []
     steps = 0
 
     def finish_steps():
@@ -153,7 +180,7 @@ def embed_request(
         if steps > state.max_request_steps:
             state.max_request_steps = steps
 
-    def reject(kind: str, zero_key: Optional[VariableKey] = None) -> IntegralEmbedding:
+    def reject(kind: str, zero_key: Optional[tuple] = None) -> IntegralEmbedding:
         if zero_key is not None:
             state.y[zero_key] = 0.0
             state.zeroed.add(zero_key)
@@ -165,7 +192,7 @@ def embed_request(
         finish_steps()
         return IntegralEmbedding.reject(r)
 
-    def consume(key: VariableKey) -> bool:
+    def consume(key: tuple) -> bool:
         have = state.y.get(key, 0.0)
         if d <= have + _SLACK:
             state.y[key] = max(0.0, have - d)
@@ -173,7 +200,8 @@ def embed_request(
             return True
         return False
 
-    root_keys = [VariableKey(state.owner, a.index, ("n", a.root, r.origin)) for a in alt_set]
+    # keys are plain tuples: equal to the stored VariableKeys, cheaper to build
+    root_keys = [(state.owner, a.index, ("n", a.root, r.origin)) for a in alt_set]
     root_weights = [state.y.get(k, 0.0) for k in root_keys]
     steps += 1
     if sum(root_weights) <= _DUST:
@@ -192,16 +220,14 @@ def embed_request(
         while link.child not in placement:
             steps += 1
             link_steps += 1
-            place_key = VariableKey(state.owner, alt.index, ("n", link.child, v))
+            place_key = (state.owner, alt.index, ("n", link.child, v))
             if link_steps > state.per_link_cap or steps > state.request_budget:
                 return reject("overflow_rejections", zero_key=place_key)
-            options: list[tuple[float, VariableKey, Optional[str]]] = [
+            options: list[tuple[float, tuple, Optional[str]]] = [
                 (state.y.get(place_key, 0.0), place_key, None)
             ]
             for arc in state.net.out_arcs.get(v, ()):
-                ak = VariableKey(
-                    state.owner, alt.index, ("l", link.parent, link.child, arc.src, arc.dst)
-                )
+                ak = (state.owner, alt.index, ("l", link.parent, link.child, arc.src, arc.dst))
                 mass = state.y.get(ak, 0.0)
                 if mass > 0.0:
                     options.append((mass, ak, arc.dst))
@@ -256,30 +282,6 @@ class TantoReport:
     runtime_s: float = 0.0
 
 
-def _round_aggregate(
-    net: SubstrateNetwork,
-    agg: AggregatedRequest,
-    requests: Sequence[Request],
-    values: Mapping[VariableKey, float],
-    alternatives: Sequence[AlternativeTopology],
-    seed: int,
-) -> tuple[list[tuple[int, IntegralEmbedding]], RoundingState]:
-    """Round every member request of one aggregate, in a seeded shuffle
-    of the member order.  ``values`` may hold every aggregate's
-    variables; only this aggregate's are read.  Owns its random stream
-    and variable slice, so calls for distinct aggregates never
-    interact."""
-    stream = _rng.stream(seed, "round", agg.origin, agg.app)
-    alternatives = sorted(alternatives, key=lambda a: a.index)
-    state = RoundingState.for_aggregate(net, agg, values, alternatives)
-    order = stream.permutation(len(agg.members))
-    out: list[tuple[int, IntegralEmbedding]] = []
-    for pos in order:
-        member = agg.members[pos]
-        out.append((member, embed_request(requests[member], alternatives, state, stream)))
-    return out, state
-
-
 def tanto(
     net: SubstrateNetwork,
     apps: Mapping[str, Application],
@@ -288,42 +290,50 @@ def tanto(
     psi: float,
     seed: int = 0,
 ) -> tuple[list[IntegralEmbedding], TantoReport]:
-    """Embed all requests: aggregate, solve the relaxation, round.
+    """Embed all requests: solve the aggregate relaxation, then round it."""
+    relaxation = solve_relaxation(net, apps, efficiency, requests, psi)
+    return round_relaxation(net, apps, requests, relaxation, psi, seed)
+
+
+def round_relaxation(
+    net: SubstrateNetwork,
+    apps: Mapping[str, Application],
+    requests: Sequence[Request],
+    relaxation: Relaxation,
+    psi: float,
+    seed: int = 0,
+) -> tuple[list[IntegralEmbedding], TantoReport]:
+    """Round a solved relaxation of ``requests``; the relaxation is only
+    read, so callers may share it.
 
     Returns embeddings in the input request order plus a report carrying
-    the LP objective and the counters for the guarantee assertions.
+    the LP objective and the counters for the guarantee assertions; its
+    ``runtime_s`` counts the relaxation's seconds and the rounding's.
     Raises :class:`~vneap.lp.SolverError`, carrying the solver status,
-    if the relaxation does not solve to optimality (with the rejection
+    if the relaxation did not solve to optimality (with the rejection
     slack in the model this indicates a broken instance, not load).
     """
-    t0 = time.perf_counter()
-    aggregates = aggregate_requests(requests)
-    lp = build_relaxed_aggregate_lp(net, apps, efficiency, aggregates, psi)
-    sol = solve_lp(lp)
-    t1 = time.perf_counter()
-    if not sol.optimal:
+    sol, frac, lp_runtime_s = relaxation
+    if frac is None:
         raise SolverError(sol.status, f"aggregate relaxation did not solve: {sol.status}")
-    frac = fractional_solution(lp, sol.x, sol.objective, aggregates, apps)
-
-    t2 = time.perf_counter()
-    pieces = [
-        _round_aggregate(net, agg, requests, frac.values, apps[agg.app].alternatives, seed)
-        for agg in aggregates
-    ]
-    t3 = time.perf_counter()
-
-    results: list[Optional[IntegralEmbedding]] = [None] * len(requests)
+    t0 = time.perf_counter()
     report = TantoReport(
-        lp_objective=sol.objective,
+        lp_objective=frac.objective,
         lp_rejected_demand=frac.total_rejected_demand,
-        aggregates=len(aggregates),
+        aggregates=len(frac.aggregates),
         psi=psi,
-        lp_runtime_s=t1 - t0,
-        rounding_runtime_s=t3 - t2,
+        lp_runtime_s=lp_runtime_s,
     )
-    for (placed, state) in pieces:
-        for member, emb in placed:
-            results[member] = emb
+    results: list[Optional[IntegralEmbedding]] = [None] * len(requests)
+    # each aggregate rounds its members in a seeded shuffle, on its own
+    # random stream and variable slice, so aggregates never interact
+    for agg in frac.aggregates:
+        stream = _rng.stream(seed, "round", agg.origin, agg.app)
+        alternatives = sorted(apps[agg.app].alternatives, key=lambda a: a.index)
+        state = RoundingState.for_aggregate(net, agg, frac.values, alternatives)
+        for pos in stream.permutation(len(agg.members)):
+            member = agg.members[pos]
+            results[member] = embed_request(requests[member], alternatives, state, stream)
         report.initial_nonzero_y += state.initial_nonzero
         report.accepted += state.accepted
         report.rounding_rejections += state.rounding_rejections
@@ -334,6 +344,7 @@ def tanto(
         report.max_request_steps = max(report.max_request_steps, state.max_request_steps)
         report.request_step_budget = max(report.request_step_budget, state.request_budget)
         report.per_link_step_cap = max(report.per_link_step_cap, state.per_link_cap)
+    report.rounding_runtime_s = time.perf_counter() - t0
     embeddings = [e for e in results if e is not None]
     report.rejected = sum(1 for e in embeddings if e.rejected)
     report.rejected_demand = sum(e.request.demand for e in embeddings if e.rejected)
@@ -341,7 +352,7 @@ def tanto(
     report.psi_lp = psi * frac.total_rejected_demand
     report.psi_tanto = psi * report.rejected_demand
     d_max = max((r.demand for r in requests), default=0.0)
-    used_apps = {g.app for g in aggregates}
+    used_apps = {g.app for g in frac.aggregates}
     catalog_size = sum(
         len(a.nodes) + len(a.links) for app in used_apps for a in apps[app].alternatives
     )
@@ -351,5 +362,5 @@ def tanto(
         report.psi_tanto - report.psi_lp <= report.psi_gap_bound + 1e-6 * (1 + report.psi_gap_bound)
     )
     report.steps_ok = report.max_request_steps <= report.request_step_budget
-    report.runtime_s = time.perf_counter() - t0
+    report.runtime_s = lp_runtime_s + time.perf_counter() - t0
     return embeddings, report

@@ -36,10 +36,20 @@ class CostBreakdown:
         return self.compute + self.bandwidth + self.rejection
 
 
+class InfeasibleEmbeddingSet(ValueError):
+    """Raised by :func:`total_cost` when validation finds violations;
+    ``violations`` lists all of them."""
+
+    def __init__(self, violations: list[Violation]):
+        listing = "; ".join(str(v) for v in violations[:5])
+        more = f" (+{len(violations) - 5} more)" if len(violations) > 5 else ""
+        super().__init__(f"infeasible embedding set: {listing}{more}")
+        self.violations = violations
+
+
 @dataclass
 class LoadVector:
-    """Induced load per substrate node and per directed arc.  Loads add
-    across embedding sets, so vectors support ``+``."""
+    """Induced load per substrate node and per directed arc."""
 
     node: dict[str, float] = field(default_factory=dict)
     arc: dict[tuple[str, str], float] = field(default_factory=dict)
@@ -51,14 +61,6 @@ class LoadVector:
     def add_arc(self, vw: tuple[str, str], amount: float) -> None:
         if amount:
             self.arc[vw] = self.arc.get(vw, 0.0) + amount
-
-    def __add__(self, other: "LoadVector") -> "LoadVector":
-        out = LoadVector(dict(self.node), dict(self.arc))
-        for v, amount in other.node.items():
-            out.add_node(v, amount)
-        for vw, amount in other.arc.items():
-            out.add_arc(vw, amount)
-        return out
 
 
 def _within(load: float, capacity: float) -> bool:
@@ -173,37 +175,14 @@ def _embedding_violations(
     return out
 
 
-def load_vector(
+def _walk(
     net: SubstrateNetwork,
     apps: Mapping[str, Application],
     efficiency: EfficiencyMap,
     embeddings: Iterable[IntegralEmbedding],
-) -> LoadVector:
-    """Loads induced by a set of embeddings (rejections contribute 0)."""
-    loads = LoadVector()
-    for emb in embeddings:
-        if not emb.rejected:
-            _embedding_violations(net, apps, efficiency, emb, loads)
-    return loads
-
-
-def check_feasibility(
-    net: SubstrateNetwork,
-    apps: Mapping[str, Application],
-    efficiency: EfficiencyMap,
-    embeddings: Iterable[IntegralEmbedding],
-) -> list[Violation]:
-    """Every reason the embedding set is invalid; empty means feasible.
-
-    Checks, per embedding: known application and alternative, complete
-    node placement, root pinned at the request origin, every virtual
-    link routed over a contiguous arc path whose ends match the
-    placements (an empty path is allowed only for collocated endpoints;
-    a closed walk with matching endpoints is legitimate and pays for
-    every arc it traverses), and no forbidden node/arc pairings.
-    Globally: one embedding per request, and node and arc loads within
-    capacity.
-    """
+) -> tuple[list[Violation], LoadVector]:
+    """One pass over an embedding set: every violation (see
+    :func:`check_feasibility`) and the loads it induces."""
     out: list[Violation] = []
     loads = LoadVector()
     seen_requests: set[int] = set()
@@ -234,7 +213,37 @@ def check_feasibility(
                     "CapacityViolation", f"arc {vw[0]}->{vw[1]}", f"load {loads.arc[vw]!r} > {cap!r}"
                 )
             )
-    return out
+    return out, loads
+
+
+def load_vector(
+    net: SubstrateNetwork,
+    apps: Mapping[str, Application],
+    efficiency: EfficiencyMap,
+    embeddings: Iterable[IntegralEmbedding],
+) -> LoadVector:
+    """Loads induced by a set of embeddings (rejections contribute 0)."""
+    return _walk(net, apps, efficiency, embeddings)[1]
+
+
+def check_feasibility(
+    net: SubstrateNetwork,
+    apps: Mapping[str, Application],
+    efficiency: EfficiencyMap,
+    embeddings: Iterable[IntegralEmbedding],
+) -> list[Violation]:
+    """Every reason the embedding set is invalid; empty means feasible.
+
+    Checks, per embedding: known application and alternative, complete
+    node placement, root pinned at the request origin, every virtual
+    link routed over a contiguous arc path whose ends match the
+    placements (an empty path is allowed only for collocated endpoints;
+    a closed walk with matching endpoints is legitimate and pays for
+    every arc it traverses), and no forbidden node/arc pairings.
+    Globally: one embedding per request, and node and arc loads within
+    capacity.
+    """
+    return _walk(net, apps, efficiency, embeddings)[0]
 
 
 def total_cost(
@@ -249,17 +258,13 @@ def total_cost(
     from node loads, bandwidth cost from arc loads, and the rejection
     penalty ``psi`` per unit of rejected demand.
 
-    Raises ``ValueError`` when ``validate`` is set and the embedding set
-    is infeasible.
+    Raises :class:`InfeasibleEmbeddingSet` (a ``ValueError``) when
+    ``validate`` is set and the embedding set is infeasible.
     """
     embeddings = list(embeddings)
-    if validate:
-        violations = check_feasibility(net, apps, efficiency, embeddings)
-        if violations:
-            listing = "; ".join(str(v) for v in violations[:5])
-            more = f" (+{len(violations) - 5} more)" if len(violations) > 5 else ""
-            raise ValueError(f"infeasible embedding set: {listing}{more}")
-    loads = load_vector(net, apps, efficiency, embeddings)
+    violations, loads = _walk(net, apps, efficiency, embeddings)
+    if validate and violations:
+        raise InfeasibleEmbeddingSet(violations)
     compute = sum(loads.node[v] * net.node_by_id[v].cost for v in loads.node)
     bandwidth = sum(loads.arc[vw] * net.arc_by_pair[vw].cost for vw in loads.arc)
     rejected = sum(e.request.demand for e in embeddings if e.rejected)

@@ -211,6 +211,21 @@ def test_solve_single_alternative_restriction(runner, toy_files):
     assert "no alternative with index 7" in missing.output
 
 
+def test_solve_single_alternative_needs_it_in_every_application(runner, toy_files):
+    """vnep:T keeps alternative T of every application, so an application
+    without T is an input error even when another application has it."""
+    doc = json.loads(resources.files("vneap").joinpath("fixtures/cctv_two.json").read_text())
+    first = doc["applications"][0]["alternatives"][0]
+    doc["applications"].append({"id": "single", "alternatives": [first]})
+    apps = toy_files["dir"] / "mixed.json"
+    vio.write_json(apps, doc)
+    args = solve_args(toy_files, "vnep:1", toy_files["dir"] / "x.json")
+    args[args.index("cctv_two")] = str(apps)
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert "no alternative with index 1 in single" in result.output
+
+
 def test_solve_unknown_algorithm(runner, toy_files):
     result = runner.invoke(main, solve_args(toy_files, "annealing", toy_files["dir"] / "x.json"))
     assert result.exit_code == 2

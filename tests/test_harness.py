@@ -16,6 +16,9 @@ import networkx as nx
 import numpy as np
 import pytest
 
+import vneap.harness
+import vneap.lp
+import vneap.tanto
 from vneap.harness import (
     GenParams,
     ScenarioConfig,
@@ -35,6 +38,7 @@ from vneap.harness import (
 )
 from vneap.io import FormatError
 from vneap.model import SubstrateNetwork, SubstrateNode
+from vneap.tanto import tanto
 
 from conftest import toy_apps, toy_net
 
@@ -401,6 +405,49 @@ def test_run_scenario_records_algorithm_errors():
     assert result.errors[0]["algorithm"] == "bogus"
     assert result.errors[0]["type"] == "ValueError"
     assert "unknown algorithm" in result.errors[0]["error"]
+
+
+def test_run_scenario_solves_each_relaxation_once(monkeypatch):
+    """The lp row and tanto share one solve per repetition.  Every module
+    binding of ``solve_lp`` is counted, so no second solve can hide."""
+    calls = []
+    real = vneap.lp.solve_lp
+
+    def counting(lp):
+        calls.append(lp.n_vars)
+        return real(lp)
+
+    for module in (vneap.lp, vneap.harness, vneap.tanto):
+        if hasattr(module, "solve_lp"):
+            monkeypatch.setattr(module, "solve_lp", counting)
+    result = run_scenario(tiny_config(repetitions=2, algorithms=("lp", "tanto")))
+    assert result.errors == []
+    assert len(result.rows) == 4
+    assert len(calls) == 2
+
+
+def test_run_scenario_tanto_matches_a_standalone_run(monkeypatch):
+    """Rounding the shared relaxation gives the embeddings and counters
+    that a standalone tanto() gives on the same net, requests, psi and
+    seed."""
+    seen = []
+    real = vneap.harness.round_relaxation
+
+    def recording(net, apps, requests, relaxation, psi, seed):
+        out = real(net, apps, requests, relaxation, psi, seed)
+        seen.append(((net, apps, requests, psi, seed), out))
+        return out
+
+    monkeypatch.setattr(vneap.harness, "round_relaxation", recording)
+    config = tiny_config(repetitions=2, algorithms=("lp", "tanto"))
+    assert run_scenario(config).errors == []
+    assert len(seen) == 2
+    for (net, apps, requests, psi, seed), (embeddings, report) in seen:
+        alone, alone_report = tanto(net, apps, config.efficiency, requests, psi, seed=seed)
+        assert embeddings == alone
+        timings = {"lp_runtime_s", "rounding_runtime_s", "runtime_s"}
+        fields = [f for f in vars(report) if f not in timings]
+        assert [getattr(report, f) for f in fields] == [getattr(alone_report, f) for f in fields]
 
 
 def test_scenario_config_validation():

@@ -304,16 +304,6 @@ def test_fractional_shares_sum_to_one_when_served():
 # -- loads ------------------------------------------------------------------------
 
 
-def test_loads_add_across_embedding_sets(toy):
-    net, apps, eff = toy
-    first = [embed_a(Request("E", "cam", 1.0))]
-    second = [embed_d(Request("E", "cam", 2.0))]
-    separate = load_vector(net, apps, eff, first) + load_vector(net, apps, eff, second)
-    union = load_vector(net, apps, eff, first + second)
-    assert separate.node == pytest.approx(union.node)
-    assert separate.arc == pytest.approx(union.arc)
-
-
 def test_load_vector_matches_hand_sums(toy):
     net, apps, eff = toy
     loads = load_vector(net, apps, eff, [embed_a(Request("E", "cam", 2.0))])
