@@ -23,9 +23,9 @@ import click
 from . import harness, io as vio
 from .formulation import compute_rejection_penalty
 from .harness import (
+    TIER_RATIO,
     GenParams,
     ScenarioConfig,
-    TierParams,
     assign_costs_capacities,
     calibrate_target_utilization,
     classify_tiers,
@@ -64,10 +64,10 @@ def _status_exit(status: str) -> int:
     return EXIT_INFEASIBLE if status in (INFEASIBLE, UNBOUNDED) else EXIT_LIMIT
 
 
-def _load_catalog(spec: str):
-    """An application catalog: a JSON path, or the name of a bundled
-    catalog (cctv_two, cctv_four)."""
-    p = Path(spec)
+def _load_catalog(spec: str, base: Path = Path()):
+    """An application catalog: a JSON path relative to ``base``, or the
+    name of a bundled catalog (cctv_two, cctv_four)."""
+    p = base / spec
     if p.exists():
         return vio.load_applications(p)
     bundled = resources.files("vneap").joinpath(f"fixtures/{spec}.json")
@@ -101,15 +101,13 @@ def main() -> None:
 @main.command()
 @click.option("--graphml", required=True, type=click.Path(), help="Topology file to ingest.")
 @click.option("--out", required=True, type=click.Path(), help="Substrate JSON to write.")
-@click.option("--tier-ratios", default=3.0, show_default=True, help="Cost/capacity ratio between tiers.")
+@click.option("--tier-ratios", default=TIER_RATIO, show_default=True, help="Cost/capacity ratio between tiers.")
 def ingest(graphml: str, out: str, tier_ratios: float) -> None:
     """Classify a GraphML topology into tiers and assign costs/capacities."""
     try:
         g = ingest_graphml(graphml)
         tiers = classify_tiers(g)
-        net = assign_costs_capacities(
-            g, tiers, TierParams(cost_ratio=tier_ratios, capacity_ratio=tier_ratios)
-        )
+        net = assign_costs_capacities(g, tiers, tier_ratios)
     except FormatError as exc:
         _fail(str(exc), EXIT_INPUT)
     vio.write_json(out, vio.dump_substrate(net))
@@ -122,11 +120,11 @@ def ingest(graphml: str, out: str, tier_ratios: float) -> None:
 @click.option("--app", default=None, help="Application id (defaults to the only one).")
 @click.option("--count", required=True, type=int)
 @click.option("--seed", default=0, type=int, show_default=True)
-@click.option("--spatial", default="uniform", show_default=True,
+@click.option("--spatial", default=GenParams.spatial, show_default=True,
               type=click.Choice(["uniform", "lognormal"]))
-@click.option("--size-mean", default=10.0, show_default=True)
-@click.option("--size-sigma", default=2.0, show_default=True)
-@click.option("--origin-cap/--no-origin-cap", default=True, show_default=True,
+@click.option("--size-mean", default=GenParams.size_mean, show_default=True)
+@click.option("--size-sigma", default=GenParams.size_sigma, show_default=True)
+@click.option("--origin-cap/--no-origin-cap", default=GenParams.enforce_origin_cap, show_default=True,
               help="Cap per-origin demand by local capacity.")
 @click.option("--out", required=True, type=click.Path())
 def generate(substrate, apps, app, count, seed, spatial, size_mean, size_sigma, origin_cap, out):
@@ -205,21 +203,10 @@ def solve(substrate, apps, requests_path, algo, seed, psi, efficiency, out):
     """Run one algorithm on one instance and write its report."""
     try:
         net, catalog, reqs, eff = _load_inputs(substrate, apps, requests_path, efficiency)
-        if algo.startswith("vnep:"):
-            t = int(algo.split(":", 1)[1])
-            missing = sorted(
-                app.id for app in catalog.values() if all(a.index != t for a in app.alternatives)
-            )
-            if missing:
-                raise FormatError(f"no alternative with index {t} in {', '.join(missing)}")
         if psi is None:
             psi = compute_rejection_penalty(net, catalog, eff)
-    except (FormatError, ValueError) as exc:
-        _fail(str(exc), EXIT_INPUT)
-
-    try:
         row, _, embeddings = harness._run_algorithm(algo, net, catalog, eff, reqs, psi, seed)
-    except ValueError as exc:
+    except ValueError as exc:  # FormatError is one
         _fail(str(exc), EXIT_INPUT)
     except SolverError as exc:
         _fail(str(exc), _status_exit(exc.status))
@@ -288,54 +275,75 @@ def report(results_dir, out):
     click.echo(f"{len(rows)} rows summarized -> {out}")
 
 
+# Every key a scenario file may hold, with the type its value is read as.
+# Keys typed None are read by load_scenario itself; a typed key left out
+# or set to null takes ScenarioConfig's default.
+_SCENARIO_KEYS = {
+    "schema_version": None,
+    "name": str,
+    "substrate": None,
+    "applications": None,
+    "efficiency": None,
+    "requests": int,
+    "node_tu": float,
+    "link_tu": float,
+    "app": str,
+    "size_mean": float,
+    "size_sigma": float,
+    "spatial": str,
+    "lognormal_mu": float,
+    "lognormal_sigma": float,
+    "calibration_requests": int,
+    "algorithms": tuple,
+    "repetitions": int,
+    "seed": int,
+    "psi": float,
+}
+_GRAPHML_KEYS = {"graphml": None, "tier_ratio": float}
+
+
+def _typed_keys(doc: dict, table: dict, where: str, required: tuple[str, ...]) -> dict:
+    """``doc``'s non-null values of the keys ``table`` types, converted to
+    those types; a key outside ``table`` or a missing required one is an
+    input error."""
+    unknown = sorted(set(doc) - set(table))
+    if unknown:
+        raise FormatError(f"{where}: unknown key(s) {', '.join(map(repr, unknown))}")
+    missing = [key for key in required if doc.get(key) is None]
+    if missing:
+        raise FormatError(f"{where}: missing key(s) {', '.join(map(repr, missing))}")
+    out = {}
+    for key, kind in table.items():
+        if kind is not None and doc.get(key) is not None:
+            try:
+                out[key] = kind(doc[key])
+            except (TypeError, ValueError) as exc:
+                raise FormatError(f"{where}: {key!r}: {exc}") from None
+    return out
+
+
 def load_scenario(path, jobs: int = 1, seed=None) -> ScenarioConfig:
     """Build a ScenarioConfig from a scenario JSON file."""
     with open(path) as fh:
         doc = json.load(fh)
     if doc.get("schema_version") != vio.SCHEMA_VERSION:
         raise FormatError(f"{path}: unsupported schema_version {doc.get('schema_version')!r}")
-    base = Path(path).parent
-
-    def resolve(p: str) -> Path:
-        q = Path(p)
-        return q if q.is_absolute() else base / q
-
+    fields = _typed_keys(doc, _SCENARIO_KEYS, str(path), ("substrate", "applications", "requests"))
+    base = Path(path).parent  # an absolute path joined to it stays as it is
     sub = doc["substrate"]
-    if isinstance(sub, dict) and "graphml" in sub:
-        g = ingest_graphml(resolve(sub["graphml"]))
-        ratio = float(sub.get("tier_ratio", 3.0))
-        net = assign_costs_capacities(
-            g, classify_tiers(g), TierParams(cost_ratio=ratio, capacity_ratio=ratio)
-        )
+    if isinstance(sub, dict):
+        tier_ratio = _typed_keys(sub, _GRAPHML_KEYS, f"{path}: substrate", ("graphml",))
+        g = ingest_graphml(base / sub["graphml"])
+        net = assign_costs_capacities(g, classify_tiers(g), **tier_ratio)
     else:
-        net = vio.load_substrate(resolve(sub))
-    apps_spec = doc["applications"]
-    catalog = (
-        _load_catalog(apps_spec)
-        if not (base / apps_spec).exists()
-        else vio.load_applications(base / apps_spec)
-    )
-    eff = vio.load_efficiency(resolve(doc["efficiency"]) if doc.get("efficiency") else None)
+        net = vio.load_substrate(base / sub)
+    if doc.get("efficiency") is not None:
+        fields["efficiency"] = vio.load_efficiency(base / doc["efficiency"])
+    if seed is not None:
+        fields["seed"] = seed
+    fields.setdefault("name", Path(path).stem)
     return ScenarioConfig(
-        name=doc.get("name", Path(path).stem),
-        substrate=net,
-        apps=catalog,
-        requests=int(doc["requests"]),
-        node_tu=float(doc.get("node_tu", 1.0)),
-        link_tu=float(doc.get("link_tu", 1.0)),
-        app=doc.get("app", ""),
-        size_mean=float(doc.get("size_mean", 10.0)),
-        size_sigma=float(doc.get("size_sigma", 2.0)),
-        spatial=doc.get("spatial", "uniform"),
-        lognormal_mu=float(doc.get("lognormal_mu", 0.0)),
-        lognormal_sigma=float(doc.get("lognormal_sigma", 1.0)),
-        calibration_requests=int(doc.get("calibration_requests", 60_000)),
-        algorithms=tuple(doc.get("algorithms", ["lp", "greedy", "tanto"])),
-        repetitions=int(doc.get("repetitions", 30)),
-        seed=int(seed if seed is not None else doc.get("seed", 0)),
-        psi=(float(doc["psi"]) if doc.get("psi") is not None else None),
-        efficiency=eff,
-        jobs=jobs,
+        substrate=net, apps=_load_catalog(doc["applications"], base), jobs=jobs, **fields
     )
 
 

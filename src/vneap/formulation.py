@@ -325,11 +325,11 @@ def restrict_to_alternative(
     apps: Mapping[str, Application], t: int
 ) -> dict[str, Application]:
     """Catalog in which every application keeps only alternative ``t``
-    (single-alternative baseline)."""
-    out = {}
-    for app in apps.values():
-        out[app.id] = Application(app.id, (app.alternative(t),))
-    return out
+    (single-alternative baseline); every application must have it."""
+    missing = sorted(app.id for app in apps.values() if t not in (a.index for a in app.alternatives))
+    if missing:
+        raise ValueError(f"no alternative with index {t} in {', '.join(missing)}")
+    return {app.id: Application(app.id, (app.alternative(t),)) for app in apps.values()}
 
 
 def compute_rejection_penalty(

@@ -67,6 +67,7 @@ from .validator import (
 log = logging.getLogger("vneap.harness")
 
 _TIER_RANK = {EDGE: 0, TRANSPORT: 1, CORE: 2}
+_SIZE_FLOOR = 0.1  # smallest request size; smaller normal draws are clipped up to it
 
 
 # -- topology ingestion -------------------------------------------------------
@@ -169,57 +170,40 @@ def classify_tiers(graph: nx.Graph) -> tuple[dict[str, str], dict[tuple[str, str
     return node_tiers, link_tiers
 
 
-@dataclass(frozen=True)
-class TierParams:
-    """Cost/capacity anchors.  Costs decrease and capacities grow by the
-    tier ratio from edge toward core (ratio 3 gives the 9:3:1 cost and
-    1:3:9 capacity ladder); link cost anchors are explicit since only
-    the edge-vs-core relation (about 2x) is pinned down."""
-
-    cost_ratio: float = 3.0
-    capacity_ratio: float = 3.0
-    edge_node_cost: float = 0.09
-    edge_node_capacity: float = 1.0
-    edge_link_capacity: float = 1.0
-    link_costs: tuple[float, float, float] = (0.02, 0.01, 0.01)  # edge, transport, core
-
-    def node_cost(self, tier: str) -> float:
-        return self.edge_node_cost / self.cost_ratio ** _TIER_RANK[tier]
-
-    def node_capacity(self, tier: str) -> float:
-        return self.edge_node_capacity * self.capacity_ratio ** _TIER_RANK[tier]
-
-    def link_cost(self, tier: str) -> float:
-        return self.link_costs[_TIER_RANK[tier]]
-
-    def link_capacity(self, tier: str) -> float:
-        return self.edge_link_capacity * self.capacity_ratio ** _TIER_RANK[tier]
+# Cost/capacity anchors of the edge tier.  Costs fall and capacities grow
+# by the tier ratio from edge toward core (the default ratio 3 gives the
+# 9:3:1 cost and 1:3:9 capacity ladder); link costs are given per tier,
+# since only the edge-vs-core relation (about 2x) is pinned down.
+TIER_RATIO = 3.0
+EDGE_NODE_COST = 0.09
+EDGE_NODE_CAPACITY = 1.0
+EDGE_LINK_CAPACITY = 1.0
+LINK_COSTS = (0.02, 0.01, 0.01)  # edge, transport, core
 
 
 def assign_costs_capacities(
     graph: nx.Graph,
     tiers: tuple[dict[str, str], dict[tuple[str, str], str]],
-    params: Optional[TierParams] = None,
+    tier_ratio: float = TIER_RATIO,
 ) -> SubstrateNetwork:
     """Turn a classified topology into a substrate network.  Capacities
     are relative at this point; calibration fixes the absolute scale.
     Every undirected link becomes two directed arcs."""
-    params = params or TierParams()
     node_tiers, link_tiers = tiers
     nodes = [
         SubstrateNode(
             id=n,
-            cost=params.node_cost(node_tiers[n]),
-            capacity=params.node_capacity(node_tiers[n]),
+            cost=EDGE_NODE_COST / tier_ratio ** _TIER_RANK[node_tiers[n]],
+            capacity=EDGE_NODE_CAPACITY * tier_ratio ** _TIER_RANK[node_tiers[n]],
             tier=node_tiers[n],
         )
         for n in sorted(graph.nodes, key=str)
     ]
     arcs = []
     for u, v in sorted((tuple(map(str, e)) for e in graph.edges), key=lambda e: e):
-        tier = link_tiers.get((u, v), link_tiers.get((v, u)))
-        cost = params.link_cost(tier)
-        cap = params.link_capacity(tier)
+        rank = _TIER_RANK[link_tiers.get((u, v), link_tiers.get((v, u)))]
+        cost = LINK_COSTS[rank]
+        cap = EDGE_LINK_CAPACITY * tier_ratio ** rank
         arcs.append(SubstrateArc(u, v, cost, cap))
         arcs.append(SubstrateArc(v, u, cost, cap))
     return SubstrateNetwork(tuple(nodes), tuple(arcs))
@@ -236,7 +220,6 @@ class GenParams:
     app: str
     size_mean: float = 10.0
     size_sigma: float = 2.0
-    size_floor: float = 0.1
     spatial: str = "uniform"  # or "lognormal"
     lognormal_mu: float = 0.0
     lognormal_sigma: float = 1.0
@@ -305,7 +288,7 @@ def generate_requests(
     while len(out) < params.count and attempts < limit:
         attempts += 1
         origin = edges[int(stream.choice(len(edges), p=weights))].id
-        size = max(params.size_floor, float(stream.normal(params.size_mean, params.size_sigma)))
+        size = max(_SIZE_FLOOR, float(stream.normal(params.size_mean, params.size_sigma)))
         if params.enforce_origin_cap and used[origin] + size > caps[origin]:
             continue
         used[origin] += size
@@ -315,6 +298,20 @@ def generate_requests(
             "origin caps exhausted: generated %d of %d requests", len(out), params.count
         )
     return out
+
+
+def _main_demand(
+    apps: Mapping[str, Application], requests: Sequence[Request]
+) -> tuple[float, float]:
+    """(node units, link units) a request set consumes under each
+    application's main alternative."""
+    node_demand = 0.0
+    link_demand = 0.0
+    for r in requests:
+        node_fp, link_fp, _ = _main_footprint(apps[r.app])
+        node_demand += r.demand * node_fp
+        link_demand += r.demand * link_fp
+    return node_demand, link_demand
 
 
 def calibrate_target_utilization(
@@ -335,12 +332,7 @@ def calibrate_target_utilization(
     run of ``population`` requests instead of for the sample itself."""
     if node_tu <= 0 or link_tu <= 0:
         raise ValueError("target utilizations must be positive")
-    node_demand = 0.0
-    link_demand = 0.0
-    for r in calib_requests:
-        node_fp, link_fp, _ = _main_footprint(apps[r.app])
-        node_demand += r.demand * node_fp
-        link_demand += r.demand * link_fp
+    node_demand, link_demand = _main_demand(apps, calib_requests)
     if node_demand <= 0 or link_demand <= 0:
         raise ValueError("calibration set carries no demand")
     if population is not None:
@@ -363,12 +355,7 @@ def measured_utilization(
 ) -> tuple[float, float]:
     """(node TU, link TU) implied by a request set — calibration's
     inverse, used to verify the calibration identity."""
-    node_demand = 0.0
-    link_demand = 0.0
-    for r in requests:
-        node_fp, link_fp, _ = _main_footprint(apps[r.app])
-        node_demand += r.demand * node_fp
-        link_demand += r.demand * link_fp
+    node_demand, link_demand = _main_demand(apps, requests)
     return (
         node_demand / sum(n.capacity for n in net.nodes),
         link_demand / sum(a.capacity for a in net.arcs),
@@ -380,6 +367,9 @@ def measured_utilization(
 
 @dataclass(frozen=True)
 class ScenarioConfig:
+    """A scenario's inputs and settings; its defaults are the ones a
+    scenario file's absent keys take."""
+
     name: str
     substrate: SubstrateNetwork
     apps: Mapping[str, Application]
@@ -387,11 +377,11 @@ class ScenarioConfig:
     node_tu: float = 1.0
     link_tu: float = 1.0
     app: str = ""
-    size_mean: float = 10.0
-    size_sigma: float = 2.0
-    spatial: str = "uniform"
-    lognormal_mu: float = 0.0
-    lognormal_sigma: float = 1.0
+    size_mean: float = GenParams.size_mean
+    size_sigma: float = GenParams.size_sigma
+    spatial: str = GenParams.spatial
+    lognormal_mu: float = GenParams.lognormal_mu
+    lognormal_sigma: float = GenParams.lognormal_sigma
     calibration_requests: int = 60_000
     algorithms: tuple[str, ...] = ("lp", "greedy", "tanto")
     repetitions: int = 30

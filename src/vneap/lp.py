@@ -48,7 +48,7 @@ class SolveOptions:
         a desk-scale oracle, not a production solver.
     """
 
-    max_binaries: int = 40
+    max_binaries: int = 200
 
 
 @dataclass

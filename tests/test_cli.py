@@ -4,21 +4,24 @@ of every subcommand."""
 from __future__ import annotations
 
 import json
+import re
 from importlib import resources
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import vneap.cli
 import vneap.io as vio
 import vneap.tanto
-from vneap.cli import main
+from vneap.cli import load_scenario, main
 from vneap.lp import Solution
-from vneap.harness import measured_utilization
+from vneap.harness import ScenarioConfig, measured_utilization
 
 from conftest import toy_net, unit_requests
 
 GOLDEN = Path(__file__).parent / "golden"
+FORMATS = Path(__file__).parent.parent / "docs" / "FORMATS.md"
 ARNES = Path(str(resources.files("vneap").joinpath("fixtures/topologies/arnes_si.graphml")))
 
 
@@ -256,8 +259,11 @@ def test_solve_milp_small_instance(runner, toy_files):
 
 
 def test_solve_milp_refuses_oversized_search(runner, toy_files):
-    # three requests instantiate more binaries than the exact solver accepts
-    result = runner.invoke(main, solve_args(toy_files, "milp", toy_files["dir"] / "x.json"))
+    # ten requests instantiate 220 binaries, above the exact solver's cap of 200
+    ten = toy_files["dir"] / "ten_requests.json"
+    vio.write_json(ten, vio.dump_requests(unit_requests(10, app="cctv")))
+    files = dict(toy_files, requests=ten)
+    result = runner.invoke(main, solve_args(files, "milp", toy_files["dir"] / "x.json"))
     assert result.exit_code == 2
     assert "exact search refused" in result.output
 
@@ -348,6 +354,91 @@ def test_compare_rejects_unknown_schema(runner, tmp_path):
     result = runner.invoke(main, ["compare", "--scenario", str(path), "--out", str(tmp_path / "out")])
     assert result.exit_code == 2
     assert "unsupported schema_version" in result.output
+
+
+def write_scenario(path: Path, **keys) -> Path:
+    """A scenario file holding the four required keys, plus ``keys``."""
+    doc = {
+        "schema_version": 1,
+        "substrate": str(GOLDEN / "tiny_substrate.json"),
+        "applications": "cctv_two",
+        "requests": 5,
+    }
+    doc.update(keys)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize(
+    "keys, named",
+    [
+        ({"repetiton": 5}, "unknown key(s) 'repetiton'"),
+        ({"substrate": {"graphml": str(ARNES), "tier_ratios": 2.0}}, "unknown key(s) 'tier_ratios'"),
+        ({"requests": None}, "missing key(s) 'requests'"),
+        ({"repetitions": "many"}, "'repetitions'"),
+    ],
+    ids=["misspelled", "substrate-key", "null-required", "mistyped"],
+)
+def test_compare_names_the_bad_scenario_key(runner, tmp_path, keys, named):
+    """A misspelled key is an input error, not a silent fall-back to the
+    default it meant to override; so are a missing and a mistyped key."""
+    path = write_scenario(tmp_path / "scenario.json", **keys)
+    result = runner.invoke(main, ["compare", "--scenario", str(path), "--out", str(tmp_path / "out")])
+    assert result.exit_code == 2
+    assert named in result.output
+
+
+def test_scenario_catalog_ignores_the_working_directory(tmp_path, monkeypatch):
+    """A scenario's catalog is a path relative to the scenario file or a
+    bundled name; a same-named file in the working directory is not read."""
+    decoy = json.loads(resources.files("vneap").joinpath("fixtures/cctv_two.json").read_text())
+    decoy["applications"][0]["id"] = "decoy"
+    workdir = tmp_path / "workdir"
+    workdir.mkdir()
+    vio.write_json(workdir / "cctv_two", decoy)
+    monkeypatch.chdir(workdir)
+    bundled = load_scenario(write_scenario(tmp_path / "scenarios" / "bundled.json"))
+    assert set(bundled.apps) == {"cctv"}
+
+    vio.write_json(tmp_path / "scenarios" / "mine.json", decoy)
+    beside = load_scenario(write_scenario(tmp_path / "scenarios" / "beside.json", applications="mine.json"))
+    assert set(beside.apps) == {"decoy"}
+
+
+def test_scenario_with_only_required_keys_takes_config_defaults(tmp_path):
+    config = load_scenario(write_scenario(tmp_path / "minimal.json"))
+    assert config == ScenarioConfig(
+        name="minimal",
+        substrate=config.substrate,
+        apps=config.apps,
+        requests=5,
+        efficiency=config.efficiency,
+    )
+    efficiency = config.efficiency
+    assert (efficiency.default, efficiency.node_coeffs, efficiency.link_coeffs) == (1.0, {}, {})
+
+
+def test_scenario_graphml_substrate_matches_ingest(runner, tmp_path):
+    out = tmp_path / "ingested.json"
+    args = ["ingest", "--graphml", str(ARNES), "--tier-ratios", "2.0", "--out", str(out)]
+    assert runner.invoke(main, args).exit_code == 0
+    path = write_scenario(tmp_path / "s.json", substrate={"graphml": str(ARNES), "tier_ratio": 2.0})
+    assert vio.dump_substrate(load_scenario(path).substrate) == json.loads(out.read_text())
+
+
+def test_formats_scenario_example_lists_every_key(tmp_path):
+    """docs/FORMATS.md's scenario example shows exactly the keys
+    load_scenario accepts, and loads as it stands."""
+    section = FORMATS.read_text().split("## Scenario config", 1)[1].split("\n## ", 1)[0]
+    example = json.loads(re.search(r"```json\n(.*?)```", section, re.S).group(1))
+    assert set(example) == set(vneap.cli._SCENARIO_KEYS)
+    graphml = json.loads(re.search(r'`(\{"graphml".*?\})`', section).group(1))
+    assert set(graphml) == set(vneap.cli._GRAPHML_KEYS)
+    example["substrate"] = str(GOLDEN / "tiny_substrate.json")
+    path = tmp_path / "example.json"
+    path.write_text(json.dumps(example))
+    assert load_scenario(path).name == example["name"]
 
 
 # ------------------------------------------------------------------ report

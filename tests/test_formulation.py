@@ -196,7 +196,7 @@ def test_restrict_keeps_only_the_requested_alternative():
     for t in (0, 1):
         only = restrict_to_alternative(apps, t)
         assert [a.index for a in only["cam"].alternatives] == [t]
-    with pytest.raises(KeyError, match="no alternative"):
+    with pytest.raises(ValueError, match="no alternative with index 7 in cam"):
         restrict_to_alternative(apps, 7)
 
 

@@ -20,9 +20,11 @@ import vneap.harness
 import vneap.lp
 import vneap.tanto
 from vneap.harness import (
+    EDGE_LINK_CAPACITY,
+    EDGE_NODE_CAPACITY,
+    EDGE_NODE_COST,
     GenParams,
     ScenarioConfig,
-    TierParams,
     assign_costs_capacities,
     calibrate_target_utilization,
     catalog_alternative_indices,
@@ -171,11 +173,10 @@ def test_assign_default_tier_values():
 
 def test_assign_unit_ratios_are_uniform():
     graph = three_tier_graph()
-    params = TierParams(cost_ratio=1.0, capacity_ratio=1.0)
-    net = assign_costs_capacities(graph, classify_tiers(graph), params)
-    assert {n.cost for n in net.nodes} == {params.edge_node_cost}
-    assert {n.capacity for n in net.nodes} == {params.edge_node_capacity}
-    assert {a.capacity for a in net.arcs} == {params.edge_link_capacity}
+    net = assign_costs_capacities(graph, classify_tiers(graph), tier_ratio=1.0)
+    assert {n.cost for n in net.nodes} == {EDGE_NODE_COST}
+    assert {n.capacity for n in net.nodes} == {EDGE_NODE_CAPACITY}
+    assert {a.capacity for a in net.arcs} == {EDGE_LINK_CAPACITY}
 
 
 def test_assign_creates_mirrored_arcs():
@@ -221,7 +222,7 @@ def test_generate_size_distribution():
     params = GenParams(count=4000, app="cam", size_mean=10.0, size_sigma=2.0,
                        enforce_origin_cap=False)
     demands = np.array([r.demand for r in generate_requests(net, apps, params, seed=8)])
-    assert demands.min() >= params.size_floor
+    assert demands.min() >= vneap.harness._SIZE_FLOOR
     # sample mean of N(10, 2) over 4000 draws: 4-sigma band is ~0.13 wide
     assert abs(demands.mean() - 10.0) < 4 * 2.0 / math.sqrt(4000)
     assert abs(demands.std() - 2.0) < 0.2

@@ -165,8 +165,8 @@ def test_exact_infeasible_binary_program_is_a_status():
 
 def test_binary_cap_is_a_refusal():
     net, apps = toy_net(), toy_apps()
-    milp = build_milp(net, apps, EfficiencyMap(), unit_requests(2), PSI_TOY)
-    assert len(milp.binary) == 44
+    milp = build_milp(net, apps, EfficiencyMap(), unit_requests(10), PSI_TOY)
+    assert len(milp.binary) == 220  # above the default cap of 200
     with pytest.raises(ValueError, match="exact search refused"):
         solve_milp_exact(milp)
 
