@@ -76,19 +76,25 @@ def _load_catalog(spec: str, base: Path = Path()):
     raise FormatError(f"no such application catalog: {spec}")
 
 
-def _load_inputs(substrate: str, apps: str, requests_path=None, efficiency=None):
-    net = vio.load_substrate(substrate)
-    catalog = _load_catalog(apps)
+def _check_inputs(net, catalog, eff, reqs=None) -> None:
+    """Raise a FormatError naming the first broken invariants of the
+    substrate, applications, efficiency map and requests (if given)."""
     problems = validate_substrate(net)
     for app in catalog.values():
         problems += validate_application(app)
-    reqs = None
-    if requests_path is not None:
-        reqs = vio.load_requests(requests_path)
+    problems += eff.violations()
+    if reqs is not None:
         problems += validate_requests(reqs, net, catalog)
     if problems:
         raise FormatError("; ".join(str(v) for v in problems[:5]))
+
+
+def _load_inputs(substrate: str, apps: str, requests_path=None, efficiency=None):
+    net = vio.load_substrate(substrate)
+    catalog = _load_catalog(apps)
+    reqs = None if requests_path is None else vio.load_requests(requests_path)
     eff = vio.load_efficiency(efficiency)
+    _check_inputs(net, catalog, eff, reqs)
     return net, catalog, reqs, eff
 
 
@@ -108,7 +114,7 @@ def ingest(graphml: str, out: str, tier_ratios: float) -> None:
         g = ingest_graphml(graphml)
         tiers = classify_tiers(g)
         net = assign_costs_capacities(g, tiers, tier_ratios)
-    except FormatError as exc:
+    except ValueError as exc:  # FormatError is one
         _fail(str(exc), EXIT_INPUT)
     vio.write_json(out, vio.dump_substrate(net))
     click.echo(f"{len(net.nodes)} nodes, {len(net.arcs)} arcs -> {out}")
@@ -232,7 +238,7 @@ def compare(scenario, out_dir, jobs, seed):
     """Run a full scenario (all repetitions and algorithms)."""
     try:
         config = load_scenario(scenario, jobs=jobs, seed=seed)
-    except (FormatError, ValueError, KeyError) as exc:
+    except ValueError as exc:  # FormatError is one
         _fail(str(exc), EXIT_INPUT)
     result = run_scenario(config)
     paths = write_result(result, out_dir, config.apps)
@@ -275,15 +281,29 @@ def report(results_dir, out):
     click.echo(f"{len(rows)} rows summarized -> {out}")
 
 
-# Every key a scenario file may hold, with the type its value is read as.
-# Keys typed None are read by load_scenario itself; a typed key left out
-# or set to null takes ScenarioConfig's default.
+def _path(value) -> str:
+    """A path: a JSON string, which ``str`` would make of any value."""
+    if not isinstance(value, str):
+        raise TypeError(f"expected a path string, not {type(value).__name__}")
+    return value
+
+
+def _names(value) -> tuple[str, ...]:
+    """A list of names (``tuple`` would split a lone string into letters)."""
+    if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
+        raise TypeError(f"expected a list of names, not {value!r}")
+    return tuple(value)
+
+
+# Every key a scenario file may hold, with the function that reads its
+# value.  Keys mapped to None are read by load_scenario itself; a key left
+# out or set to null takes ScenarioConfig's default.
 _SCENARIO_KEYS = {
     "schema_version": None,
     "name": str,
     "substrate": None,
-    "applications": None,
-    "efficiency": None,
+    "applications": _path,
+    "efficiency": _path,
     "requests": int,
     "node_tu": float,
     "link_tu": float,
@@ -294,18 +314,18 @@ _SCENARIO_KEYS = {
     "lognormal_mu": float,
     "lognormal_sigma": float,
     "calibration_requests": int,
-    "algorithms": tuple,
+    "algorithms": _names,
     "repetitions": int,
     "seed": int,
     "psi": float,
 }
-_GRAPHML_KEYS = {"graphml": None, "tier_ratio": float}
+_GRAPHML_KEYS = {"graphml": _path, "tier_ratio": float}
 
 
 def _typed_keys(doc: dict, table: dict, where: str, required: tuple[str, ...]) -> dict:
-    """``doc``'s non-null values of the keys ``table`` types, converted to
-    those types; a key outside ``table`` or a missing required one is an
-    input error."""
+    """``doc``'s non-null values of the keys ``table`` maps to a function,
+    each read by its function; a key outside ``table`` or a missing
+    required one is an input error."""
     unknown = sorted(set(doc) - set(table))
     if unknown:
         raise FormatError(f"{where}: unknown key(s) {', '.join(map(repr, unknown))}")
@@ -323,28 +343,32 @@ def _typed_keys(doc: dict, table: dict, where: str, required: tuple[str, ...]) -
 
 
 def load_scenario(path, jobs: int = 1, seed=None) -> ScenarioConfig:
-    """Build a ScenarioConfig from a scenario JSON file."""
-    with open(path) as fh:
-        doc = json.load(fh)
+    """Build a ScenarioConfig from a scenario JSON file, checked as solve's inputs are."""
+    doc = vio._load(path)
+    if not isinstance(doc, dict):
+        raise FormatError(f"{path}: expected a JSON object, not {type(doc).__name__}")
     if doc.get("schema_version") != vio.SCHEMA_VERSION:
         raise FormatError(f"{path}: unsupported schema_version {doc.get('schema_version')!r}")
     fields = _typed_keys(doc, _SCENARIO_KEYS, str(path), ("substrate", "applications", "requests"))
     base = Path(path).parent  # an absolute path joined to it stays as it is
     sub = doc["substrate"]
     if isinstance(sub, dict):
-        tier_ratio = _typed_keys(sub, _GRAPHML_KEYS, f"{path}: substrate", ("graphml",))
-        g = ingest_graphml(base / sub["graphml"])
-        net = assign_costs_capacities(g, classify_tiers(g), **tier_ratio)
-    else:
+        graphml = _typed_keys(sub, _GRAPHML_KEYS, f"{path}: substrate", ("graphml",))
+        g = ingest_graphml(base / graphml.pop("graphml"))
+        net = assign_costs_capacities(g, classify_tiers(g), **graphml)
+    elif isinstance(sub, str):
         net = vio.load_substrate(base / sub)
-    if doc.get("efficiency") is not None:
-        fields["efficiency"] = vio.load_efficiency(base / doc["efficiency"])
+    else:
+        raise FormatError(f"{path}: 'substrate': expected a path string or a graphml object")
+    if "efficiency" in fields:
+        fields["efficiency"] = vio.load_efficiency(base / fields["efficiency"])
     if seed is not None:
         fields["seed"] = seed
     fields.setdefault("name", Path(path).stem)
-    return ScenarioConfig(
-        substrate=net, apps=_load_catalog(doc["applications"], base), jobs=jobs, **fields
-    )
+    apps = _load_catalog(fields.pop("applications"), base)
+    config = ScenarioConfig(substrate=net, apps=apps, jobs=jobs, **fields)
+    _check_inputs(net, apps, config.efficiency)
+    return config
 
 
 if __name__ == "__main__":

@@ -15,9 +15,12 @@ in a separate timings table.
 
 from __future__ import annotations
 
+import bisect
+import collections
 import csv
 import functools
 import io as _stdio
+import itertools
 import json
 import logging
 import math
@@ -93,76 +96,47 @@ def ingest_graphml(path: Union[str, Path]) -> nx.Graph:
     return nx.relabel_nodes(g, {n: str(n) for n in g.nodes})
 
 
-def _jenks_breaks(values: Sequence[float], counts: Sequence[int], k: int) -> list[int]:
-    """Natural-breaks partition of sorted unique ``values`` (weighted by
-    ``counts``) into ``k`` contiguous classes minimizing within-class
-    squared deviation.  Returns the start index of each class."""
-    m = len(values)
-    # prefix sums for O(1) within-class cost
+def _natural_breaks(values: Sequence[float], counts: Sequence[int], k: int) -> tuple[int, ...]:
+    """Cut indices splitting sorted unique ``values`` (weighted by ``counts``)
+    into ``k`` contiguous classes of least within-class squared deviation,
+    the lexicographically first of equal splits.  All splits are tried (k <= 3)."""
     w = np.asarray(counts, dtype=float)
     x = np.asarray(values, dtype=float)
-    cw = np.concatenate([[0.0], np.cumsum(w)])
-    cwx = np.concatenate([[0.0], np.cumsum(w * x)])
-    cwxx = np.concatenate([[0.0], np.cumsum(w * x * x)])
+    cw, cwx, cwxx = (np.concatenate([[0.0], np.cumsum(a)]) for a in (w, w * x, w * x * x))
 
-    def cost(i: int, j: int) -> float:  # classes cover values[i:j]
-        weight = cw[j] - cw[i]
-        if weight <= 0:
-            return 0.0
-        mean = (cwx[j] - cwx[i]) / weight
-        return (cwxx[j] - cwxx[i]) - weight * mean * mean
+    def deviation(cuts: tuple[int, ...]) -> float:
+        bounds = (0, *cuts, len(values))
+        total = 0.0
+        for i, j in zip(bounds, bounds[1:]):  # a class covers values[i:j]
+            weight = cw[j] - cw[i]
+            mean = (cwx[j] - cwx[i]) / weight
+            total += (cwxx[j] - cwxx[i]) - weight * mean * mean
+        return total
 
-    best = {(0, 0): 0.0}
-    choice: dict[tuple[int, int], int] = {}
-    for classes in range(1, k + 1):
-        for j in range(1, m + 1):
-            if classes > j:
-                continue
-            best_cost = math.inf
-            best_i = classes - 1
-            for i in range(classes - 1, j):
-                prev = best.get((classes - 1, i))
-                if prev is None:
-                    continue
-                c = prev + cost(i, j)
-                if c < best_cost - 1e-15:
-                    best_cost = c
-                    best_i = i
-            best[(classes, j)] = best_cost
-            choice[(classes, j)] = best_i
-    starts = []
-    j = m
-    for classes in range(k, 0, -1):
-        i = choice[(classes, j)]
-        starts.append(i)
-        j = i
-    return list(reversed(starts))
+    return min(itertools.combinations(range(1, len(values)), k - 1), key=deviation)
 
 
 def classify_tiers(graph: nx.Graph) -> tuple[dict[str, str], dict[tuple[str, str], str]]:
-    """Three-tier split of a topology by node degree (natural breaks):
-    lowest-degree class is edge, then transport, then core.  A link's
-    tier is the lowest tier of its endpoints.
+    """Three-tier split of a topology by node degree (natural breaks: the
+    contiguous degree ranges with the least within-class squared deviation
+    over all nodes): lowest-degree class is edge, then transport, then
+    core.  A link's tier is the lowest tier of its endpoints.
 
     With fewer than three distinct degree values the split degrades to
     two tiers (edge/core) or one (all edge), with a warning.
     """
     degrees = dict(graph.degree())
-    unique = sorted(set(degrees.values()))
-    counts = [sum(1 for d in degrees.values() if d == u) for u in unique]
+    counts = collections.Counter(degrees.values())
+    unique = sorted(counts)
     k = min(3, len(unique))
     if k < 3:
         log.warning(
             "only %d distinct degree value(s); degrading to %d tier(s)", len(unique), k
         )
     tier_names = {1: [EDGE], 2: [EDGE, CORE], 3: [EDGE, TRANSPORT, CORE]}[k]
-    starts = _jenks_breaks(unique, counts, k)
-    tier_of_value: dict[float, str] = {}
-    for c in range(k):
-        hi = starts[c + 1] if c + 1 < k else len(unique)
-        for idx in range(starts[c], hi):
-            tier_of_value[unique[idx]] = tier_names[c]
-    node_tiers = {str(n): tier_of_value[degrees[n]] for n in graph.nodes}
+    cuts = _natural_breaks(unique, [counts[u] for u in unique], k)
+    tier_of_degree = {u: tier_names[bisect.bisect_right(cuts, i)] for i, u in enumerate(unique)}
+    node_tiers = {str(n): tier_of_degree[degrees[n]] for n in graph.nodes}
     link_tiers = {}
     for u, v in graph.edges:
         low = min(node_tiers[str(u)], node_tiers[str(v)], key=_TIER_RANK.get)
@@ -188,7 +162,10 @@ def assign_costs_capacities(
 ) -> SubstrateNetwork:
     """Turn a classified topology into a substrate network.  Capacities
     are relative at this point; calibration fixes the absolute scale.
-    Every undirected link becomes two directed arcs."""
+    Every undirected link becomes two directed arcs.  A tier ratio that
+    is not a finite positive number is a ValueError."""
+    if not (math.isfinite(tier_ratio) and tier_ratio > 0):
+        raise ValueError(f"tier ratio must be a finite positive number, not {tier_ratio!r}")
     node_tiers, link_tiers = tiers
     nodes = [
         SubstrateNode(

@@ -192,12 +192,10 @@ class EfficiencyMap:
 
     def violations(self) -> list[Violation]:
         out = []
-        for key, c in self.node_coeffs.items():
-            if c is not FORBIDDEN and not (c > 0):
-                out.append(Violation("NonPositiveCoefficient", f"node {key}", f"value {c}"))
-        for key, c in self.link_coeffs.items():
-            if c is not FORBIDDEN and not (c > 0):
-                out.append(Violation("NonPositiveCoefficient", f"link {key}", f"value {c}"))
+        for kind, coeffs in (("node", self.node_coeffs), ("link", self.link_coeffs)):
+            for key, c in coeffs.items():
+                if c is not FORBIDDEN and not (c > 0):
+                    out.append(Violation("NonPositiveCoefficient", f"{kind} {key}", f"value {c}"))
         if not (self.default > 0):
             out.append(Violation("NonPositiveCoefficient", "default", f"value {self.default}"))
         return out

@@ -78,6 +78,15 @@ def test_ingest_malformed_xml_is_input_error(runner, tmp_path):
     assert "no element found" in result.output
 
 
+@pytest.mark.parametrize("ratio", ["0", "-1", "nan", "inf"])
+def test_ingest_rejects_a_tier_ratio_that_is_not_finite_and_positive(runner, tmp_path, ratio):
+    args = ["ingest", "--graphml", str(ARNES), "--tier-ratios", ratio, "--out", str(tmp_path / "x.json")]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert "tier ratio must be a finite positive number" in result.output
+    assert not (tmp_path / "x.json").exists()
+
+
 # ---------------------------------------------------------------- generate
 
 
@@ -199,6 +208,23 @@ def test_solve_greedy_reports_embeddings(runner, toy_files):
     assert placement["nodes"] == {"theta": "E", "ingest": "C", "analytics": "C"}
     assert placement["links"] == {"theta->ingest": [["E", "C"]], "ingest->analytics": []}
     assert placement["alternative"] == 0
+
+
+def test_non_positive_efficiency_coefficient_is_input_error(runner, toy_files):
+    """A negative coefficient would make placements pay the solver: the
+    map is checked on load by solve and by a scenario alike."""
+    folder = toy_files["dir"]
+    vio.write_json(folder / "eff.json", {
+        "schema_version": 1, "nodes": [{"function": "ingest", "node": "C", "coeff": -5}],
+    })
+    out = folder / "x.json"
+    solved = runner.invoke(main, solve_args(toy_files, "greedy", out, efficiency=folder / "eff.json"))
+    scenario = write_scenario(folder / "s.json", efficiency="eff.json")
+    compared = runner.invoke(main, ["compare", "--scenario", str(scenario), "--out", str(folder / "out")])
+    for result in (solved, compared):
+        assert result.exit_code == 2
+        assert "NonPositiveCoefficient: node ('ingest', 'C') (value -5.0)" in result.output
+    assert not out.exists()
 
 
 def test_solve_single_alternative_restriction(runner, toy_files):
@@ -377,16 +403,51 @@ def write_scenario(path: Path, **keys) -> Path:
         ({"substrate": {"graphml": str(ARNES), "tier_ratios": 2.0}}, "unknown key(s) 'tier_ratios'"),
         ({"requests": None}, "missing key(s) 'requests'"),
         ({"repetitions": "many"}, "'repetitions'"),
+        ({"substrate": 5}, "'substrate': expected a path string"),
+        ({"applications": ["cctv_two"]}, "'applications': expected a path string"),
+        ({"efficiency": {"default": 1.0}}, "'efficiency': expected a path string"),
+        ({"substrate": {"graphml": 5}}, "'graphml': expected a path string"),
+        ({"algorithms": "lp"}, "'algorithms': expected a list of names"),
+        ({"substrate": {"graphml": str(ARNES), "tier_ratio": 0}}, "tier ratio must be a finite positive number"),
+        ([{"schema_version": 1}], "expected a JSON object, not list"),
     ],
-    ids=["misspelled", "substrate-key", "null-required", "mistyped"],
+    ids=["misspelled", "substrate-key", "null-required", "mistyped", "substrate-type",
+         "applications-type", "efficiency-type", "graphml-type", "algorithms-string",
+         "zero-tier-ratio", "top-level-list"],
 )
 def test_compare_names_the_bad_scenario_key(runner, tmp_path, keys, named):
     """A misspelled key is an input error, not a silent fall-back to the
-    default it meant to override; so are a missing and a mistyped key."""
-    path = write_scenario(tmp_path / "scenario.json", **keys)
+    default it meant to override; so are a missing and a mistyped key, a
+    bad tier ratio, and a file that holds a list (``keys`` is then the
+    whole document)."""
+    path = tmp_path / "scenario.json"
+    if isinstance(keys, list):
+        path.write_text(json.dumps(keys))
+    else:
+        write_scenario(path, **keys)
     result = runner.invoke(main, ["compare", "--scenario", str(path), "--out", str(tmp_path / "out")])
     assert result.exit_code == 2
     assert named in result.output
+
+
+def test_compare_missing_scenario_file_is_input_error(runner, tmp_path):
+    missing = tmp_path / "absent.json"
+    result = runner.invoke(main, ["compare", "--scenario", str(missing), "--out", str(tmp_path / "out")])
+    assert result.exit_code == 2
+    assert f"{missing}: No such file or directory" in result.output
+
+
+def test_scenario_substrate_is_checked_like_solve(runner, tmp_path):
+    """A scenario's substrate goes through the same checks as one given to
+    solve: a negative capacity is an input error, not a run over 0 requests."""
+    doc = json.loads((GOLDEN / "tiny_substrate.json").read_text())
+    doc["nodes"][0]["capacity"] = -5.0  # node E
+    vio.write_json(tmp_path / "broken.json", doc)
+    path = write_scenario(tmp_path / "scenario.json", substrate="broken.json")
+    result = runner.invoke(main, ["compare", "--scenario", str(path), "--out", str(tmp_path / "out")])
+    assert result.exit_code == 2
+    assert "NegativeCapacity: node E" in result.output
+    assert not (tmp_path / "out").exists()
 
 
 def test_scenario_catalog_ignores_the_working_directory(tmp_path, monkeypatch):

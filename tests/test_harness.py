@@ -7,8 +7,10 @@ from __future__ import annotations
 import collections
 import csv
 import io as stdio
+import itertools
 import json
 import math
+import random
 from importlib import resources
 from pathlib import Path
 
@@ -141,6 +143,41 @@ def test_classify_arnes_matches_golden_snapshot():
     assert flat_links == golden["links"]
     counts = collections.Counter(node_tiers.values())
     assert counts == {"edge": 25, "transport": 7, "core": 2}
+
+
+@pytest.mark.parametrize("name, counts", [("dfn_de", (45, 10, 3)), ("amres_rs", (20, 4, 1))])
+def test_classify_bundled_tier_counts(name, counts):
+    node_tiers, _ = classify_tiers(ingest_graphml(topology_path(name)))
+    tally = collections.Counter(node_tiers.values())
+    assert (tally["edge"], tally["transport"], tally["core"]) == counts
+
+
+def test_classify_splits_degrees_into_least_deviation_ranges():
+    """On random graphs each tier is a contiguous degree range, edge below
+    transport below core, and the split's within-class squared deviation
+    over the nodes' degrees is the least of any contiguous split."""
+
+    def deviation(classes):
+        return sum(float(np.sum((np.asarray(c) - np.mean(c)) ** 2)) for c in classes)
+
+    rng = random.Random(11)
+    for _ in range(300):
+        n = rng.randint(2, 40)
+        graph = nx.gnm_random_graph(n, rng.randint(1, 3 * n), seed=rng.randrange(2**32))
+        degrees = dict(graph.degree())
+        node_tiers, _ = classify_tiers(graph)
+        unique = sorted(set(degrees.values()))
+        k = min(3, len(unique))
+        names = {1: ["edge"], 2: ["edge", "core"], 3: ["edge", "transport", "core"]}[k]
+        assert set(node_tiers.values()) == set(names)
+        classes = [sorted(d for v, d in degrees.items() if node_tiers[str(v)] == t) for t in names]
+        assert all(lo[-1] < hi[0] for lo, hi in zip(classes, classes[1:]))
+        least = min(
+            deviation([d for d in degrees.values() if lo <= d < hi] for lo, hi in zip(bounds, bounds[1:]))
+            for cuts in itertools.combinations(unique[1:], k - 1)
+            for bounds in [(unique[0], *cuts, unique[-1] + 1)]
+        )
+        assert deviation(classes) == pytest.approx(least, rel=1e-9)
 
 
 # ------------------------------------------------- assign_costs_capacities
