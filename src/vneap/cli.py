@@ -288,6 +288,20 @@ def _path(value) -> str:
     return value
 
 
+def _string(value) -> str:
+    """A JSON string (``str`` would make one of any value)."""
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, not {type(value).__name__}")
+    return value
+
+
+def _integer(value) -> int:
+    """A JSON integer (``int`` would truncate 7.9 and accept true)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected an integer, not {value!r}")
+    return value
+
+
 def _names(value) -> tuple[str, ...]:
     """A list of names (``tuple`` would split a lone string into letters)."""
     if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
@@ -300,23 +314,23 @@ def _names(value) -> tuple[str, ...]:
 # out or set to null takes ScenarioConfig's default.
 _SCENARIO_KEYS = {
     "schema_version": None,
-    "name": str,
+    "name": _string,
     "substrate": None,
     "applications": _path,
     "efficiency": _path,
-    "requests": int,
+    "requests": _integer,
     "node_tu": float,
     "link_tu": float,
-    "app": str,
+    "app": _string,
     "size_mean": float,
     "size_sigma": float,
-    "spatial": str,
+    "spatial": _string,
     "lognormal_mu": float,
     "lognormal_sigma": float,
-    "calibration_requests": int,
+    "calibration_requests": _integer,
     "algorithms": _names,
-    "repetitions": int,
-    "seed": int,
+    "repetitions": _integer,
+    "seed": _integer,
     "psi": float,
 }
 _GRAPHML_KEYS = {"graphml": _path, "tier_ratio": float}

@@ -27,6 +27,7 @@ import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Mapping, Optional, Sequence, Union
 
@@ -96,22 +97,22 @@ def ingest_graphml(path: Union[str, Path]) -> nx.Graph:
     return nx.relabel_nodes(g, {n: str(n) for n in g.nodes})
 
 
-def _natural_breaks(values: Sequence[float], counts: Sequence[int], k: int) -> tuple[int, ...]:
-    """Cut indices splitting sorted unique ``values`` (weighted by ``counts``)
-    into ``k`` contiguous classes of least within-class squared deviation,
-    the lexicographically first of equal splits.  All splits are tried (k <= 3)."""
-    w = np.asarray(counts, dtype=float)
-    x = np.asarray(values, dtype=float)
-    cw, cwx, cwxx = (np.concatenate([[0.0], np.cumsum(a)]) for a in (w, w * x, w * x * x))
+def _natural_breaks(values: Sequence[int], counts: Sequence[int], k: int) -> tuple[int, ...]:
+    """Cut indices splitting sorted unique integer ``values`` (weighted by
+    ``counts``) into ``k`` contiguous classes of least within-class squared
+    deviation, the lexicographically first of equal splits.  All splits are
+    tried (k <= 3); costs are exact rationals, so equal splits tie exactly."""
+    wx = [w * x for w, x in zip(counts, values)]
+    wxx = [v * x for v, x in zip(wx, values)]
+    cw, cwx, cwxx = (list(itertools.accumulate(a, initial=0)) for a in (counts, wx, wxx))
 
-    def deviation(cuts: tuple[int, ...]) -> float:
+    def deviation(cuts: tuple[int, ...]) -> Fraction:
         bounds = (0, *cuts, len(values))
-        total = 0.0
-        for i, j in zip(bounds, bounds[1:]):  # a class covers values[i:j]
-            weight = cw[j] - cw[i]
-            mean = (cwx[j] - cwx[i]) / weight
-            total += (cwxx[j] - cwxx[i]) - weight * mean * mean
-        return total
+        # a class covers values[i:j]: sum w*x^2 - (sum w*x)^2 / sum w
+        return sum(
+            (cwxx[j] - cwxx[i]) - Fraction((cwx[j] - cwx[i]) ** 2, cw[j] - cw[i])
+            for i, j in zip(bounds, bounds[1:])
+        )
 
     return min(itertools.combinations(range(1, len(values)), k - 1), key=deviation)
 
@@ -471,6 +472,7 @@ def _run_algorithm(
             timing["runtime_s"] = time.perf_counter() - t0
         else:
             sol, frac, timing["runtime_s"] = relaxation()
+            timing["lp_iterations"] = sol.stats.get("iterations", 0)
         if not sol.optimal:
             row["status"] = sol.status
             return row, timing, None
@@ -499,6 +501,7 @@ def _run_algorithm(
             embeddings, rep = round_relaxation(net, catalog, requests, relaxation(), psi, seed)
             timing["lp_runtime_s"] = rep.lp_runtime_s
             timing["rounding_runtime_s"] = rep.rounding_runtime_s
+            timing["lp_iterations"] = rep.lp_iterations
         timing["runtime_s"] = rep.runtime_s
         try:
             cost = total_cost(net, catalog, efficiency, embeddings, psi)
@@ -689,7 +692,10 @@ def long_rows_to_csv(rows: Sequence[dict], alt_indices: Sequence[int]) -> str:
 
 
 def timings_to_csv(timings: Sequence[dict]) -> str:
-    columns = ["scenario", "repetition", "algorithm", "runtime_s", "lp_runtime_s", "rounding_runtime_s"]
+    columns = [
+        "scenario", "repetition", "algorithm", "runtime_s", "lp_runtime_s", "rounding_runtime_s",
+        "lp_iterations",
+    ]
     return _csv(columns, ([t.get(c) for c in columns] for t in timings))
 
 

@@ -257,6 +257,7 @@ class TantoReport:
 
     lp_objective: float = 0.0
     lp_rejected_demand: float = 0.0
+    lp_iterations: int = 0
     aggregates: int = 0
     initial_nonzero_y: int = 0
     accepted: int = 0
@@ -320,6 +321,8 @@ def round_relaxation(
     report = TantoReport(
         lp_objective=frac.objective,
         lp_rejected_demand=frac.total_rejected_demand,
+        # an empty program is settled without calling HiGHS
+        lp_iterations=sol.stats.get("iterations", 0),
         aggregates=len(frac.aggregates),
         psi=psi,
         lp_runtime_s=lp_runtime_s,

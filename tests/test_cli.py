@@ -3,6 +3,7 @@ of every subcommand."""
 
 from __future__ import annotations
 
+import csv
 import json
 import re
 from importlib import resources
@@ -341,7 +342,14 @@ def test_compare_matches_golden_rows(runner, tmp_path, jobs):
     produced = (tmp_path / "tiny_rows.csv").read_text()
     assert produced == (GOLDEN / "tiny_scenario_rows.csv").read_text()
     assert (tmp_path / "tiny_summary.json").exists()
-    assert (tmp_path / "tiny_timings.csv").exists()
+    with open(tmp_path / "tiny_timings.csv", newline="") as fh:
+        timings = list(csv.DictReader(fh))
+    assert [t["algorithm"] for t in timings] == ["lp", "greedy", "tanto"] * 2
+    for lp, greedy, tanto in zip(timings[::3], timings[1::3], timings[2::3]):
+        # tanto rounds the relaxation its repetition's lp row solved
+        assert int(lp["lp_iterations"]) > 0
+        assert tanto["lp_iterations"] == lp["lp_iterations"]
+        assert greedy["lp_iterations"] == ""
 
 
 def test_compare_seed_override_changes_rows(runner, tmp_path):
@@ -410,16 +418,22 @@ def write_scenario(path: Path, **keys) -> Path:
         ({"algorithms": "lp"}, "'algorithms': expected a list of names"),
         ({"substrate": {"graphml": str(ARNES), "tier_ratio": 0}}, "tier ratio must be a finite positive number"),
         ([{"schema_version": 1}], "expected a JSON object, not list"),
+        ({"name": {"a": 1}}, "'name': expected a string, not dict"),
+        ({"seed": 7.9}, "'seed': expected an integer, not 7.9"),
+        ({"requests": 5.7}, "'requests': expected an integer, not 5.7"),
+        ({"repetitions": True}, "'repetitions': expected an integer, not True"),
     ],
     ids=["misspelled", "substrate-key", "null-required", "mistyped", "substrate-type",
          "applications-type", "efficiency-type", "graphml-type", "algorithms-string",
-         "zero-tier-ratio", "top-level-list"],
+         "zero-tier-ratio", "top-level-list", "name-object", "seed-fraction",
+         "requests-fraction", "repetitions-bool"],
 )
 def test_compare_names_the_bad_scenario_key(runner, tmp_path, keys, named):
     """A misspelled key is an input error, not a silent fall-back to the
-    default it meant to override; so are a missing and a mistyped key, a
-    bad tier ratio, and a file that holds a list (``keys`` is then the
-    whole document)."""
+    default it meant to override; so are a missing and a mistyped key
+    (a string or count is not converted from another JSON type, and a
+    fraction or a bool is not a count), a bad tier ratio, and a file that
+    holds a list (``keys`` is then the whole document)."""
     path = tmp_path / "scenario.json"
     if isinstance(keys, list):
         path.write_text(json.dumps(keys))

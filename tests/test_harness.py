@@ -180,6 +180,17 @@ def test_classify_splits_degrees_into_least_deviation_ranges():
         assert deviation(classes) == pytest.approx(least, rel=1e-9)
 
 
+def test_classify_breaks_an_exact_tie_at_the_first_split():
+    """Degrees 1-5 held by 2, 1, 2, 1, 2 nodes: the splits {1}{2,3}{4,5} and
+    {1,2}{3}{4,5} both have squared deviation 4/3 and differ by one ulp in
+    floating point; the lexicographically first, cuts (1, 3), is taken."""
+    graph = nx.havel_hakimi_graph([5, 5, 4, 3, 3, 2, 1, 1])
+    node_tiers, _ = classify_tiers(graph)
+    by_degree = {d: node_tiers[str(v)] for v, d in graph.degree()}
+    assert by_degree == {1: "edge", 2: "transport", 3: "transport", 4: "core", 5: "core"}
+    assert vneap.harness._natural_breaks([1, 2, 3, 4, 5], [2, 1, 2, 1, 2], 3) == (1, 3)
+
+
 # ------------------------------------------------- assign_costs_capacities
 
 

@@ -15,6 +15,7 @@ from vneap.formulation import (
     AggregatedRequest,
     VariableKey,
     aggregate_requests,
+    build_milp,
     compute_rejection_penalty,
 )
 from vneap.harness import (
@@ -26,6 +27,7 @@ from vneap.harness import (
     ingest_graphml,
 )
 from vneap.io import load_applications
+from vneap.lp import solve_lp
 from vneap.model import (
     AlternativeTopology,
     Application,
@@ -36,6 +38,7 @@ from vneap.model import (
 from vneap.tanto import (
     RoundingState,
     embed_request,
+    solve_relaxation,
     tanto,
     weighted_random_select,
 )
@@ -255,7 +258,10 @@ def test_rejection_rate_tracks_the_fractional_optimum_under_saturation():
     embeddings, report = tanto(net, apps, eff, requests, psi, seed=7)
     lp_rate = report.lp_rejected_demand / total
     tanto_rate = report.rejected_demand / total
-    assert lp_rate == pytest.approx(0.2675, abs=2e-4)
+    # the objective is the optimum's; the rejected mass is the returned
+    # vertex's, since at psi serving a unit can cost what rejecting it does
+    assert report.lp_objective == pytest.approx(35718.952679441514, rel=1e-9)
+    assert lp_rate == pytest.approx(0.2728, abs=2e-4)
     assert tanto_rate >= lp_rate - 1e-9  # the relaxation is the lower bound
     assert tanto_rate - lp_rate <= 0.05
     assert check_feasibility(net, apps, eff, embeddings) == []
@@ -331,3 +337,14 @@ def test_output_matches_the_recorded_run():
         embeddings, report = tanto(net, apps, eff, requests, psi, seed=seed)
         got = json.loads(json.dumps(recorded_form(name, embeddings, report)))
         assert got == want, name
+
+
+def test_relaxation_optimum_matches_the_per_request_relaxation():
+    """Aggregation is exact for the LP: on the pinned runs the aggregate
+    relaxation's optimum equals the relaxed per-request exact model's,
+    whichever optimal vertex the solver returns for either."""
+    for name, (net, apps, eff, requests, psi), _ in pinned_runs():
+        aggregate = solve_relaxation(net, apps, eff, requests, psi).solution
+        per_request = solve_lp(build_milp(net, apps, eff, requests, psi).relax())
+        assert aggregate.optimal and per_request.optimal, name
+        assert aggregate.objective == pytest.approx(per_request.objective, rel=1e-9), name
