@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import math
 import os
 import sys
 from importlib import resources
@@ -302,6 +303,16 @@ def _integer(value) -> int:
     return value
 
 
+def _number(value) -> float:
+    """A finite JSON number (``float`` would read "0.8", true and NaN)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, not {value!r}")
+    number = float(value)  # an integer too large for a float overflows
+    if not math.isfinite(number):
+        raise ValueError(f"expected a finite number, not {value!r}")
+    return number
+
+
 def _names(value) -> tuple[str, ...]:
     """A list of names (``tuple`` would split a lone string into letters)."""
     if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
@@ -319,21 +330,21 @@ _SCENARIO_KEYS = {
     "applications": _path,
     "efficiency": _path,
     "requests": _integer,
-    "node_tu": float,
-    "link_tu": float,
+    "node_tu": _number,
+    "link_tu": _number,
     "app": _string,
-    "size_mean": float,
-    "size_sigma": float,
+    "size_mean": _number,
+    "size_sigma": _number,
     "spatial": _string,
-    "lognormal_mu": float,
-    "lognormal_sigma": float,
+    "lognormal_mu": _number,
+    "lognormal_sigma": _number,
     "calibration_requests": _integer,
     "algorithms": _names,
     "repetitions": _integer,
     "seed": _integer,
-    "psi": float,
+    "psi": _number,
 }
-_GRAPHML_KEYS = {"graphml": _path, "tier_ratio": float}
+_GRAPHML_KEYS = {"graphml": _path, "tier_ratio": _number}
 
 
 def _typed_keys(doc: dict, table: dict, where: str, required: tuple[str, ...]) -> dict:
@@ -351,7 +362,7 @@ def _typed_keys(doc: dict, table: dict, where: str, required: tuple[str, ...]) -
         if kind is not None and doc.get(key) is not None:
             try:
                 out[key] = kind(doc[key])
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise FormatError(f"{where}: {key!r}: {exc}") from None
     return out
 

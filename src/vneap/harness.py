@@ -240,13 +240,25 @@ def generate_requests(
     node_fp, _, first_link = _main_footprint(app)
     stream = _rng.stream(seed, "generate")
     if params.spatial == "uniform":
-        weights = np.full(len(edges), 1.0 / len(edges))
+        weights = np.ones(len(edges))
     elif params.spatial == "lognormal":
         xs = 3.0 * (np.arange(len(edges)) + 0.5) / len(edges)
-        pdf = _stats.lognorm.pdf(xs, s=params.lognormal_sigma, scale=math.exp(params.lognormal_mu))
-        weights = pdf / pdf.sum()
+        weights = _stats.lognorm.pdf(xs, s=params.lognormal_sigma, scale=math.exp(params.lognormal_mu))
     else:
         raise ValueError(f"unknown spatial distribution {params.spatial!r}")
+    total = weights.sum()
+    if not (np.isfinite(weights).all() and (weights >= 0).all() and 0 < total < math.inf):
+        raise ValueError(
+            f"spatial profile {params.spatial!r} (lognormal_mu={params.lognormal_mu!r}, "
+            f"lognormal_sigma={params.lognormal_sigma!r}) gives no valid origin weights"
+        )
+    # Generator.choice(len(edges), p=weights / total) builds this CDF on
+    # every call and maps one random() to its searchsorted(side="right")
+    # index; doing both here draws the same origins from the same stream.
+    cdf = np.cumsum(weights / total)
+    cdf /= cdf[-1]
+    cdf = cdf.tolist()
+    ids = [n.id for n in edges]
 
     caps = {}
     if params.enforce_origin_cap:
@@ -265,7 +277,7 @@ def generate_requests(
     limit = max(10 * params.count, 1000)
     while len(out) < params.count and attempts < limit:
         attempts += 1
-        origin = edges[int(stream.choice(len(edges), p=weights))].id
+        origin = ids[bisect.bisect_right(cdf, stream.random())]
         size = max(_SIZE_FLOOR, float(stream.normal(params.size_mean, params.size_sigma)))
         if params.enforce_origin_cap and used[origin] + size > caps[origin]:
             continue
@@ -283,10 +295,11 @@ def _main_demand(
 ) -> tuple[float, float]:
     """(node units, link units) a request set consumes under each
     application's main alternative."""
+    footprints = {name: _main_footprint(apps[name]) for name in {r.app for r in requests}}
     node_demand = 0.0
     link_demand = 0.0
     for r in requests:
-        node_fp, link_fp, _ = _main_footprint(apps[r.app])
+        node_fp, link_fp, _ = footprints[r.app]
         node_demand += r.demand * node_fp
         link_demand += r.demand * link_fp
     return node_demand, link_demand
@@ -566,6 +579,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
             lognormal_mu=config.lognormal_mu,
             lognormal_sigma=config.lognormal_sigma,
         )
+        t0 = time.perf_counter()
         try:
             calib = generate_requests(
                 config.substrate,
@@ -585,6 +599,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
         except Exception as exc:
             errors.append(_error_entry(rep, "", exc))
             return rows, timings, errors
+        setup_runtime_s = time.perf_counter() - t0
         # solved on first use, then shared by this repetition's lp and tanto
         relaxation = functools.cache(
             functools.partial(solve_relaxation, net, config.apps, config.efficiency, requests, psi)
@@ -600,7 +615,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
                 continue
             row["scenario"] = config.name
             row["repetition"] = rep
-            timing.update(scenario=config.name, repetition=rep)
+            timing.update(scenario=config.name, repetition=rep, setup_runtime_s=setup_runtime_s)
             rows.append(row)
             timings.append(timing)
         return rows, timings, errors
@@ -694,7 +709,7 @@ def long_rows_to_csv(rows: Sequence[dict], alt_indices: Sequence[int]) -> str:
 def timings_to_csv(timings: Sequence[dict]) -> str:
     columns = [
         "scenario", "repetition", "algorithm", "runtime_s", "lp_runtime_s", "rounding_runtime_s",
-        "lp_iterations",
+        "lp_iterations", "setup_runtime_s",
     ]
     return _csv(columns, ([t.get(c) for c in columns] for t in timings))
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import re
 from importlib import resources
 from pathlib import Path
@@ -422,17 +423,25 @@ def write_scenario(path: Path, **keys) -> Path:
         ({"seed": 7.9}, "'seed': expected an integer, not 7.9"),
         ({"requests": 5.7}, "'requests': expected an integer, not 5.7"),
         ({"repetitions": True}, "'repetitions': expected an integer, not True"),
+        ({"node_tu": "0.8"}, "'node_tu': expected a number, not '0.8'"),
+        ({"psi": True}, "'psi': expected a number, not True"),
+        ({"size_mean": math.nan}, "'size_mean': expected a finite number, not nan"),
+        ({"lognormal_sigma": math.inf}, "'lognormal_sigma': expected a finite number, not inf"),
+        ({"link_tu": 10**400}, "'link_tu': int too large to convert to float"),
+        ({"substrate": {"graphml": str(ARNES), "tier_ratio": "2"}}, "'tier_ratio': expected a number, not '2'"),
     ],
     ids=["misspelled", "substrate-key", "null-required", "mistyped", "substrate-type",
          "applications-type", "efficiency-type", "graphml-type", "algorithms-string",
          "zero-tier-ratio", "top-level-list", "name-object", "seed-fraction",
-         "requests-fraction", "repetitions-bool"],
+         "requests-fraction", "repetitions-bool", "number-string", "number-bool", "number-nan",
+         "number-inf", "number-overflow", "tier-ratio-string"],
 )
 def test_compare_names_the_bad_scenario_key(runner, tmp_path, keys, named):
     """A misspelled key is an input error, not a silent fall-back to the
     default it meant to override; so are a missing and a mistyped key
-    (a string or count is not converted from another JSON type, and a
-    fraction or a bool is not a count), a bad tier ratio, and a file that
+    (a string, count or number is not converted from another JSON type, a
+    fraction or a bool is not a count, and a number is finite), a bad tier
+    ratio, and a file that
     holds a list (``keys`` is then the whole document)."""
     path = tmp_path / "scenario.json"
     if isinstance(keys, list):

@@ -17,9 +17,11 @@ from pathlib import Path
 import networkx as nx
 import numpy as np
 import pytest
+import scipy.stats
 
 import vneap.harness
 import vneap.lp
+import vneap.rng
 import vneap.tanto
 from vneap.harness import (
     EDGE_LINK_CAPACITY,
@@ -307,6 +309,60 @@ def test_generate_rejects_unknown_spatial_profile():
         )
 
 
+def test_generate_rejects_a_degenerate_lognormal_profile():
+    """sigma 0 gives NaN weights; they are refused before any draw."""
+    params = GenParams(count=5, app="cam", spatial="lognormal", lognormal_sigma=0.0)
+    with pytest.raises(ValueError, match="no valid origin weights"):
+        generate_requests(amres_net(), toy_apps(), params, seed=0)
+
+
+def reference_requests(net, apps, params, seed) -> list[tuple[str, float]]:
+    """(origin, demand) of generate_requests, each origin drawn by numpy's
+    own ``Generator.choice`` with the profile's normalized weights."""
+    edges = sorted((n for n in net.nodes if n.tier == "edge"), key=lambda n: n.id)
+    if params.spatial == "uniform":
+        weights = np.full(len(edges), 1.0 / len(edges))
+    else:
+        xs = 3.0 * (np.arange(len(edges)) + 0.5) / len(edges)
+        pdf = scipy.stats.lognorm.pdf(xs, s=params.lognormal_sigma, scale=math.exp(params.lognormal_mu))
+        weights = pdf / pdf.sum()
+    node_fp, _, first_link = vneap.harness._main_footprint(apps[params.app])
+    caps = {
+        n.id: min(n.capacity / node_fp, sum(a.capacity for a in net.out_arcs.get(n.id, ())) / first_link)
+        if params.enforce_origin_cap else math.inf
+        for n in edges
+    }
+    used = collections.Counter()
+    stream = vneap.rng.stream(seed, "generate")
+    out = []
+    for _ in range(max(10 * params.count, 1000)):
+        if len(out) == params.count:
+            break
+        origin = edges[int(stream.choice(len(edges), p=weights))].id
+        size = max(vneap.harness._SIZE_FLOOR, float(stream.normal(params.size_mean, params.size_sigma)))
+        if used[origin] + size > caps[origin]:
+            continue
+        used[origin] += size
+        out.append((origin, size))
+    return out
+
+
+@pytest.mark.parametrize("spatial", ["uniform", "lognormal"])
+@pytest.mark.parametrize("cap", [False, True])
+def test_generate_draws_what_generator_choice_draws(spatial, cap):
+    """Origins come from a CDF built once, yet every draw, redraw and size
+    is the one numpy's per-call ``choice`` gives."""
+    base, apps = amres_net(), toy_apps()
+    calib = generate_requests(base, apps, GenParams(count=300, app="cam", enforce_origin_cap=False), 1)
+    net = calibrate_target_utilization(base, apps, calib, 0.5, 0.5)  # the cap turns some draws away
+    for seed in range(5):
+        params = GenParams(count=250, app="cam", spatial=spatial, lognormal_mu=0.3 * seed,
+                           lognormal_sigma=0.5 + seed, enforce_origin_cap=cap)
+        got = [(r.origin, r.demand) for r in generate_requests(net, apps, params, seed)]
+        assert got == reference_requests(net, apps, params, seed)
+        assert got
+
+
 def test_generate_requires_edge_nodes():
     lonely = SubstrateNetwork(
         nodes=(SubstrateNode("c", cost=1.0, capacity=5.0, tier="core"),), arcs=()
@@ -436,6 +492,23 @@ def test_run_scenario_row_grid():
     ]
     # repetitions draw different request sets
     assert result.rows[0]["served_demand"] != result.rows[2]["served_demand"]
+
+
+def test_timings_carry_each_repetitions_setup_time():
+    """Every row of a repetition carries the wall time of its calibration
+    sample, calibration and generation, and the sidecar writes it."""
+    result = run_scenario(tiny_config(repetitions=2, algorithms=("lp", "greedy")))
+    setups = [t["setup_runtime_s"] for t in result.timings]
+    assert all(s >= 0 for s in setups)
+    assert setups[0] == setups[1] and setups[2] == setups[3]
+    written = list(csv.DictReader(stdio.StringIO(vneap.harness.timings_to_csv(result.timings))))
+    assert [float(t["setup_runtime_s"]) for t in written] == setups
+
+
+def test_run_scenario_records_a_bad_origin_profile_as_an_error():
+    result = run_scenario(tiny_config(spatial="lognormal", lognormal_sigma=0.0))
+    assert result.rows == []
+    assert [(e["algorithm"], e["type"]) for e in result.errors] == [("", "ValueError")]
 
 
 def test_run_scenario_rows_are_reproducible():
