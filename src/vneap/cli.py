@@ -77,9 +77,11 @@ def _load_catalog(spec: str, base: Path = Path()):
     raise FormatError(f"no such application catalog: {spec}")
 
 
-def _check_inputs(net, catalog, eff, reqs=None) -> None:
+def _check_inputs(net, catalog, eff, reqs=None, psi=None) -> None:
     """Raise a FormatError naming the first broken invariants of the
-    substrate, applications, efficiency map and requests (if given)."""
+    substrate, applications, efficiency map, requests and ψ (if given)."""
+    if psi is not None and not 0 <= psi < math.inf:
+        raise FormatError(f"psi must be a finite number >= 0, not {psi!r}")
     problems = validate_substrate(net)
     for app in catalog.values():
         problems += validate_application(app)
@@ -90,12 +92,12 @@ def _check_inputs(net, catalog, eff, reqs=None) -> None:
         raise FormatError("; ".join(str(v) for v in problems[:5]))
 
 
-def _load_inputs(substrate: str, apps: str, requests_path=None, efficiency=None):
+def _load_inputs(substrate: str, apps: str, requests_path=None, efficiency=None, psi=None):
     net = vio.load_substrate(substrate)
     catalog = _load_catalog(apps)
     reqs = None if requests_path is None else vio.load_requests(requests_path)
     eff = vio.load_efficiency(efficiency)
-    _check_inputs(net, catalog, eff, reqs)
+    _check_inputs(net, catalog, eff, reqs, psi)
     return net, catalog, reqs, eff
 
 
@@ -209,7 +211,7 @@ def _serialize_embedding(emb) -> dict:
 def solve(substrate, apps, requests_path, algo, seed, psi, efficiency, out):
     """Run one algorithm on one instance and write its report."""
     try:
-        net, catalog, reqs, eff = _load_inputs(substrate, apps, requests_path, efficiency)
+        net, catalog, reqs, eff = _load_inputs(substrate, apps, requests_path, efficiency, psi)
         if psi is None:
             psi = compute_rejection_penalty(net, catalog, eff)
         row, _, embeddings = harness._run_algorithm(algo, net, catalog, eff, reqs, psi, seed)
@@ -273,118 +275,76 @@ def report(results_dir, out):
                         row[key] = value == "true"
                         continue
                     try:
-                        row[key] = float(value)
+                        number = float(value)
                     except ValueError:
                         row[key] = value
+                        continue
+                    if not math.isfinite(number):
+                        _fail(f"{path}: {key!r}: expected a finite number, not {value}", EXIT_INPUT)
+                    row[key] = number
                 rows.append(row)
     summary = harness.summarize(rows)
     vio.write_json(out, {"schema_version": vio.SCHEMA_VERSION, "aggregates": summary})
     click.echo(f"{len(rows)} rows summarized -> {out}")
 
 
-def _path(value) -> str:
-    """A path: a JSON string, which ``str`` would make of any value."""
-    if not isinstance(value, str):
-        raise TypeError(f"expected a path string, not {type(value).__name__}")
-    return value
-
-
-def _string(value) -> str:
-    """A JSON string (``str`` would make one of any value)."""
-    if not isinstance(value, str):
-        raise TypeError(f"expected a string, not {type(value).__name__}")
-    return value
-
-
-def _integer(value) -> int:
-    """A JSON integer (``int`` would truncate 7.9 and accept true)."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"expected an integer, not {value!r}")
-    return value
-
-
-def _number(value) -> float:
-    """A finite JSON number (``float`` would read "0.8", true and NaN)."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"expected a number, not {value!r}")
-    number = float(value)  # an integer too large for a float overflows
-    if not math.isfinite(number):
-        raise ValueError(f"expected a finite number, not {value!r}")
-    return number
-
-
-def _names(value) -> tuple[str, ...]:
-    """A list of names (``tuple`` would split a lone string into letters)."""
-    if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
-        raise TypeError(f"expected a list of names, not {value!r}")
-    return tuple(value)
-
-
-# Every key a scenario file may hold, with the function that reads its
-# value.  Keys mapped to None are read by load_scenario itself; a key left
-# out or set to null takes ScenarioConfig's default.
+# Every key a scenario file may hold, with the reader of its value.  Keys
+# mapped to None are read by load_scenario itself; a key left out or set to
+# null takes ScenarioConfig's default.
 _SCENARIO_KEYS = {
     "schema_version": None,
-    "name": _string,
+    "name": vio.string,
     "substrate": None,
-    "applications": _path,
-    "efficiency": _path,
-    "requests": _integer,
-    "node_tu": _number,
-    "link_tu": _number,
-    "app": _string,
-    "size_mean": _number,
-    "size_sigma": _number,
-    "spatial": _string,
-    "lognormal_mu": _number,
-    "lognormal_sigma": _number,
-    "calibration_requests": _integer,
-    "algorithms": _names,
-    "repetitions": _integer,
-    "seed": _integer,
-    "psi": _number,
+    "applications": vio.string,
+    "efficiency": vio.string,
+    "requests": vio.integer,
+    "node_tu": vio.number,
+    "link_tu": vio.number,
+    "app": vio.string,
+    "size_mean": vio.number,
+    "size_sigma": vio.number,
+    "spatial": vio.string,
+    "lognormal_mu": vio.number,
+    "lognormal_sigma": vio.number,
+    "calibration_requests": vio.integer,
+    "algorithms": vio.names,
+    "repetitions": vio.integer,
+    "seed": vio.integer,
+    "psi": vio.number,
 }
-_GRAPHML_KEYS = {"graphml": _path, "tier_ratio": _number}
+_GRAPHML_KEYS = {"graphml": vio.string, "tier_ratio": vio.number}
 
 
 def _typed_keys(doc: dict, table: dict, where: str, required: tuple[str, ...]) -> dict:
-    """``doc``'s non-null values of the keys ``table`` maps to a function,
-    each read by its function; a key outside ``table`` or a missing
+    """``doc``'s non-null values of the keys ``table`` maps to a reader,
+    each read through vio.field; a key outside ``table`` or a missing
     required one is an input error."""
     unknown = sorted(set(doc) - set(table))
     if unknown:
         raise FormatError(f"{where}: unknown key(s) {', '.join(map(repr, unknown))}")
-    missing = [key for key in required if doc.get(key) is None]
-    if missing:
-        raise FormatError(f"{where}: missing key(s) {', '.join(map(repr, missing))}")
     out = {}
-    for key, kind in table.items():
-        if kind is not None and doc.get(key) is not None:
-            try:
-                out[key] = kind(doc[key])
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise FormatError(f"{where}: {key!r}: {exc}") from None
+    for key, read in table.items():
+        if read is not None:
+            value = vio.field(doc, key, read, where, vio.REQUIRED if key in required else None)
+            if value is not None:
+                out[key] = value
     return out
 
 
 def load_scenario(path, jobs: int = 1, seed=None) -> ScenarioConfig:
     """Build a ScenarioConfig from a scenario JSON file, checked as solve's inputs are."""
     doc = vio._load(path)
-    if not isinstance(doc, dict):
-        raise FormatError(f"{path}: expected a JSON object, not {type(doc).__name__}")
-    if doc.get("schema_version") != vio.SCHEMA_VERSION:
-        raise FormatError(f"{path}: unsupported schema_version {doc.get('schema_version')!r}")
-    fields = _typed_keys(doc, _SCENARIO_KEYS, str(path), ("substrate", "applications", "requests"))
+    version = vio.field(doc, "schema_version", vio.integer, str(path), None)
+    if version != vio.SCHEMA_VERSION:
+        raise FormatError(f"{path}: unsupported schema_version {version!r}")
+    fields = _typed_keys(doc, _SCENARIO_KEYS, str(path), ("applications", "requests"))
     base = Path(path).parent  # an absolute path joined to it stays as it is
-    sub = doc["substrate"]
-    if isinstance(sub, dict):
-        graphml = _typed_keys(sub, _GRAPHML_KEYS, f"{path}: substrate", ("graphml",))
+    if isinstance(doc.get("substrate"), dict):
+        graphml = _typed_keys(doc["substrate"], _GRAPHML_KEYS, f"{path}: substrate", ("graphml",))
         g = ingest_graphml(base / graphml.pop("graphml"))
         net = assign_costs_capacities(g, classify_tiers(g), **graphml)
-    elif isinstance(sub, str):
-        net = vio.load_substrate(base / sub)
     else:
-        raise FormatError(f"{path}: 'substrate': expected a path string or a graphml object")
+        net = vio.load_substrate(base / vio.field(doc, "substrate", vio.string, str(path)))
     if "efficiency" in fields:
         fields["efficiency"] = vio.load_efficiency(base / fields["efficiency"])
     if seed is not None:
@@ -392,7 +352,7 @@ def load_scenario(path, jobs: int = 1, seed=None) -> ScenarioConfig:
     fields.setdefault("name", Path(path).stem)
     apps = _load_catalog(fields.pop("applications"), base)
     config = ScenarioConfig(substrate=net, apps=apps, jobs=jobs, **fields)
-    _check_inputs(net, apps, config.efficiency)
+    _check_inputs(net, apps, config.efficiency, psi=config.psi)
     return config
 
 

@@ -203,6 +203,10 @@ class GenParams:
     lognormal_sigma: float = 1.0
     enforce_origin_cap: bool = True
 
+    def __post_init__(self):
+        if not (math.isfinite(self.size_mean) and 0 < self.size_sigma < math.inf):
+            raise ValueError("size mean and sigma must be finite and sigma positive")
+
 
 def _main_footprint(app: Application) -> tuple[float, float, float]:
     """(node units, link units, first-link units) consumed per unit of

@@ -9,6 +9,7 @@ dumper returns a plain dict, so round-tripping is
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 from typing import Mapping, Optional, Sequence, Union
 
@@ -47,10 +48,69 @@ def _load(source: Source) -> Mapping:
         raise FormatError(f"{path}: {exc.strerror}") from exc
 
 
-def _require(doc: Mapping, key: str, where: str):
-    if key not in doc:
-        raise FormatError(f"{where}: missing required field {key!r}")
-    return doc[key]
+# -- value readers: each returns a value of its JSON type, or raises a TypeError
+# or ValueError that field() turns into a FormatError naming the key.
+
+
+def _exactly(kind: type, name: str):
+    """A reader of values already a ``kind`` (``str`` would make a string of
+    any value, and truthiness reads "false" as true)."""
+
+    def read(value):
+        if not isinstance(value, kind):
+            raise TypeError(f"expected {name}, not {type(value).__name__}")
+        return value
+
+    return read
+
+
+string = _exactly(str, "a string")
+boolean = _exactly(bool, "true or false")
+array = _exactly(list, "an array")  # iterating a string would read its letters
+
+
+def integer(value) -> int:
+    """A JSON integer (``int`` would truncate 7.9 and accept true)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected an integer, not {value!r}")
+    return value
+
+
+def number(value) -> float:
+    """A finite JSON number (``float`` would read "0.8", true and NaN)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, not {value!r}")
+    result = float(value)  # an integer too large for a float overflows
+    if not math.isfinite(result):
+        raise ValueError(f"expected a finite number, not {value!r}")
+    return result
+
+
+def names(value) -> tuple[str, ...]:
+    """A list of names (``tuple`` would split a lone string into letters)."""
+    if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
+        raise TypeError(f"expected a list of names, not {value!r}")
+    return tuple(value)
+
+
+REQUIRED = object()
+
+
+def field(doc, key: str, read, where: str, default=REQUIRED):
+    """``doc[key]`` as ``read`` reads it, or ``default`` if the key is absent
+    or null.  A ``doc`` that is not a JSON object, a missing required key
+    and a value ``read`` refuses are FormatErrors naming ``where`` and the key."""
+    if not isinstance(doc, Mapping):
+        raise FormatError(f"{where}: expected a JSON object, not {type(doc).__name__}")
+    value = doc.get(key)
+    if value is None:
+        if default is REQUIRED:
+            raise FormatError(f"{where}: missing required field {key!r}")
+        return default
+    try:
+        return read(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise FormatError(f"{where}: {key!r}: {exc}") from None
 
 
 # -- substrate ---------------------------------------------------------------
@@ -60,21 +120,21 @@ def load_substrate(source: Source) -> SubstrateNetwork:
     doc = _load(source)
     nodes = [
         SubstrateNode(
-            id=str(_require(n, "id", "substrate node")),
-            cost=float(_require(n, "cost", "substrate node")),
-            capacity=float(_require(n, "capacity", "substrate node")),
-            tier=n.get("tier"),
+            id=field(n, "id", string, "substrate node"),
+            cost=field(n, "cost", number, "substrate node"),
+            capacity=field(n, "capacity", number, "substrate node"),
+            tier=field(n, "tier", string, "substrate node", None),
         )
-        for n in _require(doc, "nodes", "substrate")
+        for n in field(doc, "nodes", array, "substrate")
     ]
     arcs: list[SubstrateArc] = []
-    for l in _require(doc, "links", "substrate"):
-        src = str(_require(l, "src", "substrate link"))
-        dst = str(_require(l, "dst", "substrate link"))
-        cost = float(_require(l, "cost", "substrate link"))
-        cap = float(_require(l, "capacity", "substrate link"))
+    for l in field(doc, "links", array, "substrate"):
+        src = field(l, "src", string, "substrate link")
+        dst = field(l, "dst", string, "substrate link")
+        cost = field(l, "cost", number, "substrate link")
+        cap = field(l, "capacity", number, "substrate link")
         arcs.append(SubstrateArc(src, dst, cost, cap))
-        if not l.get("directed", False):
+        if not field(l, "directed", boolean, "substrate link", False):
             arcs.append(SubstrateArc(dst, src, cost, cap))
     return SubstrateNetwork(nodes, arcs)
 
@@ -106,23 +166,27 @@ def dump_substrate(net: SubstrateNetwork) -> dict:
 def load_applications(source: Source) -> dict[str, Application]:
     doc = _load(source)
     catalog: dict[str, Application] = {}
-    for a in _require(doc, "applications", "application catalog"):
-        app_id = str(_require(a, "id", "application"))
+    for a in field(doc, "applications", array, "application catalog"):
+        app_id = field(a, "id", string, "application")
+        where = f"application {app_id} alternative"
         alts = []
-        for t in _require(a, "alternatives", f"application {app_id}"):
+        for t in field(a, "alternatives", array, f"application {app_id}"):
             alts.append(
                 AlternativeTopology(
                     app_id=app_id,
-                    index=int(_require(t, "index", f"application {app_id} alternative")),
+                    index=field(t, "index", integer, where),
                     nodes=[
-                        VirtualNode(str(n["id"]), float(n["size"]))
-                        for n in _require(t, "nodes", f"application {app_id} alternative")
+                        VirtualNode(field(n, "id", string, f"{where} node"),
+                                    field(n, "size", number, f"{where} node"))
+                        for n in field(t, "nodes", array, where)
                     ],
                     links=[
-                        VirtualLink(str(l["parent"]), str(l["child"]), float(l["size"]))
-                        for l in t.get("links", [])
+                        VirtualLink(field(l, "parent", string, f"{where} link"),
+                                    field(l, "child", string, f"{where} link"),
+                                    field(l, "size", number, f"{where} link"))
+                        for l in field(t, "links", array, where, ())
                     ],
-                    root=str(_require(t, "root", f"application {app_id} alternative")),
+                    root=field(t, "root", string, where),
                 )
             )
         if app_id in catalog:
@@ -166,20 +230,22 @@ def load_efficiency(source: Optional[Source]) -> EfficiencyMap:
         return EfficiencyMap()
     doc = _load(source)
     node_coeffs = {}
-    for entry in doc.get("nodes", []):
-        key = (str(_require(entry, "function", "efficiency node entry")),
-               str(_require(entry, "node", "efficiency node entry")))
-        node_coeffs[key] = FORBIDDEN if entry.get("forbidden") else float(entry["coeff"])
+    for entry in field(doc, "nodes", array, "efficiency map", ()):
+        where = "efficiency node entry"
+        key = (field(entry, "function", string, where), field(entry, "node", string, where))
+        forbidden = field(entry, "forbidden", boolean, where, False)
+        node_coeffs[key] = FORBIDDEN if forbidden else field(entry, "coeff", number, where)
     link_coeffs = {}
-    for entry in doc.get("links", []):
-        vlink = tuple(str(x) for x in _require(entry, "link", "efficiency link entry"))
-        arc = tuple(str(x) for x in _require(entry, "arc", "efficiency link entry"))
+    for entry in field(doc, "links", array, "efficiency map", ()):
+        where = "efficiency link entry"
+        vlink = field(entry, "link", names, where)
+        arc = field(entry, "arc", names, where)
         if len(vlink) != 2 or len(arc) != 2:
-            raise FormatError("efficiency link entry: 'link' and 'arc' must be pairs")
-        link_coeffs[(vlink, arc)] = (
-            FORBIDDEN if entry.get("forbidden") else float(entry["coeff"])
-        )
-    return EfficiencyMap(node_coeffs, link_coeffs, default=float(doc.get("default", 1.0)))
+            raise FormatError(f"{where}: 'link' and 'arc' must be pairs")
+        forbidden = field(entry, "forbidden", boolean, where, False)
+        link_coeffs[(vlink, arc)] = FORBIDDEN if forbidden else field(entry, "coeff", number, where)
+    default = field(doc, "default", number, "efficiency map", 1.0)
+    return EfficiencyMap(node_coeffs, link_coeffs, default)
 
 
 def dump_efficiency(eff: EfficiencyMap) -> dict:
@@ -214,11 +280,11 @@ def load_requests(source: Source) -> list[Request]:
     doc = _load(source)
     return [
         Request(
-            origin=str(_require(r, "origin", "request")),
-            app=str(_require(r, "app", "request")),
-            demand=float(_require(r, "demand", "request")),
+            origin=field(r, "origin", string, "request"),
+            app=field(r, "app", string, "request"),
+            demand=field(r, "demand", number, "request"),
         )
-        for r in _require(doc, "requests", "request list")
+        for r in field(doc, "requests", array, "request list")
     ]
 
 
@@ -233,5 +299,5 @@ def dump_requests(requests: Sequence[Request]) -> dict:
 
 def write_json(path: Union[str, Path], doc: Mapping) -> None:
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=False)
+        json.dump(doc, fh, indent=2, sort_keys=False, allow_nan=False)
         fh.write("\n")

@@ -149,6 +149,25 @@ def test_generate_origin_cap_is_best_effort(runner, tmp_path, arnes_substrate):
     assert vio.load_requests(out) == []
 
 
+@pytest.mark.parametrize(
+    "flag, value", [("--size-mean", "inf"), ("--size-mean", "nan"), ("--size-sigma", "0"),
+                    ("--size-sigma", "-1"), ("--size-sigma", "inf")],
+)
+def test_generate_refuses_a_size_distribution_without_finite_sizes(
+    runner, tmp_path, arnes_substrate, flag, value
+):
+    """Such sizes would be written as demands no loader reads back
+    (Infinity, NaN) or, for sigma <= 0, are refused as a scenario's are."""
+    out = tmp_path / "reqs.json"
+    result = runner.invoke(main, [
+        "generate", "--substrate", str(arnes_substrate), "--apps", "cctv_two",
+        "--count", "5", "--no-origin-cap", flag, value, "--out", str(out),
+    ])
+    assert result.exit_code == 2
+    assert "size mean and sigma must be finite and sigma positive" in result.output
+    assert not out.exists()
+
+
 # --------------------------------------------------------------- calibrate
 
 
@@ -329,6 +348,28 @@ def test_solve_psi_override(runner, toy_files):
     assert json.loads(out.read_text())["psi"] == 123.5
 
 
+@pytest.mark.parametrize("algo", ["greedy", "lp"])
+@pytest.mark.parametrize("psi", ["nan", "inf", "-5"])
+def test_solve_refuses_a_psi_that_is_not_finite_and_nonnegative(runner, toy_files, algo, psi):
+    out = toy_files["dir"] / "x.json"
+    result = runner.invoke(main, solve_args(toy_files, algo, out, psi=psi))
+    assert result.exit_code == 2
+    assert "psi must be a finite number >= 0" in result.output
+    assert not out.exists()
+
+
+def test_solve_catalog_node_without_size_is_input_error(runner, toy_files):
+    doc = json.loads(resources.files("vneap").joinpath("fixtures/cctv_two.json").read_text())
+    del doc["applications"][0]["alternatives"][0]["nodes"][1]["size"]
+    apps = toy_files["dir"] / "sizeless.json"
+    vio.write_json(apps, doc)
+    args = solve_args(toy_files, "greedy", toy_files["dir"] / "x.json")
+    args[args.index("cctv_two")] = str(apps)
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert "missing required field 'size'" in result.output
+
+
 # ----------------------------------------------------------------- compare
 
 
@@ -410,12 +451,12 @@ def write_scenario(path: Path, **keys) -> Path:
     [
         ({"repetiton": 5}, "unknown key(s) 'repetiton'"),
         ({"substrate": {"graphml": str(ARNES), "tier_ratios": 2.0}}, "unknown key(s) 'tier_ratios'"),
-        ({"requests": None}, "missing key(s) 'requests'"),
+        ({"requests": None}, "missing required field 'requests'"),
         ({"repetitions": "many"}, "'repetitions'"),
-        ({"substrate": 5}, "'substrate': expected a path string"),
-        ({"applications": ["cctv_two"]}, "'applications': expected a path string"),
-        ({"efficiency": {"default": 1.0}}, "'efficiency': expected a path string"),
-        ({"substrate": {"graphml": 5}}, "'graphml': expected a path string"),
+        ({"substrate": 5}, "'substrate': expected a string"),
+        ({"applications": ["cctv_two"]}, "'applications': expected a string"),
+        ({"efficiency": {"default": 1.0}}, "'efficiency': expected a string"),
+        ({"substrate": {"graphml": 5}}, "'graphml': expected a string"),
         ({"algorithms": "lp"}, "'algorithms': expected a list of names"),
         ({"substrate": {"graphml": str(ARNES), "tier_ratio": 0}}, "tier ratio must be a finite positive number"),
         ([{"schema_version": 1}], "expected a JSON object, not list"),
@@ -429,12 +470,13 @@ def write_scenario(path: Path, **keys) -> Path:
         ({"lognormal_sigma": math.inf}, "'lognormal_sigma': expected a finite number, not inf"),
         ({"link_tu": 10**400}, "'link_tu': int too large to convert to float"),
         ({"substrate": {"graphml": str(ARNES), "tier_ratio": "2"}}, "'tier_ratio': expected a number, not '2'"),
+        ({"psi": -5}, "psi must be a finite number >= 0, not -5.0"),
     ],
     ids=["misspelled", "substrate-key", "null-required", "mistyped", "substrate-type",
          "applications-type", "efficiency-type", "graphml-type", "algorithms-string",
          "zero-tier-ratio", "top-level-list", "name-object", "seed-fraction",
          "requests-fraction", "repetitions-bool", "number-string", "number-bool", "number-nan",
-         "number-inf", "number-overflow", "tier-ratio-string"],
+         "number-inf", "number-overflow", "tier-ratio-string", "negative-psi"],
 )
 def test_compare_names_the_bad_scenario_key(runner, tmp_path, keys, named):
     """A misspelled key is an input error, not a silent fall-back to the
@@ -544,6 +586,19 @@ def test_report_empty_directory_is_input_error(runner, tmp_path):
     result = runner.invoke(main, ["report", "--results", str(tmp_path), "--out", str(tmp_path / "x.json")])
     assert result.exit_code == 2
     assert "no *_rows.csv" in result.output
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+def test_report_refuses_a_number_that_is_not_finite(runner, tmp_path, cell):
+    """A summary holding NaN or Infinity would not be JSON, so such a cell
+    is an input error naming its column."""
+    rows = (GOLDEN / "report_rows" / "handmade_rows.csv").read_text() + f"tiny,b,0.5,{cell},true\n"
+    (tmp_path / "x_rows.csv").write_text(rows)
+    out = tmp_path / "summary.json"
+    result = runner.invoke(main, ["report", "--results", str(tmp_path), "--out", str(out)])
+    assert result.exit_code == 2
+    assert f"'total_cost': expected a finite number, not {cell}" in result.output
+    assert not out.exists()
 
 
 def test_report_matches_compare_summary(runner, tmp_path):

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import copy
 import json
+import math
 
 import pytest
 
@@ -20,14 +22,23 @@ from vneap.io import (
 )
 from vneap.model import FORBIDDEN, EfficiencyMap, Request
 
-from conftest import toy_apps, toy_net, unit_requests
+from conftest import random_instance, toy_apps, toy_net, unit_requests
+
+# The round-trip tests send a toy document and random_instance(seed)'s
+# through JSON text, as write_json does, and load them back.
+ROUND_TRIP_SEEDS = range(4)
 
 
-def test_substrate_round_trip():
-    net = toy_net(link_cap=5000.0, node_cap=300.0)
-    back = load_substrate(dump_substrate(net))
-    assert back.nodes == net.nodes
-    assert back.arcs == net.arcs
+def trip(doc: dict) -> dict:
+    return json.loads(json.dumps(doc, allow_nan=False))
+
+
+@pytest.mark.parametrize("seed", ROUND_TRIP_SEEDS)
+def test_substrate_round_trip(seed):
+    for net in (toy_net(link_cap=5000.0, node_cap=300.0), random_instance(seed)[0]):
+        back = load_substrate(trip(dump_substrate(net)))
+        assert back.nodes == net.nodes
+        assert back.arcs == net.arcs
 
 
 def test_substrate_round_trip_through_file(tmp_path):
@@ -36,6 +47,12 @@ def test_substrate_round_trip_through_file(tmp_path):
     back = load_substrate(path)
     assert back.nodes == toy_net().nodes
     assert back.arcs == toy_net().arcs
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_write_json_refuses_a_number_no_loader_reads(tmp_path, value):
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        write_json(tmp_path / "x.json", dump_requests([Request("a", "cam", value)]))
 
 
 def test_undirected_links_expand_to_arc_pairs():
@@ -51,33 +68,38 @@ def test_undirected_links_expand_to_arc_pairs():
     assert all(a.cost == 0.5 and a.capacity == 4.0 for a in net.arcs)
 
 
-def test_applications_round_trip():
-    catalog = toy_apps()
-    back = load_applications(dump_applications(catalog))
-    assert set(back) == set(catalog)
-    for app_id, app in catalog.items():
-        for alt, alt2 in zip(app.alternatives, back[app_id].alternatives):
-            assert alt2.index == alt.index
-            assert alt2.root == alt.root
-            assert alt2.nodes == alt.nodes
-            assert alt2.links == alt.links
+@pytest.mark.parametrize("seed", ROUND_TRIP_SEEDS)
+def test_applications_round_trip(seed):
+    for catalog in (toy_apps(), random_instance(seed)[1]):
+        back = load_applications(trip(dump_applications(catalog)))
+        assert set(back) == set(catalog)
+        for app_id, app in catalog.items():
+            assert len(back[app_id].alternatives) == len(app.alternatives)
+            for alt, alt2 in zip(app.alternatives, back[app_id].alternatives):
+                assert alt2.index == alt.index
+                assert alt2.root == alt.root
+                assert alt2.nodes == alt.nodes
+                assert alt2.links == alt.links
 
 
-def test_requests_round_trip():
-    reqs = unit_requests(3) + [Request("C", "cam", 2.5)]
-    assert load_requests(dump_requests(reqs)) == reqs
+@pytest.mark.parametrize("seed", ROUND_TRIP_SEEDS)
+def test_requests_round_trip(seed):
+    for reqs in (unit_requests(3) + [Request("C", "cam", 2.5)], random_instance(seed)[3]):
+        assert load_requests(trip(dump_requests(reqs))) == reqs
 
 
-def test_efficiency_round_trip_keeps_forbidden_entries():
-    eff = EfficiencyMap(
+@pytest.mark.parametrize("seed", ROUND_TRIP_SEEDS)
+def test_efficiency_round_trip_keeps_forbidden_entries(seed):
+    toy = EfficiencyMap(
         node_coeffs={("A", "E"): FORBIDDEN, ("A", "C"): 0.8},
         link_coeffs={(("A", "B"), ("E", "C")): 1.5},
         default=0.9,
     )
-    back = load_efficiency(dump_efficiency(eff))
-    assert back.node_coeffs == eff.node_coeffs
-    assert back.link_coeffs == eff.link_coeffs
-    assert back.default == eff.default
+    for eff in (toy, random_instance(seed)[2]):
+        back = load_efficiency(trip(dump_efficiency(eff)))
+        assert back.node_coeffs == eff.node_coeffs
+        assert back.link_coeffs == eff.link_coeffs
+        assert back.default == eff.default
 
 
 def test_no_efficiency_source_means_all_defaults():
@@ -103,6 +125,52 @@ def test_bundled_catalogs_load():
 def test_missing_field_names_the_field():
     with pytest.raises(FormatError, match="missing required field 'capacity'"):
         load_substrate({"nodes": [{"id": "a", "cost": 1.0}], "links": []})
+
+
+SUBSTRATE = {
+    "nodes": [{"id": "a", "cost": 1.0, "capacity": 9.0}, {"id": "b", "cost": 2.0, "capacity": 9.0}],
+    "links": [{"src": "a", "dst": "b", "cost": 0.5, "capacity": 4.0}],
+}
+REQUESTS = {"requests": [{"origin": "a", "app": "cam", "demand": 2.0}]}
+CATALOG = {"applications": [{"id": "cam", "alternatives": [
+    {"index": 0, "root": "r", "nodes": [{"id": "r", "size": 0.0}, {"id": "f", "size": 5.0}],
+     "links": [{"parent": "r", "child": "f", "size": 1.0}]},
+]}]}
+EFFICIENCY = {"links": [{"link": ["r", "f"], "arc": ["a", "b"], "coeff": 1.5}]}
+MISSING = object()
+
+
+@pytest.mark.parametrize(
+    "load, doc, path, key, value",
+    [
+        (load_substrate, SUBSTRATE, ["nodes", 0], "capacity", math.nan),
+        (load_substrate, SUBSTRATE, ["links", 0], "cost", "10"),
+        (load_substrate, SUBSTRATE, ["nodes", 1], "id", 5),
+        (load_substrate, SUBSTRATE, ["links", 0], "directed", "false"),
+        (load_requests, REQUESTS, ["requests", 0], "demand", True),
+        (load_requests, REQUESTS, ["requests", 0], "demand", math.nan),
+        (load_applications, CATALOG, ["applications", 0, "alternatives", 0, "nodes", 1], "size", MISSING),
+        (load_efficiency, EFFICIENCY, ["links", 0], "coeff", MISSING),
+        (load_efficiency, EFFICIENCY, ["links", 0], "coeff", math.inf),
+    ],
+    ids=["capacity-nan", "cost-string", "id-integer", "directed-string", "demand-bool",
+         "demand-nan", "size-missing", "coeff-missing", "coeff-inf"],
+)
+def test_bad_value_is_a_format_error_naming_its_key(load, doc, path, key, value):
+    """``doc`` loads, but not with ``key`` of the object at ``path`` set to
+    ``value`` (or deleted): no value is converted from another JSON type, a
+    number is finite, and a missing value is named, not a KeyError."""
+    load(doc)
+    doc = copy.deepcopy(doc)
+    target = doc
+    for step in path:
+        target = target[step]
+    if value is MISSING:
+        del target[key]
+    else:
+        target[key] = value
+    with pytest.raises(FormatError, match=f"'{key}'"):
+        load(doc)
 
 
 def test_invalid_json_reports_the_line(tmp_path):
