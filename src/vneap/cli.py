@@ -214,7 +214,7 @@ def solve(substrate, apps, requests_path, algo, seed, psi, efficiency, out):
         net, catalog, reqs, eff = _load_inputs(substrate, apps, requests_path, efficiency, psi)
         if psi is None:
             psi = compute_rejection_penalty(net, catalog, eff)
-        row, _, embeddings = harness._run_algorithm(algo, net, catalog, eff, reqs, psi, seed)
+        row, timing, embeddings = harness._run_algorithm(algo, net, catalog, eff, reqs, psi, seed)
     except ValueError as exc:  # FormatError is one
         _fail(str(exc), EXIT_INPUT)
     except SolverError as exc:
@@ -229,6 +229,10 @@ def solve(substrate, apps, requests_path, algo, seed, psi, efficiency, out):
     if embeddings is not None:
         report["embeddings"] = [_serialize_embedding(e) for e in embeddings]
     vio.write_json(out, report)
+    # wall-clock timings go beside the report, so the report stays byte-reproducible
+    out = Path(out)
+    timings = {"schema_version": vio.SCHEMA_VERSION, **timing}
+    vio.write_json(out.with_name(f"{out.stem}_timings.json"), timings)
     click.echo(f"{algo}: total_cost={row.get('total_cost')!r} -> {out}")
 
 
@@ -319,9 +323,7 @@ def _typed_keys(doc: dict, table: dict, where: str, required: tuple[str, ...]) -
     """``doc``'s non-null values of the keys ``table`` maps to a reader,
     each read through vio.field; a key outside ``table`` or a missing
     required one is an input error."""
-    unknown = sorted(set(doc) - set(table))
-    if unknown:
-        raise FormatError(f"{where}: unknown key(s) {', '.join(map(repr, unknown))}")
+    vio.known(doc, table, where)
     out = {}
     for key, read in table.items():
         if read is not None:

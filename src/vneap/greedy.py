@@ -2,15 +2,24 @@
 alternative against residual capacity, or is rejected.
 
 The per-alternative search (`minv_embed`) decomposes the service tree
-into maximal downward chains and embeds each chain with a Dijkstra run
-over (substrate node, chain progress) states, so hops pay bandwidth and
+into maximal downward chains and embeds each chain with an A* run over
+(substrate node, chain progress) states, so hops pay bandwidth and
 placements pay compute.  Subtrees hanging off a placed branch node are
 embedded recursively with the same rule.
+
+A*'s bound is exact for the uncapacitated problem: per chain, the
+cheapest cost per unit demand to finish the chain from every state,
+computed once by reverse shortest-path passes over the layered graph.
+Coefficients and costs are fixed for a run and capacity only removes
+moves, so demand times that cost never exceeds the true remaining cost
+at any residual (admissible), and it obeys the triangle inequality along
+every move (consistent).  A* therefore pops the first goal state at the
+cheapest cost, as Dijkstra would, after expanding fewer states.
 
 The search runs on integer-indexed tables built once per run
 (`_ChainSearch`): substrate nodes and arcs are numbered, efficiency
 coefficients are read into per-element rows on first use, each
-alternative's chains are planned once, and the Dijkstra keeps its
+alternative's chains are planned once, and the search keeps its
 distances in flat lists indexed by ``m * n + v``.  Every load and cost
 is computed with the same float operations in the same order as a
 search over id-keyed dicts would, so results are identical to the bit.
@@ -36,6 +45,9 @@ from .model import (
 )
 
 _EPS = 1e-9
+# Scale of the A* bound table: float sums taken in another order may come
+# out a few ulps above the search's own, and a bound must never do that.
+_BOUND_SHRINK = 1.0 - 1e-9
 
 
 @dataclass
@@ -118,6 +130,11 @@ class _ChainSearch:
             ]
             for v in self.ids
         ]
+        # in-arcs as (source index, arc index, cost), for the bound passes
+        self.into: list[list[tuple[int, int, float]]] = [[] for _ in self.ids]
+        for u, arcs in enumerate(self.out):
+            for w, a, arc_cost in arcs:
+                self.into[w].append((u, a, arc_cost))
         self.efficiency = efficiency
         self.residual = residual
         self.node_cap = [residual.node[v] + _EPS for v in self.ids]
@@ -140,26 +157,25 @@ class _ChainSearch:
 
     def plan(self, alt: AlternativeTopology) -> tuple:
         """(root row, chains, node terms, link terms) of ``alt``.  A chain
-        is (start function, steps), a step (link, child size, child row,
-        link row); the terms give the size and row of every
+        is (start function, steps, bound), a step (link, child size, child
+        row, link row) and the bound :meth:`remaining_cost`'s table shrunk
+        by ``_BOUND_SHRINK``; the terms give the size and row of every
         function and link for the cumulative recheck."""
         plan = self._plans.get(alt)
         if plan is None:
-            chains = [
-                (
-                    start,
-                    [
-                        (
-                            link,
-                            alt.node_by_id[link.child].size,
-                            self.node_row(link.child),
-                            self.link_row((link.parent, link.child)),
-                        )
-                        for link in chain
-                    ],
-                )
-                for start, chain in _chains(alt)
-            ]
+            chains = []
+            for start, chain in _chains(alt):
+                steps = [
+                    (
+                        link,
+                        alt.node_by_id[link.child].size,
+                        self.node_row(link.child),
+                        self.link_row((link.parent, link.child)),
+                    )
+                    for link in chain
+                ]
+                bound = [h * _BOUND_SHRINK for h in self.remaining_cost(steps)]
+                chains.append((start, steps, bound))
             node_terms = {n.id: (n.size, self.node_row(n.id)) for n in alt.nodes}
             link_terms = [
                 ((vl.parent, vl.child), vl.size, self.link_row((vl.parent, vl.child)))
@@ -168,6 +184,47 @@ class _ChainSearch:
             plan = self._plans[alt] = (self.node_row(alt.root), chains, node_terms, link_terms)
         return plan
 
+    def remaining_cost(self, steps: Sequence[tuple]) -> list[float]:
+        """Cheapest cost per unit demand to finish the chain ``steps`` from
+        every state ``m * n + v``, ignoring capacity (+inf where no sequence
+        of allowed moves finishes it).
+
+        One pass per layer, from the last down to the first: layer m is
+        seeded with 'place here, then finish from layer m + 1' and closed
+        by Dijkstra over the reversed out-arcs, each costed at
+        ``link.size * coeff * arc cost``.  Forbidden pairings are no moves.
+        """
+        n = len(self.ids)
+        k = len(steps)
+        inf = float("inf")
+        h = [inf] * ((k + 1) * n)
+        h[k * n :] = [0.0] * n
+        node_cost, into = self.node_cost, self.into
+        pop, push = heapq.heappop, heapq.heappush
+        for m in range(k - 1, -1, -1):
+            link, size, node_row, link_row = steps[m]
+            base = m * n
+            heap = []
+            for v in range(n):
+                coeff, after = node_row[v], h[base + n + v]
+                if coeff is not FORBIDDEN and after < inf:
+                    h[base + v] = size * coeff * node_cost[v] + after
+                    heap.append((h[base + v], v))
+            heapq.heapify(heap)
+            while heap:
+                c, w = pop(heap)
+                if c > h[base + w]:
+                    continue
+                for u, a, arc_cost in into[w]:
+                    lcoeff = link_row[a]
+                    if lcoeff is FORBIDDEN:
+                        continue
+                    nc = link.size * lcoeff * arc_cost + c
+                    if nc < h[base + u]:
+                        h[base + u] = nc
+                        push(heap, (nc, u))
+        return h
+
     def consume(self, node_loads: Mapping[str, float], arc_loads: Mapping) -> None:
         self.residual.consume(node_loads, arc_loads)
         for v in node_loads:
@@ -175,16 +232,23 @@ class _ChainSearch:
         for vw in arc_loads:
             self.arc_cap[self.arc_index[vw]] = self.residual.arc[vw] + _EPS
 
-    def embed_chain(self, steps: Sequence[tuple], start: int, demand: float):
+    def embed_chain(
+        self, steps: Sequence[tuple], bound: Sequence[float], start: int, demand: float
+    ):
         """Cheapest placement of one chain of functions, starting from the
         fixed substrate position (node index) of the chain's first, already
         placed function.  Returns (placements, paths, cost) or None.
 
         States are (substrate node, number of chain functions placed),
-        stored at ``m * n + v``; Dijkstra explores 'place here' and 'hop
-        one arc' moves.  Capacity is checked per individual move against
-        the residual snapshot — the caller rechecks the assembled
-        embedding cumulatively.
+        stored at ``m * n + v``; A* explores 'place here' and 'hop one arc'
+        moves, keyed on the cost so far plus ``demand * bound[state]``,
+        the chain's uncapacitated finishing cost from :meth:`plan`.  That
+        bound is admissible and consistent at any residual (capacity only
+        removes moves), so the first goal popped is a cheapest one; a
+        state with an infinite bound cannot finish and is never pushed.
+        Capacity is checked per individual move against the residual
+        snapshot — the caller rechecks the assembled embedding
+        cumulatively.
         """
         n = len(self.ids)
         k = len(steps)
@@ -195,11 +259,13 @@ class _ChainSearch:
         dist = [inf] * ((k + 1) * n)
         prev = [-1] * ((k + 1) * n)
         dist[start] = 0.0
-        heap = [(0.0, 0, start)]
+        # entries (key, m, v, cost so far): a state is expanded with the
+        # cost it was pushed with, and skipped if that has since improved
+        heap = [(demand * bound[start], 0, start, 0.0)]
         pop, push = heapq.heappop, heapq.heappush
         final = -1
         while heap:
-            d, m, v = pop(heap)
+            _, m, v, d = pop(heap)
             s = m * n + v
             if d > dist[s] + _EPS:
                 continue
@@ -211,13 +277,14 @@ class _ChainSearch:
             coeff = node_row[v]
             if coeff is not FORBIDDEN:
                 load = node_demand * coeff
-                if load <= node_cap[v]:
+                t = s + n
+                rest = bound[t]
+                if load <= node_cap[v] and rest != inf:
                     nd = d + load * node_cost[v]
-                    t = s + n
                     if nd < dist[t] - _EPS:
                         dist[t] = nd
                         prev[t] = s
-                        push(heap, (nd, m + 1, v))
+                        push(heap, (nd + demand * rest, m + 1, v, nd))
             # or carry the pending virtual link one arc further
             base = s - v
             for w, a, arc_cost in out[v]:
@@ -227,12 +294,15 @@ class _ChainSearch:
                 load = link_demand * lcoeff
                 if load > arc_cap[a]:
                     continue
-                nd = d + load * arc_cost
                 t = base + w
+                rest = bound[t]
+                if rest == inf:
+                    continue
+                nd = d + load * arc_cost
                 if nd < dist[t] - _EPS:
                     dist[t] = nd
                     prev[t] = s
-                    push(heap, (nd, m, w))
+                    push(heap, (nd + demand * rest, m, w, nd))
         if final < 0:
             return None
         # walk predecessors back to the start state to recover placements/paths
@@ -267,8 +337,8 @@ class _ChainSearch:
         node_map: dict[str, str] = {alt.root: origin}
         link_map: dict[tuple[str, str], tuple[tuple[str, str], ...]] = {}
         cost = 0.0
-        for start_func, steps in chains:
-            got = self.embed_chain(steps, node_index[node_map[start_func]], demand)
+        for start_func, steps, bound in chains:
+            got = self.embed_chain(steps, bound, node_index[node_map[start_func]], demand)
             if got is None:
                 return None
             placements, paths, chain_cost = got

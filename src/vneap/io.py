@@ -95,6 +95,21 @@ def names(value) -> tuple[str, ...]:
 
 REQUIRED = object()
 
+# Keys every object of a substrate, catalog, request or efficiency document
+# may carry besides its own: free text, and the document's version.
+ANNOTATIONS = ("comment", "schema_version")
+
+
+def known(doc, keys, where: str):
+    """``doc``, checked to hold no key outside ``keys``: any other is a
+    FormatError naming ``where`` and the key, so a misspelled optional key
+    is refused instead of silently taking its default."""
+    if isinstance(doc, Mapping):
+        unknown = sorted(set(doc) - set(keys))
+        if unknown:
+            raise FormatError(f"{where}: unknown key(s) {', '.join(map(repr, unknown))}")
+    return doc
+
 
 def field(doc, key: str, read, where: str, default=REQUIRED):
     """``doc[key]`` as ``read`` reads it, or ``default`` if the key is absent
@@ -117,24 +132,29 @@ def field(doc, key: str, read, where: str, default=REQUIRED):
 
 
 def load_substrate(source: Source) -> SubstrateNetwork:
-    doc = _load(source)
-    nodes = [
-        SubstrateNode(
-            id=field(n, "id", string, "substrate node"),
-            cost=field(n, "cost", number, "substrate node"),
-            capacity=field(n, "capacity", number, "substrate node"),
-            tier=field(n, "tier", string, "substrate node", None),
+    doc = known(_load(source), ("nodes", "links", *ANNOTATIONS), "substrate")
+    nodes = []
+    for i, n in enumerate(field(doc, "nodes", array, "substrate")):
+        where = f"substrate node {i}"
+        known(n, ("id", "cost", "capacity", "tier", *ANNOTATIONS), where)
+        nodes.append(
+            SubstrateNode(
+                id=field(n, "id", string, where),
+                cost=field(n, "cost", number, where),
+                capacity=field(n, "capacity", number, where),
+                tier=field(n, "tier", string, where, None),
+            )
         )
-        for n in field(doc, "nodes", array, "substrate")
-    ]
     arcs: list[SubstrateArc] = []
-    for l in field(doc, "links", array, "substrate"):
-        src = field(l, "src", string, "substrate link")
-        dst = field(l, "dst", string, "substrate link")
-        cost = field(l, "cost", number, "substrate link")
-        cap = field(l, "capacity", number, "substrate link")
+    for i, l in enumerate(field(doc, "links", array, "substrate")):
+        where = f"substrate link {i}"
+        known(l, ("src", "dst", "cost", "capacity", "directed", *ANNOTATIONS), where)
+        src = field(l, "src", string, where)
+        dst = field(l, "dst", string, where)
+        cost = field(l, "cost", number, where)
+        cap = field(l, "capacity", number, where)
         arcs.append(SubstrateArc(src, dst, cost, cap))
-        if not field(l, "directed", boolean, "substrate link", False):
+        if not field(l, "directed", boolean, where, False):
             arcs.append(SubstrateArc(dst, src, cost, cap))
     return SubstrateNetwork(nodes, arcs)
 
@@ -164,28 +184,35 @@ def dump_substrate(net: SubstrateNetwork) -> dict:
 
 
 def load_applications(source: Source) -> dict[str, Application]:
-    doc = _load(source)
+    doc = known(_load(source), ("applications", *ANNOTATIONS), "application catalog")
     catalog: dict[str, Application] = {}
     for a in field(doc, "applications", array, "application catalog"):
         app_id = field(a, "id", string, "application")
-        where = f"application {app_id} alternative"
+        known(a, ("id", "alternatives", *ANNOTATIONS), f"application {app_id}")
         alts = []
-        for t in field(a, "alternatives", array, f"application {app_id}"):
+        for j, t in enumerate(field(a, "alternatives", array, f"application {app_id}")):
+            where = f"application {app_id} alternative {j}"
+            known(t, ("index", "root", "nodes", "links", *ANNOTATIONS), where)
+            nodes = []
+            for i, n in enumerate(field(t, "nodes", array, where)):
+                at = f"{where} node {i}"
+                known(n, ("id", "size", *ANNOTATIONS), at)
+                nodes.append(VirtualNode(field(n, "id", string, at), field(n, "size", number, at)))
+            links = []
+            for i, l in enumerate(field(t, "links", array, where, ())):
+                at = f"{where} link {i}"
+                known(l, ("parent", "child", "size", *ANNOTATIONS), at)
+                links.append(
+                    VirtualLink(field(l, "parent", string, at),
+                                field(l, "child", string, at),
+                                field(l, "size", number, at))
+                )
             alts.append(
                 AlternativeTopology(
                     app_id=app_id,
                     index=field(t, "index", integer, where),
-                    nodes=[
-                        VirtualNode(field(n, "id", string, f"{where} node"),
-                                    field(n, "size", number, f"{where} node"))
-                        for n in field(t, "nodes", array, where)
-                    ],
-                    links=[
-                        VirtualLink(field(l, "parent", string, f"{where} link"),
-                                    field(l, "child", string, f"{where} link"),
-                                    field(l, "size", number, f"{where} link"))
-                        for l in field(t, "links", array, where, ())
-                    ],
+                    nodes=nodes,
+                    links=links,
                     root=field(t, "root", string, where),
                 )
             )
@@ -228,16 +255,18 @@ def load_efficiency(source: Optional[Source]) -> EfficiencyMap:
     """Load an efficiency map; ``None`` yields the all-defaults map."""
     if source is None:
         return EfficiencyMap()
-    doc = _load(source)
+    doc = known(_load(source), ("default", "nodes", "links", *ANNOTATIONS), "efficiency map")
     node_coeffs = {}
-    for entry in field(doc, "nodes", array, "efficiency map", ()):
-        where = "efficiency node entry"
+    for i, entry in enumerate(field(doc, "nodes", array, "efficiency map", ())):
+        where = f"efficiency node entry {i}"
+        known(entry, ("function", "node", "coeff", "forbidden", *ANNOTATIONS), where)
         key = (field(entry, "function", string, where), field(entry, "node", string, where))
         forbidden = field(entry, "forbidden", boolean, where, False)
         node_coeffs[key] = FORBIDDEN if forbidden else field(entry, "coeff", number, where)
     link_coeffs = {}
-    for entry in field(doc, "links", array, "efficiency map", ()):
-        where = "efficiency link entry"
+    for i, entry in enumerate(field(doc, "links", array, "efficiency map", ())):
+        where = f"efficiency link entry {i}"
+        known(entry, ("link", "arc", "coeff", "forbidden", *ANNOTATIONS), where)
         vlink = field(entry, "link", names, where)
         arc = field(entry, "arc", names, where)
         if len(vlink) != 2 or len(arc) != 2:
@@ -277,15 +306,19 @@ def dump_efficiency(eff: EfficiencyMap) -> dict:
 
 
 def load_requests(source: Source) -> list[Request]:
-    doc = _load(source)
-    return [
-        Request(
-            origin=field(r, "origin", string, "request"),
-            app=field(r, "app", string, "request"),
-            demand=field(r, "demand", number, "request"),
+    doc = known(_load(source), ("requests", *ANNOTATIONS), "request list")
+    requests = []
+    for i, r in enumerate(field(doc, "requests", array, "request list")):
+        where = f"request {i}"
+        known(r, ("origin", "app", "demand", *ANNOTATIONS), where)
+        requests.append(
+            Request(
+                origin=field(r, "origin", string, where),
+                app=field(r, "app", string, where),
+                demand=field(r, "demand", number, where),
+            )
         )
-        for r in field(doc, "requests", array, "request list")
-    ]
+    return requests
 
 
 def dump_requests(requests: Sequence[Request]) -> dict:

@@ -1,13 +1,18 @@
-"""Brute-force oracles for tiny instances.
+"""Brute-force oracles for tiny instances, and plain reference versions of
+the package's fast searches.
 
 Everything here recomputes loads and costs from first principles (walking the
 raw maps), sharing no code with the package's formulation or validator, so it
-can act as an independent referee.
+can act as an independent referee.  The one exception is `dijkstra_chain`,
+which runs on a greedy search's own tables so that it can be compared with
+`embed_chain` call by call.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
+import math
 from typing import Iterable, Mapping, Optional, Sequence
 
 from vneap.model import (
@@ -210,3 +215,110 @@ def enumerate_vertices(
                         best = val
     assert best is not None, "box-bounded system should have at least one vertex"
     return best
+
+
+def chain_finish_costs(
+    net: SubstrateNetwork,
+    alt: AlternativeTopology,
+    efficiency: EfficiencyMap,
+    chain: Sequence,
+) -> dict[tuple[int, str], float]:
+    """Cheapest cost per unit demand to finish a chain of virtual links,
+    ignoring capacity, from every state (functions placed, substrate node),
+    by Bellman–Ford over the layered graph.
+
+    A state (m, v) either places the chain's next function on v, moving to
+    (m + 1, v) at size * coeff * node cost, or carries link m one arc
+    further at size * coeff * arc cost; forbidden pairings are no moves.
+    States (len(chain), v) cost nothing; +inf means no move sequence
+    finishes the chain.
+    """
+    k = len(chain)
+    ids = [n.id for n in net.nodes]
+    sizes = {vn.id: vn.size for vn in alt.nodes}
+    moves = []  # (from state, to state, unit cost)
+    for m, vl in enumerate(chain):
+        for v in ids:
+            coeff = efficiency.node(vl.child, v)
+            if coeff is not None:
+                moves.append(((m, v), (m + 1, v), sizes[vl.child] * coeff * net.node_by_id[v].cost))
+        for arc in net.arcs:
+            coeff = efficiency.link((vl.parent, vl.child), (arc.src, arc.dst))
+            if coeff is not None:
+                moves.append(((m, arc.src), (m, arc.dst), vl.size * coeff * arc.cost))
+    cost = {(m, v): (0.0 if m == k else math.inf) for m in range(k + 1) for v in ids}
+    for _ in range(len(cost)):
+        changed = False
+        for src, dst, c in moves:
+            if c + cost[dst] < cost[src]:
+                cost[src] = c + cost[dst]
+                changed = True
+        if not changed:
+            break
+    return cost
+
+
+def dijkstra_chain(search, steps: Sequence[tuple], start: int, demand: float):
+    """Reference for ``_ChainSearch.embed_chain``: the same chain search as
+    plain Dijkstra (no bound), on ``search``'s tables and residual
+    capacities.  Returns (placements, paths, cost) or None."""
+    eps = 1e-9
+    n = len(search.ids)
+    k = len(steps)
+    node_cap, arc_cap, node_cost, out = search.node_cap, search.arc_cap, search.node_cost, search.out
+    moves = [(demand * fs, frow, demand * link.size, lrow) for link, fs, frow, lrow in steps]
+    dist = [math.inf] * ((k + 1) * n)
+    prev = [-1] * ((k + 1) * n)
+    dist[start] = 0.0
+    heap = [(0.0, 0, start)]
+    final = -1
+    while heap:
+        d, m, v = heapq.heappop(heap)
+        s = m * n + v
+        if d > dist[s] + eps:
+            continue
+        if m == k:
+            final = s
+            break
+        node_demand, node_row, link_demand, link_row = moves[m]
+        coeff = node_row[v]
+        if coeff is not None:
+            load = node_demand * coeff
+            if load <= node_cap[v]:
+                nd = d + load * node_cost[v]
+                t = s + n
+                if nd < dist[t] - eps:
+                    dist[t] = nd
+                    prev[t] = s
+                    heapq.heappush(heap, (nd, m + 1, v))
+        base = s - v
+        for w, a, arc_cost in out[v]:
+            lcoeff = link_row[a]
+            if lcoeff is None:
+                continue
+            load = link_demand * lcoeff
+            if load > arc_cap[a]:
+                continue
+            nd = d + load * arc_cost
+            t = base + w
+            if nd < dist[t] - eps:
+                dist[t] = nd
+                prev[t] = s
+                heapq.heappush(heap, (nd, m, w))
+    if final < 0:
+        return None
+    placements: dict[str, str] = {}
+    paths: dict[tuple[str, str], list[tuple[str, str]]] = {
+        (step[0].parent, step[0].child): [] for step in steps
+    }
+    s = final
+    while prev[s] >= 0:
+        p = prev[s]
+        pm, pv = divmod(p, n)
+        link = steps[pm][0]
+        if s - p == n:
+            placements[link.child] = search.ids[pv]
+        else:
+            paths[(link.parent, link.child)].insert(0, (search.ids[pv], search.ids[s - pm * n]))
+        s = p
+    return placements, {pair: tuple(p) for pair, p in paths.items()}, dist[final]

@@ -295,6 +295,38 @@ def test_solve_tanto_seed_reproducible(runner, toy_files):
     assert report["rounding_rejections"] == 0
 
 
+@pytest.mark.parametrize("algo", ["lp", "greedy", "tanto", "milp"])
+def test_solve_writes_a_timings_sidecar(runner, toy_files, algo):
+    """Timings go to <out stem>_timings.json beside the report: the wall
+    seconds of the run, plus the relaxation's and the rounding's share
+    and HiGHS's iteration count where the algorithm has them."""
+    single = toy_files["dir"] / "one_request.json"
+    vio.write_json(single, vio.dump_requests(unit_requests(1, app="cctv")))
+    out = toy_files["dir"] / f"{algo}.json"
+    assert runner.invoke(main, solve_args(dict(toy_files, requests=single), algo, out)).exit_code == 0
+    sidecar = json.loads((toy_files["dir"] / f"{algo}_timings.json").read_text())
+    expected = {
+        "lp": {"runtime_s", "lp_iterations"},
+        "greedy": {"runtime_s"},
+        "tanto": {"runtime_s", "lp_runtime_s", "rounding_runtime_s", "lp_iterations"},
+        "milp": {"runtime_s"},
+    }[algo]
+    assert sidecar.pop("schema_version") == 1 and sidecar.pop("algorithm") == algo
+    assert set(sidecar) == expected
+    assert all(math.isfinite(v) and v >= 0 for v in sidecar.values())
+    assert "runtime_s" not in json.loads(out.read_text())
+
+
+@pytest.mark.parametrize("key, value", [("directd", True), ("teir", "edge")])
+def test_solve_refuses_a_misspelled_substrate_key(runner, toy_files, key, value):
+    doc = json.loads(toy_files["substrate"].read_text())
+    doc["links" if key == "directd" else "nodes"][0][key] = value
+    vio.write_json(toy_files["substrate"], doc)
+    result = runner.invoke(main, solve_args(toy_files, "greedy", toy_files["dir"] / "x.json"))
+    assert result.exit_code == 2
+    assert f"unknown key(s) '{key}'" in result.output
+
+
 def test_solve_milp_small_instance(runner, toy_files):
     single = toy_files["dir"] / "one_request.json"
     vio.write_json(single, vio.dump_requests(unit_requests(1, app="cctv")))

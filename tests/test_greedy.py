@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import pytest
 
-from vneap.greedy import ResidualState, greedy_embed_all, minv_embed
+from vneap.greedy import ResidualState, _ChainSearch, _chains, greedy_embed_all, minv_embed
 from vneap.model import (
     FORBIDDEN,
     AlternativeTopology,
@@ -23,6 +24,7 @@ from vneap.model import (
 from vneap.validator import check_feasibility, load_vector, total_cost
 
 from conftest import (
+    arnes_overloaded_instance,
     pinned_runs,
     random_instance,
     recorded_embeddings,
@@ -30,6 +32,7 @@ from conftest import (
     toy_net,
     unit_requests,
 )
+from oracle import chain_finish_costs, dijkstra_chain
 
 PSI_TOY = 1050.0
 RECORDED = Path(__file__).parent / "data" / "greedy_recorded.jsonl"
@@ -311,3 +314,65 @@ def test_output_matches_the_recorded_run():
         embeddings, report = greedy_embed_all(net, apps, eff, requests, psi, order_seed)
         got = json.loads(json.dumps(recorded_form(name, embeddings, report)))
         assert got == want, name
+
+
+# -- the A* chain search --------------------------------------------------------
+
+
+def test_bound_table_is_the_uncapacitated_finishing_cost():
+    """Every state's entry of the bound table equals an independent
+    Bellman–Ford over the layered graph (to 1e-12 relative, +inf together)
+    before the shrink, and is never above it after.  The instances cover
+    forbidden placements and links, reweighted coefficients, branching
+    alternatives with several chains, and a function forbidden
+    everywhere."""
+    forbidden_f = EfficiencyMap(node_coeffs={("f", "E"): FORBIDDEN, ("f", "C"): FORBIDDEN})
+    instances = [random_instance(seed)[:3] for seed in range(30)]
+    instances.append(arnes_overloaded_instance()[:3])
+    instances.append((toy_net(), {"probe": Application("probe", (theta_chain(5.0),))}, forbidden_f))
+    states = infinite = multi_chain = 0
+    for net, apps, eff in instances:
+        search = _ChainSearch(net, eff, ResidualState.from_network(net))
+        ids = search.ids
+        for app in apps.values():
+            for alt in app.alternatives:
+                chains = search.plan(alt)[1]
+                assert [start for start, _, _ in chains] == [start for start, _ in _chains(alt)]
+                multi_chain += len(chains) > 1
+                for (_, steps, bound), (_, links) in zip(chains, _chains(alt)):
+                    want = chain_finish_costs(net, alt, eff, links)
+                    exact = search.remaining_cost(steps)
+                    assert len(exact) == len(bound) == len(want)
+                    for (m, v), cost in want.items():
+                        i = m * len(ids) + search.node_index[v]
+                        if cost == math.inf:
+                            assert exact[i] == bound[i] == math.inf
+                            infinite += 1
+                        else:
+                            assert math.isclose(exact[i], cost, rel_tol=1e-12, abs_tol=0.0)
+                            assert bound[i] <= cost
+                        states += 1
+    assert states > 1000 and infinite > 0 and multi_chain > 0
+
+
+def test_a_star_returns_what_dijkstra_returns(monkeypatch):
+    """Replaying every pinned run, each chain search returns the same
+    placements, paths and cost, to the bit, as a plain Dijkstra over the
+    same residual capacities, or None in both."""
+    a_star = _ChainSearch.embed_chain
+    seen = {"calls": 0, "none": 0}
+
+    def checked(self, steps, bound, start, demand):
+        got = a_star(self, steps, bound, start, demand)
+        want = dijkstra_chain(self, steps, start, demand)
+        assert got == want
+        if got is not None:
+            assert got[2].hex() == want[2].hex()
+        seen["calls"] += 1
+        seen["none"] += got is None
+        return got
+
+    monkeypatch.setattr(_ChainSearch, "embed_chain", checked)
+    for _, (net, apps, eff, requests, psi), order_seed in pinned_runs():
+        greedy_embed_all(net, apps, eff, requests, psi, order_seed)
+    assert seen["calls"] > 1000 and seen["none"] > 0

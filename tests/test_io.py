@@ -173,6 +173,51 @@ def test_bad_value_is_a_format_error_naming_its_key(load, doc, path, key, value)
         load(doc)
 
 
+OBJECTS = [
+    (load_substrate, SUBSTRATE, []),
+    (load_substrate, SUBSTRATE, ["nodes", 1]),
+    (load_substrate, SUBSTRATE, ["links", 0]),
+    (load_requests, REQUESTS, []),
+    (load_requests, REQUESTS, ["requests", 0]),
+    (load_applications, CATALOG, []),
+    (load_applications, CATALOG, ["applications", 0]),
+    (load_applications, CATALOG, ["applications", 0, "alternatives", 0]),
+    (load_applications, CATALOG, ["applications", 0, "alternatives", 0, "nodes", 1]),
+    (load_applications, CATALOG, ["applications", 0, "alternatives", 0, "links", 0]),
+    (load_efficiency, EFFICIENCY, []),
+    (load_efficiency, {"nodes": [{"function": "f", "node": "a", "coeff": 2.0}]}, ["nodes", 0]),
+    (load_efficiency, EFFICIENCY, ["links", 0]),
+]
+
+
+def _with_key(doc, path, key, value):
+    doc = copy.deepcopy(doc)
+    target = doc
+    for step in path:
+        target = target[step]
+    target[key] = value
+    return doc
+
+
+@pytest.mark.parametrize("load, doc, path", OBJECTS)
+def test_unknown_key_is_a_format_error_naming_it(load, doc, path):
+    """Every object of an input document holds only its own keys, plus a
+    free-text ``comment`` and the ``schema_version``."""
+    load(_with_key(doc, path, "comment", "free text"))
+    load(_with_key(doc, path, "schema_version", 1))
+    with pytest.raises(FormatError, match="unknown key\\(s\\) 'colour'"):
+        load(_with_key(doc, path, "colour", "red"))
+
+
+def test_misspelled_optional_keys_are_refused_where_they_are():
+    """Ignored, ``directd`` would expand the link into two arcs and
+    ``teir`` would leave the node without a tier."""
+    with pytest.raises(FormatError, match="substrate link 0: unknown key\\(s\\) 'directd'"):
+        load_substrate(_with_key(SUBSTRATE, ["links", 0], "directd", True))
+    with pytest.raises(FormatError, match="substrate node 1: unknown key\\(s\\) 'teir'"):
+        load_substrate(_with_key(SUBSTRATE, ["nodes", 1], "teir", "edge"))
+
+
 def test_invalid_json_reports_the_line(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{"nodes": [,]}')
