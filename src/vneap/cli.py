@@ -127,10 +127,10 @@ def ingest(graphml: str, out: str, tier_ratios: float) -> None:
 @click.option("--substrate", required=True, type=click.Path())
 @click.option("--apps", required=True)
 @click.option("--app", default=None, help="Application id (defaults to the only one).")
-@click.option("--count", required=True, type=int)
+@click.option("--count", required=True, type=click.IntRange(min=1))
 @click.option("--seed", default=0, type=int, show_default=True)
 @click.option("--spatial", default=GenParams.spatial, show_default=True,
-              type=click.Choice(["uniform", "lognormal"]))
+              type=click.Choice(harness.SPATIAL))
 @click.option("--size-mean", default=GenParams.size_mean, show_default=True)
 @click.option("--size-sigma", default=GenParams.size_sigma, show_default=True)
 @click.option("--origin-cap/--no-origin-cap", default=GenParams.enforce_origin_cap, show_default=True,
@@ -239,7 +239,7 @@ def solve(substrate, apps, requests_path, algo, seed, psi, efficiency, out):
 @main.command()
 @click.option("--scenario", required=True, type=click.Path(), help="Scenario config JSON.")
 @click.option("--out", "out_dir", required=True, type=click.Path(), help="Output directory.")
-@click.option("--jobs", default=1, type=int, show_default=True)
+@click.option("--jobs", default=1, type=click.IntRange(min=1), show_default=True)
 @click.option("--seed", default=None, type=int, help="Override the scenario seed.")
 def compare(scenario, out_dir, jobs, seed):
     """Run a full scenario (all repetitions and algorithms)."""

@@ -36,7 +36,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field, replace
-from typing import Mapping, NamedTuple, Optional, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -172,15 +172,23 @@ def _owner_rows(
         for alt in app.alternatives:
             if eff.node(alt.root, origin) is FORBIDDEN:
                 continue  # this alternative can never anchor here
+            # flow conservation per virtual link and substrate node: the
+            # child's placement equals the parent's placement plus net arc
+            # inflow.  Filled as columns are created, so each row's entries
+            # arrive in ascending column order.
+            flow = {vl: {sn.id: [] for sn in net.nodes} for vl in alt.links}
             # root: only at the origin (placement elsewhere is eliminated)
             root_key = VariableKey(owner, alt.index, ("n", alt.root, origin))
             root_idx = new_var(root_key, -demand * psi)
             root_vars.append(root_idx)
-            node_ids: dict[tuple[str, str], int] = {(alt.root, origin): root_idx}
+            for vl in alt.children.get(alt.root, ()):
+                flow[vl][origin].append((root_idx, -1.0))
             # non-root virtual nodes: one variable per allowed substrate node
             for vn in alt.nodes:
                 if vn.id == alt.root:
                     continue
+                as_child = [flow[vl] for vl in alt.links if vl.child == vn.id]
+                as_parent = [flow[vl] for vl in alt.children.get(vn.id, ())]
                 for sn in net.nodes:
                     coeff = eff.node(vn.id, sn.id)
                     if coeff is FORBIDDEN:
@@ -190,12 +198,15 @@ def _owner_rows(
                         VariableKey(owner, alt.index, ("n", vn.id, sn.id)),
                         load * sn.cost,
                     )
-                    node_ids[(vn.id, sn.id)] = idx
+                    for rows_of in as_child:
+                        rows_of[sn.id].append((idx, 1.0))
+                    for rows_of in as_parent:
+                        rows_of[sn.id].append((idx, -1.0))
                     if load:
                         node_cap_coeffs[sn.id].append((idx, load))
             # link variables: one per allowed substrate arc
-            link_ids: dict[tuple[str, str, str, str], int] = {}
             for vl in alt.links:
+                rows_of = flow[vl]
                 for arc in net.arcs:
                     coeff = eff.link((vl.parent, vl.child), (arc.src, arc.dst))
                     if coeff is FORBIDDEN:
@@ -207,28 +218,15 @@ def _owner_rows(
                         ),
                         load * arc.cost,
                     )
-                    link_ids[(vl.parent, vl.child, arc.src, arc.dst)] = idx
+                    if arc.src != arc.dst:  # a loop leaves its node's balance as it is
+                        rows_of[arc.src].append((idx, 1.0))
+                        rows_of[arc.dst].append((idx, -1.0))
                     if load:
                         arc_cap_coeffs[(arc.src, arc.dst)].append((idx, load))
-            # flow conservation: child placement = parent placement + net inflow
-            for vl in alt.links:
-                for sn in net.nodes:
-                    coeffs: dict[int, float] = {}
-
-                    def add(idx: Optional[int], c: float) -> None:
-                        if idx is not None:
-                            coeffs[idx] = coeffs.get(idx, 0.0) + c
-
-                    add(node_ids.get((vl.child, sn.id)), 1.0)
-                    add(node_ids.get((vl.parent, sn.id)), -1.0)
-                    for arc in net.in_arcs[sn.id]:
-                        add(link_ids.get((vl.parent, vl.child, arc.src, arc.dst)), -1.0)
-                    for arc in net.out_arcs[sn.id]:
-                        add(link_ids.get((vl.parent, vl.child, arc.src, arc.dst)), 1.0)
-                    coeffs = {i: c for i, c in coeffs.items() if c != 0.0}
-                    if not coeffs:
-                        continue
-                    rows.append(Row(tuple(sorted(coeffs.items())), "==", 0.0))
+            for by_node in flow.values():
+                for coeffs in by_node.values():
+                    if coeffs:
+                        rows.append(Row(tuple(coeffs), "==", 0.0))
         if root_vars:
             rows.append(Row(tuple((i, 1.0) for i in root_vars), "<=", 1.0))
     # capacity rows last, kept even when no variable touches them

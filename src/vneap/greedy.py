@@ -1,11 +1,11 @@
 """Sequential greedy embedding: each request gets the cheapest feasible
 alternative against residual capacity, or is rejected.
 
-The per-alternative search (`minv_embed`) decomposes the service tree
-into maximal downward chains and embeds each chain with an A* run over
-(substrate node, chain progress) states, so hops pay bandwidth and
-placements pay compute.  Subtrees hanging off a placed branch node are
-embedded recursively with the same rule.
+The per-alternative search (`_ChainSearch.embed`) decomposes the
+service tree into maximal downward chains and embeds each chain with an
+A* run over (substrate node, chain progress) states, so hops pay
+bandwidth and placements pay compute.  Subtrees hanging off a placed
+branch node are embedded recursively with the same rule.
 
 A*'s bound is exact for the uncapacitated problem: per chain, the
 cheapest cost per unit demand to finish the chain from every state,
@@ -20,9 +20,11 @@ The search runs on integer-indexed tables built once per run
 (`_ChainSearch`): substrate nodes and arcs are numbered, efficiency
 coefficients are read into per-element rows on first use, each
 alternative's chains are planned once, and the search keeps its
-distances in flat lists indexed by ``m * n + v``.  Every load and cost
-is computed with the same float operations in the same order as a
-search over id-keyed dicts would, so results are identical to the bit.
+distances in flat lists indexed by ``m * n + v``.  The same object
+holds the run's residual capacity, per node and arc index, and takes
+each accepted embedding's loads off it.  Every load and cost is
+computed with the same float operations in the same order as a search
+over id-keyed dicts would, so results are identical to the bit.
 """
 
 from __future__ import annotations
@@ -50,34 +52,13 @@ _EPS = 1e-9
 _BOUND_SHRINK = 1.0 - 1e-9
 
 
-@dataclass
-class ResidualState:
-    """Remaining node and arc capacity, consumed as requests are accepted."""
-
-    node: dict[str, float]
-    arc: dict[tuple[str, str], float]
-
-    @staticmethod
-    def from_network(net: SubstrateNetwork) -> "ResidualState":
-        return ResidualState(
-            {n.id: n.capacity for n in net.nodes},
-            {(a.src, a.dst): a.capacity for a in net.arcs},
-        )
-
-    def consume(self, node_loads: Mapping[str, float], arc_loads: Mapping) -> None:
-        for v, amount in node_loads.items():
-            self.node[v] = max(0.0, self.node[v] - amount)
-        for vw, amount in arc_loads.items():
-            self.arc[vw] = max(0.0, self.arc[vw] - amount)
-
-
 @dataclass(frozen=True)
 class CandidateEmbedding:
     node_map: dict[str, str]
     link_map: dict[tuple[str, str], tuple[tuple[str, str], ...]]
     cost: float
-    node_loads: dict[str, float]
-    arc_loads: dict[tuple[str, str], float]
+    node_loads: dict[int, float]  # keyed by substrate node index
+    arc_loads: dict[int, float]  # keyed by substrate arc index
 
 
 def _chains(alt: AlternativeTopology) -> list[tuple[str, list[VirtualLink]]]:
@@ -110,13 +91,13 @@ class _ChainSearch:
     pair; coefficient rows (one value per substrate node or arc, keyed by
     virtual node id or virtual link pair, as :class:`EfficiencyMap` is)
     and per-alternative chain plans are filled on first use and shared
-    by every later search.  Capacities are kept with ``_EPS`` already
-    added, mirrored from ``residual`` on every :meth:`consume`.
+    by every later search.  The residual capacity starts at the
+    network's and shrinks on every :meth:`consume`: ``node_left`` and
+    ``arc_left`` hold it, ``node_cap`` and ``arc_cap`` the same values
+    with ``_EPS`` already added, as the search tests them.
     """
 
-    def __init__(
-        self, net: SubstrateNetwork, efficiency: EfficiencyMap, residual: ResidualState
-    ):
+    def __init__(self, net: SubstrateNetwork, efficiency: EfficiencyMap):
         self.ids = [n.id for n in net.nodes]
         self.node_index = {v: i for i, v in enumerate(self.ids)}
         self.node_cost = [n.cost for n in net.nodes]
@@ -136,9 +117,10 @@ class _ChainSearch:
             for w, a, arc_cost in arcs:
                 self.into[w].append((u, a, arc_cost))
         self.efficiency = efficiency
-        self.residual = residual
-        self.node_cap = [residual.node[v] + _EPS for v in self.ids]
-        self.arc_cap = [residual.arc[pair] + _EPS for pair in self.pairs]
+        self.node_left = [n.capacity for n in net.nodes]
+        self.arc_left = [net.arc_by_pair[pair].capacity for pair in self.pairs]
+        self.node_cap = [c + _EPS for c in self.node_left]
+        self.arc_cap = [c + _EPS for c in self.arc_left]
         self._node_rows: dict[str, list[Optional[float]]] = {}
         self._link_rows: dict[tuple[str, str], list[Optional[float]]] = {}
         self._plans: dict[AlternativeTopology, tuple] = {}
@@ -225,12 +207,15 @@ class _ChainSearch:
                         push(heap, (nc, u))
         return h
 
-    def consume(self, node_loads: Mapping[str, float], arc_loads: Mapping) -> None:
-        self.residual.consume(node_loads, arc_loads)
-        for v in node_loads:
-            self.node_cap[self.node_index[v]] = self.residual.node[v] + _EPS
-        for vw in arc_loads:
-            self.arc_cap[self.arc_index[vw]] = self.residual.arc[vw] + _EPS
+    def consume(self, node_loads: Mapping[int, float], arc_loads: Mapping[int, float]) -> None:
+        """Take an accepted embedding's loads, keyed by node and arc
+        index, off the residual capacity (never below 0)."""
+        for v, amount in node_loads.items():
+            left = self.node_left[v] = max(0.0, self.node_left[v] - amount)
+            self.node_cap[v] = left + _EPS
+        for a, amount in arc_loads.items():
+            left = self.arc_left[a] = max(0.0, self.arc_left[a] - amount)
+            self.arc_cap[a] = left + _EPS
 
     def embed_chain(
         self, steps: Sequence[tuple], bound: Sequence[float], start: int, demand: float
@@ -326,7 +311,15 @@ class _ChainSearch:
     def embed(
         self, alt: AlternativeTopology, origin: str, demand: float
     ) -> Optional[CandidateEmbedding]:
-        """:func:`minv_embed` against this search's residual capacities."""
+        """Minimal-cost embedding of one alternative rooted at ``origin``
+        against this search's residual capacities, or None if the search
+        finds no feasible placement.
+
+        Chains are embedded greedily in preorder; the assembled candidate
+        is then rechecked cumulatively (several functions sharing one node
+        must fit together), so a returned candidate is always safe to
+        accept.
+        """
         o = self.node_index.get(origin)
         if o is None:
             return None
@@ -347,45 +340,28 @@ class _ChainSearch:
             cost += chain_cost
         # cumulative recheck: per-move checks were against the untouched
         # residual, so co-located functions / shared arcs need a joint pass
-        node_loads: dict[str, float] = {}
-        arc_loads: dict[tuple[str, str], float] = {}
-        for i, v in node_map.items():
+        node_loads: dict[int, float] = {}
+        arc_loads: dict[int, float] = {}
+        for i, sid in node_map.items():
             size, row = node_terms[i]
-            load = demand * size * row[node_index[v]]
+            v = node_index[sid]
+            load = demand * size * row[v]
             if load:
                 node_loads[v] = node_loads.get(v, 0.0) + load
         arc_index = self.arc_index
         for pair, size, row in link_terms:
             for arc in link_map[pair]:
-                load = demand * size * row[arc_index[arc]]
+                a = arc_index[arc]
+                load = demand * size * row[a]
                 if load:
-                    arc_loads[arc] = arc_loads.get(arc, 0.0) + load
+                    arc_loads[a] = arc_loads.get(a, 0.0) + load
         for v, load in node_loads.items():
-            if load > self.node_cap[node_index[v]]:
+            if load > self.node_cap[v]:
                 return None
-        for vw, load in arc_loads.items():
-            if load > self.arc_cap[arc_index[vw]]:
+        for a, load in arc_loads.items():
+            if load > self.arc_cap[a]:
                 return None
         return CandidateEmbedding(node_map, link_map, cost, node_loads, arc_loads)
-
-
-def minv_embed(
-    net: SubstrateNetwork,
-    alt: AlternativeTopology,
-    origin: str,
-    demand: float,
-    efficiency: EfficiencyMap,
-    residual: ResidualState,
-) -> Optional[CandidateEmbedding]:
-    """Minimal-cost embedding of one alternative rooted at ``origin``
-    against the given residual capacities, or None if the search finds
-    no feasible placement.
-
-    Chains are embedded greedily in preorder; the assembled candidate is
-    then rechecked cumulatively (several functions sharing one node must
-    fit together), so a returned candidate is always safe to accept.
-    """
-    return _ChainSearch(net, efficiency, residual).embed(alt, origin, demand)
 
 
 @dataclass
@@ -417,7 +393,7 @@ def greedy_embed_all(
     equal-cost alternatives go to the lower alternative index.
     """
     t0 = time.perf_counter()
-    search = _ChainSearch(net, efficiency, ResidualState.from_network(net))
+    search = _ChainSearch(net, efficiency)
     ranked = {a: sorted(app.alternatives, key=lambda alt: alt.index) for a, app in apps.items()}
     order = _rng.stream(order_seed, "greedy-order").permutation(len(requests))
     results: list[Optional[IntegralEmbedding]] = [None] * len(requests)

@@ -190,6 +190,9 @@ def assign_costs_capacities(
 # -- request generation and calibration ---------------------------------------
 
 
+SPATIAL = ("uniform", "lognormal")
+
+
 @dataclass(frozen=True)
 class GenParams:
     """Request-population parameters: how many, how big, where from."""
@@ -198,12 +201,14 @@ class GenParams:
     app: str
     size_mean: float = 10.0
     size_sigma: float = 2.0
-    spatial: str = "uniform"  # or "lognormal"
+    spatial: str = "uniform"  # one of SPATIAL
     lognormal_mu: float = 0.0
     lognormal_sigma: float = 1.0
     enforce_origin_cap: bool = True
 
     def __post_init__(self):
+        if self.count < 1:
+            raise ValueError(f"count must be >= 1, not {self.count}")
         if not (math.isfinite(self.size_mean) and 0 < self.size_sigma < math.inf):
             raise ValueError("size mean and sigma must be finite and sigma positive")
 
@@ -386,14 +391,22 @@ class ScenarioConfig:
     jobs: int = 1
 
     def __post_init__(self):
-        if self.repetitions < 1:
-            raise ValueError("repetitions must be >= 1")
-        if self.node_tu <= 0 or self.link_tu <= 0:
-            raise ValueError("target utilizations must be positive")
-        if self.size_sigma <= 0:
-            raise ValueError("size sigma must be positive")
+        for key in ("requests", "calibration_requests", "repetitions", "jobs"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be >= 1, not {getattr(self, key)}")
+        for key in ("node_tu", "link_tu", "size_sigma"):
+            if getattr(self, key) <= 0:
+                raise ValueError(f"{key} must be positive, not {getattr(self, key)}")
+        if self.spatial not in SPATIAL:
+            raise ValueError(f"spatial must be one of {', '.join(SPATIAL)}, not {self.spatial!r}")
+        if not self.algorithms:
+            raise ValueError("algorithms must name at least one algorithm")
+        if not self.apps:
+            raise ValueError("applications: the catalog holds no application")
         if not self.app:
             object.__setattr__(self, "app", sorted(self.apps)[0])
+        elif self.app not in self.apps:
+            raise ValueError(f"app {self.app!r} is not in the catalog")
 
 
 @dataclass

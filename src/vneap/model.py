@@ -73,17 +73,11 @@ class SubstrateNetwork:
             (a.src, a.dst): a for a in self.arcs
         }
         out: dict[str, list[SubstrateArc]] = {n.id: [] for n in self.nodes}
-        inc: dict[str, list[SubstrateArc]] = {n.id: [] for n in self.nodes}
         for a in self.arcs:
             if a.src in out:
                 out[a.src].append(a)
-            if a.dst in inc:
-                inc[a.dst].append(a)
         self.out_arcs: dict[str, tuple[SubstrateArc, ...]] = {
             k: tuple(v) for k, v in out.items()
-        }
-        self.in_arcs: dict[str, tuple[SubstrateArc, ...]] = {
-            k: tuple(v) for k, v in inc.items()
         }
 
     def __repr__(self) -> str:

@@ -168,6 +168,27 @@ def test_generate_refuses_a_size_distribution_without_finite_sizes(
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [("generate", "--count", "0"), ("generate", "--count", "-5"),
+     ("compare", "--jobs", "0"), ("compare", "--jobs", "-3")],
+)
+def test_counts_below_one_are_input_errors(runner, tmp_path, arnes_substrate, command, flag, value):
+    """An empty request file or a run on no workers is refused before
+    anything is written."""
+    out = tmp_path / "out"
+    if command == "generate":
+        args = ["generate", "--substrate", str(arnes_substrate), "--apps", "cctv_two",
+                "--no-origin-cap", "--out", str(out)]
+    else:
+        args = ["compare", "--scenario", str(write_scenario(tmp_path / "scenario.json")),
+                "--out", str(out)]
+    result = runner.invoke(main, args + [flag, value])
+    assert result.exit_code == 2
+    assert f"Invalid value for '{flag}': {value} is not in the range x>=1" in result.output
+    assert not out.exists()
+
+
 # --------------------------------------------------------------- calibrate
 
 
@@ -503,20 +524,31 @@ def write_scenario(path: Path, **keys) -> Path:
         ({"link_tu": 10**400}, "'link_tu': int too large to convert to float"),
         ({"substrate": {"graphml": str(ARNES), "tier_ratio": "2"}}, "'tier_ratio': expected a number, not '2'"),
         ({"psi": -5}, "psi must be a finite number >= 0, not -5.0"),
+        ({"requests": 0}, "requests must be >= 1, not 0"),
+        ({"link_tu": 0}, "link_tu must be positive, not 0.0"),
+        ({"calibration_requests": -4}, "calibration_requests must be >= 1, not -4"),
+        ({"spatial": "gaussian"}, "spatial must be one of uniform, lognormal, not 'gaussian'"),
+        ({"app": "nope"}, "app 'nope' is not in the catalog"),
+        ({"algorithms": []}, "algorithms must name at least one algorithm"),
+        ({"applications": "empty.json"}, "applications: the catalog holds no application"),
     ],
     ids=["misspelled", "substrate-key", "null-required", "mistyped", "substrate-type",
          "applications-type", "efficiency-type", "graphml-type", "algorithms-string",
          "zero-tier-ratio", "top-level-list", "name-object", "seed-fraction",
          "requests-fraction", "repetitions-bool", "number-string", "number-bool", "number-nan",
-         "number-inf", "number-overflow", "tier-ratio-string", "negative-psi"],
+         "number-inf", "number-overflow", "tier-ratio-string", "negative-psi", "zero-requests",
+         "zero-link-tu", "negative-calibration", "unknown-spatial", "app-not-in-catalog", "no-algorithms",
+         "empty-catalog"],
 )
 def test_compare_names_the_bad_scenario_key(runner, tmp_path, keys, named):
     """A misspelled key is an input error, not a silent fall-back to the
     default it meant to override; so are a missing and a mistyped key
     (a string, count or number is not converted from another JSON type, a
     fraction or a bool is not a count, and a number is finite), a bad tier
-    ratio, and a file that
-    holds a list (``keys`` is then the whole document)."""
+    ratio, a file that holds a list (``keys`` is then the whole document),
+    and values no run can use: a count below 1, an unknown spatial profile,
+    an app outside the catalog, no algorithms and an empty catalog."""
+    vio.write_json(tmp_path / "empty.json", {"schema_version": 1, "applications": []})
     path = tmp_path / "scenario.json"
     if isinstance(keys, list):
         path.write_text(json.dumps(keys))

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from vneap.greedy import ResidualState, _ChainSearch, _chains, greedy_embed_all, minv_embed
+from vneap.greedy import _EPS, _ChainSearch, _chains, greedy_embed_all
 from vneap.model import (
     FORBIDDEN,
     AlternativeTopology,
@@ -109,11 +109,14 @@ def test_rejection_only_on_infeasibility():
 # -- single-alternative search ------------------------------------------------
 
 
+def embed_one(net, alt, eff=None):
+    """One alternative embedded at E with unit demand on a fresh search."""
+    return _ChainSearch(net, eff or EfficiencyMap()).embed(alt, "E", 1.0)
+
+
 def test_chain_collocates_when_the_function_is_small():
     net = toy_net()
-    cand = minv_embed(
-        net, theta_chain(5.0), "E", 1.0, EfficiencyMap(), ResidualState.from_network(net)
-    )
+    cand = embed_one(net, theta_chain(5.0))
     assert cand.node_map == {"theta": "E", "f": "E"}
     assert cand.link_map == {("theta", "f"): ()}
     assert cand.cost == pytest.approx(50.0)  # 5*10 beats 5*1 + 100*1
@@ -121,9 +124,7 @@ def test_chain_collocates_when_the_function_is_small():
 
 def test_chain_crosses_to_the_core_when_the_function_is_large():
     net = toy_net()
-    cand = minv_embed(
-        net, theta_chain(100.0), "E", 1.0, EfficiencyMap(), ResidualState.from_network(net)
-    )
+    cand = embed_one(net, theta_chain(100.0))
     assert cand.node_map == {"theta": "E", "f": "C"}
     assert cand.link_map == {("theta", "f"): (("E", "C"),)}
     assert cand.cost == pytest.approx(200.0)  # 100*1 + 100*1 beats 100*10
@@ -132,7 +133,7 @@ def test_chain_crosses_to_the_core_when_the_function_is_large():
 def test_single_node_alternative_is_free():
     net = toy_net()
     alt = AlternativeTopology("a", 0, [VirtualNode("r", 0.0)], [], "r")
-    cand = minv_embed(net, alt, "E", 1.0, EfficiencyMap(), ResidualState.from_network(net))
+    cand = embed_one(net, alt)
     assert cand.node_map == {"r": "E"}
     assert cand.link_map == {}
     assert cand.cost == 0.0
@@ -141,7 +142,7 @@ def test_single_node_alternative_is_free():
 def test_fully_forbidden_function_yields_none():
     net = toy_net()
     eff = EfficiencyMap(node_coeffs={("f", "E"): FORBIDDEN, ("f", "C"): FORBIDDEN})
-    cand = minv_embed(net, theta_chain(5.0), "E", 1.0, eff, ResidualState.from_network(net))
+    cand = embed_one(net, theta_chain(5.0), eff)
     assert cand is None
 
 
@@ -150,7 +151,7 @@ def test_forbidden_uplink_forces_collocation_at_the_origin():
     1000, but the link may not use E->C at all."""
     net = toy_net()
     eff = EfficiencyMap(link_coeffs={(("theta", "f"), ("E", "C")): FORBIDDEN})
-    cand = minv_embed(net, theta_chain(100.0), "E", 1.0, eff, ResidualState.from_network(net))
+    cand = embed_one(net, theta_chain(100.0), eff)
     assert cand.node_map == {"theta": "E", "f": "E"}
     assert cand.link_map == {("theta", "f"): ()}
     assert cand.cost == 1000.0
@@ -172,17 +173,17 @@ def test_reweighted_link_takes_the_detour():
     (total 250); a coefficient of 3 on E->C makes the direct hop cost
     300, so the detour wins at 250."""
     net = detour_net()
-    plain = minv_embed(
-        net, theta_chain(100.0), "E", 1.0, EfficiencyMap(), ResidualState.from_network(net)
-    )
+    plain = embed_one(net, theta_chain(100.0))
     assert plain.link_map == {("theta", "f"): (("E", "C"),)}
     assert plain.cost == 200.0
     eff = EfficiencyMap(link_coeffs={(("theta", "f"), ("E", "C")): 3.0})
-    cand = minv_embed(net, theta_chain(100.0), "E", 1.0, eff, ResidualState.from_network(net))
+    search = _ChainSearch(net, eff)
+    cand = search.embed(theta_chain(100.0), "E", 1.0)
     assert cand.node_map == {"theta": "E", "f": "C"}
     assert cand.link_map == {("theta", "f"): (("E", "M"), ("M", "C"))}
     assert cand.cost == 250.0
-    assert cand.arc_loads == {("E", "M"): 100.0, ("M", "C"): 100.0}
+    arc_loads = {search.pairs[a]: load for a, load in cand.arc_loads.items()}
+    assert arc_loads == {("E", "M"): 100.0, ("M", "C"): 100.0}
 
 
 def test_shared_virtual_ids_keep_their_own_sizes():
@@ -232,12 +233,12 @@ def test_each_choice_is_the_argmin_over_alternatives(seed):
     the lower index."""
     net, apps, eff, requests, psi = random_instance(seed)
     embeddings, report = greedy_embed_all(net, apps, eff, requests, psi, seed)
-    residual = ResidualState.from_network(net)
+    replay = _ChainSearch(net, eff)
     for pos in report.order:
         req, emb = requests[pos], embeddings[pos]
         candidates = {}
         for alt in apps[req.app].alternatives:
-            cand = minv_embed(net, alt, req.origin, req.demand, eff, residual)
+            cand = replay.embed(alt, req.origin, req.demand)
             if cand is not None:
                 candidates[alt.index] = cand
         if emb.rejected:
@@ -250,27 +251,31 @@ def test_each_choice_is_the_argmin_over_alternatives(seed):
             t for t, c in candidates.items() if c.cost <= best_cost * (1 + 1e-12)
         )
         assert emb.node_map == chosen.node_map
-        residual.consume(chosen.node_loads, chosen.arc_loads)
+        replay.consume(chosen.node_loads, chosen.arc_loads)
 
 
 @pytest.mark.parametrize("seed", [4, 11])
 def test_residuals_never_increase(seed):
     net, apps, eff, requests, psi = random_instance(seed)
     embeddings, report = greedy_embed_all(net, apps, eff, requests, psi, seed)
-    residual = ResidualState.from_network(net)
-    previous_node = dict(residual.node)
-    previous_arc = dict(residual.arc)
+    search = _ChainSearch(net, eff)
+    previous_node = list(search.node_left)
+    previous_arc = list(search.arc_left)
     for pos in report.order:
         emb = embeddings[pos]
         if not emb.rejected:
             loads = load_vector(net, apps, eff, [emb])
-            residual.consume(loads.node, loads.arc)
-        assert all(residual.node[v] <= previous_node[v] + 1e-12 for v in residual.node)
-        assert all(residual.arc[a] <= previous_arc[a] + 1e-12 for a in residual.arc)
-        assert all(v >= 0.0 for v in residual.node.values())
-        assert all(v >= 0.0 for v in residual.arc.values())
-        previous_node = dict(residual.node)
-        previous_arc = dict(residual.arc)
+            search.consume(
+                {search.node_index[v]: x for v, x in loads.node.items()},
+                {search.arc_index[a]: x for a, x in loads.arc.items()},
+            )
+        assert all(now <= before + 1e-12 for now, before in zip(search.node_left, previous_node))
+        assert all(now <= before + 1e-12 for now, before in zip(search.arc_left, previous_arc))
+        assert all(v >= 0.0 for v in search.node_left + search.arc_left)
+        assert search.node_cap == [v + _EPS for v in search.node_left]
+        assert search.arc_cap == [v + _EPS for v in search.arc_left]
+        previous_node = list(search.node_left)
+        previous_arc = list(search.arc_left)
 
 
 def test_fixed_seed_reproduces_the_run():
@@ -332,7 +337,7 @@ def test_bound_table_is_the_uncapacitated_finishing_cost():
     instances.append((toy_net(), {"probe": Application("probe", (theta_chain(5.0),))}, forbidden_f))
     states = infinite = multi_chain = 0
     for net, apps, eff in instances:
-        search = _ChainSearch(net, eff, ResidualState.from_network(net))
+        search = _ChainSearch(net, eff)
         ids = search.ids
         for app in apps.values():
             for alt in app.alternatives:

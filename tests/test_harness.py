@@ -579,6 +579,22 @@ def test_scenario_config_validation():
         tiny_config(node_tu=0.0)
     with pytest.raises(ValueError):
         tiny_config(size_sigma=0.0)
+    with pytest.raises(ValueError, match="requests must be >= 1, not 0"):
+        tiny_config(requests=0)
+    with pytest.raises(ValueError, match="calibration_requests must be >= 1, not 0"):
+        tiny_config(calibration_requests=0)
+    with pytest.raises(ValueError, match="jobs must be >= 1, not -3"):
+        tiny_config(jobs=-3)
+    with pytest.raises(ValueError, match="spatial must be one of uniform, lognormal"):
+        tiny_config(spatial="gaussian")
+    with pytest.raises(ValueError, match="app 'nope' is not in the catalog"):
+        tiny_config(app="nope")
+    with pytest.raises(ValueError, match="algorithms must name at least one algorithm"):
+        tiny_config(algorithms=())
+    with pytest.raises(ValueError, match="the catalog holds no application"):
+        tiny_config(apps={}, app="")
+    with pytest.raises(ValueError, match="count must be >= 1, not 0"):
+        GenParams(count=0, app="cam")
 
 
 # ------------------------------------------------------- reporting helpers

@@ -88,7 +88,6 @@ def test_substrate_lookups():
     assert net.node_by_id["C"].cost == 1.0
     assert net.arc_by_pair[("E", "C")].capacity == 1e12
     assert [a.dst for a in net.out_arcs["E"]] == ["C"]
-    assert [a.src for a in net.in_arcs["E"]] == ["C"]
 
 
 # -- applications ----------------------------------------------------------
