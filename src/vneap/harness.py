@@ -501,8 +501,8 @@ def _run_algorithm(
             sol = solve_milp_exact(lp)
             timing["runtime_s"] = time.perf_counter() - t0
         else:
-            sol, frac, timing["runtime_s"] = relaxation()
-            timing["lp_iterations"] = sol.stats.get("iterations", 0)
+            sol, frac, timing["runtime_s"], stages = relaxation()
+            timing.update(stages, lp_iterations=sol.stats.get("iterations", 0))
         if not sol.optimal:
             row["status"] = sol.status
             return row, timing, None
@@ -528,7 +528,9 @@ def _run_algorithm(
         if algo == "greedy":
             embeddings, rep = greedy_embed_all(net, catalog, efficiency, requests, psi, seed)
         else:
-            embeddings, rep = round_relaxation(net, catalog, requests, relaxation(), psi, seed)
+            solved = relaxation()
+            embeddings, rep = round_relaxation(net, catalog, requests, solved, psi, seed)
+            timing.update(solved.stages)
             timing["lp_runtime_s"] = rep.lp_runtime_s
             timing["rounding_runtime_s"] = rep.rounding_runtime_s
             timing["lp_iterations"] = rep.lp_iterations
@@ -725,8 +727,8 @@ def long_rows_to_csv(rows: Sequence[dict], alt_indices: Sequence[int]) -> str:
 
 def timings_to_csv(timings: Sequence[dict]) -> str:
     columns = [
-        "scenario", "repetition", "algorithm", "runtime_s", "lp_runtime_s", "rounding_runtime_s",
-        "lp_iterations", "setup_runtime_s",
+        "scenario", "repetition", "algorithm", "runtime_s", "lp_runtime_s", "aggregate_s",
+        "build_s", "solve_s", "unpack_s", "rounding_runtime_s", "lp_iterations", "setup_runtime_s",
     ]
     return _csv(columns, ([t.get(c) for c in columns] for t in timings))
 

@@ -3,9 +3,11 @@ the package's fast searches.
 
 Everything here recomputes loads and costs from first principles (walking the
 raw maps), sharing no code with the package's formulation or validator, so it
-can act as an independent referee.  The one exception is `dijkstra_chain`,
-which runs on a greedy search's own tables so that it can be compared with
-`embed_chain` call by call.
+can act as an independent referee.  Two exceptions are plain reference
+versions of fast code: `dijkstra_chain` runs on a greedy search's own tables
+so that it can be compared with `embed_chain` call by call, and
+`dict_round_relaxation` is tanto's rounding walk on a residual keyed by
+`VariableKey`, to be compared with `round_relaxation` run by run.
 """
 
 from __future__ import annotations
@@ -13,8 +15,13 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
 
+import numpy as np
+
+from vneap import rng as _rng
+from vneap.formulation import AggregatedRequest, VariableKey
 from vneap.model import (
     AlternativeTopology,
     Application,
@@ -23,6 +30,7 @@ from vneap.model import (
     Request,
     SubstrateNetwork,
 )
+from vneap.tanto import _DUST, _SLACK, _STEP_FACTOR, Relaxation, weighted_random_select
 
 
 def simple_paths(net: SubstrateNetwork, src: str, dst: str) -> list[tuple[tuple[str, str], ...]]:
@@ -322,3 +330,185 @@ def dijkstra_chain(search, steps: Sequence[tuple], start: int, demand: float):
             paths[(link.parent, link.child)].insert(0, (search.ids[pv], search.ids[s - pm * n]))
         s = p
     return placements, {pair: tuple(p) for pair, p in paths.items()}, dist[final]
+
+
+@dataclass
+class DictRoundingState:
+    """Reference for ``tanto.RoundingState``: the residual fractional
+    solution as a dict keyed by :class:`VariableKey` (normalized to the
+    aggregate demand), the zeroed-variable set, and the counters."""
+
+    owner: str
+    demand: float
+    y: dict[VariableKey, float]
+    net: SubstrateNetwork
+    per_link_cap: int
+    request_budget: int
+    zeroed: set[VariableKey] = field(default_factory=set)
+    initial_nonzero: int = 0
+    accepted: int = 0
+    rounding_rejections: int = 0
+    stranded_rejections: int = 0
+    lp_exhausted_rejections: int = 0
+    overflow_rejections: int = 0
+    total_steps: int = 0
+    max_request_steps: int = 0
+
+    @staticmethod
+    def for_aggregate(
+        net: SubstrateNetwork,
+        agg: AggregatedRequest,
+        values: Mapping[VariableKey, float],
+        alternatives: Sequence[AlternativeTopology],
+    ) -> "DictRoundingState":
+        y = {k: v for k, v in values.items() if k.owner == agg.owner and v > _DUST}
+        n_nodes = len(net.nodes)
+        n_arcs = len(net.arcs)
+        biggest = max((len(a.nodes) + len(a.links) for a in alternatives), default=1)
+        return DictRoundingState(
+            owner=agg.owner,
+            demand=agg.demand,
+            y=y,
+            initial_nonzero=len(y),
+            net=net,
+            per_link_cap=max(1, n_nodes * n_arcs),
+            request_budget=max(1, _STEP_FACTOR * n_nodes * biggest),
+        )
+
+
+def dict_embed_request(
+    r: Request,
+    alt_set: Sequence[AlternativeTopology],
+    Y_residual: DictRoundingState,
+    rng: np.random.Generator,
+) -> IntegralEmbedding:
+    """Reference for ``tanto.embed_request``: the same walk, every key built
+    as a tuple and looked up in the residual dict.  A step cut by the
+    per-link cap or the request budget is not counted, as in the package."""
+    state = Y_residual
+    d = r.demand / state.demand
+    consumed: list[tuple] = []
+    steps = 0
+
+    def finish_steps():
+        state.total_steps += steps
+        if steps > state.max_request_steps:
+            state.max_request_steps = steps
+
+    def reject(kind: str, zero_key: Optional[tuple] = None) -> IntegralEmbedding:
+        if zero_key is not None:
+            state.y[zero_key] = 0.0
+            state.zeroed.add(zero_key)
+        # undo this request's consumptions; a zeroed variable stays zero
+        for k in consumed:
+            if k not in state.zeroed:
+                state.y[k] = state.y.get(k, 0.0) + d
+        setattr(state, kind, getattr(state, kind) + 1)
+        finish_steps()
+        return IntegralEmbedding.reject(r)
+
+    def consume(key: tuple) -> bool:
+        have = state.y.get(key, 0.0)
+        if d <= have + _SLACK:
+            state.y[key] = max(0.0, have - d)
+            consumed.append(key)
+            return True
+        return False
+
+    root_keys = [(state.owner, a.index, ("n", a.root, r.origin)) for a in alt_set]
+    root_weights = [state.y.get(k, 0.0) for k in root_keys]
+    steps += 1
+    if sum(root_weights) <= _DUST:
+        return reject("lp_exhausted_rejections")
+    pick = weighted_random_select(root_weights, rng)
+    alt = alt_set[pick]
+    if not consume(root_keys[pick]):
+        return reject("rounding_rejections", zero_key=root_keys[pick])
+    placement: dict[str, str] = {alt.root: r.origin}
+    link_map: dict[tuple[str, str], tuple[tuple[str, str], ...]] = {}
+
+    for link in alt.preorder:
+        v = placement[link.parent]
+        path: list[tuple[str, str]] = []
+        link_steps = 0
+        while link.child not in placement:
+            place_key = (state.owner, alt.index, ("n", link.child, v))
+            if link_steps >= state.per_link_cap or steps >= state.request_budget:
+                return reject("overflow_rejections", zero_key=place_key)
+            steps += 1
+            link_steps += 1
+            options: list[tuple[float, tuple, Optional[str]]] = [
+                (state.y.get(place_key, 0.0), place_key, None)
+            ]
+            for arc in state.net.out_arcs.get(v, ()):
+                ak = (state.owner, alt.index, ("l", link.parent, link.child, arc.src, arc.dst))
+                mass = state.y.get(ak, 0.0)
+                if mass > 0.0:
+                    options.append((mass, ak, arc.dst))
+            if sum(w for w, _, _ in options) <= _DUST:
+                return reject("stranded_rejections")
+            chosen = options[weighted_random_select([w for w, _, _ in options], rng)]
+            _, key, hop_to = chosen
+            if not consume(key):
+                return reject("rounding_rejections", zero_key=key)
+            if hop_to is None:
+                placement[link.child] = v
+            else:
+                path.append((v, hop_to))
+                v = hop_to
+        link_map[(link.parent, link.child)] = tuple(path)
+
+    state.accepted += 1
+    finish_steps()
+    return IntegralEmbedding(r, alt.index, placement, link_map)
+
+
+#: The counters ``dict_round_relaxation`` sums over aggregates, named as
+#: the ``TantoReport`` fields they stand for.
+ROUNDING_COUNTERS = (
+    "initial_nonzero_y",
+    "accepted",
+    "rounding_rejections",
+    "stranded_rejections",
+    "lp_exhausted_rejections",
+    "overflow_rejections",
+    "total_steps",
+)
+
+
+def dict_round_relaxation(
+    net: SubstrateNetwork,
+    apps: Mapping[str, Application],
+    requests: Sequence[Request],
+    relaxation: Relaxation,
+    seed: int = 0,
+):
+    """Reference for ``tanto.round_relaxation``: each aggregate's members
+    in the same seeded shuffle on the same stream, rounded by
+    :func:`dict_embed_request` with one ``stream.random()`` per draw.
+
+    Returns (embeddings in request order, counters, residuals): the
+    counters are :data:`ROUNDING_COUNTERS` summed over aggregates plus the
+    maxima ``max_request_steps``, ``request_step_budget`` and
+    ``per_link_step_cap``; ``residuals`` maps each aggregate's owner to its
+    final state."""
+    frac = relaxation.fractional
+    results: list[Optional[IntegralEmbedding]] = [None] * len(requests)
+    counters = dict.fromkeys(ROUNDING_COUNTERS, 0)
+    counters.update(max_request_steps=0, request_step_budget=0, per_link_step_cap=0)
+    residuals: dict[str, DictRoundingState] = {}
+    for agg in frac.aggregates:
+        stream = _rng.stream(seed, "round", agg.origin, agg.app)
+        alternatives = sorted(apps[agg.app].alternatives, key=lambda a: a.index)
+        state = DictRoundingState.for_aggregate(net, agg, frac.values, alternatives)
+        for pos in stream.permutation(len(agg.members)):
+            member = agg.members[pos]
+            results[member] = dict_embed_request(requests[member], alternatives, state, stream)
+        counters["initial_nonzero_y"] += state.initial_nonzero
+        for name in ROUNDING_COUNTERS[1:]:
+            counters[name] += getattr(state, name)
+        counters["max_request_steps"] = max(counters["max_request_steps"], state.max_request_steps)
+        counters["request_step_budget"] = max(counters["request_step_budget"], state.request_budget)
+        counters["per_link_step_cap"] = max(counters["per_link_step_cap"], state.per_link_cap)
+        residuals[agg.owner] = state
+    return results, counters, residuals

@@ -319,22 +319,27 @@ def test_solve_tanto_seed_reproducible(runner, toy_files):
 @pytest.mark.parametrize("algo", ["lp", "greedy", "tanto", "milp"])
 def test_solve_writes_a_timings_sidecar(runner, toy_files, algo):
     """Timings go to <out stem>_timings.json beside the report: the wall
-    seconds of the run, plus the relaxation's and the rounding's share
-    and HiGHS's iteration count where the algorithm has them."""
+    seconds of the run, plus the relaxation's and the rounding's share,
+    the relaxation's four stages and HiGHS's iteration count where the
+    algorithm has them."""
     single = toy_files["dir"] / "one_request.json"
     vio.write_json(single, vio.dump_requests(unit_requests(1, app="cctv")))
     out = toy_files["dir"] / f"{algo}.json"
     assert runner.invoke(main, solve_args(dict(toy_files, requests=single), algo, out)).exit_code == 0
     sidecar = json.loads((toy_files["dir"] / f"{algo}_timings.json").read_text())
+    stages = {"aggregate_s", "build_s", "solve_s", "unpack_s"}
     expected = {
-        "lp": {"runtime_s", "lp_iterations"},
+        "lp": {"runtime_s", "lp_iterations", *stages},
         "greedy": {"runtime_s"},
-        "tanto": {"runtime_s", "lp_runtime_s", "rounding_runtime_s", "lp_iterations"},
+        "tanto": {"runtime_s", "lp_runtime_s", "rounding_runtime_s", "lp_iterations", *stages},
         "milp": {"runtime_s"},
     }[algo]
     assert sidecar.pop("schema_version") == 1 and sidecar.pop("algorithm") == algo
     assert set(sidecar) == expected
     assert all(math.isfinite(v) and v >= 0 for v in sidecar.values())
+    if algo in ("lp", "tanto"):
+        relaxation_s = sidecar["lp_runtime_s" if algo == "tanto" else "runtime_s"]
+        assert sum(sidecar[k] for k in sorted(stages)) <= relaxation_s
     assert "runtime_s" not in json.loads(out.read_text())
 
 
@@ -445,6 +450,11 @@ def test_compare_matches_golden_rows(runner, tmp_path, jobs):
         assert int(lp["lp_iterations"]) > 0
         assert tanto["lp_iterations"] == lp["lp_iterations"]
         assert greedy["lp_iterations"] == ""
+        stages = ("aggregate_s", "build_s", "solve_s", "unpack_s")
+        assert [tanto[k] for k in stages] == [lp[k] for k in stages]
+        assert sum(float(lp[k]) for k in stages) <= float(lp["runtime_s"])
+        assert sum(float(tanto[k]) for k in stages) <= float(tanto["lp_runtime_s"])
+        assert [greedy[k] for k in stages] == [""] * 4
 
 
 def test_compare_seed_override_changes_rows(runner, tmp_path):

@@ -505,6 +505,24 @@ def test_timings_carry_each_repetitions_setup_time():
     assert [float(t["setup_runtime_s"]) for t in written] == setups
 
 
+def test_relaxation_timings_carry_its_four_stages():
+    """lp, vnep:T and tanto timings split the relaxation into aggregate,
+    build, solve and unpack seconds, which add up to no more than the
+    relaxation's time; the sidecar writes them."""
+    result = run_scenario(tiny_config(algorithms=("lp", "vnep:0", "tanto", "greedy")))
+    assert result.errors == []
+    stages = ("aggregate_s", "build_s", "solve_s", "unpack_s")
+    by_algo = {t["algorithm"]: t for t in result.timings}
+    for algo, total in (("lp", "runtime_s"), ("vnep:0", "runtime_s"), ("tanto", "lp_runtime_s")):
+        assert all(by_algo[algo][k] >= 0 for k in stages)
+        assert sum(by_algo[algo][k] for k in stages) <= by_algo[algo][total]
+    assert not set(stages) & set(by_algo["greedy"])
+    written = list(csv.DictReader(stdio.StringIO(vneap.harness.timings_to_csv(result.timings))))
+    assert [[t[k] and float(t[k]) for k in stages] for t in written] == [
+        [t.get(k, "") for k in stages] for t in result.timings
+    ]
+
+
 def test_run_scenario_records_a_bad_origin_profile_as_an_error():
     result = run_scenario(tiny_config(spatial="lognormal", lognormal_sigma=0.0))
     assert result.rows == []

@@ -6,16 +6,22 @@ from __future__ import annotations
 import json
 from importlib import resources
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
+from vneap import rng as vrng
 from vneap.formulation import (
     AggregatedRequest,
+    FractionalSolution,
     VariableKey,
     aggregate_requests,
     build_milp,
+    build_relaxed_aggregate_lp,
     compute_rejection_penalty,
 )
 from vneap.harness import (
@@ -27,17 +33,24 @@ from vneap.harness import (
     ingest_graphml,
 )
 from vneap.io import load_applications
-from vneap.lp import solve_lp
+from vneap.lp import OPTIMAL, Solution, solve_lp
 from vneap.model import (
     AlternativeTopology,
     Application,
     EfficiencyMap,
     Request,
+    SubstrateArc,
+    SubstrateNetwork,
+    SubstrateNode,
+    VirtualLink,
     VirtualNode,
 )
 from vneap.tanto import (
+    Relaxation,
     RoundingState,
+    _BlockUniforms,
     embed_request,
+    round_relaxation,
     solve_relaxation,
     tanto,
     weighted_random_select,
@@ -56,6 +69,7 @@ from conftest import (
     toy_net,
     unit_requests,
 )
+from oracle import dict_round_relaxation
 
 PSI_TOY = 1050.0
 RECORDED = Path(__file__).parent / "data" / "tanto_recorded.jsonl"
@@ -94,6 +108,15 @@ def test_draw_frequencies_match_weights():
     assert chi2 < stats.chi2.isf(0.01, df=2)
 
 
+def test_block_uniforms_are_the_streams_own_draws():
+    """Served 64 at a time, after the shuffle, the uniforms equal one
+    ``random()`` call each on the same stream."""
+    one, block = vrng.stream(3, "round", "E", "cam"), vrng.stream(3, "round", "E", "cam")
+    assert one.permutation(9).tolist() == block.permutation(9).tolist()
+    uniforms = _BlockUniforms(block)
+    assert [uniforms.random() for _ in range(200)] == [one.random() for _ in range(200)]
+
+
 # -- the per-request walk --------------------------------------------------------
 
 
@@ -106,6 +129,25 @@ def make_state(values: dict[VariableKey, float], demand: float = 1.0) -> Roundin
     agg = AggregatedRequest("g0", "E", "cam", demand, (0,))
     return RoundingState.for_aggregate(
         net, agg, values, toy_apps()["cam"].alternatives
+    )
+
+
+def residual(state: RoundingState) -> dict[VariableKey, float]:
+    """The state's residual by variable key (its slots mapped back)."""
+    return dict(zip(state.keys, state.y))
+
+
+def zeroed_keys(state: RoundingState) -> set[VariableKey]:
+    return {k for k, z in zip(state.keys, state.zeroed) if z}
+
+
+def walk_once(state: RoundingState):
+    """One unit request at E through the toy catalog's walk."""
+    return embed_request(
+        Request("E", "cam", 1.0),
+        toy_apps()["cam"].alternatives,
+        state,
+        np.random.default_rng(0),
     )
 
 
@@ -128,7 +170,7 @@ def test_concentrated_solution_walks_deterministically():
     assert emb.node_map == {"theta": "E", "A": "C", "B": "C"}
     assert emb.link_map == {("theta", "A"): (("E", "C"),), ("A", "B"): ()}
     assert state.accepted == 1
-    assert all(v == pytest.approx(0.0, abs=1e-12) for v in state.y.values())
+    assert all(v == pytest.approx(0.0, abs=1e-12) for v in residual(state).values())
 
 
 def test_insufficient_root_mass_rejects_and_zeroes():
@@ -142,8 +184,8 @@ def test_insufficient_root_mass_rejects_and_zeroes():
     )
     assert emb.rejected
     assert state.rounding_rejections == 1
-    assert state.y[root] == 0.0
-    assert root in state.zeroed
+    assert residual(state)[root] == 0.0
+    assert root in zeroed_keys(state)
 
 
 def test_rejection_restores_everything_but_the_zeroed_variable():
@@ -159,10 +201,10 @@ def test_rejection_restores_everything_but_the_zeroed_variable():
     )
     assert emb.rejected
     assert state.rounding_rejections == 1
-    assert state.zeroed == {place_a}
-    assert state.y[place_a] == 0.0
-    assert state.y[root] == pytest.approx(1.0)  # consumed, then restored
-    assert state.y[hop] == pytest.approx(1.0)
+    assert zeroed_keys(state) == {place_a}
+    assert residual(state)[place_a] == 0.0
+    assert residual(state)[root] == pytest.approx(1.0)  # consumed, then restored
+    assert residual(state)[hop] == pytest.approx(1.0)
 
 
 def test_zeroed_variables_stay_zero_for_later_requests():
@@ -175,7 +217,83 @@ def test_zeroed_variables_stay_zero_for_later_requests():
     second = embed_request(Request("E", "cam", 2.0), alts, state, rng)
     assert second.rejected
     assert state.lp_exhausted_rejections == 1  # nothing left to draw from
-    assert state.y[root] == 0.0
+    assert residual(state)[root] == 0.0
+
+
+def test_no_root_mass_is_lp_exhausted_after_one_step():
+    place_a = owner_key(0, ("n", "A", "C"))
+    state = make_state({place_a: 1.0})
+    assert walk_once(state).rejected
+    assert state.lp_exhausted_rejections == 1
+    assert state.total_steps == state.max_request_steps == 1
+    assert residual(state) == {place_a: 1.0}
+    assert zeroed_keys(state) == set()
+
+
+def test_a_site_without_mass_strands_the_walk():
+    """The root is served, but the first link finds neither a placement
+    nor an arc at the origin: stranded, and the root gets its mass back."""
+    root = owner_key(0, ("n", "theta", "E"))
+    state = make_state({root: 1.0, owner_key(0, ("n", "B", "C")): 1.0})
+    assert walk_once(state).rejected
+    assert state.stranded_rejections == 1 and state.rounding_rejections == 0
+    assert state.total_steps == 2
+    assert residual(state)[root] == 1.0
+    assert zeroed_keys(state) == set()
+
+
+@pytest.mark.parametrize("placement_mass", [0.5, None])
+def test_per_link_overflow_zeroes_the_placement_slot_if_there_is_one(placement_mass):
+    """Link mass circling E -> C -> E and no mass to place A at E (a used-up
+    slot, or none): the per-link cap (|nodes|·|arcs| = 4 steps) cuts the
+    walk at E.  A slot for A at E is zeroed; without one nothing is."""
+    root = owner_key(0, ("n", "theta", "E"))
+    out = owner_key(0, ("l", "theta", "A", "E", "C"))
+    back = owner_key(0, ("l", "theta", "A", "C", "E"))
+    place_e = owner_key(0, ("n", "A", "E"))
+    values = {root: 1.0, out: 1.0, back: 1.0}
+    if placement_mass is not None:
+        values[place_e] = placement_mass
+    state = make_state(values, demand=1000.0)
+    if placement_mass is not None:
+        state.y[state.keys.index(place_e)] = 0.0  # consumed by earlier requests
+    assert state.per_link_cap == 4 < state.request_budget
+    assert walk_once(state).rejected
+    assert state.overflow_rejections == 1
+    assert state.total_steps == state.max_request_steps == 1 + state.per_link_cap
+    if placement_mass is None:
+        assert zeroed_keys(state) == set()
+        assert place_e not in residual(state)
+    else:
+        assert zeroed_keys(state) == {place_e}
+        assert residual(state)[place_e] == 0.0
+    for key in (root, out, back):
+        assert residual(state)[key] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_a_walk_cut_by_the_request_budget_counts_no_extra_step():
+    """On a 5-node complete digraph a single-link alternative's budget is
+    4·5·3 = 60 steps, below the per-link cap of 5·20.  Flow mass circling
+    n0 -> n1 -> n0 with no placement mass runs the walk into the budget;
+    the cut step draws nothing and consumes nothing, so it is not counted."""
+    ids = [f"n{i}" for i in range(5)]
+    net = SubstrateNetwork(
+        [SubstrateNode(i, 1.0, 1e9) for i in ids],
+        [SubstrateArc(u, v, 1.0, 1e9) for u in ids for v in ids if u != v],
+    )
+    alt = AlternativeTopology("one", 0, [VirtualNode("r", 0.0), VirtualNode("c", 1.0)],
+                              [VirtualLink("r", "c", 1.0)], "r")
+    values = {
+        VariableKey("g0", 0, ("n", "r", "n0")): 1.0,
+        VariableKey("g0", 0, ("l", "r", "c", "n0", "n1")): 1.0,
+        VariableKey("g0", 0, ("l", "r", "c", "n1", "n0")): 1.0,
+    }
+    agg = AggregatedRequest("g0", "n0", "one", 1000.0, (0,))
+    state = RoundingState.for_aggregate(net, agg, values, (alt,))
+    assert (state.request_budget, state.per_link_cap) == (60, 100)
+    emb = embed_request(Request("n0", "one", 1.0), (alt,), state, np.random.default_rng(0))
+    assert emb.rejected and state.overflow_rejections == 1
+    assert state.max_request_steps == state.total_steps == state.request_budget
 
 
 def test_share_of_draws_tracks_the_fractional_weights():
@@ -337,6 +455,84 @@ def test_output_matches_the_recorded_run():
         embeddings, report = tanto(net, apps, eff, requests, psi, seed=seed)
         got = json.loads(json.dumps(recorded_form(name, embeddings, report)))
         assert got == want, name
+
+
+def round_with_states(net, apps, requests, relaxation, psi, seed):
+    """``round_relaxation``, plus the state each aggregate ended in."""
+    made = []
+    build = RoundingState.for_aggregate
+
+    def capture(*args):
+        made.append(build(*args))
+        return made[-1]
+
+    with mock.patch.object(RoundingState, "for_aggregate", staticmethod(capture)):
+        embeddings, report = round_relaxation(net, apps, requests, relaxation, psi, seed)
+    return embeddings, report, made
+
+
+def assert_rounds_like_the_dict_walk(net, apps, requests, relaxation, psi, seed):
+    """The slot-table walk and the dict reference agree on the embeddings,
+    every counter, and each aggregate's final residual to the bit."""
+    embeddings, report, states = round_with_states(net, apps, requests, relaxation, psi, seed)
+    want, counters, residuals = dict_round_relaxation(net, apps, requests, relaxation, seed)
+    assert embeddings == want
+    assert {c: getattr(report, c) for c in counters} == counters
+    assert report.rejected == sum(e.rejected for e in want)
+    assert report.aggregates == len(residuals) == len(states)
+    for state in states:
+        ref = residuals[state.owner]
+        got = {k: v.hex() for k, v in zip(state.keys, state.y)}
+        # the reference also zeroes placement keys that never held mass
+        assert {k: v.hex() for k, v in ref.y.items() if k in got or v != 0.0} == got
+        assert ref.zeroed & got.keys() == {k for k, z in zip(state.keys, state.zeroed) if z}
+        assert state.initial_nonzero == ref.initial_nonzero
+
+
+def test_rounding_matches_the_dict_walk_on_the_pinned_runs():
+    for name, (net, apps, eff, requests, psi), seed in pinned_runs():
+        relaxation = solve_relaxation(net, apps, eff, requests, psi)
+        assert_rounds_like_the_dict_walk(net, apps, requests, relaxation, psi, seed)
+
+
+def random_residuals(net, apps, eff, requests, psi, table_seed: int, density: float):
+    """A relaxation whose values are random residuals over every variable
+    the aggregate LP has: a mix of full, partial, dust and missing mass,
+    with every root given some, so that most walks get past the root."""
+    aggregates = aggregate_requests(requests)
+    keys = build_relaxed_aggregate_lp(net, apps, eff, aggregates, psi).keys
+    roots = {
+        VariableKey(g.owner, a.index, ("n", a.root, g.origin))
+        for g in aggregates
+        for a in apps[g.app].alternatives
+    }
+    rng = np.random.default_rng(table_seed)
+    values = {}
+    for key in keys:
+        if key in roots or rng.random() < density:
+            values[key] = float(rng.choice([1.0, rng.random(), rng.random() * 0.2, 1e-13]))
+    frac = FractionalSolution(values, 0.0, {g.owner: 0.0 for g in aggregates}, tuple(aggregates))
+    return Relaxation(Solution(OPTIMAL, 0.0, None), frac, 0.0, {})
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    instance=st.integers(0, 199),
+    table_seed=st.integers(0, 2**32 - 1),
+    density=st.sampled_from([0.1, 0.4, 0.9]),
+    repeat=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_rounding_matches_the_dict_walk_on_random_residuals(
+    instance, table_seed, density, repeat, seed
+):
+    """Request sequences (each random instance's requests, repeated so
+    residuals run out) over random residual tables on the random
+    instances' branching trees: both walks, same seed, same outcome."""
+    net, apps, eff, requests, psi = random_instance(instance)
+    requests = list(requests) * repeat
+    relaxation = random_residuals(net, apps, eff, requests, psi, table_seed, density)
+    assert_rounds_like_the_dict_walk(net, apps, requests, relaxation, psi, seed)
 
 
 def test_relaxation_optimum_matches_the_per_request_relaxation():
