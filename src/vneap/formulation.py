@@ -69,7 +69,7 @@ class VariableKey(NamedTuple):
 @dataclass(frozen=True)
 class Row:
     coeffs: tuple[tuple[int, float], ...]  # (variable index, coefficient)
-    sense: str  # "<=", ">=", "=="
+    sense: str  # "<=" or "=="
     rhs: float
 
 

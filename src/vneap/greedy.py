@@ -9,12 +9,13 @@ branch node are embedded recursively with the same rule.
 
 A*'s bound is exact for the uncapacitated problem: per chain, the
 cheapest cost per unit demand to finish the chain from every state,
-computed once by reverse shortest-path passes over the layered graph.
-Coefficients and costs are fixed for a run and capacity only removes
-moves, so demand times that cost never exceeds the true remaining cost
-at any residual (admissible), and it obeys the triangle inequality along
-every move (consistent).  A* therefore pops the first goal state at the
-cheapest cost, as Dijkstra would, after expanding fewer states.
+computed once by one scipy Dijkstra run from a sink over the reversed
+layered graph.  Coefficients and costs are fixed for a run and capacity
+only removes moves, so demand times that cost never exceeds the true
+remaining cost at any residual (admissible), and it obeys the triangle
+inequality along every move (consistent).  A* therefore pops the first
+goal state at the cheapest cost, as Dijkstra would, after expanding
+fewer states.
 
 The search runs on integer-indexed tables built once per run
 (`_ChainSearch`): substrate nodes and arcs are numbered, efficiency
@@ -33,6 +34,9 @@ import heapq
 import time
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
+
+from scipy import sparse
+from scipy.sparse.csgraph import dijkstra
 
 from . import rng as _rng
 from .model import (
@@ -90,11 +94,12 @@ class _ChainSearch:
     Substrate nodes are numbered in network order and arcs by endpoint
     pair; coefficient rows (one value per substrate node or arc, keyed by
     virtual node id or virtual link pair, as :class:`EfficiencyMap` is)
-    and per-alternative chain plans are filled on first use and shared
-    by every later search.  The residual capacity starts at the
-    network's and shrinks on every :meth:`consume`: ``node_left`` and
-    ``arc_left`` hold it, ``node_cap`` and ``arc_cap`` the same values
-    with ``_EPS`` already added, as the search tests them.
+    and per-alternative chain plans, each with its chains' A* bounds
+    (one scipy Dijkstra run from a sink per chain), are filled on first
+    use and shared by every later search.  The residual capacity starts
+    at the network's and shrinks on every :meth:`consume`: ``node_left``
+    and ``arc_left`` hold it, ``node_cap`` and ``arc_cap`` the same
+    values with ``_EPS`` already added, as the search tests them.
     """
 
     def __init__(self, net: SubstrateNetwork, efficiency: EfficiencyMap):
@@ -111,11 +116,6 @@ class _ChainSearch:
             ]
             for v in self.ids
         ]
-        # in-arcs as (source index, arc index, cost), for the bound passes
-        self.into: list[list[tuple[int, int, float]]] = [[] for _ in self.ids]
-        for u, arcs in enumerate(self.out):
-            for w, a, arc_cost in arcs:
-                self.into[w].append((u, a, arc_cost))
         self.efficiency = efficiency
         self.node_left = [n.capacity for n in net.nodes]
         self.arc_left = [net.arc_by_pair[pair].capacity for pair in self.pairs]
@@ -171,41 +171,29 @@ class _ChainSearch:
         every state ``m * n + v``, ignoring capacity (+inf where no sequence
         of allowed moves finishes it).
 
-        One pass per layer, from the last down to the first: layer m is
-        seeded with 'place here, then finish from layer m + 1' and closed
-        by Dijkstra over the reversed out-arcs, each costed at
-        ``link.size * coeff * arc cost``.  Forbidden pairings are no moves.
+        One Dijkstra run from a sink over the reversed layered graph: the
+        sink reaches every state of layer k at 0.0, (m + 1, v) reaches
+        (m, v) at ``size * coeff * node cost`` and (m, w) reaches (m, u) at
+        ``link.size * coeff * arc cost`` for every arc u -> w.  Forbidden
+        pairings are no moves.  The sparse matrix would sum a move given
+        twice; none is, as each pairs a state with one node or arc and
+        ``validate_substrate`` rejects repeated arcs (``DuplicateArc``).
         """
-        n = len(self.ids)
-        k = len(steps)
-        inf = float("inf")
-        h = [inf] * ((k + 1) * n)
-        h[k * n :] = [0.0] * n
-        node_cost, into = self.node_cost, self.into
-        pop, push = heapq.heappop, heapq.heappush
-        for m in range(k - 1, -1, -1):
-            link, size, node_row, link_row = steps[m]
+        n, k = len(self.ids), len(steps)
+        sink = (k + 1) * n
+        moves = [(sink, k * n + v, 0.0) for v in range(n)]  # (from, to, cost)
+        for m, (link, size, node_row, link_row) in enumerate(steps):
             base = m * n
-            heap = []
-            for v in range(n):
-                coeff, after = node_row[v], h[base + n + v]
-                if coeff is not FORBIDDEN and after < inf:
-                    h[base + v] = size * coeff * node_cost[v] + after
-                    heap.append((h[base + v], v))
-            heapq.heapify(heap)
-            while heap:
-                c, w = pop(heap)
-                if c > h[base + w]:
-                    continue
-                for u, a, arc_cost in into[w]:
-                    lcoeff = link_row[a]
-                    if lcoeff is FORBIDDEN:
-                        continue
-                    nc = link.size * lcoeff * arc_cost + c
-                    if nc < h[base + u]:
-                        h[base + u] = nc
-                        push(heap, (nc, u))
-        return h
+            for v, coeff in enumerate(node_row):
+                if coeff is not FORBIDDEN:
+                    moves.append((base + n + v, base + v, size * coeff * self.node_cost[v]))
+            for u, arcs in enumerate(self.out):
+                for w, a, arc_cost in arcs:
+                    if link_row[a] is not FORBIDDEN:
+                        moves.append((base + w, base + u, link.size * link_row[a] * arc_cost))
+        heads, tails, costs = zip(*moves)
+        graph = sparse.csr_matrix((costs, (heads, tails)), shape=(sink + 1, sink + 1))
+        return dijkstra(graph, directed=True, indices=sink)[:sink].tolist()
 
     def consume(self, node_loads: Mapping[int, float], arc_loads: Mapping[int, float]) -> None:
         """Take an accepted embedding's loads, keyed by node and arc

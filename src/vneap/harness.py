@@ -403,6 +403,11 @@ class ScenarioConfig:
             raise ValueError("algorithms must name at least one algorithm")
         if not self.apps:
             raise ValueError("applications: the catalog holds no application")
+        for algo in self.algorithms:
+            try:
+                algorithm_catalog(algo, self.apps)
+            except ValueError as exc:
+                raise ValueError(f"algorithms: {exc}") from None
         if not self.app:
             object.__setattr__(self, "app", sorted(self.apps)[0])
         elif self.app not in self.apps:
@@ -464,6 +469,22 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def algorithm_catalog(algo: str, apps: Mapping[str, Application]) -> Mapping[str, Application]:
+    """The catalog ``algo`` runs on: ``apps`` for lp, milp, greedy and
+    tanto, and for ``vnep:T`` every application's alternative T alone.
+    Any other name, or a T that some application lacks, is a ValueError
+    naming the algorithm."""
+    if algo in ("lp", "milp", "greedy", "tanto"):
+        return apps
+    prefix, _, index = algo.partition(":")
+    if prefix != "vnep" or not index.isdecimal():
+        raise ValueError(f"unknown algorithm {algo!r}")
+    try:
+        return restrict_to_alternative(apps, int(index))
+    except ValueError as exc:
+        raise ValueError(f"algorithm {algo!r}: {exc}") from None
+
+
 def _run_algorithm(
     algo: str,
     net: SubstrateNetwork,
@@ -486,11 +507,8 @@ def _run_algorithm(
         "request_count": len(requests),
     }
     timing = {"algorithm": algo}
-    catalog = apps
-    if algo.startswith("vnep:"):
-        catalog = restrict_to_alternative(apps, int(algo.split(":", 1)[1]))
-        relaxation = None  # a shared relaxation is the full catalog's
-    if relaxation is None:
+    catalog = algorithm_catalog(algo, apps)
+    if relaxation is None or catalog is not apps:  # a shared relaxation is the full catalog's
         relaxation = functools.partial(solve_relaxation, net, catalog, efficiency, requests, psi)
 
     embeddings = None
@@ -524,7 +542,7 @@ def _run_algorithm(
             objective_delta=abs(sol.objective - cost.total),
         )
         shares = fractional_alternative_shares(frac, catalog)
-    elif algo in ("greedy", "tanto"):
+    else:
         if algo == "greedy":
             embeddings, rep = greedy_embed_all(net, catalog, efficiency, requests, psi, seed)
         else:
@@ -552,8 +570,6 @@ def _run_algorithm(
             row.update(objective=cost.total, objective_delta=0.0)
             row.update({c: getattr(rep, c) for c in _BOUND_COLUMNS})
         shares = alternative_shares(embeddings)
-    else:
-        raise ValueError(f"unknown algorithm {algo!r}")
 
     row.update(
         compute_cost=cost.compute,

@@ -1,11 +1,13 @@
 """Solver backend: continuous LPs via scipy's HiGHS ``linprog`` (dual
 simplex, presolve off) and exact small binary programs via HiGHS
-branch-and-cut (``scipy.optimize.milp``, presolve on).
+branch-and-cut (``scipy.optimize.milp``, presolve on).  Rows are ``<=``
+or ``==`` rows, assembled per solve into one CSR matrix per sense.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -66,35 +68,29 @@ class Solution:
 
 def _split_rows(lp: LinearProgram):
     """Assemble sparse ``A_ub x <= b_ub`` and ``A_eq x = b_eq`` from the
-    program's rows (``>=`` rows are negated)."""
-    ub_rows, ub_rhs, eq_rows, eq_rhs = [], [], [], []
+    program's rows, in row order, with each row's entries sorted and
+    duplicates summed; a sense without rows gives None twice."""
     for row in lp.rows:
-        if row.sense == "==":
-            eq_rows.append(row.coeffs)
-            eq_rhs.append(row.rhs)
-        elif row.sense == "<=":
-            ub_rows.append(row.coeffs)
-            ub_rhs.append(row.rhs)
-        elif row.sense == ">=":
-            ub_rows.append(tuple((i, -c) for i, c in row.coeffs))
-            ub_rhs.append(-row.rhs)
-        else:
+        if row.sense not in ("<=", "=="):
             raise ValueError(f"unknown row sense {row.sense!r}")
 
-    def matrix(rows):
-        data, ri, ci = [], [], []
-        for r, coeffs in enumerate(rows):
-            for i, c in coeffs:
-                ri.append(r)
-                ci.append(i)
-                data.append(c)
-        return sparse.csr_matrix((data, (ri, ci)), shape=(len(rows), lp.n_vars))
+    def matrix(sense):
+        rows = [row for row in lp.rows if row.sense == sense]
+        if not rows:
+            return None, None
+        indptr = np.cumsum([0] + [len(row.coeffs) for row in rows])
+        entries = np.fromiter(
+            chain.from_iterable(row.coeffs for row in rows),
+            dtype=[("col", np.int64), ("coeff", float)],
+            count=indptr[-1],
+        )
+        A = sparse.csr_matrix(
+            (entries["coeff"], entries["col"], indptr), shape=(len(rows), lp.n_vars)
+        )
+        A.sum_duplicates()
+        return A, np.asarray([row.rhs for row in rows])
 
-    A_ub = matrix(ub_rows) if ub_rows else None
-    A_eq = matrix(eq_rows) if eq_rows else None
-    return A_ub, (np.asarray(ub_rhs) if ub_rows else None), A_eq, (
-        np.asarray(eq_rhs) if eq_rows else None
-    )
+    return (*matrix("<="), *matrix("=="))
 
 
 def _solution(res, lp: LinearProgram, stats: dict) -> Solution:
@@ -112,17 +108,13 @@ def solve_lp(lp: LinearProgram) -> Solution:
     Returns a :class:`Solution`; infeasibility and limit exhaustion are
     reported through ``status`` rather than raised.
     """
+    A_ub, b_ub, A_eq, b_eq = _split_rows(lp)
     if lp.n_vars == 0:
         # constant objective; feasible iff no row is violated by x = ()
-        for row in lp.rows:
-            if row.sense == "<=" and 0.0 > row.rhs + _TOL:
-                return Solution(INFEASIBLE, None, None)
-            if row.sense == ">=" and 0.0 < row.rhs - _TOL:
-                return Solution(INFEASIBLE, None, None)
-            if row.sense == "==" and abs(row.rhs) > _TOL:
-                return Solution(INFEASIBLE, None, None)
+        violated = (0.0 > r.rhs + _TOL if r.sense == "<=" else abs(r.rhs) > _TOL for r in lp.rows)
+        if any(violated):
+            return Solution(INFEASIBLE, None, None)
         return Solution(OPTIMAL, lp.objective_constant, np.zeros(0))
-    A_ub, b_ub, A_eq, b_eq = _split_rows(lp)
     res = linprog(
         lp.objective,
         A_ub=A_ub,

@@ -467,7 +467,11 @@ def test_compare_seed_override_changes_rows(runner, tmp_path):
     assert produced != (GOLDEN / "tiny_scenario_rows.csv").read_text()
 
 
-def test_compare_without_any_rows_is_infeasible(runner, tmp_path):
+def test_compare_without_any_rows_is_infeasible(runner, tmp_path, monkeypatch):
+    def crash(*args):
+        raise RuntimeError("greedy crashed")
+
+    monkeypatch.setattr(vneap.harness, "greedy_embed_all", crash)
     scenario = {
         "schema_version": 1,
         "name": "doomed",
@@ -477,14 +481,14 @@ def test_compare_without_any_rows_is_infeasible(runner, tmp_path):
         "size_mean": 1.0,
         "size_sigma": 0.2,
         "calibration_requests": 50,
-        "algorithms": ["bogus"],
+        "algorithms": ["greedy"],
         "repetitions": 1,
     }
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(scenario))
     result = runner.invoke(main, ["compare", "--scenario", str(path), "--out", str(tmp_path / "out")])
     assert result.exit_code == 3
-    assert "unknown algorithm" in result.output
+    assert "repetition 0 greedy: RuntimeError: greedy crashed" in result.output
 
 
 def test_compare_rejects_unknown_schema(runner, tmp_path):
@@ -541,6 +545,9 @@ def write_scenario(path: Path, **keys) -> Path:
         ({"app": "nope"}, "app 'nope' is not in the catalog"),
         ({"algorithms": []}, "algorithms must name at least one algorithm"),
         ({"applications": "empty.json"}, "applications: the catalog holds no application"),
+        ({"algorithms": ["greedy", "bogus"]}, "algorithms: unknown algorithm 'bogus'"),
+        ({"algorithms": ["vnep:x"]}, "algorithms: unknown algorithm 'vnep:x'"),
+        ({"algorithms": ["lp", "vnep:9"]}, "algorithms: algorithm 'vnep:9': no alternative with index 9"),
     ],
     ids=["misspelled", "substrate-key", "null-required", "mistyped", "substrate-type",
          "applications-type", "efficiency-type", "graphml-type", "algorithms-string",
@@ -548,7 +555,7 @@ def write_scenario(path: Path, **keys) -> Path:
          "requests-fraction", "repetitions-bool", "number-string", "number-bool", "number-nan",
          "number-inf", "number-overflow", "tier-ratio-string", "negative-psi", "zero-requests",
          "zero-link-tu", "negative-calibration", "unknown-spatial", "app-not-in-catalog", "no-algorithms",
-         "empty-catalog"],
+         "empty-catalog", "unknown-algorithm", "alternative-not-a-number", "absent-alternative"],
 )
 def test_compare_names_the_bad_scenario_key(runner, tmp_path, keys, named):
     """A misspelled key is an input error, not a silent fall-back to the
@@ -557,7 +564,8 @@ def test_compare_names_the_bad_scenario_key(runner, tmp_path, keys, named):
     fraction or a bool is not a count, and a number is finite), a bad tier
     ratio, a file that holds a list (``keys`` is then the whole document),
     and values no run can use: a count below 1, an unknown spatial profile,
-    an app outside the catalog, no algorithms and an empty catalog."""
+    an app outside the catalog, no algorithms, an empty catalog, and an
+    unknown algorithm or alternative, found before any repetition runs."""
     vio.write_json(tmp_path / "empty.json", {"schema_version": 1, "applications": []})
     path = tmp_path / "scenario.json"
     if isinstance(keys, list):

@@ -537,14 +537,18 @@ def test_run_scenario_rows_are_reproducible():
     assert first == again
 
 
-def test_run_scenario_records_algorithm_errors():
-    result = run_scenario(tiny_config(algorithms=("bogus", "greedy")))
+def test_run_scenario_records_algorithm_errors(monkeypatch):
+    def crash(*args):
+        raise RuntimeError("solver crashed")
+
+    monkeypatch.setattr(vneap.harness, "solve_relaxation", crash)
+    result = run_scenario(tiny_config(algorithms=("lp", "greedy")))
     assert len(result.rows) == 1  # greedy still ran
     assert result.rows[0]["algorithm"] == "greedy"
     assert len(result.errors) == 1
-    assert result.errors[0]["algorithm"] == "bogus"
-    assert result.errors[0]["type"] == "ValueError"
-    assert "unknown algorithm" in result.errors[0]["error"]
+    assert result.errors[0]["algorithm"] == "lp"
+    assert result.errors[0]["type"] == "RuntimeError"
+    assert result.errors[0]["error"] == "solver crashed"
 
 
 def test_run_scenario_solves_each_relaxation_once(monkeypatch):
@@ -609,6 +613,8 @@ def test_scenario_config_validation():
         tiny_config(app="nope")
     with pytest.raises(ValueError, match="algorithms must name at least one algorithm"):
         tiny_config(algorithms=())
+    with pytest.raises(ValueError, match="algorithms: algorithm 'vnep:7': no alternative with index 7"):
+        tiny_config(algorithms=("greedy", "vnep:7"))
     with pytest.raises(ValueError, match="the catalog holds no application"):
         tiny_config(apps={}, app="")
     with pytest.raises(ValueError, match="count must be >= 1, not 0"):

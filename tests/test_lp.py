@@ -3,9 +3,14 @@ search."""
 
 from __future__ import annotations
 
+import json
+from importlib import resources
+
 import numpy as np
 import pytest
 
+import vneap.io as vio
+from vneap import harness
 from vneap.formulation import (
     LinearProgram,
     Row,
@@ -13,8 +18,9 @@ from vneap.formulation import (
     aggregate_requests,
     build_milp,
     build_relaxed_aggregate_lp,
+    compute_rejection_penalty,
 )
-from vneap.lp import SolveOptions, solve_lp, solve_milp_exact
+from vneap.lp import SolveOptions, _split_rows, solve_lp, solve_milp_exact
 from vneap.model import EfficiencyMap, Request
 
 from conftest import random_instance, toy_apps, toy_net, unit_requests
@@ -57,7 +63,7 @@ def random_box_lp(rng, n, n_rows):
 
 
 def test_minimize_x_at_least_three():
-    lp = hand_lp([1.0], [Row(((0, 1.0),), ">=", 3.0)], [0.0], [10.0])
+    lp = hand_lp([1.0], [Row(((0, -1.0),), "<=", -3.0)], [0.0], [10.0])
     sol = solve_lp(lp)
     assert sol.status == "optimal"
     assert sol.objective == pytest.approx(3.0, abs=1e-9)
@@ -94,11 +100,83 @@ def test_small_lp_matches_vertex_enumeration(seed):
     assert sol.objective == pytest.approx(oracle, abs=1e-6)
 
 
+def test_a_row_sense_other_than_le_or_eq_is_refused():
+    lp = hand_lp([1.0], [Row(((0, 1.0),), ">=", 3.0)], [0.0], [10.0], binary=(0,))
+    empty = hand_lp([], [Row((), ">=", -1.0)], [], [])
+    for solve, program in ((solve_lp, lp), (solve_milp_exact, lp), (solve_lp, empty)):
+        with pytest.raises(ValueError, match="unknown row sense '>='"):
+            solve(program)
+
+
+def assert_assembled(lp):
+    """Each sense's matrix holds that sense's rows in order, every row
+    with strictly increasing column indices and, per column, the sum of
+    the row's coefficients there, which is the dense row built from
+    ``lp.rows``; the right-hand sides follow the rows."""
+    A_ub, b_ub, A_eq, b_eq = _split_rows(lp)
+    for sense, A, b in (("<=", A_ub, b_ub), ("==", A_eq, b_eq)):
+        rows = [row for row in lp.rows if row.sense == sense]
+        if not rows:
+            assert A is None and b is None
+            continue
+        assert A.shape == (len(rows), lp.n_vars)
+        assert b.tolist() == [row.rhs for row in rows]
+        for r, row in enumerate(rows):
+            dense: dict[int, float] = {}
+            for i, c in row.coeffs:
+                dense[i] = dense.get(i, 0.0) + c
+            start, end = A.indptr[r], A.indptr[r + 1]
+            assert A.indices[start:end].tolist() == sorted(dense)
+            assert A.data[start:end].tolist() == [dense[i] for i in sorted(dense)]
+
+
+def bundled_lp(topology: str):
+    """The relaxation of 1000 cctv_two requests on a bundled topology at
+    TU 0.8, as perfbench's instances are made."""
+    root = resources.files("vneap")
+    graph = harness.ingest_graphml(str(root.joinpath(f"fixtures/topologies/{topology}.graphml")))
+    base = harness.assign_costs_capacities(graph, harness.classify_tiers(graph))
+    apps = vio.load_applications(json.loads(root.joinpath("fixtures/cctv_two.json").read_text()))
+    gen = harness.GenParams(count=1000, app="cctv", enforce_origin_cap=False)
+    requests = harness.generate_requests(base, apps, gen, 1)
+    net = harness.calibrate_target_utilization(base, apps, requests, 0.8, 0.8)
+    eff = EfficiencyMap()
+    psi = compute_rejection_penalty(net, apps, eff)
+    return build_relaxed_aggregate_lp(net, apps, eff, aggregate_requests(requests), psi)
+
+
+def test_rows_assemble_into_canonical_matrices():
+    hand = hand_lp(
+        [1.0, 1.0, 1.0, 1.0],
+        [
+            Row(((3, 1.0), (0, 2.0), (3, 0.5), (1, -1.0)), "<=", 4.0),
+            Row(((2, 1.0), (2, 1.0)), "==", 1.0),
+            Row((), "<=", 0.0),
+        ],
+        [0.0] * 4,
+        [1.0] * 4,
+    )
+    A_ub, b_ub, A_eq, b_eq = _split_rows(hand)
+    assert A_ub.toarray().tolist() == [[2.0, -1.0, 0.0, 1.5], [0.0, 0.0, 0.0, 0.0]]
+    assert A_eq.toarray().tolist() == [[0.0, 0.0, 2.0, 0.0]]
+    assert b_ub.tolist() == [4.0, 0.0] and b_eq.tolist() == [1.0]
+    assert_assembled(hand)
+    for topology in ("arnes_si", "amres_rs"):
+        assert_assembled(bundled_lp(topology))
+    for seed in range(30):
+        net, apps, eff, requests, psi = random_instance(seed)
+        assert_assembled(build_relaxed_aggregate_lp(net, apps, eff, aggregate_requests(requests), psi))
+        assert_assembled(build_milp(net, apps, eff, requests, psi))
+
+
 def test_empty_program_solves_to_zero():
     sol = solve_lp(hand_lp([], [], [], []))
     assert sol.status == "optimal"
     assert sol.objective == pytest.approx(0.0)
     assert sol.x.shape == (0,)
+    assert solve_lp(hand_lp([], [Row((), "<=", 0.0), Row((), "==", 0.0)], [], [])).optimal
+    for row in (Row((), "<=", -1.0), Row((), "==", 1.0)):
+        assert solve_lp(hand_lp([], [row], [], [])).status == "infeasible"
 
 
 def test_twenty_variable_box_lp_matches_corner_scan():
@@ -152,7 +230,7 @@ def test_exact_infeasible_binary_program_is_a_status():
     # two binaries cannot sum to 3
     lp = hand_lp(
         [1.0, 1.0],
-        [Row(((0, 1.0), (1, 1.0)), ">=", 3.0)],
+        [Row(((0, -1.0), (1, -1.0)), "<=", -3.0)],
         [0.0, 0.0],
         [1.0, 1.0],
         binary=(0, 1),
