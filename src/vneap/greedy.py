@@ -26,6 +26,19 @@ holds the run's residual capacity, per node and arc index, and takes
 each accepted embedding's loads off it.  Every load and cost is
 computed with the same float operations in the same order as a search
 over id-keyed dicts would, so results are identical to the bit.
+
+Most searches repeat the last answer for their (chain, start node), so
+`_ChainSearch` keeps that answer, with the demand d0 it was found at,
+its moves and the moves the search refused for capacity alone.  A later
+call at demand d returns it, its cost replayed move by move in the
+search's own float order, when (i) every move of the answer still fits
+at d and (ii) every refused move is still refused at d.  That answer is
+then still a cheapest one: every move's cost and load is linear in
+demand, so scaling demand keeps the cost order of whole paths; by (ii)
+no move refused at d0 has opened up, and any move the earlier search
+never examined lay beyond its goal's key, so no other path can now
+undercut the answer.  When d >= d0, (ii) holds by itself: float products
+are monotone and the residual only shrinks.
 """
 
 from __future__ import annotations
@@ -100,6 +113,20 @@ class _ChainSearch:
     at the network's and shrinks on every :meth:`consume`: ``node_left``
     and ``arc_left`` hold it, ``node_cap`` and ``arc_cap`` the same
     values with ``_EPS`` already added, as the search tests them.
+
+    Beside the residual, ``_answers`` keeps the last answer of every
+    (chain, start node index), keyed by the chain's slot (its position
+    among the planned chains, times the node count) plus the start
+    index.  An entry is (d0, moves, answer, refused): the demand the
+    A* search ran at, the answer's moves in order as (caps, index, size
+    factor, coefficient, unit cost), the answer (None when no chain
+    embedding fit) and the moves refused for capacity alone, as (caps,
+    index, size factor, coefficient).  :meth:`embed_chain` returns the
+    answer again at demand d when every move's load ``(d * factor) *
+    coeff`` still fits its ``node_cap``/``arc_cap`` entry and, if d < d0,
+    every refused move's load still does not; the module docstring says
+    why that answer is still a cheapest one.  ``chain_searches`` counts
+    the A* runs and ``chain_reuses`` the answers returned again.
     """
 
     def __init__(self, net: SubstrateNetwork, efficiency: EfficiencyMap):
@@ -124,6 +151,10 @@ class _ChainSearch:
         self._node_rows: dict[str, list[Optional[float]]] = {}
         self._link_rows: dict[tuple[str, str], list[Optional[float]]] = {}
         self._plans: dict[AlternativeTopology, tuple] = {}
+        self._slots = 0  # node count times the number of chains planned
+        self._answers: dict[int, tuple] = {}
+        self.chain_searches = 0
+        self.chain_reuses = 0
 
     def node_row(self, func: str) -> list[Optional[float]]:
         row = self._node_rows.get(func)
@@ -139,9 +170,10 @@ class _ChainSearch:
 
     def plan(self, alt: AlternativeTopology) -> tuple:
         """(root row, chains, node terms, link terms) of ``alt``.  A chain
-        is (start function, steps, bound), a step (link, child size, child
-        row, link row) and the bound :meth:`remaining_cost`'s table shrunk
-        by ``_BOUND_SHRINK``; the terms give the size and row of every
+        is (start function, slot, steps, bound): the slot keys its
+        answers in ``_answers``, a step is (link, child size, child row,
+        link row) and the bound :meth:`remaining_cost`'s table shrunk by
+        ``_BOUND_SHRINK``; the terms give the size and row of every
         function and link for the cumulative recheck."""
         plan = self._plans.get(alt)
         if plan is None:
@@ -157,7 +189,8 @@ class _ChainSearch:
                     for link in chain
                 ]
                 bound = [h * _BOUND_SHRINK for h in self.remaining_cost(steps)]
-                chains.append((start, steps, bound))
+                chains.append((start, self._slots, steps, bound))
+                self._slots += len(self.ids)
             node_terms = {n.id: (n.size, self.node_row(n.id)) for n in alt.nodes}
             link_terms = [
                 ((vl.parent, vl.child), vl.size, self.link_row((vl.parent, vl.child)))
@@ -206,11 +239,47 @@ class _ChainSearch:
             self.arc_cap[a] = left + _EPS
 
     def embed_chain(
-        self, steps: Sequence[tuple], bound: Sequence[float], start: int, demand: float
+        self, slot: int, steps: Sequence[tuple], bound: Sequence[float], start: int, demand: float
     ):
         """Cheapest placement of one chain of functions, starting from the
         fixed substrate position (node index) of the chain's first, already
         placed function.  Returns (placements, paths, cost) or None.
+
+        The last answer for (``slot``, ``start``) is returned again, with
+        its cost replayed in the search's float order, when the class
+        docstring's reuse rule holds at ``demand``; otherwise
+        :meth:`_search` runs and its answer replaces the entry.
+        """
+        key = slot + start
+        entry = self._answers.get(key)
+        if entry is not None:
+            d0, moves, answer, refused = entry
+            # (ii): a move refused at d0 is refused at every d >= d0
+            if demand >= d0 or all(demand * f * c > caps[i] for caps, i, f, c in refused):
+                if answer is None:
+                    self.chain_reuses += 1
+                    return None
+                # (i), summing the cost as the search's dist[] does
+                cost = 0.0
+                for caps, i, factor, coeff, unit in moves:
+                    load = demand * factor * coeff
+                    if load > caps[i]:
+                        break
+                    cost = cost + load * unit
+                else:
+                    self.chain_reuses += 1
+                    return answer[0], answer[1], cost
+        self.chain_searches += 1
+        answer, moves, refused = self._search(steps, bound, start, demand)
+        self._answers[key] = (demand, moves, answer, refused)
+        return answer
+
+    def _search(
+        self, steps: Sequence[tuple], bound: Sequence[float], start: int, demand: float
+    ):
+        """The A* chain search of :meth:`embed_chain`: returns the answer
+        ((placements, paths, cost) or None), its moves in order and the
+        moves refused for capacity alone, as ``_answers`` keeps them.
 
         States are (substrate node, number of chain functions placed),
         stored at ``m * n + v``; A* explores 'place here' and 'hop one arc'
@@ -232,6 +301,7 @@ class _ChainSearch:
         dist = [inf] * ((k + 1) * n)
         prev = [-1] * ((k + 1) * n)
         dist[start] = 0.0
+        refused: list[tuple] = []
         # entries (key, m, v, cost so far): a state is expanded with the
         # cost it was pushed with, and skipped if that has since improved
         heap = [(demand * bound[start], 0, start, 0.0)]
@@ -249,15 +319,18 @@ class _ChainSearch:
             # place the next function on the current node
             coeff = node_row[v]
             if coeff is not FORBIDDEN:
-                load = node_demand * coeff
                 t = s + n
                 rest = bound[t]
-                if load <= node_cap[v] and rest != inf:
-                    nd = d + load * node_cost[v]
-                    if nd < dist[t] - _EPS:
-                        dist[t] = nd
-                        prev[t] = s
-                        push(heap, (nd + demand * rest, m + 1, v, nd))
+                if rest != inf:
+                    load = node_demand * coeff
+                    if load > node_cap[v]:
+                        refused.append((node_cap, v, steps[m][1], coeff))
+                    else:
+                        nd = d + load * node_cost[v]
+                        if nd < dist[t] - _EPS:
+                            dist[t] = nd
+                            prev[t] = s
+                            push(heap, (nd + demand * rest, m + 1, v, nd))
             # or carry the pending virtual link one arc further
             base = s - v
             for w, a, arc_cost in out[v]:
@@ -265,11 +338,12 @@ class _ChainSearch:
                 if lcoeff is FORBIDDEN:
                     continue
                 load = link_demand * lcoeff
-                if load > arc_cap[a]:
-                    continue
                 t = base + w
                 rest = bound[t]
                 if rest == inf:
+                    continue
+                if load > arc_cap[a]:
+                    refused.append((arc_cap, a, steps[m][0].size, lcoeff))
                     continue
                 nd = d + load * arc_cost
                 if nd < dist[t] - _EPS:
@@ -277,24 +351,32 @@ class _ChainSearch:
                     prev[t] = s
                     push(heap, (nd + demand * rest, m, w, nd))
         if final < 0:
-            return None
-        # walk predecessors back to the start state to recover placements/paths
+            return None, (), refused
+        # walk predecessors back to the start state to recover placements,
+        # paths and the moves, as (caps, index, size, coefficient, unit cost)
         ids = self.ids
         placements: dict[str, str] = {}
         paths: dict[tuple[str, str], list[tuple[str, str]]] = {
             (step[0].parent, step[0].child): [] for step in steps
         }
+        path: list[tuple] = []
         s = final
         while prev[s] >= 0:
             p = prev[s]
             pm, pv = divmod(p, n)
-            link = steps[pm][0]
+            link, fs, frow, lrow = steps[pm]
             if s - p == n:  # same node, one more function placed
                 placements[link.child] = ids[pv]
+                path.append((node_cap, pv, fs, frow[pv], node_cost[pv]))
             else:
-                paths[(link.parent, link.child)].insert(0, (ids[pv], ids[s - pm * n]))
+                w = s - pm * n
+                paths[(link.parent, link.child)].insert(0, (ids[pv], ids[w]))
+                a, arc_cost = next((a, c) for x, a, c in out[pv] if x == w)
+                path.append((arc_cap, a, link.size, lrow[a], arc_cost))
             s = p
-        return placements, {pair: tuple(p) for pair, p in paths.items()}, dist[final]
+        path.reverse()
+        answer = placements, {pair: tuple(p) for pair, p in paths.items()}, dist[final]
+        return answer, path, refused
 
     def embed(
         self, alt: AlternativeTopology, origin: str, demand: float
@@ -318,8 +400,8 @@ class _ChainSearch:
         node_map: dict[str, str] = {alt.root: origin}
         link_map: dict[tuple[str, str], tuple[tuple[str, str], ...]] = {}
         cost = 0.0
-        for start_func, steps, bound in chains:
-            got = self.embed_chain(steps, bound, node_index[node_map[start_func]], demand)
+        for start_func, slot, steps, bound in chains:
+            got = self.embed_chain(slot, steps, bound, node_index[node_map[start_func]], demand)
             if got is None:
                 return None
             placements, paths, chain_cost = got
@@ -362,6 +444,9 @@ class GreedyReport:
     objective: float = 0.0
     runtime_s: float = 0.0
     order: tuple[int, ...] = field(default=())
+    # chain searches run, and chain answers reused without one
+    chain_searches: int = 0
+    chain_reuses: int = 0
 
 
 def greedy_embed_all(
@@ -405,5 +490,7 @@ def greedy_embed_all(
             report.embed_cost += best.cost
     report.rejection_penalty = psi * report.rejected_demand
     report.objective = report.embed_cost + report.rejection_penalty
+    report.chain_searches = search.chain_searches
+    report.chain_reuses = search.chain_reuses
     report.runtime_s = time.perf_counter() - t0
     return [e for e in results if e is not None], report

@@ -545,6 +545,7 @@ def _run_algorithm(
     else:
         if algo == "greedy":
             embeddings, rep = greedy_embed_all(net, catalog, efficiency, requests, psi, seed)
+            timing.update(chain_searches=rep.chain_searches, chain_reuses=rep.chain_reuses)
         else:
             solved = relaxation()
             embeddings, rep = round_relaxation(net, catalog, requests, solved, psi, seed)
@@ -745,6 +746,7 @@ def timings_to_csv(timings: Sequence[dict]) -> str:
     columns = [
         "scenario", "repetition", "algorithm", "runtime_s", "lp_runtime_s", "aggregate_s",
         "build_s", "solve_s", "unpack_s", "rounding_runtime_s", "lp_iterations", "setup_runtime_s",
+        "chain_searches", "chain_reuses",
     ]
     return _csv(columns, ([t.get(c) for c in columns] for t in timings))
 

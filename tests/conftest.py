@@ -5,6 +5,7 @@ acceptance-criteria summary banner."""
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from importlib import resources
 
 import numpy as np
@@ -210,6 +211,24 @@ def arnes_overloaded_instance():
             elif roll < 0.15:
                 link_coeffs[(pair, (arc.src, arc.dst))] = round(float(rng.uniform(0.5, 2.0)), 3)
     eff = EfficiencyMap(link_coeffs=link_coeffs)
+    return net, apps, eff, requests, compute_rejection_penalty(net, apps, eff)
+
+
+def bench_instance(topology: str, count: int, seed: int = 1):
+    """An instance shaped like the benchmark's: ``topology`` with
+    cctv_two, capacities calibrated to TU 0.8 for ``count`` requests on a
+    20 000-request sample, and ``count`` requests drawn with the origin
+    cap off (``arnes_si``/1 000 and ``amres_rs``/12 000 are its two
+    workloads)."""
+    root = resources.files("vneap")
+    graph = harness.ingest_graphml(str(root.joinpath(f"fixtures/topologies/{topology}.graphml")))
+    base = harness.assign_costs_capacities(graph, harness.classify_tiers(graph))
+    apps = vio.load_applications(json.loads(root.joinpath("fixtures/cctv_two.json").read_text()))
+    gen = harness.GenParams(count=count, app="cctv", enforce_origin_cap=False)
+    sample = harness.generate_requests(base, apps, replace(gen, count=20_000), seed)
+    net = harness.calibrate_target_utilization(base, apps, sample, 0.8, 0.8, population=count)
+    requests = harness.generate_requests(net, apps, gen, seed + 1)
+    eff = EfficiencyMap()
     return net, apps, eff, requests, compute_rejection_penalty(net, apps, eff)
 
 

@@ -473,25 +473,34 @@ def test_scaling_note_rounding_time_linear_in_requests():
     # other processes on the machine do not add to, and with the garbage
     # collector off, as timeit does, since a full collection costs in
     # proportion to every live object rather than to the rounding; the
-    # passes interleave the sizes and each size keeps its minimum, so a
-    # slow stretch costs one sample of each size rather than every sample
-    # of one size
+    # passes interleave the sizes, in reverse order every other pass, and
+    # each size keeps its minimum, so a slow stretch or a drift must cover
+    # every pass of one size to move its sample
+    passes = 5
     times = [float("inf")] * len(counts)
-    for _ in range(2):
-        for k, (requests, relaxation) in enumerate(instances):
+    steps = [set() for _ in counts]
+    for p in range(passes):
+        for k in range(len(counts))[:: 1 if p % 2 == 0 else -1]:
+            requests, relaxation = instances[k]
             gc.disable()
             try:
                 t0 = time.process_time()
-                round_relaxation(net, apps, requests, relaxation, 1050.0, seed=1)
+                _, report = round_relaxation(net, apps, requests, relaxation, 1050.0, seed=1)
                 times[k] = min(times[k], time.process_time() - t0)
             finally:
                 gc.enable()
+            steps[k].add(report.total_steps)
+    # the walk's step count is the work itself, which no machine moves:
+    # it repeats exactly and is exactly proportional to the request count
+    assert all(len(s) == 1 for s in steps)
+    per_request = [s.pop() / n for s, n in zip(steps, counts)]
     x, y = np.array(counts, dtype=float), np.array(times)
     slope, intercept = np.polyfit(x, y, 1)
     residual = ((y - (slope * x + intercept)) ** 2).sum()
     r_squared = 1.0 - residual / ((y - y.mean()) ** 2).sum()
     check(
         "scaling-note",
-        r_squared >= 0.98 and slope > 0,
-        f"rounding CPU time over {counts}: R^2 = {r_squared:.4f}",
+        r_squared >= 0.98 and slope > 0 and per_request[0] > 0 and len(set(per_request)) == 1,
+        f"rounding CPU time over {counts}, min of {passes} passes: R^2 = {r_squared:.4f}; "
+        f"walk steps per request {per_request}",
     )

@@ -297,6 +297,41 @@ def test_solve_single_alternative_needs_it_in_every_application(runner, toy_file
     assert "no alternative with index 1 in single" in result.output
 
 
+@pytest.mark.parametrize("algo", ["greedy", "tanto"])
+@pytest.mark.parametrize(
+    "key, file, path",
+    [
+        ("demand", "requests", ("requests", 0, "demand")),
+        ("cost", "substrate", ("nodes", 1, "cost")),
+        ("size", "apps", ("applications", 0, "alternatives", 0, "nodes", 2, "size")),
+    ],
+)
+def test_overflowing_inputs_are_input_errors(runner, toy_files, algo, key, file, path):
+    """Finite inputs whose load or cost products overflow a float (a
+    demand, a node cost or a function size of 1e308) exit 2 and name the
+    value at fault, with no traceback, before any algorithm runs."""
+    folder = toy_files["dir"]
+    if file == "apps":
+        doc = json.loads(resources.files("vneap").joinpath("fixtures/cctv_two.json").read_text())
+    else:
+        doc = json.loads(toy_files[file].read_text())
+    target = doc
+    for step in path[:-1]:
+        target = target[step]
+    target[path[-1]] = 1e308
+    written = folder / f"{file}_1e308.json"
+    vio.write_json(written, doc)
+    out = folder / "x.json"
+    args = solve_args(toy_files, algo, out)
+    args[args.index(f"--{file}") + 1] = str(written)
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    assert f"{key} 1e+308" in result.output and "overflows" in result.output
+    assert not out.exists()
+
+
 def test_solve_unknown_algorithm(runner, toy_files):
     result = runner.invoke(main, solve_args(toy_files, "annealing", toy_files["dir"] / "x.json"))
     assert result.exit_code == 2
@@ -321,7 +356,7 @@ def test_solve_writes_a_timings_sidecar(runner, toy_files, algo):
     """Timings go to <out stem>_timings.json beside the report: the wall
     seconds of the run, plus the relaxation's and the rounding's share,
     the relaxation's four stages and HiGHS's iteration count where the
-    algorithm has them."""
+    algorithm has them, and greedy's chain search and reuse counts."""
     single = toy_files["dir"] / "one_request.json"
     vio.write_json(single, vio.dump_requests(unit_requests(1, app="cctv")))
     out = toy_files["dir"] / f"{algo}.json"
@@ -330,7 +365,7 @@ def test_solve_writes_a_timings_sidecar(runner, toy_files, algo):
     stages = {"aggregate_s", "build_s", "solve_s", "unpack_s"}
     expected = {
         "lp": {"runtime_s", "lp_iterations", *stages},
-        "greedy": {"runtime_s"},
+        "greedy": {"runtime_s", "chain_searches", "chain_reuses"},
         "tanto": {"runtime_s", "lp_runtime_s", "rounding_runtime_s", "lp_iterations", *stages},
         "milp": {"runtime_s"},
     }[algo]
@@ -340,7 +375,11 @@ def test_solve_writes_a_timings_sidecar(runner, toy_files, algo):
     if algo in ("lp", "tanto"):
         relaxation_s = sidecar["lp_runtime_s" if algo == "tanto" else "runtime_s"]
         assert sum(sidecar[k] for k in sorted(stages)) <= relaxation_s
-    assert "runtime_s" not in json.loads(out.read_text())
+    if algo == "greedy":
+        # one request, two alternatives of one chain each: both searched
+        assert (sidecar["chain_searches"], sidecar["chain_reuses"]) == (2, 0)
+    report = json.loads(out.read_text())
+    assert "runtime_s" not in report and "chain_searches" not in report
 
 
 @pytest.mark.parametrize("key, value", [("directd", True), ("teir", "edge")])
@@ -455,6 +494,9 @@ def test_compare_matches_golden_rows(runner, tmp_path, jobs):
         assert sum(float(lp[k]) for k in stages) <= float(lp["runtime_s"])
         assert sum(float(tanto[k]) for k in stages) <= float(tanto["lp_runtime_s"])
         assert [greedy[k] for k in stages] == [""] * 4
+        # greedy's chain counts: every chain call is a search or a reuse
+        assert int(greedy["chain_searches"]) > 0 and int(greedy["chain_reuses"]) >= 0
+        assert [lp["chain_searches"], tanto["chain_reuses"]] == ["", ""]
 
 
 def test_compare_seed_override_changes_rows(runner, tmp_path):

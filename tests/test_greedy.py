@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vneap.greedy import _EPS, _ChainSearch, _chains, greedy_embed_all
 from vneap.model import (
@@ -25,6 +28,7 @@ from vneap.validator import check_feasibility, load_vector, total_cost
 
 from conftest import (
     arnes_overloaded_instance,
+    bench_instance,
     pinned_runs,
     random_instance,
     recorded_embeddings,
@@ -342,9 +346,9 @@ def test_bound_table_is_the_uncapacitated_finishing_cost():
         for app in apps.values():
             for alt in app.alternatives:
                 chains = search.plan(alt)[1]
-                assert [start for start, _, _ in chains] == [start for start, _ in _chains(alt)]
+                assert [start for start, _, _, _ in chains] == [start for start, _ in _chains(alt)]
                 multi_chain += len(chains) > 1
-                for (_, steps, bound), (_, links) in zip(chains, _chains(alt)):
+                for (_, _, steps, bound), (_, links) in zip(chains, _chains(alt)):
                     want = chain_finish_costs(net, alt, eff, links)
                     exact = search.remaining_cost(steps)
                     assert len(exact) == len(bound) == len(want)
@@ -367,8 +371,8 @@ def test_a_star_returns_what_dijkstra_returns(monkeypatch):
     a_star = _ChainSearch.embed_chain
     seen = {"calls": 0, "none": 0}
 
-    def checked(self, steps, bound, start, demand):
-        got = a_star(self, steps, bound, start, demand)
+    def checked(self, slot, steps, bound, start, demand):
+        got = a_star(self, slot, steps, bound, start, demand)
         want = dijkstra_chain(self, steps, start, demand)
         assert got == want
         if got is not None:
@@ -381,3 +385,141 @@ def test_a_star_returns_what_dijkstra_returns(monkeypatch):
     for _, (net, apps, eff, requests, psi), order_seed in pinned_runs():
         greedy_embed_all(net, apps, eff, requests, psi, order_seed)
     assert seen["calls"] > 1000 and seen["none"] > 0
+
+
+# -- reused chain answers -------------------------------------------------------
+
+
+def same_answer(got, want) -> bool:
+    """Equal placements and paths and the same cost to the bit, or None in
+    both."""
+    if got is None or want is None:
+        return got is want
+    return got[:2] == want[:2] and got[2].hex() == want[2].hex()
+
+
+# the method itself, as the tests below wrap it
+EMBED_CHAIN = _ChainSearch.embed_chain
+
+
+def fresh_answer(search: _ChainSearch, slot, steps, bound, start, demand):
+    """What ``search`` returns from a new A* search: the same call on a
+    copy of it (same tables, same residual) whose answer cache is empty."""
+    fresh = copy.copy(search)
+    fresh._answers = {}
+    return EMBED_CHAIN(fresh, slot, steps, bound, start, demand)
+
+
+@pytest.mark.parametrize("workload", ["random", "arnes_si-1000", "amres_rs-12000"])
+def test_reused_answers_equal_a_fresh_search(monkeypatch, workload):
+    """Every answer a chain search reuses equals, to the bit, what a new
+    search on the same tables and residual returns, over whole greedy
+    runs: random instances 0-29 (branching alternatives and tight
+    capacities among them), each also with its requests repeated four
+    times, and instances shaped like both benchmark workloads.  The
+    reports count every chain call as a search or a reuse.  The random
+    runs reuse answers at lower and at higher demand than they were found
+    at, and for a chain that did not fit (None) as well as one that did."""
+    if workload == "random":
+        runs = []
+        for seed in range(30):
+            net, apps, eff, requests, psi = random_instance(seed)
+            runs.append(((net, apps, eff, requests, psi), seed))
+            runs.append(((net, apps, eff, requests * 4, psi), seed))
+    else:
+        topology, count = workload.split("-")
+        runs = [(bench_instance(topology, int(count)), 1)]
+    seen = {"calls": 0, "reused": 0}
+    kinds = set()
+
+    def checked(self, slot, steps, bound, start, demand):
+        entry = self._answers.get(slot + start)
+        reuses = self.chain_reuses
+        got = EMBED_CHAIN(self, slot, steps, bound, start, demand)
+        seen["calls"] += 1
+        if self.chain_reuses > reuses:
+            seen["reused"] += 1
+            kinds.add(("lower" if demand < entry[0] else "higher", got is None))
+            assert same_answer(got, fresh_answer(self, slot, steps, bound, start, demand))
+        return got
+
+    monkeypatch.setattr(_ChainSearch, "embed_chain", checked)
+    searches = reuses = 0
+    for instance, seed in runs:
+        _, report = greedy_embed_all(*instance, seed)
+        searches += report.chain_searches
+        reuses += report.chain_reuses
+    assert searches + reuses == seen["calls"] and reuses == seen["reused"]
+    if workload == "random":
+        assert {("lower", False), ("higher", False), ("higher", True)} <= kinds
+    else:
+        # nearly every call repeats its (chain, start node)'s last answer
+        assert reuses > 0.75 * seen["calls"]
+
+
+def two_step_chain() -> AlternativeTopology:
+    """theta -> f (size 100, link 100) -> g (size 20, link 40)."""
+    return AlternativeTopology(
+        "probe",
+        0,
+        [VirtualNode("theta", 0.0), VirtualNode("f", 100.0), VirtualNode("g", 20.0)],
+        [VirtualLink("theta", "f", 100.0), VirtualLink("f", "g", 40.0)],
+        "theta",
+    )
+
+
+def finite_detour_net() -> SubstrateNetwork:
+    """:func:`detour_net` with 400 units on every node and arc."""
+    net = detour_net()
+    return SubstrateNetwork(
+        [SubstrateNode(n.id, n.cost, 400.0) for n in net.nodes],
+        [SubstrateArc(a.src, a.dst, a.cost, 400.0) for a in net.arcs],
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    taken=st.lists(st.floats(0.0, 1.0), min_size=9, max_size=9),
+    calls=st.lists(
+        st.tuples(st.floats(0.05, 4.0), st.integers(0, 8), st.floats(0.0, 0.5)),
+        min_size=1,
+        max_size=12,
+    ),
+)
+def test_reuse_on_random_residuals_and_demands(taken, calls):
+    """On a drawn residual, a drawn sequence of demands (each call
+    followed by a drawn cut to one node or arc) gets from the cached
+    search what a new search returns.  Then, after a call at a demand
+    nothing fits at, a demand below it at which a refused move fits is a
+    miss: the chain is searched again."""
+    alt = two_step_chain()
+    search = _ChainSearch(finite_detour_net(), EfficiencyMap())
+    n = len(search.ids)
+
+    def cut(element: int, fraction: float) -> None:
+        if element < n:
+            search.consume({element: search.node_left[element] * fraction}, {})
+        else:
+            a = element - n
+            search.consume({}, {a: search.arc_left[a] * fraction})
+
+    for element, fraction in enumerate(taken):
+        cut(element, fraction)
+    (_, slot, steps, bound), = search.plan(alt)[1]
+    start = search.node_index["E"]
+    for demand, element, fraction in calls:
+        got = search.embed_chain(slot, steps, bound, start, demand)
+        assert same_answer(got, fresh_answer(search, slot, steps, bound, start, demand))
+        cut(element, fraction)
+    # nothing fits at this demand, so the entry now holds a None answer
+    # (found by this call or reused) and the moves its search refused
+    assert search.embed_chain(slot, steps, bound, start, 1e6) is None
+    d0, _, answer, refused = search._answers[slot + start]
+    assert answer is None and refused
+    caps, i, factor, coeff = refused[0]
+    demand = caps[i] / (factor * coeff) / 2
+    assert demand < d0 and demand * factor * coeff <= caps[i]
+    searches = search.chain_searches
+    got = search.embed_chain(slot, steps, bound, start, demand)
+    assert search.chain_searches == searches + 1
+    assert same_answer(got, fresh_answer(search, slot, steps, bound, start, demand))
