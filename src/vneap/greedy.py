@@ -1,11 +1,11 @@
 """Sequential greedy embedding: each request gets the cheapest feasible
 alternative against residual capacity, or is rejected.
 
-The per-alternative search (`_ChainSearch.embed`) decomposes the
-service tree into maximal downward chains and embeds each chain with an
-A* run over (substrate node, chain progress) states, so hops pay
-bandwidth and placements pay compute.  Subtrees hanging off a placed
-branch node are embedded recursively with the same rule.
+The per-alternative search (`_ChainSearch.embed`) splits the service
+tree into maximal downward chains and embeds each chain with an A* run
+over (substrate node, chain progress) states, so hops pay bandwidth and
+placements pay compute.  A chain starts at the root or at the branch
+node an earlier chain ended on.
 
 A*'s bound is exact for the uncapacitated problem: per chain, the
 cheapest cost per unit demand to finish the chain from every state,
@@ -23,13 +23,18 @@ coefficients are read into per-element rows on first use, each
 alternative's chains are planned once, and the search keeps its
 distances in flat lists indexed by ``m * n + v``.  The same object
 holds the run's residual capacity, per node and arc index, and takes
-each accepted embedding's loads off it.  Every load and cost is
-computed with the same float operations in the same order as a search
-over id-keyed dicts would, so results are identical to the bit.
+each accepted embedding's loads off it.  Every move's load and cost
+is computed with the same float operations as a search over id-keyed
+dicts would, so results are identical to the bit.
+
+A chain's answer is its list of moves (placements and hops) on node and
+arc indices.  A candidate's cost and loads, and its cumulative capacity
+recheck, are summed from those moves; only the accepted alternative's
+moves become the id-keyed maps of its :class:`IntegralEmbedding`.
 
 Most searches repeat the last answer for their (chain, start node), so
-`_ChainSearch` keeps that answer, with the demand d0 it was found at,
-its moves and the moves the search refused for capacity alone.  A later
+`_ChainSearch` keeps that answer's moves, with the demand d0 it was
+found at and the moves the search refused for capacity alone.  A later
 call at demand d returns it, its cost replayed move by move in the
 search's own float order, when (i) every move of the answer still fits
 at d and (ii) every refused move is still refused at d.  That answer is
@@ -69,37 +74,6 @@ _EPS = 1e-9
 _BOUND_SHRINK = 1.0 - 1e-9
 
 
-@dataclass(frozen=True)
-class CandidateEmbedding:
-    node_map: dict[str, str]
-    link_map: dict[tuple[str, str], tuple[tuple[str, str], ...]]
-    cost: float
-    node_loads: dict[int, float]  # keyed by substrate node index
-    arc_loads: dict[int, float]  # keyed by substrate arc index
-
-
-def _chains(alt: AlternativeTopology) -> list[tuple[str, list[VirtualLink]]]:
-    """Split the tree into maximal downward chains, in preorder.  Each
-    chain starts at a node that is already placed by the time the chain
-    is processed (the root, or an earlier chain's interior/branch node).
-    """
-    out: list[tuple[str, list[VirtualLink]]] = []
-
-    def descend(start: str) -> None:
-        for first in alt.children.get(start, ()):
-            chain = [first]
-            cur = first.child
-            while len(alt.children.get(cur, ())) == 1:
-                nxt = alt.children[cur][0]
-                chain.append(nxt)
-                cur = nxt.child
-            out.append((start, chain))
-            descend(cur)
-
-    descend(alt.root)
-    return out
-
-
 class _ChainSearch:
     """Integer-indexed tables of one (network, efficiency) pair, plus the
     residual capacities the chain search tests moves against.
@@ -114,19 +88,24 @@ class _ChainSearch:
     and ``arc_left`` hold it, ``node_cap`` and ``arc_cap`` the same
     values with ``_EPS`` already added, as the search tests them.
 
+    A chain's answer is its moves in order, each (caps, index, size
+    factor, coefficient, unit cost, link): a placement of ``link``'s
+    child on node ``index`` when ``caps`` is ``node_cap``, a hop of
+    ``link`` over arc ``index`` when it is ``arc_cap``, loading that
+    element with ``(demand * factor) * coeff`` at ``unit`` cost each.
+
     Beside the residual, ``_answers`` keeps the last answer of every
     (chain, start node index), keyed by the chain's slot (its position
     among the planned chains, times the node count) plus the start
-    index.  An entry is (d0, moves, answer, refused): the demand the
-    A* search ran at, the answer's moves in order as (caps, index, size
-    factor, coefficient, unit cost), the answer (None when no chain
-    embedding fit) and the moves refused for capacity alone, as (caps,
-    index, size factor, coefficient).  :meth:`embed_chain` returns the
-    answer again at demand d when every move's load ``(d * factor) *
-    coeff`` still fits its ``node_cap``/``arc_cap`` entry and, if d < d0,
-    every refused move's load still does not; the module docstring says
-    why that answer is still a cheapest one.  ``chain_searches`` counts
-    the A* runs and ``chain_reuses`` the answers returned again.
+    index.  An entry is (d0, moves, refused): the demand the A* search
+    ran at, the answer's moves (None when no chain embedding fit) and
+    the moves refused for capacity alone, as (caps, index, size factor,
+    coefficient).  :meth:`embed_chain` returns the answer again at
+    demand d when every move's load still fits its ``node_cap``/
+    ``arc_cap`` entry and, if d < d0, every refused move's load still
+    does not; the module docstring says why that answer is still a
+    cheapest one.  ``chain_searches`` counts the A* runs and
+    ``chain_reuses`` the answers returned again.
     """
 
     def __init__(self, net: SubstrateNetwork, efficiency: EfficiencyMap):
@@ -169,16 +148,26 @@ class _ChainSearch:
         return row
 
     def plan(self, alt: AlternativeTopology) -> tuple:
-        """(root row, chains, node terms, link terms) of ``alt``.  A chain
-        is (start function, slot, steps, bound): the slot keys its
-        answers in ``_answers``, a step is (link, child size, child row,
-        link row) and the bound :meth:`remaining_cost`'s table shrunk by
-        ``_BOUND_SHRINK``; the terms give the size and row of every
-        function and link for the cumulative recheck."""
+        """(root row, root size, chains) of ``alt``.  The chains split
+        ``alt.preorder`` into maximal downward chains: a link extends the
+        last chain when its parent is that chain's end and has exactly
+        one child.  A chain is (start, slot, steps, bound): ``start`` is 0
+        when it starts at the root and j when at the end of the j-th
+        chain, the slot keys its answers in ``_answers``, a step is (link,
+        child size, child row, link row) and the bound
+        :meth:`remaining_cost`'s table shrunk by ``_BOUND_SHRINK``."""
         plan = self._plans.get(alt)
         if plan is None:
+            split: list[list[VirtualLink]] = []
+            for link in alt.preorder:
+                extends = split and split[-1][-1].child == link.parent
+                if extends and len(alt.children[link.parent]) == 1:
+                    split[-1].append(link)
+                else:
+                    split.append([link])
+            ends = {chain[-1].child: j for j, chain in enumerate(split, 1)}
             chains = []
-            for start, chain in _chains(alt):
+            for chain in split:
                 steps = [
                     (
                         link,
@@ -189,14 +178,10 @@ class _ChainSearch:
                     for link in chain
                 ]
                 bound = [h * _BOUND_SHRINK for h in self.remaining_cost(steps)]
-                chains.append((start, self._slots, steps, bound))
+                chains.append((ends.get(chain[0].parent, 0), self._slots, steps, bound))
                 self._slots += len(self.ids)
-            node_terms = {n.id: (n.size, self.node_row(n.id)) for n in alt.nodes}
-            link_terms = [
-                ((vl.parent, vl.child), vl.size, self.link_row((vl.parent, vl.child)))
-                for vl in alt.links
-            ]
-            plan = self._plans[alt] = (self.node_row(alt.root), chains, node_terms, link_terms)
+            root = (self.node_row(alt.root), alt.node_by_id[alt.root].size)
+            plan = self._plans[alt] = (*root, chains)
         return plan
 
     def remaining_cost(self, steps: Sequence[tuple]) -> list[float]:
@@ -243,43 +228,41 @@ class _ChainSearch:
     ):
         """Cheapest placement of one chain of functions, starting from the
         fixed substrate position (node index) of the chain's first, already
-        placed function.  Returns (placements, paths, cost) or None.
+        placed function.  Returns (moves, cost) or None.
 
-        The last answer for (``slot``, ``start``) is returned again, with
-        its cost replayed in the search's float order, when the class
-        docstring's reuse rule holds at ``demand``; otherwise
-        :meth:`_search` runs and its answer replaces the entry.
+        The last answer for (``slot``, ``start``) is returned again when
+        the class docstring's reuse rule holds at ``demand``; otherwise
+        :meth:`_search` runs and its answer replaces the entry.  Either
+        way the answer's cost is replayed move by move in the search's
+        float order, which gives a fresh answer's ``dist[]`` to the bit.
         """
         key = slot + start
         entry = self._answers.get(key)
-        if entry is not None:
-            d0, moves, answer, refused = entry
-            # (ii): a move refused at d0 is refused at every d >= d0
-            if demand >= d0 or all(demand * f * c > caps[i] for caps, i, f, c in refused):
-                if answer is None:
-                    self.chain_reuses += 1
-                    return None
-                # (i), summing the cost as the search's dist[] does
-                cost = 0.0
-                for caps, i, factor, coeff, unit in moves:
-                    load = demand * factor * coeff
-                    if load > caps[i]:
-                        break
-                    cost = cost + load * unit
-                else:
-                    self.chain_reuses += 1
-                    return answer[0], answer[1], cost
-        self.chain_searches += 1
-        answer, moves, refused = self._search(steps, bound, start, demand)
-        self._answers[key] = (demand, moves, answer, refused)
-        return answer
+        # (ii): a move refused at d0 is refused at every d >= d0
+        reused = entry is not None and (
+            demand >= entry[0] or all(demand * f * c > caps[i] for caps, i, f, c in entry[2])
+        )
+        while True:
+            if not reused:
+                self.chain_searches += 1
+                entry = self._answers[key] = (demand, *self._search(steps, bound, start, demand))
+            moves, cost = entry[1], 0.0
+            for caps, i, factor, coeff, unit, _ in moves or ():  # (i), cost summed as dist[] is
+                load = demand * factor * coeff
+                if reused and load > caps[i]:  # a fresh answer fits by construction
+                    reused = False
+                    break
+                cost = cost + load * unit
+            else:
+                self.chain_reuses += reused
+                return None if moves is None else (moves, cost)
 
     def _search(
         self, steps: Sequence[tuple], bound: Sequence[float], start: int, demand: float
     ):
-        """The A* chain search of :meth:`embed_chain`: returns the answer
-        ((placements, paths, cost) or None), its moves in order and the
-        moves refused for capacity alone, as ``_answers`` keeps them.
+        """The A* chain search of :meth:`embed_chain`: returns the answer's
+        moves in order (None when nothing fits) and the moves refused for
+        capacity alone, as ``_answers`` keeps them.
 
         States are (substrate node, number of chain functions placed),
         stored at ``m * n + v``; A* explores 'place here' and 'hop one arc'
@@ -351,14 +334,8 @@ class _ChainSearch:
                     prev[t] = s
                     push(heap, (nd + demand * rest, m, w, nd))
         if final < 0:
-            return None, (), refused
-        # walk predecessors back to the start state to recover placements,
-        # paths and the moves, as (caps, index, size, coefficient, unit cost)
-        ids = self.ids
-        placements: dict[str, str] = {}
-        paths: dict[tuple[str, str], list[tuple[str, str]]] = {
-            (step[0].parent, step[0].child): [] for step in steps
-        }
+            return None, refused
+        # walk predecessors back to the start state to recover the moves
         path: list[tuple] = []
         s = final
         while prev[s] >= 0:
@@ -366,72 +343,73 @@ class _ChainSearch:
             pm, pv = divmod(p, n)
             link, fs, frow, lrow = steps[pm]
             if s - p == n:  # same node, one more function placed
-                placements[link.child] = ids[pv]
-                path.append((node_cap, pv, fs, frow[pv], node_cost[pv]))
+                path.append((node_cap, pv, fs, frow[pv], node_cost[pv], link))
             else:
                 w = s - pm * n
-                paths[(link.parent, link.child)].insert(0, (ids[pv], ids[w]))
                 a, arc_cost = next((a, c) for x, a, c in out[pv] if x == w)
-                path.append((arc_cap, a, link.size, lrow[a], arc_cost))
+                path.append((arc_cap, a, link.size, lrow[a], arc_cost, link))
             s = p
         path.reverse()
-        answer = placements, {pair: tuple(p) for pair, p in paths.items()}, dist[final]
-        return answer, path, refused
+        return path, refused
 
-    def embed(
-        self, alt: AlternativeTopology, origin: str, demand: float
-    ) -> Optional[CandidateEmbedding]:
-        """Minimal-cost embedding of one alternative rooted at ``origin``
-        against this search's residual capacities, or None if the search
-        finds no feasible placement.
+    def embed(self, alt: AlternativeTopology, origin: int, demand: float):
+        """Minimal-cost embedding of one alternative rooted at node index
+        ``origin`` against this search's residual capacities: (cost, its
+        chains' moves in turn, (node loads, arc loads) keyed by index), or
+        None if the search finds no feasible placement.
 
-        Chains are embedded greedily in preorder; the assembled candidate
-        is then rechecked cumulatively (several functions sharing one node
-        must fit together), so a returned candidate is always safe to
-        accept.
+        Chains are embedded greedily in preorder; the candidate's loads,
+        summed from its moves, are then rechecked cumulatively (several
+        functions sharing one node must fit together), so a returned
+        candidate is always safe to accept.
         """
-        o = self.node_index.get(origin)
-        if o is None:
+        root_row, root_size, chains = self.plan(alt)
+        root_coeff = root_row[origin]
+        if root_coeff is FORBIDDEN:
             return None
-        root_row, chains, node_terms, link_terms = self.plan(alt)
-        if root_row[o] is FORBIDDEN:
-            return None
-        node_index = self.node_index
-        node_map: dict[str, str] = {alt.root: origin}
-        link_map: dict[tuple[str, str], tuple[tuple[str, str], ...]] = {}
+        all_moves: list[tuple] = []
+        placed = [origin]  # the root's node, then each chain's last function's
         cost = 0.0
-        for start_func, slot, steps, bound in chains:
-            got = self.embed_chain(slot, steps, bound, node_index[node_map[start_func]], demand)
+        for start, slot, steps, bound in chains:
+            got = self.embed_chain(slot, steps, bound, placed[start], demand)
             if got is None:
                 return None
-            placements, paths, chain_cost = got
-            node_map.update(placements)
-            link_map.update(paths)
+            moves, chain_cost = got
+            all_moves += moves
+            placed.append(moves[-1][1])
             cost += chain_cost
         # cumulative recheck: per-move checks were against the untouched
         # residual, so co-located functions / shared arcs need a joint pass
+        node_cap = self.node_cap
         node_loads: dict[int, float] = {}
         arc_loads: dict[int, float] = {}
-        for i, sid in node_map.items():
-            size, row = node_terms[i]
-            v = node_index[sid]
-            load = demand * size * row[v]
+        load = demand * root_size * root_coeff
+        if load:
+            node_loads[origin] = load
+        for caps, i, factor, coeff, _, _ in all_moves:
+            load = demand * factor * coeff
             if load:
-                node_loads[v] = node_loads.get(v, 0.0) + load
-        arc_index = self.arc_index
-        for pair, size, row in link_terms:
-            for arc in link_map[pair]:
-                a = arc_index[arc]
-                load = demand * size * row[a]
-                if load:
-                    arc_loads[a] = arc_loads.get(a, 0.0) + load
-        for v, load in node_loads.items():
-            if load > self.node_cap[v]:
-                return None
-        for a, load in arc_loads.items():
-            if load > self.arc_cap[a]:
-                return None
-        return CandidateEmbedding(node_map, link_map, cost, node_loads, arc_loads)
+                loads = node_loads if caps is node_cap else arc_loads
+                loads[i] = loads.get(i, 0.0) + load
+        for loads, caps in ((node_loads, node_cap), (arc_loads, self.arc_cap)):
+            for i, load in loads.items():
+                if load > caps[i]:
+                    return None
+        return cost, all_moves, (node_loads, arc_loads)
+
+    def id_maps(self, alt: AlternativeTopology, origin: int, moves: Sequence[tuple]):
+        """The node map and link map, keyed by ids as
+        :class:`IntegralEmbedding` keeps them, of ``alt`` rooted at node
+        index ``origin`` and embedded by :meth:`embed`'s ``moves``."""
+        ids, pairs, node_cap = self.ids, self.pairs, self.node_cap
+        node_map = {alt.root: ids[origin]}
+        paths = {(link.parent, link.child): [] for link in alt.preorder}
+        for caps, i, _, _, _, link in moves:
+            if caps is node_cap:
+                node_map[link.child] = ids[i]
+            else:
+                paths[(link.parent, link.child)].append(pairs[i])
+        return node_map, {pair: tuple(path) for pair, path in paths.items()}
 
 
 @dataclass
@@ -473,21 +451,23 @@ def greedy_embed_all(
     report = GreedyReport(order=tuple(int(i) for i in order))
     for pos in order:
         req = requests[pos]
-        best: Optional[CandidateEmbedding] = None
-        best_alt: Optional[int] = None
-        for alt in ranked[req.app]:
-            cand = search.embed(alt, req.origin, req.demand)
-            if cand is not None and (best is None or cand.cost < best.cost):
-                best, best_alt = cand, alt.index
+        origin = search.node_index.get(req.origin)
+        best, best_alt = None, None
+        for alt in ranked[req.app] if origin is not None else ():
+            cand = search.embed(alt, origin, req.demand)
+            if cand is not None and (best is None or cand[0] < best[0]):
+                best, best_alt = cand, alt
         if best is None:
             results[pos] = IntegralEmbedding.reject(req)
             report.rejected += 1
             report.rejected_demand += req.demand
         else:
-            search.consume(best.node_loads, best.arc_loads)
-            results[pos] = IntegralEmbedding(req, best_alt, best.node_map, best.link_map)
+            cost, moves, loads = best
+            search.consume(*loads)
+            node_map, link_map = search.id_maps(best_alt, origin, moves)
+            results[pos] = IntegralEmbedding(req, best_alt.index, node_map, link_map)
             report.accepted += 1
-            report.embed_cost += best.cost
+            report.embed_cost += cost
     report.rejection_penalty = psi * report.rejected_demand
     report.objective = report.embed_cost + report.rejection_penalty
     report.chain_searches = search.chain_searches

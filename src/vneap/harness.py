@@ -225,6 +225,31 @@ def _main_footprint(app: Application) -> tuple[float, float, float]:
     return node_fp, link_fp, first_link
 
 
+def _origin_weights(net: SubstrateNetwork, profile) -> tuple[list[SubstrateNode], np.ndarray]:
+    """The edge-tier nodes, sorted by id, and their origin probabilities
+    under ``profile``'s (a GenParams' or ScenarioConfig's) ``spatial``,
+    ``lognormal_mu`` and ``lognormal_sigma``.  Raises ValueError when no
+    node is edge-tier or the weights are not finite and non-negative with
+    a positive finite sum."""
+    edges = sorted((n for n in net.nodes if n.tier == EDGE), key=lambda n: n.id)
+    if not edges:
+        raise ValueError("substrate has no edge-tier nodes to originate requests")
+    if profile.spatial == "uniform":
+        weights = np.ones(len(edges))
+    elif profile.spatial == "lognormal":
+        xs = 3.0 * (np.arange(len(edges)) + 0.5) / len(edges)
+        weights = _stats.lognorm.pdf(xs, s=profile.lognormal_sigma, scale=math.exp(profile.lognormal_mu))
+    else:
+        raise ValueError(f"unknown spatial distribution {profile.spatial!r}")
+    total = weights.sum()
+    if not (np.isfinite(weights).all() and (weights >= 0).all() and 0 < total < math.inf):
+        raise ValueError(
+            f"spatial profile {profile.spatial!r} (lognormal_mu={profile.lognormal_mu!r}, "
+            f"lognormal_sigma={profile.lognormal_sigma!r}) gives no valid origin weights"
+        )
+    return edges, weights / total
+
+
 def generate_requests(
     net: SubstrateNetwork,
     apps: Mapping[str, Application],
@@ -241,30 +266,14 @@ def generate_requests(
     alternative's footprint; generation then redraws, and gives up with
     a warning if the count is unreachable.
     """
-    edges = [n for n in net.nodes if n.tier == EDGE]
-    if not edges:
-        raise ValueError("substrate has no edge-tier nodes to originate requests")
-    edges = sorted(edges, key=lambda n: n.id)
+    edges, probabilities = _origin_weights(net, params)
     app = apps[params.app]
     node_fp, _, first_link = _main_footprint(app)
     stream = _rng.stream(seed, "generate")
-    if params.spatial == "uniform":
-        weights = np.ones(len(edges))
-    elif params.spatial == "lognormal":
-        xs = 3.0 * (np.arange(len(edges)) + 0.5) / len(edges)
-        weights = _stats.lognorm.pdf(xs, s=params.lognormal_sigma, scale=math.exp(params.lognormal_mu))
-    else:
-        raise ValueError(f"unknown spatial distribution {params.spatial!r}")
-    total = weights.sum()
-    if not (np.isfinite(weights).all() and (weights >= 0).all() and 0 < total < math.inf):
-        raise ValueError(
-            f"spatial profile {params.spatial!r} (lognormal_mu={params.lognormal_mu!r}, "
-            f"lognormal_sigma={params.lognormal_sigma!r}) gives no valid origin weights"
-        )
-    # Generator.choice(len(edges), p=weights / total) builds this CDF on
+    # Generator.choice(len(edges), p=probabilities) builds this CDF on
     # every call and maps one random() to its searchsorted(side="right")
     # index; doing both here draws the same origins from the same stream.
-    cdf = np.cumsum(weights / total)
+    cdf = np.cumsum(probabilities)
     cdf /= cdf[-1]
     cdf = cdf.tolist()
     ids = [n.id for n in edges]
@@ -330,8 +339,9 @@ def calibrate_target_utilization(
     When ``population`` is given, the calibration set is treated as a
     sample estimating per-request demand, and capacities are sized for a
     run of ``population`` requests instead of for the sample itself."""
-    if node_tu <= 0 or link_tu <= 0:
-        raise ValueError("target utilizations must be positive")
+    for key, tu in (("node_tu", node_tu), ("link_tu", link_tu)):
+        if not 0 < tu < math.inf:
+            raise ValueError(f"{key} must be positive and finite, not {tu!r}")
     node_demand, link_demand = _main_demand(apps, calib_requests)
     if node_demand <= 0 or link_demand <= 0:
         raise ValueError("calibration set carries no demand")
@@ -343,8 +353,13 @@ def calibrate_target_utilization(
         link_demand *= factor
     total_node_cap = sum(n.capacity for n in net.nodes)
     total_arc_cap = sum(a.capacity for a in net.arcs)
+    if not (total_node_cap > 0 and total_arc_cap > 0):
+        raise ValueError("substrate has no node or no arc capacity to scale")
     node_scale = (node_demand / node_tu) / total_node_cap
     arc_scale = (link_demand / link_tu) / total_arc_cap
+    for what, scale in (("node", node_scale), ("arc", arc_scale)):
+        if not 0 < scale < math.inf:
+            raise ValueError(f"{what} capacity scale {scale!r} is not a finite positive factor")
     nodes = tuple(replace(n, capacity=n.capacity * node_scale) for n in net.nodes)
     arcs = tuple(replace(a, capacity=a.capacity * arc_scale) for a in net.arcs)
     return SubstrateNetwork(nodes, arcs)
@@ -399,6 +414,7 @@ class ScenarioConfig:
                 raise ValueError(f"{key} must be positive, not {getattr(self, key)}")
         if self.spatial not in SPATIAL:
             raise ValueError(f"spatial must be one of {', '.join(SPATIAL)}, not {self.spatial!r}")
+        _origin_weights(self.substrate, self)
         if not self.algorithms:
             raise ValueError("algorithms must name at least one algorithm")
         if not self.apps:

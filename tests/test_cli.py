@@ -7,11 +7,14 @@ import csv
 import json
 import math
 import re
+import tempfile
 from importlib import resources
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import vneap.cli
 import vneap.io as vio
@@ -212,6 +215,32 @@ def test_calibrate_hits_targets(runner, tmp_path, arnes_substrate):
     )
     assert node_tu == pytest.approx(1.0, rel=1e-9)
     assert link_tu == pytest.approx(1.0, rel=1e-9)
+
+
+@pytest.mark.parametrize("flag", ["--node-tu", "--link-tu"])
+def test_calibrate_refuses_targets_without_a_finite_scale(runner, tmp_path, arnes_substrate, flag):
+    """NaN and infinite target utilizations, and one so small that the
+    capacity scale overflows, are input errors: exit 2, nothing written."""
+    reqs = tmp_path / "reqs.json"
+    assert runner.invoke(main, [
+        "generate", "--substrate", str(arnes_substrate), "--apps", "cctv_two",
+        "--count", "20", "--seed", "2", "--no-origin-cap", "--out", str(reqs),
+    ]).exit_code == 0
+    for value, named in (
+        ("nan", "must be positive and finite"),
+        ("inf", "must be positive and finite"),
+        ("1e-320", "not a finite positive factor"),
+    ):
+        out = tmp_path / f"calibrated-{value}.json"
+        targets = {"--node-tu": "1.0", "--link-tu": "1.0", flag: value}
+        result = runner.invoke(main, [
+            "calibrate", "--substrate", str(arnes_substrate), "--apps", "cctv_two",
+            "--requests", str(reqs), *(x for pair in targets.items() for x in pair),
+            "--out", str(out),
+        ])
+        assert result.exit_code == 2, (value, result.output)
+        assert named in result.output
+        assert not out.exists()
 
 
 def test_calibrate_missing_requests_is_input_error(runner, tmp_path, arnes_substrate):
@@ -590,6 +619,8 @@ def write_scenario(path: Path, **keys) -> Path:
         ({"algorithms": ["greedy", "bogus"]}, "algorithms: unknown algorithm 'bogus'"),
         ({"algorithms": ["vnep:x"]}, "algorithms: unknown algorithm 'vnep:x'"),
         ({"algorithms": ["lp", "vnep:9"]}, "algorithms: algorithm 'vnep:9': no alternative with index 9"),
+        ({"spatial": "lognormal", "lognormal_sigma": 1e-300}, "lognormal_sigma=1e-300) gives no valid origin weights"),
+        ({"substrate": "core_only.json"}, "substrate has no edge-tier nodes"),
     ],
     ids=["misspelled", "substrate-key", "null-required", "mistyped", "substrate-type",
          "applications-type", "efficiency-type", "graphml-type", "algorithms-string",
@@ -597,7 +628,8 @@ def write_scenario(path: Path, **keys) -> Path:
          "requests-fraction", "repetitions-bool", "number-string", "number-bool", "number-nan",
          "number-inf", "number-overflow", "tier-ratio-string", "negative-psi", "zero-requests",
          "zero-link-tu", "negative-calibration", "unknown-spatial", "app-not-in-catalog", "no-algorithms",
-         "empty-catalog", "unknown-algorithm", "alternative-not-a-number", "absent-alternative"],
+         "empty-catalog", "unknown-algorithm", "alternative-not-a-number", "absent-alternative",
+         "no-origin-weights", "no-edge-nodes"],
 )
 def test_compare_names_the_bad_scenario_key(runner, tmp_path, keys, named):
     """A misspelled key is an input error, not a silent fall-back to the
@@ -606,9 +638,14 @@ def test_compare_names_the_bad_scenario_key(runner, tmp_path, keys, named):
     fraction or a bool is not a count, and a number is finite), a bad tier
     ratio, a file that holds a list (``keys`` is then the whole document),
     and values no run can use: a count below 1, an unknown spatial profile,
-    an app outside the catalog, no algorithms, an empty catalog, and an
-    unknown algorithm or alternative, found before any repetition runs."""
+    an app outside the catalog, no algorithms, an empty catalog, an
+    unknown algorithm or alternative, and no edge-tier node or origin
+    weight to draw requests from, found before any repetition runs."""
     vio.write_json(tmp_path / "empty.json", {"schema_version": 1, "applications": []})
+    core_only = json.loads((GOLDEN / "tiny_substrate.json").read_text())
+    for node in core_only["nodes"]:
+        node["tier"] = "core"
+    vio.write_json(tmp_path / "core_only.json", core_only)
     path = tmp_path / "scenario.json"
     if isinstance(keys, list):
         path.write_text(json.dumps(keys))
@@ -735,3 +772,75 @@ def test_report_matches_compare_summary(runner, tmp_path):
     recomputed = json.loads(out.read_text())["aggregates"]
     original = json.loads((run_dir / "tiny_summary.json").read_text())["aggregates"]
     assert recomputed == original
+
+
+# ---------------------------------------------------------- mutated inputs
+
+
+def fuzz_documents() -> dict:
+    """The inputs the mutation test starts from, by file name: the tiny
+    substrate, the bundled two-alternative catalog, two requests at E and
+    a one-repetition scenario over the three."""
+    catalog = resources.files("vneap").joinpath("fixtures/cctv_two.json").read_text()
+    return {
+        "substrate.json": json.loads((GOLDEN / "tiny_substrate.json").read_text()),
+        "catalog.json": json.loads(catalog),
+        "requests.json": vio.dump_requests(unit_requests(2, app="cctv")),
+        "scenario.json": {
+            "schema_version": 1,
+            "substrate": "substrate.json",
+            "applications": "catalog.json",
+            "requests": 4,
+            "node_tu": 0.5,
+            "link_tu": 0.5,
+            "calibration_requests": 40,
+            "algorithms": ["greedy", "tanto"],
+            "repetitions": 1,
+        },
+    }
+
+
+def key_paths(doc, prefix: tuple = ()):
+    """The path (keys and list indices) to every value inside ``doc``."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from key_paths(value, prefix + (key,))
+
+
+SITES = [(name, path) for name, doc in fuzz_documents().items() for path in key_paths(doc)]
+DELETE = "<delete>"
+MUTATIONS = [DELETE, None, -1, -2.5, 0, 0.0, 1e-320, 1e30, 1e308, "x", "", [], {}, True, False]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(site=st.sampled_from(SITES), value=st.sampled_from(MUTATIONS))
+def test_one_mutated_input_ends_in_a_mapped_exit(site, value):
+    """One value or key of the substrate, catalog, requests or scenario is
+    replaced (null, negatives, zero, subnormal and huge numbers, strings,
+    lists, objects, bools) or deleted.  ``solve`` with greedy and tanto
+    and ``compare`` then exit 0, 2, 3 or 4, never by another exception."""
+    name, path = site
+    docs = fuzz_documents()
+    parent = docs[name]
+    for key in path[:-1]:
+        parent = parent[key]
+    if value == DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    runner = CliRunner()
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp)
+        for file, doc in docs.items():
+            (d / file).write_text(json.dumps(doc))
+        inputs = ["--substrate", str(d / "substrate.json"), "--apps", str(d / "catalog.json"),
+                  "--requests", str(d / "requests.json")]
+        runs = [["solve", *inputs, "--algo", algo, "--out", str(d / f"{algo}.json")]
+                for algo in ("greedy", "tanto")]
+        runs.append(["compare", "--scenario", str(d / "scenario.json"), "--out", str(d / "out")])
+        for args in runs:
+            result = runner.invoke(main, args)
+            assert result.exception is None or isinstance(result.exception, SystemExit), (
+                args[0], result.output, repr(result.exception))
+            assert result.exit_code in (0, 2, 3, 4), (args[0], result.output)

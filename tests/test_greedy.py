@@ -5,13 +5,14 @@ from __future__ import annotations
 import copy
 import json
 import math
+from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vneap.greedy import _EPS, _ChainSearch, _chains, greedy_embed_all
+from vneap.greedy import _EPS, _ChainSearch, greedy_embed_all
 from vneap.model import (
     FORBIDDEN,
     AlternativeTopology,
@@ -113,9 +114,32 @@ def test_rejection_only_on_infeasibility():
 # -- single-alternative search ------------------------------------------------
 
 
+@dataclass
+class Candidate:
+    """One alternative as :meth:`_ChainSearch.embed` embeds it, its chain
+    moves turned into node and link maps; loads keyed by index."""
+
+    node_map: dict
+    link_map: dict
+    cost: float
+    node_loads: dict
+    arc_loads: dict
+
+
+def embed_ids(search: _ChainSearch, alt, origin: str, demand: float):
+    """``search.embed`` of ``alt`` rooted at substrate node ``origin``, as
+    a :class:`Candidate`, or None."""
+    o = search.node_index[origin]
+    got = search.embed(alt, o, demand)
+    if got is None:
+        return None
+    cost, chain_moves, (node_loads, arc_loads) = got
+    return Candidate(*search.id_maps(alt, o, chain_moves), cost, node_loads, arc_loads)
+
+
 def embed_one(net, alt, eff=None):
     """One alternative embedded at E with unit demand on a fresh search."""
-    return _ChainSearch(net, eff or EfficiencyMap()).embed(alt, "E", 1.0)
+    return embed_ids(_ChainSearch(net, eff or EfficiencyMap()), alt, "E", 1.0)
 
 
 def test_chain_collocates_when_the_function_is_small():
@@ -182,7 +206,7 @@ def test_reweighted_link_takes_the_detour():
     assert plain.cost == 200.0
     eff = EfficiencyMap(link_coeffs={(("theta", "f"), ("E", "C")): 3.0})
     search = _ChainSearch(net, eff)
-    cand = search.embed(theta_chain(100.0), "E", 1.0)
+    cand = embed_ids(search, theta_chain(100.0), "E", 1.0)
     assert cand.node_map == {"theta": "E", "f": "C"}
     assert cand.link_map == {("theta", "f"): (("E", "M"), ("M", "C"))}
     assert cand.cost == 250.0
@@ -242,7 +266,7 @@ def test_each_choice_is_the_argmin_over_alternatives(seed):
         req, emb = requests[pos], embeddings[pos]
         candidates = {}
         for alt in apps[req.app].alternatives:
-            cand = replay.embed(alt, req.origin, req.demand)
+            cand = embed_ids(replay, alt, req.origin, req.demand)
             if cand is not None:
                 candidates[alt.index] = cand
         if emb.rejected:
@@ -325,16 +349,78 @@ def test_output_matches_the_recorded_run():
         assert got == want, name
 
 
+def test_consumed_loads_equal_the_validators(monkeypatch):
+    """Over pinned runs, the loads greedy takes off the residual for each
+    accepted request, summed from its chain moves, equal the validator's
+    load vector of the embedding it returns, keyed by the same node and
+    arc indices (rel 1e-12)."""
+    consume = _ChainSearch.consume
+    consumed = []
+
+    def recorded(self, node_loads, arc_loads):
+        consumed.append((self, node_loads, arc_loads))
+        consume(self, node_loads, arc_loads)
+
+    monkeypatch.setattr(_ChainSearch, "consume", recorded)
+    checked = 0
+    for _, (net, apps, eff, requests, psi), order_seed in pinned_runs():
+        consumed.clear()
+        embeddings, report = greedy_embed_all(net, apps, eff, requests, psi, order_seed)
+        accepted = [embeddings[pos] for pos in report.order if not embeddings[pos].rejected]
+        assert len(consumed) == len(accepted) == report.accepted
+        for (search, node_loads, arc_loads), emb in zip(consumed, accepted):
+            want = load_vector(net, apps, eff, [emb])
+            node_want = {search.node_index[v]: x for v, x in want.node.items()}
+            arc_want = {search.arc_index[arc]: x for arc, x in want.arc.items()}
+            assert node_loads == pytest.approx(node_want, rel=1e-12)
+            assert arc_loads == pytest.approx(arc_want, rel=1e-12)
+            checked += 1
+    assert checked > 300
+
+
 # -- the A* chain search --------------------------------------------------------
 
 
+def descending_chains(alt: AlternativeTopology) -> list:
+    """Reference split of ``alt`` into maximal downward chains, in
+    preorder, by recursive descent: (start function, links) per chain,
+    each starting at the root or at an earlier chain's end."""
+    out = []
+
+    def descend(start: str) -> None:
+        for first in alt.children.get(start, ()):
+            chain = [first]
+            cur = first.child
+            while len(alt.children.get(cur, ())) == 1:
+                nxt = alt.children[cur][0]
+                chain.append(nxt)
+                cur = nxt.child
+            out.append((start, chain))
+            descend(cur)
+
+    descend(alt.root)
+    return out
+
+
+def planned_chains(search: _ChainSearch, alt: AlternativeTopology) -> list:
+    """``search``'s plan of ``alt`` as (start function, links) per chain."""
+    chains = search.plan(alt)[2]
+    out = []
+    for j, (start, _, steps, _) in enumerate(chains):
+        assert start <= j
+        start_func = alt.root if start == 0 else chains[start - 1][2][-1][0].child
+        out.append((start_func, [step[0] for step in steps]))
+    return out
+
+
 def test_bound_table_is_the_uncapacitated_finishing_cost():
-    """Every state's entry of the bound table equals an independent
-    Bellman–Ford over the layered graph exactly (+inf together) before
-    the shrink, and is never above it after.  The instances cover
-    forbidden placements and links, reweighted coefficients, branching
-    alternatives with several chains, and a function forbidden
-    everywhere."""
+    """The plan's chains, split from the link preorder, are a recursive
+    descent's, and every state's entry of their bound tables equals an
+    independent Bellman–Ford over the layered graph exactly (+inf
+    together) before the shrink, and is never above it after.  The
+    instances cover forbidden placements and links, reweighted
+    coefficients, branching alternatives with several chains, and a
+    function forbidden everywhere."""
     forbidden_f = EfficiencyMap(node_coeffs={("f", "E"): FORBIDDEN, ("f", "C"): FORBIDDEN})
     instances = [random_instance(seed)[:3] for seed in range(30)]
     instances.append(arnes_overloaded_instance()[:3])
@@ -345,10 +431,11 @@ def test_bound_table_is_the_uncapacitated_finishing_cost():
         ids = search.ids
         for app in apps.values():
             for alt in app.alternatives:
-                chains = search.plan(alt)[1]
-                assert [start for start, _, _, _ in chains] == [start for start, _ in _chains(alt)]
+                chains = search.plan(alt)[2]
+                split = descending_chains(alt)
+                assert planned_chains(search, alt) == split
                 multi_chain += len(chains) > 1
-                for (_, _, steps, bound), (_, links) in zip(chains, _chains(alt)):
+                for (_, _, steps, bound), (_, links) in zip(chains, split):
                     want = chain_finish_costs(net, alt, eff, links)
                     exact = search.remaining_cost(steps)
                     assert len(exact) == len(bound) == len(want)
@@ -364,6 +451,24 @@ def test_bound_table_is_the_uncapacitated_finishing_cost():
     assert states > 1000 and infinite > 0 and multi_chain > 0
 
 
+def chain_ids(search: _ChainSearch, steps, got):
+    """An :meth:`_ChainSearch.embed_chain` answer, (moves, cost) or None,
+    as (placements, paths, cost) keyed by ids, as ``dijkstra_chain``
+    returns it."""
+    if got is None:
+        return None
+    moves, cost = got
+    placements = {}
+    paths = {(step[0].parent, step[0].child): [] for step in steps}
+    for caps, i, _, _, _, link in moves:
+        if caps is search.node_cap:
+            placements[link.child] = search.ids[i]
+        else:
+            assert caps is search.arc_cap
+            paths[(link.parent, link.child)].append(search.pairs[i])
+    return placements, {pair: tuple(path) for pair, path in paths.items()}, cost
+
+
 def test_a_star_returns_what_dijkstra_returns(monkeypatch):
     """Replaying every pinned run, each chain search returns the same
     placements, paths and cost, to the bit, as a plain Dijkstra over the
@@ -373,10 +478,11 @@ def test_a_star_returns_what_dijkstra_returns(monkeypatch):
 
     def checked(self, slot, steps, bound, start, demand):
         got = a_star(self, slot, steps, bound, start, demand)
+        translated = chain_ids(self, steps, got)
         want = dijkstra_chain(self, steps, start, demand)
-        assert got == want
+        assert translated == want
         if got is not None:
-            assert got[2].hex() == want[2].hex()
+            assert translated[2].hex() == want[2].hex()
         seen["calls"] += 1
         seen["none"] += got is None
         return got
@@ -390,12 +496,13 @@ def test_a_star_returns_what_dijkstra_returns(monkeypatch):
 # -- reused chain answers -------------------------------------------------------
 
 
-def same_answer(got, want) -> bool:
-    """Equal placements and paths and the same cost to the bit, or None in
-    both."""
+def same_answer(search: _ChainSearch, steps, got, want) -> bool:
+    """Equal moves, placements and paths and the same cost to the bit, or
+    None in both."""
     if got is None or want is None:
         return got is want
-    return got[:2] == want[:2] and got[2].hex() == want[2].hex()
+    got_ids, want_ids = chain_ids(search, steps, got), chain_ids(search, steps, want)
+    return got[0] == want[0] and got_ids[:2] == want_ids[:2] and got[1].hex() == want[1].hex()
 
 
 # the method itself, as the tests below wrap it
@@ -440,7 +547,8 @@ def test_reused_answers_equal_a_fresh_search(monkeypatch, workload):
         if self.chain_reuses > reuses:
             seen["reused"] += 1
             kinds.add(("lower" if demand < entry[0] else "higher", got is None))
-            assert same_answer(got, fresh_answer(self, slot, steps, bound, start, demand))
+            want = fresh_answer(self, slot, steps, bound, start, demand)
+            assert same_answer(self, steps, got, want)
         return got
 
     monkeypatch.setattr(_ChainSearch, "embed_chain", checked)
@@ -505,21 +613,23 @@ def test_reuse_on_random_residuals_and_demands(taken, calls):
 
     for element, fraction in enumerate(taken):
         cut(element, fraction)
-    (_, slot, steps, bound), = search.plan(alt)[1]
+    (_, slot, steps, bound), = search.plan(alt)[2]
     start = search.node_index["E"]
     for demand, element, fraction in calls:
         got = search.embed_chain(slot, steps, bound, start, demand)
-        assert same_answer(got, fresh_answer(search, slot, steps, bound, start, demand))
+        want = fresh_answer(search, slot, steps, bound, start, demand)
+        assert same_answer(search, steps, got, want)
         cut(element, fraction)
     # nothing fits at this demand, so the entry now holds a None answer
     # (found by this call or reused) and the moves its search refused
     assert search.embed_chain(slot, steps, bound, start, 1e6) is None
-    d0, _, answer, refused = search._answers[slot + start]
-    assert answer is None and refused
+    d0, moves, refused = search._answers[slot + start]
+    assert moves is None and refused
     caps, i, factor, coeff = refused[0]
     demand = caps[i] / (factor * coeff) / 2
     assert demand < d0 and demand * factor * coeff <= caps[i]
     searches = search.chain_searches
     got = search.embed_chain(slot, steps, bound, start, demand)
     assert search.chain_searches == searches + 1
-    assert same_answer(got, fresh_answer(search, slot, steps, bound, start, demand))
+    want = fresh_answer(search, slot, steps, bound, start, demand)
+    assert same_answer(search, steps, got, want)

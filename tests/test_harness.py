@@ -441,6 +441,15 @@ def test_calibrate_input_validation():
         calibrate_target_utilization(net, apps, [], 1.0, 1.0)
     with pytest.raises(ValueError, match="must be positive"):
         calibrate_target_utilization(net, apps, calib, 0.0, 1.0)
+    for tu in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            calibrate_target_utilization(net, apps, calib, tu, 1.0)
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            calibrate_target_utilization(net, apps, calib, 1.0, tu)
+    with pytest.raises(ValueError, match="not a finite positive factor"):
+        calibrate_target_utilization(net, apps, calib, 1e-320, 1.0)
+    with pytest.raises(ValueError, match="no node or no arc capacity"):
+        calibrate_target_utilization(SubstrateNetwork(net.nodes, ()), apps, calib, 1.0, 1.0)
     with pytest.raises(ValueError, match="population must be positive"):
         calibrate_target_utilization(net, apps, calib, 1.0, 1.0, population=0)
 
@@ -523,8 +532,24 @@ def test_relaxation_timings_carry_its_four_stages():
     ]
 
 
-def test_run_scenario_records_a_bad_origin_profile_as_an_error():
-    result = run_scenario(tiny_config(spatial="lognormal", lognormal_sigma=0.0))
+def test_scenario_config_refuses_origins_no_run_can_draw():
+    """A substrate without edge-tier nodes, or a log-normal profile whose
+    weights are NaN (sigma 0) or all 0 (sigma 1e-300), is refused when
+    the scenario is built, as ``generate_requests`` refuses it."""
+    lonely = SubstrateNetwork(
+        nodes=(SubstrateNode("c", cost=1.0, capacity=5.0, tier="core"),), arcs=()
+    )
+    with pytest.raises(ValueError, match="no edge-tier nodes"):
+        tiny_config(substrate=lonely)
+    for sigma in (0.0, 1e-300):
+        with pytest.raises(ValueError, match=f"lognormal_sigma={sigma!r}.*no valid origin weights"):
+            tiny_config(spatial="lognormal", lognormal_sigma=sigma)
+
+
+def test_run_scenario_records_a_failed_setup_as_an_error():
+    """A node_tu so small that calibration's capacity scale overflows
+    fails the repetition's set-up, which is recorded under no algorithm."""
+    result = run_scenario(tiny_config(node_tu=1e-320))
     assert result.rows == []
     assert [(e["algorithm"], e["type"]) for e in result.errors] == [("", "ValueError")]
 
