@@ -306,7 +306,8 @@ def solve(substrate, apps, requests_path, algo, seed, psi, efficiency, out):
 @main.command()
 @click.option("--scenario", required=True, type=click.Path(), help="Scenario config JSON.")
 @click.option("--out", "out_dir", required=True, type=click.Path(), help="Output directory.")
-@click.option("--jobs", default=1, type=click.IntRange(min=1), show_default=True)
+@click.option("--jobs", default=1, type=click.IntRange(min=1), show_default=True,
+              help="Worker processes for the repetitions; the rows do not depend on it.")
 @click.option("--seed", default=None, type=int, help="Override the scenario seed.")
 def compare(scenario, out_dir, jobs, seed):
     """Run a full scenario (all repetitions and algorithms)."""

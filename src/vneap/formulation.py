@@ -47,6 +47,7 @@ from .model import (
     Request,
     SubstrateNetwork,
     EDGE,
+    sum_in_order,
 )
 
 log = logging.getLogger("vneap.formulation")
@@ -124,7 +125,7 @@ class FractionalSolution:
 
     @property
     def total_rejected_demand(self) -> float:
-        return sum(self.rejection_mass.values())
+        return sum_in_order(self.rejection_mass.values())
 
 
 def request_owner(index: int) -> str:
@@ -276,7 +277,7 @@ def aggregate_requests(requests: Sequence[Request]) -> list[AggregatedRequest]:
                 owner=f"g{i}",
                 origin=origin,
                 app=app,
-                demand=sum(requests[k].demand for k in members),
+                demand=sum_in_order(requests[k].demand for k in members),
                 members=tuple(members),
             )
         )

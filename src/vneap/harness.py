@@ -24,8 +24,9 @@ import itertools
 import json
 import logging
 import math
+import multiprocessing
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from pathlib import Path
@@ -57,6 +58,7 @@ from .model import (
     SubstrateArc,
     SubstrateNode,
     SubstrateNetwork,
+    sum_in_order,
 )
 from .tanto import Relaxation, round_relaxation, solve_relaxation
 from .validator import (
@@ -218,8 +220,8 @@ def _main_footprint(app: Application) -> tuple[float, float, float]:
     demand under the app's main alternative — used for the per-origin
     generation cap and for calibration."""
     main = app.main
-    node_fp = sum(n.size for n in main.nodes)
-    link_fp = sum(vl.size for vl in main.links)
+    node_fp = sum_in_order(n.size for n in main.nodes)
+    link_fp = sum_in_order(vl.size for vl in main.links)
     first = main.children.get(main.root, ())
     first_link = first[0].size if first else 0.0
     return node_fp, link_fp, first_link
@@ -281,7 +283,7 @@ def generate_requests(
     caps = {}
     if params.enforce_origin_cap:
         for n in edges:
-            out_cap = sum(a.capacity for a in net.out_arcs.get(n.id, ()))
+            out_cap = sum_in_order(a.capacity for a in net.out_arcs.get(n.id, ()))
             bounds = []
             if node_fp > 0:
                 bounds.append(n.capacity / node_fp)
@@ -323,6 +325,16 @@ def _main_demand(
     return node_demand, link_demand
 
 
+def _capacity_totals(net: SubstrateNetwork) -> tuple[float, float]:
+    """(total node capacity, total arc capacity); a ValueError unless
+    both are positive, for no calibration can scale them then."""
+    total_node_cap = sum_in_order(n.capacity for n in net.nodes)
+    total_arc_cap = sum_in_order(a.capacity for a in net.arcs)
+    if not (total_node_cap > 0 and total_arc_cap > 0):
+        raise ValueError("substrate has no node or no arc capacity to scale")
+    return total_node_cap, total_arc_cap
+
+
 def calibrate_target_utilization(
     net: SubstrateNetwork,
     apps: Mapping[str, Application],
@@ -351,10 +363,7 @@ def calibrate_target_utilization(
         factor = population / len(calib_requests)
         node_demand *= factor
         link_demand *= factor
-    total_node_cap = sum(n.capacity for n in net.nodes)
-    total_arc_cap = sum(a.capacity for a in net.arcs)
-    if not (total_node_cap > 0 and total_arc_cap > 0):
-        raise ValueError("substrate has no node or no arc capacity to scale")
+    total_node_cap, total_arc_cap = _capacity_totals(net)
     node_scale = (node_demand / node_tu) / total_node_cap
     arc_scale = (link_demand / link_tu) / total_arc_cap
     for what, scale in (("node", node_scale), ("arc", arc_scale)):
@@ -371,10 +380,8 @@ def measured_utilization(
     """(node TU, link TU) implied by a request set — calibration's
     inverse, used to verify the calibration identity."""
     node_demand, link_demand = _main_demand(apps, requests)
-    return (
-        node_demand / sum(n.capacity for n in net.nodes),
-        link_demand / sum(a.capacity for a in net.arcs),
-    )
+    total_node_cap, total_arc_cap = _capacity_totals(net)
+    return node_demand / total_node_cap, link_demand / total_arc_cap
 
 
 # -- scenario execution --------------------------------------------------------
@@ -415,6 +422,7 @@ class ScenarioConfig:
         if self.spatial not in SPATIAL:
             raise ValueError(f"spatial must be one of {', '.join(SPATIAL)}, not {self.spatial!r}")
         _origin_weights(self.substrate, self)
+        _capacity_totals(self.substrate)
         if not self.algorithms:
             raise ValueError("algorithms must name at least one algorithm")
         if not self.apps:
@@ -515,7 +523,7 @@ def _run_algorithm(
     embeddings) — embeddings is None for fractional algorithms.
     ``relaxation`` returns the full catalog's solved relaxation, which
     ``lp`` reports and ``tanto`` rounds; by default each call solves it."""
-    total_demand = sum(r.demand for r in requests)
+    total_demand = sum_in_order(r.demand for r in requests)
     row = {
         "algorithm": algo,
         "seed": seed,
@@ -603,13 +611,66 @@ def _error_entry(rep: int, algo: str, exc: Exception) -> dict:
     return {"repetition": rep, "algorithm": algo, "type": type(exc).__name__, "error": str(exc)}
 
 
+def _repetition(config: ScenarioConfig, psi: float, rep: int) -> tuple[list, list, list]:
+    """Repetition ``rep`` of a scenario: its (rows, timings, errors).  A
+    module-level function of its arguments alone, so a worker process
+    can run it; its timings are that process's own."""
+    rows, timings, errors = [], [], []
+    gen = GenParams(
+        count=config.requests,
+        app=config.app,
+        size_mean=config.size_mean,
+        size_sigma=config.size_sigma,
+        spatial=config.spatial,
+        lognormal_mu=config.lognormal_mu,
+        lognormal_sigma=config.lognormal_sigma,
+    )
+    t0 = time.perf_counter()
+    try:
+        calib = generate_requests(
+            config.substrate,
+            config.apps,
+            replace(gen, count=config.calibration_requests, enforce_origin_cap=False),
+            _rng.substream_seed(config.seed, "calibration", rep),
+        )
+        net = calibrate_target_utilization(
+            config.substrate, config.apps, calib, config.node_tu, config.link_tu,
+            population=config.requests,
+        )
+        requests = generate_requests(
+            net, config.apps, gen, _rng.substream_seed(config.seed, "requests", rep)
+        )
+    except Exception as exc:
+        return rows, timings, [_error_entry(rep, "", exc)]
+    setup_runtime_s = time.perf_counter() - t0
+    # solved on first use, then shared by this repetition's lp and tanto
+    relaxation = functools.cache(
+        functools.partial(solve_relaxation, net, config.apps, config.efficiency, requests, psi)
+    )
+    for algo in config.algorithms:
+        algo_seed = _rng.substream_seed(config.seed, "algo", algo, rep)
+        try:
+            row, timing, _ = _run_algorithm(
+                algo, net, config.apps, config.efficiency, requests, psi, algo_seed, relaxation
+            )
+        except Exception as exc:
+            errors.append(_error_entry(rep, algo, exc))
+            continue
+        row["scenario"] = config.name
+        row["repetition"] = rep
+        timing.update(scenario=config.name, repetition=rep, setup_runtime_s=setup_runtime_s)
+        rows.append(row)
+        timings.append(timing)
+    return rows, timings, errors
+
+
 def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     """Execute all repetitions of a scenario.
 
     Each repetition derives its own seeds from the scenario seed, so the
-    result rows are identical however many workers run them.  A failing
-    repetition/algorithm is recorded in ``errors`` and skipped; the rest
-    of the run proceeds.
+    result rows are identical however many worker processes run them.
+    A failing repetition/algorithm is recorded in ``errors`` and
+    skipped; the rest of the run proceeds.
     """
     result = ScenarioResult(config_name=config.name)
     psi = (
@@ -617,64 +678,13 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
         if config.psi is not None
         else compute_rejection_penalty(config.substrate, config.apps, config.efficiency)
     )
-
-    def one_rep(rep: int):
-        rows, timings, errors = [], [], []
-        calib_seed = _rng.substream_seed(config.seed, "calibration", rep)
-        req_seed = _rng.substream_seed(config.seed, "requests", rep)
-        gen = GenParams(
-            count=config.requests,
-            app=config.app,
-            size_mean=config.size_mean,
-            size_sigma=config.size_sigma,
-            spatial=config.spatial,
-            lognormal_mu=config.lognormal_mu,
-            lognormal_sigma=config.lognormal_sigma,
-        )
-        t0 = time.perf_counter()
-        try:
-            calib = generate_requests(
-                config.substrate,
-                config.apps,
-                replace(gen, count=config.calibration_requests, enforce_origin_cap=False),
-                calib_seed,
-            )
-            net = calibrate_target_utilization(
-                config.substrate,
-                config.apps,
-                calib,
-                config.node_tu,
-                config.link_tu,
-                population=config.requests,
-            )
-            requests = generate_requests(net, config.apps, gen, req_seed)
-        except Exception as exc:
-            errors.append(_error_entry(rep, "", exc))
-            return rows, timings, errors
-        setup_runtime_s = time.perf_counter() - t0
-        # solved on first use, then shared by this repetition's lp and tanto
-        relaxation = functools.cache(
-            functools.partial(solve_relaxation, net, config.apps, config.efficiency, requests, psi)
-        )
-        for algo in config.algorithms:
-            algo_seed = _rng.substream_seed(config.seed, "algo", algo, rep)
-            try:
-                row, timing, _ = _run_algorithm(
-                    algo, net, config.apps, config.efficiency, requests, psi, algo_seed, relaxation
-                )
-            except Exception as exc:
-                errors.append(_error_entry(rep, algo, exc))
-                continue
-            row["scenario"] = config.name
-            row["repetition"] = rep
-            timing.update(scenario=config.name, repetition=rep, setup_runtime_s=setup_runtime_s)
-            rows.append(row)
-            timings.append(timing)
-        return rows, timings, errors
-
+    one_rep = functools.partial(_repetition, config, psi)
     reps = range(config.repetitions)
     if config.jobs > 1 and config.repetitions > 1:
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
+        # a forked worker starts without importing numpy and scipy again
+        fork = "fork" in multiprocessing.get_all_start_methods()
+        context = multiprocessing.get_context("fork" if fork else None)
+        with ProcessPoolExecutor(min(config.jobs, config.repetitions), mp_context=context) as pool:
             pieces = list(pool.map(one_rep, reps))
     else:
         pieces = [one_rep(rep) for rep in reps]
@@ -699,8 +709,8 @@ def summarize(rows: Sequence[dict]) -> dict:
             values = [row[metric] for row in group if metric in row]
             if not values:
                 continue
-            mean = sum(values) / len(values)
-            var = sum((v - mean) ** 2 for v in values) / len(values)
+            mean = sum_in_order(values) / len(values)
+            var = sum_in_order((v - mean) ** 2 for v in values) / len(values)
             stats[metric] = {"mean": mean, "variance": var, "n": len(values)}
         out[algo] = stats
     return out

@@ -2,15 +2,16 @@
 topologies, efficiency coefficients, requests, and integral embeddings.
 
 All types are immutable after construction and may be shared freely
-across threads.  Validation is data, not exceptions: the ``validate_*``
-functions return lists of :class:`Violation` so callers can collect and
-report every problem at once.
+across worker processes.  Validation is data, not exceptions: the
+``validate_*`` functions return lists of :class:`Violation` so callers
+can collect and report every problem at once.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Iterable, Mapping, Optional, Sequence
 
 #: Marker for a (virtual element, substrate element) pairing that must
@@ -23,6 +24,15 @@ EDGE = "edge"
 TRANSPORT = "transport"
 CORE = "core"
 TIERS = (EDGE, TRANSPORT, CORE)
+
+
+def sum_in_order(values: Iterable[float]) -> float:
+    """``values`` added one at a time, left to right, starting from 0:
+    the bits builtin ``sum`` gives on Python 3.11.  From 3.12 builtin
+    ``sum`` compensates float rounding, so its last bit can differ; every
+    float total that reaches a result row, the LP or a walk decision is
+    taken here instead."""
+    return reduce(operator.add, values, 0)
 
 
 @dataclass(frozen=True)

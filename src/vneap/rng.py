@@ -3,7 +3,7 @@
 Every piece of randomness in the package flows from a single integer
 seed.  Independent components ask for a *stream* identified by stable
 string labels; the same (seed, labels) pair always yields the same
-generator, no matter in which order or on which thread streams are
+generator, no matter in which order or in which process streams are
 created.  This is what makes parallel runs byte-identical to serial
 ones.
 """

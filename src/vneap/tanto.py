@@ -42,6 +42,7 @@ from .model import (
     IntegralEmbedding,
     Request,
     SubstrateNetwork,
+    sum_in_order,
 )
 
 # Residual comparisons ``d <= y`` carry this much slack (in normalized
@@ -282,9 +283,14 @@ def embed_request(
         return IntegralEmbedding.reject(r)
 
     roots = state.roots
-    root_weights = [y[s] if s >= 0 else 0.0 for s in roots]
+    root_weights = []
+    total = 0.0  # the weights' sum, accumulated as they are listed
+    for s in roots:
+        w = y[s] if s >= 0 else 0.0
+        root_weights.append(w)
+        total += w
     steps += 1
-    if sum(root_weights) <= _DUST:
+    if total <= _DUST:
         return reject("lp_exhausted_rejections")
     pick = weighted_random_select(root_weights, rng)
     alt = alt_set[pick]
@@ -312,14 +318,16 @@ def embed_request(
                 return reject("overflow_rejections", place)
             steps += 1
             # the placement option comes first, even at zero mass
-            weights = [y[place] if place >= 0 else 0.0]
+            total = y[place] if place >= 0 else 0.0
+            weights = [total]
             options = [stay]
             for option in arcs:
                 mass = y[option[0]]
                 if mass > 0.0:
                     weights.append(mass)
                     options.append(option)
-            if sum(weights) <= _DUST:
+                    total += mass
+            if total <= _DUST:
                 return reject("stranded_rejections")
             slot, w = options[weighted_random_select(weights, rng)]
             have = y[slot]
@@ -472,7 +480,7 @@ def round_relaxation(
     report.rounding_runtime_s = time.perf_counter() - t0
     embeddings = [e for e in results if e is not None]
     report.rejected = sum(1 for e in embeddings if e.rejected)
-    report.rejected_demand = sum(e.request.demand for e in embeddings if e.rejected)
+    report.rejected_demand = sum_in_order(e.request.demand for e in embeddings if e.rejected)
 
     report.psi_lp = psi * frac.total_rejected_demand
     report.psi_tanto = psi * report.rejected_demand

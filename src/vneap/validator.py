@@ -18,6 +18,7 @@ from .model import (
     IntegralEmbedding,
     SubstrateNetwork,
     Violation,
+    sum_in_order,
 )
 
 _REL_TOL = 1e-9
@@ -265,9 +266,9 @@ def total_cost(
     violations, loads = _walk(net, apps, efficiency, embeddings)
     if validate and violations:
         raise InfeasibleEmbeddingSet(violations)
-    compute = sum(loads.node[v] * net.node_by_id[v].cost for v in loads.node)
-    bandwidth = sum(loads.arc[vw] * net.arc_by_pair[vw].cost for vw in loads.arc)
-    rejected = sum(e.request.demand for e in embeddings if e.rejected)
+    compute = sum_in_order(loads.node[v] * net.node_by_id[v].cost for v in loads.node)
+    bandwidth = sum_in_order(loads.arc[vw] * net.arc_by_pair[vw].cost for vw in loads.arc)
+    rejected = sum_in_order(e.request.demand for e in embeddings if e.rejected)
     return CostBreakdown(compute, bandwidth, rejected * psi)
 
 
@@ -289,7 +290,7 @@ def alternative_shares(embeddings: Iterable[IntegralEmbedding]) -> dict[int, flo
     for emb in embeddings:
         if not emb.rejected:
             served[emb.alternative] = served.get(emb.alternative, 0.0) + emb.request.demand
-    grand = sum(served.values())
+    grand = sum_in_order(served.values())
     if grand <= 0:
         return {}
     return {t: d / grand for t, d in sorted(served.items())}
@@ -330,7 +331,7 @@ def fractional_cost(
             if coeff is FORBIDDEN:
                 raise ValueError(f"solution routes {i}->{j} on forbidden arc {v}->{w}")
             bandwidth += value * demand * size * coeff * net.arc_by_pair[(v, w)].cost
-    rejection = sum(
+    rejection = sum_in_order(
         (1.0 - min(served[owner], 1.0)) * demand_of[owner] * psi for owner in demand_of
     )
     return CostBreakdown(compute, bandwidth, rejection)
@@ -352,7 +353,7 @@ def fractional_alternative_shares(
     for key, value in fractional.values.items():
         if key.kind[0] == "n" and root_of.get((key.owner, key.alt)) == key.kind[1]:
             served[key.alt] = served.get(key.alt, 0.0) + value * demand_of[key.owner]
-    grand = sum(served.values())
+    grand = sum_in_order(served.values())
     if grand <= 0:
         return {}
     return {t: d / grand for t, d in sorted(served.items())}

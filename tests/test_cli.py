@@ -621,6 +621,7 @@ def write_scenario(path: Path, **keys) -> Path:
         ({"algorithms": ["lp", "vnep:9"]}, "algorithms: algorithm 'vnep:9': no alternative with index 9"),
         ({"spatial": "lognormal", "lognormal_sigma": 1e-300}, "lognormal_sigma=1e-300) gives no valid origin weights"),
         ({"substrate": "core_only.json"}, "substrate has no edge-tier nodes"),
+        ({"substrate": "no_links.json"}, "substrate has no node or no arc capacity to scale"),
     ],
     ids=["misspelled", "substrate-key", "null-required", "mistyped", "substrate-type",
          "applications-type", "efficiency-type", "graphml-type", "algorithms-string",
@@ -629,7 +630,7 @@ def write_scenario(path: Path, **keys) -> Path:
          "number-inf", "number-overflow", "tier-ratio-string", "negative-psi", "zero-requests",
          "zero-link-tu", "negative-calibration", "unknown-spatial", "app-not-in-catalog", "no-algorithms",
          "empty-catalog", "unknown-algorithm", "alternative-not-a-number", "absent-alternative",
-         "no-origin-weights", "no-edge-nodes"],
+         "no-origin-weights", "no-edge-nodes", "no-arc-capacity"],
 )
 def test_compare_names_the_bad_scenario_key(runner, tmp_path, keys, named):
     """A misspelled key is an input error, not a silent fall-back to the
@@ -639,13 +640,16 @@ def test_compare_names_the_bad_scenario_key(runner, tmp_path, keys, named):
     ratio, a file that holds a list (``keys`` is then the whole document),
     and values no run can use: a count below 1, an unknown spatial profile,
     an app outside the catalog, no algorithms, an empty catalog, an
-    unknown algorithm or alternative, and no edge-tier node or origin
-    weight to draw requests from, found before any repetition runs."""
+    unknown algorithm or alternative, no edge-tier node or origin weight
+    to draw requests from, and no arc capacity for calibration to scale,
+    found before any repetition runs."""
     vio.write_json(tmp_path / "empty.json", {"schema_version": 1, "applications": []})
     core_only = json.loads((GOLDEN / "tiny_substrate.json").read_text())
     for node in core_only["nodes"]:
         node["tier"] = "core"
     vio.write_json(tmp_path / "core_only.json", core_only)
+    tiny = json.loads((GOLDEN / "tiny_substrate.json").read_text())
+    vio.write_json(tmp_path / "no_links.json", {**tiny, "links": []})
     path = tmp_path / "scenario.json"
     if isinstance(keys, list):
         path.write_text(json.dumps(keys))

@@ -554,6 +554,25 @@ def test_run_scenario_records_a_failed_setup_as_an_error():
     assert [(e["algorithm"], e["type"]) for e in result.errors] == [("", "ValueError")]
 
 
+def test_worker_processes_return_what_a_serial_run_returns():
+    """At jobs=2 the repetitions run on worker processes.  A set-up that
+    fails in every repetition comes back as the serial run records it:
+    the same errors in repetition order, with the same type and message.
+    A run that succeeds gives the same rows, and each timing row carries
+    the same keys."""
+    failing = dict(node_tu=1e-320, repetitions=3)
+    serial = run_scenario(tiny_config(**failing))
+    parallel = run_scenario(tiny_config(jobs=2, **failing))
+    assert [e["repetition"] for e in serial.errors] == [0, 1, 2]
+    assert parallel.errors == serial.errors
+    working = dict(repetitions=3, algorithms=("lp", "greedy", "tanto"))
+    serial = run_scenario(tiny_config(**working))
+    parallel = run_scenario(tiny_config(jobs=2, **working))
+    assert serial.errors == parallel.errors == []
+    assert parallel.rows == serial.rows
+    assert [sorted(t) for t in parallel.timings] == [sorted(t) for t in serial.timings]
+
+
 def test_run_scenario_rows_are_reproducible():
     config = tiny_config(repetitions=3, algorithms=("lp", "greedy", "tanto"))
     alt_indices = catalog_alternative_indices(config.apps)

@@ -17,6 +17,7 @@ from vneap.model import (
     VirtualLink,
     VirtualNode,
     link_preorder,
+    sum_in_order,
     validate_application,
     validate_requests,
     validate_substrate,
@@ -27,6 +28,15 @@ from conftest import toy_apps, toy_net
 
 def rules(violations):
     return {v.rule for v in violations}
+
+
+def test_sum_in_order_adds_left_to_right():
+    """Each partial sum is rounded, as builtin ``sum`` did before Python
+    3.12; a compensated sum would give 1.0.  An empty sum is the int 0,
+    as with builtin ``sum``."""
+    assert sum_in_order([1e16, 1.0, -1e16]) == 0.0
+    assert sum_in_order(x for x in [0.1, 0.2, 0.3]) == (0.1 + 0.2) + 0.3
+    assert sum_in_order([]) == 0 and type(sum_in_order([])) is int
 
 
 # -- substrate -------------------------------------------------------------
