@@ -28,7 +28,10 @@ Constraints per owner:
   a placement is ``demand * element_size * efficiency``.
 
 The objective charges every unit of induced load its element's cost and
-adds a rejection penalty ``psi`` per unit of unserved demand.
+adds a rejection penalty ``psi`` per unit of unserved demand.  The
+aggregate relaxation's solver prices unserved demand a hair above
+``psi`` (:data:`REJECTION_MARGIN`), so it serves whatever serving costs
+no more than rejecting; every reported cost is priced at ``psi``.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field, replace
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -51,6 +54,20 @@ from .model import (
 )
 
 log = logging.getLogger("vneap.formulation")
+
+# The aggregate relaxation's solver prices a unit of rejected demand at
+# psi * (1 + REJECTION_MARGIN).  psi is exactly the priciest
+# collocation's cost, so at psi itself whole faces of optima trade served
+# for rejected demand at equal cost, and the rejected demand reported
+# would be whichever vertex HiGHS returns.  The margin moves the
+# answer's psi-priced cost by at most REJECTION_MARGIN * psi times the
+# rejected demand it saves.  It has to lift a tie's reduced costs, about
+# REJECTION_MARGIN * psi * an aggregate's demand, clear of HiGHS's
+# absolute 1e-7 dual tolerance: at 1e-9, with psi 9.45, dual and primal
+# simplex with presolve on or off returned optima rejecting 712.7 to
+# 755.5 units of a saturated arnes_si/cctv_two instance; from 1e-8 up
+# all four agreed.
+REJECTION_MARGIN = 1e-7
 
 
 class VariableKey(NamedTuple):
@@ -80,7 +97,9 @@ class LinearProgram:
 
     ``binary`` lists the variable indices that must be integral; an
     empty set makes the program a plain LP over the ``[lower, upper]``
-    box.
+    box.  ``solver_objective``, when set, is what the solver minimizes
+    in place of ``objective``; a solution's reported objective still
+    prices it by ``objective``.
     """
 
     keys: tuple[VariableKey, ...]
@@ -90,6 +109,7 @@ class LinearProgram:
     objective_constant: float
     rows: tuple[Row, ...]
     binary: frozenset[int]
+    solver_objective: Optional[np.ndarray] = None
 
     @property
     def n_vars(self) -> int:
@@ -138,15 +158,18 @@ def _owner_rows(
     eff: EfficiencyMap,
     owners: Sequence[tuple[str, str, str, float]],
     psi: float,
+    margin: float = 0.0,
 ) -> LinearProgram:
     """Shared builder core: the continuous program over ``owners``,
     which holds ``(owner_id, origin, app_id, demand)`` tuples; demand is
     the request's demand for the per-request MILP and the aggregate
-    total for the aggregate LP."""
+    total for the aggregate LP.  A nonzero ``margin`` sets a solver
+    objective that prices rejected demand at ``psi * (1 + margin)``."""
     if psi < 0:
         raise ValueError(f"rejection penalty must be nonnegative, got {psi}")
     keys: list[VariableKey] = []
     objective: list[float] = []
+    roots: list[int] = []  # every owner's root columns
     obj_const = 0.0
 
     def new_var(key: VariableKey, cost: float) -> int:
@@ -228,6 +251,7 @@ def _owner_rows(
                 for coeffs in by_node.values():
                     if coeffs:
                         rows.append(Row(tuple(coeffs), "==", 0.0))
+        roots += root_vars
         if root_vars:
             rows.append(Row(tuple((i, 1.0) for i in root_vars), "<=", 1.0))
     # capacity rows last, kept even when no variable touches them
@@ -236,14 +260,21 @@ def _owner_rows(
     for a in net.arcs:
         rows.append(Row(tuple(arc_cap_coeffs[(a.src, a.dst)]), "<=", a.capacity))
     n = len(keys)
+    costs = np.asarray(objective, dtype=float)
+    solver_costs = None
+    if margin:
+        # a root column's cost -demand * psi buys back its penalty
+        solver_costs = costs.copy()
+        solver_costs[roots] *= 1.0 + margin
     return LinearProgram(
         tuple(keys),
         np.zeros(n),
         np.ones(n),
-        np.asarray(objective, dtype=float),
+        costs,
         obj_const,
         tuple(rows),
         frozenset(),
+        solver_costs,
     )
 
 
@@ -293,9 +324,11 @@ def build_relaxed_aggregate_lp(
 ) -> LinearProgram:
     """Continuous relaxation over aggregated demand.  Variable count
     depends on the number of distinct (origin, application) pairs, not
-    on the number of requests."""
+    on the number of requests.  Its solver objective prices rejected
+    demand at ``psi * (1 + REJECTION_MARGIN)``; ``objective`` prices it
+    at ``psi``."""
     owners = [(g.owner, g.origin, g.app, g.demand) for g in aggregates]
-    return _owner_rows(net, apps, efficiency, owners, psi)
+    return _owner_rows(net, apps, efficiency, owners, psi, REJECTION_MARGIN)
 
 
 def fractional_solution(

@@ -335,6 +335,20 @@ def _capacity_totals(net: SubstrateNetwork) -> tuple[float, float]:
     return total_node_cap, total_arc_cap
 
 
+def _capacity_scales(
+    net: SubstrateNetwork, node_demand: float, link_demand: float, node_tu: float, link_tu: float
+) -> tuple[float, float]:
+    """The factors that size the node and arc capacity totals for the
+    given demand at the target utilizations; a ValueError unless both
+    are finite and positive."""
+    total_node_cap, total_arc_cap = _capacity_totals(net)
+    scales = ((node_demand / node_tu) / total_node_cap, (link_demand / link_tu) / total_arc_cap)
+    for what, scale in zip(("node", "arc"), scales):
+        if not 0 < scale < math.inf:
+            raise ValueError(f"{what} capacity scale {scale!r} is not a finite positive factor")
+    return scales
+
+
 def calibrate_target_utilization(
     net: SubstrateNetwork,
     apps: Mapping[str, Application],
@@ -363,12 +377,7 @@ def calibrate_target_utilization(
         factor = population / len(calib_requests)
         node_demand *= factor
         link_demand *= factor
-    total_node_cap, total_arc_cap = _capacity_totals(net)
-    node_scale = (node_demand / node_tu) / total_node_cap
-    arc_scale = (link_demand / link_tu) / total_arc_cap
-    for what, scale in (("node", node_scale), ("arc", arc_scale)):
-        if not 0 < scale < math.inf:
-            raise ValueError(f"{what} capacity scale {scale!r} is not a finite positive factor")
+    node_scale, arc_scale = _capacity_scales(net, node_demand, link_demand, node_tu, link_tu)
     nodes = tuple(replace(n, capacity=n.capacity * node_scale) for n in net.nodes)
     arcs = tuple(replace(a, capacity=a.capacity * arc_scale) for a in net.arcs)
     return SubstrateNetwork(nodes, arcs)
@@ -422,7 +431,6 @@ class ScenarioConfig:
         if self.spatial not in SPATIAL:
             raise ValueError(f"spatial must be one of {', '.join(SPATIAL)}, not {self.spatial!r}")
         _origin_weights(self.substrate, self)
-        _capacity_totals(self.substrate)
         if not self.algorithms:
             raise ValueError("algorithms must name at least one algorithm")
         if not self.apps:
@@ -436,6 +444,19 @@ class ScenarioConfig:
             object.__setattr__(self, "app", sorted(self.apps)[0])
         elif self.app not in self.apps:
             raise ValueError(f"app {self.app!r} is not in the catalog")
+        # each repetition calibrates to a sample of about this demand
+        node_fp, link_fp, _ = _main_footprint(self.apps[self.app])
+        demand = self.requests * max(_SIZE_FLOOR, self.size_mean)
+        try:
+            _capacity_scales(
+                self.substrate, demand * node_fp, demand * link_fp, self.node_tu, self.link_tu
+            )
+        except ValueError as exc:
+            raise ValueError(
+                f"calibration cannot size the substrate for {self.requests} requests "
+                f"of size {self.size_mean!r} at node_tu {self.node_tu!r} and link_tu "
+                f"{self.link_tu!r}: {exc}"
+            ) from None
 
 
 @dataclass
@@ -625,7 +646,7 @@ def _repetition(config: ScenarioConfig, psi: float, rep: int) -> tuple[list, lis
         lognormal_mu=config.lognormal_mu,
         lognormal_sigma=config.lognormal_sigma,
     )
-    t0 = time.perf_counter()
+    t0, c0 = time.perf_counter(), time.process_time()
     try:
         calib = generate_requests(
             config.substrate,
@@ -643,12 +664,14 @@ def _repetition(config: ScenarioConfig, psi: float, rep: int) -> tuple[list, lis
     except Exception as exc:
         return rows, timings, [_error_entry(rep, "", exc)]
     setup_runtime_s = time.perf_counter() - t0
+    setup_cpu_s = time.process_time() - c0
     # solved on first use, then shared by this repetition's lp and tanto
     relaxation = functools.cache(
         functools.partial(solve_relaxation, net, config.apps, config.efficiency, requests, psi)
     )
     for algo in config.algorithms:
         algo_seed = _rng.substream_seed(config.seed, "algo", algo, rep)
+        started = time.process_time()
         try:
             row, timing, _ = _run_algorithm(
                 algo, net, config.apps, config.efficiency, requests, psi, algo_seed, relaxation
@@ -658,7 +681,13 @@ def _repetition(config: ScenarioConfig, psi: float, rep: int) -> tuple[list, lis
             continue
         row["scenario"] = config.name
         row["repetition"] = rep
-        timing.update(scenario=config.name, repetition=rep, setup_runtime_s=setup_runtime_s)
+        timing.update(
+            scenario=config.name,
+            repetition=rep,
+            cpu_s=time.process_time() - started,
+            setup_runtime_s=setup_runtime_s,
+            setup_cpu_s=setup_cpu_s,
+        )
         rows.append(row)
         timings.append(timing)
     return rows, timings, errors
@@ -772,7 +801,7 @@ def timings_to_csv(timings: Sequence[dict]) -> str:
     columns = [
         "scenario", "repetition", "algorithm", "runtime_s", "lp_runtime_s", "aggregate_s",
         "build_s", "solve_s", "unpack_s", "rounding_runtime_s", "lp_iterations", "setup_runtime_s",
-        "chain_searches", "chain_reuses",
+        "chain_searches", "chain_reuses", "cpu_s", "setup_cpu_s",
     ]
     return _csv(columns, ([t.get(c) for c in columns] for t in timings))
 

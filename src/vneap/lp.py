@@ -1,20 +1,24 @@
-"""Solver backend: continuous LPs via scipy's HiGHS ``linprog`` (dual
+"""Solver backend: continuous LPs via scipy's HiGHS ``linprog`` (primal
 simplex, presolve off) and exact small binary programs via HiGHS
 branch-and-cut (``scipy.optimize.milp``, presolve on).  Rows are ``<=``
-or ``==`` rows, assembled per solve into one CSR matrix per sense.
+or ``==`` rows, assembled per solve into one CSR matrix per sense.  A
+program's ``solver_objective``, when set, is what HiGHS minimizes; the
+reported objective prices the answer by the program's ``objective``.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import Optional
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import Bounds, LinearConstraint, linprog, milp
+from scipy.optimize import Bounds, LinearConstraint, OptimizeWarning, linprog, milp
 
 from .formulation import LinearProgram
+from .model import sum_in_order
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -99,7 +103,12 @@ def _solution(res, lp: LinearProgram, stats: dict) -> Solution:
         raise SolverError(FAILURE, f"HiGHS failure: {res.message}")
     if status != OPTIMAL:
         return Solution(status, None, None, stats)
-    return Solution(OPTIMAL, float(res.fun) + lp.objective_constant, res.x, stats)
+    objective = float(res.fun)
+    if lp.solver_objective is not None:
+        # price x by ``objective`` as HiGHS prices an LP's answer: cost
+        # times value, added column by column from zero
+        objective = sum_in_order((lp.objective * res.x).tolist())
+    return Solution(OPTIMAL, objective + lp.objective_constant, res.x, stats)
 
 
 def solve_lp(lp: LinearProgram) -> Solution:
@@ -115,27 +124,36 @@ def solve_lp(lp: LinearProgram) -> Solution:
         if any(violated):
             return Solution(INFEASIBLE, None, None)
         return Solution(OPTIMAL, lp.objective_constant, np.zeros(0))
-    res = linprog(
-        lp.objective,
-        A_ub=A_ub,
-        b_ub=b_ub,
-        A_eq=A_eq,
-        b_eq=b_eq,
-        bounds=np.column_stack([lp.lower, lp.upper]),
-        method="highs",
-        options={
-            # Presolve costs more than it saves on the aggregate
-            # relaxation: without it dual simplex takes 10-60% more
-            # iterations, but each is much cheaper.  On a 2-core VM the
-            # solve took 0.35-0.52x the time on five arnes_si/cctv_two
-            # instances (16k columns), 0.21-0.44x on five amres_rs ones
-            # and 14.3 s against 44.5 s on dfn_de/cctv_four (115k
-            # columns), at the same optimum (relative difference < 1e-15).
-            "presolve": False,
-            "primal_feasibility_tolerance": _TOL,
-            "dual_feasibility_tolerance": _TOL,
-        },
-    )
+    with warnings.catch_warnings():
+        # scipy warns that it hands ``simplex_strategy``, which it does
+        # not document, to HiGHS verbatim
+        warnings.filterwarnings("ignore", "Unrecognized options", OptimizeWarning)
+        res = linprog(
+            lp.objective if lp.solver_objective is None else lp.solver_objective,
+            A_ub=A_ub,
+            b_ub=b_ub,
+            A_eq=A_eq,
+            b_eq=b_eq,
+            bounds=np.column_stack([lp.lower, lp.upper]),
+            method="highs",
+            options={
+                # Primal simplex (HiGHS strategy 4) and presolve off solve
+                # the aggregate relaxation fastest.  Solve only, on a
+                # 2-core VM, best of 3 (of 1 on dfn_de), primal without
+                # presolve against dual without, primal with presolve:
+                # 0.21 s against 0.41 and 0.72 s on an arnes_si/cctv_two
+                # instance (16k columns), 0.063 s against 0.095 and
+                # 0.30 s on an amres_rs one (7k) and 8.5 s against 12.6
+                # and 37.0 s on dfn_de/cctv_four (115k), at the same
+                # objective (relative difference < 1e-15) and rejected
+                # demand.  On the per-request relaxation (184k columns)
+                # primal simplex took 2.2x dual's time.
+                "simplex_strategy": 4,
+                "presolve": False,
+                "primal_feasibility_tolerance": _TOL,
+                "dual_feasibility_tolerance": _TOL,
+            },
+        )
     return _solution(res, lp, {"iterations": int(getattr(res, "nit", 0))})
 
 

@@ -622,6 +622,9 @@ def write_scenario(path: Path, **keys) -> Path:
         ({"spatial": "lognormal", "lognormal_sigma": 1e-300}, "lognormal_sigma=1e-300) gives no valid origin weights"),
         ({"substrate": "core_only.json"}, "substrate has no edge-tier nodes"),
         ({"substrate": "no_links.json"}, "substrate has no node or no arc capacity to scale"),
+        ({"node_tu": 1e-320}, "node capacity scale inf is not a finite positive factor"),
+        ({"link_tu": 1e-320}, "arc capacity scale inf is not a finite positive factor"),
+        ({"applications": "huge_link.json"}, "arc capacity scale inf is not a finite positive factor"),
     ],
     ids=["misspelled", "substrate-key", "null-required", "mistyped", "substrate-type",
          "applications-type", "efficiency-type", "graphml-type", "algorithms-string",
@@ -630,7 +633,8 @@ def write_scenario(path: Path, **keys) -> Path:
          "number-inf", "number-overflow", "tier-ratio-string", "negative-psi", "zero-requests",
          "zero-link-tu", "negative-calibration", "unknown-spatial", "app-not-in-catalog", "no-algorithms",
          "empty-catalog", "unknown-algorithm", "alternative-not-a-number", "absent-alternative",
-         "no-origin-weights", "no-edge-nodes", "no-arc-capacity"],
+         "no-origin-weights", "no-edge-nodes", "no-arc-capacity", "tiny-node-tu",
+         "tiny-link-tu", "huge-link-size"],
 )
 def test_compare_names_the_bad_scenario_key(runner, tmp_path, keys, named):
     """A misspelled key is an input error, not a silent fall-back to the
@@ -641,8 +645,9 @@ def test_compare_names_the_bad_scenario_key(runner, tmp_path, keys, named):
     and values no run can use: a count below 1, an unknown spatial profile,
     an app outside the catalog, no algorithms, an empty catalog, an
     unknown algorithm or alternative, no edge-tier node or origin weight
-    to draw requests from, and no arc capacity for calibration to scale,
-    found before any repetition runs."""
+    to draw requests from, and no arc capacity for calibration to scale
+    or a target or size it cannot scale to, found before any repetition
+    runs."""
     vio.write_json(tmp_path / "empty.json", {"schema_version": 1, "applications": []})
     core_only = json.loads((GOLDEN / "tiny_substrate.json").read_text())
     for node in core_only["nodes"]:
@@ -650,6 +655,9 @@ def test_compare_names_the_bad_scenario_key(runner, tmp_path, keys, named):
     vio.write_json(tmp_path / "core_only.json", core_only)
     tiny = json.loads((GOLDEN / "tiny_substrate.json").read_text())
     vio.write_json(tmp_path / "no_links.json", {**tiny, "links": []})
+    huge_link = json.loads(resources.files("vneap").joinpath("fixtures/cctv_two.json").read_text())
+    huge_link["applications"][0]["alternatives"][0]["links"][0]["size"] = 1e308
+    vio.write_json(tmp_path / "huge_link.json", huge_link)
     path = tmp_path / "scenario.json"
     if isinstance(keys, list):
         path.write_text(json.dumps(keys))

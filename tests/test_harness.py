@@ -514,6 +514,21 @@ def test_timings_carry_each_repetitions_setup_time():
     assert [float(t["setup_runtime_s"]) for t in written] == setups
 
 
+def test_timings_carry_the_cpu_seconds_beside_the_wall_seconds():
+    """Every row carries the CPU seconds its process spent on the row's
+    algorithm and on its repetition's set-up, and the sidecar writes
+    them; the lp row, which solves the relaxation, spends some."""
+    result = run_scenario(tiny_config(repetitions=2, algorithms=("lp", "greedy")))
+    assert all(t["cpu_s"] >= 0 and t["setup_cpu_s"] >= 0 for t in result.timings)
+    assert all(t["cpu_s"] > 0 for t in result.timings if t["algorithm"] == "lp")
+    setups = [t["setup_cpu_s"] for t in result.timings]
+    assert setups[0] == setups[1] and setups[2] == setups[3]
+    written = list(csv.DictReader(stdio.StringIO(vneap.harness.timings_to_csv(result.timings))))
+    assert [[float(t["cpu_s"]), float(t["setup_cpu_s"])] for t in written] == [
+        [t["cpu_s"], t["setup_cpu_s"]] for t in result.timings
+    ]
+
+
 def test_relaxation_timings_carry_its_four_stages():
     """lp, vnep:T and tanto timings split the relaxation into aggregate,
     build, solve and unpack seconds, which add up to no more than the
@@ -546,23 +561,36 @@ def test_scenario_config_refuses_origins_no_run_can_draw():
             tiny_config(spatial="lognormal", lognormal_sigma=sigma)
 
 
-def test_run_scenario_records_a_failed_setup_as_an_error():
-    """A node_tu so small that calibration's capacity scale overflows
-    fails the repetition's set-up, which is recorded under no algorithm."""
-    result = run_scenario(tiny_config(node_tu=1e-320))
+def fail_calibration(monkeypatch) -> None:
+    """Make every repetition's calibration refuse its sample, as one whose
+    capacity scale overflows would; a scenario that calibration cannot
+    scale at its nominal size is refused on construction instead."""
+
+    def refuse(*args, **kwargs):
+        raise ValueError("node capacity scale inf is not a finite positive factor")
+
+    monkeypatch.setattr(vneap.harness, "calibrate_target_utilization", refuse)
+
+
+def test_run_scenario_records_a_failed_setup_as_an_error(monkeypatch):
+    """A calibration that fails fails the repetition's set-up, which is
+    recorded under no algorithm."""
+    fail_calibration(monkeypatch)
+    result = run_scenario(tiny_config())
     assert result.rows == []
     assert [(e["algorithm"], e["type"]) for e in result.errors] == [("", "ValueError")]
 
 
-def test_worker_processes_return_what_a_serial_run_returns():
+def test_worker_processes_return_what_a_serial_run_returns(monkeypatch):
     """At jobs=2 the repetitions run on worker processes.  A set-up that
     fails in every repetition comes back as the serial run records it:
     the same errors in repetition order, with the same type and message.
     A run that succeeds gives the same rows, and each timing row carries
     the same keys."""
-    failing = dict(node_tu=1e-320, repetitions=3)
-    serial = run_scenario(tiny_config(**failing))
-    parallel = run_scenario(tiny_config(jobs=2, **failing))
+    with monkeypatch.context() as patch:
+        fail_calibration(patch)  # forked workers inherit the patch
+        serial = run_scenario(tiny_config(repetitions=3))
+        parallel = run_scenario(tiny_config(jobs=2, repetitions=3))
     assert [e["repetition"] for e in serial.errors] == [0, 1, 2]
     assert parallel.errors == serial.errors
     working = dict(repetitions=3, algorithms=("lp", "greedy", "tanto"))

@@ -4,10 +4,13 @@ search."""
 from __future__ import annotations
 
 import json
+import warnings
 from importlib import resources
 
 import numpy as np
 import pytest
+from scipy import sparse
+from scipy.optimize import OptimizeWarning, linprog
 
 import vneap.io as vio
 from vneap import harness
@@ -19,11 +22,12 @@ from vneap.formulation import (
     build_milp,
     build_relaxed_aggregate_lp,
     compute_rejection_penalty,
+    fractional_solution,
 )
 from vneap.lp import SolveOptions, _split_rows, solve_lp, solve_milp_exact
 from vneap.model import EfficiencyMap, Request
 
-from conftest import random_instance, toy_apps, toy_net, unit_requests
+from conftest import arnes_overloaded_instance, random_instance, toy_apps, toy_net, unit_requests
 from oracle import enumerate_optimal, enumerate_vertices
 
 PSI_TOY = 1050.0
@@ -201,6 +205,113 @@ def test_same_program_solves_identically():
     assert first.status == second.status
     assert first.objective == second.objective
     assert np.array_equal(first.x, second.x)
+
+
+def test_solve_lp_raises_no_warning():
+    net, apps = toy_net(5000.0), toy_apps()
+    lp = build_relaxed_aggregate_lp(
+        net, apps, EfficiencyMap(), aggregate_requests(unit_requests(40)), PSI_TOY
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert solve_lp(lp).optimal
+
+
+# -- the relaxation's rejected demand -------------------------------------------
+
+# Dual (HiGHS's default) and primal simplex, each with presolve off and on:
+# the aggregate relaxation must solve alike under all four.
+HIGHS_SETTINGS = [
+    {"simplex_strategy": strategy, "presolve": presolve}
+    for strategy in (1, 4)
+    for presolve in (False, True)
+]
+
+
+def highs(lp: LinearProgram, cost, options=HIGHS_SETTINGS[2], budget=None) -> np.ndarray:
+    """The x HiGHS returns minimizing ``cost`` over ``lp``'s rows and box
+    under ``options`` (by default ``solve_lp``'s); a ``budget`` adds the
+    row ``lp.objective @ x <= budget``."""
+    A_ub, b_ub, A_eq, b_eq = _split_rows(lp)
+    if budget is not None:
+        A_ub = sparse.vstack([A_ub, sparse.csr_matrix(lp.objective)])
+        b_ub = np.append(b_ub, budget)
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "Unrecognized options", OptimizeWarning)
+        res = linprog(
+            cost,
+            A_ub=A_ub,
+            b_ub=b_ub,
+            A_eq=A_eq,
+            b_eq=b_eq,
+            bounds=np.column_stack([lp.lower, lp.upper]),
+            method="highs",
+            options={"primal_feasibility_tolerance": 1e-7, "dual_feasibility_tolerance": 1e-7,
+                     **options},
+        )
+    assert res.status == 0, res.message
+    return res.x
+
+
+def relaxation(instance):
+    """(lp, aggregates, apps) of ``instance``'s aggregate relaxation."""
+    net, apps, eff, requests, psi = instance
+    aggregates = aggregate_requests(requests)
+    return build_relaxed_aggregate_lp(net, apps, eff, aggregates, psi), aggregates, apps
+
+
+def objective_and_rejection(lp, aggregates, apps, x) -> tuple[float, float]:
+    """The psi-priced objective of ``x`` and the demand it rejects."""
+    objective = float(lp.objective @ x) + lp.objective_constant
+    return objective, fractional_solution(lp, x, objective, aggregates, apps).total_rejected_demand
+
+
+@pytest.mark.parametrize(
+    "instance",
+    [pytest.param(lambda seed=seed: random_instance(seed), id=f"random-{seed}") for seed in range(30)]
+    + [pytest.param(arnes_overloaded_instance, id="arnes_si-tu1.3")],
+)
+def test_highs_settings_agree_on_the_relaxation(instance):
+    """Dual and primal simplex, with presolve on and off, give the
+    relaxation the same objective and the same rejected demand as
+    ``solve_lp``: the tie between serving at the priciest collocation and
+    rejecting is broken by the model, not by the vertex HiGHS returns."""
+    lp, aggregates, apps = relaxation(instance())
+    total = sum(g.demand for g in aggregates)
+    want = objective_and_rejection(lp, aggregates, apps, solve_lp(lp).x)
+    for options in HIGHS_SETTINGS:
+        got = objective_and_rejection(lp, aggregates, apps, highs(lp, lp.solver_objective, options))
+        assert got[0] == pytest.approx(want[0], rel=1e-9), options
+        assert got[1] == pytest.approx(want[1], abs=1e-6 * total), options
+
+
+@pytest.mark.parametrize(
+    "instance",
+    [pytest.param(lambda seed=seed: random_instance(seed), id=f"random-{seed}") for seed in (8, 22, 23)]
+    + [pytest.param(arnes_overloaded_instance, id="arnes_si-tu1.3")],
+)
+def test_reported_rejection_is_the_least_any_optimum_leaves(instance):
+    """A second solve that minimizes rejected demand among the points
+    within 1e-9 of the psi-priced optimum rejects what ``solve_lp``
+    reports, at the optimum's objective.  Each instance has optima that
+    reject more: at psi alone, ``solve_lp``'s settings return one."""
+    lp, aggregates, apps = relaxation(instance())
+    total = sum(g.demand for g in aggregates)
+    optimum, loose = objective_and_rejection(lp, aggregates, apps, highs(lp, lp.objective))
+    served = np.zeros(lp.n_vars)  # demand served per unit of each root column
+    index = {key: i for i, key in enumerate(lp.keys)}
+    for g in aggregates:
+        for alt in apps[g.app].alternatives:
+            root = index.get(VariableKey(g.owner, alt.index, ("n", alt.root, g.origin)))
+            if root is not None:
+                served[root] = g.demand
+    budget = optimum * (1 + 1e-9) - lp.objective_constant
+    least = total - float(served @ highs(lp, -served, budget=budget))
+    sol = solve_lp(lp)
+    frac = fractional_solution(lp, sol.x, sol.objective, aggregates, apps)
+    assert sol.objective == pytest.approx(optimum, rel=1e-9)
+    assert frac.total_rejected_demand == pytest.approx(least, abs=1e-6 * total)
+    assert loose > least + 1e-3 * total
 
 
 # -- exact binary search ------------------------------------------------------

@@ -376,10 +376,11 @@ def test_rejection_rate_tracks_the_fractional_optimum_under_saturation():
     embeddings, report = tanto(net, apps, eff, requests, psi, seed=7)
     lp_rate = report.lp_rejected_demand / total
     tanto_rate = report.rejected_demand / total
-    # the objective is the optimum's; the rejected mass is the returned
-    # vertex's, since at psi serving a unit can cost what rejecting it does
+    # the relaxation serves whatever serving costs no more than rejecting,
+    # so its rejected mass is the least any optimum leaves, whichever
+    # vertex HiGHS returns
     assert report.lp_objective == pytest.approx(35718.952679441514, rel=1e-9)
-    assert lp_rate == pytest.approx(0.2728, abs=2e-4)
+    assert lp_rate == pytest.approx(0.1194, abs=2e-4)
     assert tanto_rate >= lp_rate - 1e-9  # the relaxation is the lower bound
     assert tanto_rate - lp_rate <= 0.05
     assert check_feasibility(net, apps, eff, embeddings) == []
