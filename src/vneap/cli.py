@@ -360,11 +360,11 @@ def report(results_dir, out):
     click.echo(f"{len(rows)} rows summarized -> {out}")
 
 
-# Every key a scenario file may hold, with the reader of its value.  Keys
-# mapped to None are read by load_scenario itself; a key left out or set to
-# null takes ScenarioConfig's default.
+# Every key a scenario file may hold, with the reader of its value.  The
+# substrate, a path or a graphml object, is read by load_scenario itself;
+# a key left out or set to null takes ScenarioConfig's default.
 _SCENARIO_KEYS = {
-    "schema_version": None,
+    "schema_version": vio.version,
     "name": vio.string,
     "substrate": None,
     "applications": vio.string,
@@ -387,30 +387,13 @@ _SCENARIO_KEYS = {
 _GRAPHML_KEYS = {"graphml": vio.string, "tier_ratio": vio.number}
 
 
-def _typed_keys(doc: dict, table: dict, where: str, required: tuple[str, ...]) -> dict:
-    """``doc``'s non-null values of the keys ``table`` maps to a reader,
-    each read through vio.field; a key outside ``table`` or a missing
-    required one is an input error."""
-    vio.known(doc, table, where)
-    out = {}
-    for key, read in table.items():
-        if read is not None:
-            value = vio.field(doc, key, read, where, vio.REQUIRED if key in required else None)
-            if value is not None:
-                out[key] = value
-    return out
-
-
 def load_scenario(path, jobs: int = 1, seed=None) -> ScenarioConfig:
     """Build a ScenarioConfig from a scenario JSON file, checked as solve's inputs are."""
     doc = vio._load(path)
-    version = vio.field(doc, "schema_version", vio.integer, str(path), None)
-    if version != vio.SCHEMA_VERSION:
-        raise FormatError(f"{path}: unsupported schema_version {version!r}")
-    fields = _typed_keys(doc, _SCENARIO_KEYS, str(path), ("applications", "requests"))
+    fields = vio.fields(doc, _SCENARIO_KEYS, str(path), ("schema_version", "applications", "requests"))
     base = Path(path).parent  # an absolute path joined to it stays as it is
     if isinstance(doc.get("substrate"), dict):
-        graphml = _typed_keys(doc["substrate"], _GRAPHML_KEYS, f"{path}: substrate", ("graphml",))
+        graphml = vio.fields(doc["substrate"], _GRAPHML_KEYS, f"{path}: substrate", ("graphml",))
         g = ingest_graphml(base / graphml.pop("graphml"))
         net = assign_costs_capacities(g, classify_tiers(g), **graphml)
     else:

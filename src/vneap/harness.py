@@ -240,7 +240,8 @@ def _origin_weights(net: SubstrateNetwork, profile) -> tuple[list[SubstrateNode]
         weights = np.ones(len(edges))
     elif profile.spatial == "lognormal":
         xs = 3.0 * (np.arange(len(edges)) + 0.5) / len(edges)
-        weights = _stats.lognorm.pdf(xs, s=profile.lognormal_sigma, scale=math.exp(profile.lognormal_mu))
+        with np.errstate(all="ignore"):  # bad weights are refused by name below
+            weights = _stats.lognorm.pdf(xs, s=profile.lognormal_sigma, scale=math.exp(profile.lognormal_mu))
     else:
         raise ValueError(f"unknown spatial distribution {profile.spatial!r}")
     total = weights.sum()

@@ -4,6 +4,14 @@ File formats are documented field-for-field in ``docs/FORMATS.md``.
 Every loader accepts either a path or an already-parsed dict; every
 dumper returns a plain dict, so round-tripping is
 ``load_x(dump_x(value)) == value``.
+
+Each kind of JSON object has one table below mapping every key it may
+hold to the reader of its value, and each loader (the CLI's scenario
+loader too) reads an object through fields() and its table.  Objects of
+substrate, catalog, request and efficiency documents may also hold the
+ANNOTATIONS: a ``comment``, never read, and a ``schema_version``, which
+must be the integer 1.  Every key present is read, so an efficiency
+entry's ``coeff`` is type-checked even beside ``"forbidden": true``.
 """
 
 from __future__ import annotations
@@ -93,22 +101,18 @@ def names(value) -> tuple[str, ...]:
     return tuple(value)
 
 
-REQUIRED = object()
+def version(value) -> None:
+    """The integer 1, this vneap's SCHEMA_VERSION, read to None so that
+    fields() leaves it out of an object's values."""
+    if integer(value) != SCHEMA_VERSION:
+        raise ValueError(f"unsupported schema_version {value!r}")
+
 
 # Keys every object of a substrate, catalog, request or efficiency document
-# may carry besides its own: free text, and the document's version.
-ANNOTATIONS = ("comment", "schema_version")
+# may carry besides its own: free text, never read, and the document's version.
+ANNOTATIONS = {"comment": None, "schema_version": version}
 
-
-def known(doc, keys, where: str):
-    """``doc``, checked to hold no key outside ``keys``: any other is a
-    FormatError naming ``where`` and the key, so a misspelled optional key
-    is refused instead of silently taking its default."""
-    if isinstance(doc, Mapping):
-        unknown = sorted(set(doc) - set(keys))
-        if unknown:
-            raise FormatError(f"{where}: unknown key(s) {', '.join(map(repr, unknown))}")
-    return doc
+REQUIRED = object()
 
 
 def field(doc, key: str, read, where: str, default=REQUIRED):
@@ -128,34 +132,49 @@ def field(doc, key: str, read, where: str, default=REQUIRED):
         raise FormatError(f"{where}: {key!r}: {exc}") from None
 
 
+def fields(doc, table: Mapping, where: str, required: tuple[str, ...] = ()) -> dict:
+    """``doc``'s non-null values, each read by field() with the reader
+    ``table`` maps its key to.  A key outside ``table`` is a FormatError
+    naming ``where`` and the key, so a misspelled optional key is refused
+    instead of silently taking its default; a key mapped to None is
+    allowed but not read."""
+    if isinstance(doc, Mapping):
+        unknown = sorted(set(doc) - set(table))
+        if unknown:
+            raise FormatError(f"{where}: unknown key(s) {', '.join(map(repr, unknown))}")
+    values = {}
+    for key, read in table.items():
+        if read is not None:
+            value = field(doc, key, read, where, REQUIRED if key in required else None)
+            if value is not None:
+                values[key] = value
+    return values
+
+
 # -- substrate ---------------------------------------------------------------
+
+SUBSTRATE = {"nodes": array, "links": array, **ANNOTATIONS}
+SUBSTRATE_NODE = {"id": string, "cost": number, "capacity": number, "tier": string, **ANNOTATIONS}
+SUBSTRATE_LINK = {
+    "src": string, "dst": string, "cost": number, "capacity": number, "directed": boolean,
+    **ANNOTATIONS,
+}
 
 
 def load_substrate(source: Source) -> SubstrateNetwork:
-    doc = known(_load(source), ("nodes", "links", *ANNOTATIONS), "substrate")
-    nodes = []
-    for i, n in enumerate(field(doc, "nodes", array, "substrate")):
-        where = f"substrate node {i}"
-        known(n, ("id", "cost", "capacity", "tier", *ANNOTATIONS), where)
-        nodes.append(
-            SubstrateNode(
-                id=field(n, "id", string, where),
-                cost=field(n, "cost", number, where),
-                capacity=field(n, "capacity", number, where),
-                tier=field(n, "tier", string, where, None),
-            )
-        )
+    doc = fields(_load(source), SUBSTRATE, "substrate", ("nodes", "links"))
+    nodes = [
+        SubstrateNode(**fields(n, SUBSTRATE_NODE, f"substrate node {i}", ("id", "cost", "capacity")))
+        for i, n in enumerate(doc["nodes"])
+    ]
     arcs: list[SubstrateArc] = []
-    for i, l in enumerate(field(doc, "links", array, "substrate")):
-        where = f"substrate link {i}"
-        known(l, ("src", "dst", "cost", "capacity", "directed", *ANNOTATIONS), where)
-        src = field(l, "src", string, where)
-        dst = field(l, "dst", string, where)
-        cost = field(l, "cost", number, where)
-        cap = field(l, "capacity", number, where)
-        arcs.append(SubstrateArc(src, dst, cost, cap))
-        if not field(l, "directed", boolean, where, False):
-            arcs.append(SubstrateArc(dst, src, cost, cap))
+    for i, l in enumerate(doc["links"]):
+        link = fields(l, SUBSTRATE_LINK, f"substrate link {i}", ("src", "dst", "cost", "capacity"))
+        directed = link.pop("directed", False)
+        arc = SubstrateArc(**link)
+        arcs.append(arc)
+        if not directed:
+            arcs.append(SubstrateArc(arc.dst, arc.src, arc.cost, arc.capacity))
     return SubstrateNetwork(nodes, arcs)
 
 
@@ -182,40 +201,32 @@ def dump_substrate(net: SubstrateNetwork) -> dict:
 
 # -- applications ------------------------------------------------------------
 
+CATALOG = {"applications": array, **ANNOTATIONS}
+APPLICATION = {"id": None, "alternatives": array, **ANNOTATIONS}  # id is read first, to name the rest
+ALTERNATIVE = {"index": integer, "root": string, "nodes": array, "links": array, **ANNOTATIONS}
+VIRTUAL_NODE = {"id": string, "size": number, **ANNOTATIONS}
+VIRTUAL_LINK = {"parent": string, "child": string, "size": number, **ANNOTATIONS}
+
 
 def load_applications(source: Source) -> dict[str, Application]:
-    doc = known(_load(source), ("applications", *ANNOTATIONS), "application catalog")
+    doc = fields(_load(source), CATALOG, "application catalog", ("applications",))
     catalog: dict[str, Application] = {}
-    for a in field(doc, "applications", array, "application catalog"):
+    for a in doc["applications"]:
         app_id = field(a, "id", string, "application")
-        known(a, ("id", "alternatives", *ANNOTATIONS), f"application {app_id}")
+        app = fields(a, APPLICATION, f"application {app_id}", ("alternatives",))
         alts = []
-        for j, t in enumerate(field(a, "alternatives", array, f"application {app_id}")):
+        for j, t in enumerate(app["alternatives"]):
             where = f"application {app_id} alternative {j}"
-            known(t, ("index", "root", "nodes", "links", *ANNOTATIONS), where)
-            nodes = []
-            for i, n in enumerate(field(t, "nodes", array, where)):
-                at = f"{where} node {i}"
-                known(n, ("id", "size", *ANNOTATIONS), at)
-                nodes.append(VirtualNode(field(n, "id", string, at), field(n, "size", number, at)))
-            links = []
-            for i, l in enumerate(field(t, "links", array, where, ())):
-                at = f"{where} link {i}"
-                known(l, ("parent", "child", "size", *ANNOTATIONS), at)
-                links.append(
-                    VirtualLink(field(l, "parent", string, at),
-                                field(l, "child", string, at),
-                                field(l, "size", number, at))
-                )
-            alts.append(
-                AlternativeTopology(
-                    app_id=app_id,
-                    index=field(t, "index", integer, where),
-                    nodes=nodes,
-                    links=links,
-                    root=field(t, "root", string, where),
-                )
-            )
+            alt = fields(t, ALTERNATIVE, where, ("index", "root", "nodes"))
+            nodes = [
+                VirtualNode(**fields(n, VIRTUAL_NODE, f"{where} node {i}", ("id", "size")))
+                for i, n in enumerate(alt["nodes"])
+            ]
+            links = [
+                VirtualLink(**fields(l, VIRTUAL_LINK, f"{where} link {i}", ("parent", "child", "size")))
+                for i, l in enumerate(alt.get("links", ()))
+            ]
+            alts.append(AlternativeTopology(app_id, alt["index"], nodes, links, alt["root"]))
         if app_id in catalog:
             raise FormatError(f"duplicate application id {app_id!r}")
         if not alts:
@@ -250,31 +261,33 @@ def dump_applications(catalog: Mapping[str, Application]) -> dict:
 
 # -- efficiency map ----------------------------------------------------------
 
+EFFICIENCY = {"default": number, "nodes": array, "links": array, **ANNOTATIONS}
+# an entry's coeff is read even beside "forbidden", and required only without it
+EFFICIENCY_ENTRY = {"coeff": number, "forbidden": boolean, **ANNOTATIONS}
+EFFICIENCY_NODE = {"function": string, "node": string, **EFFICIENCY_ENTRY}
+EFFICIENCY_LINK = {"link": names, "arc": names, **EFFICIENCY_ENTRY}
+
 
 def load_efficiency(source: Optional[Source]) -> EfficiencyMap:
     """Load an efficiency map; ``None`` yields the all-defaults map."""
     if source is None:
         return EfficiencyMap()
-    doc = known(_load(source), ("default", "nodes", "links", *ANNOTATIONS), "efficiency map")
-    node_coeffs = {}
-    for i, entry in enumerate(field(doc, "nodes", array, "efficiency map", ())):
-        where = f"efficiency node entry {i}"
-        known(entry, ("function", "node", "coeff", "forbidden", *ANNOTATIONS), where)
-        key = (field(entry, "function", string, where), field(entry, "node", string, where))
-        forbidden = field(entry, "forbidden", boolean, where, False)
-        node_coeffs[key] = FORBIDDEN if forbidden else field(entry, "coeff", number, where)
-    link_coeffs = {}
-    for i, entry in enumerate(field(doc, "links", array, "efficiency map", ())):
-        where = f"efficiency link entry {i}"
-        known(entry, ("link", "arc", "coeff", "forbidden", *ANNOTATIONS), where)
-        vlink = field(entry, "link", names, where)
-        arc = field(entry, "arc", names, where)
-        if len(vlink) != 2 or len(arc) != 2:
-            raise FormatError(f"{where}: 'link' and 'arc' must be pairs")
-        forbidden = field(entry, "forbidden", boolean, where, False)
-        link_coeffs[(vlink, arc)] = FORBIDDEN if forbidden else field(entry, "coeff", number, where)
-    default = field(doc, "default", number, "efficiency map", 1.0)
-    return EfficiencyMap(node_coeffs, link_coeffs, default)
+    doc = fields(_load(source), EFFICIENCY, "efficiency map")
+    coeffs = []
+    for kind, table, pairing in (
+        ("node", EFFICIENCY_NODE, ("function", "node")),
+        ("link", EFFICIENCY_LINK, ("link", "arc")),
+    ):
+        found = {}
+        for i, e in enumerate(doc.get(kind + "s", ())):
+            where = f"efficiency {kind} entry {i}"
+            entry = fields(e, table, where, pairing)
+            key = tuple(entry[k] for k in pairing)
+            if kind == "link" and not all(len(pair) == 2 for pair in key):
+                raise FormatError(f"{where}: 'link' and 'arc' must be pairs")
+            found[key] = FORBIDDEN if entry.get("forbidden") else field(e, "coeff", number, where)
+        coeffs.append(found)
+    return EfficiencyMap(*coeffs, doc.get("default", 1.0))
 
 
 def dump_efficiency(eff: EfficiencyMap) -> dict:
@@ -304,21 +317,16 @@ def dump_efficiency(eff: EfficiencyMap) -> dict:
 
 # -- requests ----------------------------------------------------------------
 
+REQUEST_LIST = {"requests": array, **ANNOTATIONS}
+REQUEST = {"origin": string, "app": string, "demand": number, **ANNOTATIONS}
+
 
 def load_requests(source: Source) -> list[Request]:
-    doc = known(_load(source), ("requests", *ANNOTATIONS), "request list")
-    requests = []
-    for i, r in enumerate(field(doc, "requests", array, "request list")):
-        where = f"request {i}"
-        known(r, ("origin", "app", "demand", *ANNOTATIONS), where)
-        requests.append(
-            Request(
-                origin=field(r, "origin", string, where),
-                app=field(r, "app", string, where),
-                demand=field(r, "demand", number, where),
-            )
-        )
-    return requests
+    doc = fields(_load(source), REQUEST_LIST, "request list", ("requests",))
+    return [
+        Request(**fields(r, REQUEST, f"request {i}", ("origin", "app", "demand")))
+        for i, r in enumerate(doc["requests"])
+    ]
 
 
 def dump_requests(requests: Sequence[Request]) -> dict:

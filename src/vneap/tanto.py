@@ -177,10 +177,11 @@ class RoundingState:
         values: Mapping[VariableKey, float],
         alternatives: Sequence[AlternativeTopology],
     ) -> "RoundingState":
-        """Number ``agg``'s variables in ``values`` above :data:`_DUST`
-        into slots and index them by site; ``alternatives`` is the order
-        :func:`embed_request` will be given them in."""
-        kept = [(k, v) for k, v in values.items() if k.owner == agg.owner and v > _DUST]
+        """Number ``agg``'s variables in ``values``, which holds only
+        ``agg``'s, above :data:`_DUST` into slots and index them by site;
+        ``alternatives`` is the order :func:`embed_request` will be given
+        them in."""
+        kept = [(k, v) for k, v in values.items() if v > _DUST]
         keys = [k for k, _ in kept]
         node_index = {n.id: i for i, n in enumerate(net.nodes)}
         n_nodes = len(net.nodes)

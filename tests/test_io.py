@@ -5,6 +5,8 @@ from __future__ import annotations
 import copy
 import json
 import math
+import re
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +25,8 @@ from vneap.io import (
 from vneap.model import FORBIDDEN, EfficiencyMap, Request
 
 from conftest import random_instance, toy_apps, toy_net, unit_requests
+
+FORMATS = Path(__file__).parent.parent / "docs" / "FORMATS.md"
 
 # The round-trip tests send a toy document and random_instance(seed)'s
 # through JSON text, as write_json does, and load them back.
@@ -106,6 +110,21 @@ def test_no_efficiency_source_means_all_defaults():
     eff = load_efficiency(None)
     assert eff.node_coeffs == {} and eff.link_coeffs == {}
     assert eff.node("anything", "anywhere") == 1.0
+
+
+@pytest.mark.parametrize(
+    "section, load",
+    [
+        ("Substrate network", load_substrate),
+        ("Application catalog", load_applications),
+        ("Requests", load_requests),
+        ("Efficiency map", load_efficiency),
+    ],
+)
+def test_formats_example_loads(section, load):
+    """docs/FORMATS.md's example of each input document loads as it stands."""
+    text = FORMATS.read_text().split(f"\n## {section}\n", 1)[1].split("\n## ", 1)[0]
+    load(json.loads(re.search(r"```json\n(.*?)```", text, re.S).group(1)))
 
 
 def test_bundled_catalogs_load():
@@ -202,9 +221,12 @@ def _with_key(doc, path, key, value):
 @pytest.mark.parametrize("load, doc, path", OBJECTS)
 def test_unknown_key_is_a_format_error_naming_it(load, doc, path):
     """Every object of an input document holds only its own keys, plus a
-    free-text ``comment`` and the ``schema_version``."""
+    free-text ``comment`` and the ``schema_version``, which is the integer 1."""
     load(_with_key(doc, path, "comment", "free text"))
     load(_with_key(doc, path, "schema_version", 1))
+    for version in (2, "1"):
+        with pytest.raises(FormatError, match="'schema_version'"):
+            load(_with_key(doc, path, "schema_version", version))
     with pytest.raises(FormatError, match="unknown key\\(s\\) 'colour'"):
         load(_with_key(doc, path, "colour", "red"))
 
