@@ -378,7 +378,7 @@ _SCENARIO_KEYS = {
     "spatial": vio.string,
     "lognormal_mu": vio.number,
     "lognormal_sigma": vio.number,
-    "calibration_requests": vio.integer,
+    "calibration_requests": None,  # the sample size older files set; not read
     "algorithms": vio.names,
     "repetitions": vio.integer,
     "seed": vio.integer,

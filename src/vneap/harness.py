@@ -2,15 +2,15 @@
 capacity assignment, request generation, target-utilization calibration,
 and scenario execution with deterministic result rows.
 
-Scenario flow per repetition: generate a calibration request set, scale
-substrate capacities to the configured target utilizations, generate the
-run request set, execute each configured algorithm, and collect metrics
-through the validator.  The full catalog's aggregate relaxation is
-solved at most once per repetition: the ``lp`` row reports it and
-``tanto`` rounds it.  All randomness is derived from the scenario seed
-via labeled streams, so rows are byte-stable across runs and across
-worker counts; wall-clock timings are kept out of the rows and reported
-in a separate timings table.
+Scenario flow: scale substrate capacities once to the target utilizations
+of the expected demand (the request count times the mean clipped size);
+per repetition, generate the run request set, execute each configured
+algorithm, and collect metrics through the validator.  The full
+catalog's aggregate relaxation is solved at most once per repetition:
+the ``lp`` row reports it and ``tanto`` rounds it.  All randomness is
+derived from the scenario seed via labeled streams, so rows are
+byte-stable across runs and across worker counts; wall-clock timings
+are kept out of the rows and reported in a separate timings table.
 """
 
 from __future__ import annotations
@@ -336,18 +336,20 @@ def _capacity_totals(net: SubstrateNetwork) -> tuple[float, float]:
     return total_node_cap, total_arc_cap
 
 
-def _capacity_scales(
+def _rescaled(
     net: SubstrateNetwork, node_demand: float, link_demand: float, node_tu: float, link_tu: float
-) -> tuple[float, float]:
-    """The factors that size the node and arc capacity totals for the
-    given demand at the target utilizations; a ValueError unless both
-    are finite and positive."""
+) -> SubstrateNetwork:
+    """``net`` with node and arc capacities uniformly rescaled so the given
+    main-alternative demand meets the target utilizations (total demand /
+    total capacity); a ValueError unless both scales are finite and positive."""
     total_node_cap, total_arc_cap = _capacity_totals(net)
-    scales = ((node_demand / node_tu) / total_node_cap, (link_demand / link_tu) / total_arc_cap)
-    for what, scale in zip(("node", "arc"), scales):
+    node_scale, arc_scale = (node_demand / node_tu) / total_node_cap, (link_demand / link_tu) / total_arc_cap
+    for what, scale in (("node", node_scale), ("arc", arc_scale)):
         if not 0 < scale < math.inf:
             raise ValueError(f"{what} capacity scale {scale!r} is not a finite positive factor")
-    return scales
+    nodes = tuple(replace(n, capacity=n.capacity * node_scale) for n in net.nodes)
+    arcs = tuple(replace(a, capacity=a.capacity * arc_scale) for a in net.arcs)
+    return SubstrateNetwork(nodes, arcs)
 
 
 def calibrate_target_utilization(
@@ -378,10 +380,24 @@ def calibrate_target_utilization(
         factor = population / len(calib_requests)
         node_demand *= factor
         link_demand *= factor
-    node_scale, arc_scale = _capacity_scales(net, node_demand, link_demand, node_tu, link_tu)
-    nodes = tuple(replace(n, capacity=n.capacity * node_scale) for n in net.nodes)
-    arcs = tuple(replace(a, capacity=a.capacity * arc_scale) for a in net.arcs)
-    return SubstrateNetwork(nodes, arcs)
+    return _rescaled(net, node_demand, link_demand, node_tu, link_tu)
+
+
+def _clipped_mean(mean: float, sigma: float) -> float:
+    """E[max(f, N(mean, sigma))] for the size floor f, the mean size that
+    generate_requests draws: ``f·Φ(a) + μ·(1 − Φ(a)) + σ·φ(a)`` with
+    ``a = (f − μ)/σ``; NaN or infinite unless both are finite."""
+    a, norm = (_SIZE_FLOOR - mean) / sigma, _stats.norm
+    return _SIZE_FLOOR * float(norm.cdf(a)) + mean * float(norm.sf(a)) + sigma * float(norm.pdf(a))
+
+
+def calibrated_substrate(config: ScenarioConfig) -> SubstrateNetwork:
+    """The substrate every repetition runs on: capacities rescaled so the
+    expected demand (``requests`` times the clipped mean size, under the
+    app's main alternative) meets ``node_tu`` and ``link_tu``."""
+    node_fp, link_fp, _ = _main_footprint(config.apps[config.app])
+    demand = config.requests * _clipped_mean(config.size_mean, config.size_sigma)
+    return _rescaled(config.substrate, demand * node_fp, demand * link_fp, config.node_tu, config.link_tu)
 
 
 def measured_utilization(
@@ -414,7 +430,6 @@ class ScenarioConfig:
     spatial: str = GenParams.spatial
     lognormal_mu: float = GenParams.lognormal_mu
     lognormal_sigma: float = GenParams.lognormal_sigma
-    calibration_requests: int = 60_000
     algorithms: tuple[str, ...] = ("lp", "greedy", "tanto")
     repetitions: int = 30
     seed: int = 0
@@ -423,7 +438,7 @@ class ScenarioConfig:
     jobs: int = 1
 
     def __post_init__(self):
-        for key in ("requests", "calibration_requests", "repetitions", "jobs"):
+        for key in ("requests", "repetitions", "jobs"):
             if getattr(self, key) < 1:
                 raise ValueError(f"{key} must be >= 1, not {getattr(self, key)}")
         for key in ("node_tu", "link_tu", "size_sigma"):
@@ -445,18 +460,13 @@ class ScenarioConfig:
             object.__setattr__(self, "app", sorted(self.apps)[0])
         elif self.app not in self.apps:
             raise ValueError(f"app {self.app!r} is not in the catalog")
-        # each repetition calibrates to a sample of about this demand
-        node_fp, link_fp, _ = _main_footprint(self.apps[self.app])
-        demand = self.requests * max(_SIZE_FLOOR, self.size_mean)
         try:
-            _capacity_scales(
-                self.substrate, demand * node_fp, demand * link_fp, self.node_tu, self.link_tu
-            )
+            calibrated_substrate(self)
         except ValueError as exc:
             raise ValueError(
-                f"calibration cannot size the substrate for {self.requests} requests "
-                f"of size {self.size_mean!r} at node_tu {self.node_tu!r} and link_tu "
-                f"{self.link_tu!r}: {exc}"
+                f"calibration cannot size the substrate for {self.requests} requests of size mean "
+                f"{self.size_mean!r}, sigma {self.size_sigma!r} at node_tu {self.node_tu!r} and "
+                f"link_tu {self.link_tu!r}: {exc}"
             ) from None
 
 
@@ -633,10 +643,10 @@ def _error_entry(rep: int, algo: str, exc: Exception) -> dict:
     return {"repetition": rep, "algorithm": algo, "type": type(exc).__name__, "error": str(exc)}
 
 
-def _repetition(config: ScenarioConfig, psi: float, rep: int) -> tuple[list, list, list]:
-    """Repetition ``rep`` of a scenario: its (rows, timings, errors).  A
-    module-level function of its arguments alone, so a worker process
-    can run it; its timings are that process's own."""
+def _repetition(config: ScenarioConfig, psi: float, net: SubstrateNetwork, rep: int) -> tuple[list, list, list]:
+    """Repetition ``rep`` of a scenario on its calibrated substrate ``net``:
+    its (rows, timings, errors).  A module-level function of its arguments
+    alone, so a worker process can run it; its timings are that process's own."""
     rows, timings, errors = [], [], []
     gen = GenParams(
         count=config.requests,
@@ -649,19 +659,7 @@ def _repetition(config: ScenarioConfig, psi: float, rep: int) -> tuple[list, lis
     )
     t0, c0 = time.perf_counter(), time.process_time()
     try:
-        calib = generate_requests(
-            config.substrate,
-            config.apps,
-            replace(gen, count=config.calibration_requests, enforce_origin_cap=False),
-            _rng.substream_seed(config.seed, "calibration", rep),
-        )
-        net = calibrate_target_utilization(
-            config.substrate, config.apps, calib, config.node_tu, config.link_tu,
-            population=config.requests,
-        )
-        requests = generate_requests(
-            net, config.apps, gen, _rng.substream_seed(config.seed, "requests", rep)
-        )
+        requests = generate_requests(net, config.apps, gen, _rng.substream_seed(config.seed, "requests", rep))
     except Exception as exc:
         return rows, timings, [_error_entry(rep, "", exc)]
     setup_runtime_s = time.perf_counter() - t0
@@ -695,7 +693,7 @@ def _repetition(config: ScenarioConfig, psi: float, rep: int) -> tuple[list, lis
 
 
 def run_scenario(config: ScenarioConfig) -> ScenarioResult:
-    """Execute all repetitions of a scenario.
+    """Execute all repetitions of a scenario on its calibrated substrate.
 
     Each repetition derives its own seeds from the scenario seed, so the
     result rows are identical however many worker processes run them.
@@ -708,7 +706,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
         if config.psi is not None
         else compute_rejection_penalty(config.substrate, config.apps, config.efficiency)
     )
-    one_rep = functools.partial(_repetition, config, psi)
+    one_rep = functools.partial(_repetition, config, psi, calibrated_substrate(config))
     reps = range(config.repetitions)
     if config.jobs > 1 and config.repetitions > 1:
         # a forked worker starts without importing numpy and scipy again

@@ -538,6 +538,25 @@ def test_compare_seed_override_changes_rows(runner, tmp_path):
     assert produced != (GOLDEN / "tiny_scenario_rows.csv").read_text()
 
 
+def test_compare_ignores_calibration_requests(runner, tmp_path):
+    """``calibration_requests``, the calibration sample size that older
+    scenario files set, is accepted with any value and changes no row:
+    the golden scenario writes the golden rows without the key, with a
+    negative count and with a string."""
+    doc = json.loads((GOLDEN / "tiny_scenario.json").read_text())
+    doc["substrate"] = str(GOLDEN / "tiny_substrate.json")
+    del doc["calibration_requests"]
+    produced = []
+    for i, extra in enumerate(({}, {"calibration_requests": -4}, {"calibration_requests": "many"})):
+        path = tmp_path / str(i) / "tiny.json"
+        path.parent.mkdir()
+        path.write_text(json.dumps({**doc, **extra}))
+        result = runner.invoke(main, ["compare", "--scenario", str(path), "--out", str(path.parent / "out")])
+        assert result.exit_code == 0, result.output
+        produced.append((path.parent / "out" / "tiny_rows.csv").read_text())
+    assert produced == [(GOLDEN / "tiny_scenario_rows.csv").read_text()] * 3
+
+
 def test_compare_without_any_rows_is_infeasible(runner, tmp_path, monkeypatch):
     def crash(*args):
         raise RuntimeError("greedy crashed")
@@ -611,7 +630,6 @@ def write_scenario(path: Path, **keys) -> Path:
         ({"psi": -5}, "psi must be a finite number >= 0, not -5.0"),
         ({"requests": 0}, "requests must be >= 1, not 0"),
         ({"link_tu": 0}, "link_tu must be positive, not 0.0"),
-        ({"calibration_requests": -4}, "calibration_requests must be >= 1, not -4"),
         ({"spatial": "gaussian"}, "spatial must be one of uniform, lognormal, not 'gaussian'"),
         ({"app": "nope"}, "app 'nope' is not in the catalog"),
         ({"algorithms": []}, "algorithms must name at least one algorithm"),
@@ -631,7 +649,7 @@ def write_scenario(path: Path, **keys) -> Path:
          "zero-tier-ratio", "top-level-list", "name-object", "seed-fraction",
          "requests-fraction", "repetitions-bool", "number-string", "number-bool", "number-nan",
          "number-inf", "number-overflow", "tier-ratio-string", "negative-psi", "zero-requests",
-         "zero-link-tu", "negative-calibration", "unknown-spatial", "app-not-in-catalog", "no-algorithms",
+         "zero-link-tu", "unknown-spatial", "app-not-in-catalog", "no-algorithms",
          "empty-catalog", "unknown-algorithm", "alternative-not-a-number", "absent-alternative",
          "no-origin-weights", "no-edge-nodes", "no-arc-capacity", "tiny-node-tu",
          "tiny-link-tu", "huge-link-size"],

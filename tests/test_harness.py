@@ -31,6 +31,7 @@ from vneap.harness import (
     ScenarioConfig,
     assign_costs_capacities,
     calibrate_target_utilization,
+    calibrated_substrate,
     catalog_alternative_indices,
     classify_tiers,
     generate_requests,
@@ -454,6 +455,61 @@ def test_calibrate_input_validation():
         calibrate_target_utilization(net, apps, calib, 1.0, 1.0, population=0)
 
 
+def uncapped(net: SubstrateNetwork, count: int, seed: int, mean: float = 0.1, sigma: float = 1.0):
+    """``count`` cam requests drawn on ``net`` with the origin cap off;
+    the default sizes are floor_config's."""
+    params = GenParams(count=count, app="cam", size_mean=mean, size_sigma=sigma, enforce_origin_cap=False)
+    return generate_requests(net, toy_apps(), params, seed)
+
+
+@pytest.mark.parametrize("mean, sigma", [(10.0, 2.0), (1.0, 0.2), (0.1, 1.0)])
+def test_clipped_mean_matches_a_large_sample(mean, sigma):
+    """The closed-form mean of max(floor, N(mean, sigma)) agrees with the
+    mean of 200 000 drawn sizes within 4 standard errors, also at (0.1, 1),
+    where the floor clips half the draws and max(floor, mean) is 0.1
+    against a true mean near 0.5."""
+    sizes = np.array([r.demand for r in uncapped(amres_net(), 200_000, 5, mean, sigma)])
+    standard_error = sizes.std(ddof=1) / math.sqrt(len(sizes))
+    assert abs(vneap.harness._clipped_mean(mean, sigma) - sizes.mean()) < 4 * standard_error
+
+
+def floor_config(**overrides) -> ScenarioConfig:
+    """500 requests on amres_rs whose sizes the floor clips half the time."""
+    settings = dict(name="floor", substrate=amres_net(), apps=toy_apps(), requests=500,
+                    node_tu=0.8, link_tu=0.6, app="cam", size_mean=0.1, size_sigma=1.0)
+    return ScenarioConfig(**{**settings, **overrides})
+
+
+def test_sample_calibration_agrees_with_the_closed_form():
+    """Calibrating to a 20 000-request sample sizes every capacity as the
+    closed form does, within 4 of the sample mean's relative standard errors."""
+    config = floor_config()
+    sample = uncapped(config.substrate, 20_000, seed=9)
+    estimated = calibrate_target_utilization(
+        config.substrate, config.apps, sample, 0.8, 0.6, population=config.requests
+    )
+    sizes = np.array([r.demand for r in sample])
+    relative_error = sizes.std(ddof=1) / math.sqrt(len(sizes)) / sizes.mean()
+    exact = calibrated_substrate(config)
+    for a, b in zip(exact.nodes + exact.arcs, estimated.nodes + estimated.arcs):
+        assert abs(b.capacity / a.capacity - 1) < 4 * relative_error
+
+
+def test_calibrated_substrate_runs_at_its_target_utilization():
+    """With the origin cap off, the node and link utilization that 20
+    repetitions' requests measure on the calibrated substrate average to
+    node_tu and link_tu within 4 standard errors."""
+    config = floor_config()
+    net = calibrated_substrate(config)
+    measured = np.array([
+        measured_utilization(net, config.apps, uncapped(
+            net, config.requests, vneap.rng.substream_seed(config.seed, "requests", rep)))
+        for rep in range(20)
+    ])
+    standard_error = measured.std(axis=0, ddof=1) / math.sqrt(len(measured))
+    assert (abs(measured.mean(axis=0) - (0.8, 0.6)) < 4 * standard_error).all()
+
+
 # ------------------------------------------------------------ run_scenario
 
 
@@ -468,7 +524,6 @@ def tiny_config(**overrides) -> ScenarioConfig:
         app="cam",
         size_mean=1.0,
         size_sigma=0.2,
-        calibration_requests=300,
         algorithms=("greedy",),
         repetitions=1,
         seed=3,
@@ -504,8 +559,8 @@ def test_run_scenario_row_grid():
 
 
 def test_timings_carry_each_repetitions_setup_time():
-    """Every row of a repetition carries the wall time of its calibration
-    sample, calibration and generation, and the sidecar writes it."""
+    """Every row of a repetition carries the wall time of drawing its
+    requests, and the sidecar writes it."""
     result = run_scenario(tiny_config(repetitions=2, algorithms=("lp", "greedy")))
     setups = [t["setup_runtime_s"] for t in result.timings]
     assert all(s >= 0 for s in setups)
@@ -561,21 +616,39 @@ def test_scenario_config_refuses_origins_no_run_can_draw():
             tiny_config(spatial="lognormal", lognormal_sigma=sigma)
 
 
-def fail_calibration(monkeypatch) -> None:
-    """Make every repetition's calibration refuse its sample, as one whose
-    capacity scale overflows would; a scenario that calibration cannot
-    scale at its nominal size is refused on construction instead."""
+def test_repetitions_run_on_the_calibrated_substrate(monkeypatch):
+    """Every repetition draws its requests on, and runs greedy on, the
+    substrate that calibrated_substrate gives, not the uncalibrated one."""
+    seen = []
+    for name in ("generate_requests", "greedy_embed_all"):
+        real = getattr(vneap.harness, name)
+
+        def recording(net, *args, real=real):
+            seen.append((net.nodes, net.arcs))
+            return real(net, *args)
+
+        monkeypatch.setattr(vneap.harness, name, recording)
+    config = tiny_config(repetitions=2)
+    assert run_scenario(config).errors == []
+    calibrated = calibrated_substrate(config)
+    assert calibrated.nodes != config.substrate.nodes
+    assert seen == [(calibrated.nodes, calibrated.arcs)] * 4
+
+
+def fail_setup(monkeypatch) -> None:
+    """Make every repetition's request draw fail; a scenario that no draw
+    can originate or calibration cannot scale is refused on construction."""
 
     def refuse(*args, **kwargs):
-        raise ValueError("node capacity scale inf is not a finite positive factor")
+        raise ValueError("substrate has no edge-tier nodes to originate requests")
 
-    monkeypatch.setattr(vneap.harness, "calibrate_target_utilization", refuse)
+    monkeypatch.setattr(vneap.harness, "generate_requests", refuse)
 
 
 def test_run_scenario_records_a_failed_setup_as_an_error(monkeypatch):
-    """A calibration that fails fails the repetition's set-up, which is
+    """A request draw that fails fails the repetition's set-up, which is
     recorded under no algorithm."""
-    fail_calibration(monkeypatch)
+    fail_setup(monkeypatch)
     result = run_scenario(tiny_config())
     assert result.rows == []
     assert [(e["algorithm"], e["type"]) for e in result.errors] == [("", "ValueError")]
@@ -588,7 +661,7 @@ def test_worker_processes_return_what_a_serial_run_returns(monkeypatch):
     A run that succeeds gives the same rows, and each timing row carries
     the same keys."""
     with monkeypatch.context() as patch:
-        fail_calibration(patch)  # forked workers inherit the patch
+        fail_setup(patch)  # forked workers inherit the patch
         serial = run_scenario(tiny_config(repetitions=3))
         parallel = run_scenario(tiny_config(jobs=2, repetitions=3))
     assert [e["repetition"] for e in serial.errors] == [0, 1, 2]
@@ -675,8 +748,6 @@ def test_scenario_config_validation():
         tiny_config(size_sigma=0.0)
     with pytest.raises(ValueError, match="requests must be >= 1, not 0"):
         tiny_config(requests=0)
-    with pytest.raises(ValueError, match="calibration_requests must be >= 1, not 0"):
-        tiny_config(calibration_requests=0)
     with pytest.raises(ValueError, match="jobs must be >= 1, not -3"):
         tiny_config(jobs=-3)
     with pytest.raises(ValueError, match="spatial must be one of uniform, lognormal"):
@@ -691,6 +762,11 @@ def test_scenario_config_validation():
         tiny_config(apps={}, app="")
     with pytest.raises(ValueError, match="count must be >= 1, not 0"):
         GenParams(count=0, app="cam")
+    # no run can draw these sizes, so calibration refuses them on loading
+    for sizes, scale in (({"size_mean": math.nan}, "nan"), ({"size_mean": -math.inf}, "nan"),
+                         ({"size_sigma": math.inf}, "inf")):
+        with pytest.raises(ValueError, match=f"calibration cannot size .* node capacity scale {scale} "):
+            tiny_config(**sizes)
 
 
 # ------------------------------------------------------- reporting helpers
