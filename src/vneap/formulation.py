@@ -15,7 +15,10 @@ are binary/fractional placement variables:
 The root anchor may only sit at the owner's origin, so a single root
 variable per alternative is created there (placement anywhere else is
 eliminated instead of constrained to zero).  Pairings marked forbidden
-in the efficiency map are likewise never instantiated.
+in the efficiency map are likewise never instantiated.  The aggregate
+relaxation also leaves out every variable of a chain alternative that
+no embedding priced at or below the rejection penalty passes through
+(:func:`build_relaxed_aggregate_lp`); the exact model keeps them all.
 
 Constraints per owner:
 
@@ -42,6 +45,8 @@ from dataclasses import dataclass, field, replace
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse.csgraph import dijkstra
 
 from .model import (
     FORBIDDEN,
@@ -68,6 +73,12 @@ log = logging.getLogger("vneap.formulation")
 # 755.5 units of a saturated arnes_si/cctv_two instance; from 1e-8 up
 # all four agreed.
 REJECTION_MARGIN = 1e-7
+# Relative slack on the aggregate relaxation's pricing cut: a column is
+# built when its cheapest embedding costs at most
+# psi * (1 + REJECTION_MARGIN) * (1 + _PRUNE_SLACK) per unit of demand,
+# so float sums taken in another order than the solver's never cut a
+# column an optimum could use.
+_PRUNE_SLACK = 1e-9
 
 
 class VariableKey(NamedTuple):
@@ -99,7 +110,8 @@ class LinearProgram:
     empty set makes the program a plain LP over the ``[lower, upper]``
     box.  ``solver_objective``, when set, is what the solver minimizes
     in place of ``objective``; a solution's reported objective still
-    prices it by ``objective``.
+    prices it by ``objective``.  ``pruned_columns`` counts the columns
+    a build left out because no optimum can use them.
     """
 
     keys: tuple[VariableKey, ...]
@@ -110,6 +122,7 @@ class LinearProgram:
     rows: tuple[Row, ...]
     binary: frozenset[int]
     solver_objective: Optional[np.ndarray] = None
+    pruned_columns: int = 0
 
     @property
     def n_vars(self) -> int:
@@ -152,6 +165,155 @@ def request_owner(index: int) -> str:
     return f"r{index}"
 
 
+def chain_graph(
+    node_cost: np.ndarray,
+    arc_src: np.ndarray,
+    arc_dst: np.ndarray,
+    arc_cost: np.ndarray,
+    steps: Sequence[tuple],
+) -> tuple[sparse.csr_matrix, sparse.csr_matrix, np.ndarray, np.ndarray]:
+    """The layered graph of one chain of virtual links, reversed and as
+    it is, and the cost of each of its moves per unit of demand.
+
+    Substrate nodes and arcs are numbered: node ``v`` costs
+    ``node_cost[v]`` and arc ``a`` runs from ``arc_src[a]`` to
+    ``arc_dst[a]`` at ``arc_cost[a]``.  ``steps`` are the chain's k links
+    in order, each (link, its child's size, the child's coefficient per
+    node, the link's coefficient per arc).  State ``m * n + v`` has the
+    chain's first m functions placed and link m pending at node ``v``
+    (state ``v``: the root on ``v``).  Placing the next function on
+    ``v`` moves (m, v) to (m + 1, v) at ``node_unit[m, v] = size * coeff
+    * node_cost[v]``; carrying link m over arc ``a`` moves (m, src) to
+    (m, dst) at ``arc_unit[m, a] = link.size * coeff * arc_cost[a]``.  A
+    forbidden pairing is no move, and its unit cost NaN; so is a
+    pairing whose unit cost is not finite.
+
+    The first graph holds every move reversed, plus a sink, state
+    ``(k + 1) * n``, that reaches every state of layer k at 0.0, and the
+    second is its transpose.  One Dijkstra run from the sink gives every
+    state's cheapest cost to finish the chain, ignoring capacity; one
+    over the transpose from state ``v`` gives every state's cheapest cost
+    from the root on ``v``.  Each move is given once: it pairs a state
+    with one node or arc, and ``validate_substrate`` rejects repeated
+    arcs (``DuplicateArc``).
+    """
+    n, k = len(node_cost), len(steps)
+    # size * coeff * cost, in that order, as a search sums it; a
+    # FORBIDDEN coefficient reads as NaN, so its unit cost is NaN too
+    sizes = np.array([[size, link.size] for link, size, _, _ in steps], dtype=float).reshape(k, 2)
+    node_coeff = np.array([step[2] for step in steps], dtype=float).reshape(k, n)
+    arc_coeff = np.array([step[3] for step in steps], dtype=float).reshape(k, len(arc_cost))
+    node_unit = sizes[:, :1] * node_coeff * node_cost
+    arc_unit = sizes[:, 1:] * arc_coeff * arc_cost
+    mv, v = np.nonzero(node_unit < math.inf)
+    ma, a = np.nonzero(arc_unit < math.inf)
+    sink = (k + 1) * n
+    heads = np.concatenate([np.full(n, sink), (mv + 1) * n + v, ma * n + arc_dst[a]])
+    tails = np.concatenate([k * n + np.arange(n), mv * n + v, ma * n + arc_src[a]])
+    costs = np.concatenate([np.zeros(n), node_unit[mv, v], arc_unit[ma, a]])
+    size = sink + 1
+    return _csr(heads, tails, costs, size), _csr(tails, heads, costs, size), node_unit, arc_unit
+
+
+def _csr(rows: np.ndarray, cols: np.ndarray, data: np.ndarray, size: int) -> sparse.csr_matrix:
+    """The ``size`` by ``size`` matrix with ``data[i]`` at (``rows[i]``,
+    ``cols[i]``), each row's entries in input order.  Built straight
+    from the CSR arrays: on a chain's graph that takes a fifth of the
+    time scipy's (data, (rows, cols)) constructor does."""
+    order = np.argsort(rows, kind="stable")
+    indptr = np.zeros(size + 1, dtype=np.int32)
+    np.cumsum(np.bincount(rows, minlength=size), out=indptr[1:])
+    indices = cols[order].astype(np.int32)
+    return sparse.csr_matrix((data[order], indices, indptr), shape=(size, size))
+
+
+def _pricing_cut(
+    net: SubstrateNetwork,
+    apps: Mapping[str, Application],
+    efficiency: EfficiencyMap,
+    aggregates: Sequence[AggregatedRequest],
+    psi: float,
+) -> tuple[dict, int]:
+    """The ``keep`` argument of :func:`_owner_rows` that leaves out every
+    column of a chain alternative whose cheapest embedding costs more
+    than ``psi * (1 + REJECTION_MARGIN)`` per unit of demand, and the
+    number of columns it leaves out.
+
+    Serving along such an embedding costs more than rejecting the same
+    demand, and the arc-flow program of a tree request decomposes into
+    whole embeddings, so no optimum puts flow on the column.  The
+    cheapest embedding through a column is the cheapest cost from the
+    root at the origin to the column's move, plus the move's unit cost,
+    plus the cheapest cost from there to the chain's end: two Dijkstra
+    runs per alternative over :func:`chain_graph`, one from its sink and
+    one from all of its owners' origins.  Branching alternatives, and
+    owners :func:`_owner_rows` refuses, are left whole.
+    """
+    cut = psi * (1.0 + REJECTION_MARGIN) * (1.0 + _PRUNE_SLACK)
+    node_index = {sn.id: i for i, sn in enumerate(net.nodes)}
+    node_cost = np.array([sn.cost for sn in net.nodes], dtype=float)
+    arc_src = np.array([node_index[a.src] for a in net.arcs], dtype=np.int64)
+    arc_dst = np.array([node_index[a.dst] for a in net.arcs], dtype=np.int64)
+    arc_cost = np.array([a.cost for a in net.arcs], dtype=float)
+    n = len(net.nodes)
+    by_app: dict[str, list[AggregatedRequest]] = {}
+    for g in aggregates:
+        if g.app in apps and g.origin in node_index:
+            by_app.setdefault(g.app, []).append(g)
+    keep: dict[tuple[str, int], Optional[tuple[dict, dict]]] = {}
+    pruned = 0
+    for app_id, group in by_app.items():
+        for alt in apps[app_id].alternatives:
+            links = alt.preorder
+            if [l.parent for l in links] != [alt.root, *(l.child for l in links[:-1])]:
+                continue  # branching: built whole
+            owners = [g for g in group if efficiency.node(alt.root, g.origin) is not FORBIDDEN]
+            if not owners:
+                continue
+            steps = [
+                (
+                    l,
+                    alt.node_by_id[l.child].size,
+                    [efficiency.node(l.child, sn.id) for sn in net.nodes],
+                    [efficiency.link((l.parent, l.child), (a.src, a.dst)) for a in net.arcs],
+                )
+                for l in links
+            ]
+            # the root's column, and every allowed placement and hop
+            whole = 1 + sum(c is not FORBIDDEN for step in steps for c in (*step[2], *step[3]))
+            graph, forward, node_unit, arc_unit = chain_graph(
+                node_cost, arc_src, arc_dst, arc_cost, steps
+            )
+            k, sink = len(links), graph.shape[0] - 1
+            origins = [node_index[g.origin] for g in owners]
+            after = dijkstra(graph, indices=sink)[:sink].reshape(k + 1, n)
+            before = dijkstra(forward, indices=origins)[:, : k * n].reshape(len(owners), k, n)
+            node_ok = before + node_unit + after[1:] <= cut
+            arc_ok = before[:, :, arc_src] + arc_unit + after[:k, arc_dst] <= cut
+            at_nodes, at_arcs = _positions(node_ok), _positions(arc_ok)
+            kept = np.count_nonzero(node_ok, axis=(1, 2)) + np.count_nonzero(arc_ok, axis=(1, 2))
+            served = (after[0, origins] <= cut).tolist()
+            for i, g in enumerate(owners):
+                if not served[i]:
+                    keep[(g.owner, alt.index)] = None
+                    pruned += whole
+                    continue
+                keep[(g.owner, alt.index)] = (
+                    {l.child: at_nodes[i * k + m] for m, l in enumerate(links)},
+                    {l: at_arcs[i * k + m] for m, l in enumerate(links)},
+                )
+                pruned += whole - 1 - int(kept[i])
+    return keep, pruned
+
+
+def _positions(ok: np.ndarray) -> list[list[int]]:
+    """Per row along the last axis of the boolean array ``ok``, in row
+    order, the positions that hold True."""
+    at = np.nonzero(ok.reshape(-1, ok.shape[-1]))[1].tolist()
+    ends = np.cumsum(np.count_nonzero(ok, axis=-1).ravel()).tolist()
+    return [at[start:end] for start, end in zip([0, *ends], ends)]
+
+
 def _owner_rows(
     net: SubstrateNetwork,
     catalog: Mapping[str, Application],
@@ -159,12 +321,19 @@ def _owner_rows(
     owners: Sequence[tuple[str, str, str, float]],
     psi: float,
     margin: float = 0.0,
+    keep: Optional[Mapping[tuple[str, int], Optional[tuple[dict, dict]]]] = None,
 ) -> LinearProgram:
     """Shared builder core: the continuous program over ``owners``,
     which holds ``(owner_id, origin, app_id, demand)`` tuples; demand is
     the request's demand for the per-request MILP and the aggregate
     total for the aggregate LP.  A nonzero ``margin`` sets a solver
-    objective that prices rejected demand at ``psi * (1 + margin)``."""
+    objective that prices rejected demand at ``psi * (1 + margin)``.
+
+    ``keep`` restricts the columns of an (owner, alternative index):
+    None drops the alternative, and (nodes, arcs) builds the placements
+    of virtual node ``f`` only on the substrate node positions
+    ``nodes[f]`` and the hops of virtual link ``l`` only over the arc
+    positions ``arcs[l]``.  A pair it does not hold is built whole."""
     if psi < 0:
         raise ValueError(f"rejection penalty must be nonnegative, got {psi}")
     keys: list[VariableKey] = []
@@ -184,6 +353,9 @@ def _owner_rows(
     arc_cap_coeffs: dict[tuple[str, str], list[tuple[int, float]]] = {
         (a.src, a.dst): [] for a in net.arcs
     }
+    every_node, every_arc = range(len(net.nodes)), range(len(net.arcs))
+    uncut = ({}, {})
+    keep = keep or {}
 
     for owner, origin, app_id, demand in owners:
         if app_id not in catalog:
@@ -196,6 +368,10 @@ def _owner_rows(
         for alt in app.alternatives:
             if eff.node(alt.root, origin) is FORBIDDEN:
                 continue  # this alternative can never anchor here
+            kept = keep.get((owner, alt.index), uncut)
+            if kept is None:
+                continue  # no embedding of it pays for itself here
+            kept_nodes, kept_arcs = kept
             # flow conservation per virtual link and substrate node: the
             # child's placement equals the parent's placement plus net arc
             # inflow.  Filled as columns are created, so each row's entries
@@ -213,7 +389,8 @@ def _owner_rows(
                     continue
                 as_child = [flow[vl] for vl in alt.links if vl.child == vn.id]
                 as_parent = [flow[vl] for vl in alt.children.get(vn.id, ())]
-                for sn in net.nodes:
+                for i in kept_nodes.get(vn.id, every_node):
+                    sn = net.nodes[i]
                     coeff = eff.node(vn.id, sn.id)
                     if coeff is FORBIDDEN:
                         continue
@@ -231,7 +408,8 @@ def _owner_rows(
             # link variables: one per allowed substrate arc
             for vl in alt.links:
                 rows_of = flow[vl]
-                for arc in net.arcs:
+                for i in kept_arcs.get(vl, every_arc):
+                    arc = net.arcs[i]
                     coeff = eff.link((vl.parent, vl.child), (arc.src, arc.dst))
                     if coeff is FORBIDDEN:
                         continue
@@ -326,9 +504,13 @@ def build_relaxed_aggregate_lp(
     depends on the number of distinct (origin, application) pairs, not
     on the number of requests.  Its solver objective prices rejected
     demand at ``psi * (1 + REJECTION_MARGIN)``; ``objective`` prices it
-    at ``psi``."""
+    at ``psi``.  A chain alternative's column is built only if some
+    embedding through it costs at most that per unit of demand
+    (:func:`_pricing_cut`), which leaves the optimum as it is."""
     owners = [(g.owner, g.origin, g.app, g.demand) for g in aggregates]
-    return _owner_rows(net, apps, efficiency, owners, psi, REJECTION_MARGIN)
+    keep, pruned = _pricing_cut(net, apps, efficiency, aggregates, psi)
+    lp = _owner_rows(net, apps, efficiency, owners, psi, REJECTION_MARGIN, keep)
+    return replace(lp, pruned_columns=pruned)
 
 
 def fractional_solution(

@@ -10,12 +10,13 @@ node an earlier chain ended on.
 A*'s bound is exact for the uncapacitated problem: per chain, the
 cheapest cost per unit demand to finish the chain from every state,
 computed once by one scipy Dijkstra run from a sink over the reversed
-layered graph.  Coefficients and costs are fixed for a run and capacity
-only removes moves, so demand times that cost never exceeds the true
-remaining cost at any residual (admissible), and it obeys the triangle
-inequality along every move (consistent).  A* therefore pops the first
-goal state at the cheapest cost, as Dijkstra would, after expanding
-fewer states.
+layered graph (`formulation.chain_graph`, which the aggregate
+relaxation's pricing cut builds too).  Coefficients and costs are fixed
+for a run and capacity only removes moves, so demand times that cost
+never exceeds the true remaining cost at any residual (admissible), and
+it obeys the triangle inequality along every move (consistent).  A*
+therefore pops the first goal state at the cheapest cost, as Dijkstra
+would, after expanding fewer states.
 
 The search runs on integer-indexed tables built once per run
 (`_ChainSearch`): substrate nodes and arcs are numbered, efficiency
@@ -53,10 +54,11 @@ import time
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
-from scipy import sparse
+import numpy as np
 from scipy.sparse.csgraph import dijkstra
 
 from . import rng as _rng
+from .formulation import chain_graph
 from .model import (
     FORBIDDEN,
     AlternativeTopology,
@@ -122,6 +124,13 @@ class _ChainSearch:
             ]
             for v in self.ids
         ]
+        # the numbering as chain_graph reads it
+        self.arrays = (
+            np.array(self.node_cost, dtype=float),
+            np.array([self.node_index[u] for u, _ in self.pairs], dtype=np.int64),
+            np.array([self.node_index[w] for _, w in self.pairs], dtype=np.int64),
+            np.array([net.arc_by_pair[pair].cost for pair in self.pairs], dtype=float),
+        )
         self.efficiency = efficiency
         self.node_left = [n.capacity for n in net.nodes]
         self.arc_left = [net.arc_by_pair[pair].capacity for pair in self.pairs]
@@ -187,30 +196,12 @@ class _ChainSearch:
     def remaining_cost(self, steps: Sequence[tuple]) -> list[float]:
         """Cheapest cost per unit demand to finish the chain ``steps`` from
         every state ``m * n + v``, ignoring capacity (+inf where no sequence
-        of allowed moves finishes it).
-
-        One Dijkstra run from a sink over the reversed layered graph: the
-        sink reaches every state of layer k at 0.0, (m + 1, v) reaches
-        (m, v) at ``size * coeff * node cost`` and (m, w) reaches (m, u) at
-        ``link.size * coeff * arc cost`` for every arc u -> w.  Forbidden
-        pairings are no moves.  The sparse matrix would sum a move given
-        twice; none is, as each pairs a state with one node or arc and
-        ``validate_substrate`` rejects repeated arcs (``DuplicateArc``).
+        of allowed moves finishes it): one Dijkstra run from the sink of
+        the chain's reversed layered graph, :func:`chain_graph`, which the
+        aggregate relaxation's pricing cut builds too.
         """
-        n, k = len(self.ids), len(steps)
-        sink = (k + 1) * n
-        moves = [(sink, k * n + v, 0.0) for v in range(n)]  # (from, to, cost)
-        for m, (link, size, node_row, link_row) in enumerate(steps):
-            base = m * n
-            for v, coeff in enumerate(node_row):
-                if coeff is not FORBIDDEN:
-                    moves.append((base + n + v, base + v, size * coeff * self.node_cost[v]))
-            for u, arcs in enumerate(self.out):
-                for w, a, arc_cost in arcs:
-                    if link_row[a] is not FORBIDDEN:
-                        moves.append((base + w, base + u, link.size * link_row[a] * arc_cost))
-        heads, tails, costs = zip(*moves)
-        graph = sparse.csr_matrix((costs, (heads, tails)), shape=(sink + 1, sink + 1))
+        graph = chain_graph(*self.arrays, steps)[0]
+        sink = graph.shape[0] - 1
         return dijkstra(graph, directed=True, indices=sink)[:sink].tolist()
 
     def consume(self, node_loads: Mapping[int, float], arc_loads: Mapping[int, float]) -> None:

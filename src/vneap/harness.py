@@ -541,6 +541,18 @@ def algorithm_catalog(algo: str, apps: Mapping[str, Application]) -> Mapping[str
         raise ValueError(f"algorithm {algo!r}: {exc}") from None
 
 
+def _relaxation_timing(solved: Relaxation) -> dict:
+    """The timings entries of a solved relaxation: its four stage times,
+    the HiGHS iterations (none for an empty program, which is settled
+    without HiGHS) and its built and pruned column counts."""
+    return {
+        **solved.stages,
+        "lp_iterations": solved.solution.stats.get("iterations", 0),
+        "lp_columns": solved.columns,
+        "lp_pruned_columns": solved.pruned_columns,
+    }
+
+
 def _run_algorithm(
     algo: str,
     net: SubstrateNetwork,
@@ -575,8 +587,9 @@ def _run_algorithm(
             sol = solve_milp_exact(lp)
             timing["runtime_s"] = time.perf_counter() - t0
         else:
-            sol, frac, timing["runtime_s"], stages = relaxation()
-            timing.update(stages, lp_iterations=sol.stats.get("iterations", 0))
+            solved = relaxation()
+            sol, frac = solved.solution, solved.fractional
+            timing.update(_relaxation_timing(solved), runtime_s=solved.runtime_s)
         if not sol.optimal:
             row["status"] = sol.status
             return row, timing, None
@@ -605,10 +618,9 @@ def _run_algorithm(
         else:
             solved = relaxation()
             embeddings, rep = round_relaxation(net, catalog, requests, solved, psi, seed)
-            timing.update(solved.stages)
+            timing.update(_relaxation_timing(solved))
             timing["lp_runtime_s"] = rep.lp_runtime_s
             timing["rounding_runtime_s"] = rep.rounding_runtime_s
-            timing["lp_iterations"] = rep.lp_iterations
         timing["runtime_s"] = rep.runtime_s
         try:
             cost = total_cost(net, catalog, efficiency, embeddings, psi)
@@ -799,8 +811,9 @@ def long_rows_to_csv(rows: Sequence[dict], alt_indices: Sequence[int]) -> str:
 def timings_to_csv(timings: Sequence[dict]) -> str:
     columns = [
         "scenario", "repetition", "algorithm", "runtime_s", "lp_runtime_s", "aggregate_s",
-        "build_s", "solve_s", "unpack_s", "rounding_runtime_s", "lp_iterations", "setup_runtime_s",
-        "chain_searches", "chain_reuses", "cpu_s", "setup_cpu_s",
+        "build_s", "solve_s", "unpack_s", "rounding_runtime_s", "lp_iterations", "lp_columns",
+        "lp_pruned_columns", "setup_runtime_s", "chain_searches", "chain_reuses", "cpu_s",
+        "setup_cpu_s",
     ]
     return _csv(columns, ([t.get(c) for c in columns] for t in timings))
 

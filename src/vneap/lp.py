@@ -1,5 +1,6 @@
 """Solver backend: continuous LPs via scipy's HiGHS ``linprog`` (primal
-simplex, presolve off) and exact small binary programs via HiGHS
+simplex for the aggregate relaxation, dual simplex for every other
+program, presolve off) and exact small binary programs via HiGHS
 branch-and-cut (``scipy.optimize.milp``, presolve on).  Rows are ``<=``
 or ``==`` rows, assembled per solve into one CSR matrix per sense.  A
 program's ``solver_objective``, when set, is what HiGHS minimizes; the
@@ -114,6 +115,11 @@ def _solution(res, lp: LinearProgram, stats: dict) -> Solution:
 def solve_lp(lp: LinearProgram) -> Solution:
     """Solve the continuous program (integrality marks are ignored).
 
+    The aggregate relaxation is told apart by its ``solver_objective``:
+    :func:`~vneap.formulation.build_relaxed_aggregate_lp` is the only
+    builder that sets one.  Such a program is solved by primal simplex,
+    every other (a per-request relaxation, say) by dual simplex.
+
     Returns a :class:`Solution`; infeasibility and limit exhaustion are
     reported through ``status`` rather than raised.
     """
@@ -137,18 +143,19 @@ def solve_lp(lp: LinearProgram) -> Solution:
             bounds=np.column_stack([lp.lower, lp.upper]),
             method="highs",
             options={
-                # Primal simplex (HiGHS strategy 4) and presolve off solve
-                # the aggregate relaxation fastest.  Solve only, on a
-                # 2-core VM, best of 3 (of 1 on dfn_de), primal without
-                # presolve against dual without, primal with presolve:
-                # 0.21 s against 0.41 and 0.72 s on an arnes_si/cctv_two
-                # instance (16k columns), 0.063 s against 0.095 and
-                # 0.30 s on an amres_rs one (7k) and 8.5 s against 12.6
-                # and 37.0 s on dfn_de/cctv_four (115k), at the same
-                # objective (relative difference < 1e-15) and rejected
-                # demand.  On the per-request relaxation (184k columns)
-                # primal simplex took 2.2x dual's time.
-                "simplex_strategy": 4,
+                # Primal simplex (HiGHS strategy 4) solves the aggregate
+                # relaxation fastest and dual simplex (strategy 1) every
+                # other program, both with presolve off.  Solve only, on
+                # a 2-core VM, best of 3: primal 0.13 s against dual
+                # 0.28 s on the pruned relaxation of an arnes_si/cctv_two
+                # instance (12.5k columns), 0.042 against 0.057 s on an
+                # amres_rs one (5.2k); before pruning, 8.5 s against
+                # 12.6 s (and 37.0 s primal with presolve on) on
+                # dfn_de/cctv_four (115k).  The per-request relaxation of
+                # the overloaded arnes_si fixture (184k columns) took
+                # 13.3 s dual against 30.5 s primal, one solve each, at
+                # the same objective.
+                "simplex_strategy": 1 if lp.solver_objective is None else 4,
                 "presolve": False,
                 "primal_feasibility_tolerance": _TOL,
                 "dual_feasibility_tolerance": _TOL,

@@ -61,12 +61,16 @@ class Relaxation(NamedTuple):
     """A solved aggregate relaxation: the solver's answer, its unpacked
     values (None unless optimal), the wall seconds of the pipeline and
     of each of its stages, keyed ``aggregate_s``, ``build_s``,
-    ``solve_s`` and ``unpack_s``; the stages sum to ``runtime_s``."""
+    ``solve_s`` and ``unpack_s`` (the stages sum to ``runtime_s``), and
+    the columns the program was built with and those its build left
+    out as unusable by any optimum."""
 
     solution: Solution
     fractional: Optional[FractionalSolution]
     runtime_s: float
     stages: dict[str, float]
+    columns: int = 0
+    pruned_columns: int = 0
 
 
 def solve_relaxation(
@@ -93,7 +97,7 @@ def solve_relaxation(
     # differences of one clock's readings are exact floats, so the stages
     # add up to the total exactly
     stages = {"aggregate_s": t1 - t0, "build_s": t2 - t1, "solve_s": t3 - t2, "unpack_s": t4 - t3}
-    return Relaxation(sol, frac, t4 - t0, stages)
+    return Relaxation(sol, frac, t4 - t0, stages, lp.n_vars, lp.pruned_columns)
 
 
 def weighted_random_select(weights: Sequence[float], rng: np.random.Generator) -> int:
@@ -382,7 +386,6 @@ class TantoReport:
 
     lp_objective: float = 0.0
     lp_rejected_demand: float = 0.0
-    lp_iterations: int = 0
     aggregates: int = 0
     initial_nonzero_y: int = 0
     accepted: int = 0
@@ -439,15 +442,13 @@ def round_relaxation(
     if the relaxation did not solve to optimality (with the rejection
     slack in the model this indicates a broken instance, not load).
     """
-    sol, frac, lp_runtime_s, _ = relaxation
+    sol, frac, lp_runtime_s = relaxation[:3]
     if frac is None:
         raise SolverError(sol.status, f"aggregate relaxation did not solve: {sol.status}")
     t0 = time.perf_counter()
     report = TantoReport(
         lp_objective=frac.objective,
         lp_rejected_demand=frac.total_rejected_demand,
-        # an empty program is settled without calling HiGHS
-        lp_iterations=sol.stats.get("iterations", 0),
         aggregates=len(frac.aggregates),
         psi=psi,
         lp_runtime_s=lp_runtime_s,

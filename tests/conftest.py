@@ -232,6 +232,29 @@ def bench_instance(topology: str, count: int, seed: int = 1):
     return net, apps, eff, requests, compute_rejection_penalty(net, apps, eff)
 
 
+BUNDLED = [
+    (topology, catalog)
+    for topology in ("arnes_si", "amres_rs", "dfn_de")
+    for catalog in ("cctv_two", "cctv_four")
+]
+
+
+def bundled_instance(topology: str, catalog: str, count: int, seed: int = 3):
+    """A bundled topology with a bundled catalog: ``count`` requests of
+    the catalog's application drawn with the origin cap off, capacities
+    calibrated to TU 1.0 for exactly those requests, and unit
+    coefficients."""
+    root = resources.files("vneap")
+    graph = harness.ingest_graphml(str(root.joinpath(f"fixtures/topologies/{topology}.graphml")))
+    base = harness.assign_costs_capacities(graph, harness.classify_tiers(graph))
+    apps = vio.load_applications(json.loads(root.joinpath(f"fixtures/{catalog}.json").read_text()))
+    gen = harness.GenParams(count=count, app="cctv", enforce_origin_cap=False)
+    requests = harness.generate_requests(base, apps, gen, seed)
+    net = harness.calibrate_target_utilization(base, apps, requests, 1.0, 1.0)
+    eff = EfficiencyMap()
+    return net, apps, eff, requests, compute_rejection_penalty(net, apps, eff)
+
+
 def pinned_runs():
     """(name, instance, seed) of every run in the recorded fixtures."""
     for seed in range(30):

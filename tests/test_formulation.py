@@ -9,6 +9,9 @@ import numpy as np
 import pytest
 
 from vneap.formulation import (
+    REJECTION_MARGIN,
+    VariableKey,
+    _owner_rows,
     aggregate_requests,
     build_milp,
     build_relaxed_aggregate_lp,
@@ -30,7 +33,16 @@ from vneap.model import (
     VirtualNode,
 )
 
-from conftest import random_instance, toy_apps, toy_net, unit_requests
+from conftest import (
+    BUNDLED,
+    arnes_overloaded_instance,
+    bench_instance,
+    bundled_instance,
+    random_instance,
+    toy_apps,
+    toy_net,
+    unit_requests,
+)
 from oracle import request_options
 
 PSI_TOY = 1050.0
@@ -49,7 +61,11 @@ def toy_lp(requests, link_cap=1e12, node_cap=1e12):
 
 def test_toy_variable_count_matches_enumeration():
     """One root indicator per alternative, a node variable per non-root
-    function x substrate node, a link variable per virtual link x arc."""
+    function x substrate node, a link variable per virtual link x arc.
+    The aggregate LP leaves out the one column no embedding priced at
+    or below psi passes through: alternative 1's B on the edge node E.
+    Alternative 0's B on E stays, as its cheapest embedding, everything
+    on E, costs exactly psi."""
     net, apps = toy_net(), toy_apps()
     expected = 0
     for alt in apps["cam"].alternatives:
@@ -62,8 +78,15 @@ def test_toy_variable_count_matches_enumeration():
     assert len(milp.keys) == 22
     assert milp.binary == frozenset(range(22))
 
+    aggs = aggregate_requests(unit_requests(1))
+    owners = [(g.owner, g.origin, g.app, g.demand) for g in aggs]
+    whole = _owner_rows(net, apps, EfficiencyMap(), owners, PSI_TOY, REJECTION_MARGIN)
+    assert len(whole.keys) == 22
+
     _, _, _, lp = toy_lp(unit_requests(1))
-    assert len(lp.keys) == 22
+    assert set(whole.keys) - set(lp.keys) == {VariableKey("g0", 1, ("n", "B", "E"))}
+    assert [k for k in whole.keys if k in set(lp.keys)] == list(lp.keys)
+    assert lp.pruned_columns == 1 and whole.pruned_columns == 0
     assert lp.binary == frozenset()
 
 
@@ -73,6 +96,73 @@ def test_forbidden_pairs_are_never_instantiated():
     lp = build_milp(net, apps, eff, unit_requests(1), PSI_TOY)
     assert len(lp.keys) == 20  # two B-on-E variables gone
     assert all(k.kind[:3] != ("n", "B", "E") for k in lp.keys)
+
+
+# -- the pricing cut ---------------------------------------------------------------
+
+
+def cut_and_whole(instance):
+    """The aggregate relaxation of ``instance`` as built, and built whole
+    (every column, as :func:`_owner_rows` makes it without ``keep``)."""
+    net, apps, eff, requests, psi = instance
+    aggregates = aggregate_requests(requests)
+    cut = build_relaxed_aggregate_lp(net, apps, eff, aggregates, psi)
+    owners = [(g.owner, g.origin, g.app, g.demand) for g in aggregates]
+    whole = _owner_rows(net, apps, eff, owners, psi, REJECTION_MARGIN)
+    kept = set(cut.keys)
+    # the cut only leaves columns out, and keeps the others' order
+    assert [k for k in whole.keys if k in kept] == list(cut.keys)
+    assert cut.pruned_columns == whole.n_vars - cut.n_vars
+    return cut, whole
+
+
+def test_pricing_cut_keeps_the_optimum():
+    """On random instances 0-29, the overloaded arnes_si fixture and every
+    bundled topology with every bundled catalog, the relaxation built
+    with the pricing cut has the optimum of the one built whole; every
+    bundled instance loses columns to the cut."""
+    instances = [random_instance(seed) for seed in range(30)]
+    instances.append(arnes_overloaded_instance())
+    bundled = [bundled_instance(topology, catalog, 10) for topology, catalog in BUNDLED]
+    for k, instance in enumerate(instances + bundled):
+        cut, whole = cut_and_whole(instance)
+        got, want = solve_lp(cut), solve_lp(whole)
+        assert got.optimal and want.optimal, k
+        assert got.objective == pytest.approx(want.objective, rel=1e-9, abs=0.0), k
+        assert cut.pruned_columns > 0 or k < len(instances), k
+
+
+def test_no_left_out_column_carries_flow_in_the_whole_optimum():
+    """On a generated arnes_si/cctv_two instance, a fifth of the columns
+    are left out, and each one is zero in the whole relaxation's
+    optimum."""
+    cut, whole = cut_and_whole(bench_instance("arnes_si", 1000))
+    x = solve_lp(whole).x
+    kept = set(cut.keys)
+    left_out = [v for key, v in zip(whole.keys, x.tolist()) if key not in kept]
+    assert len(left_out) == cut.pruned_columns > whole.n_vars // 5
+    assert all(v == 0.0 for v in left_out)
+
+
+def test_a_branching_alternative_is_built_whole():
+    """At a psi below every embedding's cost the cut leaves out every
+    column of the chain alternative, root included, and none of the
+    branching one's."""
+    chain = toy_apps()["cam"].main
+    fork = AlternativeTopology(
+        "cam",
+        1,
+        [VirtualNode("theta", 0.0), VirtualNode("A", 5.0), VirtualNode("B", 100.0),
+         VirtualNode("D", 1.0)],
+        [VirtualLink("theta", "A", 100.0), VirtualLink("A", "B", 100.0),
+         VirtualLink("A", "D", 10.0)],
+        "theta",
+    )
+    apps = {"cam": Application("cam", (chain, fork))}
+    cut, whole = cut_and_whole((toy_net(), apps, EfficiencyMap(), unit_requests(2), 1.0))
+    assert [k for k in cut.keys if k.alt == 1] == [k for k in whole.keys if k.alt == 1]
+    assert not any(k.alt == 0 for k in cut.keys)
+    assert cut.pruned_columns == sum(k.alt == 0 for k in whole.keys) > 0
 
 
 def test_zero_requests_build_an_empty_program():

@@ -11,8 +11,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
+from scipy.sparse.csgraph import dijkstra
 
-from vneap.greedy import _EPS, _ChainSearch, greedy_embed_all
+from vneap.greedy import _BOUND_SHRINK, _EPS, _ChainSearch, greedy_embed_all
 from vneap.model import (
     FORBIDDEN,
     AlternativeTopology,
@@ -28,8 +30,10 @@ from vneap.model import (
 from vneap.validator import check_feasibility, load_vector, total_cost
 
 from conftest import (
+    BUNDLED,
     arnes_overloaded_instance,
     bench_instance,
+    bundled_instance,
     pinned_runs,
     random_instance,
     recorded_embeddings,
@@ -449,6 +453,51 @@ def test_bound_table_is_the_uncapacitated_finishing_cost():
                             assert bound[i] <= cost
                         states += 1
     assert states > 1000 and infinite > 0 and multi_chain > 0
+
+
+def listed_remaining_cost(search: _ChainSearch, steps) -> list[float]:
+    """The bound table as greedy computed it before the layered graph
+    moved to ``formulation.chain_graph``: the reversed layered graph's
+    moves listed one by one in Python, then one Dijkstra run from its
+    sink."""
+    n, k = len(search.ids), len(steps)
+    sink = (k + 1) * n
+    moves = [(sink, k * n + v, 0.0) for v in range(n)]  # (from, to, cost)
+    for m, (link, size, node_row, link_row) in enumerate(steps):
+        base = m * n
+        for v, coeff in enumerate(node_row):
+            if coeff is not FORBIDDEN:
+                moves.append((base + n + v, base + v, size * coeff * search.node_cost[v]))
+        for u, arcs in enumerate(search.out):
+            for w, a, arc_cost in arcs:
+                if link_row[a] is not FORBIDDEN:
+                    moves.append((base + w, base + u, link.size * link_row[a] * arc_cost))
+    heads, tails, costs = zip(*moves)
+    graph = sparse.csr_matrix((costs, (heads, tails)), shape=(sink + 1, sink + 1))
+    return dijkstra(graph, directed=True, indices=sink)[:sink].tolist()
+
+
+def test_shared_layered_graph_gives_the_listed_bound_table_to_the_bit():
+    """Every chain's bound table, on the random instances, the overloaded
+    arnes_si fixture (reweighted and forbidden links), every bundled
+    topology with every bundled catalog and a function forbidden on
+    both toy nodes, equals the one the listed moves give, bit for bit."""
+    forbidden_f = EfficiencyMap(node_coeffs={("f", "E"): FORBIDDEN, ("f", "C"): FORBIDDEN})
+    instances = [random_instance(seed)[:3] for seed in range(30)]
+    instances.append(arnes_overloaded_instance()[:3])
+    instances += [bundled_instance(topology, catalog, 10)[:3] for topology, catalog in BUNDLED]
+    instances.append((toy_net(), {"probe": Application("probe", (theta_chain(5.0),))}, forbidden_f))
+    tables = 0
+    for net, apps, eff in instances:
+        search = _ChainSearch(net, eff)
+        for app in apps.values():
+            for alt in app.alternatives:
+                for _, _, steps, bound in search.plan(alt)[2]:
+                    want = listed_remaining_cost(search, steps)
+                    assert [h.hex() for h in search.remaining_cost(steps)] == [h.hex() for h in want]
+                    assert [h.hex() for h in bound] == [(h * _BOUND_SHRINK).hex() for h in want]
+                    tables += 1
+    assert tables > 100
 
 
 def chain_ids(search: _ChainSearch, steps, got):

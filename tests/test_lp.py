@@ -24,6 +24,7 @@ from vneap.formulation import (
     compute_rejection_penalty,
     fractional_solution,
 )
+from vneap import lp as lp_module
 from vneap.lp import SolveOptions, _split_rows, solve_lp, solve_milp_exact
 from vneap.model import EfficiencyMap, Request
 
@@ -64,6 +65,29 @@ def random_box_lp(rng, n, n_rows):
 
 
 # -- continuous solves -------------------------------------------------------
+
+
+def test_simplex_follows_the_program_kind(monkeypatch):
+    """The aggregate relaxation, the one program with a solver objective,
+    is solved by primal simplex (HiGHS strategy 4); a per-request
+    relaxation, through solve_lp or solve_milp_exact, by dual (1)."""
+    strategies = []
+
+    def spy(*args, options, **kwargs):
+        strategies.append(options["simplex_strategy"])
+        return linprog(*args, options=options, **kwargs)
+
+    monkeypatch.setattr(lp_module, "linprog", spy)
+    net, apps, requests = toy_net(), toy_apps(), unit_requests(2)
+    aggregate = build_relaxed_aggregate_lp(
+        net, apps, EfficiencyMap(), aggregate_requests(requests), PSI_TOY
+    )
+    per_request = build_milp(net, apps, EfficiencyMap(), requests, PSI_TOY).relax()
+    assert aggregate.solver_objective is not None and per_request.solver_objective is None
+    solved = [solve_lp(aggregate), solve_lp(per_request), solve_milp_exact(per_request)]
+    assert strategies == [4, 1, 1]
+    assert all(s.objective == pytest.approx(2 * 205.0, rel=1e-9) for s in solved)
+
 
 
 def test_minimize_x_at_least_three():
