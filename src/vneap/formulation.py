@@ -15,10 +15,7 @@ are binary/fractional placement variables:
 The root anchor may only sit at the owner's origin, so a single root
 variable per alternative is created there (placement anywhere else is
 eliminated instead of constrained to zero).  Pairings marked forbidden
-in the efficiency map are likewise never instantiated.  The aggregate
-relaxation also leaves out every variable of a chain alternative that
-no embedding priced at or below the rejection penalty passes through
-(:func:`build_relaxed_aggregate_lp`); the exact model keeps them all.
+in the efficiency map are likewise never instantiated.
 
 Constraints per owner:
 
@@ -31,10 +28,17 @@ Constraints per owner:
   a placement is ``demand * element_size * efficiency``.
 
 The objective charges every unit of induced load its element's cost and
-adds a rejection penalty ``psi`` per unit of unserved demand.  The
-aggregate relaxation's solver prices unserved demand a hair above
-``psi`` (:data:`REJECTION_MARGIN`), so it serves whatever serving costs
-no more than rejecting; every reported cost is priced at ``psi``.
+adds a rejection penalty ``psi`` per unit of unserved demand.
+
+This arc-flow program is the exact model (:func:`build_milp`).  The
+aggregate relaxation (:func:`build_relaxed_aggregate_lp`) is its
+Dantzig-Wolfe master instead: one column per whole embedding of an
+aggregate, generated by pricing cheapest embeddings under the capacity
+duals, and projected back onto the arc-flow variables
+(:func:`fractional_solution`).  Its solver prices unserved demand a
+hair above ``psi`` (:data:`REJECTION_MARGIN`), so it serves whatever
+serving costs no more than rejecting; every reported cost is priced at
+``psi``.
 """
 
 from __future__ import annotations
@@ -42,14 +46,16 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field, replace
-from typing import Mapping, NamedTuple, Optional, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 from scipy import sparse
 from scipy.sparse.csgraph import dijkstra
 
+from .lp import _TOL, LinearProgram, Row, solve_lp
 from .model import (
     FORBIDDEN,
+    AlternativeTopology,
     Application,
     EfficiencyMap,
     Request,
@@ -73,64 +79,28 @@ log = logging.getLogger("vneap.formulation")
 # 755.5 units of a saturated arnes_si/cctv_two instance; from 1e-8 up
 # all four agreed.
 REJECTION_MARGIN = 1e-7
-# Relative slack on the aggregate relaxation's pricing cut: a column is
-# built when its cheapest embedding costs at most
-# psi * (1 + REJECTION_MARGIN) * (1 + _PRUNE_SLACK) per unit of demand,
-# so float sums taken in another order than the solver's never cut a
-# column an optimum could use.
-_PRUNE_SLACK = 1e-9
+# A generated column enters the aggregate relaxation's master when its
+# reduced cost is below -_PRICING_TOL * demand * psi: a thousandth of
+# HiGHS's tolerance, relative to the column's own scale.  That is far
+# below the REJECTION_MARGIN * demand * psi by which the margin lifts
+# serving at psi over rejecting, and far above the float noise of a
+# column's priced cost.
+_PRICING_TOL = 1e-3 * _TOL
 
 
 class VariableKey(NamedTuple):
     """Identifies one placement variable.
 
     ``kind`` is ``("n", virtual_node, substrate_node)`` for node
-    placements and ``("l", parent, child, arc_src, arc_dst)`` for link
-    placements.  A plain tuple, so rounding's many lookups hash and
+    placements, ``("l", parent, child, arc_src, arc_dst)`` for link
+    placements and ``("e", *kinds)`` for a whole embedding, the
+    placements it makes.  A plain tuple, so rounding's many lookups hash and
     compare keys in C.
     """
 
     owner: str
     alt: int
     kind: tuple
-
-
-@dataclass(frozen=True)
-class Row:
-    coeffs: tuple[tuple[int, float], ...]  # (variable index, coefficient)
-    sense: str  # "<=" or "=="
-    rhs: float
-
-
-@dataclass
-class LinearProgram:
-    """A sparse linear program over :class:`VariableKey` variables.
-
-    ``binary`` lists the variable indices that must be integral; an
-    empty set makes the program a plain LP over the ``[lower, upper]``
-    box.  ``solver_objective``, when set, is what the solver minimizes
-    in place of ``objective``; a solution's reported objective still
-    prices it by ``objective``.  ``pruned_columns`` counts the columns
-    a build left out because no optimum can use them.
-    """
-
-    keys: tuple[VariableKey, ...]
-    lower: np.ndarray
-    upper: np.ndarray
-    objective: np.ndarray
-    objective_constant: float
-    rows: tuple[Row, ...]
-    binary: frozenset[int]
-    solver_objective: Optional[np.ndarray] = None
-    pruned_columns: int = 0
-
-    @property
-    def n_vars(self) -> int:
-        return len(self.keys)
-
-    def relax(self) -> "LinearProgram":
-        """The same program without integrality marks."""
-        return replace(self, binary=frozenset())
 
 
 @dataclass(frozen=True)
@@ -165,155 +135,6 @@ def request_owner(index: int) -> str:
     return f"r{index}"
 
 
-def chain_graph(
-    node_cost: np.ndarray,
-    arc_src: np.ndarray,
-    arc_dst: np.ndarray,
-    arc_cost: np.ndarray,
-    steps: Sequence[tuple],
-) -> tuple[sparse.csr_matrix, sparse.csr_matrix, np.ndarray, np.ndarray]:
-    """The layered graph of one chain of virtual links, reversed and as
-    it is, and the cost of each of its moves per unit of demand.
-
-    Substrate nodes and arcs are numbered: node ``v`` costs
-    ``node_cost[v]`` and arc ``a`` runs from ``arc_src[a]`` to
-    ``arc_dst[a]`` at ``arc_cost[a]``.  ``steps`` are the chain's k links
-    in order, each (link, its child's size, the child's coefficient per
-    node, the link's coefficient per arc).  State ``m * n + v`` has the
-    chain's first m functions placed and link m pending at node ``v``
-    (state ``v``: the root on ``v``).  Placing the next function on
-    ``v`` moves (m, v) to (m + 1, v) at ``node_unit[m, v] = size * coeff
-    * node_cost[v]``; carrying link m over arc ``a`` moves (m, src) to
-    (m, dst) at ``arc_unit[m, a] = link.size * coeff * arc_cost[a]``.  A
-    forbidden pairing is no move, and its unit cost NaN; so is a
-    pairing whose unit cost is not finite.
-
-    The first graph holds every move reversed, plus a sink, state
-    ``(k + 1) * n``, that reaches every state of layer k at 0.0, and the
-    second is its transpose.  One Dijkstra run from the sink gives every
-    state's cheapest cost to finish the chain, ignoring capacity; one
-    over the transpose from state ``v`` gives every state's cheapest cost
-    from the root on ``v``.  Each move is given once: it pairs a state
-    with one node or arc, and ``validate_substrate`` rejects repeated
-    arcs (``DuplicateArc``).
-    """
-    n, k = len(node_cost), len(steps)
-    # size * coeff * cost, in that order, as a search sums it; a
-    # FORBIDDEN coefficient reads as NaN, so its unit cost is NaN too
-    sizes = np.array([[size, link.size] for link, size, _, _ in steps], dtype=float).reshape(k, 2)
-    node_coeff = np.array([step[2] for step in steps], dtype=float).reshape(k, n)
-    arc_coeff = np.array([step[3] for step in steps], dtype=float).reshape(k, len(arc_cost))
-    node_unit = sizes[:, :1] * node_coeff * node_cost
-    arc_unit = sizes[:, 1:] * arc_coeff * arc_cost
-    mv, v = np.nonzero(node_unit < math.inf)
-    ma, a = np.nonzero(arc_unit < math.inf)
-    sink = (k + 1) * n
-    heads = np.concatenate([np.full(n, sink), (mv + 1) * n + v, ma * n + arc_dst[a]])
-    tails = np.concatenate([k * n + np.arange(n), mv * n + v, ma * n + arc_src[a]])
-    costs = np.concatenate([np.zeros(n), node_unit[mv, v], arc_unit[ma, a]])
-    size = sink + 1
-    return _csr(heads, tails, costs, size), _csr(tails, heads, costs, size), node_unit, arc_unit
-
-
-def _csr(rows: np.ndarray, cols: np.ndarray, data: np.ndarray, size: int) -> sparse.csr_matrix:
-    """The ``size`` by ``size`` matrix with ``data[i]`` at (``rows[i]``,
-    ``cols[i]``), each row's entries in input order.  Built straight
-    from the CSR arrays: on a chain's graph that takes a fifth of the
-    time scipy's (data, (rows, cols)) constructor does."""
-    order = np.argsort(rows, kind="stable")
-    indptr = np.zeros(size + 1, dtype=np.int32)
-    np.cumsum(np.bincount(rows, minlength=size), out=indptr[1:])
-    indices = cols[order].astype(np.int32)
-    return sparse.csr_matrix((data[order], indices, indptr), shape=(size, size))
-
-
-def _pricing_cut(
-    net: SubstrateNetwork,
-    apps: Mapping[str, Application],
-    efficiency: EfficiencyMap,
-    aggregates: Sequence[AggregatedRequest],
-    psi: float,
-) -> tuple[dict, int]:
-    """The ``keep`` argument of :func:`_owner_rows` that leaves out every
-    column of a chain alternative whose cheapest embedding costs more
-    than ``psi * (1 + REJECTION_MARGIN)`` per unit of demand, and the
-    number of columns it leaves out.
-
-    Serving along such an embedding costs more than rejecting the same
-    demand, and the arc-flow program of a tree request decomposes into
-    whole embeddings, so no optimum puts flow on the column.  The
-    cheapest embedding through a column is the cheapest cost from the
-    root at the origin to the column's move, plus the move's unit cost,
-    plus the cheapest cost from there to the chain's end: two Dijkstra
-    runs per alternative over :func:`chain_graph`, one from its sink and
-    one from all of its owners' origins.  Branching alternatives, and
-    owners :func:`_owner_rows` refuses, are left whole.
-    """
-    cut = psi * (1.0 + REJECTION_MARGIN) * (1.0 + _PRUNE_SLACK)
-    node_index = {sn.id: i for i, sn in enumerate(net.nodes)}
-    node_cost = np.array([sn.cost for sn in net.nodes], dtype=float)
-    arc_src = np.array([node_index[a.src] for a in net.arcs], dtype=np.int64)
-    arc_dst = np.array([node_index[a.dst] for a in net.arcs], dtype=np.int64)
-    arc_cost = np.array([a.cost for a in net.arcs], dtype=float)
-    n = len(net.nodes)
-    by_app: dict[str, list[AggregatedRequest]] = {}
-    for g in aggregates:
-        if g.app in apps and g.origin in node_index:
-            by_app.setdefault(g.app, []).append(g)
-    keep: dict[tuple[str, int], Optional[tuple[dict, dict]]] = {}
-    pruned = 0
-    for app_id, group in by_app.items():
-        for alt in apps[app_id].alternatives:
-            links = alt.preorder
-            if [l.parent for l in links] != [alt.root, *(l.child for l in links[:-1])]:
-                continue  # branching: built whole
-            owners = [g for g in group if efficiency.node(alt.root, g.origin) is not FORBIDDEN]
-            if not owners:
-                continue
-            steps = [
-                (
-                    l,
-                    alt.node_by_id[l.child].size,
-                    [efficiency.node(l.child, sn.id) for sn in net.nodes],
-                    [efficiency.link((l.parent, l.child), (a.src, a.dst)) for a in net.arcs],
-                )
-                for l in links
-            ]
-            # the root's column, and every allowed placement and hop
-            whole = 1 + sum(c is not FORBIDDEN for step in steps for c in (*step[2], *step[3]))
-            graph, forward, node_unit, arc_unit = chain_graph(
-                node_cost, arc_src, arc_dst, arc_cost, steps
-            )
-            k, sink = len(links), graph.shape[0] - 1
-            origins = [node_index[g.origin] for g in owners]
-            after = dijkstra(graph, indices=sink)[:sink].reshape(k + 1, n)
-            before = dijkstra(forward, indices=origins)[:, : k * n].reshape(len(owners), k, n)
-            node_ok = before + node_unit + after[1:] <= cut
-            arc_ok = before[:, :, arc_src] + arc_unit + after[:k, arc_dst] <= cut
-            at_nodes, at_arcs = _positions(node_ok), _positions(arc_ok)
-            kept = np.count_nonzero(node_ok, axis=(1, 2)) + np.count_nonzero(arc_ok, axis=(1, 2))
-            served = (after[0, origins] <= cut).tolist()
-            for i, g in enumerate(owners):
-                if not served[i]:
-                    keep[(g.owner, alt.index)] = None
-                    pruned += whole
-                    continue
-                keep[(g.owner, alt.index)] = (
-                    {l.child: at_nodes[i * k + m] for m, l in enumerate(links)},
-                    {l: at_arcs[i * k + m] for m, l in enumerate(links)},
-                )
-                pruned += whole - 1 - int(kept[i])
-    return keep, pruned
-
-
-def _positions(ok: np.ndarray) -> list[list[int]]:
-    """Per row along the last axis of the boolean array ``ok``, in row
-    order, the positions that hold True."""
-    at = np.nonzero(ok.reshape(-1, ok.shape[-1]))[1].tolist()
-    ends = np.cumsum(np.count_nonzero(ok, axis=-1).ravel()).tolist()
-    return [at[start:end] for start, end in zip([0, *ends], ends)]
-
-
 def _owner_rows(
     net: SubstrateNetwork,
     catalog: Mapping[str, Application],
@@ -321,19 +142,14 @@ def _owner_rows(
     owners: Sequence[tuple[str, str, str, float]],
     psi: float,
     margin: float = 0.0,
-    keep: Optional[Mapping[tuple[str, int], Optional[tuple[dict, dict]]]] = None,
 ) -> LinearProgram:
-    """Shared builder core: the continuous program over ``owners``,
-    which holds ``(owner_id, origin, app_id, demand)`` tuples; demand is
-    the request's demand for the per-request MILP and the aggregate
-    total for the aggregate LP.  A nonzero ``margin`` sets a solver
-    objective that prices rejected demand at ``psi * (1 + margin)``.
-
-    ``keep`` restricts the columns of an (owner, alternative index):
-    None drops the alternative, and (nodes, arcs) builds the placements
-    of virtual node ``f`` only on the substrate node positions
-    ``nodes[f]`` and the hops of virtual link ``l`` only over the arc
-    positions ``arcs[l]``.  A pair it does not hold is built whole."""
+    """The arc-flow program over ``owners``, which holds ``(owner_id,
+    origin, app_id, demand)`` tuples: the per-request MILP's continuous
+    core, with each request's demand, and, over aggregates with their
+    total demand and ``margin`` set to :data:`REJECTION_MARGIN`, the
+    aggregate relaxation whose optimum column generation reproduces.  A
+    nonzero ``margin`` sets a solver objective that prices rejected
+    demand at ``psi * (1 + margin)``."""
     if psi < 0:
         raise ValueError(f"rejection penalty must be nonnegative, got {psi}")
     keys: list[VariableKey] = []
@@ -353,9 +169,6 @@ def _owner_rows(
     arc_cap_coeffs: dict[tuple[str, str], list[tuple[int, float]]] = {
         (a.src, a.dst): [] for a in net.arcs
     }
-    every_node, every_arc = range(len(net.nodes)), range(len(net.arcs))
-    uncut = ({}, {})
-    keep = keep or {}
 
     for owner, origin, app_id, demand in owners:
         if app_id not in catalog:
@@ -368,10 +181,6 @@ def _owner_rows(
         for alt in app.alternatives:
             if eff.node(alt.root, origin) is FORBIDDEN:
                 continue  # this alternative can never anchor here
-            kept = keep.get((owner, alt.index), uncut)
-            if kept is None:
-                continue  # no embedding of it pays for itself here
-            kept_nodes, kept_arcs = kept
             # flow conservation per virtual link and substrate node: the
             # child's placement equals the parent's placement plus net arc
             # inflow.  Filled as columns are created, so each row's entries
@@ -389,8 +198,7 @@ def _owner_rows(
                     continue
                 as_child = [flow[vl] for vl in alt.links if vl.child == vn.id]
                 as_parent = [flow[vl] for vl in alt.children.get(vn.id, ())]
-                for i in kept_nodes.get(vn.id, every_node):
-                    sn = net.nodes[i]
+                for sn in net.nodes:
                     coeff = eff.node(vn.id, sn.id)
                     if coeff is FORBIDDEN:
                         continue
@@ -408,8 +216,7 @@ def _owner_rows(
             # link variables: one per allowed substrate arc
             for vl in alt.links:
                 rows_of = flow[vl]
-                for i in kept_arcs.get(vl, every_arc):
-                    arc = net.arcs[i]
+                for arc in net.arcs:
                     coeff = eff.link((vl.parent, vl.child), (arc.src, arc.dst))
                     if coeff is FORBIDDEN:
                         continue
@@ -493,6 +300,111 @@ def aggregate_requests(requests: Sequence[Request]) -> list[AggregatedRequest]:
     return out
 
 
+class _Pricing:
+    """Cheapest embeddings on one network, every element priced at its
+    cost plus a capacity dual per unit of load, ignoring capacity.
+
+    Substrate nodes are numbered as in ``net``, and element ``e`` is
+    node ``e`` below ``n`` and arc ``e - n`` above.  An alternative's
+    plan is built on first use: per virtual node its load per unit of
+    demand on each substrate node (``size * coeff``) and which nodes it
+    may use and, per virtual link in preorder, its load per unit of
+    demand on each arc, the arcs it may cross and the edges of its
+    graph.  That graph has the substrate nodes plus a source, state
+    ``n``: the source reaches node ``w`` at the price of the link's
+    child subtree with the child on ``w``, and arc (u, w) is the edge
+    w -> u at the hop's price.  One Dijkstra run from the source gives,
+    at every node, the cheapest way to carry the link from there and
+    embed the subtree below it.
+    """
+
+    def __init__(self, net: SubstrateNetwork, efficiency: EfficiencyMap):
+        self.net = net
+        self.efficiency = efficiency
+        self.ids = [sn.id for sn in net.nodes]
+        self.index = index = {v: i for i, v in enumerate(self.ids)}
+        self.arc_src = np.array([index[a.src] for a in net.arcs], dtype=np.int64)
+        self.arc_dst = np.array([index[a.dst] for a in net.arcs], dtype=np.int64)
+        self.arc_at = {(index[a.src], index[a.dst]): i for i, a in enumerate(net.arcs)}
+        self._plans: dict[AlternativeTopology, tuple] = {}
+
+    def plan(self, alt: AlternativeTopology) -> tuple:
+        plan = self._plans.get(alt)
+        if plan is None:
+            net, eff, n = self.net, self.efficiency, len(self.ids)
+            nodes = {}
+            for vn in alt.nodes:
+                coeffs = [eff.node(vn.id, v) for v in self.ids]
+                allowed = np.array([c is not FORBIDDEN for c in coeffs])
+                nodes[vn.id] = (allowed, vn.size * np.array([c or 0.0 for c in coeffs]))
+            links = []
+            for vl in alt.preorder:
+                coeffs = [eff.link((vl.parent, vl.child), (a.src, a.dst)) for a in net.arcs]
+                arcs = np.flatnonzero([c is not FORBIDDEN for c in coeffs])
+                unit = vl.size * np.array([c or 0.0 for c in coeffs], dtype=float)
+                heads = np.concatenate([np.full(n, n), self.arc_dst[arcs]])
+                tails = np.concatenate([np.arange(n), self.arc_src[arcs]])
+                # built once, numbered 1, 2, ... in edge order, so that each
+                # stored entry tells which edge it holds; a pass only
+                # writes the prices into ``data``
+                graph = sparse.csr_matrix(
+                    (np.arange(1.0, len(heads) + 1), (heads, tails)), shape=(n + 1, n + 1)
+                )
+                links.append((vl, arcs, unit, graph, graph.data.astype(np.int64) - 1))
+            plan = self._plans[alt] = (nodes, links)
+        return plan
+
+    def cheapest(
+        self, alt: AlternativeTopology, node_price: np.ndarray, arc_price: np.ndarray
+    ) -> tuple[np.ndarray, list[np.ndarray]]:
+        """Per substrate node ``v``, the price per unit of demand of
+        ``alt``'s cheapest embedding with its root on ``v`` (+inf where
+        none exists), and per virtual link in preorder the Dijkstra
+        predecessors :meth:`embedding` follows.  ``node_price`` and
+        ``arc_price`` are each element's price per unit of load.  A
+        tree DP, children before parents, over one shortest-path run
+        per virtual link; the root's own placement is free."""
+        nodes, links = self.plan(alt)
+        n = len(self.ids)
+        below = {f: np.where(ok, unit * node_price, math.inf) for f, (ok, unit) in nodes.items()}
+        below[alt.root] = np.zeros(n)
+        preds = []
+        for vl, arcs, unit, graph, edge in reversed(links):
+            # an explicit 0.0 stays an edge of a CSR matrix, so zero-priced
+            # moves (a zero-size function or link, a free arc) are kept
+            graph.data = np.concatenate([below[vl.child], unit[arcs] * arc_price[arcs]])[edge]
+            dist, pred = dijkstra(graph, indices=n, return_predecessors=True)
+            below[vl.parent] = below[vl.parent] + dist[:n]
+            preds.append(pred)
+        return below[alt.root], preds[::-1]
+
+    def embedding(
+        self, alt: AlternativeTopology, preds: list[np.ndarray], origin: int
+    ) -> tuple[tuple, list[tuple[int, float]]]:
+        """The embedding :meth:`cheapest` priced with the root on node
+        index ``origin``: its arc-flow kinds (the root's placement, then
+        per virtual link in preorder its hops in path order and its
+        child's placement), and per kind after the root its (element,
+        load per unit of demand)."""
+        nodes, links = self.plan(alt)
+        ids, n = self.ids, len(self.ids)
+        at = {alt.root: origin}
+        kinds: list[tuple] = [("n", alt.root, ids[origin])]
+        loads = []
+        for (vl, _, unit, _, _), pred in zip(links, preds):
+            v = at[vl.parent]
+            w = int(pred[v])
+            while w != n:  # the source: the child sits on v
+                arc = self.arc_at[(v, w)]
+                kinds.append(("l", vl.parent, vl.child, ids[v], ids[w]))
+                loads.append((n + arc, float(unit[arc])))
+                v, w = w, int(pred[w])
+            at[vl.child] = v
+            kinds.append(("n", vl.child, ids[v]))
+            loads.append((v, float(nodes[vl.child][1][v])))
+        return tuple(kinds), loads
+
+
 def build_relaxed_aggregate_lp(
     net: SubstrateNetwork,
     apps: Mapping[str, Application],
@@ -500,17 +412,116 @@ def build_relaxed_aggregate_lp(
     aggregates: Sequence[AggregatedRequest],
     psi: float,
 ) -> LinearProgram:
-    """Continuous relaxation over aggregated demand.  Variable count
-    depends on the number of distinct (origin, application) pairs, not
-    on the number of requests.  Its solver objective prices rejected
-    demand at ``psi * (1 + REJECTION_MARGIN)``; ``objective`` prices it
-    at ``psi``.  A chain alternative's column is built only if some
-    embedding through it costs at most that per unit of demand
-    (:func:`_pricing_cut`), which leaves the optimum as it is."""
-    owners = [(g.owner, g.origin, g.app, g.demand) for g in aggregates]
-    keep, pruned = _pricing_cut(net, apps, efficiency, aggregates, psi)
-    lp = _owner_rows(net, apps, efficiency, owners, psi, REJECTION_MARGIN, keep)
-    return replace(lp, pruned_columns=pruned)
+    """Continuous relaxation over aggregated demand, built by column
+    generation over whole embeddings; its size depends on the number of
+    distinct (origin, application) pairs, not on the number of
+    requests.
+
+    The master has one column per generated embedding of an (aggregate,
+    alternative): lambda in [0, 1], the share of the aggregate's demand
+    that embedding serves, keyed ``VariableKey(owner, alt, ("e",
+    *kinds))`` with the arc-flow kinds of its elements.  It costs
+    ``demand * unit_cost - demand * psi``; its solver objective prices
+    rejected demand at ``psi * (1 + REJECTION_MARGIN)``.  The rows are
+    one ``sum lambda <= 1`` per aggregate, in aggregate order, then the
+    substrate node and arc capacities, loaded ``demand * size * coeff``
+    per element.
+
+    Each pass prices every (aggregate, alternative) by its cheapest
+    embedding with every element costed at its cost plus its capacity
+    row's dual (:class:`_Pricing`), and adds that embedding when its
+    reduced cost is below ``-_PRICING_TOL * demand * psi`` and it is not
+    in the master yet.  The first pass, at zero duals, seeds every pair
+    whose cheapest embedding costs at most ``psi * (1 +
+    REJECTION_MARGIN)`` per unit of demand, less that tolerance.  The
+    master is solved after every pass that adds a column, and the loop
+    stops at the first pass that adds none; ``pricing_rounds`` counts
+    the master solves.  The arc-flow program of a tree request
+    decomposes into whole embeddings, so the master's optimum is that of
+    the arc-flow program :func:`_owner_rows` builds."""
+    if psi < 0:
+        raise ValueError(f"rejection penalty must be nonnegative, got {psi}")
+    by_app: dict[str, list[tuple[int, AggregatedRequest]]] = {}
+    for i, g in enumerate(aggregates):
+        if g.app not in apps:
+            raise KeyError(f"unknown application {g.app!r} for owner {g.owner}")
+        if g.origin not in net.node_by_id:
+            raise KeyError(f"unknown origin node {g.origin!r} for owner {g.owner}")
+        by_app.setdefault(g.app, []).append((i, g))
+    pricing = _Pricing(net, efficiency)
+    node_cost = np.array([sn.cost for sn in net.nodes], dtype=float)
+    arc_cost = np.array([a.cost for a in net.arcs], dtype=float)
+    element_cost = [*node_cost.tolist(), *arc_cost.tolist()]
+    # the master's rows: one per aggregate, then one per element
+    first = len(aggregates)
+    entries: list[list[tuple[int, float]]] = [[] for _ in range(first + len(element_cost))]
+    columns: dict[VariableKey, int] = {}  # in column order
+    objective: list[float] = []
+    solver_objective: list[float] = []
+
+    def price(duals: np.ndarray) -> int:
+        """One pass: add every column priced below the tolerance that the
+        master lacks, and return how many were added."""
+        # a dual of the wrong sign is HiGHS's tolerance at work: read as 0
+        shadow = np.maximum(-duals, 0.0)
+        node_price = node_cost + shadow[first : first + len(node_cost)]
+        arc_price = arc_cost + shadow[first + len(node_cost) :]
+        added = 0
+        for app_id, group in by_app.items():
+            for alt in apps[app_id].alternatives:
+                owners = [
+                    (i, g) for i, g in group if efficiency.node(alt.root, g.origin) is not FORBIDDEN
+                ]
+                if not owners:
+                    continue
+                unit, preds = pricing.cheapest(alt, node_price, arc_price)
+                for i, g in owners:
+                    origin = pricing.index[g.origin]
+                    # the aggregate's own row's dual is the last term
+                    reduced = g.demand * (unit[origin] - psi * (1.0 + REJECTION_MARGIN)) + shadow[i]
+                    if not reduced < -_PRICING_TOL * g.demand * psi:
+                        continue
+                    kinds, loads = pricing.embedding(alt, preds, origin)
+                    key = VariableKey(g.owner, alt.index, ("e", *kinds))
+                    if key in columns:
+                        continue
+                    col = columns[key] = len(columns)
+                    on_rows: dict[int, float] = {}
+                    costs = []
+                    for element, per_unit in loads:
+                        load = g.demand * per_unit
+                        costs.append(load * element_cost[element])
+                        if load:
+                            on_rows[first + element] = on_rows.get(first + element, 0.0) + load
+                    served = sum_in_order(costs)
+                    objective.append(served - g.demand * psi)
+                    solver_objective.append(served - g.demand * psi * (1.0 + REJECTION_MARGIN))
+                    entries[i].append((col, 1.0))
+                    for row, load in on_rows.items():
+                        entries[row].append((col, load))
+                    added += 1
+        return added
+
+    rhs = [1.0] * first + [sn.capacity for sn in net.nodes] + [a.capacity for a in net.arcs]
+    constant = sum_in_order(g.demand * psi for g in aggregates)
+    price(np.zeros(len(entries)))
+    rounds = 0
+    while True:
+        n = len(columns)
+        lp = LinearProgram(
+            tuple(columns),
+            np.zeros(n),
+            np.ones(n),
+            np.asarray(objective, dtype=float),
+            constant,
+            tuple(Row(tuple(e), "<=", b) for e, b in zip(entries, rhs)),
+            frozenset(),
+            np.asarray(solver_objective, dtype=float),
+        )
+        sol = solve_lp(lp)
+        rounds += 1
+        if not sol.optimal or not price(sol.duals):
+            return replace(lp, pricing_rounds=rounds)
 
 
 def fractional_solution(
@@ -520,10 +531,18 @@ def fractional_solution(
     aggregates: Sequence[AggregatedRequest],
     apps: Mapping[str, Application],
 ) -> FractionalSolution:
-    """Package solver output: the nonzero values by key plus
+    """Package solver output: the nonzero values by arc-flow key plus
     per-aggregate rejected demand (the demand-weighted slack of the
-    one-alternative rows)."""
-    values = {k: v for k, v in zip(lp.keys, x.tolist()) if abs(v) > 0.0}
+    one-alternative rows).  A whole-embedding column ``("e", *kinds)``
+    adds its value to each of its kinds' arc-flow keys, summed in
+    column order; an arc-flow column is its own key."""
+    values: dict[VariableKey, float] = {}
+    for key, v in zip(lp.keys, x.tolist()):
+        if abs(v) > 0.0:
+            owner, alt, kind = key
+            for part in kind[1:] if kind[0] == "e" else (kind,):
+                at = VariableKey(owner, alt, part)
+                values[at] = values.get(at, 0.0) + v
     rejection = {}
     for g in aggregates:
         served = 0.0

@@ -1,6 +1,5 @@
-"""Solver backend: continuous LPs via scipy's HiGHS ``linprog`` (primal
-simplex for the aggregate relaxation, dual simplex for every other
-program, presolve off) and exact small binary programs via HiGHS
+"""Solver backend: continuous LPs via scipy's HiGHS ``linprog`` (dual
+simplex, presolve off) and exact small binary programs via HiGHS
 branch-and-cut (``scipy.optimize.milp``, presolve on).  Rows are ``<=``
 or ``==`` rows, assembled per solve into one CSR matrix per sense.  A
 program's ``solver_objective``, when set, is what HiGHS minimizes; the
@@ -9,16 +8,14 @@ reported objective prices the answer by the program's ``objective``.
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import chain
 from typing import Optional
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import Bounds, LinearConstraint, OptimizeWarning, linprog, milp
+from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 
-from .formulation import LinearProgram
 from .model import sum_in_order
 
 OPTIMAL = "optimal"
@@ -34,6 +31,46 @@ _STATUS = {0: OPTIMAL, 1: ITERATION_LIMIT, 2: INFEASIBLE, 3: UNBOUNDED}
 
 # Primal feasibility and dual (optimality) tolerance handed to HiGHS.
 _TOL = 1e-7
+
+
+@dataclass(frozen=True)
+class Row:
+    coeffs: tuple[tuple[int, float], ...]  # (variable index, coefficient)
+    sense: str  # "<=" or "=="
+    rhs: float
+
+
+@dataclass
+class LinearProgram:
+    """A sparse linear program over hashable variable keys
+    (:class:`~vneap.formulation.VariableKey` for every builder).
+
+    ``binary`` lists the variable indices that must be integral; an
+    empty set makes the program a plain LP over the ``[lower, upper]``
+    box.  ``solver_objective``, when set, is what the solver minimizes
+    in place of ``objective``; a solution's reported objective still
+    prices it by ``objective``.  ``pricing_rounds`` counts the master
+    solves column generation took to build the program (0 for a
+    program built whole).
+    """
+
+    keys: tuple
+    lower: np.ndarray
+    upper: np.ndarray
+    objective: np.ndarray
+    objective_constant: float
+    rows: tuple[Row, ...]
+    binary: frozenset[int]
+    solver_objective: Optional[np.ndarray] = None
+    pricing_rounds: int = 0
+
+    @property
+    def n_vars(self) -> int:
+        return len(self.keys)
+
+    def relax(self) -> "LinearProgram":
+        """The same program without integrality marks."""
+        return replace(self, binary=frozenset())
 
 
 class SolverError(RuntimeError):
@@ -61,10 +98,16 @@ class SolveOptions:
 
 @dataclass
 class Solution:
+    """A solver's answer.  ``duals`` is set by an optimal
+    :func:`solve_lp`: each row's dual in ``lp.rows`` order, the rate at
+    which the minimized objective changes per unit of the row's
+    right-hand side (so at most 0 on a ``<=`` row)."""
+
     status: str
     objective: Optional[float]
     x: Optional[np.ndarray]
     stats: dict = field(default_factory=dict)
+    duals: Optional[np.ndarray] = None
 
     @property
     def optimal(self) -> bool:
@@ -113,12 +156,8 @@ def _solution(res, lp: LinearProgram, stats: dict) -> Solution:
 
 
 def solve_lp(lp: LinearProgram) -> Solution:
-    """Solve the continuous program (integrality marks are ignored).
-
-    The aggregate relaxation is told apart by its ``solver_objective``:
-    :func:`~vneap.formulation.build_relaxed_aggregate_lp` is the only
-    builder that sets one.  Such a program is solved by primal simplex,
-    every other (a per-request relaxation, say) by dual simplex.
+    """Solve the continuous program (integrality marks are ignored) by
+    HiGHS dual simplex.
 
     Returns a :class:`Solution`; infeasibility and limit exhaustion are
     reported through ``status`` rather than raised.
@@ -129,39 +168,37 @@ def solve_lp(lp: LinearProgram) -> Solution:
         violated = (0.0 > r.rhs + _TOL if r.sense == "<=" else abs(r.rhs) > _TOL for r in lp.rows)
         if any(violated):
             return Solution(INFEASIBLE, None, None)
-        return Solution(OPTIMAL, lp.objective_constant, np.zeros(0))
-    with warnings.catch_warnings():
-        # scipy warns that it hands ``simplex_strategy``, which it does
-        # not document, to HiGHS verbatim
-        warnings.filterwarnings("ignore", "Unrecognized options", OptimizeWarning)
-        res = linprog(
-            lp.objective if lp.solver_objective is None else lp.solver_objective,
-            A_ub=A_ub,
-            b_ub=b_ub,
-            A_eq=A_eq,
-            b_eq=b_eq,
-            bounds=np.column_stack([lp.lower, lp.upper]),
-            method="highs",
-            options={
-                # Primal simplex (HiGHS strategy 4) solves the aggregate
-                # relaxation fastest and dual simplex (strategy 1) every
-                # other program, both with presolve off.  Solve only, on
-                # a 2-core VM, best of 3: primal 0.13 s against dual
-                # 0.28 s on the pruned relaxation of an arnes_si/cctv_two
-                # instance (12.5k columns), 0.042 against 0.057 s on an
-                # amres_rs one (5.2k); before pruning, 8.5 s against
-                # 12.6 s (and 37.0 s primal with presolve on) on
-                # dfn_de/cctv_four (115k).  The per-request relaxation of
-                # the overloaded arnes_si fixture (184k columns) took
-                # 13.3 s dual against 30.5 s primal, one solve each, at
-                # the same objective.
-                "simplex_strategy": 1 if lp.solver_objective is None else 4,
-                "presolve": False,
-                "primal_feasibility_tolerance": _TOL,
-                "dual_feasibility_tolerance": _TOL,
-            },
-        )
-    return _solution(res, lp, {"iterations": int(getattr(res, "nit", 0))})
+        return Solution(OPTIMAL, lp.objective_constant, np.zeros(0), duals=np.zeros(len(lp.rows)))
+    res = linprog(
+        lp.objective if lp.solver_objective is None else lp.solver_objective,
+        A_ub=A_ub,
+        b_ub=b_ub,
+        A_eq=A_eq,
+        b_eq=b_eq,
+        bounds=np.column_stack([lp.lower, lp.upper]),
+        # Dual simplex, presolve off.  The aggregate relaxation's column
+        # generation (100-170 columns, 3-4 master solves on the benchmark's
+        # instances) took 0.025 s dual against 0.024 s primal on an
+        # arnes_si/cctv_two instance, inside either's interquartile range
+        # of 0.005 s, and 0.024 s against 0.028 s on an amres_rs one:
+        # build and solve, medians of 60 interleaved runs on a 2-core VM.
+        # The per-request relaxation of the overloaded arnes_si fixture
+        # (184k columns) took 13.3 s dual against 30.5 s primal, at the
+        # same objective.
+        method="highs-ds",
+        options={
+            "presolve": False,
+            "primal_feasibility_tolerance": _TOL,
+            "dual_feasibility_tolerance": _TOL,
+        },
+    )
+    sol = _solution(res, lp, {"iterations": int(getattr(res, "nit", 0))})
+    if sol.optimal:
+        below = np.array([row.sense == "<=" for row in lp.rows], dtype=bool)
+        sol.duals = np.empty(len(lp.rows))
+        sol.duals[below] = res.ineqlin.marginals
+        sol.duals[~below] = res.eqlin.marginals
+    return sol
 
 
 def solve_milp_exact(lp: LinearProgram, opts: Optional[SolveOptions] = None) -> Solution:

@@ -61,16 +61,16 @@ class Relaxation(NamedTuple):
     """A solved aggregate relaxation: the solver's answer, its unpacked
     values (None unless optimal), the wall seconds of the pipeline and
     of each of its stages, keyed ``aggregate_s``, ``build_s``,
-    ``solve_s`` and ``unpack_s`` (the stages sum to ``runtime_s``), and
-    the columns the program was built with and those its build left
-    out as unusable by any optimum."""
+    ``solve_s`` and ``unpack_s`` (the stages sum to ``runtime_s``;
+    ``build_s`` holds the pricing rounds' master solves), and the
+    master's final column count and its pricing rounds."""
 
     solution: Solution
     fractional: Optional[FractionalSolution]
     runtime_s: float
     stages: dict[str, float]
     columns: int = 0
-    pruned_columns: int = 0
+    pricing_rounds: int = 0
 
 
 def solve_relaxation(
@@ -97,7 +97,7 @@ def solve_relaxation(
     # differences of one clock's readings are exact floats, so the stages
     # add up to the total exactly
     stages = {"aggregate_s": t1 - t0, "build_s": t2 - t1, "solve_s": t3 - t2, "unpack_s": t4 - t3}
-    return Relaxation(sol, frac, t4 - t0, stages, lp.n_vars, lp.pruned_columns)
+    return Relaxation(sol, frac, t4 - t0, stages, lp.n_vars, lp.pricing_rounds)
 
 
 def weighted_random_select(weights: Sequence[float], rng: np.random.Generator) -> int:

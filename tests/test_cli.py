@@ -384,8 +384,8 @@ def test_solve_tanto_seed_reproducible(runner, toy_files):
 def test_solve_writes_a_timings_sidecar(runner, toy_files, algo):
     """Timings go to <out stem>_timings.json beside the report: the wall
     seconds of the run, plus the relaxation's and the rounding's share,
-    the relaxation's four stages, HiGHS's iteration count and the built
-    and pruned column counts where the algorithm has them, and greedy's
+    the relaxation's four stages, HiGHS's iteration count, the master's
+    column count and its pricing rounds where the algorithm has them, and greedy's
     chain search and reuse counts."""
     single = toy_files["dir"] / "one_request.json"
     vio.write_json(single, vio.dump_requests(unit_requests(1, app="cctv")))
@@ -393,7 +393,7 @@ def test_solve_writes_a_timings_sidecar(runner, toy_files, algo):
     assert runner.invoke(main, solve_args(dict(toy_files, requests=single), algo, out)).exit_code == 0
     sidecar = json.loads((toy_files["dir"] / f"{algo}_timings.json").read_text())
     stages = {"aggregate_s", "build_s", "solve_s", "unpack_s"}
-    relaxation = {"lp_iterations", "lp_columns", "lp_pruned_columns", *stages}
+    relaxation = {"lp_iterations", "lp_columns", "lp_pricing_rounds", *stages}
     expected = {
         "lp": {"runtime_s", *relaxation},
         "greedy": {"runtime_s", "chain_searches", "chain_reuses"},
@@ -518,7 +518,7 @@ def test_compare_matches_golden_rows(runner, tmp_path, jobs):
     for lp, greedy, tanto in zip(timings[::3], timings[1::3], timings[2::3]):
         # tanto rounds the relaxation its repetition's lp row solved
         assert int(lp["lp_iterations"]) > 0 and int(lp["lp_columns"]) > 0
-        counts = ("lp_iterations", "lp_columns", "lp_pruned_columns")
+        counts = ("lp_iterations", "lp_columns", "lp_pricing_rounds")
         assert [tanto[k] for k in counts] == [lp[k] for k in counts]
         assert [greedy[k] for k in counts] == [""] * 3
         stages = ("aggregate_s", "build_s", "solve_s", "unpack_s")

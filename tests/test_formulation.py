@@ -4,6 +4,7 @@ rejection penalty."""
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from vneap.formulation import (
     REJECTION_MARGIN,
     VariableKey,
     _owner_rows,
+    _Pricing,
     aggregate_requests,
     build_milp,
     build_relaxed_aggregate_lp,
@@ -20,6 +22,7 @@ from vneap.formulation import (
     restrict_to_alternative,
 )
 from vneap.lp import solve_lp
+from vneap.tanto import solve_relaxation
 from vneap.model import (
     FORBIDDEN,
     AlternativeTopology,
@@ -62,10 +65,9 @@ def toy_lp(requests, link_cap=1e12, node_cap=1e12):
 def test_toy_variable_count_matches_enumeration():
     """One root indicator per alternative, a node variable per non-root
     function x substrate node, a link variable per virtual link x arc.
-    The aggregate LP leaves out the one column no embedding priced at
-    or below psi passes through: alternative 1's B on the edge node E.
-    Alternative 0's B on E stays, as its cheapest embedding, everything
-    on E, costs exactly psi."""
+    The aggregate LP's master holds one column per alternative, its
+    cheapest embedding, everything past the root on the core node C,
+    keyed by the arc-flow kinds it uses."""
     net, apps = toy_net(), toy_apps()
     expected = 0
     for alt in apps["cam"].alternatives:
@@ -84,9 +86,13 @@ def test_toy_variable_count_matches_enumeration():
     assert len(whole.keys) == 22
 
     _, _, _, lp = toy_lp(unit_requests(1))
-    assert set(whole.keys) - set(lp.keys) == {VariableKey("g0", 1, ("n", "B", "E"))}
-    assert [k for k in whole.keys if k in set(lp.keys)] == list(lp.keys)
-    assert lp.pruned_columns == 1 and whole.pruned_columns == 0
+    hop, on_c = ("l", "theta", "A", "E", "C"), [("n", f, "C") for f in ("A", "acc", "B")]
+    assert lp.keys == (
+        VariableKey("g0", 0, ("e", ("n", "theta", "E"), hop, on_c[0], on_c[2])),
+        VariableKey("g0", 1, ("e", ("n", "theta", "E"), hop, *on_c)),
+    )
+    assert {k.kind for k in whole.keys} >= {part for k in lp.keys for part in k.kind[1:]}
+    assert lp.pricing_rounds == 1 and whole.pricing_rounds == 0
     assert lp.binary == frozenset()
 
 
@@ -98,71 +104,120 @@ def test_forbidden_pairs_are_never_instantiated():
     assert all(k.kind[:3] != ("n", "B", "E") for k in lp.keys)
 
 
-# -- the pricing cut ---------------------------------------------------------------
+# -- column generation -----------------------------------------------------------
 
 
-def cut_and_whole(instance):
-    """The aggregate relaxation of ``instance`` as built, and built whole
-    (every column, as :func:`_owner_rows` makes it without ``keep``)."""
+def arc_flow(instance):
+    """The aggregates of ``instance`` and its aggregate relaxation as the
+    whole arc-flow program, with the master's rejection margin."""
     net, apps, eff, requests, psi = instance
     aggregates = aggregate_requests(requests)
-    cut = build_relaxed_aggregate_lp(net, apps, eff, aggregates, psi)
     owners = [(g.owner, g.origin, g.app, g.demand) for g in aggregates]
-    whole = _owner_rows(net, apps, eff, owners, psi, REJECTION_MARGIN)
-    kept = set(cut.keys)
-    # the cut only leaves columns out, and keeps the others' order
-    assert [k for k in whole.keys if k in kept] == list(cut.keys)
-    assert cut.pruned_columns == whole.n_vars - cut.n_vars
-    return cut, whole
+    return aggregates, _owner_rows(net, apps, eff, owners, psi, REJECTION_MARGIN)
 
 
-def test_pricing_cut_keeps_the_optimum():
-    """On random instances 0-29, the overloaded arnes_si fixture and every
-    bundled topology with every bundled catalog, the relaxation built
-    with the pricing cut has the optimum of the one built whole; every
-    bundled instance loses columns to the cut."""
-    instances = [random_instance(seed) for seed in range(30)]
-    instances.append(arnes_overloaded_instance())
-    bundled = [bundled_instance(topology, catalog, 10) for topology, catalog in BUNDLED]
-    for k, instance in enumerate(instances + bundled):
-        cut, whole = cut_and_whole(instance)
-        got, want = solve_lp(cut), solve_lp(whole)
-        assert got.optimal and want.optimal, k
-        assert got.objective == pytest.approx(want.objective, rel=1e-9, abs=0.0), k
-        assert cut.pruned_columns > 0 or k < len(instances), k
+def cheapest_by_arc_flow(net, alt, eff, origin):
+    """The cost per unit of demand of ``alt``'s cheapest embedding with
+    its root on ``origin``, ignoring capacity: the one-request arc-flow
+    program with its root column fixed to 1 and its capacity rows
+    dropped (None when it is infeasible)."""
+    lp = _owner_rows(net, {"a": Application("a", (alt,))}, eff, [("r", origin, "a", 1.0)], 0.0)
+    if not lp.keys:
+        return None
+    capacity_rows = len(net.nodes) + len(net.arcs)
+    lower = lp.lower.copy()
+    lower[0] = 1.0  # the root column comes first
+    sol = solve_lp(replace(lp, lower=lower, rows=lp.rows[:-capacity_rows]))
+    return sol.objective if sol.optimal else None
 
 
-def test_no_left_out_column_carries_flow_in_the_whole_optimum():
-    """On a generated arnes_si/cctv_two instance, a fifth of the columns
-    are left out, and each one is zero in the whole relaxation's
-    optimum."""
-    cut, whole = cut_and_whole(bench_instance("arnes_si", 1000))
-    x = solve_lp(whole).x
-    kept = set(cut.keys)
-    left_out = [v for key, v in zip(whole.keys, x.tolist()) if key not in kept]
-    assert len(left_out) == cut.pruned_columns > whole.n_vars // 5
-    assert all(v == 0.0 for v in left_out)
+def priced_instances():
+    """(net, alternatives, eff) on which pricing is checked: every bundled
+    topology with cctv_two and cctv_four, the overloaded arnes_si fixture
+    (forbidden and reweighted hops) and the random instances' branching
+    trees."""
+    for topology, catalog in BUNDLED:
+        net, apps, eff, _, _ = bundled_instance(topology, catalog, 10)
+        yield net, apps["cctv"].alternatives, eff
+    net, apps, eff, _, _ = arnes_overloaded_instance()
+    yield net, apps["cctv"].alternatives, eff
+    for seed in range(30):
+        net, apps, eff, _, _ = random_instance(seed)
+        yield net, [a for app in apps.values() for a in app.alternatives], eff
 
 
-def test_a_branching_alternative_is_built_whole():
-    """At a psi below every embedding's cost the cut leaves out every
-    column of the chain alternative, root included, and none of the
-    branching one's."""
-    chain = toy_apps()["cam"].main
-    fork = AlternativeTopology(
-        "cam",
-        1,
-        [VirtualNode("theta", 0.0), VirtualNode("A", 5.0), VirtualNode("B", 100.0),
-         VirtualNode("D", 1.0)],
-        [VirtualLink("theta", "A", 100.0), VirtualLink("A", "B", 100.0),
-         VirtualLink("A", "D", 10.0)],
-        "theta",
+def test_pricing_finds_the_cheapest_embedding():
+    """With every element priced at its cost plus a random shadow price,
+    pricing's cheapest embedding from an origin costs what the
+    one-request arc-flow program without capacity rows costs at the same
+    prices, and the embedding it returns, priced element by element,
+    costs that much too.  Covers the bundled catalogs' chains on every
+    bundled topology and the random instances' branching trees, from
+    every fourth node of each."""
+    rng = np.random.default_rng(0)
+    checked = branching = 0
+    for net, alternatives, eff in priced_instances():
+        node_price = np.array([n.cost for n in net.nodes]) + rng.exponential(1.0, len(net.nodes))
+        arc_price = np.array([a.cost for a in net.arcs]) + rng.exponential(1.0, len(net.arcs))
+        priced = SubstrateNetwork(
+            [replace(n, cost=float(p)) for n, p in zip(net.nodes, node_price)],
+            [replace(a, cost=float(p)) for a, p in zip(net.arcs, arc_price)],
+        )
+        pricing = _Pricing(net, eff)
+        element_price = [*node_price.tolist(), *arc_price.tolist()]
+        for alt in alternatives:
+            unit, preds = pricing.cheapest(alt, node_price, arc_price)
+            for origin in range(0, len(net.nodes), 4):
+                if eff.node(alt.root, net.nodes[origin].id) is FORBIDDEN:
+                    continue
+                want = cheapest_by_arc_flow(priced, alt, eff, net.nodes[origin].id)
+                if want is None:
+                    assert unit[origin] == math.inf
+                    continue
+                assert unit[origin] == pytest.approx(want, rel=1e-9, abs=1e-9)
+                kinds, loads = pricing.embedding(alt, preds, origin)
+                assert kinds[0] == ("n", alt.root, net.nodes[origin].id)
+                assert len(kinds) == len(loads) + 1
+                got = sum(per_unit * element_price[e] for e, per_unit in loads)
+                assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
+                checked += 1
+                branching += any(len(kids) > 1 for kids in alt.children.values())
+    assert checked > 300 and branching > 20
+
+
+@pytest.mark.parametrize(
+    "instance",
+    [
+        pytest.param(lambda: bench_instance("arnes_si", 1000), id="arnes_si-1000"),
+        pytest.param(lambda: bench_instance("amres_rs", 12000), id="amres_rs-12000"),
+        pytest.param(arnes_overloaded_instance, id="arnes_si-tu1.3"),
+        pytest.param(
+            lambda: (toy_net(link_cap=5000.0), toy_apps(), EfficiencyMap(), unit_requests(100), PSI_TOY),
+            id="toy-uplink-5000",
+        ),
+    ]
+    + [pytest.param(lambda seed=seed: random_instance(seed), id=f"random-{seed}") for seed in range(30)],
+)
+def test_column_generation_reaches_the_arc_flow_optimum(instance):
+    """The relaxation solved by column generation has the whole arc-flow
+    program's optimum to 1e-9 relative and rejects the demand its
+    optimum rejects to 1e-6 of the total: on both benchmark instances,
+    the overloaded arnes_si fixture, the toy whose uplink binds (only
+    the uplink's dual makes pricing find the accelerated embedding that
+    keeps the ingest function on E) and random instances 0-29, whose
+    alternatives branch."""
+    instance = instance()
+    got = solve_relaxation(*instance)
+    aggregates, whole = arc_flow(instance)
+    want = solve_lp(whole)
+    assert got.solution.optimal and want.optimal
+    assert got.solution.objective == pytest.approx(want.objective, rel=1e-9, abs=0.0)
+    rejected = fractional_solution(whole, want.x, want.objective, aggregates, instance[1])
+    total = sum(g.demand for g in aggregates)
+    assert got.fractional.total_rejected_demand == pytest.approx(
+        rejected.total_rejected_demand, rel=0.0, abs=1e-6 * total
     )
-    apps = {"cam": Application("cam", (chain, fork))}
-    cut, whole = cut_and_whole((toy_net(), apps, EfficiencyMap(), unit_requests(2), 1.0))
-    assert [k for k in cut.keys if k.alt == 1] == [k for k in whole.keys if k.alt == 1]
-    assert not any(k.alt == 0 for k in cut.keys)
-    assert cut.pruned_columns == sum(k.alt == 0 for k in whole.keys) > 0
+    assert got.columns < whole.n_vars and got.pricing_rounds >= 1
 
 
 def test_zero_requests_build_an_empty_program():

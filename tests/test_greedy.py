@@ -456,10 +456,10 @@ def test_bound_table_is_the_uncapacitated_finishing_cost():
 
 
 def listed_remaining_cost(search: _ChainSearch, steps) -> list[float]:
-    """The bound table as greedy computed it before the layered graph
-    moved to ``formulation.chain_graph``: the reversed layered graph's
-    moves listed one by one in Python, then one Dijkstra run from its
-    sink."""
+    """The bound table as greedy computed it before ``chain_graph``
+    built the layered graph from index arrays: the reversed layered
+    graph's moves listed one by one in Python, then one Dijkstra run
+    from its sink."""
     n, k = len(search.ids), len(steps)
     sink = (k + 1) * n
     moves = [(sink, k * n + v, 0.0) for v in range(n)]  # (from, to, cost)

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import warnings
+from dataclasses import replace
 from importlib import resources
 
 import numpy as np
@@ -15,9 +16,11 @@ from scipy.optimize import OptimizeWarning, linprog
 import vneap.io as vio
 from vneap import harness
 from vneap.formulation import (
+    REJECTION_MARGIN,
     LinearProgram,
     Row,
     VariableKey,
+    _owner_rows,
     aggregate_requests,
     build_milp,
     build_relaxed_aggregate_lp,
@@ -67,15 +70,16 @@ def random_box_lp(rng, n, n_rows):
 # -- continuous solves -------------------------------------------------------
 
 
-def test_simplex_follows_the_program_kind(monkeypatch):
-    """The aggregate relaxation, the one program with a solver objective,
-    is solved by primal simplex (HiGHS strategy 4); a per-request
-    relaxation, through solve_lp or solve_milp_exact, by dual (1)."""
-    strategies = []
+def test_every_program_is_solved_by_dual_simplex(monkeypatch):
+    """The aggregate relaxation's master, through its pricing rounds and
+    its final solve, and a per-request relaxation, through solve_lp or
+    solve_milp_exact, are all solved by HiGHS dual simplex
+    (``highs-ds``), presolve off."""
+    calls = []
 
-    def spy(*args, options, **kwargs):
-        strategies.append(options["simplex_strategy"])
-        return linprog(*args, options=options, **kwargs)
+    def spy(*args, method, options, **kwargs):
+        calls.append((method, options["presolve"]))
+        return linprog(*args, method=method, options=options, **kwargs)
 
     monkeypatch.setattr(lp_module, "linprog", spy)
     net, apps, requests = toy_net(), toy_apps(), unit_requests(2)
@@ -83,11 +87,35 @@ def test_simplex_follows_the_program_kind(monkeypatch):
         net, apps, EfficiencyMap(), aggregate_requests(requests), PSI_TOY
     )
     per_request = build_milp(net, apps, EfficiencyMap(), requests, PSI_TOY).relax()
-    assert aggregate.solver_objective is not None and per_request.solver_objective is None
     solved = [solve_lp(aggregate), solve_lp(per_request), solve_milp_exact(per_request)]
-    assert strategies == [4, 1, 1]
+    assert calls == [("highs-ds", False)] * (aggregate.pricing_rounds + 3)
     assert all(s.objective == pytest.approx(2 * 205.0, rel=1e-9) for s in solved)
 
+
+def test_duals_carry_the_sign_and_value_of_a_binding_row():
+    """min -x0 - 2 x1 over x0 + x1 <= 3 (binding), x2 == 0.5, x1 <= 1
+    (binding) and x0 - x1 <= 10 (slack): the optimum is x = (2, 1, 0.5),
+    and the duals, in row order, are each row's objective change per
+    unit of its right-hand side, at most 0 on a ``<=`` row."""
+    lp = hand_lp(
+        [-1.0, -2.0, 0.0],
+        [
+            Row(((0, 1.0), (1, 1.0)), "<=", 3.0),
+            Row(((2, 1.0),), "==", 0.5),
+            Row(((1, 1.0),), "<=", 1.0),
+            Row(((0, 1.0), (1, -1.0)), "<=", 10.0),
+        ],
+        [0.0, 0.0, 0.0],
+        [10.0, 10.0, 10.0],
+    )
+    sol = solve_lp(lp)
+    assert sol.objective == pytest.approx(-4.0, abs=1e-9)
+    # a unit more room on the first row adds a unit of x0 (-1); on the
+    # third, trades a unit of x0 for one of x1 (-1); the slack row and
+    # the equality on the costless x2 are worth nothing
+    assert sol.duals.tolist() == pytest.approx([-1.0, 0.0, -1.0, 0.0], abs=1e-9)
+    assert solve_lp(hand_lp([], [Row((), "<=", 0.0)], [], [])).duals.tolist() == [0.0]
+    assert solve_milp_exact(replace(lp, binary=frozenset({0}))).duals is None
 
 
 def test_minimize_x_at_least_three():
@@ -278,10 +306,12 @@ def highs(lp: LinearProgram, cost, options=HIGHS_SETTINGS[2], budget=None) -> np
 
 
 def relaxation(instance):
-    """(lp, aggregates, apps) of ``instance``'s aggregate relaxation."""
+    """(lp, aggregates, apps) of ``instance``'s aggregate relaxation, as
+    the whole arc-flow program with the master's rejection margin."""
     net, apps, eff, requests, psi = instance
     aggregates = aggregate_requests(requests)
-    return build_relaxed_aggregate_lp(net, apps, eff, aggregates, psi), aggregates, apps
+    owners = [(g.owner, g.origin, g.app, g.demand) for g in aggregates]
+    return _owner_rows(net, apps, eff, owners, psi, REJECTION_MARGIN), aggregates, apps
 
 
 def objective_and_rejection(lp, aggregates, apps, x) -> tuple[float, float]:

@@ -16,12 +16,13 @@ from scipy import stats
 
 from vneap import rng as vrng
 from vneap.formulation import (
+    REJECTION_MARGIN,
     AggregatedRequest,
     FractionalSolution,
     VariableKey,
+    _owner_rows,
     aggregate_requests,
     build_milp,
-    build_relaxed_aggregate_lp,
     compute_rejection_penalty,
 )
 from vneap.harness import (
@@ -498,10 +499,12 @@ def test_rounding_matches_the_dict_walk_on_the_pinned_runs():
 
 def random_residuals(net, apps, eff, requests, psi, table_seed: int, density: float):
     """A relaxation whose values are random residuals over every variable
-    the aggregate LP has: a mix of full, partial, dust and missing mass,
-    with every root given some, so that most walks get past the root."""
+    of the aggregate relaxation's whole arc-flow program: a mix of full,
+    partial, dust and missing mass, with every root given some, so that
+    most walks get past the root."""
     aggregates = aggregate_requests(requests)
-    keys = build_relaxed_aggregate_lp(net, apps, eff, aggregates, psi).keys
+    owners = [(g.owner, g.origin, g.app, g.demand) for g in aggregates]
+    keys = _owner_rows(net, apps, eff, owners, psi, REJECTION_MARGIN).keys
     roots = {
         VariableKey(g.owner, a.index, ("n", a.root, g.origin))
         for g in aggregates
