@@ -45,14 +45,15 @@ from __future__ import annotations
 
 import logging
 import math
+import time
 from dataclasses import dataclass, field, replace
-from typing import Mapping, NamedTuple, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 from scipy import sparse
 from scipy.sparse.csgraph import dijkstra
 
-from .lp import _TOL, LinearProgram, Row, solve_lp
+from .lp import _TOL, LinearProgram, Row, Solution, solve_lp
 from .model import (
     FORBIDDEN,
     AlternativeTopology,
@@ -439,6 +440,22 @@ def build_relaxed_aggregate_lp(
     the master solves.  The arc-flow program of a tree request
     decomposes into whole embeddings, so the master's optimum is that of
     the arc-flow program :func:`_owner_rows` builds."""
+    return _column_generation(net, apps, efficiency, aggregates, psi, solve_lp)[0]
+
+
+def _column_generation(
+    net: SubstrateNetwork,
+    apps: Mapping[str, Application],
+    efficiency: EfficiencyMap,
+    aggregates: Sequence[AggregatedRequest],
+    psi: float,
+    solve: Callable[[LinearProgram], Solution],
+) -> tuple[LinearProgram, Solution, float]:
+    """:func:`build_relaxed_aggregate_lp`'s loop, every master solved by
+    ``solve``: the final master, its solution, and the
+    ``time.perf_counter`` reading taken as that solve began.  The last
+    round's solution is the final master's, so a caller that needs it
+    need not solve the master again."""
     if psi < 0:
         raise ValueError(f"rejection penalty must be nonnegative, got {psi}")
     by_app: dict[str, list[tuple[int, AggregatedRequest]]] = {}
@@ -518,10 +535,11 @@ def build_relaxed_aggregate_lp(
             frozenset(),
             np.asarray(solver_objective, dtype=float),
         )
-        sol = solve_lp(lp)
+        started = time.perf_counter()
+        sol = solve(lp)
         rounds += 1
         if not sol.optimal or not price(sol.duals):
-            return replace(lp, pricing_rounds=rounds)
+            return replace(lp, pricing_rounds=rounds), sol, started
 
 
 def fractional_solution(

@@ -30,7 +30,9 @@ dicts would, so results are identical to the bit.
 A chain's answer is its list of moves (placements and hops) on node and
 arc indices.  A candidate's cost and loads, and its cumulative capacity
 recheck, are summed from those moves; only the accepted alternative's
-moves become the id-keyed maps of its :class:`IntegralEmbedding`.
+moves become the id-keyed maps of its :class:`IntegralEmbedding`, built
+once per (alternative, origin, chain answers) and shared, read-only, by
+every request accepted with the same answers.
 
 Most searches repeat the last answer for their (chain, start node), so
 `_ChainSearch` keeps that answer's moves, with the demand d0 it was
@@ -52,6 +54,7 @@ import heapq
 import math
 import time
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -199,6 +202,7 @@ class _ChainSearch:
         self._plans: dict[AlternativeTopology, tuple] = {}
         self._slots = 0  # node count times the number of chains planned
         self._answers: dict[int, tuple] = {}
+        self._maps: dict[tuple, tuple] = {}
         self.chain_searches = 0
         self.chain_reuses = 0
 
@@ -403,8 +407,9 @@ class _ChainSearch:
     def embed(self, alt: AlternativeTopology, origin: int, demand: float):
         """Minimal-cost embedding of one alternative rooted at node index
         ``origin`` against this search's residual capacities: (cost, its
-        chains' moves in turn, (node loads, arc loads) keyed by index), or
-        None if the search finds no feasible placement.
+        chains' answers in turn, each a list of moves, (node loads, arc
+        loads) keyed by index), or None if the search finds no feasible
+        placement.
 
         Chains are embedded greedily in preorder; the candidate's loads,
         summed from its moves, are then rechecked cumulatively (several
@@ -415,7 +420,7 @@ class _ChainSearch:
         root_coeff = root_row[origin]
         if root_coeff is FORBIDDEN:
             return None
-        all_moves: list[tuple] = []
+        answers: list[list[tuple]] = []
         placed = [origin]  # the root's node, then each chain's last function's
         cost = 0.0
         for start, slot, steps, bound in chains:
@@ -423,7 +428,7 @@ class _ChainSearch:
             if got is None:
                 return None
             moves, chain_cost = got
-            all_moves += moves
+            answers.append(moves)
             placed.append(moves[-1][1])
             cost += chain_cost
         # cumulative recheck: per-move checks were against the untouched
@@ -434,30 +439,43 @@ class _ChainSearch:
         load = demand * root_size * root_coeff
         if load:
             node_loads[origin] = load
-        for caps, i, factor, coeff, _, _ in all_moves:
-            load = demand * factor * coeff
-            if load:
-                loads = node_loads if caps is node_cap else arc_loads
-                loads[i] = loads.get(i, 0.0) + load
+        for moves in answers:
+            for caps, i, factor, coeff, _, _ in moves:
+                load = demand * factor * coeff
+                if load:
+                    loads = node_loads if caps is node_cap else arc_loads
+                    loads[i] = loads.get(i, 0.0) + load
         for loads, caps in ((node_loads, node_cap), (arc_loads, self.arc_cap)):
             for i, load in loads.items():
                 if load > caps[i]:
                     return None
-        return cost, all_moves, (node_loads, arc_loads)
+        return cost, answers, (node_loads, arc_loads)
 
-    def id_maps(self, alt: AlternativeTopology, origin: int, moves: Sequence[tuple]):
+    def id_maps(self, alt: AlternativeTopology, origin: int, answers: Sequence[list]):
         """The node map and link map, keyed by ids as
         :class:`IntegralEmbedding` keeps them, of ``alt`` rooted at node
-        index ``origin`` and embedded by :meth:`embed`'s ``moves``."""
-        ids, pairs, node_cap = self.ids, self.pairs, self.node_cap
-        node_map = {alt.root: ids[origin]}
-        paths = {(link.parent, link.child): [] for link in alt.preorder}
-        for caps, i, _, _, _, link in moves:
-            if caps is node_cap:
-                node_map[link.child] = ids[i]
-            else:
-                paths[(link.parent, link.child)].append(pairs[i])
-        return node_map, {pair: tuple(path) for pair, path in paths.items()}
+        index ``origin`` and embedded by :meth:`embed`'s chain
+        ``answers``.  A reused answer is the same list, so the maps are
+        built once per (alternative, origin, answers) and shared,
+        read-only, by every request embedded so; the cache is keyed by
+        the answers' ids and keeps the lists, so no id is reused while
+        its entry lives."""
+        key = (alt, origin, *map(id, answers))
+        entry = self._maps.get(key)
+        if entry is None:
+            ids, pairs, node_cap = self.ids, self.pairs, self.node_cap
+            node_map = {alt.root: ids[origin]}
+            paths = {(link.parent, link.child): [] for link in alt.preorder}
+            for moves in answers:
+                for caps, i, _, _, _, link in moves:
+                    if caps is node_cap:
+                        node_map[link.child] = ids[i]
+                    else:
+                        paths[(link.parent, link.child)].append(pairs[i])
+            link_map = {pair: tuple(path) for pair, path in paths.items()}
+            entry = (answers, MappingProxyType(node_map), MappingProxyType(link_map))
+            self._maps[key] = entry
+        return entry[1], entry[2]
 
 
 @dataclass
@@ -510,9 +528,9 @@ def greedy_embed_all(
             report.rejected += 1
             report.rejected_demand += req.demand
         else:
-            cost, moves, loads = best
+            cost, answers, loads = best
             search.consume(*loads)
-            node_map, link_map = search.id_maps(best_alt, origin, moves)
+            node_map, link_map = search.id_maps(best_alt, origin, answers)
             results[pos] = IntegralEmbedding(req, best_alt.index, node_map, link_map)
             report.accepted += 1
             report.embed_cost += cost

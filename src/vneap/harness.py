@@ -622,6 +622,7 @@ def _run_algorithm(
             timing.update(_relaxation_timing(solved))
             timing["lp_runtime_s"] = rep.lp_runtime_s
             timing["rounding_runtime_s"] = rep.rounding_runtime_s
+            timing["rounding_cpu_s"] = rep.rounding_cpu_s
         timing["runtime_s"] = rep.runtime_s
         try:
             cost = total_cost(net, catalog, efficiency, embeddings, psi)
@@ -812,9 +813,9 @@ def long_rows_to_csv(rows: Sequence[dict], alt_indices: Sequence[int]) -> str:
 def timings_to_csv(timings: Sequence[dict]) -> str:
     columns = [
         "scenario", "repetition", "algorithm", "runtime_s", "lp_runtime_s", "aggregate_s",
-        "build_s", "solve_s", "unpack_s", "rounding_runtime_s", "lp_iterations", "lp_columns",
-        "lp_pricing_rounds", "setup_runtime_s", "chain_searches", "chain_reuses", "cpu_s",
-        "setup_cpu_s",
+        "build_s", "solve_s", "unpack_s", "rounding_runtime_s", "rounding_cpu_s", "lp_iterations",
+        "lp_columns", "lp_pricing_rounds", "setup_runtime_s", "chain_searches", "chain_reuses",
+        "cpu_s", "setup_cpu_s",
     ]
     return _csv(columns, ([t.get(c) for c in columns] for t in timings))
 

@@ -218,7 +218,10 @@ class IntegralEmbedding:
     node and link mappings, or a rejection with empty maps.
 
     ``link_map`` values are ordered arc paths ``((src, dst), ...)``; an
-    empty path means the link's endpoints are collocated.
+    empty path means the link's endpoints are collocated.  The embedders
+    hand out read-only maps (``types.MappingProxyType``) and give requests
+    that embed alike the same map objects, so a map must not be changed
+    through one embedding.
     """
 
     request: Request

@@ -14,13 +14,16 @@ The slice is numbered once into integer slots (:class:`RoundingState`):
 the residual is a float list, and the walk reads each site's placement
 and outgoing-arc slots from tables, building no key per step.  The
 walk's uniforms are drawn from the aggregate's stream 64 at a time,
-which gives the same doubles as one draw per call.
+which gives the same doubles as one draw per call.  A walk records only
+the slots it consumes; requests of an aggregate that consume the same
+slots get the same read-only node and link maps.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -30,8 +33,8 @@ from .formulation import (
     AggregatedRequest,
     FractionalSolution,
     VariableKey,
+    _column_generation,
     aggregate_requests,
-    build_relaxed_aggregate_lp,
     fractional_solution,
 )
 from .lp import Solution, SolverError, solve_lp
@@ -62,8 +65,10 @@ class Relaxation(NamedTuple):
     values (None unless optimal), the wall seconds of the pipeline and
     of each of its stages, keyed ``aggregate_s``, ``build_s``,
     ``solve_s`` and ``unpack_s`` (the stages sum to ``runtime_s``;
-    ``build_s`` holds the pricing rounds' master solves), and the
-    master's final column count and its pricing rounds."""
+    ``build_s`` holds the pricing rounds up to the final master's solve,
+    the earlier masters' solves included, and ``solve_s`` that solve and
+    the pricing pass that adds nothing), and the master's final column
+    count and its pricing rounds."""
 
     solution: Solution
     fractional: Optional[FractionalSolution]
@@ -86,9 +91,10 @@ def solve_relaxation(
     t0 = time.perf_counter()
     aggregates = aggregate_requests(requests)
     t1 = time.perf_counter()
-    lp = build_relaxed_aggregate_lp(net, apps, efficiency, aggregates, psi)
-    t2 = time.perf_counter()
-    sol = solve_lp(lp)
+    # every master is solved by solve_lp as this module binds it; the
+    # last round solved the final master, so its solution is the
+    # relaxation's, and t2 is when that solve began
+    lp, sol, t2 = _column_generation(net, apps, efficiency, aggregates, psi, solve_lp)
     t3 = time.perf_counter()
     frac = None
     if sol.optimal:
@@ -98,31 +104,6 @@ def solve_relaxation(
     # add up to the total exactly
     stages = {"aggregate_s": t1 - t0, "build_s": t2 - t1, "solve_s": t3 - t2, "unpack_s": t4 - t3}
     return Relaxation(sol, frac, t4 - t0, stages, lp.n_vars, lp.pricing_rounds)
-
-
-def weighted_random_select(weights: Sequence[float], rng: np.random.Generator) -> int:
-    """Draw an index with probability proportional to its weight.
-
-    Zero weights are never selected; negative or all-zero weights raise
-    ``ValueError`` (the caller decides what an empty distribution means).
-    """
-    total = 0.0
-    for w in weights:
-        if w < 0:
-            raise ValueError(f"negative weight {w!r}")
-        total += w
-    if total <= 0:
-        raise ValueError("weights sum to zero")
-    r = rng.random() * total
-    acc = 0.0
-    last_positive = 0
-    for k, w in enumerate(weights):
-        if w > 0:
-            last_positive = k
-            acc += w
-            if r < acc:
-                return k
-    return last_positive  # float-boundary fallback
 
 
 @dataclass
@@ -135,9 +116,8 @@ class RoundingState:
     The aggregate's variables above :data:`_DUST` are numbered into
     slots: ``keys[s]`` is slot ``s``'s variable, ``y[s]`` its residual
     and ``zeroed[s]`` is 1 once a rejection zeroed it.  A missing slot
-    is -1.  Substrate nodes are numbered as in ``net.nodes``
-    (``node_ids``).  Per alternative ``t``, in the order the state was
-    built for:
+    is -1.  Substrate nodes are numbered as in ``net.nodes``.  Per
+    alternative ``t``, in the order the state was built for:
 
     * ``roots[t]`` is the slot of its root at the origin;
     * ``sites[t][k][v]`` is, for the ``k``-th link of its preorder at
@@ -149,6 +129,11 @@ class RoundingState:
       ``j + 1`` for the child of link ``j``; the child; the link's
       (parent, child) pair).
 
+    ``outcomes`` maps each accepted walk's consumed slots, in walk
+    order, to (alternative index, node map, link map): the slots fix the
+    alternative, every placement and every path, so every request that
+    walks them gets the same read-only pair of maps.
+
     Invariants: every residual value stays within [0, its initial
     value]; once a slot is zeroed by a rejection it stays zero.
     """
@@ -158,7 +143,6 @@ class RoundingState:
     keys: list[VariableKey]
     y: list[float]
     zeroed: bytearray
-    node_ids: tuple[str, ...]
     origin: int
     roots: list[int]
     sites: list[list[list[tuple[tuple[int, int], tuple[tuple[int, int], ...]]]]]
@@ -173,6 +157,7 @@ class RoundingState:
     overflow_rejections: int = 0
     total_steps: int = 0
     max_request_steps: int = 0
+    outcomes: dict[tuple[int, ...], tuple[int, Mapping, Mapping]] = field(default_factory=dict)
 
     @staticmethod
     def for_aggregate(
@@ -232,7 +217,6 @@ class RoundingState:
             keys=keys,
             y=[v for _, v in kept],
             zeroed=bytearray(len(keys)),
-            node_ids=tuple(n.id for n in net.nodes),
             origin=node_index[agg.origin],
             roots=roots,
             sites=sites,
@@ -241,6 +225,29 @@ class RoundingState:
             per_link_cap=max(1, n_nodes * len(net.arcs)),
             request_budget=max(1, _STEP_FACTOR * n_nodes * biggest),
         )
+
+    def outcome(self, t: int, slots: tuple[int, ...]) -> tuple[int, Mapping, Mapping]:
+        """(alternative index, node map, link map) of an accepted walk of
+        alternative ``t`` that consumed ``slots``: the root's slot, then
+        per link in preorder its arc slots and its child's placement
+        slot.  Both maps are read-only and keep the walk's key order,
+        the root first and then each link's child or pair in preorder."""
+        keys = self.keys
+        root = keys[slots[0]]
+        node_map = {root.kind[1]: root.kind[2]}
+        link_map = {}
+        links = iter(self.links[t])
+        path = []
+        for s in slots[1:]:
+            kind = keys[s].kind
+            if kind[0] == "l":
+                path.append(kind[3:])
+            else:
+                _, child, pair = next(links)
+                node_map[child] = kind[2]
+                link_map[pair] = tuple(path)
+                path = []
+        return root.alt, MappingProxyType(node_map), MappingProxyType(link_map)
 
 
 def embed_request(
@@ -251,8 +258,9 @@ def embed_request(
 ) -> IntegralEmbedding:
     """Round one request against its aggregate's residual fractional
     solution.  ``alt_set`` lists the application's alternatives in index
-    order, as the state was built for them; ``rng`` is anything with a
-    ``random()`` method returning uniforms in [0, 1).
+    order, as the state was built for them (the walk reads them from the
+    state's tables); ``rng`` is anything with a ``random()`` method
+    returning uniforms in [0, 1).
 
     The walk: pick an alternative by weighted random selection over the
     root variables, embed the root at the origin, then route each
@@ -264,96 +272,121 @@ def embed_request(
     all of this request's consumptions, and rejects the request.  A walk
     that reaches the per-link cap or the request budget is rejected
     before it takes another step, so no step count exceeds either.
+
+    Each draw takes one ``rng.random()``, scales it by the options'
+    weights summed in listed order, and takes the first positive weight
+    whose running sum exceeds it, or the last positive one when float
+    rounding leaves the draw at the total.  The walk records only the
+    slots it consumes; an accepted request gets its outcome's shared
+    maps (:meth:`RoundingState.outcome`).
     """
     state = Y_residual
     y = state.y
-    zeroed = state.zeroed
-    ids = state.node_ids
     d = r.demand / state.demand
     consumed: list[int] = []
-    steps = 0
-
-    def reject(kind: str, zero_slot: int = -1) -> IntegralEmbedding:
-        if zero_slot >= 0:
-            y[zero_slot] = 0.0
-            zeroed[zero_slot] = 1
-        # undo this request's consumptions; a zeroed variable stays zero
-        for s in consumed:
-            if not zeroed[s]:
-                y[s] += d
-        setattr(state, kind, getattr(state, kind) + 1)
-        state.total_steps += steps
-        if steps > state.max_request_steps:
-            state.max_request_steps = steps
-        return IntegralEmbedding.reject(r)
-
+    steps = 1
     roots = state.roots
-    root_weights = []
-    total = 0.0  # the weights' sum, accumulated as they are listed
+    total = 0.0
     for s in roots:
-        w = y[s] if s >= 0 else 0.0
-        root_weights.append(w)
-        total += w
-    steps += 1
+        if s >= 0:
+            total += y[s]
     if total <= _DUST:
-        return reject("lp_exhausted_rejections")
-    pick = weighted_random_select(root_weights, rng)
-    alt = alt_set[pick]
+        return _reject(state, r, consumed, d, steps, "lp_exhausted_rejections")
+    x = rng.random() * total
+    acc = 0.0
+    for t, s in enumerate(roots):
+        if s >= 0 and y[s] > 0:
+            pick = t
+            acc += y[s]
+            if x < acc:
+                break
     slot = roots[pick]
     have = y[slot]
     if not d <= have + _SLACK:
-        return reject("rounding_rejections", slot)
-    y[slot] = max(0.0, have - d)
+        return _reject(state, r, consumed, d, steps, "rounding_rejections", slot)
+    left = have - d
+    y[slot] = left if left > 0.0 else 0.0  # max(0.0, left), without the call
     consumed.append(slot)
     per_link_cap = state.per_link_cap
     budget = state.request_budget
     at = [state.origin]  # substrate node of the root, then of each link's child
-    placement = {alt.root: ids[at[0]]}
-    link_map: dict[tuple[str, str], tuple[tuple[str, str], ...]] = {}
 
-    for (up, child, pair), sites in zip(state.links[pick], state.sites[pick]):
-        v = at[up]
-        path: list[tuple[str, str]] = []
+    for link, sites in zip(state.links[pick], state.sites[pick]):
+        v = at[link[0]]
         # a link's walk stops at its per-link cap or at the request budget
-        stop = min(budget, steps + per_link_cap)
+        stop = steps + per_link_cap
+        if stop > budget:
+            stop = budget
         while True:
             stay, arcs = sites[v]
             place = stay[0]
             if steps >= stop:
-                return reject("overflow_rejections", place)
+                return _reject(state, r, consumed, d, steps, "overflow_rejections", place)
             steps += 1
             # the placement option comes first, even at zero mass
-            total = y[place] if place >= 0 else 0.0
-            weights = [total]
-            options = [stay]
+            acc = total = y[place] if place >= 0 else 0.0
             for option in arcs:
                 mass = y[option[0]]
                 if mass > 0.0:
-                    weights.append(mass)
-                    options.append(option)
                     total += mass
             if total <= _DUST:
-                return reject("stranded_rejections")
-            slot, w = options[weighted_random_select(weights, rng)]
+                return _reject(state, r, consumed, d, steps, "stranded_rejections")
+            x = rng.random() * total
+            slot, w = stay
+            if not x < acc:
+                for option in arcs:
+                    mass = y[option[0]]
+                    if mass > 0.0:
+                        slot, w = option
+                        acc += mass
+                        if x < acc:
+                            break
             have = y[slot]
             if not d <= have + _SLACK:
-                return reject("rounding_rejections", slot)
-            y[slot] = max(0.0, have - d)
+                return _reject(state, r, consumed, d, steps, "rounding_rejections", slot)
+            left = have - d
+            y[slot] = left if left > 0.0 else 0.0
             consumed.append(slot)
             if slot == place:
                 break
-            path.append((ids[v], ids[w]))
             v = w
         at.append(v)
-        placement[child] = ids[v]
-        link_map[pair] = tuple(path)
 
     state.accepted += 1
     state.total_steps += steps
     if steps > state.max_request_steps:
         state.max_request_steps = steps
-    return IntegralEmbedding(r, alt.index, placement, link_map)
+    key = tuple(consumed)
+    outcome = state.outcomes.get(key)
+    if outcome is None:
+        outcome = state.outcomes[key] = state.outcome(pick, key)
+    return IntegralEmbedding(r, *outcome)
 
+
+def _reject(
+    state: RoundingState,
+    r: Request,
+    consumed: list[int],
+    d: float,
+    steps: int,
+    kind: str,
+    zero_slot: int = -1,
+) -> IntegralEmbedding:
+    """End ``r``'s walk after ``steps`` steps as a rejection counted under
+    ``kind``: zero ``zero_slot`` if there is one, and give every other
+    consumed slot its ``d`` back (a zeroed slot stays zero)."""
+    y, zeroed = state.y, state.zeroed
+    if zero_slot >= 0:
+        y[zero_slot] = 0.0
+        zeroed[zero_slot] = 1
+    for s in consumed:
+        if not zeroed[s]:
+            y[s] += d
+    setattr(state, kind, getattr(state, kind) + 1)
+    state.total_steps += steps
+    if steps > state.max_request_steps:
+        state.max_request_steps = steps
+    return IntegralEmbedding.reject(r)
 
 class _BlockUniforms:
     """A stream's ``random()`` served from blocks of :data:`_BLOCK` draws.
@@ -408,6 +441,8 @@ class TantoReport:
     steps_ok: bool = True
     lp_runtime_s: float = 0.0
     rounding_runtime_s: float = 0.0
+    # the process's CPU seconds over the span rounding_runtime_s times
+    rounding_cpu_s: float = 0.0
     runtime_s: float = 0.0
 
 
@@ -445,7 +480,7 @@ def round_relaxation(
     sol, frac, lp_runtime_s = relaxation[:3]
     if frac is None:
         raise SolverError(sol.status, f"aggregate relaxation did not solve: {sol.status}")
-    t0 = time.perf_counter()
+    t0, c0 = time.perf_counter(), time.process_time()
     report = TantoReport(
         lp_objective=frac.objective,
         lp_rejected_demand=frac.total_rejected_demand,
@@ -480,9 +515,11 @@ def round_relaxation(
         report.request_step_budget = max(report.request_step_budget, state.request_budget)
         report.per_link_step_cap = max(report.per_link_step_cap, state.per_link_cap)
     report.rounding_runtime_s = time.perf_counter() - t0
+    report.rounding_cpu_s = time.process_time() - c0
     embeddings = [e for e in results if e is not None]
-    report.rejected = sum(1 for e in embeddings if e.rejected)
-    report.rejected_demand = sum_in_order(e.request.demand for e in embeddings if e.rejected)
+    rejected = [e.request.demand for e in embeddings if e.rejected]
+    report.rejected = len(rejected)
+    report.rejected_demand = sum_in_order(rejected)
 
     report.psi_lp = psi * frac.total_rejected_demand
     report.psi_tanto = psi * report.rejected_demand

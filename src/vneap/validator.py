@@ -8,7 +8,7 @@ the optimization model: the two implementations cross-check each other.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Union
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .formulation import FractionalSolution
 from .model import (
@@ -55,85 +55,87 @@ class LoadVector:
     node: dict[str, float] = field(default_factory=dict)
     arc: dict[tuple[str, str], float] = field(default_factory=dict)
 
-    def add_node(self, v: str, amount: float) -> None:
-        if amount:
-            self.node[v] = self.node.get(v, 0.0) + amount
-
-    def add_arc(self, vw: tuple[str, str], amount: float) -> None:
-        if amount:
-            self.arc[vw] = self.arc.get(vw, 0.0) + amount
-
 
 def _within(load: float, capacity: float) -> bool:
     return load <= capacity + _REL_TOL * max(1.0, abs(capacity))
 
 
-def _embedding_violations(
+class _Shape(NamedTuple):
+    """What validating one embedding needs of its application, alternative
+    and maps alone: the structural faults found before the root check
+    (any of them ends the embedding's checks) and after it, each as
+    (kind, detail); where the maps put the root (None before the root
+    check); and the loads per unit of demand, as (node, size, coeff)
+    and (arc, size, coeff) in the order they are added."""
+
+    early: Sequence[tuple[str, str]]
+    root: Optional[str] = None
+    root_at: Optional[str] = None
+    late: Sequence[tuple[str, str]] = ()
+    node_loads: Sequence[tuple[str, float, float]] = ()
+    arc_loads: Sequence[tuple[tuple[str, str], float, float]] = ()
+
+
+def _shape(
     net: SubstrateNetwork,
     apps: Mapping[str, Application],
     efficiency: EfficiencyMap,
-    emb: IntegralEmbedding,
-    loads: LoadVector,
-) -> list[Violation]:
-    """Structural checks for one embedding; accumulates its induced
-    loads into ``loads`` as a side effect (capacity is checked globally
-    by the caller)."""
-    out: list[Violation] = []
-    req = emb.request
-    who = f"request(origin={req.origin}, app={req.app})"
-    app = apps.get(req.app)
+    app_id: str,
+    alternative: int,
+    node_map: Mapping[str, str],
+    link_map: Mapping[tuple[str, str], tuple[tuple[str, str], ...]],
+) -> _Shape:
+    """Structural checks of one embedding shape: placement, unknown
+    elements, path contiguity and forbidden pairings, and the loads it
+    induces per unit of demand (capacity is checked globally)."""
+    app = apps.get(app_id)
     if app is None:
-        return [Violation("UnknownApplication", who, "no such application in catalog")]
+        return _Shape([("UnknownApplication", "no such application in catalog")])
     try:
-        alt = app.alternative(emb.alternative)
+        alt = app.alternative(alternative)
     except KeyError:
-        return [Violation("UnknownAlternative", who, f"alternative {emb.alternative}")]
+        return _Shape([("UnknownAlternative", f"alternative {alternative}")])
 
+    early: list[tuple[str, str]] = []
     virt_ids = set(alt.node_by_id)
-    placed = set(emb.node_map)
+    placed = set(node_map)
     for i in sorted(virt_ids - placed):
-        out.append(Violation("NodeUnplaced", who, f"virtual node {i} has no placement"))
+        early.append(("NodeUnplaced", f"virtual node {i} has no placement"))
     for i in sorted(placed - virt_ids):
-        out.append(Violation("ExtraneousPlacement", who, f"{i} is not in alternative {alt.index}"))
-    for i, v in sorted(emb.node_map.items()):
+        early.append(("ExtraneousPlacement", f"{i} is not in alternative {alt.index}"))
+    for i, v in sorted(node_map.items()):
         if v not in net.node_by_id:
-            out.append(Violation("UnknownSubstrateNode", who, f"{i} placed on missing node {v}"))
-    if out:
-        return out
+            early.append(("UnknownSubstrateNode", f"{i} placed on missing node {v}"))
+    if early:
+        return _Shape(early)
 
-    root_at = emb.node_map.get(alt.root)
-    if root_at != req.origin:
-        out.append(
-            Violation("RootMisplaced", who, f"root {alt.root} at {root_at}, origin is {req.origin}")
-        )
-
-    for i, v in sorted(emb.node_map.items()):
+    late: list[tuple[str, str]] = []
+    node_loads = []
+    for i, v in sorted(node_map.items()):
         coeff = efficiency.node(i, v)
         if coeff is FORBIDDEN:
-            out.append(Violation("ForbiddenPairing", who, f"node {i} on {v}"))
+            late.append(("ForbiddenPairing", f"node {i} on {v}"))
             continue
-        loads.add_node(v, req.demand * alt.node_by_id[i].size * coeff)
+        node_loads.append((v, alt.node_by_id[i].size, coeff))
 
     wanted = {(vl.parent, vl.child) for vl in alt.links}
-    routed = set(emb.link_map)
+    routed = set(link_map)
     for pair in sorted(wanted - routed):
-        out.append(Violation("LinkUnrouted", who, f"virtual link {pair[0]}->{pair[1]} has no path"))
+        late.append(("LinkUnrouted", f"virtual link {pair[0]}->{pair[1]} has no path"))
     for pair in sorted(routed - wanted):
-        out.append(
-            Violation("ExtraneousPath", who, f"{pair[0]}->{pair[1]} is not in alternative {alt.index}")
-        )
+        late.append(("ExtraneousPath", f"{pair[0]}->{pair[1]} is not in alternative {alt.index}"))
 
     sizes = {(vl.parent, vl.child): vl.size for vl in alt.links}
+    arc_loads = []
     for pair in sorted(wanted & routed):
-        path = emb.link_map[pair]
-        src = emb.node_map[pair[0]]
-        dst = emb.node_map[pair[1]]
+        path = link_map[pair]
+        src = node_map[pair[0]]
+        dst = node_map[pair[1]]
         if not path:
             if src != dst:
-                out.append(
-                    Violation(
+                late.append(
+                    (
                         "PathEndpointMismatch",
-                        who,
                         f"link {pair[0]}->{pair[1]}: empty path but endpoints {src} != {dst}",
                     )
                 )
@@ -141,15 +143,14 @@ def _embedding_violations(
         ok = True
         for arc in path:
             if arc not in net.arc_by_pair:
-                out.append(Violation("UnknownArc", who, f"no substrate arc {arc[0]}->{arc[1]}"))
+                late.append(("UnknownArc", f"no substrate arc {arc[0]}->{arc[1]}"))
                 ok = False
         if not ok:
             continue
         if path[0][0] != src or path[-1][1] != dst:
-            out.append(
-                Violation(
+            late.append(
+                (
                     "PathEndpointMismatch",
-                    who,
                     f"link {pair[0]}->{pair[1]}: path runs {path[0][0]}..{path[-1][1]}, "
                     f"placements are {src}..{dst}",
                 )
@@ -157,23 +158,17 @@ def _embedding_violations(
             ok = False
         for a, b in zip(path, path[1:]):
             if a[1] != b[0]:
-                out.append(
-                    Violation(
-                        "PathDiscontiguous", who, f"link {pair[0]}->{pair[1]}: {a} then {b}"
-                    )
-                )
+                late.append(("PathDiscontiguous", f"link {pair[0]}->{pair[1]}: {a} then {b}"))
                 ok = False
         if not ok:
             continue
         for arc in path:  # a walk may traverse an arc twice; each pass loads it
             coeff = efficiency.link(pair, arc)
             if coeff is FORBIDDEN:
-                out.append(
-                    Violation("ForbiddenPairing", who, f"link {pair[0]}->{pair[1]} on arc {arc}")
-                )
+                late.append(("ForbiddenPairing", f"link {pair[0]}->{pair[1]} on arc {arc}"))
             else:
-                loads.add_arc(arc, req.demand * sizes[pair] * coeff)
-    return out
+                arc_loads.append((arc, sizes[pair], coeff))
+    return _Shape(early, alt.root, node_map.get(alt.root), late, node_loads, arc_loads)
 
 
 def _walk(
@@ -183,23 +178,59 @@ def _walk(
     embeddings: Iterable[IntegralEmbedding],
 ) -> tuple[list[Violation], LoadVector]:
     """One pass over an embedding set: every violation (see
-    :func:`check_feasibility`) and the loads it induces."""
+    :func:`check_feasibility`) and the loads it induces.
+
+    Embeddings often share their map objects, so each distinct shape
+    (application, alternative, node map and link map objects) is checked
+    once (:func:`_shape`); per embedding only the duplicate-request rule
+    and the root's placement at the origin are checked, and the shape's
+    loads are added at the request's demand, ``demand * size * coeff``
+    in the shape's order.  The shapes keep their map objects, so no
+    object id is reused while its shape is in use; the maps must not
+    change during the pass."""
     out: list[Violation] = []
     loads = LoadVector()
+    node_load, arc_load = loads.node, loads.arc
     seen_requests: set[int] = set()
+    shapes: dict[tuple, tuple[Mapping, Mapping, _Shape]] = {}
     for emb in embeddings:
-        if id(emb.request) in seen_requests:
+        req = emb.request
+        if id(req) in seen_requests:
             out.append(
                 Violation(
                     "DuplicateRequest",
-                    f"request(origin={emb.request.origin}, app={emb.request.app})",
+                    f"request(origin={req.origin}, app={req.app})",
                     "more than one embedding for the same request",
                 )
             )
-        seen_requests.add(id(emb.request))
+        seen_requests.add(id(req))
         if emb.rejected:
             continue
-        out.extend(_embedding_violations(net, apps, efficiency, emb, loads))
+        node_map, link_map = emb.node_map, emb.link_map
+        key = (req.app, emb.alternative, id(node_map), id(link_map))
+        entry = shapes.get(key)
+        if entry is None:
+            shape = _shape(net, apps, efficiency, req.app, emb.alternative, node_map, link_map)
+            entry = shapes[key] = (node_map, link_map, shape)
+        shape = entry[2]
+        if shape.early or shape.late or shape.root_at != req.origin:
+            who = f"request(origin={req.origin}, app={req.app})"
+            out.extend(Violation(kind, who, detail) for kind, detail in shape.early)
+            if shape.early:
+                continue
+            if shape.root_at != req.origin:
+                detail = f"root {shape.root} at {shape.root_at}, origin is {req.origin}"
+                out.append(Violation("RootMisplaced", who, detail))
+            out.extend(Violation(kind, who, detail) for kind, detail in shape.late)
+        demand = req.demand
+        for v, size, coeff in shape.node_loads:
+            amount = demand * size * coeff
+            if amount:
+                node_load[v] = node_load.get(v, 0.0) + amount
+        for arc, size, coeff in shape.arc_loads:
+            amount = demand * size * coeff
+            if amount:
+                arc_load[arc] = arc_load.get(arc, 0.0) + amount
     for v in sorted(loads.node):
         cap = net.node_by_id[v].capacity
         if not _within(loads.node[v], cap):

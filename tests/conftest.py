@@ -275,6 +275,16 @@ def recorded_embeddings(embeddings) -> list:
     ]
 
 
+def assert_maps_are_read_only(embeddings) -> None:
+    """Item assignment on either map of every embedding raises
+    ``TypeError``: the maps may be shared between requests."""
+    for e in embeddings:
+        with pytest.raises(TypeError):
+            e.node_map["theta"] = "nowhere"
+        with pytest.raises(TypeError):
+            e.link_map[("theta", "nowhere")] = ()
+
+
 MATRIX_SEEDS = range(200)
 
 

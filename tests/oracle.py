@@ -7,7 +7,8 @@ can act as an independent referee.  Two exceptions are plain reference
 versions of fast code: `dijkstra_chain` runs on a greedy search's own tables
 so that it can be compared with `embed_chain` call by call, and
 `dict_round_relaxation` is tanto's rounding walk on a residual keyed by
-`VariableKey`, to be compared with `round_relaxation` run by run.
+`VariableKey`, each draw a call of `weighted_random_select`, to be compared
+with `round_relaxation` run by run.
 """
 
 from __future__ import annotations
@@ -30,7 +31,32 @@ from vneap.model import (
     Request,
     SubstrateNetwork,
 )
-from vneap.tanto import _DUST, _SLACK, _STEP_FACTOR, Relaxation, weighted_random_select
+from vneap.tanto import _DUST, _SLACK, _STEP_FACTOR, Relaxation
+
+
+def weighted_random_select(weights: Sequence[float], rng: np.random.Generator) -> int:
+    """Draw an index with probability proportional to its weight.
+
+    Zero weights are never selected; negative or all-zero weights raise
+    ``ValueError`` (the caller decides what an empty distribution means).
+    """
+    total = 0.0
+    for w in weights:
+        if w < 0:
+            raise ValueError(f"negative weight {w!r}")
+        total += w
+    if total <= 0:
+        raise ValueError("weights sum to zero")
+    r = rng.random() * total
+    acc = 0.0
+    last_positive = 0
+    for k, w in enumerate(weights):
+        if w > 0:
+            last_positive = k
+            acc += w
+            if r < acc:
+                return k
+    return last_positive  # float-boundary fallback
 
 
 def simple_paths(net: SubstrateNetwork, src: str, dst: str) -> list[tuple[tuple[str, str], ...]]:

@@ -17,13 +17,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vneap.cli
+import vneap.harness
 import vneap.io as vio
 import vneap.tanto
 from vneap.cli import load_scenario, main
 from vneap.lp import Solution
 from vneap.harness import ScenarioConfig, measured_utilization
+from vneap.model import IntegralEmbedding
 
-from conftest import toy_net, unit_requests
+from conftest import arnes_overloaded_instance, toy_net, unit_requests
 
 GOLDEN = Path(__file__).parent / "golden"
 FORMATS = Path(__file__).parent.parent / "docs" / "FORMATS.md"
@@ -383,10 +385,11 @@ def test_solve_tanto_seed_reproducible(runner, toy_files):
 @pytest.mark.parametrize("algo", ["lp", "greedy", "tanto", "milp"])
 def test_solve_writes_a_timings_sidecar(runner, toy_files, algo):
     """Timings go to <out stem>_timings.json beside the report: the wall
-    seconds of the run, plus the relaxation's and the rounding's share,
-    the relaxation's four stages, HiGHS's iteration count, the master's
-    column count and its pricing rounds where the algorithm has them, and greedy's
-    chain search and reuse counts."""
+    seconds of the run, plus the relaxation's and the rounding's share
+    (the rounding's also in CPU seconds), the relaxation's four stages,
+    HiGHS's iteration count, the master's column count and its pricing
+    rounds where the algorithm has them, and greedy's chain search and
+    reuse counts."""
     single = toy_files["dir"] / "one_request.json"
     vio.write_json(single, vio.dump_requests(unit_requests(1, app="cctv")))
     out = toy_files["dir"] / f"{algo}.json"
@@ -397,7 +400,7 @@ def test_solve_writes_a_timings_sidecar(runner, toy_files, algo):
     expected = {
         "lp": {"runtime_s", *relaxation},
         "greedy": {"runtime_s", "chain_searches", "chain_reuses"},
-        "tanto": {"runtime_s", "lp_runtime_s", "rounding_runtime_s", *relaxation},
+        "tanto": {"runtime_s", "lp_runtime_s", "rounding_runtime_s", "rounding_cpu_s", *relaxation},
         "milp": {"runtime_s"},
     }[algo]
     assert sidecar.pop("schema_version") == 1 and sidecar.pop("algorithm") == algo
@@ -441,6 +444,44 @@ def test_solve_milp_refuses_oversized_search(runner, toy_files):
     result = runner.invoke(main, solve_args(files, "milp", toy_files["dir"] / "x.json"))
     assert result.exit_code == 2
     assert "exact search refused" in result.output
+
+
+@pytest.mark.parametrize(
+    "algo, embed", [("tanto", "round_relaxation"), ("greedy", "greedy_embed_all")]
+)
+def test_solve_writes_the_same_bytes_from_shared_and_private_maps(
+    runner, tmp_path, monkeypatch, algo, embed
+):
+    """On the overloaded arnes_si run (seed 5), ``solve`` writes the same
+    report bytes whether the embeddings share their read-only maps, as the
+    embedders hand them out, or each holds private dict copies, so that
+    the validator checks and loads every request on its own."""
+    net, _, eff, requests, _ = arnes_overloaded_instance()
+    files = {"substrate": tmp_path / "substrate.json", "requests": tmp_path / "requests.json"}
+    vio.write_json(files["substrate"], vio.dump_substrate(net))
+    vio.write_json(files["requests"], vio.dump_requests(requests))
+    vio.write_json(tmp_path / "efficiency.json", vio.dump_efficiency(eff))
+
+    def written(name):
+        out = tmp_path / f"{name}.json"
+        args = solve_args(files, algo, out, seed=5, efficiency=tmp_path / "efficiency.json")
+        assert runner.invoke(main, args).exit_code == 0
+        return out.read_bytes()
+
+    shared = written("shared")
+    real = getattr(vneap.harness, embed)
+
+    def private(*args, **kwargs):
+        embeddings, report = real(*args, **kwargs)
+        copies = [
+            IntegralEmbedding(e.request, e.alternative, dict(e.node_map), dict(e.link_map))
+            for e in embeddings
+        ]
+        return copies, report
+
+    monkeypatch.setattr(vneap.harness, embed, private)
+    assert written("private") == shared
+    assert b'"embeddings"' in shared and b'"rejection_rate"' in shared
 
 
 @pytest.mark.parametrize(
@@ -529,6 +570,9 @@ def test_compare_matches_golden_rows(runner, tmp_path, jobs):
         # greedy's chain counts: every chain call is a search or a reuse
         assert int(greedy["chain_searches"]) > 0 and int(greedy["chain_reuses"]) >= 0
         assert [lp["chain_searches"], tanto["chain_reuses"]] == ["", ""]
+        # rounding's CPU seconds, beside its wall seconds, on tanto rows only
+        assert float(tanto["rounding_cpu_s"]) >= 0
+        assert [lp["rounding_cpu_s"], greedy["rounding_cpu_s"]] == ["", ""]
 
 
 def test_compare_seed_override_changes_rows(runner, tmp_path):

@@ -32,6 +32,7 @@ from vneap.validator import check_feasibility, load_vector, total_cost
 from conftest import (
     BUNDLED,
     arnes_overloaded_instance,
+    assert_maps_are_read_only,
     bench_instance,
     bundled_instance,
     pinned_runs,
@@ -319,6 +320,35 @@ def test_fixed_seed_reproduces_the_run():
     assert [
         (e.alternative, dict(e.node_map), dict(e.link_map)) for e in first
     ] == [(e.alternative, dict(e.node_map), dict(e.link_map)) for e in second]
+
+
+def test_requests_embedded_by_the_same_answers_share_read_only_maps():
+    """Maps are built once per (alternative, origin, chain answers) and
+    keyed by the answers' identity: the same answer lists give the same
+    map objects, equal copies of them new ones.  On the overloaded
+    arnes_si run, requests share map objects (one origin and alternative
+    per pair of objects), and neither map takes item assignment."""
+    net, apps, eff, requests, psi = arnes_overloaded_instance()
+    embeddings, _ = greedy_embed_all(net, apps, eff, requests, psi, 5)
+    accepted = [e for e in embeddings if not e.rejected]
+    holders: dict[int, list] = {}
+    for e in accepted:
+        holders.setdefault(id(e.node_map), []).append(e)
+    assert max(len(group) for group in holders.values()) > 1
+    for first, *rest in holders.values():
+        for e in rest:
+            assert e.link_map is first.link_map
+            assert (e.request.origin, e.alternative) == (first.request.origin, first.alternative)
+    assert_maps_are_read_only(accepted)
+
+    search = _ChainSearch(net, eff)
+    alt = apps["cctv"].alternatives[0]
+    origin = search.node_index[requests[0].origin]
+    _, answers, _ = search.embed(alt, origin, requests[0].demand)
+    maps = search.id_maps(alt, origin, answers)
+    assert all(a is b for a, b in zip(search.id_maps(alt, origin, list(answers)), maps))
+    copies = search.id_maps(alt, origin, [list(moves) for moves in answers])
+    assert copies == maps and not any(a is b for a, b in zip(copies, maps))
 
 
 def test_report_cost_matches_validator():

@@ -1,5 +1,6 @@
-"""LP-rounding embedder: weighted selection, the per-request walk, restore
-semantics, and end-to-end behaviour against the fractional optimum."""
+"""LP-rounding embedder: the reference walk's weighted selection, the
+per-request walk, restore semantics, and end-to-end behaviour against the
+fractional optimum."""
 
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from vneap import lp as lp_module
 from vneap import rng as vrng
 from vneap.formulation import (
     REJECTION_MARGIN,
@@ -23,6 +25,7 @@ from vneap.formulation import (
     _owner_rows,
     aggregate_requests,
     build_milp,
+    build_relaxed_aggregate_lp,
     compute_rejection_penalty,
 )
 from vneap.harness import (
@@ -54,7 +57,6 @@ from vneap.tanto import (
     round_relaxation,
     solve_relaxation,
     tanto,
-    weighted_random_select,
 )
 from vneap.validator import (
     alternative_shares,
@@ -63,6 +65,8 @@ from vneap.validator import (
 )
 
 from conftest import (
+    arnes_overloaded_instance,
+    assert_maps_are_read_only,
     pinned_runs,
     random_instance,
     recorded_embeddings,
@@ -70,13 +74,13 @@ from conftest import (
     toy_net,
     unit_requests,
 )
-from oracle import dict_round_relaxation
+from oracle import dict_round_relaxation, weighted_random_select
 
 PSI_TOY = 1050.0
 RECORDED = Path(__file__).parent / "data" / "tanto_recorded.jsonl"
 
 
-# -- weighted random selection -------------------------------------------------
+# -- weighted random selection (the reference walk's draw) -----------------------
 
 
 def test_zero_weights_are_never_drawn():
@@ -398,6 +402,24 @@ def test_fixed_seed_reproduces_the_run():
     assert ra.total_steps == rb.total_steps
 
 
+def test_requests_with_one_outcome_share_read_only_maps():
+    """On the overloaded arnes_si run, the requests of one aggregate whose
+    walks end alike hold the same node map and link map objects, one pair
+    per outcome, and neither map takes item assignment."""
+    net, apps, eff, requests, psi = arnes_overloaded_instance()
+    embeddings, _ = tanto(net, apps, eff, requests, psi, seed=5)
+    accepted = [e for e in embeddings if not e.rejected]
+    first = {}
+    for e in accepted:
+        r = e.request
+        outcome = (r.origin, r.app, e.alternative, *e.node_map.items(), *e.link_map.items())
+        seen = first.setdefault(outcome, e)
+        assert e.node_map is seen.node_map and e.link_map is seen.link_map
+    objects = {(id(e.node_map), id(e.link_map)) for e in accepted}
+    assert len(objects) == len(first) < len(accepted)
+    assert_maps_are_read_only(accepted)
+
+
 @pytest.mark.parametrize("seed", [1, 7, 19])
 def test_reported_guarantees_hold_and_are_recomputable(seed):
     net, apps, eff, requests, psi = random_instance(seed)
@@ -537,6 +559,34 @@ def test_rounding_matches_the_dict_walk_on_random_residuals(
     requests = list(requests) * repeat
     relaxation = random_residuals(net, apps, eff, requests, psi, table_seed, density)
     assert_rounds_like_the_dict_walk(net, apps, requests, relaxation, psi, seed)
+
+
+@pytest.mark.parametrize(
+    "instance",
+    [lambda: random_instance(8), lambda: random_instance(20), arnes_overloaded_instance],
+    ids=["random-8", "random-20", "arnes_si-tu1.3"],
+)
+def test_relaxation_solves_each_master_once(monkeypatch, instance):
+    """The relaxation's solution is column generation's last master
+    solve: HiGHS runs once per pricing round, the final master's
+    included, and the solution is a fresh solve of the built master's to
+    the bit."""
+    net, apps, eff, requests, psi = instance()
+    calls = []
+    real = lp_module.linprog
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(lp_module, "linprog", counting)
+    got = solve_relaxation(net, apps, eff, requests, psi)
+    monkeypatch.undo()
+    assert len(calls) == got.pricing_rounds
+    want = solve_lp(build_relaxed_aggregate_lp(net, apps, eff, aggregate_requests(requests), psi))
+    assert got.solution.objective.hex() == want.objective.hex()
+    assert got.solution.x.tobytes() == want.x.tobytes()
+    assert got.solution.duals.tobytes() == want.duals.tobytes()
 
 
 def test_relaxation_optimum_matches_the_per_request_relaxation():

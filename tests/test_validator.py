@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from types import MappingProxyType
+
 import pytest
 
 from vneap.formulation import (
@@ -9,8 +11,9 @@ from vneap.formulation import (
     build_relaxed_aggregate_lp,
     fractional_solution,
 )
+from vneap.greedy import greedy_embed_all
 from vneap.lp import solve_lp
-from vneap.model import FORBIDDEN, EfficiencyMap, IntegralEmbedding, Request
+from vneap.model import FORBIDDEN, EfficiencyMap, IntegralEmbedding, Request, sum_in_order
 from vneap.tanto import tanto
 from vneap.validator import (
     alternative_shares,
@@ -22,7 +25,7 @@ from vneap.validator import (
     total_cost,
 )
 
-from conftest import random_instance, toy_apps, toy_net, unit_requests
+from conftest import bench_instance, random_instance, toy_apps, toy_net, unit_requests
 
 PSI_TOY = 1050.0
 
@@ -309,3 +312,148 @@ def test_load_vector_matches_hand_sums(toy):
     loads = load_vector(net, apps, eff, [embed_a(Request("E", "cam", 2.0))])
     assert loads.node == {"C": pytest.approx(210.0)}  # (5 + 100) * 2, theta is size 0
     assert loads.arc == {("E", "C"): pytest.approx(200.0)}
+
+
+# -- shared shapes ------------------------------------------------------------------
+
+
+def shared(requests):
+    """Embeddings of ``requests`` that all hold the same two read-only map
+    objects, ``embed_a``'s."""
+    good = embed_a(None)
+    node_map, link_map = MappingProxyType(good.node_map), MappingProxyType(good.link_map)
+    return [IntegralEmbedding(r, 0, node_map, link_map) for r in requests]
+
+
+def private(embeddings):
+    """The same embeddings, each on its own dict copies of its maps."""
+    return [
+        IntegralEmbedding(e.request, e.alternative, dict(e.node_map), dict(e.link_map))
+        for e in embeddings
+    ]
+
+
+def breaks(node_map, link_map):
+    """(case, the one broken embedding) for every violation kind an
+    embedding of the toy catalog can carry: through its origin, its
+    application or its alternative on the shared maps ``node_map`` and
+    ``link_map``, or through its own maps."""
+    good = embed_a(Request("E", "cam", 1.0))
+    r = good.request
+
+    def own(node_map=None, link_map=None):
+        return IntegralEmbedding(
+            r, 0, dict(node_map or good.node_map), dict(link_map or good.link_map)
+        )
+
+    yield "RootMisplaced", IntegralEmbedding(Request("C", "cam", 1.0), 0, node_map, link_map)
+    yield "UnknownApplication", IntegralEmbedding(Request("E", "fax", 1.0), 0, node_map, link_map)
+    yield "UnknownAlternative", IntegralEmbedding(r, 9, node_map, link_map)
+    yield "NodeUnplaced", IntegralEmbedding(r, 1, node_map, link_map)  # the maps place no acc
+    yield "NodeUnplaced", own({"theta": "E", "A": "C"})
+    yield "ExtraneousPlacement", own({**good.node_map, "ghost": "C"})
+    yield "UnknownSubstrateNode", own({**good.node_map, "B": "X"})
+    yield "LinkUnrouted", IntegralEmbedding(
+        r, 0, dict(good.node_map), {("theta", "A"): (("E", "C"),)}
+    )
+    yield "ExtraneousPath", own(link_map={**good.link_map, ("A", "theta"): ()})
+    yield "PathEndpointMismatch", own(link_map={**good.link_map, ("theta", "A"): ()})
+    yield "PathEndpointMismatch", own(link_map={**good.link_map, ("theta", "A"): (("C", "E"),)})
+    yield "PathDiscontiguous", own(
+        link_map={**good.link_map, ("theta", "A"): (("E", "C"), ("E", "C"))}
+    )
+    yield "UnknownArc", own(link_map={**good.link_map, ("theta", "A"): (("E", "X"),)})
+    yield "ForbiddenPairing", own(
+        {**good.node_map, "A": "E"}, {**good.link_map, ("theta", "A"): ()}
+    )
+    yield "ForbiddenPairing", own(
+        {**good.node_map, "B": "E"}, {**good.link_map, ("A", "B"): (("C", "E"),)}
+    )
+
+
+@pytest.mark.parametrize("position", [0, 5, 11])
+def test_one_broken_request_among_a_shared_shape_is_the_one_reported(position):
+    """Twelve requests share one shape object; breaking one of them, by
+    its origin, its application, its alternative or its own maps, reports
+    exactly what that embedding reports alone, wherever it sits, and the
+    loads are those of the same set on private copies of its maps."""
+    eff = EfficiencyMap(
+        node_coeffs={("A", "E"): FORBIDDEN}, link_coeffs={(("A", "B"), ("C", "E")): FORBIDDEN}
+    )
+    net, apps = toy_net(), toy_apps()
+    clean = shared(unit_requests(11))
+    for kind, broken in breaks(clean[0].node_map, clean[0].link_map):
+        embeddings = list(clean)
+        embeddings.insert(position, broken)
+        alone = check_feasibility(net, apps, eff, [broken])
+        assert kind in rules(alone), kind
+        assert check_feasibility(net, apps, eff, embeddings) == alone, kind
+        assert load_vector(net, apps, eff, embeddings) == load_vector(
+            net, apps, eff, private(embeddings)
+        ), kind
+
+
+def test_one_large_demand_among_a_shared_shape_overloads_alone():
+    """Eleven unit requests of one shape fit a capacity of 2 000; one
+    more through the same maps, at demand 10, overloads node C and arc
+    E->C by its load alone, and nothing else is reported."""
+    net, apps, eff = toy_net(link_cap=2000.0, node_cap=2000.0), toy_apps(), EfficiencyMap()
+    assert check_feasibility(net, apps, eff, shared(unit_requests(12))) == []
+    embeddings = shared([*unit_requests(6), Request("E", "cam", 10.0), *unit_requests(5)])
+    out = check_feasibility(net, apps, eff, embeddings)
+    assert [(v.rule, v.entity) for v in out] == [
+        ("CapacityViolation", "node C"),
+        ("CapacityViolation", "arc E->C"),
+    ]
+    loads = load_vector(net, apps, eff, embeddings)
+    assert loads.node == {"C": 11 * 105.0 + 1050.0}
+    assert loads.arc == {("E", "C"): 11 * 100.0 + 1000.0}
+
+
+def per_request_loads(net, apps, eff, embeddings):
+    """The loads of a feasible embedding set, request by request: each
+    node in sorted order, then each link's arcs in sorted link order,
+    ``demand * size * coeff`` added as it comes."""
+    node: dict = {}
+    arc: dict = {}
+    for e in embeddings:
+        if e.rejected:
+            continue
+        alt = apps[e.request.app].alternative(e.alternative)
+        for i, v in sorted(e.node_map.items()):
+            amount = e.request.demand * alt.node_by_id[i].size * eff.node(i, v)
+            if amount:
+                node[v] = node.get(v, 0.0) + amount
+        sizes = {(l.parent, l.child): l.size for l in alt.links}
+        for pair, path in sorted(e.link_map.items()):
+            for vw in path:
+                amount = e.request.demand * sizes[pair] * eff.link(pair, vw)
+                if amount:
+                    arc[vw] = arc.get(vw, 0.0) + amount
+    return node, arc
+
+
+@pytest.mark.parametrize("topology, count", [("arnes_si", 1000), ("amres_rs", 12000)])
+def test_shared_shapes_load_and_cost_like_one_request_at_a_time(topology, count):
+    """On benchmark-shaped instances, tanto's and greedy's embeddings
+    (which share their maps) give the loads and costs, to the bit and in
+    the same key order, of a request-by-request walk; the costs also
+    equal those of the same embeddings on private copies of their maps."""
+    net, apps, eff, requests, psi = bench_instance(topology, count)
+    for embeddings in (
+        tanto(net, apps, eff, requests, psi, seed=1)[0],
+        greedy_embed_all(net, apps, eff, requests, psi, 1)[0],
+    ):
+        assert len({id(e.node_map) for e in embeddings}) < len(embeddings) // 2
+        node, arc = per_request_loads(net, apps, eff, embeddings)
+        loads = load_vector(net, apps, eff, embeddings)
+        for got, want in ((loads.node, node), (loads.arc, arc)):
+            assert [(k, x.hex()) for k, x in got.items()] == [(k, x.hex()) for k, x in want.items()]
+        cost = total_cost(net, apps, eff, embeddings, psi)
+        want = total_cost(net, apps, eff, private(embeddings), psi)
+        assert [x.hex() for x in (cost.compute, cost.bandwidth, cost.rejection)] == [
+            x.hex() for x in (want.compute, want.bandwidth, want.rejection)
+        ]
+        compute = sum_in_order(node[v] * net.node_by_id[v].cost for v in node)
+        bandwidth = sum_in_order(arc[a] * net.arc_by_pair[a].cost for a in arc)
+        assert (cost.compute.hex(), cost.bandwidth.hex()) == (compute.hex(), bandwidth.hex())
