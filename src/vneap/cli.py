@@ -338,10 +338,20 @@ def report(results_dir, out):
         _fail(f"no *_rows.csv under {results_dir}", EXIT_INPUT)
     for path in paths:
         with open(path, newline="") as fh:
-            for raw in csv.DictReader(fh):
+            reader = csv.reader(fh)
+            header = next(reader, [])
+            for fields in reader:
+                if not fields:  # a blank line
+                    continue
+                if len(fields) != len(header):
+                    _fail(
+                        f"{path}, line {reader.line_num}: {len(fields)} fields, "
+                        f"but the header has {len(header)}",
+                        EXIT_INPUT,
+                    )
                 row = {}
-                for key, value in raw.items():
-                    if value is None or value == "":
+                for key, value in zip(header, fields):
+                    if value == "":
                         continue
                     if value in ("true", "false"):
                         row[key] = value == "true"

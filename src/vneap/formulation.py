@@ -38,7 +38,9 @@ duals, and projected back onto the arc-flow variables
 (:func:`fractional_solution`).  Its solver prices unserved demand a
 hair above ``psi`` (:data:`REJECTION_MARGIN`), so it serves whatever
 serving costs no more than rejecting; every reported cost is priced at
-``psi``.
+``psi``.  The pricing routine (:class:`_Pricing`) is the package's one
+computation of uncapacitated cheapest embeddings: at zero duals over
+one downward chain of a topology it also gives greedy's A* bound.
 """
 
 from __future__ import annotations
@@ -303,10 +305,16 @@ def aggregate_requests(requests: Sequence[Request]) -> list[AggregatedRequest]:
 
 class _Pricing:
     """Cheapest embeddings on one network, every element priced at its
-    cost plus a capacity dual per unit of load, ignoring capacity.
+    cost plus a capacity dual per unit of load, ignoring capacity: the
+    one routine that computes them, for column generation's pricing
+    (:meth:`cheapest` under the duals) and for greedy's A* bound
+    (:meth:`distances` over one downward chain at zero duals).
 
-    Substrate nodes are numbered as in ``net``, and element ``e`` is
-    node ``e`` below ``n`` and arc ``e - n`` above.  An alternative's
+    Substrate nodes are numbered as in ``net.nodes`` and arcs as in
+    ``net.arcs``; element ``e`` is node ``e`` below ``n`` and arc
+    ``e - n`` above.  A virtual node's or virtual link's coefficient row
+    (one efficiency per substrate node or arc, FORBIDDEN kept) is read
+    on first use (:meth:`node_row`, :meth:`link_row`).  An alternative's
     plan is built on first use: per virtual node its load per unit of
     demand on each substrate node (``size * coeff``) and which nodes it
     may use and, per virtual link in preorder, its load per unit of
@@ -320,40 +328,92 @@ class _Pricing:
     """
 
     def __init__(self, net: SubstrateNetwork, efficiency: EfficiencyMap):
-        self.net = net
         self.efficiency = efficiency
         self.ids = [sn.id for sn in net.nodes]
         self.index = index = {v: i for i, v in enumerate(self.ids)}
-        self.arc_src = np.array([index[a.src] for a in net.arcs], dtype=np.int64)
-        self.arc_dst = np.array([index[a.dst] for a in net.arcs], dtype=np.int64)
-        self.arc_at = {(index[a.src], index[a.dst]): i for i, a in enumerate(net.arcs)}
+        self.pairs = [(a.src, a.dst) for a in net.arcs]
+        self.arc_src = np.array([index[u] for u, _ in self.pairs], dtype=np.int64)
+        self.arc_dst = np.array([index[w] for _, w in self.pairs], dtype=np.int64)
+        self.arc_at = {(index[u], index[w]): i for i, (u, w) in enumerate(self.pairs)}
+        self.node_cost = np.array([sn.cost for sn in net.nodes], dtype=float)
+        self.arc_cost = np.array([a.cost for a in net.arcs], dtype=float)
+        self._node_rows: dict[str, list] = {}
+        self._link_rows: dict[tuple[str, str], list] = {}
         self._plans: dict[AlternativeTopology, tuple] = {}
+
+    def node_row(self, func: str) -> list:
+        row = self._node_rows.get(func)
+        if row is None:
+            row = self._node_rows[func] = [self.efficiency.node(func, v) for v in self.ids]
+        return row
+
+    def link_row(self, pair: tuple[str, str]) -> list:
+        row = self._link_rows.get(pair)
+        if row is None:
+            row = self._link_rows[pair] = [self.efficiency.link(pair, arc) for arc in self.pairs]
+        return row
 
     def plan(self, alt: AlternativeTopology) -> tuple:
         plan = self._plans.get(alt)
         if plan is None:
-            net, eff, n = self.net, self.efficiency, len(self.ids)
+            n = len(self.ids)
             nodes = {}
             for vn in alt.nodes:
-                coeffs = [eff.node(vn.id, v) for v in self.ids]
+                coeffs = self.node_row(vn.id)
                 allowed = np.array([c is not FORBIDDEN for c in coeffs])
                 nodes[vn.id] = (allowed, vn.size * np.array([c or 0.0 for c in coeffs]))
             links = []
             for vl in alt.preorder:
-                coeffs = [eff.link((vl.parent, vl.child), (a.src, a.dst)) for a in net.arcs]
+                coeffs = self.link_row((vl.parent, vl.child))
                 arcs = np.flatnonzero([c is not FORBIDDEN for c in coeffs])
                 unit = vl.size * np.array([c or 0.0 for c in coeffs], dtype=float)
                 heads = np.concatenate([np.full(n, n), self.arc_dst[arcs]])
                 tails = np.concatenate([np.arange(n), self.arc_src[arcs]])
-                # built once, numbered 1, 2, ... in edge order, so that each
-                # stored entry tells which edge it holds; a pass only
-                # writes the prices into ``data``
-                graph = sparse.csr_matrix(
-                    (np.arange(1.0, len(heads) + 1), (heads, tails)), shape=(n + 1, n + 1)
-                )
-                links.append((vl, arcs, unit, graph, graph.data.astype(np.int64) - 1))
+                # stored by row, then column, scipy's canonical layout:
+                # Dijkstra breaks ties by it, and the generated columns
+                # follow the ties.  Entry i holds edge ``edge[i]``, so a
+                # pass only writes the prices into ``data``
+                edge = np.lexsort((tails, heads))
+                indptr = np.zeros(n + 2, dtype=np.int32)
+                np.cumsum(np.bincount(heads, minlength=n + 1), out=indptr[1:])
+                csr = (np.zeros(len(edge)), tails[edge].astype(np.int32), indptr)
+                graph = sparse.csr_matrix(csr, shape=(n + 1, n + 1))
+                links.append((vl, arcs, unit, graph, edge))
             plan = self._plans[alt] = (nodes, links)
         return plan
+
+    def distances(
+        self,
+        alt: AlternativeTopology,
+        links: Sequence[tuple],
+        node_price: np.ndarray,
+        arc_price: np.ndarray,
+    ) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
+        """The tree DP over ``links``, a run of ``alt``'s plan links in
+        preorder (one downward chain, or all of them), children before
+        parents: per link, the price per unit of demand, from each
+        substrate node, of carrying the link from there and embedding its
+        child and every link of the run below it (+inf where nothing
+        does), with the Dijkstra predecessors that embedding follows.
+        Also returns, per substrate node, the price with the root there
+        of the run's links that hang from the root and all below them,
+        the root's own placement free (zeros when no link of the run
+        hangs from it).  ``node_price`` and ``arc_price`` are each
+        element's price per unit of load; one shortest-path run per
+        link."""
+        nodes = self.plan(alt)[0]
+        n = len(self.ids)
+        below = {f: np.where(ok, unit * node_price, math.inf) for f, (ok, unit) in nodes.items()}
+        below[alt.root] = np.zeros(n)
+        out = []
+        for vl, arcs, unit, graph, edge in reversed(links):
+            # an explicit 0.0 stays an edge of a CSR matrix, so zero-priced
+            # moves (a zero-size function or link, a free arc) are kept
+            graph.data = np.concatenate([below[vl.child], unit[arcs] * arc_price[arcs]])[edge]
+            dist, pred = dijkstra(graph, indices=n, return_predecessors=True)
+            below[vl.parent] = below[vl.parent] + dist[:n]
+            out.append((dist[:n], pred))
+        return below[alt.root], out[::-1]
 
     def cheapest(
         self, alt: AlternativeTopology, node_price: np.ndarray, arc_price: np.ndarray
@@ -361,23 +421,10 @@ class _Pricing:
         """Per substrate node ``v``, the price per unit of demand of
         ``alt``'s cheapest embedding with its root on ``v`` (+inf where
         none exists), and per virtual link in preorder the Dijkstra
-        predecessors :meth:`embedding` follows.  ``node_price`` and
-        ``arc_price`` are each element's price per unit of load.  A
-        tree DP, children before parents, over one shortest-path run
-        per virtual link; the root's own placement is free."""
-        nodes, links = self.plan(alt)
-        n = len(self.ids)
-        below = {f: np.where(ok, unit * node_price, math.inf) for f, (ok, unit) in nodes.items()}
-        below[alt.root] = np.zeros(n)
-        preds = []
-        for vl, arcs, unit, graph, edge in reversed(links):
-            # an explicit 0.0 stays an edge of a CSR matrix, so zero-priced
-            # moves (a zero-size function or link, a free arc) are kept
-            graph.data = np.concatenate([below[vl.child], unit[arcs] * arc_price[arcs]])[edge]
-            dist, pred = dijkstra(graph, indices=n, return_predecessors=True)
-            below[vl.parent] = below[vl.parent] + dist[:n]
-            preds.append(pred)
-        return below[alt.root], preds[::-1]
+        predecessors :meth:`embedding` follows: :meth:`distances` over
+        the whole preorder."""
+        root, runs = self.distances(alt, self.plan(alt)[1], node_price, arc_price)
+        return root, [pred for _, pred in runs]
 
     def embedding(
         self, alt: AlternativeTopology, preds: list[np.ndarray], origin: int
@@ -450,12 +497,12 @@ def _column_generation(
     aggregates: Sequence[AggregatedRequest],
     psi: float,
     solve: Callable[[LinearProgram], Solution],
-) -> tuple[LinearProgram, Solution, float]:
+) -> tuple[LinearProgram, Solution, tuple[float, float]]:
     """:func:`build_relaxed_aggregate_lp`'s loop, every master solved by
     ``solve``: the final master, its solution, and the
-    ``time.perf_counter`` reading taken as that solve began.  The last
-    round's solution is the final master's, so a caller that needs it
-    need not solve the master again."""
+    ``time.perf_counter`` and ``time.process_time`` readings taken as
+    that solve began.  The last round's solution is the final master's,
+    so a caller that needs it need not solve the master again."""
     if psi < 0:
         raise ValueError(f"rejection penalty must be nonnegative, got {psi}")
     by_app: dict[str, list[tuple[int, AggregatedRequest]]] = {}
@@ -466,8 +513,7 @@ def _column_generation(
             raise KeyError(f"unknown origin node {g.origin!r} for owner {g.owner}")
         by_app.setdefault(g.app, []).append((i, g))
     pricing = _Pricing(net, efficiency)
-    node_cost = np.array([sn.cost for sn in net.nodes], dtype=float)
-    arc_cost = np.array([a.cost for a in net.arcs], dtype=float)
+    node_cost, arc_cost = pricing.node_cost, pricing.arc_cost
     element_cost = [*node_cost.tolist(), *arc_cost.tolist()]
     # the master's rows: one per aggregate, then one per element
     first = len(aggregates)
@@ -535,7 +581,7 @@ def _column_generation(
             frozenset(),
             np.asarray(solver_objective, dtype=float),
         )
-        started = time.perf_counter()
+        started = time.perf_counter(), time.process_time()
         sol = solve(lp)
         rounds += 1
         if not sol.optimal or not price(sol.duals):

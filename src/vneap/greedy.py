@@ -9,17 +9,18 @@ node an earlier chain ended on.
 
 A*'s bound is exact for the uncapacitated problem: per chain, the
 cheapest cost per unit demand to finish the chain from every state,
-computed once by one scipy Dijkstra run from a sink over the reversed
-layered graph (`chain_graph`).  Coefficients and costs are fixed
-for a run and capacity only removes moves, so demand times that cost
-never exceeds the true remaining cost at any residual (admissible), and
-it obeys the triangle inequality along every move (consistent).  A*
+computed once by column generation's pricing DP at zero duals over
+the chain's links (`formulation._Pricing.distances`).  Coefficients
+and costs are fixed for a run and capacity only removes moves, so
+demand times that cost never exceeds the true remaining cost at any
+residual (admissible), and it obeys the triangle inequality along every
+move (consistent).  A*
 therefore pops the first goal state at the cheapest cost, as Dijkstra
 would, after expanding fewer states.
 
 The search runs on integer-indexed tables built once per run
 (`_ChainSearch`): substrate nodes and arcs are numbered, efficiency
-coefficients are read into per-element rows on first use, each
+coefficients are read from the pricing's per-element rows, each
 alternative's chains are planned once, and the search keeps its
 distances in flat lists indexed by ``m * n + v``.  The same object
 holds the run's residual capacity, per node and arc index, and takes
@@ -28,8 +29,9 @@ is computed with the same float operations as a search over id-keyed
 dicts would, so results are identical to the bit.
 
 A chain's answer is its list of moves (placements and hops) on node and
-arc indices.  A candidate's cost and loads, and its cumulative capacity
-recheck, are summed from those moves; only the accepted alternative's
+arc indices.  A candidate's cost is summed from those moves; candidates
+are tried cheapest first, and only the one accepted has its loads
+summed and rechecked cumulatively.  Only the accepted alternative's
 moves become the id-keyed maps of its :class:`IntegralEmbedding`, built
 once per (alternative, origin, chain answers) and shared, read-only, by
 every request accepted with the same answers.
@@ -51,17 +53,15 @@ are monotone and the residual only shrinks.
 from __future__ import annotations
 
 import heapq
-import math
 import time
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.csgraph import dijkstra
 
 from . import rng as _rng
+from .formulation import _Pricing
 from .model import (
     FORBIDDEN,
     AlternativeTopology,
@@ -70,7 +70,6 @@ from .model import (
     IntegralEmbedding,
     Request,
     SubstrateNetwork,
-    VirtualLink,
 )
 
 _EPS = 1e-9
@@ -79,77 +78,20 @@ _EPS = 1e-9
 _BOUND_SHRINK = 1.0 - 1e-9
 
 
-def chain_graph(
-    node_cost: np.ndarray,
-    arc_src: np.ndarray,
-    arc_dst: np.ndarray,
-    arc_cost: np.ndarray,
-    steps: Sequence[tuple],
-) -> sparse.csr_matrix:
-    """The reversed layered graph of one chain of virtual links, its
-    edges weighted by each move's cost per unit of demand.
-
-    Substrate nodes and arcs are numbered: node ``v`` costs
-    ``node_cost[v]`` and arc ``a`` runs from ``arc_src[a]`` to
-    ``arc_dst[a]`` at ``arc_cost[a]``.  ``steps`` are the chain's k links
-    in order, each (link, its child's size, the child's coefficient per
-    node, the link's coefficient per arc).  State ``m * n + v`` has the
-    chain's first m functions placed and link m pending at node ``v``
-    (state ``v``: the root on ``v``).  Placing the next function on
-    ``v`` moves (m, v) to (m + 1, v) at ``size * coeff * node_cost[v]``;
-    carrying link m over arc ``a`` moves (m, src) to (m, dst) at
-    ``link.size * coeff * arc_cost[a]``.  A forbidden pairing is no
-    move; so is a pairing whose unit cost is not finite.
-
-    The graph holds every move reversed, plus a sink, state
-    ``(k + 1) * n``, that reaches every state of layer k at 0.0.  One
-    Dijkstra run from the sink gives every state's cheapest cost to
-    finish the chain, ignoring capacity.  Each move is given once: it
-    pairs a state with one node or arc, and ``validate_substrate``
-    rejects repeated arcs (``DuplicateArc``).
-    """
-    n, k = len(node_cost), len(steps)
-    # size * coeff * cost, in that order, as a search sums it; a
-    # FORBIDDEN coefficient reads as NaN, so its unit cost is NaN too
-    sizes = np.array([[size, link.size] for link, size, _, _ in steps], dtype=float).reshape(k, 2)
-    node_coeff = np.array([step[2] for step in steps], dtype=float).reshape(k, n)
-    arc_coeff = np.array([step[3] for step in steps], dtype=float).reshape(k, len(arc_cost))
-    node_unit = sizes[:, :1] * node_coeff * node_cost
-    arc_unit = sizes[:, 1:] * arc_coeff * arc_cost
-    mv, v = np.nonzero(node_unit < math.inf)
-    ma, a = np.nonzero(arc_unit < math.inf)
-    sink = (k + 1) * n
-    heads = np.concatenate([np.full(n, sink), (mv + 1) * n + v, ma * n + arc_dst[a]])
-    tails = np.concatenate([k * n + np.arange(n), mv * n + v, ma * n + arc_src[a]])
-    costs = np.concatenate([np.zeros(n), node_unit[mv, v], arc_unit[ma, a]])
-    return _csr(heads, tails, costs, sink + 1)
-
-
-def _csr(rows: np.ndarray, cols: np.ndarray, data: np.ndarray, size: int) -> sparse.csr_matrix:
-    """The ``size`` by ``size`` matrix with ``data[i]`` at (``rows[i]``,
-    ``cols[i]``), each row's entries in input order.  Built straight
-    from the CSR arrays: on a chain's graph that takes a fifth of the
-    time scipy's (data, (rows, cols)) constructor does."""
-    order = np.argsort(rows, kind="stable")
-    indptr = np.zeros(size + 1, dtype=np.int32)
-    np.cumsum(np.bincount(rows, minlength=size), out=indptr[1:])
-    indices = cols[order].astype(np.int32)
-    return sparse.csr_matrix((data[order], indices, indptr), shape=(size, size))
-
-
 class _ChainSearch:
     """Integer-indexed tables of one (network, efficiency) pair, plus the
     residual capacities the chain search tests moves against.
 
-    Substrate nodes are numbered in network order and arcs by endpoint
-    pair; coefficient rows (one value per substrate node or arc, keyed by
-    virtual node id or virtual link pair, as :class:`EfficiencyMap` is)
-    and per-alternative chain plans, each with its chains' A* bounds
-    (one scipy Dijkstra run from a sink per chain), are filled on first
-    use and shared by every later search.  The residual capacity starts
-    at the network's and shrinks on every :meth:`consume`: ``node_left``
-    and ``arc_left`` hold it, ``node_cap`` and ``arc_cap`` the same
-    values with ``_EPS`` already added, as the search tests them.
+    Substrate nodes and arcs are numbered as :class:`_Pricing` numbers
+    them, and the search reads that pricing's coefficient rows (one
+    value per substrate node or arc, keyed by virtual node id or virtual
+    link pair, as :class:`EfficiencyMap` is).  Per-alternative chain
+    plans, each with its chains' A* bounds (the pricing's DP at zero
+    duals over the chain's links), are filled on first use and shared
+    by every later search.  The residual capacity starts at the
+    network's and shrinks on every :meth:`consume`: ``node_left`` and
+    ``arc_left`` hold it, ``node_cap`` and ``arc_cap`` the same values
+    with ``_EPS`` already added, as the search tests them.
 
     A chain's answer is its moves in order, each (caps, index, size
     factor, coefficient, unit cost, link): a placement of ``link``'s
@@ -172,10 +114,9 @@ class _ChainSearch:
     """
 
     def __init__(self, net: SubstrateNetwork, efficiency: EfficiencyMap):
-        self.ids = [n.id for n in net.nodes]
-        self.node_index = {v: i for i, v in enumerate(self.ids)}
+        self.pricing = pricing = _Pricing(net, efficiency)
+        self.ids, self.node_index, self.pairs = pricing.ids, pricing.index, pricing.pairs
         self.node_cost = [n.cost for n in net.nodes]
-        self.pairs = list(net.arc_by_pair)
         self.arc_index = {pair: k for k, pair in enumerate(self.pairs)}
         # out-arcs as (destination index, arc index, cost)
         self.out = [
@@ -185,38 +126,16 @@ class _ChainSearch:
             ]
             for v in self.ids
         ]
-        # the numbering as chain_graph reads it
-        self.arrays = (
-            np.array(self.node_cost, dtype=float),
-            np.array([self.node_index[u] for u, _ in self.pairs], dtype=np.int64),
-            np.array([self.node_index[w] for _, w in self.pairs], dtype=np.int64),
-            np.array([net.arc_by_pair[pair].cost for pair in self.pairs], dtype=float),
-        )
-        self.efficiency = efficiency
         self.node_left = [n.capacity for n in net.nodes]
-        self.arc_left = [net.arc_by_pair[pair].capacity for pair in self.pairs]
+        self.arc_left = [a.capacity for a in net.arcs]
         self.node_cap = [c + _EPS for c in self.node_left]
         self.arc_cap = [c + _EPS for c in self.arc_left]
-        self._node_rows: dict[str, list[Optional[float]]] = {}
-        self._link_rows: dict[tuple[str, str], list[Optional[float]]] = {}
         self._plans: dict[AlternativeTopology, tuple] = {}
         self._slots = 0  # node count times the number of chains planned
         self._answers: dict[int, tuple] = {}
         self._maps: dict[tuple, tuple] = {}
         self.chain_searches = 0
         self.chain_reuses = 0
-
-    def node_row(self, func: str) -> list[Optional[float]]:
-        row = self._node_rows.get(func)
-        if row is None:
-            row = self._node_rows[func] = [self.efficiency.node(func, v) for v in self.ids]
-        return row
-
-    def link_row(self, pair: tuple[str, str]) -> list[Optional[float]]:
-        row = self._link_rows.get(pair)
-        if row is None:
-            row = self._link_rows[pair] = [self.efficiency.link(pair, arc) for arc in self.pairs]
-        return row
 
     def plan(self, alt: AlternativeTopology) -> tuple:
         """(root row, root size, chains) of ``alt``.  The chains split
@@ -225,45 +144,43 @@ class _ChainSearch:
         one child.  A chain is (start, slot, steps, bound): ``start`` is 0
         when it starts at the root and j when at the end of the j-th
         chain, the slot keys its answers in ``_answers``, a step is (link,
-        child size, child row, link row) and the bound
-        :meth:`remaining_cost`'s table shrunk by ``_BOUND_SHRINK``."""
+        child size, child row, link row) and the bound the chain's
+        uncapacitated finishing cost per unit of demand from every state
+        ``m * n + v`` (+inf where no sequence of allowed moves finishes
+        it), shrunk by ``_BOUND_SHRINK``: the pricing's distances at zero
+        duals of links m = 0 .. k - 1 from node v, then zeros for the
+        last layer."""
         plan = self._plans.get(alt)
         if plan is None:
-            split: list[list[VirtualLink]] = []
-            for link in alt.preorder:
-                extends = split and split[-1][-1].child == link.parent
+            pricing, n = self.pricing, len(self.ids)
+            split: list[list[tuple]] = []  # the pricing plan's links, per chain
+            for entry in pricing.plan(alt)[1]:
+                link = entry[0]
+                extends = split and split[-1][-1][0].child == link.parent
                 if extends and len(alt.children[link.parent]) == 1:
-                    split[-1].append(link)
+                    split[-1].append(entry)
                 else:
-                    split.append([link])
-            ends = {chain[-1].child: j for j, chain in enumerate(split, 1)}
+                    split.append([entry])
+            ends = {chain[-1][0].child: j for j, chain in enumerate(split, 1)}
             chains = []
             for chain in split:
                 steps = [
                     (
                         link,
                         alt.node_by_id[link.child].size,
-                        self.node_row(link.child),
-                        self.link_row((link.parent, link.child)),
+                        pricing.node_row(link.child),
+                        pricing.link_row((link.parent, link.child)),
                     )
-                    for link in chain
+                    for link, *_ in chain
                 ]
-                bound = [h * _BOUND_SHRINK for h in self.remaining_cost(steps)]
-                chains.append((ends.get(chain[0].parent, 0), self._slots, steps, bound))
-                self._slots += len(self.ids)
-            root = (self.node_row(alt.root), alt.node_by_id[alt.root].size)
+                _, runs = pricing.distances(alt, chain, pricing.node_cost, pricing.arc_cost)
+                table = np.concatenate([*(dist for dist, _ in runs), np.zeros(n)])
+                bound = (table * _BOUND_SHRINK).tolist()
+                chains.append((ends.get(chain[0][0].parent, 0), self._slots, steps, bound))
+                self._slots += n
+            root = (pricing.node_row(alt.root), alt.node_by_id[alt.root].size)
             plan = self._plans[alt] = (*root, chains)
         return plan
-
-    def remaining_cost(self, steps: Sequence[tuple]) -> list[float]:
-        """Cheapest cost per unit demand to finish the chain ``steps`` from
-        every state ``m * n + v``, ignoring capacity (+inf where no sequence
-        of allowed moves finishes it): one Dijkstra run from the sink of
-        the chain's reversed layered graph, :func:`chain_graph`.
-        """
-        graph = chain_graph(*self.arrays, steps)
-        sink = graph.shape[0] - 1
-        return dijkstra(graph, directed=True, indices=sink)[:sink].tolist()
 
     def consume(self, node_loads: Mapping[int, float], arc_loads: Mapping[int, float]) -> None:
         """Take an accepted embedding's loads, keyed by node and arc
@@ -407,18 +324,15 @@ class _ChainSearch:
     def embed(self, alt: AlternativeTopology, origin: int, demand: float):
         """Minimal-cost embedding of one alternative rooted at node index
         ``origin`` against this search's residual capacities: (cost, its
-        chains' answers in turn, each a list of moves, (node loads, arc
-        loads) keyed by index), or None if the search finds no feasible
-        placement.
+        chains' answers in turn, each a list of moves), or None if the
+        search finds no feasible placement.
 
-        Chains are embedded greedily in preorder; the candidate's loads,
-        summed from its moves, are then rechecked cumulatively (several
-        functions sharing one node must fit together), so a returned
-        candidate is always safe to accept.
+        Chains are embedded greedily in preorder, each move checked
+        against the residual alone; :meth:`take` rechecks the candidate
+        cumulatively before it is accepted.
         """
-        root_row, root_size, chains = self.plan(alt)
-        root_coeff = root_row[origin]
-        if root_coeff is FORBIDDEN:
+        root_row, _, chains = self.plan(alt)
+        if root_row[origin] is FORBIDDEN:
             return None
         answers: list[list[tuple]] = []
         placed = [origin]  # the root's node, then each chain's last function's
@@ -431,12 +345,23 @@ class _ChainSearch:
             answers.append(moves)
             placed.append(moves[-1][1])
             cost += chain_cost
-        # cumulative recheck: per-move checks were against the untouched
-        # residual, so co-located functions / shared arcs need a joint pass
+        return cost, answers
+
+    def take(
+        self, alt: AlternativeTopology, origin: int, demand: float, answers: Sequence[list]
+    ) -> bool:
+        """Accept :meth:`embed`'s candidate of ``alt`` rooted at node index
+        ``origin`` if it fits: sum its loads from the chain ``answers``,
+        keyed by node and arc index, recheck them cumulatively (per-move
+        checks were against the untouched residual, so co-located
+        functions and shared arcs need a joint pass) and, if every one
+        fits, take them off the residual (:meth:`consume`).  Returns
+        whether it did."""
+        root_row, root_size, _ = self.plan(alt)
         node_cap = self.node_cap
         node_loads: dict[int, float] = {}
         arc_loads: dict[int, float] = {}
-        load = demand * root_size * root_coeff
+        load = demand * root_size * root_row[origin]
         if load:
             node_loads[origin] = load
         for moves in answers:
@@ -448,8 +373,9 @@ class _ChainSearch:
         for loads, caps in ((node_loads, node_cap), (arc_loads, self.arc_cap)):
             for i, load in loads.items():
                 if load > caps[i]:
-                    return None
-        return cost, answers, (node_loads, arc_loads)
+                    return False
+        self.consume(node_loads, arc_loads)
+        return True
 
     def id_maps(self, alt: AlternativeTopology, origin: int, answers: Sequence[list]):
         """The node map and link map, keyed by ids as
@@ -518,22 +444,24 @@ def greedy_embed_all(
     for pos in order:
         req = requests[pos]
         origin = search.node_index.get(req.origin)
-        best, best_alt = None, None
+        candidates = []
         for alt in ranked[req.app] if origin is not None else ():
-            cand = search.embed(alt, origin, req.demand)
-            if cand is not None and (best is None or cand[0] < best[0]):
-                best, best_alt = cand, alt
-        if best is None:
+            got = search.embed(alt, origin, req.demand)
+            if got is not None:
+                candidates.append((got[0], alt, got[1]))
+        # cheapest first, equal costs in alternative order (a stable sort)
+        candidates.sort(key=lambda cand: cand[0])
+        for cost, alt, answers in candidates:
+            if search.take(alt, origin, req.demand, answers):
+                node_map, link_map = search.id_maps(alt, origin, answers)
+                results[pos] = IntegralEmbedding(req, alt.index, node_map, link_map)
+                report.accepted += 1
+                report.embed_cost += cost
+                break
+        else:
             results[pos] = IntegralEmbedding.reject(req)
             report.rejected += 1
             report.rejected_demand += req.demand
-        else:
-            cost, answers, loads = best
-            search.consume(*loads)
-            node_map, link_map = search.id_maps(best_alt, origin, answers)
-            results[pos] = IntegralEmbedding(req, best_alt.index, node_map, link_map)
-            report.accepted += 1
-            report.embed_cost += cost
     report.rejection_penalty = psi * report.rejected_demand
     report.objective = report.embed_cost + report.rejection_penalty
     report.chain_searches = search.chain_searches

@@ -542,10 +542,10 @@ def algorithm_catalog(algo: str, apps: Mapping[str, Application]) -> Mapping[str
 
 
 def _relaxation_timing(solved: Relaxation) -> dict:
-    """The timings entries of a solved relaxation: its four stage times,
-    the HiGHS iterations (none for an empty program, which is settled
-    without HiGHS) of its final solve, the master's column count and
-    its pricing rounds."""
+    """The timings entries of a solved relaxation: its four stages' wall
+    and CPU times, the HiGHS iterations (none for an empty program,
+    which is settled without HiGHS) of its final solve, the master's
+    column count and its pricing rounds."""
     return {
         **solved.stages,
         "lp_iterations": solved.solution.stats.get("iterations", 0),
@@ -815,7 +815,7 @@ def timings_to_csv(timings: Sequence[dict]) -> str:
         "scenario", "repetition", "algorithm", "runtime_s", "lp_runtime_s", "aggregate_s",
         "build_s", "solve_s", "unpack_s", "rounding_runtime_s", "rounding_cpu_s", "lp_iterations",
         "lp_columns", "lp_pricing_rounds", "setup_runtime_s", "chain_searches", "chain_reuses",
-        "cpu_s", "setup_cpu_s",
+        "cpu_s", "setup_cpu_s", "aggregate_cpu_s", "build_cpu_s", "solve_cpu_s", "unpack_cpu_s",
     ]
     return _csv(columns, ([t.get(c) for c in columns] for t in timings))
 

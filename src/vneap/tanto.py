@@ -67,8 +67,9 @@ class Relaxation(NamedTuple):
     ``solve_s`` and ``unpack_s`` (the stages sum to ``runtime_s``;
     ``build_s`` holds the pricing rounds up to the final master's solve,
     the earlier masters' solves included, and ``solve_s`` that solve and
-    the pricing pass that adds nothing), and the master's final column
-    count and its pricing rounds."""
+    the pricing pass that adds nothing), the same stages' CPU seconds
+    (``time.process_time``) keyed ``aggregate_cpu_s`` and so on, and the
+    master's final column count and its pricing rounds."""
 
     solution: Solution
     fractional: Optional[FractionalSolution]
@@ -88,21 +89,24 @@ def solve_relaxation(
     """Aggregate the requests, build the continuous relaxation, solve it
     and unpack the optimum.  A status other than optimal is returned,
     not raised."""
-    t0 = time.perf_counter()
+    t0, c0 = time.perf_counter(), time.process_time()
     aggregates = aggregate_requests(requests)
-    t1 = time.perf_counter()
+    t1, c1 = time.perf_counter(), time.process_time()
     # every master is solved by solve_lp as this module binds it; the
     # last round solved the final master, so its solution is the
-    # relaxation's, and t2 is when that solve began
-    lp, sol, t2 = _column_generation(net, apps, efficiency, aggregates, psi, solve_lp)
-    t3 = time.perf_counter()
+    # relaxation's, and (t2, c2) is when that solve began
+    lp, sol, (t2, c2) = _column_generation(net, apps, efficiency, aggregates, psi, solve_lp)
+    t3, c3 = time.perf_counter(), time.process_time()
     frac = None
     if sol.optimal:
         frac = fractional_solution(lp, sol.x, sol.objective, aggregates, apps)
-    t4 = time.perf_counter()
+    t4, c4 = time.perf_counter(), time.process_time()
     # differences of one clock's readings are exact floats, so the stages
     # add up to the total exactly
     stages = {"aggregate_s": t1 - t0, "build_s": t2 - t1, "solve_s": t3 - t2, "unpack_s": t4 - t3}
+    stages.update(
+        aggregate_cpu_s=c1 - c0, build_cpu_s=c2 - c1, solve_cpu_s=c3 - c2, unpack_cpu_s=c4 - c3
+    )
     return Relaxation(sol, frac, t4 - t0, stages, lp.n_vars, lp.pricing_rounds)
 
 

@@ -386,8 +386,8 @@ def test_solve_tanto_seed_reproducible(runner, toy_files):
 def test_solve_writes_a_timings_sidecar(runner, toy_files, algo):
     """Timings go to <out stem>_timings.json beside the report: the wall
     seconds of the run, plus the relaxation's and the rounding's share
-    (the rounding's also in CPU seconds), the relaxation's four stages,
-    HiGHS's iteration count, the master's column count and its pricing
+    (the rounding's also in CPU seconds), the relaxation's four stages
+    in wall and in CPU seconds, HiGHS's iteration count, the master's column count and its pricing
     rounds where the algorithm has them, and greedy's chain search and
     reuse counts."""
     single = toy_files["dir"] / "one_request.json"
@@ -396,7 +396,8 @@ def test_solve_writes_a_timings_sidecar(runner, toy_files, algo):
     assert runner.invoke(main, solve_args(dict(toy_files, requests=single), algo, out)).exit_code == 0
     sidecar = json.loads((toy_files["dir"] / f"{algo}_timings.json").read_text())
     stages = {"aggregate_s", "build_s", "solve_s", "unpack_s"}
-    relaxation = {"lp_iterations", "lp_columns", "lp_pricing_rounds", *stages}
+    cpu_stages = {"aggregate_cpu_s", "build_cpu_s", "solve_cpu_s", "unpack_cpu_s"}
+    relaxation = {"lp_iterations", "lp_columns", "lp_pricing_rounds", *stages, *cpu_stages}
     expected = {
         "lp": {"runtime_s", *relaxation},
         "greedy": {"runtime_s", "chain_searches", "chain_reuses"},
@@ -567,6 +568,11 @@ def test_compare_matches_golden_rows(runner, tmp_path, jobs):
         assert sum(float(lp[k]) for k in stages) <= float(lp["runtime_s"])
         assert sum(float(tanto[k]) for k in stages) <= float(tanto["lp_runtime_s"])
         assert [greedy[k] for k in stages] == [""] * 4
+        # the same stages in CPU seconds, on the relaxation's rows only
+        cpu_stages = ("aggregate_cpu_s", "build_cpu_s", "solve_cpu_s", "unpack_cpu_s")
+        assert [tanto[k] for k in cpu_stages] == [lp[k] for k in cpu_stages]
+        assert all(float(lp[k]) >= 0 for k in cpu_stages)
+        assert [greedy[k] for k in cpu_stages] == [""] * 4
         # greedy's chain counts: every chain call is a search or a reuse
         assert int(greedy["chain_searches"]) > 0 and int(greedy["chain_reuses"]) >= 0
         assert [lp["chain_searches"], tanto["chain_reuses"]] == ["", ""]
@@ -836,6 +842,23 @@ def test_report_refuses_a_number_that_is_not_finite(runner, tmp_path, cell):
     result = runner.invoke(main, ["report", "--results", str(tmp_path), "--out", str(out)])
     assert result.exit_code == 2
     assert f"'total_cost': expected a finite number, not {cell}" in result.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("extra, fields", [(",EXTRA", 4), ("", 2)])
+def test_report_refuses_a_row_whose_field_count_differs_from_its_header(
+    runner, tmp_path, extra, fields
+):
+    """A row with more fields than its header, or fewer, is an input
+    error naming the file, the line and both counts."""
+    body = "scenario,algorithm,total_cost\ns,lp,1.0\n"
+    row = f"s,lp,1.0{extra}\n" if extra else "s,lp\n"
+    path = tmp_path / "x_rows.csv"
+    path.write_text(body + row)
+    out = tmp_path / "summary.json"
+    result = runner.invoke(main, ["report", "--results", str(tmp_path), "--out", str(out)])
+    assert result.exit_code == 2
+    assert f"{path}, line 3: {fields} fields, but the header has 3" in result.output
     assert not out.exists()
 
 

@@ -8,6 +8,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from vneap.formulation import (
     REJECTION_MARGIN,
@@ -144,6 +145,31 @@ def priced_instances():
     for seed in range(30):
         net, apps, eff, _, _ = random_instance(seed)
         yield net, [a for app in apps.values() for a in app.alternatives], eff
+
+
+def test_pricing_graphs_are_laid_out_as_scipys_constructor_lays_them():
+    """Each virtual link's pricing graph, built straight from CSR arrays,
+    has the row pointers and column indices that scipy's (data, (row,
+    col)) constructor gives the same edges, and ``edge`` puts the edges,
+    in the order the plan lists them, where that constructor stores
+    them.  Dijkstra breaks ties by that layout, so the generated columns
+    depend on it."""
+    graphs = 0
+    for net, alternatives, eff in priced_instances():
+        pricing = _Pricing(net, eff)
+        n = len(net.nodes)
+        for alt in alternatives:
+            for _, arcs, _, graph, edge in pricing.plan(alt)[1]:
+                heads = np.concatenate([np.full(n, n), pricing.arc_dst[arcs]])
+                tails = np.concatenate([np.arange(n), pricing.arc_src[arcs]])
+                ordinal = np.arange(1.0, len(heads) + 1)
+                want = sparse.csr_matrix((ordinal, (heads, tails)), shape=(n + 1, n + 1))
+                assert graph.shape == want.shape
+                assert graph.indptr.tolist() == want.indptr.tolist()
+                assert graph.indices.tolist() == want.indices.tolist()
+                assert ordinal[edge].tolist() == want.data.tolist()
+                graphs += 1
+    assert graphs > 100
 
 
 def test_pricing_finds_the_cheapest_embedding():

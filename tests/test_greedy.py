@@ -116,6 +116,22 @@ def test_rejection_only_on_infeasibility():
     assert report.objective == pytest.approx(500.0)
 
 
+def test_equal_cost_alternatives_go_to_the_lower_index():
+    """Two alternatives of one shape cost the same to the bit; listed in
+    either order, greedy takes the one with the lower index."""
+
+    def alt(index: int) -> AlternativeTopology:
+        chain = theta_chain(5.0)
+        return AlternativeTopology("probe", index, chain.nodes, chain.links, chain.root)
+
+    for listed in ((0, 1), (1, 0)):
+        apps = {"probe": Application("probe", tuple(alt(i) for i in listed))}
+        requests = [Request("E", "probe", 1.0)]
+        embeddings, report = greedy_embed_all(toy_net(), apps, EfficiencyMap(), requests, PSI_TOY, 0)
+        assert embeddings[0].alternative == 0
+        assert report.accepted == 1
+
+
 # -- single-alternative search ------------------------------------------------
 
 
@@ -133,13 +149,23 @@ class Candidate:
 
 def embed_ids(search: _ChainSearch, alt, origin: str, demand: float):
     """``search.embed`` of ``alt`` rooted at substrate node ``origin``, as
-    a :class:`Candidate`, or None."""
+    a :class:`Candidate`, or None when it finds none or the candidate
+    fails ``search.take``'s cumulative recheck.  The residual is left as
+    it was: the loads ``take`` would consume are kept instead."""
     o = search.node_index[origin]
     got = search.embed(alt, o, demand)
     if got is None:
         return None
-    cost, chain_moves, (node_loads, arc_loads) = got
-    return Candidate(*search.id_maps(alt, o, chain_moves), cost, node_loads, arc_loads)
+    cost, chain_moves = got
+    taken = []
+    search.consume = lambda node_loads, arc_loads: taken.append((node_loads, arc_loads))
+    try:
+        fits = search.take(alt, o, demand, chain_moves)
+    finally:
+        del search.consume
+    if not fits:
+        return None
+    return Candidate(*search.id_maps(alt, o, chain_moves), cost, *taken[0])
 
 
 def embed_one(net, alt, eff=None):
@@ -344,7 +370,7 @@ def test_requests_embedded_by_the_same_answers_share_read_only_maps():
     search = _ChainSearch(net, eff)
     alt = apps["cctv"].alternatives[0]
     origin = search.node_index[requests[0].origin]
-    _, answers, _ = search.embed(alt, origin, requests[0].demand)
+    _, answers = search.embed(alt, origin, requests[0].demand)
     maps = search.id_maps(alt, origin, answers)
     assert all(a is b for a, b in zip(search.id_maps(alt, origin, list(answers)), maps))
     copies = search.id_maps(alt, origin, [list(moves) for moves in answers])
@@ -447,6 +473,16 @@ def planned_chains(search: _ChainSearch, alt: AlternativeTopology) -> list:
     return out
 
 
+def finishing_costs(search: _ChainSearch, alt: AlternativeTopology, steps) -> list[float]:
+    """The bound table of the chain ``steps`` of ``alt`` before the
+    shrink: the pricing's distances at zero duals (prices the costs)
+    over the chain's links, then zeros for the last layer."""
+    pricing = search.pricing
+    chain = [entry for step in steps for entry in pricing.plan(alt)[1] if entry[0] is step[0]]
+    _, runs = pricing.distances(alt, chain, pricing.node_cost, pricing.arc_cost)
+    return [h for dist, _ in runs for h in dist.tolist()] + [0.0] * len(search.ids)
+
+
 def test_bound_table_is_the_uncapacitated_finishing_cost():
     """The plan's chains, split from the link preorder, are a recursive
     descent's, and every state's entry of their bound tables equals an
@@ -471,7 +507,7 @@ def test_bound_table_is_the_uncapacitated_finishing_cost():
                 multi_chain += len(chains) > 1
                 for (_, _, steps, bound), (_, links) in zip(chains, split):
                     want = chain_finish_costs(net, alt, eff, links)
-                    exact = search.remaining_cost(steps)
+                    exact = finishing_costs(search, alt, steps)
                     assert len(exact) == len(bound) == len(want)
                     for (m, v), cost in want.items():
                         i = m * len(ids) + search.node_index[v]
@@ -486,10 +522,9 @@ def test_bound_table_is_the_uncapacitated_finishing_cost():
 
 
 def listed_remaining_cost(search: _ChainSearch, steps) -> list[float]:
-    """The bound table as greedy computed it before ``chain_graph``
-    built the layered graph from index arrays: the reversed layered
-    graph's moves listed one by one in Python, then one Dijkstra run
-    from its sink."""
+    """The bound table of the chain ``steps`` built independently of the
+    pricing: the reversed layered graph's moves listed one by one in
+    Python, then one Dijkstra run from its sink."""
     n, k = len(search.ids), len(steps)
     sink = (k + 1) * n
     moves = [(sink, k * n + v, 0.0) for v in range(n)]  # (from, to, cost)
@@ -508,10 +543,11 @@ def listed_remaining_cost(search: _ChainSearch, steps) -> list[float]:
 
 
 def test_shared_layered_graph_gives_the_listed_bound_table_to_the_bit():
-    """Every chain's bound table, on the random instances, the overloaded
-    arnes_si fixture (reweighted and forbidden links), every bundled
-    topology with every bundled catalog and a function forbidden on
-    both toy nodes, equals the one the listed moves give, bit for bit."""
+    """Every chain's bound table, the pricing DP's at zero duals, on the
+    random instances, the overloaded arnes_si fixture (reweighted and
+    forbidden links), every bundled topology with every bundled catalog
+    and a function forbidden on both toy nodes, equals the one the
+    listed moves of the layered graph give, bit for bit."""
     forbidden_f = EfficiencyMap(node_coeffs={("f", "E"): FORBIDDEN, ("f", "C"): FORBIDDEN})
     instances = [random_instance(seed)[:3] for seed in range(30)]
     instances.append(arnes_overloaded_instance()[:3])
@@ -524,7 +560,8 @@ def test_shared_layered_graph_gives_the_listed_bound_table_to_the_bit():
             for alt in app.alternatives:
                 for _, _, steps, bound in search.plan(alt)[2]:
                     want = listed_remaining_cost(search, steps)
-                    assert [h.hex() for h in search.remaining_cost(steps)] == [h.hex() for h in want]
+                    exact = finishing_costs(search, alt, steps)
+                    assert [h.hex() for h in exact] == [h.hex() for h in want]
                     assert [h.hex() for h in bound] == [(h * _BOUND_SHRINK).hex() for h in want]
                     tables += 1
     assert tables > 100
