@@ -331,7 +331,10 @@ def compare(scenario, out_dir, jobs, seed):
 @click.option("--results", "results_dir", required=True, type=click.Path())
 @click.option("--out", required=True, type=click.Path())
 def report(results_dir, out):
-    """Aggregate result rows (mean/variance per algorithm and metric)."""
+    """Aggregate result rows (mean/variance per algorithm and metric).
+
+    Each row needs an algorithm name; the metrics summarized, where a row
+    fills them, must be finite numbers.  Every other column is ignored."""
     rows = []
     paths = sorted(Path(results_dir).glob("*_rows.csv"))
     if not paths:
@@ -340,30 +343,32 @@ def report(results_dir, out):
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader, [])
+            if "algorithm" not in header:
+                _fail(f"{path}, line 1: no 'algorithm' column", EXIT_INPUT)
             for fields in reader:
                 if not fields:  # a blank line
                     continue
+                where = f"{path}, line {reader.line_num}"
                 if len(fields) != len(header):
                     _fail(
-                        f"{path}, line {reader.line_num}: {len(fields)} fields, "
-                        f"but the header has {len(header)}",
+                        f"{where}: {len(fields)} fields, but the header has {len(header)}",
                         EXIT_INPUT,
                     )
-                row = {}
-                for key, value in zip(header, fields):
+                cells = dict(zip(header, fields))
+                if not cells["algorithm"]:
+                    _fail(f"{where}: 'algorithm': expected a name, not an empty field", EXIT_INPUT)
+                row = {"algorithm": cells["algorithm"]}
+                for metric in harness.SUMMARY_METRICS:
+                    value = cells.get(metric, "")
                     if value == "":
                         continue
-                    if value in ("true", "false"):
-                        row[key] = value == "true"
-                        continue
                     try:
-                        number = float(value)
+                        row[metric] = float(value)
                     except ValueError:
-                        row[key] = value
-                        continue
-                    if not math.isfinite(number):
-                        _fail(f"{path}: {key!r}: expected a finite number, not {value}", EXIT_INPUT)
-                    row[key] = number
+                        row[metric] = math.nan
+                    if not math.isfinite(row[metric]):
+                        message = f"{metric!r}: expected a finite number, not {value}"
+                        _fail(f"{where}: {message}", EXIT_INPUT)
                 rows.append(row)
     summary = harness.summarize(rows)
     vio.write_json(out, {"schema_version": vio.SCHEMA_VERSION, "aggregates": summary})

@@ -1,6 +1,7 @@
-"""Builds the embedding-with-alternatives MILP, its LP relaxation over
-aggregated requests, and the transforms between aggregate and
-per-request fractional solutions.
+"""Builds the embedding-with-alternatives MILP, solves and times its LP
+relaxation over aggregated requests (:func:`solve_relaxation`), and
+holds the transforms between aggregate and per-request fractional
+solutions.
 
 Model recap
 -----------
@@ -49,7 +50,7 @@ import logging
 import math
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -307,8 +308,8 @@ class _Pricing:
     """Cheapest embeddings on one network, every element priced at its
     cost plus a capacity dual per unit of load, ignoring capacity: the
     one routine that computes them, for column generation's pricing
-    (:meth:`cheapest` under the duals) and for greedy's A* bound
-    (:meth:`distances` over one downward chain at zero duals).
+    (:meth:`distances` over the whole preorder under the duals) and for
+    greedy's A* bound (over one downward chain at zero duals).
 
     Substrate nodes are numbered as in ``net.nodes`` and arcs as in
     ``net.arcs``; element ``e`` is node ``e`` below ``n`` and arc
@@ -415,31 +416,21 @@ class _Pricing:
             out.append((dist[:n], pred))
         return below[alt.root], out[::-1]
 
-    def cheapest(
-        self, alt: AlternativeTopology, node_price: np.ndarray, arc_price: np.ndarray
-    ) -> tuple[np.ndarray, list[np.ndarray]]:
-        """Per substrate node ``v``, the price per unit of demand of
-        ``alt``'s cheapest embedding with its root on ``v`` (+inf where
-        none exists), and per virtual link in preorder the Dijkstra
-        predecessors :meth:`embedding` follows: :meth:`distances` over
-        the whole preorder."""
-        root, runs = self.distances(alt, self.plan(alt)[1], node_price, arc_price)
-        return root, [pred for _, pred in runs]
-
     def embedding(
-        self, alt: AlternativeTopology, preds: list[np.ndarray], origin: int
+        self, alt: AlternativeTopology, runs: list[tuple], origin: int
     ) -> tuple[tuple, list[tuple[int, float]]]:
-        """The embedding :meth:`cheapest` priced with the root on node
-        index ``origin``: its arc-flow kinds (the root's placement, then
-        per virtual link in preorder its hops in path order and its
-        child's placement), and per kind after the root its (element,
-        load per unit of demand)."""
+        """The embedding that ``runs``, :meth:`distances` over ``alt``'s
+        whole preorder, priced with the root on node index ``origin``:
+        its arc-flow kinds (the root's placement, then per virtual link
+        in preorder its hops in path order and its child's placement),
+        and per kind after the root its (element, load per unit of
+        demand)."""
         nodes, links = self.plan(alt)
         ids, n = self.ids, len(self.ids)
         at = {alt.root: origin}
         kinds: list[tuple] = [("n", alt.root, ids[origin])]
         loads = []
-        for (vl, _, unit, _, _), pred in zip(links, preds):
+        for (vl, _, unit, _, _), (_, pred) in zip(links, runs):
             v = at[vl.parent]
             w = int(pred[v])
             while w != n:  # the source: the child sits on v
@@ -483,11 +474,10 @@ def build_relaxed_aggregate_lp(
     whose cheapest embedding costs at most ``psi * (1 +
     REJECTION_MARGIN)`` per unit of demand, less that tolerance.  The
     master is solved after every pass that adds a column, and the loop
-    stops at the first pass that adds none; ``pricing_rounds`` counts
-    the master solves.  The arc-flow program of a tree request
-    decomposes into whole embeddings, so the master's optimum is that of
-    the arc-flow program :func:`_owner_rows` builds."""
-    return _column_generation(net, apps, efficiency, aggregates, psi, solve_lp)[0]
+    stops at the first pass that adds none.  The arc-flow program of a
+    tree request decomposes into whole embeddings, so the master's
+    optimum is that of the arc-flow program :func:`_owner_rows` builds."""
+    return _column_generation(net, apps, efficiency, aggregates, psi)[0]
 
 
 def _column_generation(
@@ -496,13 +486,13 @@ def _column_generation(
     efficiency: EfficiencyMap,
     aggregates: Sequence[AggregatedRequest],
     psi: float,
-    solve: Callable[[LinearProgram], Solution],
-) -> tuple[LinearProgram, Solution, tuple[float, float]]:
-    """:func:`build_relaxed_aggregate_lp`'s loop, every master solved by
-    ``solve``: the final master, its solution, and the
-    ``time.perf_counter`` and ``time.process_time`` readings taken as
-    that solve began.  The last round's solution is the final master's,
-    so a caller that needs it need not solve the master again."""
+) -> tuple[LinearProgram, Solution, tuple[float, float], int, int]:
+    """:func:`build_relaxed_aggregate_lp`'s loop: the final master, its
+    solution, the ``time.perf_counter`` and ``time.process_time``
+    readings taken as that solve began, the number of master solves and
+    the HiGHS iterations summed over them.  The last round's solution is
+    the final master's, so a caller that needs it need not solve the
+    master again."""
     if psi < 0:
         raise ValueError(f"rejection penalty must be nonnegative, got {psi}")
     by_app: dict[str, list[tuple[int, AggregatedRequest]]] = {}
@@ -537,14 +527,14 @@ def _column_generation(
                 ]
                 if not owners:
                     continue
-                unit, preds = pricing.cheapest(alt, node_price, arc_price)
+                unit, runs = pricing.distances(alt, pricing.plan(alt)[1], node_price, arc_price)
                 for i, g in owners:
                     origin = pricing.index[g.origin]
                     # the aggregate's own row's dual is the last term
                     reduced = g.demand * (unit[origin] - psi * (1.0 + REJECTION_MARGIN)) + shadow[i]
                     if not reduced < -_PRICING_TOL * g.demand * psi:
                         continue
-                    kinds, loads = pricing.embedding(alt, preds, origin)
+                    kinds, loads = pricing.embedding(alt, runs, origin)
                     key = VariableKey(g.owner, alt.index, ("e", *kinds))
                     if key in columns:
                         continue
@@ -568,7 +558,7 @@ def _column_generation(
     rhs = [1.0] * first + [sn.capacity for sn in net.nodes] + [a.capacity for a in net.arcs]
     constant = sum_in_order(g.demand * psi for g in aggregates)
     price(np.zeros(len(entries)))
-    rounds = 0
+    rounds = iterations = 0
     while True:
         n = len(columns)
         lp = LinearProgram(
@@ -582,10 +572,74 @@ def _column_generation(
             np.asarray(solver_objective, dtype=float),
         )
         started = time.perf_counter(), time.process_time()
-        sol = solve(lp)
+        sol = solve_lp(lp)
         rounds += 1
+        iterations += sol.stats.get("iterations", 0)
         if not sol.optimal or not price(sol.duals):
-            return replace(lp, pricing_rounds=rounds), sol, started
+            return lp, sol, started, rounds, iterations
+
+
+class Relaxation(NamedTuple):
+    """A solved aggregate relaxation: the solver's answer, its unpacked
+    values (None unless optimal), the wall seconds of the pipeline, and
+    the run report's entries for it (:func:`solve_relaxation`)."""
+
+    solution: Solution
+    fractional: Optional[FractionalSolution]
+    runtime_s: float
+    timings: dict
+
+
+def solve_relaxation(
+    net: SubstrateNetwork,
+    apps: Mapping[str, Application],
+    efficiency: EfficiencyMap,
+    requests: Sequence[Request],
+    psi: float,
+) -> Relaxation:
+    """Aggregate the requests, build the continuous relaxation by column
+    generation, solve it and unpack the optimum.  A status other than
+    optimal is returned, not raised.
+
+    ``timings`` holds the wall seconds of the four stages, keyed
+    ``aggregate_s``, ``build_s``, ``solve_s`` and ``unpack_s``, which
+    sum to ``runtime_s`` (``build_s`` holds the pricing rounds up to the
+    final master's solve, the earlier masters' solves included, and
+    ``solve_s`` that solve and the pricing pass that adds nothing); the
+    same stages' CPU seconds (``time.process_time``), keyed
+    ``aggregate_cpu_s`` and so on; the HiGHS iterations of the final
+    master's solve (``lp_iterations``, 0 for an empty master, which is
+    settled without HiGHS); the master's columns and its solves
+    (``lp_columns``, ``lp_pricing_rounds``); its rows and nonzeros
+    (``lp_rows``, ``lp_nnz``); and the HiGHS iterations of every master
+    solve, summed (``lp_total_iterations``)."""
+    t0, c0 = time.perf_counter(), time.process_time()
+    aggregates = aggregate_requests(requests)
+    t1, c1 = time.perf_counter(), time.process_time()
+    # (t2, c2) is when the final master's solve began
+    lp, sol, (t2, c2), rounds, iterations = _column_generation(
+        net, apps, efficiency, aggregates, psi
+    )
+    t3, c3 = time.perf_counter(), time.process_time()
+    frac = None
+    if sol.optimal:
+        frac = fractional_solution(lp, sol.x, sol.objective, aggregates, apps)
+    t4, c4 = time.perf_counter(), time.process_time()
+    # differences of one clock's readings are exact floats, so the stages
+    # add up to the total exactly
+    timings = {
+        "aggregate_s": t1 - t0, "build_s": t2 - t1, "solve_s": t3 - t2, "unpack_s": t4 - t3,
+        "aggregate_cpu_s": c1 - c0, "build_cpu_s": c2 - c1, "solve_cpu_s": c3 - c2,
+        "unpack_cpu_s": c4 - c3,
+        "lp_iterations": sol.stats.get("iterations", 0),
+        "lp_columns": lp.n_vars,
+        "lp_pricing_rounds": rounds,
+        "lp_rows": len(lp.rows),
+        # a master row holds one entry per column that loads it
+        "lp_nnz": sum(len(row.coeffs) for row in lp.rows),
+        "lp_total_iterations": iterations,
+    }
+    return Relaxation(sol, frac, t4 - t0, timings)
 
 
 def fractional_solution(

@@ -39,11 +39,13 @@ from scipy import stats as _stats
 from . import rng as _rng
 from .formulation import (
     AggregatedRequest,
+    Relaxation,
     build_milp,
     compute_rejection_penalty,
     fractional_solution,
     request_owner,
     restrict_to_alternative,
+    solve_relaxation,
 )
 from .greedy import greedy_embed_all
 from .io import FormatError
@@ -60,7 +62,7 @@ from .model import (
     SubstrateNetwork,
     sum_in_order,
 )
-from .tanto import Relaxation, round_relaxation, solve_relaxation
+from .tanto import round_relaxation
 from .validator import (
     InfeasibleEmbeddingSet,
     alternative_shares,
@@ -541,17 +543,13 @@ def algorithm_catalog(algo: str, apps: Mapping[str, Application]) -> Mapping[str
         raise ValueError(f"algorithm {algo!r}: {exc}") from None
 
 
-def _relaxation_timing(solved: Relaxation) -> dict:
-    """The timings entries of a solved relaxation: its four stages' wall
-    and CPU times, the HiGHS iterations (none for an empty program,
-    which is settled without HiGHS) of its final solve, the master's
-    column count and its pricing rounds."""
-    return {
-        **solved.stages,
-        "lp_iterations": solved.solution.stats.get("iterations", 0),
-        "lp_columns": solved.columns,
-        "lp_pricing_rounds": solved.pricing_rounds,
-    }
+def _validate(timing: dict, check: Callable, *args):
+    """``check(*args)``, its wall and CPU seconds recorded in ``timing``
+    as ``validate_s`` and ``validate_cpu_s``."""
+    t0, c0 = time.perf_counter(), time.process_time()
+    out = check(*args)
+    timing.update(validate_s=time.perf_counter() - t0, validate_cpu_s=time.process_time() - c0)
+    return out
 
 
 def _run_algorithm(
@@ -590,7 +588,7 @@ def _run_algorithm(
         else:
             solved = relaxation()
             sol, frac = solved.solution, solved.fractional
-            timing.update(_relaxation_timing(solved), runtime_s=solved.runtime_s)
+            timing.update(solved.timings, runtime_s=solved.runtime_s)
         if not sol.optimal:
             row["status"] = sol.status
             return row, timing, None
@@ -602,7 +600,7 @@ def _run_algorithm(
                 for k, r in enumerate(requests)
             ]
             frac = fractional_solution(lp, sol.x, sol.objective, singletons, catalog)
-        cost = fractional_cost(catalog, net, efficiency, frac, psi)
+        cost = _validate(timing, fractional_cost, catalog, net, efficiency, frac, psi)
         rejected = frac.total_rejected_demand
         row.update(
             served_demand=total_demand - rejected,
@@ -619,13 +617,13 @@ def _run_algorithm(
         else:
             solved = relaxation()
             embeddings, rep = round_relaxation(net, catalog, requests, solved, psi, seed)
-            timing.update(_relaxation_timing(solved))
+            timing.update(solved.timings)
             timing["lp_runtime_s"] = rep.lp_runtime_s
             timing["rounding_runtime_s"] = rep.rounding_runtime_s
             timing["rounding_cpu_s"] = rep.rounding_cpu_s
         timing["runtime_s"] = rep.runtime_s
         try:
-            cost = total_cost(net, catalog, efficiency, embeddings, psi)
+            cost = _validate(timing, total_cost, net, catalog, efficiency, embeddings, psi)
         except InfeasibleEmbeddingSet as exc:
             raise RuntimeError(
                 f"{algo} produced an infeasible embedding set: {exc.violations[0]}"
@@ -738,16 +736,19 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     return result
 
 
+# The metrics summarize averages, per algorithm.
+SUMMARY_METRICS = ("rejection_rate", "total_cost", "compute_cost", "bandwidth_cost", "rejection_cost")
+
+
 def summarize(rows: Sequence[dict]) -> dict:
     """Per-algorithm mean and population variance of the main metrics."""
     out: dict = {}
-    metrics = ["rejection_rate", "total_cost", "compute_cost", "bandwidth_cost", "rejection_cost"]
     by_algo: dict[str, list[dict]] = {}
     for row in rows:
         by_algo.setdefault(row["algorithm"], []).append(row)
     for algo, group in sorted(by_algo.items()):
         stats = {}
-        for metric in metrics:
+        for metric in SUMMARY_METRICS:
             values = [row[metric] for row in group if metric in row]
             if not values:
                 continue
@@ -816,6 +817,7 @@ def timings_to_csv(timings: Sequence[dict]) -> str:
         "build_s", "solve_s", "unpack_s", "rounding_runtime_s", "rounding_cpu_s", "lp_iterations",
         "lp_columns", "lp_pricing_rounds", "setup_runtime_s", "chain_searches", "chain_reuses",
         "cpu_s", "setup_cpu_s", "aggregate_cpu_s", "build_cpu_s", "solve_cpu_s", "unpack_cpu_s",
+        "validate_s", "validate_cpu_s", "lp_rows", "lp_nnz", "lp_total_iterations",
     ]
     return _csv(columns, ([t.get(c) for c in columns] for t in timings))
 

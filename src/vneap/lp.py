@@ -49,9 +49,7 @@ class LinearProgram:
     empty set makes the program a plain LP over the ``[lower, upper]``
     box.  ``solver_objective``, when set, is what the solver minimizes
     in place of ``objective``; a solution's reported objective still
-    prices it by ``objective``.  ``pricing_rounds`` counts the master
-    solves column generation took to build the program (0 for a
-    program built whole).
+    prices it by ``objective``.
     """
 
     keys: tuple
@@ -62,7 +60,6 @@ class LinearProgram:
     rows: tuple[Row, ...]
     binary: frozenset[int]
     solver_objective: Optional[np.ndarray] = None
-    pricing_rounds: int = 0
 
     @property
     def n_vars(self) -> int:

@@ -1,12 +1,12 @@
-"""The LP-rounding embedder: solve the aggregate relaxation, then round it.
+"""The LP-rounding embedder: round the aggregate relaxation that
+:func:`~vneap.formulation.solve_relaxation` solves.
 
-:func:`solve_relaxation` aggregates requests by (origin, application)
-and solves the continuous relaxation once; :func:`round_relaxation`
-turns each request into an integral embedding by a weighted random walk
-over its aggregate's fractional variables, consuming residual fractional
-mass as it goes.  Rounding never touches substrate capacities directly —
-consumed fractions of a feasible fractional solution are themselves
-feasible, so every accepted embedding is feasible by construction.
+:func:`round_relaxation` turns each request into an integral embedding
+by a weighted random walk over its aggregate's fractional variables,
+consuming residual fractional mass as it goes.  Rounding never touches
+substrate capacities directly — consumed fractions of a feasible
+fractional solution are themselves feasible, so every accepted
+embedding is feasible by construction.
 
 Each (origin, application) aggregate owns a disjoint variable slice and
 its own random stream, so aggregates round independently of each other.
@@ -24,20 +24,13 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Mapping, NamedTuple, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
 from . import rng as _rng
-from .formulation import (
-    AggregatedRequest,
-    FractionalSolution,
-    VariableKey,
-    _column_generation,
-    aggregate_requests,
-    fractional_solution,
-)
-from .lp import Solution, SolverError, solve_lp
+from .formulation import AggregatedRequest, Relaxation, VariableKey, solve_relaxation
+from .lp import SolverError
 from .model import (
     AlternativeTopology,
     Application,
@@ -58,56 +51,6 @@ _DUST = 1e-12
 _STEP_FACTOR = 4
 # Uniforms drawn from an aggregate's stream at a time.
 _BLOCK = 64
-
-
-class Relaxation(NamedTuple):
-    """A solved aggregate relaxation: the solver's answer, its unpacked
-    values (None unless optimal), the wall seconds of the pipeline and
-    of each of its stages, keyed ``aggregate_s``, ``build_s``,
-    ``solve_s`` and ``unpack_s`` (the stages sum to ``runtime_s``;
-    ``build_s`` holds the pricing rounds up to the final master's solve,
-    the earlier masters' solves included, and ``solve_s`` that solve and
-    the pricing pass that adds nothing), the same stages' CPU seconds
-    (``time.process_time``) keyed ``aggregate_cpu_s`` and so on, and the
-    master's final column count and its pricing rounds."""
-
-    solution: Solution
-    fractional: Optional[FractionalSolution]
-    runtime_s: float
-    stages: dict[str, float]
-    columns: int = 0
-    pricing_rounds: int = 0
-
-
-def solve_relaxation(
-    net: SubstrateNetwork,
-    apps: Mapping[str, Application],
-    efficiency: EfficiencyMap,
-    requests: Sequence[Request],
-    psi: float,
-) -> Relaxation:
-    """Aggregate the requests, build the continuous relaxation, solve it
-    and unpack the optimum.  A status other than optimal is returned,
-    not raised."""
-    t0, c0 = time.perf_counter(), time.process_time()
-    aggregates = aggregate_requests(requests)
-    t1, c1 = time.perf_counter(), time.process_time()
-    # every master is solved by solve_lp as this module binds it; the
-    # last round solved the final master, so its solution is the
-    # relaxation's, and (t2, c2) is when that solve began
-    lp, sol, (t2, c2) = _column_generation(net, apps, efficiency, aggregates, psi, solve_lp)
-    t3, c3 = time.perf_counter(), time.process_time()
-    frac = None
-    if sol.optimal:
-        frac = fractional_solution(lp, sol.x, sol.objective, aggregates, apps)
-    t4, c4 = time.perf_counter(), time.process_time()
-    # differences of one clock's readings are exact floats, so the stages
-    # add up to the total exactly
-    stages = {"aggregate_s": t1 - t0, "build_s": t2 - t1, "solve_s": t3 - t2, "unpack_s": t4 - t3}
-    stages.update(
-        aggregate_cpu_s=c1 - c0, build_cpu_s=c2 - c1, solve_cpu_s=c3 - c2, unpack_cpu_s=c4 - c3
-    )
-    return Relaxation(sol, frac, t4 - t0, stages, lp.n_vars, lp.pricing_rounds)
 
 
 @dataclass
@@ -171,9 +114,8 @@ class RoundingState:
         alternatives: Sequence[AlternativeTopology],
     ) -> "RoundingState":
         """Number ``agg``'s variables in ``values``, which holds only
-        ``agg``'s, above :data:`_DUST` into slots and index them by site;
-        ``alternatives`` is the order :func:`embed_request` will be given
-        them in."""
+        ``agg``'s, above :data:`_DUST` into slots and index them by site,
+        per alternative in the order of ``alternatives``."""
         kept = [(k, v) for k, v in values.items() if v > _DUST]
         keys = [k for k, _ in kept]
         node_index = {n.id: i for i, n in enumerate(net.nodes)}
@@ -255,16 +197,12 @@ class RoundingState:
 
 
 def embed_request(
-    r: Request,
-    alt_set: Sequence[AlternativeTopology],
-    Y_residual: RoundingState,
-    rng: np.random.Generator,
+    r: Request, Y_residual: RoundingState, rng: np.random.Generator
 ) -> IntegralEmbedding:
     """Round one request against its aggregate's residual fractional
-    solution.  ``alt_set`` lists the application's alternatives in index
-    order, as the state was built for them (the walk reads them from the
-    state's tables); ``rng`` is anything with a ``random()`` method
-    returning uniforms in [0, 1).
+    solution; the walk reads the alternatives from the state's tables.
+    ``rng`` is anything with a ``random()`` method returning uniforms in
+    [0, 1).
 
     The walk: pick an alternative by weighted random selection over the
     root variables, embed the root at the origin, then route each
@@ -507,7 +445,7 @@ def round_relaxation(
         uniforms = _BlockUniforms(stream)  # draws its first block after the shuffle
         for pos in stream.permutation(len(agg.members)).tolist():
             member = agg.members[pos]
-            results[member] = embed_request(requests[member], alternatives, state, uniforms)
+            results[member] = embed_request(requests[member], state, uniforms)
         report.initial_nonzero_y += state.initial_nonzero
         report.accepted += state.accepted
         report.rounding_rejections += state.rounding_rejections

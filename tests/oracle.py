@@ -22,7 +22,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 import numpy as np
 
 from vneap import rng as _rng
-from vneap.formulation import AggregatedRequest, VariableKey
+from vneap.formulation import AggregatedRequest, Relaxation, VariableKey
 from vneap.model import (
     AlternativeTopology,
     Application,
@@ -31,7 +31,7 @@ from vneap.model import (
     Request,
     SubstrateNetwork,
 )
-from vneap.tanto import _DUST, _SLACK, _STEP_FACTOR, Relaxation
+from vneap.tanto import _DUST, _SLACK, _STEP_FACTOR
 
 
 def weighted_random_select(weights: Sequence[float], rng: np.random.Generator) -> int:

@@ -29,6 +29,7 @@ from vneap.formulation import (
     build_relaxed_aggregate_lp,
     compute_rejection_penalty,
     restrict_to_alternative,
+    solve_relaxation,
 )
 from vneap.greedy import greedy_embed_all
 from vneap.harness import (
@@ -51,13 +52,7 @@ from vneap.model import (
     SubstrateNode,
     VirtualNode,
 )
-from vneap.tanto import (
-    RoundingState,
-    embed_request,
-    round_relaxation,
-    solve_relaxation,
-    tanto,
-)
+from vneap.tanto import RoundingState, embed_request, round_relaxation, tanto
 from vneap.validator import (
     check_feasibility,
     fractional_alternative_shares,
@@ -420,7 +415,7 @@ def test_a9_rounding_follows_frozen_weights():
     state = RoundingState.for_aggregate(toy_net(), aggregate, weights, alternatives)
     rng = np.random.default_rng(97)
     chosen = [
-        embed_request(Request("E", "duo", 1.0), alternatives, state, rng).alternative
+        embed_request(Request("E", "duo", 1.0), state, rng).alternative
         for _ in range(draws)
     ]
     share = chosen.count(0) / draws

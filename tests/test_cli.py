@@ -17,15 +17,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vneap.cli
+import vneap.formulation
 import vneap.harness
 import vneap.io as vio
-import vneap.tanto
 from vneap.cli import load_scenario, main
+from vneap.formulation import solve_relaxation
 from vneap.lp import Solution
 from vneap.harness import ScenarioConfig, measured_utilization
-from vneap.model import IntegralEmbedding
+from vneap.model import EfficiencyMap, IntegralEmbedding
 
-from conftest import arnes_overloaded_instance, toy_net, unit_requests
+from conftest import arnes_overloaded_instance, toy_apps, toy_net, unit_requests
 
 GOLDEN = Path(__file__).parent / "golden"
 FORMATS = Path(__file__).parent.parent / "docs" / "FORMATS.md"
@@ -385,11 +386,12 @@ def test_solve_tanto_seed_reproducible(runner, toy_files):
 @pytest.mark.parametrize("algo", ["lp", "greedy", "tanto", "milp"])
 def test_solve_writes_a_timings_sidecar(runner, toy_files, algo):
     """Timings go to <out stem>_timings.json beside the report: the wall
-    seconds of the run, plus the relaxation's and the rounding's share
-    (the rounding's also in CPU seconds), the relaxation's four stages
-    in wall and in CPU seconds, HiGHS's iteration count, the master's column count and its pricing
-    rounds where the algorithm has them, and greedy's chain search and
-    reuse counts."""
+    seconds of the run and of its validation (also in CPU seconds), plus
+    the relaxation's and the rounding's share (the rounding's also in CPU
+    seconds), the relaxation's four stages in wall and in CPU seconds,
+    HiGHS's iteration counts (the final master's and all masters'), the
+    master's size and its pricing rounds where the algorithm has them,
+    and greedy's chain search and reuse counts."""
     single = toy_files["dir"] / "one_request.json"
     vio.write_json(single, vio.dump_requests(unit_requests(1, app="cctv")))
     out = toy_files["dir"] / f"{algo}.json"
@@ -397,19 +399,25 @@ def test_solve_writes_a_timings_sidecar(runner, toy_files, algo):
     sidecar = json.loads((toy_files["dir"] / f"{algo}_timings.json").read_text())
     stages = {"aggregate_s", "build_s", "solve_s", "unpack_s"}
     cpu_stages = {"aggregate_cpu_s", "build_cpu_s", "solve_cpu_s", "unpack_cpu_s"}
-    relaxation = {"lp_iterations", "lp_columns", "lp_pricing_rounds", *stages, *cpu_stages}
+    counts = {"lp_iterations", "lp_columns", "lp_pricing_rounds", "lp_rows", "lp_nnz"}
+    relaxation = {*counts, "lp_total_iterations", *stages, *cpu_stages}
     expected = {
         "lp": {"runtime_s", *relaxation},
         "greedy": {"runtime_s", "chain_searches", "chain_reuses"},
         "tanto": {"runtime_s", "lp_runtime_s", "rounding_runtime_s", "rounding_cpu_s", *relaxation},
         "milp": {"runtime_s"},
-    }[algo]
+    }[algo] | {"validate_s", "validate_cpu_s"}
     assert sidecar.pop("schema_version") == 1 and sidecar.pop("algorithm") == algo
     assert set(sidecar) == expected
     assert all(math.isfinite(v) and v >= 0 for v in sidecar.values())
     if algo in ("lp", "tanto"):
         relaxation_s = sidecar["lp_runtime_s" if algo == "tanto" else "runtime_s"]
         assert sum(sidecar[k] for k in sorted(stages)) <= relaxation_s
+        assert all(sidecar[k] > 0 for k in counts)
+        # the final master's solve is one of the solves summed
+        assert sidecar["lp_total_iterations"] >= sidecar["lp_iterations"]
+        # one row per aggregate, then one per substrate node and arc
+        assert sidecar["lp_rows"] == 1 + len(toy_net().nodes) + len(toy_net().arcs)
     if algo == "greedy":
         # one request, two alternatives of one chain each: both searched
         assert (sidecar["chain_searches"], sidecar["chain_reuses"]) == (2, 0)
@@ -492,7 +500,7 @@ def test_solve_maps_a_failed_relaxation_by_its_status(runner, toy_files, monkeyp
     """tanto's relaxation ends with ``status``; the exit code follows the
     status the error carries ("unbounded" is nowhere in the message's
     wording of infeasibility, yet exits 3)."""
-    monkeypatch.setattr(vneap.tanto, "solve_lp", lambda lp: Solution(status, None, None))
+    monkeypatch.setattr(vneap.formulation, "solve_lp", lambda lp: Solution(status, None, None))
     result = runner.invoke(main, solve_args(toy_files, "tanto", toy_files["dir"] / "x.json"))
     assert result.exit_code == code
     assert f"did not solve: {status}" in result.output
@@ -579,6 +587,15 @@ def test_compare_matches_golden_rows(runner, tmp_path, jobs):
         # rounding's CPU seconds, beside its wall seconds, on tanto rows only
         assert float(tanto["rounding_cpu_s"]) >= 0
         assert [lp["rounding_cpu_s"], greedy["rounding_cpu_s"]] == ["", ""]
+        # the master's size and all its solves' iterations, on the relaxation's rows only
+        sizes = ("lp_rows", "lp_nnz", "lp_total_iterations")
+        assert [tanto[k] for k in sizes] == [lp[k] for k in sizes]
+        assert int(lp["lp_total_iterations"]) >= int(lp["lp_iterations"])
+        assert int(lp["lp_nnz"]) >= int(lp["lp_columns"]) and int(lp["lp_rows"]) > 0
+        assert [greedy[k] for k in sizes] == [""] * 3
+        # every row times its validation, in wall and in CPU seconds
+        for row in (lp, greedy, tanto):
+            assert float(row["validate_s"]) >= 0 and float(row["validate_cpu_s"]) >= 0
 
 
 def test_compare_seed_override_changes_rows(runner, tmp_path):
@@ -811,6 +828,19 @@ def test_formats_scenario_example_lists_every_key(tmp_path):
     assert load_scenario(path).name == example["name"]
 
 
+def test_formats_timings_match_what_is_written():
+    """docs/FORMATS.md's timings-CSV header is the one timings_to_csv
+    writes, and its solve sidecar example holds every key the
+    relaxation's timings carry."""
+    text = FORMATS.read_text()
+    documented = re.search(r"`(scenario,repetition,algorithm,runtime_s,[a-z_,]*)`", text).group(1)
+    assert documented == vneap.harness.timings_to_csv([]).rstrip("\n")
+    section = text.split("Timings go to a sidecar", 1)[1]
+    example = json.loads(re.search(r"```json\n(.*?)```", section, re.S).group(1))
+    solved = solve_relaxation(toy_net(), toy_apps(), EfficiencyMap(), unit_requests(1), 1050.0)
+    assert set(solved.timings) <= set(example)
+
+
 # ------------------------------------------------------------------ report
 
 
@@ -859,6 +889,30 @@ def test_report_refuses_a_row_whose_field_count_differs_from_its_header(
     result = runner.invoke(main, ["report", "--results", str(tmp_path), "--out", str(out)])
     assert result.exit_code == 2
     assert f"{path}, line 3: {fields} fields, but the header has 3" in result.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "body, where",
+    [
+        ("scenario,total_cost\ns,1.0\n", "line 1: no 'algorithm' column"),
+        ("scenario,algorithm,total_cost\ns,lp,abc\n", "line 2: 'total_cost': expected a finite number, not abc"),
+        ("scenario,algorithm,total_cost\ns,lp,true\n", "line 2: 'total_cost': expected a finite number, not true"),
+        ("scenario,algorithm,total_cost\ns,,1.0\n", "line 2: 'algorithm': expected a name"),
+    ],
+    ids=["no-algorithm-column", "text-metric", "boolean-metric", "empty-algorithm"],
+)
+def test_report_refuses_a_row_it_cannot_summarize(runner, tmp_path, body, where):
+    """A file without an algorithm column, a row without an algorithm, or
+    a summarized metric that is not a number is an input error naming
+    the file, the line and the column, not a traceback or a mean of
+    booleans."""
+    path = tmp_path / "x_rows.csv"
+    path.write_text(body)
+    out = tmp_path / "summary.json"
+    result = runner.invoke(main, ["report", "--results", str(tmp_path), "--out", str(out)])
+    assert result.exit_code == 2
+    assert f"{path}, {where}" in result.output
     assert not out.exists()
 
 

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
+import vneap.formulation
 import vneap.harness
 import vneap.lp
 import vneap.rng
@@ -706,7 +707,7 @@ def test_run_scenario_solves_each_relaxation_once(monkeypatch):
         calls.append(lp.n_vars)
         return real(lp)
 
-    for module in (vneap.lp, vneap.harness, vneap.tanto):
+    for module in (vneap.lp, vneap.formulation, vneap.harness, vneap.tanto):
         if hasattr(module, "solve_lp"):
             monkeypatch.setattr(module, "solve_lp", counting)
     result = run_scenario(tiny_config(repetitions=2, algorithms=("lp", "tanto")))

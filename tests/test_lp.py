@@ -26,6 +26,7 @@ from vneap.formulation import (
     build_relaxed_aggregate_lp,
     compute_rejection_penalty,
     fractional_solution,
+    solve_relaxation,
 )
 from vneap import lp as lp_module
 from vneap.lp import SolveOptions, _split_rows, solve_lp, solve_milp_exact
@@ -83,12 +84,10 @@ def test_every_program_is_solved_by_dual_simplex(monkeypatch):
 
     monkeypatch.setattr(lp_module, "linprog", spy)
     net, apps, requests = toy_net(), toy_apps(), unit_requests(2)
-    aggregate = build_relaxed_aggregate_lp(
-        net, apps, EfficiencyMap(), aggregate_requests(requests), PSI_TOY
-    )
+    aggregate = solve_relaxation(net, apps, EfficiencyMap(), requests, PSI_TOY)
     per_request = build_milp(net, apps, EfficiencyMap(), requests, PSI_TOY).relax()
-    solved = [solve_lp(aggregate), solve_lp(per_request), solve_milp_exact(per_request)]
-    assert calls == [("highs-ds", False)] * (aggregate.pricing_rounds + 3)
+    solved = [aggregate.solution, solve_lp(per_request), solve_milp_exact(per_request)]
+    assert calls == [("highs-ds", False)] * (aggregate.timings["lp_pricing_rounds"] + 2)
     assert all(s.objective == pytest.approx(2 * 205.0, rel=1e-9) for s in solved)
 
 

@@ -21,12 +21,14 @@ from vneap.formulation import (
     REJECTION_MARGIN,
     AggregatedRequest,
     FractionalSolution,
+    Relaxation,
     VariableKey,
     _owner_rows,
     aggregate_requests,
     build_milp,
     build_relaxed_aggregate_lp,
     compute_rejection_penalty,
+    solve_relaxation,
 )
 from vneap.harness import (
     GenParams,
@@ -37,7 +39,7 @@ from vneap.harness import (
     ingest_graphml,
 )
 from vneap.io import load_applications
-from vneap.lp import OPTIMAL, Solution, solve_lp
+from vneap.lp import OPTIMAL, Solution, _split_rows, solve_lp
 from vneap.model import (
     AlternativeTopology,
     Application,
@@ -49,15 +51,7 @@ from vneap.model import (
     VirtualLink,
     VirtualNode,
 )
-from vneap.tanto import (
-    Relaxation,
-    RoundingState,
-    _BlockUniforms,
-    embed_request,
-    round_relaxation,
-    solve_relaxation,
-    tanto,
-)
+from vneap.tanto import RoundingState, _BlockUniforms, embed_request, round_relaxation, tanto
 from vneap.validator import (
     alternative_shares,
     check_feasibility,
@@ -148,12 +142,7 @@ def zeroed_keys(state: RoundingState) -> set[VariableKey]:
 
 def walk_once(state: RoundingState):
     """One unit request at E through the toy catalog's walk."""
-    return embed_request(
-        Request("E", "cam", 1.0),
-        toy_apps()["cam"].alternatives,
-        state,
-        np.random.default_rng(0),
-    )
+    return embed_request(Request("E", "cam", 1.0), state, np.random.default_rng(0))
 
 
 def test_concentrated_solution_walks_deterministically():
@@ -164,12 +153,7 @@ def test_concentrated_solution_walks_deterministically():
         owner_key(0, ("n", "B", "C")): 1.0,
     }
     state = make_state(values)
-    emb = embed_request(
-        Request("E", "cam", 1.0),
-        toy_apps()["cam"].alternatives,
-        state,
-        np.random.default_rng(0),
-    )
+    emb = embed_request(Request("E", "cam", 1.0), state, np.random.default_rng(0))
     assert not emb.rejected
     assert emb.alternative == 0
     assert emb.node_map == {"theta": "E", "A": "C", "B": "C"}
@@ -181,12 +165,7 @@ def test_concentrated_solution_walks_deterministically():
 def test_insufficient_root_mass_rejects_and_zeroes():
     root = owner_key(0, ("n", "theta", "E"))
     state = make_state({root: 0.4})
-    emb = embed_request(
-        Request("E", "cam", 1.0),
-        toy_apps()["cam"].alternatives,
-        state,
-        np.random.default_rng(0),
-    )
+    emb = embed_request(Request("E", "cam", 1.0), state, np.random.default_rng(0))
     assert emb.rejected
     assert state.rounding_rejections == 1
     assert residual(state)[root] == 0.0
@@ -198,12 +177,7 @@ def test_rejection_restores_everything_but_the_zeroed_variable():
     hop = owner_key(0, ("l", "theta", "A", "E", "C"))
     place_a = owner_key(0, ("n", "A", "C"))
     state = make_state({root: 1.0, hop: 1.0, place_a: 0.3, owner_key(0, ("n", "B", "C")): 1.0})
-    emb = embed_request(
-        Request("E", "cam", 1.0),
-        toy_apps()["cam"].alternatives,
-        state,
-        np.random.default_rng(0),
-    )
+    emb = embed_request(Request("E", "cam", 1.0), state, np.random.default_rng(0))
     assert emb.rejected
     assert state.rounding_rejections == 1
     assert zeroed_keys(state) == {place_a}
@@ -215,11 +189,10 @@ def test_rejection_restores_everything_but_the_zeroed_variable():
 def test_zeroed_variables_stay_zero_for_later_requests():
     root = owner_key(0, ("n", "theta", "E"))
     state = make_state({root: 0.4}, demand=2.0)
-    alts = toy_apps()["cam"].alternatives
     rng = np.random.default_rng(0)
-    first = embed_request(Request("E", "cam", 2.0), alts, state, rng)
+    first = embed_request(Request("E", "cam", 2.0), state, rng)
     assert first.rejected and state.rounding_rejections == 1
-    second = embed_request(Request("E", "cam", 2.0), alts, state, rng)
+    second = embed_request(Request("E", "cam", 2.0), state, rng)
     assert second.rejected
     assert state.lp_exhausted_rejections == 1  # nothing left to draw from
     assert residual(state)[root] == 0.0
@@ -296,7 +269,7 @@ def test_a_walk_cut_by_the_request_budget_counts_no_extra_step():
     agg = AggregatedRequest("g0", "n0", "one", 1000.0, (0,))
     state = RoundingState.for_aggregate(net, agg, values, (alt,))
     assert (state.request_budget, state.per_link_cap) == (60, 100)
-    emb = embed_request(Request("n0", "one", 1.0), (alt,), state, np.random.default_rng(0))
+    emb = embed_request(Request("n0", "one", 1.0), state, np.random.default_rng(0))
     assert emb.rejected and state.overflow_rejections == 1
     assert state.max_request_steps == state.total_steps == state.request_budget
 
@@ -318,7 +291,7 @@ def test_share_of_draws_tracks_the_fractional_weights():
     state = RoundingState.for_aggregate(net, agg, values, alts)
     rng = np.random.default_rng(77)
     served = [
-        embed_request(Request("E", "duo", 1.0), alts, state, rng).alternative
+        embed_request(Request("E", "duo", 1.0), state, rng).alternative
         for _ in range(draws)
     ]
     share = served.count(0) / draws
@@ -570,20 +543,28 @@ def test_relaxation_solves_each_master_once(monkeypatch, instance):
     """The relaxation's solution is column generation's last master
     solve: HiGHS runs once per pricing round, the final master's
     included, and the solution is a fresh solve of the built master's to
-    the bit."""
+    the bit.  The timings count those solves and their iterations, and
+    the built master's rows and nonzeros."""
     net, apps, eff, requests, psi = instance()
     calls = []
     real = lp_module.linprog
 
     def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
+        res = real(*args, **kwargs)
+        calls.append(res.nit)
+        return res
 
     monkeypatch.setattr(lp_module, "linprog", counting)
     got = solve_relaxation(net, apps, eff, requests, psi)
     monkeypatch.undo()
-    assert len(calls) == got.pricing_rounds
-    want = solve_lp(build_relaxed_aggregate_lp(net, apps, eff, aggregate_requests(requests), psi))
+    assert len(calls) == got.timings["lp_pricing_rounds"]
+    assert calls[-1] == got.timings["lp_iterations"]
+    assert sum(calls) == got.timings["lp_total_iterations"]
+    master = build_relaxed_aggregate_lp(net, apps, eff, aggregate_requests(requests), psi)
+    A_ub, _, A_eq, _ = _split_rows(master)
+    assert A_eq is None
+    assert (got.timings["lp_rows"], got.timings["lp_nnz"]) == (A_ub.shape[0], A_ub.nnz)
+    want = solve_lp(master)
     assert got.solution.objective.hex() == want.objective.hex()
     assert got.solution.x.tobytes() == want.x.tobytes()
     assert got.solution.duals.tobytes() == want.duals.tobytes()
