@@ -56,7 +56,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.csgraph import dijkstra
 
-from .lp import _TOL, LinearProgram, Row, Solution, solve_lp
+from .lp import _TOL, LinearProgram, Solution, row_matrix, solve_lp
 from .model import (
     FORBIDDEN,
     AlternativeTopology,
@@ -167,7 +167,7 @@ def _owner_rows(
         objective.append(cost)
         return idx
 
-    rows: list[Row] = []
+    ub, eq = [], []  # the <= rows' and the == rows' entries; every == row is = 0
     # capacity accumulators, filled while variables are created
     node_cap_coeffs: dict[str, list[tuple[int, float]]] = {n.id: [] for n in net.nodes}
     arc_cap_coeffs: dict[tuple[str, str], list[tuple[int, float]]] = {
@@ -237,17 +237,14 @@ def _owner_rows(
                     if load:
                         arc_cap_coeffs[(arc.src, arc.dst)].append((idx, load))
             for by_node in flow.values():
-                for coeffs in by_node.values():
-                    if coeffs:
-                        rows.append(Row(tuple(coeffs), "==", 0.0))
+                eq += [coeffs for coeffs in by_node.values() if coeffs]
         roots += root_vars
         if root_vars:
-            rows.append(Row(tuple((i, 1.0) for i in root_vars), "<=", 1.0))
+            ub.append([(i, 1.0) for i in root_vars])
     # capacity rows last, kept even when no variable touches them
-    for n in net.nodes:
-        rows.append(Row(tuple(node_cap_coeffs[n.id]), "<=", n.capacity))
-    for a in net.arcs:
-        rows.append(Row(tuple(arc_cap_coeffs[(a.src, a.dst)]), "<=", a.capacity))
+    rhs = [1.0] * len(ub) + [e.capacity for e in (*net.nodes, *net.arcs)]
+    ub += [node_cap_coeffs[sn.id] for sn in net.nodes]
+    ub += [arc_cap_coeffs[(a.src, a.dst)] for a in net.arcs]
     n = len(keys)
     costs = np.asarray(objective, dtype=float)
     solver_costs = None
@@ -261,7 +258,10 @@ def _owner_rows(
         np.ones(n),
         costs,
         obj_const,
-        tuple(rows),
+        row_matrix(ub, n),
+        np.asarray(rhs, dtype=float),
+        row_matrix(eq, n),
+        np.zeros(len(eq)),
         frozenset(),
         solver_costs,
     )
@@ -507,8 +507,9 @@ def _column_generation(
     element_cost = [*node_cost.tolist(), *arc_cost.tolist()]
     # the master's rows: one per aggregate, then one per element
     first = len(aggregates)
-    entries: list[list[tuple[int, float]]] = [[] for _ in range(first + len(element_cost))]
     columns: dict[VariableKey, int] = {}  # in column order
+    # the master's matrix in CSC form; tocsr() sorts each column's rows
+    indptr, indices, data = [0], [], []
     objective: list[float] = []
     solver_objective: list[float] = []
 
@@ -538,8 +539,8 @@ def _column_generation(
                     key = VariableKey(g.owner, alt.index, ("e", *kinds))
                     if key in columns:
                         continue
-                    col = columns[key] = len(columns)
-                    on_rows: dict[int, float] = {}
+                    columns[key] = len(columns)
+                    on_rows = {i: 1.0}
                     costs = []
                     for element, per_unit in loads:
                         load = g.demand * per_unit
@@ -549,15 +550,15 @@ def _column_generation(
                     served = sum_in_order(costs)
                     objective.append(served - g.demand * psi)
                     solver_objective.append(served - g.demand * psi * (1.0 + REJECTION_MARGIN))
-                    entries[i].append((col, 1.0))
-                    for row, load in on_rows.items():
-                        entries[row].append((col, load))
+                    indices.extend(on_rows)
+                    data.extend(on_rows.values())
+                    indptr.append(len(indices))
                     added += 1
         return added
 
-    rhs = [1.0] * first + [sn.capacity for sn in net.nodes] + [a.capacity for a in net.arcs]
+    rhs = np.array([1.0] * first + [e.capacity for e in (*net.nodes, *net.arcs)])
     constant = sum_in_order(g.demand * psi for g in aggregates)
-    price(np.zeros(len(entries)))
+    price(np.zeros(len(rhs)))
     rounds = iterations = 0
     while True:
         n = len(columns)
@@ -567,7 +568,10 @@ def _column_generation(
             np.ones(n),
             np.asarray(objective, dtype=float),
             constant,
-            tuple(Row(tuple(e), "<=", b) for e, b in zip(entries, rhs)),
+            sparse.csc_matrix((data, indices, indptr), shape=(len(rhs), n)).tocsr(),
+            rhs,
+            row_matrix([], n),
+            np.zeros(0),
             frozenset(),
             np.asarray(solver_objective, dtype=float),
         )
@@ -634,9 +638,8 @@ def solve_relaxation(
         "lp_iterations": sol.stats.get("iterations", 0),
         "lp_columns": lp.n_vars,
         "lp_pricing_rounds": rounds,
-        "lp_rows": len(lp.rows),
-        # a master row holds one entry per column that loads it
-        "lp_nnz": sum(len(row.coeffs) for row in lp.rows),
+        "lp_rows": lp.A_ub.shape[0],
+        "lp_nnz": lp.A_ub.nnz,
         "lp_total_iterations": iterations,
     }
     return Relaxation(sol, frac, t4 - t0, timings)

@@ -1,7 +1,8 @@
 """Solver backend: continuous LPs via scipy's HiGHS ``linprog`` (dual
 simplex, presolve off) and exact small binary programs via HiGHS
-branch-and-cut (``scipy.optimize.milp``, presolve on).  Rows are ``<=``
-or ``==`` rows, assembled per solve into one CSR matrix per sense.  A
+branch-and-cut (``scipy.optimize.milp``, presolve on).  A program holds
+its ``<=`` rows and its ``==`` rows as one canonical CSR matrix each,
+with their right-hand sides, and HiGHS is handed them as they are.  A
 program's ``solver_objective``, when set, is what HiGHS minimizes; the
 reported objective prices the answer by the program's ``objective``.
 """
@@ -10,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from itertools import chain
-from typing import Optional
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -33,17 +34,31 @@ _STATUS = {0: OPTIMAL, 1: ITERATION_LIMIT, 2: INFEASIBLE, 3: UNBOUNDED}
 _TOL = 1e-7
 
 
-@dataclass(frozen=True)
-class Row:
+class Row(NamedTuple):
     coeffs: tuple[tuple[int, float], ...]  # (variable index, coefficient)
     sense: str  # "<=" or "=="
     rhs: float
 
 
+def row_matrix(rows: Sequence[Sequence[tuple[int, float]]], n_vars: int) -> sparse.csr_matrix:
+    """The canonical CSR matrix with ``n_vars`` columns whose row ``r``
+    holds ``rows[r]``'s (variable index, coefficient) entries, indices
+    sorted and duplicates summed."""
+    indptr = np.cumsum([0] + [len(row) for row in rows])
+    entries = np.fromiter(
+        chain.from_iterable(rows), dtype=[("col", np.int64), ("coeff", float)], count=indptr[-1]
+    )
+    A = sparse.csr_matrix((entries["coeff"], entries["col"], indptr), shape=(len(rows), n_vars))
+    A.sum_duplicates()
+    return A
+
+
 @dataclass
 class LinearProgram:
     """A sparse linear program over hashable variable keys
-    (:class:`~vneap.formulation.VariableKey` for every builder).
+    (:class:`~vneap.formulation.VariableKey` for every builder) with rows
+    ``A_ub @ x <= b_ub`` and ``A_eq @ x == b_eq``, each matrix canonical
+    CSR and either one possibly without rows.
 
     ``binary`` lists the variable indices that must be integral; an
     empty set makes the program a plain LP over the ``[lower, upper]``
@@ -57,13 +72,28 @@ class LinearProgram:
     upper: np.ndarray
     objective: np.ndarray
     objective_constant: float
-    rows: tuple[Row, ...]
+    A_ub: sparse.csr_matrix
+    b_ub: np.ndarray
+    A_eq: sparse.csr_matrix
+    b_eq: np.ndarray
     binary: frozenset[int]
     solver_objective: Optional[np.ndarray] = None
 
     @property
     def n_vars(self) -> int:
         return len(self.keys)
+
+    @property
+    def rows(self) -> tuple[Row, ...]:
+        """Every ``<=`` row, then every ``==`` row, read off the
+        matrices.  perfbench's ``check_lp`` is its only reader; it goes
+        once that check counts rows and nonzeros from the matrices
+        (ROADMAP item 9)."""
+        return tuple(
+            Row(tuple(zip(A.indices[lo:hi].tolist(), A.data[lo:hi].tolist())), sense, rhs)
+            for A, b, sense in ((self.A_ub, self.b_ub, "<="), (self.A_eq, self.b_eq, "=="))
+            for lo, hi, rhs in zip(A.indptr[:-1].tolist(), A.indptr[1:].tolist(), b.tolist())
+        )
 
     def relax(self) -> "LinearProgram":
         """The same program without integrality marks."""
@@ -96,9 +126,9 @@ class SolveOptions:
 @dataclass
 class Solution:
     """A solver's answer.  ``duals`` is set by an optimal
-    :func:`solve_lp`: each row's dual in ``lp.rows`` order, the rate at
-    which the minimized objective changes per unit of the row's
-    right-hand side (so at most 0 on a ``<=`` row)."""
+    :func:`solve_lp`: each ``<=`` row's dual, then each ``==`` row's,
+    the rate at which the minimized objective changes per unit of the
+    row's right-hand side (so at most 0 on a ``<=`` row)."""
 
     status: str
     objective: Optional[float]
@@ -109,33 +139,6 @@ class Solution:
     @property
     def optimal(self) -> bool:
         return self.status == OPTIMAL
-
-
-def _split_rows(lp: LinearProgram):
-    """Assemble sparse ``A_ub x <= b_ub`` and ``A_eq x = b_eq`` from the
-    program's rows, in row order, with each row's entries sorted and
-    duplicates summed; a sense without rows gives None twice."""
-    for row in lp.rows:
-        if row.sense not in ("<=", "=="):
-            raise ValueError(f"unknown row sense {row.sense!r}")
-
-    def matrix(sense):
-        rows = [row for row in lp.rows if row.sense == sense]
-        if not rows:
-            return None, None
-        indptr = np.cumsum([0] + [len(row.coeffs) for row in rows])
-        entries = np.fromiter(
-            chain.from_iterable(row.coeffs for row in rows),
-            dtype=[("col", np.int64), ("coeff", float)],
-            count=indptr[-1],
-        )
-        A = sparse.csr_matrix(
-            (entries["coeff"], entries["col"], indptr), shape=(len(rows), lp.n_vars)
-        )
-        A.sum_duplicates()
-        return A, np.asarray([row.rhs for row in rows])
-
-    return (*matrix("<="), *matrix("=="))
 
 
 def _solution(res, lp: LinearProgram, stats: dict) -> Solution:
@@ -159,19 +162,18 @@ def solve_lp(lp: LinearProgram) -> Solution:
     Returns a :class:`Solution`; infeasibility and limit exhaustion are
     reported through ``status`` rather than raised.
     """
-    A_ub, b_ub, A_eq, b_eq = _split_rows(lp)
     if lp.n_vars == 0:
         # constant objective; feasible iff no row is violated by x = ()
-        violated = (0.0 > r.rhs + _TOL if r.sense == "<=" else abs(r.rhs) > _TOL for r in lp.rows)
-        if any(violated):
+        if (lp.b_ub < -_TOL).any() or (np.abs(lp.b_eq) > _TOL).any():
             return Solution(INFEASIBLE, None, None)
-        return Solution(OPTIMAL, lp.objective_constant, np.zeros(0), duals=np.zeros(len(lp.rows)))
+        duals = np.zeros(len(lp.b_ub) + len(lp.b_eq))
+        return Solution(OPTIMAL, lp.objective_constant, np.zeros(0), duals=duals)
     res = linprog(
         lp.objective if lp.solver_objective is None else lp.solver_objective,
-        A_ub=A_ub,
-        b_ub=b_ub,
-        A_eq=A_eq,
-        b_eq=b_eq,
+        A_ub=lp.A_ub,
+        b_ub=lp.b_ub,
+        A_eq=lp.A_eq,
+        b_eq=lp.b_eq,
         bounds=np.column_stack([lp.lower, lp.upper]),
         # Dual simplex, presolve off.  The aggregate relaxation's column
         # generation (100-170 columns, 3-4 master solves on the benchmark's
@@ -191,10 +193,7 @@ def solve_lp(lp: LinearProgram) -> Solution:
     )
     sol = _solution(res, lp, {"iterations": int(getattr(res, "nit", 0))})
     if sol.optimal:
-        below = np.array([row.sense == "<=" for row in lp.rows], dtype=bool)
-        sol.duals = np.empty(len(lp.rows))
-        sol.duals[below] = res.ineqlin.marginals
-        sol.duals[~below] = res.eqlin.marginals
+        sol.duals = np.concatenate([res.ineqlin.marginals, res.eqlin.marginals])
     return sol
 
 
@@ -220,17 +219,14 @@ def solve_milp_exact(lp: LinearProgram, opts: Optional[SolveOptions] = None) -> 
     binaries = sorted(lp.binary)
     integrality = np.zeros(lp.n_vars)
     integrality[binaries] = 1
-    A_ub, b_ub, A_eq, b_eq = _split_rows(lp)
-    constraints = []
-    if A_ub is not None:
-        constraints.append(LinearConstraint(A_ub, -np.inf, b_ub))
-    if A_eq is not None:
-        constraints.append(LinearConstraint(A_eq, b_eq, b_eq))
     res = milp(
-        lp.objective,
+        lp.objective if lp.solver_objective is None else lp.solver_objective,
         integrality=integrality,
         bounds=Bounds(lp.lower, lp.upper),
-        constraints=constraints,
+        constraints=[
+            LinearConstraint(lp.A_ub, -np.inf, lp.b_ub),
+            LinearConstraint(lp.A_eq, lp.b_eq, lp.b_eq),
+        ],
         options={"mip_rel_gap": 0.0},
     )
     sol = _solution(res, lp, {"nodes": int(res.mip_node_count or 0)})

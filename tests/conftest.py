@@ -275,6 +275,21 @@ def recorded_embeddings(embeddings) -> list:
     ]
 
 
+def assert_rows_view(lp) -> None:
+    """``lp.rows``, which perfbench counts rows and nonzeros from, holds
+    every ``<=`` row and then every ``==`` row of the program's
+    matrices, each with its entries, sense and right-hand side."""
+    rows = lp.rows
+    assert len(rows) == lp.A_ub.shape[0] + lp.A_eq.shape[0]
+    assert sum(len(row.coeffs) for row in rows) == lp.A_ub.nnz + lp.A_eq.nnz
+    matrix_rows = [
+        (list(zip(A.indices[lo:hi].tolist(), A.data[lo:hi].tolist())), sense, rhs)
+        for A, b, sense in ((lp.A_ub, lp.b_ub, "<="), (lp.A_eq, lp.b_eq, "=="))
+        for lo, hi, rhs in zip(A.indptr[:-1], A.indptr[1:], b.tolist())
+    ]
+    assert [(list(row.coeffs), row.sense, row.rhs) for row in rows] == matrix_rows
+
+
 def assert_maps_are_read_only(embeddings) -> None:
     """Item assignment on either map of every embedding raises
     ``TypeError``: the maps may be shared between requests."""

@@ -7,6 +7,7 @@ import json
 import warnings
 from dataclasses import replace
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from vneap import harness
 from vneap.formulation import (
     REJECTION_MARGIN,
     LinearProgram,
-    Row,
     VariableKey,
     _owner_rows,
     aggregate_requests,
@@ -29,26 +29,39 @@ from vneap.formulation import (
     solve_relaxation,
 )
 from vneap import lp as lp_module
-from vneap.lp import SolveOptions, _split_rows, solve_lp, solve_milp_exact
+from vneap.lp import SolveOptions, row_matrix, solve_lp, solve_milp_exact
 from vneap.model import EfficiencyMap, Request
 
-from conftest import arnes_overloaded_instance, random_instance, toy_apps, toy_net, unit_requests
+from conftest import (
+    arnes_overloaded_instance,
+    assert_rows_view,
+    random_instance,
+    toy_apps,
+    toy_net,
+    unit_requests,
+)
 from oracle import enumerate_optimal, enumerate_vertices
 
 PSI_TOY = 1050.0
+RECORDED = Path(__file__).parent / "data" / "lp_recorded.jsonl"
 
 
-def hand_lp(objective, rows, lower, upper, binary=()):
-    keys = tuple(
-        VariableKey(f"x{i}", 0, ("n", f"x{i}", "")) for i in range(len(objective))
-    )
+def hand_lp(objective, lower, upper, ub=(), eq=(), binary=()):
+    """The program over ``len(objective)`` variables whose ``<=`` rows
+    are ``ub`` and ``==`` rows are ``eq``, each a sequence of (entries,
+    rhs) with entries (variable index, coefficient) pairs."""
+    n = len(objective)
+    keys = tuple(VariableKey(f"x{i}", 0, ("n", f"x{i}", "")) for i in range(n))
     return LinearProgram(
         keys,
         np.asarray(lower, dtype=float),
         np.asarray(upper, dtype=float),
         np.asarray(objective, dtype=float),
         0.0,
-        tuple(rows),
+        row_matrix([entries for entries, _ in ub], n),
+        np.array([rhs for _, rhs in ub], dtype=float),
+        row_matrix([entries for entries, _ in eq], n),
+        np.array([rhs for _, rhs in eq], dtype=float),
         frozenset(binary),
     )
 
@@ -64,8 +77,8 @@ def random_box_lp(rng, n, n_rows):
     A = rng.normal(size=(n_rows, n))
     for r in range(n_rows):
         rhs = float(A[r] @ interior + rng.uniform(0.1, 2.0))
-        rows.append(Row(tuple((i, float(A[r, i])) for i in range(n)), "<=", rhs))
-    return hand_lp(c, rows, lo, hi), A, lo, hi
+        rows.append(([(i, float(A[r, i])) for i in range(n)], rhs))
+    return hand_lp(c, lo, hi, ub=rows), A, lo, hi
 
 
 # -- continuous solves -------------------------------------------------------
@@ -94,31 +107,28 @@ def test_every_program_is_solved_by_dual_simplex(monkeypatch):
 def test_duals_carry_the_sign_and_value_of_a_binding_row():
     """min -x0 - 2 x1 over x0 + x1 <= 3 (binding), x2 == 0.5, x1 <= 1
     (binding) and x0 - x1 <= 10 (slack): the optimum is x = (2, 1, 0.5),
-    and the duals, in row order, are each row's objective change per
-    unit of its right-hand side, at most 0 on a ``<=`` row."""
+    and the duals, the ``<=`` rows' in order and then the ``==`` row's,
+    are each row's objective change per unit of its right-hand side, at
+    most 0 on a ``<=`` row."""
     lp = hand_lp(
         [-1.0, -2.0, 0.0],
-        [
-            Row(((0, 1.0), (1, 1.0)), "<=", 3.0),
-            Row(((2, 1.0),), "==", 0.5),
-            Row(((1, 1.0),), "<=", 1.0),
-            Row(((0, 1.0), (1, -1.0)), "<=", 10.0),
-        ],
         [0.0, 0.0, 0.0],
         [10.0, 10.0, 10.0],
+        ub=[([(0, 1.0), (1, 1.0)], 3.0), ([(1, 1.0)], 1.0), ([(0, 1.0), (1, -1.0)], 10.0)],
+        eq=[([(2, 1.0)], 0.5)],
     )
     sol = solve_lp(lp)
     assert sol.objective == pytest.approx(-4.0, abs=1e-9)
     # a unit more room on the first row adds a unit of x0 (-1); on the
-    # third, trades a unit of x0 for one of x1 (-1); the slack row and
+    # second, trades a unit of x0 for one of x1 (-1); the slack row and
     # the equality on the costless x2 are worth nothing
-    assert sol.duals.tolist() == pytest.approx([-1.0, 0.0, -1.0, 0.0], abs=1e-9)
-    assert solve_lp(hand_lp([], [Row((), "<=", 0.0)], [], [])).duals.tolist() == [0.0]
+    assert sol.duals.tolist() == pytest.approx([-1.0, -1.0, 0.0, 0.0], abs=1e-9)
+    assert solve_lp(hand_lp([], [], [], ub=[([], 0.0)])).duals.tolist() == [0.0]
     assert solve_milp_exact(replace(lp, binary=frozenset({0}))).duals is None
 
 
 def test_minimize_x_at_least_three():
-    lp = hand_lp([1.0], [Row(((0, -1.0),), "<=", -3.0)], [0.0], [10.0])
+    lp = hand_lp([1.0], [0.0], [10.0], ub=[([(0, -1.0)], -3.0)])
     sol = solve_lp(lp)
     assert sol.status == "optimal"
     assert sol.objective == pytest.approx(3.0, abs=1e-9)
@@ -135,7 +145,7 @@ def test_toy_unlimited_capacity_costs_205_per_unit():
 
 
 def test_infeasible_is_a_status_not_an_exception():
-    lp = hand_lp([1.0], [Row(((0, 1.0),), "<=", -1.0)], [0.0], [1.0])
+    lp = hand_lp([1.0], [0.0], [1.0], ub=[([(0, 1.0)], -1.0)])
     sol = solve_lp(lp)
     assert sol.status == "infeasible"
     assert sol.objective is None
@@ -149,45 +159,28 @@ def test_small_lp_matches_vertex_enumeration(seed):
     lp, A, lo, hi = random_box_lp(rng, n, n_rows=int(rng.integers(1, 4)))
     sol = solve_lp(lp)
     assert sol.status == "optimal"
-    oracle = enumerate_vertices(
-        lp.objective, [(A[r], lp.rows[r].rhs) for r in range(len(lp.rows))], lo, hi
-    )
+    oracle = enumerate_vertices(lp.objective, list(zip(A, lp.b_ub.tolist())), lo, hi)
     assert sol.objective == pytest.approx(oracle, abs=1e-6)
 
 
-def test_a_row_sense_other_than_le_or_eq_is_refused():
-    lp = hand_lp([1.0], [Row(((0, 1.0),), ">=", 3.0)], [0.0], [10.0], binary=(0,))
-    empty = hand_lp([], [Row((), ">=", -1.0)], [], [])
-    for solve, program in ((solve_lp, lp), (solve_milp_exact, lp), (solve_lp, empty)):
-        with pytest.raises(ValueError, match="unknown row sense '>='"):
-            solve(program)
-
-
 def assert_assembled(lp):
-    """Each sense's matrix holds that sense's rows in order, every row
-    with strictly increasing column indices and, per column, the sum of
-    the row's coefficients there, which is the dense row built from
-    ``lp.rows``; the right-hand sides follow the rows."""
-    A_ub, b_ub, A_eq, b_eq = _split_rows(lp)
-    for sense, A, b in (("<=", A_ub, b_ub), ("==", A_eq, b_eq)):
-        rows = [row for row in lp.rows if row.sense == sense]
-        if not rows:
-            assert A is None and b is None
-            continue
-        assert A.shape == (len(rows), lp.n_vars)
-        assert b.tolist() == [row.rhs for row in rows]
-        for r, row in enumerate(rows):
-            dense: dict[int, float] = {}
-            for i, c in row.coeffs:
-                dense[i] = dense.get(i, 0.0) + c
-            start, end = A.indptr[r], A.indptr[r + 1]
-            assert A.indices[start:end].tolist() == sorted(dense)
-            assert A.data[start:end].tolist() == [dense[i] for i in sorted(dense)]
+    """Both matrices are CSR with one column per variable and one
+    right-hand side per row, and canonical: every row's column indices
+    strictly increase, so no entry is duplicated; and the ``rows`` view
+    holds the matrices' rows."""
+    for A, b in ((lp.A_ub, lp.b_ub), (lp.A_eq, lp.b_eq)):
+        assert A.format == "csr"
+        assert A.shape == (len(b), lp.n_vars) and b.shape == (len(b),)
+        assert A.indptr[0] == 0 and A.indptr[-1] == A.nnz == len(A.indices) == len(A.data)
+        for r in range(A.shape[0]):
+            assert np.all(np.diff(A.indices[A.indptr[r] : A.indptr[r + 1]]) > 0)
+    assert_rows_view(lp)
 
 
-def bundled_lp(topology: str):
-    """The relaxation of 1000 cctv_two requests on a bundled topology at
-    TU 0.8, as perfbench's instances are made."""
+def bundled(topology: str):
+    """1000 cctv_two requests on a bundled topology at TU 0.8, as
+    perfbench's instances are made: (net, apps, efficiency, requests,
+    psi)."""
     root = resources.files("vneap")
     graph = harness.ingest_graphml(str(root.joinpath(f"fixtures/topologies/{topology}.graphml")))
     base = harness.assign_costs_capacities(graph, harness.classify_tiers(graph))
@@ -196,42 +189,37 @@ def bundled_lp(topology: str):
     requests = harness.generate_requests(base, apps, gen, 1)
     net = harness.calibrate_target_utilization(base, apps, requests, 0.8, 0.8)
     eff = EfficiencyMap()
-    psi = compute_rejection_penalty(net, apps, eff)
-    return build_relaxed_aggregate_lp(net, apps, eff, aggregate_requests(requests), psi)
+    return net, apps, eff, requests, compute_rejection_penalty(net, apps, eff)
 
 
 def test_rows_assemble_into_canonical_matrices():
     hand = hand_lp(
         [1.0, 1.0, 1.0, 1.0],
-        [
-            Row(((3, 1.0), (0, 2.0), (3, 0.5), (1, -1.0)), "<=", 4.0),
-            Row(((2, 1.0), (2, 1.0)), "==", 1.0),
-            Row((), "<=", 0.0),
-        ],
         [0.0] * 4,
         [1.0] * 4,
+        ub=[([(3, 1.0), (0, 2.0), (3, 0.5), (1, -1.0)], 4.0), ([], 0.0)],
+        eq=[([(2, 1.0), (2, 1.0)], 1.0)],
     )
-    A_ub, b_ub, A_eq, b_eq = _split_rows(hand)
-    assert A_ub.toarray().tolist() == [[2.0, -1.0, 0.0, 1.5], [0.0, 0.0, 0.0, 0.0]]
-    assert A_eq.toarray().tolist() == [[0.0, 0.0, 2.0, 0.0]]
-    assert b_ub.tolist() == [4.0, 0.0] and b_eq.tolist() == [1.0]
+    assert hand.A_ub.toarray().tolist() == [[2.0, -1.0, 0.0, 1.5], [0.0, 0.0, 0.0, 0.0]]
+    assert hand.A_eq.toarray().tolist() == [[0.0, 0.0, 2.0, 0.0]]
+    assert hand.b_ub.tolist() == [4.0, 0.0] and hand.b_eq.tolist() == [1.0]
+    assert hand.A_ub.indices.tolist() == [0, 1, 3] and hand.A_eq.indices.tolist() == [2]
     assert_assembled(hand)
-    for topology in ("arnes_si", "amres_rs"):
-        assert_assembled(bundled_lp(topology))
-    for seed in range(30):
-        net, apps, eff, requests, psi = random_instance(seed)
+    instances = [bundled("arnes_si"), bundled("amres_rs")] + [random_instance(s) for s in range(30)]
+    for net, apps, eff, requests, psi in instances:
         assert_assembled(build_relaxed_aggregate_lp(net, apps, eff, aggregate_requests(requests), psi))
-        assert_assembled(build_milp(net, apps, eff, requests, psi))
+    for seed in range(30):
+        assert_assembled(build_milp(*random_instance(seed)))
 
 
 def test_empty_program_solves_to_zero():
-    sol = solve_lp(hand_lp([], [], [], []))
+    sol = solve_lp(hand_lp([], [], []))
     assert sol.status == "optimal"
     assert sol.objective == pytest.approx(0.0)
     assert sol.x.shape == (0,)
-    assert solve_lp(hand_lp([], [Row((), "<=", 0.0), Row((), "==", 0.0)], [], [])).optimal
-    for row in (Row((), "<=", -1.0), Row((), "==", 1.0)):
-        assert solve_lp(hand_lp([], [row], [], [])).status == "infeasible"
+    assert solve_lp(hand_lp([], [], [], ub=[([], 0.0)], eq=[([], 0.0)])).optimal
+    for rows in ({"ub": [([], -1.0)]}, {"eq": [([], 1.0)]}):
+        assert solve_lp(hand_lp([], [], [], **rows)).status == "infeasible"
 
 
 def test_twenty_variable_box_lp_matches_corner_scan():
@@ -241,7 +229,7 @@ def test_twenty_variable_box_lp_matches_corner_scan():
     lo = rng.uniform(-3.0, 0.0, size=20)
     hi = lo + rng.uniform(0.1, 4.0, size=20)
     c = rng.normal(size=20)
-    lp = hand_lp(c, [], lo, hi)
+    lp = hand_lp(c, lo, hi)
     sol = solve_lp(lp)
     best = float(np.minimum(c * lo, c * hi).sum())
     assert sol.objective == pytest.approx(best, abs=1e-6)
@@ -268,6 +256,65 @@ def test_solve_lp_raises_no_warning():
         assert solve_lp(lp).optimal
 
 
+def solved_form(sol, count: str, duals=None) -> dict:
+    """``sol`` as lp_recorded.jsonl stores it: floats as ``float.hex``,
+    ``count`` the stats entry kept (``iterations`` or ``nodes``) and
+    ``duals``, when given, the row duals in the recorded order."""
+    def hexes(values):
+        return None if values is None else [v.hex() for v in values.tolist()]
+
+    form = {
+        "status": sol.status,
+        "objective": None if sol.objective is None else sol.objective.hex(),
+        "x": hexes(sol.x),
+        count: sol.stats[count],
+    }
+    if duals is not None:
+        form["duals"] = hexes(duals)
+    return form
+
+
+def recorded_solves():
+    """(name, solved form) of every solve lp_recorded.jsonl pins: the
+    aggregate relaxation (``solve_relaxation``, with the master's duals)
+    of the capacity-bound toy, the random instances 0-29 and the two
+    bundled instances; the relaxed per-request program (``solve_lp`` of
+    ``build_milp(...).relax()``, with its duals, every ``<=`` row's
+    before every ``==`` row's) of the toy and the random instances; and
+    the exact solve of each such program with at most 200 binaries.
+    Each line of the file is ``{"name": name, **form}``."""
+    toy_instance = toy_net(link_cap=150.0), toy_apps(), EfficiencyMap(), unit_requests(2), PSI_TOY
+    instances = [("toy", toy_instance)]
+    instances += [(f"random-{seed}", random_instance(seed)) for seed in range(30)]
+    for name, (net, apps, eff, requests, psi) in instances:
+        sol = solve_relaxation(net, apps, eff, requests, psi).solution
+        yield f"relaxation/{name}", solved_form(sol, "iterations", sol.duals)
+    for topology in ("arnes_si", "amres_rs"):
+        sol = solve_relaxation(*bundled(topology)).solution
+        yield f"relaxation/{topology}", solved_form(sol, "iterations", sol.duals)
+    for name, instance in instances:
+        milp = build_milp(*instance)
+        sol = solve_lp(milp.relax())
+        # the recorded order: every <= row's dual, then every == row's
+        senses = [row.sense for row in milp.rows]
+        order = sorted(range(len(senses)), key=lambda r: senses[r] != "<=")
+        yield f"relaxed/{name}", solved_form(sol, "iterations", sol.duals[order])
+        if len(milp.binary) <= 200:
+            yield f"exact/{name}", solved_form(solve_milp_exact(milp), "nodes")
+
+
+def test_solves_match_the_recorded_answers():
+    """HiGHS's status, objective, x, iteration or node count and duals
+    equal, to the bit, those recorded from the programs as they were
+    assembled before programs held their matrices (row tuples split per
+    sense on every solve)."""
+    recorded = [json.loads(line) for line in RECORDED.read_text().splitlines()]
+    got = [{"name": name, **form} for name, form in recorded_solves()]
+    assert [r["name"] for r in got] == [r["name"] for r in recorded]
+    for have, want in zip(got, recorded):
+        assert have == want, have["name"]
+
+
 # -- the relaxation's rejected demand -------------------------------------------
 
 # Dual (HiGHS's default) and primal simplex, each with presolve off and on:
@@ -283,7 +330,7 @@ def highs(lp: LinearProgram, cost, options=HIGHS_SETTINGS[2], budget=None) -> np
     """The x HiGHS returns minimizing ``cost`` over ``lp``'s rows and box
     under ``options`` (by default ``solve_lp``'s); a ``budget`` adds the
     row ``lp.objective @ x <= budget``."""
-    A_ub, b_ub, A_eq, b_eq = _split_rows(lp)
+    A_ub, b_ub = lp.A_ub, lp.b_ub
     if budget is not None:
         A_ub = sparse.vstack([A_ub, sparse.csr_matrix(lp.objective)])
         b_ub = np.append(b_ub, budget)
@@ -293,8 +340,8 @@ def highs(lp: LinearProgram, cost, options=HIGHS_SETTINGS[2], budget=None) -> np
             cost,
             A_ub=A_ub,
             b_ub=b_ub,
-            A_eq=A_eq,
-            b_eq=b_eq,
+            A_eq=lp.A_eq,
+            b_eq=lp.b_eq,
             bounds=np.column_stack([lp.lower, lp.upper]),
             method="highs",
             options={"primal_feasibility_tolerance": 1e-7, "dual_feasibility_tolerance": 1e-7,
@@ -393,16 +440,26 @@ def test_no_binaries_degenerates_to_plain_solve():
 def test_exact_infeasible_binary_program_is_a_status():
     # two binaries cannot sum to 3
     lp = hand_lp(
-        [1.0, 1.0],
-        [Row(((0, -1.0), (1, -1.0)), "<=", -3.0)],
-        [0.0, 0.0],
-        [1.0, 1.0],
-        binary=(0, 1),
+        [1.0, 1.0], [0.0, 0.0], [1.0, 1.0], ub=[([(0, -1.0), (1, -1.0)], -3.0)], binary=(0, 1)
     )
     sol = solve_milp_exact(lp)
     assert sol.status == "infeasible"
     assert sol.objective is None
     assert "nodes" in sol.stats
+
+
+def test_exact_minimizes_the_solver_objective():
+    """Two binaries with x0 + x1 == 1, objective (1, 2) and solver
+    objective (3, 2): the exact solve, like the continuous one, minimizes
+    the solver objective, so it picks x1, and it prices that answer by
+    the objective."""
+    lp = hand_lp(
+        [1.0, 2.0], [0.0, 0.0], [1.0, 1.0], eq=[([(0, 1.0), (1, 1.0)], 1.0)], binary=(0, 1)
+    )
+    lp = replace(lp, solver_objective=np.array([3.0, 2.0]))
+    for sol in (solve_lp(lp), solve_milp_exact(lp)):
+        assert sol.x.tolist() == [0.0, 1.0]
+        assert sol.objective == 2.0
 
 
 def test_binary_cap_is_a_refusal():

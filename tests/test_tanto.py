@@ -39,7 +39,7 @@ from vneap.harness import (
     ingest_graphml,
 )
 from vneap.io import load_applications
-from vneap.lp import OPTIMAL, Solution, _split_rows, solve_lp
+from vneap.lp import OPTIMAL, Solution, solve_lp
 from vneap.model import (
     AlternativeTopology,
     Application,
@@ -61,6 +61,7 @@ from vneap.validator import (
 from conftest import (
     arnes_overloaded_instance,
     assert_maps_are_read_only,
+    assert_rows_view,
     pinned_runs,
     random_instance,
     recorded_embeddings,
@@ -544,7 +545,9 @@ def test_relaxation_solves_each_master_once(monkeypatch, instance):
     solve: HiGHS runs once per pricing round, the final master's
     included, and the solution is a fresh solve of the built master's to
     the bit.  The timings count those solves and their iterations, and
-    the built master's rows and nonzeros."""
+    the built master's rows and nonzeros, and the master's ``rows`` view
+    (what perfbench counts) holds its matrix's rows, entries and
+    right-hand sides."""
     net, apps, eff, requests, psi = instance()
     calls = []
     real = lp_module.linprog
@@ -561,9 +564,10 @@ def test_relaxation_solves_each_master_once(monkeypatch, instance):
     assert calls[-1] == got.timings["lp_iterations"]
     assert sum(calls) == got.timings["lp_total_iterations"]
     master = build_relaxed_aggregate_lp(net, apps, eff, aggregate_requests(requests), psi)
-    A_ub, _, A_eq, _ = _split_rows(master)
-    assert A_eq is None
+    A_ub = master.A_ub
+    assert master.A_eq.shape == (0, master.n_vars)
     assert (got.timings["lp_rows"], got.timings["lp_nnz"]) == (A_ub.shape[0], A_ub.nnz)
+    assert_rows_view(master)
     want = solve_lp(master)
     assert got.solution.objective.hex() == want.objective.hex()
     assert got.solution.x.tobytes() == want.x.tobytes()
