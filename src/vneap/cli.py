@@ -37,7 +37,7 @@ from .harness import (
 )
 from .io import FormatError
 from .lp import INFEASIBLE, UNBOUNDED, SolverError
-from .model import FORBIDDEN, validate_application, validate_requests, validate_substrate
+from .model import check_instance
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -77,94 +77,12 @@ def _load_catalog(spec: str, base: Path = Path()):
     raise FormatError(f"no such application catalog: {spec}")
 
 
-def _check_inputs(net, catalog, eff, reqs=None, psi=None) -> None:
-    """Raise a FormatError naming the first broken invariants of the
-    substrate, applications, efficiency map, requests and ψ (if given),
-    or the first load or cost product of them that overflows."""
-    if psi is not None and not 0 <= psi < math.inf:
-        raise FormatError(f"psi must be a finite number >= 0, not {psi!r}")
-    problems = validate_substrate(net)
-    for app in catalog.values():
-        problems += validate_application(app)
-    problems += eff.violations()
-    if reqs is not None:
-        problems += validate_requests(reqs, net, catalog)
-    if problems:
-        raise FormatError("; ".join(str(v) for v in problems[:5]))
-    overflow = _overflow(net, catalog, eff, reqs, psi)
-    if overflow:
-        raise FormatError(overflow)
-
-
-def _overflow(net, catalog, eff, reqs=None, psi=None):
-    """Why a load or cost formed from these finite inputs can overflow a
-    float, naming the keys and values at fault, or None.
-
-    Per unit demand a function costs at most its size times its
-    coefficient times the cost of the costliest node it may use, and a
-    virtual link the same on the costliest arc, once per hop of a path
-    of up to n - 1 hops; an alternative costs at most the sum.  Loads are
-    bounded alike without the costs (a path crosses an arc once).  Every
-    load, cost and objective the algorithms form is at most the total
-    demand times the largest load bound, or times twice the largest of
-    the cost bounds and ψ (served plus rejected cost)."""
-    hops = max(len(net.nodes) - 1, 1)
-    worst_cost, worst_load = psi or 0.0, 0.0
-    blame = f"psi {psi!r}"
-    for app in catalog.values():
-        for alt in app.alternatives:
-            where = f"app {app.id!r} alternative {alt.index}"
-            elements = [
-                (f"function {vn.id!r}", vn.size, 1, [
-                    (f"node {n.id}", eff.node(vn.id, n.id), n.cost) for n in net.nodes
-                ])
-                for vn in alt.nodes
-            ] + [
-                (f"link {vl.parent}->{vl.child}", vl.size, hops, [
-                    (f"arc {a.src}->{a.dst}", eff.link((vl.parent, vl.child), (a.src, a.dst)), a.cost)
-                    for a in net.arcs
-                ])
-                for vl in alt.links
-            ]
-            cost = load = top = 0.0
-            for name, size, times, options in elements:
-                most = most_load = 0.0
-                for on, coeff, unit in options:
-                    if coeff is FORBIDDEN:
-                        continue
-                    value = size * coeff * unit
-                    if not math.isfinite(value) or value > top:
-                        term = f"{name}: size {size!r} * coefficient {coeff!r} * cost {unit!r} of {on}"
-                        if not math.isfinite(value):
-                            return f"{where} {term} overflows"
-                        top, largest = value, term
-                    most = max(most, value)
-                    most_load = max(most_load, size * coeff)
-                cost += times * most
-                load += most_load
-            if not math.isfinite(cost):
-                return f"{where}: its costliest embedding per unit demand overflows (largest term {largest})"
-            if cost > worst_cost:
-                worst_cost = cost
-                blame = f"{cost!r}, the costliest embedding of {where} per unit demand (largest term {largest})"
-            worst_load = max(worst_load, load)
-    if reqs:
-        total = sum(r.demand for r in reqs)
-        k = max(range(len(reqs)), key=lambda i: reqs[i].demand)
-        demand = f"requests: total demand {total!r} (request {k} has demand {reqs[k].demand!r})"
-        if not math.isfinite(2.0 * total * worst_cost):
-            return f"{demand} times {blame} overflows"
-        if not math.isfinite(total * worst_load):
-            return f"{demand} times {worst_load!r}, the largest load per unit demand, overflows"
-    return None
-
-
 def _load_inputs(substrate: str, apps: str, requests_path=None, efficiency=None, psi=None):
     net = vio.load_substrate(substrate)
     catalog = _load_catalog(apps)
     reqs = None if requests_path is None else vio.load_requests(requests_path)
     eff = vio.load_efficiency(efficiency)
-    _check_inputs(net, catalog, eff, reqs, psi)
+    check_instance(net, catalog, eff, reqs, psi)
     return net, catalog, reqs, eff
 
 
@@ -184,9 +102,9 @@ def ingest(graphml: str, out: str, tier_ratios: float) -> None:
         g = ingest_graphml(graphml)
         tiers = classify_tiers(g)
         net = assign_costs_capacities(g, tiers, tier_ratios)
+        vio.write_json(out, vio.dump_substrate(net))
     except ValueError as exc:  # FormatError is one
         _fail(str(exc), EXIT_INPUT)
-    vio.write_json(out, vio.dump_substrate(net))
     click.echo(f"{len(net.nodes)} nodes, {len(net.arcs)} arcs -> {out}")
 
 
@@ -219,9 +137,9 @@ def generate(substrate, apps, app, count, seed, spatial, size_mean, size_sigma, 
             enforce_origin_cap=origin_cap,
         )
         requests = generate_requests(net, catalog, params, seed)
-    except (FormatError, ValueError) as exc:
+        vio.write_json(out, vio.dump_requests(requests))
+    except ValueError as exc:  # FormatError is one
         _fail(str(exc), EXIT_INPUT)
-    vio.write_json(out, vio.dump_requests(requests))
     click.echo(f"{len(requests)} requests -> {out}")
 
 
@@ -246,9 +164,9 @@ def calibrate(substrate, apps, requests_path, node_tu, link_tu, population, out)
         scaled = calibrate_target_utilization(
             net, catalog, reqs, node_tu, link_tu, population=population
         )
-    except (FormatError, ValueError) as exc:
+        vio.write_json(out, vio.dump_substrate(scaled))
+    except ValueError as exc:  # FormatError is one
         _fail(str(exc), EXIT_INPUT)
-    vio.write_json(out, vio.dump_substrate(scaled))
     click.echo(f"calibrated substrate -> {out}")
 
 
@@ -295,11 +213,14 @@ def solve(substrate, apps, requests_path, algo, seed, psi, efficiency, out):
     report.update({k: v for k, v in sorted(row.items())})
     if embeddings is not None:
         report["embeddings"] = [_serialize_embedding(e) for e in embeddings]
-    vio.write_json(out, report)
     # wall-clock timings go beside the report, so the report stays byte-reproducible
     out = Path(out)
     timings = {"schema_version": vio.SCHEMA_VERSION, **timing}
-    vio.write_json(out.with_name(f"{out.stem}_timings.json"), timings)
+    try:
+        vio.write_json(out, report)
+        vio.write_json(out.with_name(f"{out.stem}_timings.json"), timings)
+    except FormatError as exc:
+        _fail(str(exc), EXIT_INPUT)
     click.echo(f"{algo}: total_cost={row.get('total_cost')!r} -> {out}")
 
 
@@ -313,10 +234,14 @@ def compare(scenario, out_dir, jobs, seed):
     """Run a full scenario (all repetitions and algorithms)."""
     try:
         config = load_scenario(scenario, jobs=jobs, seed=seed)
+        vio.make_dir(out_dir)  # a bad --out costs no repetition
     except ValueError as exc:  # FormatError is one
         _fail(str(exc), EXIT_INPUT)
-    result = run_scenario(config)
-    paths = write_result(result, out_dir, config.apps)
+    result = run_scenario(config)  # records each failure of a repetition
+    try:
+        paths = write_result(result, out_dir, config.apps)
+    except FormatError as exc:
+        _fail(str(exc), EXIT_INPUT)
     for err in result.errors:
         click.echo(
             f"repetition {err['repetition']} {err['algorithm']}: {err['type']}: {err['error']}",
@@ -371,7 +296,10 @@ def report(results_dir, out):
                         _fail(f"{where}: {message}", EXIT_INPUT)
                 rows.append(row)
     summary = harness.summarize(rows)
-    vio.write_json(out, {"schema_version": vio.SCHEMA_VERSION, "aggregates": summary})
+    try:
+        vio.write_json(out, {"schema_version": vio.SCHEMA_VERSION, "aggregates": summary})
+    except FormatError as exc:
+        _fail(str(exc), EXIT_INPUT)
     click.echo(f"{len(rows)} rows summarized -> {out}")
 
 
@@ -403,7 +331,7 @@ _GRAPHML_KEYS = {"graphml": vio.string, "tier_ratio": vio.number}
 
 
 def load_scenario(path, jobs: int = 1, seed=None) -> ScenarioConfig:
-    """Build a ScenarioConfig from a scenario JSON file, checked as solve's inputs are."""
+    """Parse a scenario JSON file into a ScenarioConfig, which checks itself."""
     doc = vio._load(path)
     fields = vio.fields(doc, _SCENARIO_KEYS, str(path), ("schema_version", "applications", "requests"))
     base = Path(path).parent  # an absolute path joined to it stays as it is
@@ -419,9 +347,7 @@ def load_scenario(path, jobs: int = 1, seed=None) -> ScenarioConfig:
         fields["seed"] = seed
     fields.setdefault("name", Path(path).stem)
     apps = _load_catalog(fields.pop("applications"), base)
-    config = ScenarioConfig(substrate=net, apps=apps, jobs=jobs, **fields)
-    _check_inputs(net, apps, config.efficiency, psi=config.psi)
-    return config
+    return ScenarioConfig(substrate=net, apps=apps, jobs=jobs, **fields)
 
 
 if __name__ == "__main__":

@@ -48,7 +48,7 @@ from .formulation import (
     solve_relaxation,
 )
 from .greedy import greedy_embed_all
-from .io import FormatError
+from .io import FormatError, make_dir, write_text
 from .lp import solve_milp_exact
 from .model import (
     CORE,
@@ -60,6 +60,7 @@ from .model import (
     SubstrateArc,
     SubstrateNode,
     SubstrateNetwork,
+    check_instance,
     sum_in_order,
 )
 from .tanto import round_relaxation
@@ -245,7 +246,7 @@ def _origin_weights(net: SubstrateNetwork, profile) -> tuple[list[SubstrateNode]
         with np.errstate(all="ignore"):  # bad weights are refused by name below
             weights = _stats.lognorm.pdf(xs, s=profile.lognormal_sigma, scale=math.exp(profile.lognormal_mu))
     else:
-        raise ValueError(f"unknown spatial distribution {profile.spatial!r}")
+        raise ValueError(f"spatial must be one of {', '.join(SPATIAL)}, not {profile.spatial!r}")
     total = weights.sum()
     if not (np.isfinite(weights).all() and (weights >= 0).all() and 0 < total < math.inf):
         raise ValueError(
@@ -417,8 +418,9 @@ def measured_utilization(
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """A scenario's inputs and settings; its defaults are the ones a
-    scenario file's absent keys take."""
+    """A scenario's inputs and settings, checked on construction as solve's
+    inputs are; its defaults are the ones a scenario file's absent keys
+    take, and an empty ``app`` and an absent ``psi`` are resolved then."""
 
     name: str
     substrate: SubstrateNetwork
@@ -440,20 +442,21 @@ class ScenarioConfig:
     jobs: int = 1
 
     def __post_init__(self):
+        check_instance(self.substrate, self.apps, self.efficiency, psi=self.psi)
         for key in ("requests", "repetitions", "jobs"):
             if getattr(self, key) < 1:
                 raise ValueError(f"{key} must be >= 1, not {getattr(self, key)}")
         for key in ("node_tu", "link_tu", "size_sigma"):
             if getattr(self, key) <= 0:
                 raise ValueError(f"{key} must be positive, not {getattr(self, key)}")
-        if self.spatial not in SPATIAL:
-            raise ValueError(f"spatial must be one of {', '.join(SPATIAL)}, not {self.spatial!r}")
         _origin_weights(self.substrate, self)
         if not self.algorithms:
             raise ValueError("algorithms must name at least one algorithm")
         if not self.apps:
             raise ValueError("applications: the catalog holds no application")
-        for algo in self.algorithms:
+        for k, algo in enumerate(self.algorithms):
+            if algo in self.algorithms[:k]:
+                raise ValueError(f"algorithms: {algo!r} is listed more than once")
             try:
                 algorithm_catalog(algo, self.apps)
             except ValueError as exc:
@@ -462,6 +465,8 @@ class ScenarioConfig:
             object.__setattr__(self, "app", sorted(self.apps)[0])
         elif self.app not in self.apps:
             raise ValueError(f"app {self.app!r} is not in the catalog")
+        if self.psi is None:
+            object.__setattr__(self, "psi", compute_rejection_penalty(self.substrate, self.apps, self.efficiency))
         try:
             calibrated_substrate(self)
         except ValueError as exc:
@@ -655,7 +660,7 @@ def _error_entry(rep: int, algo: str, exc: Exception) -> dict:
     return {"repetition": rep, "algorithm": algo, "type": type(exc).__name__, "error": str(exc)}
 
 
-def _repetition(config: ScenarioConfig, psi: float, net: SubstrateNetwork, rep: int) -> tuple[list, list, list]:
+def _repetition(config: ScenarioConfig, net: SubstrateNetwork, rep: int) -> tuple[list, list, list]:
     """Repetition ``rep`` of a scenario on its calibrated substrate ``net``:
     its (rows, timings, errors).  A module-level function of its arguments
     alone, so a worker process can run it; its timings are that process's own."""
@@ -678,14 +683,14 @@ def _repetition(config: ScenarioConfig, psi: float, net: SubstrateNetwork, rep: 
     setup_cpu_s = time.process_time() - c0
     # solved on first use, then shared by this repetition's lp and tanto
     relaxation = functools.cache(
-        functools.partial(solve_relaxation, net, config.apps, config.efficiency, requests, psi)
+        functools.partial(solve_relaxation, net, config.apps, config.efficiency, requests, config.psi)
     )
     for algo in config.algorithms:
         algo_seed = _rng.substream_seed(config.seed, "algo", algo, rep)
         started = time.process_time()
         try:
             row, timing, _ = _run_algorithm(
-                algo, net, config.apps, config.efficiency, requests, psi, algo_seed, relaxation
+                algo, net, config.apps, config.efficiency, requests, config.psi, algo_seed, relaxation
             )
         except Exception as exc:
             errors.append(_error_entry(rep, algo, exc))
@@ -713,12 +718,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     skipped; the rest of the run proceeds.
     """
     result = ScenarioResult(config_name=config.name)
-    psi = (
-        config.psi
-        if config.psi is not None
-        else compute_rejection_penalty(config.substrate, config.apps, config.efficiency)
-    )
-    one_rep = functools.partial(_repetition, config, psi, calibrated_substrate(config))
+    one_rep = functools.partial(_repetition, config, calibrated_substrate(config))
     reps = range(config.repetitions)
     if config.jobs > 1 and config.repetitions > 1:
         # a forked worker starts without importing numpy and scipy again
@@ -825,9 +825,8 @@ def timings_to_csv(timings: Sequence[dict]) -> str:
 def write_result(result: ScenarioResult, out_dir: Union[str, Path], apps: Mapping[str, Application]) -> dict[str, Path]:
     """Persist a scenario result: wide CSV, long CSV, JSON summary, and
     the timings sidecar (kept separate so the data files are
-    byte-reproducible)."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    byte-reproducible).  A path that cannot be written is a FormatError."""
+    out = make_dir(out_dir)
     alt_indices = catalog_alternative_indices(apps)
     paths = {
         "rows": out / f"{result.config_name}_rows.csv",
@@ -835,9 +834,10 @@ def write_result(result: ScenarioResult, out_dir: Union[str, Path], apps: Mappin
         "summary": out / f"{result.config_name}_summary.json",
         "timings": out / f"{result.config_name}_timings.csv",
     }
-    paths["rows"].write_text(rows_to_csv(result.rows, alt_indices))
-    paths["long"].write_text(long_rows_to_csv(result.rows, alt_indices))
-    paths["summary"].write_text(
+    write_text(paths["rows"], rows_to_csv(result.rows, alt_indices))
+    write_text(paths["long"], long_rows_to_csv(result.rows, alt_indices))
+    write_text(
+        paths["summary"],
         json.dumps(
             {
                 "schema_version": 1,
@@ -848,7 +848,7 @@ def write_result(result: ScenarioResult, out_dir: Union[str, Path], apps: Mappin
             indent=2,
             sort_keys=True,
         )
-        + "\n"
+        + "\n",
     )
-    paths["timings"].write_text(timings_to_csv(result.timings))
+    write_text(paths["timings"], timings_to_csv(result.timings))
     return paths

@@ -16,6 +16,7 @@ entry's ``coeff`` is type-checked even beside ``"forbidden": true``.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 from pathlib import Path
@@ -338,7 +339,28 @@ def dump_requests(requests: Sequence[Request]) -> dict:
     }
 
 
+@contextlib.contextmanager
+def _writing(path):
+    """Map an OSError raised within, as writing a path that is a
+    directory or lies in a missing one raises, to a FormatError naming
+    ``path``."""
+    try:
+        yield
+    except OSError as exc:
+        raise FormatError(f"{path}: {exc.strerror}") from exc
+
+
+def make_dir(path: Union[str, Path]) -> Path:
+    """``path`` as a directory, made with its missing parents."""
+    with _writing(path):
+        Path(path).mkdir(parents=True, exist_ok=True)
+    return Path(path)
+
+
+def write_text(path: Union[str, Path], text: str) -> None:
+    with _writing(path):
+        Path(path).write_text(text)
+
+
 def write_json(path: Union[str, Path], doc: Mapping) -> None:
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=False, allow_nan=False)
-        fh.write("\n")
+    write_text(path, json.dumps(doc, indent=2, allow_nan=False) + "\n")

@@ -9,6 +9,7 @@ can collect and report every problem at once.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
@@ -367,3 +368,87 @@ def validate_requests(
         if r.app not in catalog:
             out.append(Violation("UnknownApplication", f"request {k}", r.app))
     return out
+
+
+def check_instance(net, catalog, efficiency, requests=None, psi=None) -> None:
+    """The one check of an instance, run by the CLI on solve's inputs and by
+    every ScenarioConfig: raise a ValueError naming the first broken
+    invariants (the ``validate_*`` rules above) of the substrate,
+    applications, efficiency map, requests and ψ (if given), or the first
+    load or cost product of them that overflows."""
+    if psi is not None and not 0 <= psi < math.inf:
+        raise ValueError(f"psi must be a finite number >= 0, not {psi!r}")
+    problems = validate_substrate(net)
+    for app in catalog.values():
+        problems += validate_application(app)
+    problems += efficiency.violations()
+    if requests is not None:
+        problems += validate_requests(requests, net, catalog)
+    if problems:
+        raise ValueError("; ".join(str(v) for v in problems[:5]))
+    overflow = _overflow(net, catalog, efficiency, requests, psi)
+    if overflow:
+        raise ValueError(overflow)
+
+
+def _overflow(net, catalog, eff, reqs=None, psi=None) -> Optional[str]:
+    """Why a load or cost formed from these finite inputs can overflow a
+    float, naming the keys and values at fault, or None.
+
+    Per unit demand a function costs at most its size times its
+    coefficient times the cost of the costliest node it may use, and a
+    virtual link the same on the costliest arc, once per hop of a path
+    of up to n - 1 hops; an alternative costs at most the sum.  Loads are
+    bounded alike without the costs (a path crosses an arc once).  Every
+    load, cost and objective the algorithms form is at most the total
+    demand times the largest load bound, or times twice the largest of
+    the cost bounds and ψ (served plus rejected cost)."""
+    hops = max(len(net.nodes) - 1, 1)
+    worst_cost, worst_load = psi or 0.0, 0.0
+    blame = f"psi {psi!r}"
+    for app in catalog.values():
+        for alt in app.alternatives:
+            where = f"app {app.id!r} alternative {alt.index}"
+            elements = [
+                (f"function {vn.id!r}", vn.size, 1, [
+                    (f"node {n.id}", eff.node(vn.id, n.id), n.cost) for n in net.nodes
+                ])
+                for vn in alt.nodes
+            ] + [
+                (f"link {vl.parent}->{vl.child}", vl.size, hops, [
+                    (f"arc {a.src}->{a.dst}", eff.link((vl.parent, vl.child), (a.src, a.dst)), a.cost)
+                    for a in net.arcs
+                ])
+                for vl in alt.links
+            ]
+            cost = load = top = 0.0
+            for name, size, times, options in elements:
+                most = most_load = 0.0
+                for on, coeff, unit in options:
+                    if coeff is FORBIDDEN:
+                        continue
+                    value = size * coeff * unit
+                    if not math.isfinite(value) or value > top:
+                        term = f"{name}: size {size!r} * coefficient {coeff!r} * cost {unit!r} of {on}"
+                        if not math.isfinite(value):
+                            return f"{where} {term} overflows"
+                        top, largest = value, term
+                    most = max(most, value)
+                    most_load = max(most_load, size * coeff)
+                cost += times * most
+                load += most_load
+            if not math.isfinite(cost):
+                return f"{where}: its costliest embedding per unit demand overflows (largest term {largest})"
+            if cost > worst_cost:
+                worst_cost = cost
+                blame = f"{cost!r}, the costliest embedding of {where} per unit demand (largest term {largest})"
+            worst_load = max(worst_load, load)
+    if reqs:
+        total = sum(r.demand for r in reqs)
+        k = max(range(len(reqs)), key=lambda i: reqs[i].demand)
+        demand = f"requests: total demand {total!r} (request {k} has demand {reqs[k].demand!r})"
+        if not math.isfinite(2.0 * total * worst_cost):
+            return f"{demand} times {blame} overflows"
+        if not math.isfinite(total * worst_load):
+            return f"{demand} times {worst_load!r}, the largest load per unit demand, overflows"
+    return None

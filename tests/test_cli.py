@@ -442,7 +442,9 @@ def test_solve_milp_small_instance(runner, toy_files):
     out = toy_files["dir"] / "milp.json"
     result = runner.invoke(main, solve_args(files, "milp", out))
     assert result.exit_code == 0
-    assert json.loads(out.read_text())["total_cost"] == pytest.approx(205.0, rel=1e-9)
+    report = json.loads(out.read_text())
+    assert report["total_cost"] == pytest.approx(205.0, rel=1e-9)
+    assert "embeddings" not in report  # milp reports the costs of its variables only
 
 
 def test_solve_milp_refuses_oversized_search(runner, toy_files):
@@ -707,6 +709,7 @@ def write_scenario(path: Path, **keys) -> Path:
         ({"algorithms": ["greedy", "bogus"]}, "algorithms: unknown algorithm 'bogus'"),
         ({"algorithms": ["vnep:x"]}, "algorithms: unknown algorithm 'vnep:x'"),
         ({"algorithms": ["lp", "vnep:9"]}, "algorithms: algorithm 'vnep:9': no alternative with index 9"),
+        ({"algorithms": ["lp", "lp", "greedy"]}, "algorithms: 'lp' is listed more than once"),
         ({"spatial": "lognormal", "lognormal_sigma": 1e-300}, "lognormal_sigma=1e-300) gives no valid origin weights"),
         ({"substrate": "core_only.json"}, "substrate has no edge-tier nodes"),
         ({"substrate": "no_links.json"}, "substrate has no node or no arc capacity to scale"),
@@ -721,7 +724,7 @@ def write_scenario(path: Path, **keys) -> Path:
          "number-inf", "number-overflow", "tier-ratio-string", "negative-psi", "zero-requests",
          "zero-link-tu", "unknown-spatial", "app-not-in-catalog", "no-algorithms",
          "empty-catalog", "unknown-algorithm", "alternative-not-a-number", "absent-alternative",
-         "no-origin-weights", "no-edge-nodes", "no-arc-capacity", "tiny-node-tu",
+         "repeated-algorithm", "no-origin-weights", "no-edge-nodes", "no-arc-capacity", "tiny-node-tu",
          "tiny-link-tu", "huge-link-size"],
 )
 def test_compare_names_the_bad_scenario_key(runner, tmp_path, keys, named):
@@ -732,7 +735,8 @@ def test_compare_names_the_bad_scenario_key(runner, tmp_path, keys, named):
     ratio, a file that holds a list (``keys`` is then the whole document),
     and values no run can use: a count below 1, an unknown spatial profile,
     an app outside the catalog, no algorithms, an empty catalog, an
-    unknown algorithm or alternative, no edge-tier node or origin weight
+    unknown algorithm or alternative, an algorithm listed twice (it would
+    run twice and double its summary's n), no edge-tier node or origin weight
     to draw requests from, and no arc capacity for calibration to scale
     or a target or size it cannot scale to, found before any repetition
     runs."""
@@ -774,6 +778,58 @@ def test_scenario_substrate_is_checked_like_solve(runner, tmp_path):
     assert result.exit_code == 2
     assert "NegativeCapacity: node E" in result.output
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "broken, message",
+    [
+        ({"cost": -5.0}, "NegativeCost: node E (cost -5.0)"),
+        (
+            {"efficiency": {"nodes": [{"function": "analytics", "node": "E", "forbidden": True}]}},
+            "cannot compute rejection penalty: no node admits a full collocation "
+            "of any application's main alternative",
+        ),
+        ({"psi": -5.0}, "psi must be a finite number >= 0, not -5.0"),
+    ],
+    ids=["negative-cost", "underivable-psi", "negative-psi"],
+)
+def test_one_broken_instance_is_refused_alike_by_every_entry_point(runner, tmp_path, broken, message):
+    """The tiny substrate with node E's cost set to -5, an efficiency map
+    that leaves ψ underivable, or a ψ of -5 is refused with the same
+    message by ``solve``, by ``compare`` and by a ScenarioConfig built in
+    Python: exit 2 from the CLI, a ValueError from Python, and no output
+    directory from ``compare``."""
+    substrate = json.loads((GOLDEN / "tiny_substrate.json").read_text())
+    substrate["nodes"][0]["cost"] = broken.get("cost", substrate["nodes"][0]["cost"])  # node E
+    vio.write_json(tmp_path / "substrate.json", substrate)
+    vio.write_json(tmp_path / "efficiency.json", broken.get("efficiency", {}))
+    vio.write_json(tmp_path / "requests.json", vio.dump_requests(unit_requests(2, app="cctv")))
+    psi = broken.get("psi")
+
+    files = {"substrate": tmp_path / "substrate.json", "requests": tmp_path / "requests.json"}
+    extra = {"efficiency": tmp_path / "efficiency.json", **({} if psi is None else {"psi": psi})}
+    solved = runner.invoke(main, solve_args(files, "lp", tmp_path / "x.json", **extra))
+    scenario = write_scenario(
+        tmp_path / "scenario.json", substrate="substrate.json", efficiency="efficiency.json", psi=psi
+    )
+    compared = runner.invoke(main, ["compare", "--scenario", str(scenario), "--out", str(tmp_path / "out")])
+    for result in (solved, compared):
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert f"error: {message}\n" in result.output
+    assert not (tmp_path / "out").exists()
+
+    catalog = json.loads(resources.files("vneap").joinpath("fixtures/cctv_two.json").read_text())
+    with pytest.raises(ValueError) as refused:
+        ScenarioConfig(
+            name="broken",
+            substrate=vio.load_substrate(tmp_path / "substrate.json"),
+            apps=vio.load_applications(catalog),
+            requests=5,
+            efficiency=vio.load_efficiency(tmp_path / "efficiency.json"),
+            psi=psi,
+        )
+    assert str(refused.value) == message
 
 
 def test_scenario_catalog_ignores_the_working_directory(tmp_path, monkeypatch):
@@ -926,6 +982,57 @@ def test_report_matches_compare_summary(runner, tmp_path):
     recomputed = json.loads(out.read_text())["aggregates"]
     original = json.loads((run_dir / "tiny_summary.json").read_text())["aggregates"]
     assert recomputed == original
+
+
+# ---------------------------------------------------------- output paths
+
+
+def unwritable(command: str, files: dict, monkeypatch):
+    """The arguments of ``command`` with an output path it cannot write,
+    that path, and why the write fails."""
+    d = files["dir"]
+    missing = d / "absent" / "out.json"
+    inputs = ["--substrate", str(files["substrate"]), "--apps", "cctv_two"]
+    if command == "ingest":
+        return ["ingest", "--graphml", str(ARNES), "--out", str(missing)], missing, "No such file or directory"
+    if command == "generate":
+        return ["generate", *inputs, "--count", "3", "--out", str(missing)], missing, "No such file or directory"
+    if command == "calibrate":
+        args = ["calibrate", *inputs, "--requests", str(files["requests"]),
+                "--node-tu", "0.5", "--link-tu", "0.5", "--out", str(missing)]
+        return args, missing, "No such file or directory"
+    if command == "solve":
+        return solve_args(files, "greedy", missing), missing, "No such file or directory"
+    if command == "solve-sidecar":
+        sidecar = d / "x_timings.json"
+        sidecar.mkdir()
+        return solve_args(files, "greedy", d / "x.json"), sidecar, "Is a directory"
+    if command == "compare":
+        def run(config):
+            raise AssertionError("a repetition ran before the output directory was made")
+
+        monkeypatch.setattr(vneap.cli, "run_scenario", run)
+        afile = d / "afile"
+        afile.write_text("")
+        args = ["compare", "--scenario", str(GOLDEN / "tiny_scenario.json"), "--out", str(afile)]
+        return args, afile, "File exists"
+    args = ["report", "--results", str(GOLDEN / "report_rows"), "--out", str(missing)]
+    return args, missing, "No such file or directory"
+
+
+@pytest.mark.parametrize(
+    "command", ["ingest", "generate", "calibrate", "solve", "solve-sidecar", "compare", "report"]
+)
+def test_an_output_path_that_cannot_be_written_is_an_input_error(runner, toy_files, monkeypatch, command):
+    """Every command that writes refuses an output path it cannot write,
+    one in a missing directory, a directory, or an existing file as
+    ``compare``'s output directory, with exit 2 naming the path and no
+    traceback; ``compare`` refuses it before any repetition runs."""
+    args, path, why = unwritable(command, toy_files, monkeypatch)
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert f"error: {path}: {why}\n" in result.output
 
 
 # ---------------------------------------------------------- mutated inputs

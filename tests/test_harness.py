@@ -304,7 +304,7 @@ def test_generate_origin_cap_limits_count(caplog):
 
 
 def test_generate_rejects_unknown_spatial_profile():
-    with pytest.raises(ValueError, match="unknown spatial distribution"):
+    with pytest.raises(ValueError, match="spatial must be one of uniform, lognormal, not 'gaussian'"):
         generate_requests(
             toy_net(), toy_apps(),
             GenParams(count=1, app="cam", spatial="gaussian"), seed=0,
@@ -738,6 +738,14 @@ def test_run_scenario_tanto_matches_a_standalone_run(monkeypatch):
         timings = {"lp_runtime_s", "rounding_runtime_s", "rounding_cpu_s", "runtime_s"}
         fields = [f for f in vars(report) if f not in timings]
         assert [getattr(report, f) for f in fields] == [getattr(alone_report, f) for f in fields]
+
+
+def test_scenario_config_derives_an_absent_psi():
+    """An absent ψ is derived when the scenario is built, as solve derives
+    it, and a given one, 0 included, is kept."""
+    config = tiny_config()
+    assert config.psi == vneap.formulation.compute_rejection_penalty(config.substrate, config.apps, config.efficiency)
+    assert tiny_config(psi=0.0).psi == 0.0
 
 
 def test_scenario_config_validation():
