@@ -195,8 +195,12 @@ def _serialize_embedding(emb) -> dict:
 @click.option("--out", required=True, type=click.Path())
 def solve(substrate, apps, requests_path, algo, seed, psi, efficiency, out):
     """Run one algorithm on one instance and write its report."""
+    out = Path(out)
+    sidecar = out.with_name(f"{out.stem}_timings.json")
     try:
         net, catalog, reqs, eff = _load_inputs(substrate, apps, requests_path, efficiency, psi)
+        for path in (out, sidecar):
+            vio.check_writable(path)  # a bad --out costs no solve
         if psi is None:
             psi = compute_rejection_penalty(net, catalog, eff)
         row, timing, embeddings = harness._run_algorithm(algo, net, catalog, eff, reqs, psi, seed)
@@ -214,11 +218,10 @@ def solve(substrate, apps, requests_path, algo, seed, psi, efficiency, out):
     if embeddings is not None:
         report["embeddings"] = [_serialize_embedding(e) for e in embeddings]
     # wall-clock timings go beside the report, so the report stays byte-reproducible
-    out = Path(out)
     timings = {"schema_version": vio.SCHEMA_VERSION, **timing}
     try:
         vio.write_json(out, report)
-        vio.write_json(out.with_name(f"{out.stem}_timings.json"), timings)
+        vio.write_json(sidecar, timings)
     except FormatError as exc:
         _fail(str(exc), EXIT_INPUT)
     click.echo(f"{algo}: total_cost={row.get('total_cost')!r} -> {out}")

@@ -17,8 +17,10 @@ entry's ``coeff`` is type-checked even beside ``"forbidden": true``.
 from __future__ import annotations
 
 import contextlib
+import errno
 import json
 import math
+import os
 from pathlib import Path
 from typing import Mapping, Optional, Sequence, Union
 
@@ -348,6 +350,21 @@ def _writing(path):
         yield
     except OSError as exc:
         raise FormatError(f"{path}: {exc.strerror}") from exc
+
+
+def check_writable(path: Union[str, Path]) -> None:
+    """Raise, without writing, the FormatError writing ``path`` would
+    raise because it is a directory, or its directory is missing or is
+    a file."""
+    parent = Path(path).parent
+    why = (
+        errno.EISDIR if Path(path).is_dir()
+        else errno.ENOENT if not parent.exists()
+        else errno.ENOTDIR if not parent.is_dir()
+        else None
+    )
+    if why is not None:
+        raise FormatError(f"{path}: {os.strerror(why)}")
 
 
 def make_dir(path: Union[str, Path]) -> Path:

@@ -1,10 +1,11 @@
-"""Solver backend: continuous LPs via scipy's HiGHS ``linprog`` (dual
-simplex, presolve off) and exact small binary programs via HiGHS
-branch-and-cut (``scipy.optimize.milp``, presolve on).  A program holds
-its ``<=`` rows and its ``==`` rows as one canonical CSR matrix each,
-with their right-hand sides, and HiGHS is handed them as they are.  A
-program's ``solver_objective``, when set, is what HiGHS minimizes; the
-reported objective prices the answer by the program's ``objective``.
+"""Solver backend: continuous LPs on HiGHS's own bindings as scipy
+bundles them (``scipy.optimize._highspy._core``; dual simplex, presolve
+off) and exact small binary programs via HiGHS branch-and-cut
+(``scipy.optimize.milp``, presolve on).  A program holds its ``<=`` rows
+and its ``==`` rows as one canonical CSR matrix each, with their
+right-hand sides, and HiGHS is handed them as they are.  A program's
+``solver_objective``, when set, is what HiGHS minimizes; the reported
+objective prices the answer by the program's ``objective``.
 """
 
 from __future__ import annotations
@@ -15,7 +16,14 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import Bounds, LinearConstraint, linprog, milp
+from scipy.optimize import Bounds, LinearConstraint, milp
+from scipy.optimize._highspy._core import (
+    HighsLp,
+    HighsModelStatus,
+    HighsStatus,
+    MatrixFormat,
+    _Highs as Highs,
+)
 
 from .model import sum_in_order
 
@@ -25,13 +33,43 @@ ITERATION_LIMIT = "iteration_limit"
 UNBOUNDED = "unbounded"
 FAILURE = "failure"
 
-# scipy's ``linprog`` and ``milp`` share these status codes; any other
-# code (numerical trouble) is a solver failure and raises
-# ``SolverError(FAILURE)``.
-_STATUS = {0: OPTIMAL, 1: ITERATION_LIMIT, 2: INFEASIBLE, 3: UNBOUNDED}
+# An LP's HiGHS model status, read as scipy's ``linprog`` reads it; any
+# other status (numerical trouble, an undecided "unbounded or infeasible")
+# is a solver failure and raises ``SolverError(FAILURE)``.
+_LP_STATUS = {
+    HighsModelStatus.kOptimal: OPTIMAL,
+    HighsModelStatus.kTimeLimit: ITERATION_LIMIT,
+    HighsModelStatus.kIterationLimit: ITERATION_LIMIT,
+    HighsModelStatus.kInfeasible: INFEASIBLE,
+    HighsModelStatus.kModelError: INFEASIBLE,
+    HighsModelStatus.kUnbounded: UNBOUNDED,
+}
+
+# ``milp``'s status codes; any other code is a solver failure.
+_MILP_STATUS = {0: OPTIMAL, 1: ITERATION_LIMIT, 2: INFEASIBLE, 3: UNBOUNDED}
 
 # Primal feasibility and dual (optimality) tolerance handed to HiGHS.
 _TOL = 1e-7
+
+# What every LP solve sets on its HiGHS model, the options
+# ``linprog(method="highs-ds")`` sets, logging off first; HiGHS's default
+# for every other one.  Dual simplex, presolve off: the aggregate
+# relaxation's column generation (100-170 columns, 3-4 master solves on
+# the benchmark's instances) took 0.025 s dual against 0.024 s primal on
+# an arnes_si/cctv_two instance, inside either's interquartile range of
+# 0.005 s, and 0.024 s against 0.028 s on an amres_rs one: build and
+# solve, medians of 60 interleaved runs on a 2-core VM.  The per-request
+# relaxation of the overloaded arnes_si fixture (184k columns) took
+# 13.3 s dual against 30.5 s primal, at the same objective.
+_OPTIONS = {
+    "output_flag": False,
+    "log_to_console": False,
+    "solver": "simplex",
+    "simplex_strategy": 1,  # dual
+    "presolve": "off",
+    "primal_feasibility_tolerance": _TOL,
+    "dual_feasibility_tolerance": _TOL,
+}
 
 
 class Row(NamedTuple):
@@ -141,18 +179,48 @@ class Solution:
         return self.status == OPTIMAL
 
 
-def _solution(res, lp: LinearProgram, stats: dict) -> Solution:
-    status = _STATUS.get(res.status)
+def _solution(
+    status: Optional[str], message: str, lp: LinearProgram, objective, x, stats: dict
+) -> Solution:
+    """The solution of ``lp`` whose solver reported ``status`` (None for
+    a failure, described by ``message``) with ``objective`` at ``x``."""
     if status is None:
-        raise SolverError(FAILURE, f"HiGHS failure: {res.message}")
+        raise SolverError(FAILURE, f"HiGHS failure: {message}")
     if status != OPTIMAL:
         return Solution(status, None, None, stats)
-    objective = float(res.fun)
+    objective = float(objective)
     if lp.solver_objective is not None:
         # price x by ``objective`` as HiGHS prices an LP's answer: cost
         # times value, added column by column from zero
-        objective = sum_in_order((lp.objective * res.x).tolist())
-    return Solution(OPTIMAL, objective + lp.objective_constant, res.x, stats)
+        objective = sum_in_order((lp.objective * x).tolist())
+    return Solution(OPTIMAL, objective + lp.objective_constant, x, stats)
+
+
+def _highs_lp(lp: LinearProgram) -> HighsLp:
+    """``lp``'s box, solver cost and rows as a HiGHS model: the ``<=``
+    rows and then the ``==`` rows, handed over row-wise as the CSR
+    matrices hold them.  Raises ValueError, as ``linprog`` does, on a
+    cost, coefficient or right-hand side that is not finite: HiGHS would
+    call a program with a NaN cost optimal."""
+    cost = lp.objective if lp.solver_objective is None else lp.solver_objective
+    if not all(np.isfinite(v).all() for v in (cost, lp.A_ub.data, lp.b_ub, lp.A_eq.data, lp.b_eq)):
+        raise ValueError("a cost, coefficient or right-hand side of the program is not finite")
+    model = HighsLp()
+    model.num_col_ = lp.n_vars
+    model.num_row_ = len(lp.b_ub) + len(lp.b_eq)
+    model.col_cost_ = cost
+    model.col_lower_ = lp.lower
+    model.col_upper_ = lp.upper
+    model.row_lower_ = np.concatenate([np.full(len(lp.b_ub), -np.inf), lp.b_eq])
+    model.row_upper_ = np.concatenate([lp.b_ub, lp.b_eq])
+    A = model.a_matrix_
+    A.format_ = MatrixFormat.kRowwise
+    A.num_col_ = model.num_col_
+    A.num_row_ = model.num_row_
+    A.start_ = np.concatenate([lp.A_ub.indptr, lp.A_eq.indptr[1:] + lp.A_ub.nnz])
+    A.index_ = np.concatenate([lp.A_ub.indices, lp.A_eq.indices])
+    A.value_ = np.concatenate([lp.A_ub.data, lp.A_eq.data])
+    return model
 
 
 def solve_lp(lp: LinearProgram) -> Solution:
@@ -168,32 +236,26 @@ def solve_lp(lp: LinearProgram) -> Solution:
             return Solution(INFEASIBLE, None, None)
         duals = np.zeros(len(lp.b_ub) + len(lp.b_eq))
         return Solution(OPTIMAL, lp.objective_constant, np.zeros(0), duals=duals)
-    res = linprog(
-        lp.objective if lp.solver_objective is None else lp.solver_objective,
-        A_ub=lp.A_ub,
-        b_ub=lp.b_ub,
-        A_eq=lp.A_eq,
-        b_eq=lp.b_eq,
-        bounds=np.column_stack([lp.lower, lp.upper]),
-        # Dual simplex, presolve off.  The aggregate relaxation's column
-        # generation (100-170 columns, 3-4 master solves on the benchmark's
-        # instances) took 0.025 s dual against 0.024 s primal on an
-        # arnes_si/cctv_two instance, inside either's interquartile range
-        # of 0.005 s, and 0.024 s against 0.028 s on an amres_rs one:
-        # build and solve, medians of 60 interleaved runs on a 2-core VM.
-        # The per-request relaxation of the overloaded arnes_si fixture
-        # (184k columns) took 13.3 s dual against 30.5 s primal, at the
-        # same objective.
-        method="highs-ds",
-        options={
-            "presolve": False,
-            "primal_feasibility_tolerance": _TOL,
-            "dual_feasibility_tolerance": _TOL,
-        },
+    highs = Highs()
+    for name, value in _OPTIONS.items():
+        if highs.setOptionValue(name, value) != HighsStatus.kOk:
+            raise ValueError(f"HiGHS refused the option {name}={value!r}")
+    if highs.passModel(_highs_lp(lp)) == HighsStatus.kError:
+        model_status = HighsModelStatus.kModelError  # as linprog reads a refused model
+    else:
+        highs.run()
+        model_status = highs.getModelStatus()
+    info, solution = highs.getInfo(), highs.getSolution()
+    sol = _solution(
+        _LP_STATUS.get(model_status),
+        highs.modelStatusToString(model_status),
+        lp,
+        info.objective_function_value,
+        np.array(solution.col_value),
+        {"iterations": max(info.simplex_iteration_count, 0)},  # -1 when nothing ran
     )
-    sol = _solution(res, lp, {"iterations": int(getattr(res, "nit", 0))})
     if sol.optimal:
-        sol.duals = np.concatenate([res.ineqlin.marginals, res.eqlin.marginals])
+        sol.duals = np.array(solution.row_dual)
     return sol
 
 
@@ -229,7 +291,8 @@ def solve_milp_exact(lp: LinearProgram, opts: Optional[SolveOptions] = None) -> 
         ],
         options={"mip_rel_gap": 0.0},
     )
-    sol = _solution(res, lp, {"nodes": int(res.mip_node_count or 0)})
+    stats = {"nodes": int(res.mip_node_count or 0)}
+    sol = _solution(_MILP_STATUS.get(res.status), res.message, lp, res.fun, res.x, stats)
     if sol.optimal:
         sol.x[binaries] = np.round(sol.x[binaries])
     return sol

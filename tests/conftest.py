@@ -20,6 +20,7 @@ from vneap.formulation import (
     restrict_to_alternative,
 )
 from vneap.greedy import greedy_embed_all
+from vneap import lp as lp_module
 from vneap.lp import solve_lp
 from vneap.model import (
     FORBIDDEN,
@@ -288,6 +289,28 @@ def assert_rows_view(lp) -> None:
         for lo, hi, rhs in zip(A.indptr[:-1], A.indptr[1:], b.tolist())
     ]
     assert [(list(row.coeffs), row.sense, row.rhs) for row in rows] == matrix_rows
+
+
+def record_highs_runs(monkeypatch) -> list:
+    """A list that gets, for every HiGHS LP run from now on, the model's
+    ``simplex_strategy`` and ``presolve`` options and the run's simplex
+    iteration count."""
+    runs = []
+
+    class Spy(lp_module.Highs):
+        def run(self):
+            status = super().run()
+            runs.append(
+                (
+                    self.getOptionValue("simplex_strategy")[1],
+                    self.getOptionValue("presolve")[1],
+                    self.getInfo().simplex_iteration_count,
+                )
+            )
+            return status
+
+    monkeypatch.setattr(lp_module, "Highs", Spy)
+    return runs
 
 
 def assert_maps_are_read_only(embeddings) -> None:

@@ -1001,8 +1001,17 @@ def unwritable(command: str, files: dict, monkeypatch):
         args = ["calibrate", *inputs, "--requests", str(files["requests"]),
                 "--node-tu", "0.5", "--link-tu", "0.5", "--out", str(missing)]
         return args, missing, "No such file or directory"
+    if command.startswith("solve"):
+        def run_algorithm(*args):
+            raise AssertionError("the algorithm ran before the output path was checked")
+
+        monkeypatch.setattr(vneap.harness, "_run_algorithm", run_algorithm)
     if command == "solve":
         return solve_args(files, "greedy", missing), missing, "No such file or directory"
+    if command == "solve-in-a-file":
+        afile = d / "afile"
+        afile.write_text("")
+        return solve_args(files, "greedy", afile / "out.json"), afile / "out.json", "Not a directory"
     if command == "solve-sidecar":
         sidecar = d / "x_timings.json"
         sidecar.mkdir()
@@ -1021,13 +1030,15 @@ def unwritable(command: str, files: dict, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "command", ["ingest", "generate", "calibrate", "solve", "solve-sidecar", "compare", "report"]
+    "command",
+    ["ingest", "generate", "calibrate", "solve", "solve-in-a-file", "solve-sidecar", "compare", "report"],
 )
 def test_an_output_path_that_cannot_be_written_is_an_input_error(runner, toy_files, monkeypatch, command):
     """Every command that writes refuses an output path it cannot write,
-    one in a missing directory, a directory, or an existing file as
-    ``compare``'s output directory, with exit 2 naming the path and no
-    traceback; ``compare`` refuses it before any repetition runs."""
+    one in a missing directory or under a file, a directory, or an
+    existing file as ``compare``'s output directory, with exit 2 naming
+    the path and no traceback; ``solve`` refuses it before its algorithm
+    runs and ``compare`` before any repetition runs."""
     args, path, why = unwritable(command, toy_files, monkeypatch)
     result = runner.invoke(main, args)
     assert result.exit_code == 2, result.output

@@ -13,6 +13,8 @@ import numpy as np
 import pytest
 from scipy import sparse
 from scipy.optimize import OptimizeWarning, linprog
+from scipy.optimize._highspy._core import HighsModelStatus
+from scipy.optimize._linprog_highs import _highs_to_scipy_status_message
 
 import vneap.io as vio
 from vneap import harness
@@ -29,13 +31,14 @@ from vneap.formulation import (
     solve_relaxation,
 )
 from vneap import lp as lp_module
-from vneap.lp import SolveOptions, row_matrix, solve_lp, solve_milp_exact
+from vneap.lp import SolveOptions, SolverError, row_matrix, solve_lp, solve_milp_exact
 from vneap.model import EfficiencyMap, Request
 
 from conftest import (
     arnes_overloaded_instance,
     assert_rows_view,
     random_instance,
+    record_highs_runs,
     toy_apps,
     toy_net,
     unit_requests,
@@ -88,20 +91,155 @@ def test_every_program_is_solved_by_dual_simplex(monkeypatch):
     """The aggregate relaxation's master, through its pricing rounds and
     its final solve, and a per-request relaxation, through solve_lp or
     solve_milp_exact, are all solved by HiGHS dual simplex
-    (``highs-ds``), presolve off."""
-    calls = []
-
-    def spy(*args, method, options, **kwargs):
-        calls.append((method, options["presolve"]))
-        return linprog(*args, method=method, options=options, **kwargs)
-
-    monkeypatch.setattr(lp_module, "linprog", spy)
+    (``simplex_strategy`` 1), presolve off."""
+    runs = record_highs_runs(monkeypatch)
     net, apps, requests = toy_net(), toy_apps(), unit_requests(2)
     aggregate = solve_relaxation(net, apps, EfficiencyMap(), requests, PSI_TOY)
     per_request = build_milp(net, apps, EfficiencyMap(), requests, PSI_TOY).relax()
     solved = [aggregate.solution, solve_lp(per_request), solve_milp_exact(per_request)]
-    assert calls == [("highs-ds", False)] * (aggregate.timings["lp_pricing_rounds"] + 2)
+    calls = [(strategy, presolve) for strategy, presolve, _ in runs]
+    assert calls == [(1, "off")] * (aggregate.timings["lp_pricing_rounds"] + 2)
     assert all(s.objective == pytest.approx(2 * 205.0, rel=1e-9) for s in solved)
+
+
+# -- parity with linprog, which solve_lp replaced ----------------------------------
+
+# linprog's status codes, read as solve_lp read them when it called linprog
+LINPROG_STATUS = {0: "optimal", 1: "iteration_limit", 2: "infeasible", 3: "unbounded"}
+
+
+def linprog_answer(lp: LinearProgram):
+    """(status name, objective, x) of ``linprog`` with the options
+    ``solve_lp`` once passed it; "failure" for any other code."""
+    res = linprog(
+        lp.objective,
+        A_ub=lp.A_ub,
+        b_ub=lp.b_ub,
+        A_eq=lp.A_eq,
+        b_eq=lp.b_eq,
+        bounds=np.column_stack([lp.lower, lp.upper]),
+        method="highs-ds",
+        options={"presolve": False, "primal_feasibility_tolerance": 1e-7,
+                 "dual_feasibility_tolerance": 1e-7},
+    )
+    return LINPROG_STATUS.get(res.status, "failure"), res.fun, res.x
+
+
+def solve_lp_answer(lp: LinearProgram):
+    """(status name, objective, x) of ``solve_lp``; "failure" when it
+    raises ``SolverError(FAILURE)``."""
+    try:
+        sol = solve_lp(lp)
+    except SolverError as exc:
+        assert exc.status == "failure"
+        return "failure", None, None
+    return sol.status, sol.objective, sol.x
+
+
+@pytest.mark.parametrize("status", list(HighsModelStatus.__members__.values()), ids=str)
+def test_every_highs_status_is_read_as_linprog_reads_it(monkeypatch, status):
+    """Whatever status HiGHS reports, solve_lp returns the status name
+    (or raises the failure) that linprog's status code stood for."""
+
+    class Reporting(lp_module.Highs):
+        def getModelStatus(self):
+            return status
+
+    monkeypatch.setattr(lp_module, "Highs", Reporting)
+    code, _ = _highs_to_scipy_status_message(status, "")
+    lp = hand_lp([1.0], [0.0], [10.0], ub=[([(0, -1.0)], -3.0)])
+    assert solve_lp_answer(lp)[0] == LINPROG_STATUS.get(code, "failure")
+
+
+INF = np.inf
+PARITY_PROGRAMS = {
+    "infeasible-ub-row": (hand_lp([1.0], [0.0], [1.0], ub=[([(0, 1.0)], -1.0)]), "infeasible"),
+    "infeasible-eq-row": (
+        hand_lp([1.0, 1.0], [0.0, 0.0], [1.0, 1.0], eq=[([(0, 1.0), (1, 1.0)], 5.0)]),
+        "infeasible",
+    ),
+    "unbounded-column": (
+        hand_lp([-1.0, 1.0], [0.0, 0.0], [INF, 1.0], ub=[([(1, 1.0)], 1.0)]),
+        "unbounded",
+    ),
+    "free-variable-optimum": (
+        hand_lp([1.0, 2.0], [-INF, 0.0], [INF, 3.0], ub=[([(0, -1.0), (1, 1.0)], 2.0)]),
+        "optimal",
+    ),
+    # x0 - x1 <= -1 and x1 - x0 <= -1 over free x: neither the program nor
+    # its dual is feasible
+    "unbounded-or-infeasible": (
+        hand_lp(
+            [-1.0, -1.0],
+            [-INF, -INF],
+            [INF, INF],
+            ub=[([(0, 1.0), (1, -1.0)], -1.0), ([(0, -1.0), (1, 1.0)], -1.0)],
+        ),
+        "infeasible",
+    ),
+    # unbounded along x0 = x1 + 2 + t, yet dual simplex without presolve
+    # stops at HiGHS's "unknown" status
+    "undecided": (
+        hand_lp(
+            [-2.0, 1.0],
+            [0.0, 0.0],
+            [INF, INF],
+            ub=[([(0, -2.0), (1, 2.0)], 1.0), ([(0, -2.0), (1, -2.0)], 2.0),
+                ([(0, -1.0), (1, 1.0)], -2.0)],
+        ),
+        "failure",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", PARITY_PROGRAMS)
+def test_hand_programs_solve_as_linprog_solves_them(name):
+    """solve_lp gives linprog's status and, at an optimum, its objective
+    and x to the bit."""
+    lp, status = PARITY_PROGRAMS[name]
+    want = linprog_answer(lp)
+    got = solve_lp_answer(lp)
+    assert got[0] == want[0] == status
+    if status == "optimal":
+        assert got[1].hex() == float(want[1]).hex()
+        assert got[2].tobytes() == want[2].tobytes()
+
+
+def not_finite(where: str, value: float) -> LinearProgram:
+    """A small feasible program with ``value`` put at ``where``."""
+    lp = hand_lp([1.0, 1.0], [0.0, 0.0], [10.0, 10.0], ub=[([(0, -1.0), (1, 1.0)], -3.0)],
+                 eq=[([(1, 1.0)], 1.0)])
+    {"cost": lp.objective, "coefficient": lp.A_ub.data, "ub-rhs": lp.b_ub, "eq-rhs": lp.b_eq}[where][0] = value
+    return lp
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("where", ["cost", "coefficient", "ub-rhs", "eq-rhs"])
+def test_a_value_that_is_not_finite_is_refused_as_linprog_refused_it(where, value):
+    """HiGHS would call a program with a NaN cost optimal at a NaN
+    objective; like linprog, solve_lp raises ValueError instead."""
+    lp = not_finite(where, value)
+    with pytest.raises(ValueError):
+        linprog_answer(lp)
+    with pytest.raises(ValueError, match="not finite"):
+        solve_lp(lp)
+
+
+def test_solve_lp_writes_nothing(capfd):
+    """HiGHS's log and console output stay off, whatever the outcome."""
+    for lp, _ in PARITY_PROGRAMS.values():
+        solve_lp_answer(lp)
+    solve_lp(relaxation(random_instance(3))[0])
+    assert capfd.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize("option", [{"presolv": "off"}, {"presolve": "of"}], ids=["name", "value"])
+def test_an_option_highs_refuses_raises(monkeypatch, option):
+    """A misspelled HiGHS option, or a value it does not take, stops the
+    solve instead of being ignored."""
+    monkeypatch.setattr(lp_module, "_OPTIONS", {**lp_module._OPTIONS, **option})
+    with pytest.raises(ValueError, match=next(iter(option))):
+        solve_lp(hand_lp([1.0], [0.0], [10.0]))
 
 
 def test_duals_carry_the_sign_and_value_of_a_binding_row():

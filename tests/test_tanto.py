@@ -15,7 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from vneap import lp as lp_module
 from vneap import rng as vrng
 from vneap.formulation import (
     REJECTION_MARGIN,
@@ -64,6 +63,7 @@ from conftest import (
     assert_rows_view,
     pinned_runs,
     random_instance,
+    record_highs_runs,
     recorded_embeddings,
     toy_apps,
     toy_net,
@@ -549,17 +549,10 @@ def test_relaxation_solves_each_master_once(monkeypatch, instance):
     (what perfbench counts) holds its matrix's rows, entries and
     right-hand sides."""
     net, apps, eff, requests, psi = instance()
-    calls = []
-    real = lp_module.linprog
-
-    def counting(*args, **kwargs):
-        res = real(*args, **kwargs)
-        calls.append(res.nit)
-        return res
-
-    monkeypatch.setattr(lp_module, "linprog", counting)
+    runs = record_highs_runs(monkeypatch)
     got = solve_relaxation(net, apps, eff, requests, psi)
     monkeypatch.undo()
+    calls = [iterations for _, _, iterations in runs]
     assert len(calls) == got.timings["lp_pricing_rounds"]
     assert calls[-1] == got.timings["lp_iterations"]
     assert sum(calls) == got.timings["lp_total_iterations"]
