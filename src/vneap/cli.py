@@ -268,36 +268,39 @@ def report(results_dir, out):
     if not paths:
         _fail(f"no *_rows.csv under {results_dir}", EXIT_INPUT)
     for path in paths:
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, [])
-            if "algorithm" not in header:
-                _fail(f"{path}, line 1: no 'algorithm' column", EXIT_INPUT)
-            for fields in reader:
-                if not fields:  # a blank line
+        try:
+            with open(path, newline="") as fh:
+                lines = list(fh)  # as csv.reader reads the file
+        except OSError as exc:
+            _fail(f"{path}: {exc.strerror}", EXIT_INPUT)
+        except UnicodeDecodeError as exc:
+            _fail(f"{path}: {exc}", EXIT_INPUT)
+        reader = csv.reader(lines)
+        header = next(reader, [])
+        if "algorithm" not in header:
+            _fail(f"{path}, line 1: no 'algorithm' column", EXIT_INPUT)
+        for fields in reader:
+            if not fields:  # a blank line
+                continue
+            where = f"{path}, line {reader.line_num}"
+            if len(fields) != len(header):
+                _fail(f"{where}: {len(fields)} fields, but the header has {len(header)}", EXIT_INPUT)
+            cells = dict(zip(header, fields))
+            if not cells["algorithm"]:
+                _fail(f"{where}: 'algorithm': expected a name, not an empty field", EXIT_INPUT)
+            row = {"algorithm": cells["algorithm"]}
+            for metric in harness.SUMMARY_METRICS:
+                value = cells.get(metric, "")
+                if value == "":
                     continue
-                where = f"{path}, line {reader.line_num}"
-                if len(fields) != len(header):
-                    _fail(
-                        f"{where}: {len(fields)} fields, but the header has {len(header)}",
-                        EXIT_INPUT,
-                    )
-                cells = dict(zip(header, fields))
-                if not cells["algorithm"]:
-                    _fail(f"{where}: 'algorithm': expected a name, not an empty field", EXIT_INPUT)
-                row = {"algorithm": cells["algorithm"]}
-                for metric in harness.SUMMARY_METRICS:
-                    value = cells.get(metric, "")
-                    if value == "":
-                        continue
-                    try:
-                        row[metric] = float(value)
-                    except ValueError:
-                        row[metric] = math.nan
-                    if not math.isfinite(row[metric]):
-                        message = f"{metric!r}: expected a finite number, not {value}"
-                        _fail(f"{where}: {message}", EXIT_INPUT)
-                rows.append(row)
+                try:
+                    row[metric] = float(value)
+                except ValueError:
+                    row[metric] = math.nan
+                if not math.isfinite(row[metric]):
+                    message = f"{metric!r}: expected a finite number, not {value}"
+                    _fail(f"{where}: {message}", EXIT_INPUT)
+            rows.append(row)
     summary = harness.summarize(rows)
     try:
         vio.write_json(out, {"schema_version": vio.SCHEMA_VERSION, "aggregates": summary})

@@ -55,6 +55,8 @@ def _load(source: Source) -> Mapping:
             return json.load(fh)
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
     except OSError as exc:
         raise FormatError(f"{path}: {exc.strerror}") from exc
 

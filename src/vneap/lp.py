@@ -1,8 +1,8 @@
-"""Solver backend: continuous LPs on HiGHS's own bindings as scipy
-bundles them (``scipy.optimize._highspy._core``; dual simplex, presolve
-off) and exact small binary programs via HiGHS branch-and-cut
-(``scipy.optimize.milp``, presolve on).  A program holds its ``<=`` rows
-and its ``==`` rows as one canonical CSR matrix each, with their
+"""Solver backend: every program is solved on HiGHS's own bindings as
+scipy bundles them (``scipy.optimize._highspy._core``): continuous LPs
+by dual simplex with presolve off, small binary programs exactly by
+branch-and-cut with HiGHS's MILP presolve.  A program holds its ``<=``
+rows and its ``==`` rows as one canonical CSR matrix each, with their
 right-hand sides, and HiGHS is handed them as they are.  A program's
 ``solver_objective``, when set, is what HiGHS minimizes; the reported
 objective prices the answer by the program's ``objective``.
@@ -16,11 +16,12 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import Bounds, LinearConstraint, milp
 from scipy.optimize._highspy._core import (
+    HighsInfo,
     HighsLp,
     HighsModelStatus,
     HighsStatus,
+    HighsVarType,
     MatrixFormat,
     _Highs as Highs,
 )
@@ -33,10 +34,11 @@ ITERATION_LIMIT = "iteration_limit"
 UNBOUNDED = "unbounded"
 FAILURE = "failure"
 
-# An LP's HiGHS model status, read as scipy's ``linprog`` reads it; any
-# other status (numerical trouble, an undecided "unbounded or infeasible")
-# is a solver failure and raises ``SolverError(FAILURE)``.
-_LP_STATUS = {
+# A program's HiGHS model status, read as scipy's ``linprog`` and
+# ``milp`` read it; any other status (numerical trouble, an undecided
+# "unbounded or infeasible") is a solver failure and raises
+# ``SolverError(FAILURE)``.
+_STATUS = {
     HighsModelStatus.kOptimal: OPTIMAL,
     HighsModelStatus.kTimeLimit: ITERATION_LIMIT,
     HighsModelStatus.kIterationLimit: ITERATION_LIMIT,
@@ -44,9 +46,6 @@ _LP_STATUS = {
     HighsModelStatus.kModelError: INFEASIBLE,
     HighsModelStatus.kUnbounded: UNBOUNDED,
 }
-
-# ``milp``'s status codes; any other code is a solver failure.
-_MILP_STATUS = {0: OPTIMAL, 1: ITERATION_LIMIT, 2: INFEASIBLE, 3: UNBOUNDED}
 
 # Primal feasibility and dual (optimality) tolerance handed to HiGHS.
 _TOL = 1e-7
@@ -70,6 +69,11 @@ _OPTIONS = {
     "primal_feasibility_tolerance": _TOL,
     "dual_feasibility_tolerance": _TOL,
 }
+
+# What the exact solve sets, the options ``milp`` set, logging off first:
+# branch-and-cut runs to a zero relative gap, with HiGHS's default for
+# every other option (its MILP presolve on among them).
+_EXACT_OPTIONS = {"output_flag": False, "log_to_console": False, "mip_rel_gap": 0.0}
 
 
 class Row(NamedTuple):
@@ -179,23 +183,6 @@ class Solution:
         return self.status == OPTIMAL
 
 
-def _solution(
-    status: Optional[str], message: str, lp: LinearProgram, objective, x, stats: dict
-) -> Solution:
-    """The solution of ``lp`` whose solver reported ``status`` (None for
-    a failure, described by ``message``) with ``objective`` at ``x``."""
-    if status is None:
-        raise SolverError(FAILURE, f"HiGHS failure: {message}")
-    if status != OPTIMAL:
-        return Solution(status, None, None, stats)
-    objective = float(objective)
-    if lp.solver_objective is not None:
-        # price x by ``objective`` as HiGHS prices an LP's answer: cost
-        # times value, added column by column from zero
-        objective = sum_in_order((lp.objective * x).tolist())
-    return Solution(OPTIMAL, objective + lp.objective_constant, x, stats)
-
-
 def _highs_lp(lp: LinearProgram) -> HighsLp:
     """``lp``'s box, solver cost and rows as a HiGHS model: the ``<=``
     rows and then the ``==`` rows, handed over row-wise as the CSR
@@ -223,6 +210,38 @@ def _highs_lp(lp: LinearProgram) -> HighsLp:
     return model
 
 
+def _solve(lp: LinearProgram, options: dict, integral: bool = False) -> tuple[Solution, HighsInfo]:
+    """``lp``'s solution, its binaries integer columns if ``integral``, on
+    a fresh HiGHS model under ``options``, with HiGHS's info on the run."""
+    highs = Highs()
+    for name, value in options.items():
+        if highs.setOptionValue(name, value) != HighsStatus.kOk:
+            raise ValueError(f"HiGHS refused the option {name}={value!r}")
+    model = _highs_lp(lp)
+    if integral:  # kInteger is 1, kContinuous 0
+        model.integrality_ = [HighsVarType(int(i in lp.binary)) for i in range(lp.n_vars)]
+    if highs.passModel(model) == HighsStatus.kError:
+        model_status = HighsModelStatus.kModelError  # as linprog and milp read a refused model
+    else:
+        highs.run()
+        model_status = highs.getModelStatus()
+    info = highs.getInfo()
+    status = _STATUS.get(model_status)
+    if status is None:
+        raise SolverError(FAILURE, f"HiGHS failure: {highs.modelStatusToString(model_status)}")
+    if status != OPTIMAL:
+        return Solution(status, None, None), info
+    solution = highs.getSolution()
+    x = np.array(solution.col_value)
+    objective = info.objective_function_value
+    if lp.solver_objective is not None:
+        # price x by ``objective`` as HiGHS prices an LP's answer: cost
+        # times value, added column by column from zero
+        objective = sum_in_order((lp.objective * x).tolist())
+    duals = np.array(solution.row_dual) if solution.dual_valid else None
+    return Solution(OPTIMAL, objective + lp.objective_constant, x, duals=duals), info
+
+
 def solve_lp(lp: LinearProgram) -> Solution:
     """Solve the continuous program (integrality marks are ignored) by
     HiGHS dual simplex.
@@ -236,26 +255,8 @@ def solve_lp(lp: LinearProgram) -> Solution:
             return Solution(INFEASIBLE, None, None)
         duals = np.zeros(len(lp.b_ub) + len(lp.b_eq))
         return Solution(OPTIMAL, lp.objective_constant, np.zeros(0), duals=duals)
-    highs = Highs()
-    for name, value in _OPTIONS.items():
-        if highs.setOptionValue(name, value) != HighsStatus.kOk:
-            raise ValueError(f"HiGHS refused the option {name}={value!r}")
-    if highs.passModel(_highs_lp(lp)) == HighsStatus.kError:
-        model_status = HighsModelStatus.kModelError  # as linprog reads a refused model
-    else:
-        highs.run()
-        model_status = highs.getModelStatus()
-    info, solution = highs.getInfo(), highs.getSolution()
-    sol = _solution(
-        _LP_STATUS.get(model_status),
-        highs.modelStatusToString(model_status),
-        lp,
-        info.objective_function_value,
-        np.array(solution.col_value),
-        {"iterations": max(info.simplex_iteration_count, 0)},  # -1 when nothing ran
-    )
-    if sol.optimal:
-        sol.duals = np.array(solution.row_dual)
+    sol, info = _solve(lp, _OPTIONS)
+    sol.stats["iterations"] = max(info.simplex_iteration_count, 0)  # -1 when nothing ran
     return sol
 
 
@@ -279,20 +280,8 @@ def solve_milp_exact(lp: LinearProgram, opts: Optional[SolveOptions] = None) -> 
     if not lp.binary:
         return solve_lp(lp)
     binaries = sorted(lp.binary)
-    integrality = np.zeros(lp.n_vars)
-    integrality[binaries] = 1
-    res = milp(
-        lp.objective if lp.solver_objective is None else lp.solver_objective,
-        integrality=integrality,
-        bounds=Bounds(lp.lower, lp.upper),
-        constraints=[
-            LinearConstraint(lp.A_ub, -np.inf, lp.b_ub),
-            LinearConstraint(lp.A_eq, lp.b_eq, lp.b_eq),
-        ],
-        options={"mip_rel_gap": 0.0},
-    )
-    stats = {"nodes": int(res.mip_node_count or 0)}
-    sol = _solution(_MILP_STATUS.get(res.status), res.message, lp, res.fun, res.x, stats)
+    sol, info = _solve(lp, _EXACT_OPTIONS, integral=True)
+    sol.stats["nodes"] = max(info.mip_node_count, 0)
     if sol.optimal:
         sol.x[binaries] = np.round(sol.x[binaries])
     return sol

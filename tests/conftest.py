@@ -292,9 +292,9 @@ def assert_rows_view(lp) -> None:
 
 
 def record_highs_runs(monkeypatch) -> list:
-    """A list that gets, for every HiGHS LP run from now on, the model's
-    ``simplex_strategy`` and ``presolve`` options and the run's simplex
-    iteration count."""
+    """A list that gets, for every HiGHS run from now on, the model's
+    ``simplex_strategy``, ``presolve`` and ``mip_rel_gap`` options and the
+    run's simplex iteration count."""
     runs = []
 
     class Spy(lp_module.Highs):
@@ -304,6 +304,7 @@ def record_highs_runs(monkeypatch) -> list:
                 (
                     self.getOptionValue("simplex_strategy")[1],
                     self.getOptionValue("presolve")[1],
+                    self.getOptionValue("mip_rel_gap")[1],
                     self.getInfo().simplex_iteration_count,
                 )
             )

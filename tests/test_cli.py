@@ -951,24 +951,32 @@ def test_report_refuses_a_row_whose_field_count_differs_from_its_header(
 @pytest.mark.parametrize(
     "body, where",
     [
-        ("scenario,total_cost\ns,1.0\n", "line 1: no 'algorithm' column"),
-        ("scenario,algorithm,total_cost\ns,lp,abc\n", "line 2: 'total_cost': expected a finite number, not abc"),
-        ("scenario,algorithm,total_cost\ns,lp,true\n", "line 2: 'total_cost': expected a finite number, not true"),
-        ("scenario,algorithm,total_cost\ns,,1.0\n", "line 2: 'algorithm': expected a name"),
+        ("scenario,total_cost\ns,1.0\n", ", line 1: no 'algorithm' column"),
+        ("scenario,algorithm,total_cost\ns,lp,abc\n", ", line 2: 'total_cost': expected a finite number, not abc"),
+        ("scenario,algorithm,total_cost\ns,lp,true\n", ", line 2: 'total_cost': expected a finite number, not true"),
+        ("scenario,algorithm,total_cost\ns,,1.0\n", ", line 2: 'algorithm': expected a name"),
+        (None, ": Is a directory"),
+        (b"\xff\xfe", ": 'utf-8' codec can't decode byte 0xff in position 0"),
     ],
-    ids=["no-algorithm-column", "text-metric", "boolean-metric", "empty-algorithm"],
+    ids=["no-algorithm-column", "text-metric", "boolean-metric", "empty-algorithm", "directory", "not-utf-8"],
 )
 def test_report_refuses_a_row_it_cannot_summarize(runner, tmp_path, body, where):
     """A file without an algorithm column, a row without an algorithm, or
     a summarized metric that is not a number is an input error naming
     the file, the line and the column, not a traceback or a mean of
-    booleans."""
+    booleans; so is a rows file that is a directory (None) or not
+    UTF-8 text."""
     path = tmp_path / "x_rows.csv"
-    path.write_text(body)
+    if body is None:
+        path.mkdir()
+    elif isinstance(body, bytes):
+        path.write_bytes(body)
+    else:
+        path.write_text(body)
     out = tmp_path / "summary.json"
     result = runner.invoke(main, ["report", "--results", str(tmp_path), "--out", str(out)])
     assert result.exit_code == 2
-    assert f"{path}, {where}" in result.output
+    assert f"{path}{where}" in result.output
     assert not out.exists()
 
 

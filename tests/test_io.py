@@ -247,6 +247,13 @@ def test_invalid_json_reports_the_line(tmp_path):
         load_substrate(path)
 
 
+def test_a_file_that_is_not_utf_8_is_a_format_error_naming_it(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe")
+    with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: 'utf-8' codec can't decode"):
+        load_substrate(path)
+
+
 def test_missing_file_is_a_format_error(tmp_path):
     with pytest.raises(FormatError):
         load_substrate(tmp_path / "nope.json")

@@ -12,7 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy import sparse
-from scipy.optimize import OptimizeWarning, linprog
+from scipy.optimize import Bounds, LinearConstraint, OptimizeWarning, linprog, milp
+from scipy.optimize._highspy import _core
 from scipy.optimize._highspy._core import HighsModelStatus
 from scipy.optimize._linprog_highs import _highs_to_scipy_status_message
 
@@ -97,14 +98,25 @@ def test_every_program_is_solved_by_dual_simplex(monkeypatch):
     aggregate = solve_relaxation(net, apps, EfficiencyMap(), requests, PSI_TOY)
     per_request = build_milp(net, apps, EfficiencyMap(), requests, PSI_TOY).relax()
     solved = [aggregate.solution, solve_lp(per_request), solve_milp_exact(per_request)]
-    calls = [(strategy, presolve) for strategy, presolve, _ in runs]
+    calls = [(strategy, presolve) for strategy, presolve, _, _ in runs]
     assert calls == [(1, "off")] * (aggregate.timings["lp_pricing_rounds"] + 2)
     assert all(s.objective == pytest.approx(2 * 205.0, rel=1e-9) for s in solved)
 
 
-# -- parity with linprog, which solve_lp replaced ----------------------------------
+def test_the_exact_solve_runs_to_a_zero_gap_with_presolve(monkeypatch):
+    """A binary program is solved in one HiGHS run, as ``milp`` ran it:
+    branch-and-cut to a zero relative gap, with HiGHS's default presolve
+    ("choose", on for a program with integer columns)."""
+    runs = record_highs_runs(monkeypatch)
+    milp = build_milp(toy_net(link_cap=150.0), toy_apps(), EfficiencyMap(), unit_requests(2), PSI_TOY)
+    assert solve_milp_exact(milp).optimal
+    assert [(presolve, gap) for _, presolve, gap, _ in runs] == [("choose", 0.0)]
 
-# linprog's status codes, read as solve_lp read them when it called linprog
+
+# -- parity with linprog and milp, which solve_lp and solve_milp_exact replaced ----
+
+# linprog's status codes, which milp shares, read as solve_lp and
+# solve_milp_exact read them when they called linprog and milp
 LINPROG_STATUS = {0: "optimal", 1: "iteration_limit", 2: "infeasible", 3: "unbounded"}
 
 
@@ -125,11 +137,34 @@ def linprog_answer(lp: LinearProgram):
     return LINPROG_STATUS.get(res.status, "failure"), res.fun, res.x
 
 
-def solve_lp_answer(lp: LinearProgram):
-    """(status name, objective, x) of ``solve_lp``; "failure" when it
-    raises ``SolverError(FAILURE)``."""
+def milp_answer(lp: LinearProgram):
+    """(status name, objective, x) of ``milp`` with the options
+    ``solve_milp_exact`` once passed it, the binaries of x rounded as it
+    rounded them; "failure" for any other code."""
+    binaries = sorted(lp.binary)
+    integrality = np.zeros(lp.n_vars)
+    integrality[binaries] = 1
+    res = milp(
+        lp.objective,
+        integrality=integrality,
+        bounds=Bounds(lp.lower, lp.upper),
+        constraints=[
+            LinearConstraint(lp.A_ub, -np.inf, lp.b_ub),
+            LinearConstraint(lp.A_eq, lp.b_eq, lp.b_eq),
+        ],
+        options={"mip_rel_gap": 0.0},
+    )
+    if res.x is not None:
+        res.x[binaries] = np.round(res.x[binaries])
+    return LINPROG_STATUS.get(res.status, "failure"), res.fun, res.x
+
+
+def solve_answer(lp: LinearProgram):
+    """(status name, objective, x) of ``solve_milp_exact`` for a program
+    with binaries, else of ``solve_lp``; "failure" when it raises
+    ``SolverError(FAILURE)``."""
     try:
-        sol = solve_lp(lp)
+        sol = solve_milp_exact(lp) if lp.binary else solve_lp(lp)
     except SolverError as exc:
         assert exc.status == "failure"
         return "failure", None, None
@@ -139,16 +174,21 @@ def solve_lp_answer(lp: LinearProgram):
 @pytest.mark.parametrize("status", list(HighsModelStatus.__members__.values()), ids=str)
 def test_every_highs_status_is_read_as_linprog_reads_it(monkeypatch, status):
     """Whatever status HiGHS reports, solve_lp returns the status name
-    (or raises the failure) that linprog's status code stood for."""
+    (or raises the failure) that linprog's status code stood for, and
+    solve_milp_exact the one that milp's code, reporting the same
+    status, stands for."""
 
     class Reporting(lp_module.Highs):
         def getModelStatus(self):
             return status
 
     monkeypatch.setattr(lp_module, "Highs", Reporting)
+    monkeypatch.setattr(_core, "_Highs", Reporting)  # what milp runs
     code, _ = _highs_to_scipy_status_message(status, "")
     lp = hand_lp([1.0], [0.0], [10.0], ub=[([(0, -1.0)], -3.0)])
-    assert solve_lp_answer(lp)[0] == LINPROG_STATUS.get(code, "failure")
+    assert solve_answer(lp)[0] == LINPROG_STATUS.get(code, "failure")
+    integral = replace(lp, binary=frozenset({0}))
+    assert solve_answer(integral)[0] == milp_answer(integral)[0]
 
 
 INF = np.inf
@@ -190,15 +230,39 @@ PARITY_PROGRAMS = {
         "failure",
     ),
 }
+# The same programs with x0 integral, solved exactly: HiGHS's MILP
+# presolve leaves the unbounded column's program undecided between
+# unbounded and infeasible.
+PARITY_PROGRAMS.update(
+    {
+        f"integral-{name}": (replace(PARITY_PROGRAMS[name][0], binary=frozenset({0})), status)
+        for name, status in [
+            ("infeasible-ub-row", "infeasible"),
+            ("infeasible-eq-row", "infeasible"),
+            ("unbounded-column", "failure"),
+            ("free-variable-optimum", "optimal"),
+            ("unbounded-or-infeasible", "infeasible"),
+            ("undecided", "failure"),
+        ]
+    }
+)
+# max 5 x0 + 4 x1 + 3 x2 over 2 x0 + 3 x1 + x2 <= 4 in binaries: the
+# relaxation takes a third of x1, the optimum x0 and x2
+PARITY_PROGRAMS["binary-knapsack"] = (
+    hand_lp([-5.0, -4.0, -3.0], [0.0] * 3, [1.0] * 3, ub=[([(0, 2.0), (1, 3.0), (2, 1.0)], 4.0)],
+            binary=(0, 1, 2)),
+    "optimal",
+)
 
 
 @pytest.mark.parametrize("name", PARITY_PROGRAMS)
 def test_hand_programs_solve_as_linprog_solves_them(name):
     """solve_lp gives linprog's status and, at an optimum, its objective
-    and x to the bit."""
+    and x to the bit; solve_milp_exact, on a program with binaries,
+    gives milp's."""
     lp, status = PARITY_PROGRAMS[name]
-    want = linprog_answer(lp)
-    got = solve_lp_answer(lp)
+    want = milp_answer(lp) if lp.binary else linprog_answer(lp)
+    got = solve_answer(lp)
     assert got[0] == want[0] == status
     if status == "optimal":
         assert got[1].hex() == float(want[1]).hex()
@@ -217,29 +281,37 @@ def not_finite(where: str, value: float) -> LinearProgram:
 @pytest.mark.parametrize("where", ["cost", "coefficient", "ub-rhs", "eq-rhs"])
 def test_a_value_that_is_not_finite_is_refused_as_linprog_refused_it(where, value):
     """HiGHS would call a program with a NaN cost optimal at a NaN
-    objective; like linprog, solve_lp raises ValueError instead."""
+    objective; like linprog, solve_lp raises ValueError instead, and so
+    does solve_milp_exact (where milp read a NaN right-hand side as
+    infeasible)."""
     lp = not_finite(where, value)
     with pytest.raises(ValueError):
         linprog_answer(lp)
     with pytest.raises(ValueError, match="not finite"):
         solve_lp(lp)
+    with pytest.raises(ValueError, match="not finite"):
+        solve_milp_exact(replace(lp, binary=frozenset({0})))
 
 
 def test_solve_lp_writes_nothing(capfd):
-    """HiGHS's log and console output stay off, whatever the outcome."""
+    """HiGHS's log and console output stay off, whatever the outcome, on
+    the continuous and the exact path alike."""
     for lp, _ in PARITY_PROGRAMS.values():
-        solve_lp_answer(lp)
+        solve_answer(lp)
     solve_lp(relaxation(random_instance(3))[0])
+    assert solve_milp_exact(build_milp(*random_instance(2))).optimal
     assert capfd.readouterr() == ("", "")
 
 
 @pytest.mark.parametrize("option", [{"presolv": "off"}, {"presolve": "of"}], ids=["name", "value"])
 def test_an_option_highs_refuses_raises(monkeypatch, option):
     """A misspelled HiGHS option, or a value it does not take, stops the
-    solve instead of being ignored."""
+    solve, continuous or exact, instead of being ignored."""
     monkeypatch.setattr(lp_module, "_OPTIONS", {**lp_module._OPTIONS, **option})
-    with pytest.raises(ValueError, match=next(iter(option))):
-        solve_lp(hand_lp([1.0], [0.0], [10.0]))
+    monkeypatch.setattr(lp_module, "_EXACT_OPTIONS", {**lp_module._EXACT_OPTIONS, **option})
+    for solve in (solve_lp, solve_milp_exact):
+        with pytest.raises(ValueError, match=next(iter(option))):
+            solve(hand_lp([1.0], [0.0], [10.0], binary=(0,)))
 
 
 def test_duals_carry_the_sign_and_value_of_a_binding_row():
@@ -433,10 +505,7 @@ def recorded_solves():
     for name, instance in instances:
         milp = build_milp(*instance)
         sol = solve_lp(milp.relax())
-        # the recorded order: every <= row's dual, then every == row's
-        senses = [row.sense for row in milp.rows]
-        order = sorted(range(len(senses)), key=lambda r: senses[r] != "<=")
-        yield f"relaxed/{name}", solved_form(sol, "iterations", sol.duals[order])
+        yield f"relaxed/{name}", solved_form(sol, "iterations", sol.duals)
         if len(milp.binary) <= 200:
             yield f"exact/{name}", solved_form(solve_milp_exact(milp), "nodes")
 
