@@ -255,6 +255,18 @@ def compare(scenario, out_dir, jobs, seed):
         sys.exit(EXIT_INFEASIBLE)
 
 
+def _csv_rows(path: Path, lines: list[str]):
+    """(line number, fields) of each row ``csv.reader`` reads from a rows
+    file's ``lines``; a line it cannot parse (a field over its size
+    limit, say) is an input error naming the file and the line."""
+    reader = csv.reader(lines)
+    try:
+        for fields in reader:
+            yield reader.line_num, fields
+    except csv.Error as exc:
+        _fail(f"{path}, line {reader.line_num}: {exc}", EXIT_INPUT)
+
+
 @main.command()
 @click.option("--results", "results_dir", required=True, type=click.Path())
 @click.option("--out", required=True, type=click.Path())
@@ -275,14 +287,14 @@ def report(results_dir, out):
             _fail(f"{path}: {exc.strerror}", EXIT_INPUT)
         except UnicodeDecodeError as exc:
             _fail(f"{path}: {exc}", EXIT_INPUT)
-        reader = csv.reader(lines)
-        header = next(reader, [])
+        rows_read = _csv_rows(path, lines)
+        _, header = next(rows_read, (1, []))
         if "algorithm" not in header:
             _fail(f"{path}, line 1: no 'algorithm' column", EXIT_INPUT)
-        for fields in reader:
+        for line_num, fields in rows_read:
             if not fields:  # a blank line
                 continue
-            where = f"{path}, line {reader.line_num}"
+            where = f"{path}, line {line_num}"
             if len(fields) != len(header):
                 _fail(f"{where}: {len(fields)} fields, but the header has {len(header)}", EXIT_INPUT)
             cells = dict(zip(header, fields))

@@ -29,12 +29,17 @@ is computed with the same float operations as a search over id-keyed
 dicts would, so results are identical to the bit.
 
 A chain's answer is its list of moves (placements and hops) on node and
-arc indices.  A candidate's cost is summed from those moves; candidates
-are tried cheapest first, and only the one accepted has its loads
-summed and rechecked cumulatively.  Only the accepted alternative's
-moves become the id-keyed maps of its :class:`IntegralEmbedding`, built
-once per (alternative, origin, chain answers) and shared, read-only, by
-every request accepted with the same answers.
+arc indices.  A candidate's cost is summed from those moves.  The
+cheapest candidate (the lowest alternative index among equal costs) is
+tried first; only when the cumulative recheck refuses it are the others
+sorted and tried in turn.  What the recheck needs is built once per
+(alternative, origin, chain answers), keyed by the answers' identity, and
+shared by every request embedded with the same answers: an accept plan
+of each loaded node and arc with its (size factor, coefficient) terms,
+and the id-keyed node and link maps, read-only, of the
+:class:`IntegralEmbedding` an accepted request gets.  Accepting a
+request sums each element's terms at its demand, checks every sum
+against the residual and only then takes them off it.
 
 Most searches repeat the last answer for their (chain, start node), so
 `_ChainSearch` keeps that answer's moves, with the demand d0 it was
@@ -89,7 +94,7 @@ class _ChainSearch:
     plans, each with its chains' A* bounds (the pricing's DP at zero
     duals over the chain's links), are filled on first use and shared
     by every later search.  The residual capacity starts at the
-    network's and shrinks on every :meth:`consume`: ``node_left`` and
+    network's and shrinks on every :meth:`take`: ``node_left`` and
     ``arc_left`` hold it, ``node_cap`` and ``arc_cap`` the same values
     with ``_EPS`` already added, as the search tests them.
 
@@ -111,6 +116,15 @@ class _ChainSearch:
     does not; the module docstring says why that answer is still a
     cheapest one.  ``chain_searches`` counts the A* runs and
     ``chain_reuses`` the answers returned again.
+
+    ``_accepts`` keeps, per candidate :meth:`take` has seen, keyed by
+    (alternative, origin index, *ids of its chain answers*), the entry
+    (answers, node map, link map, accept plan).  The entry holds the
+    answers, so no id in a live key is reused.  The maps are id-keyed
+    and read-only, as :class:`IntegralEmbedding` keeps them.  The plan
+    has one (left, caps, index, terms) per loaded node and arc: its
+    residual lists and its (size factor, coefficient) terms, the root's
+    first and then each move's in order, with zero terms left out.
     """
 
     def __init__(self, net: SubstrateNetwork, efficiency: EfficiencyMap):
@@ -133,7 +147,7 @@ class _ChainSearch:
         self._plans: dict[AlternativeTopology, tuple] = {}
         self._slots = 0  # node count times the number of chains planned
         self._answers: dict[int, tuple] = {}
-        self._maps: dict[tuple, tuple] = {}
+        self._accepts: dict[tuple, tuple] = {}
         self.chain_searches = 0
         self.chain_reuses = 0
 
@@ -181,16 +195,6 @@ class _ChainSearch:
             root = (pricing.node_row(alt.root), alt.node_by_id[alt.root].size)
             plan = self._plans[alt] = (*root, chains)
         return plan
-
-    def consume(self, node_loads: Mapping[int, float], arc_loads: Mapping[int, float]) -> None:
-        """Take an accepted embedding's loads, keyed by node and arc
-        index, off the residual capacity (never below 0)."""
-        for v, amount in node_loads.items():
-            left = self.node_left[v] = max(0.0, self.node_left[v] - amount)
-            self.node_cap[v] = left + _EPS
-        for a, amount in arc_loads.items():
-            left = self.arc_left[a] = max(0.0, self.arc_left[a] - amount)
-            self.arc_cap[a] = left + _EPS
 
     def embed_chain(
         self, slot: int, steps: Sequence[tuple], bound: Sequence[float], start: int, demand: float
@@ -347,61 +351,59 @@ class _ChainSearch:
             cost += chain_cost
         return cost, answers
 
-    def take(
-        self, alt: AlternativeTopology, origin: int, demand: float, answers: Sequence[list]
-    ) -> bool:
+    def take(self, alt: AlternativeTopology, origin: int, demand: float, answers: Sequence[list]):
         """Accept :meth:`embed`'s candidate of ``alt`` rooted at node index
-        ``origin`` if it fits: sum its loads from the chain ``answers``,
-        keyed by node and arc index, recheck them cumulatively (per-move
-        checks were against the untouched residual, so co-located
-        functions and shared arcs need a joint pass) and, if every one
-        fits, take them off the residual (:meth:`consume`).  Returns
-        whether it did."""
-        root_row, root_size, _ = self.plan(alt)
-        node_cap = self.node_cap
-        node_loads: dict[int, float] = {}
-        arc_loads: dict[int, float] = {}
-        load = demand * root_size * root_row[origin]
-        if load:
-            node_loads[origin] = load
-        for moves in answers:
-            for caps, i, factor, coeff, _, _ in moves:
-                load = demand * factor * coeff
-                if load:
-                    loads = node_loads if caps is node_cap else arc_loads
-                    loads[i] = loads.get(i, 0.0) + load
-        for loads, caps in ((node_loads, node_cap), (arc_loads, self.arc_cap)):
-            for i, load in loads.items():
-                if load > caps[i]:
-                    return False
-        self.consume(node_loads, arc_loads)
-        return True
-
-    def id_maps(self, alt: AlternativeTopology, origin: int, answers: Sequence[list]):
-        """The node map and link map, keyed by ids as
-        :class:`IntegralEmbedding` keeps them, of ``alt`` rooted at node
-        index ``origin`` and embedded by :meth:`embed`'s chain
-        ``answers``.  A reused answer is the same list, so the maps are
-        built once per (alternative, origin, answers) and shared,
-        read-only, by every request embedded so; the cache is keyed by
-        the answers' ids and keeps the lists, so no id is reused while
-        its entry lives."""
+        ``origin`` if it fits: sum each loaded element's terms from the
+        candidate's accept plan at ``demand``, check every sum against the
+        residual (per-move checks were against the untouched residual, so
+        co-located functions and shared arcs need a joint pass) and, only
+        if every one fits, take them off it (never below 0).  Returns the
+        candidate's (node map, link map), or None when it does not fit."""
         key = (alt, origin, *map(id, answers))
-        entry = self._maps.get(key)
+        entry = self._accepts.get(key)
         if entry is None:
-            ids, pairs, node_cap = self.ids, self.pairs, self.node_cap
-            node_map = {alt.root: ids[origin]}
-            paths = {(link.parent, link.child): [] for link in alt.preorder}
-            for moves in answers:
-                for caps, i, _, _, _, link in moves:
-                    if caps is node_cap:
-                        node_map[link.child] = ids[i]
-                    else:
-                        paths[(link.parent, link.child)].append(pairs[i])
-            link_map = {pair: tuple(path) for pair, path in paths.items()}
-            entry = (answers, MappingProxyType(node_map), MappingProxyType(link_map))
-            self._maps[key] = entry
+            entry = self._accepts[key] = self._accept_plan(alt, origin, answers)
+        plan = entry[3]
+        loads = []
+        for _, caps, i, terms in plan:
+            load = 0.0
+            for factor, coeff in terms:
+                load = load + demand * factor * coeff
+            if load > caps[i]:
+                return None
+            loads.append(load)
+        for (left, caps, i, _), load in zip(plan, loads):
+            rest = left[i] - load
+            if not rest > 0.0:  # max(0.0, rest) without the call
+                rest = 0.0
+            left[i] = rest
+            caps[i] = rest + _EPS
         return entry[1], entry[2]
+
+    def _accept_plan(self, alt: AlternativeTopology, origin: int, answers: Sequence[list]):
+        """The ``_accepts`` entry of a candidate :meth:`take` has not seen."""
+        root_row, root_size, _ = self.plan(alt)
+        ids, pairs, node_cap = self.ids, self.pairs, self.node_cap
+        node_map = {alt.root: ids[origin]}
+        paths = {(link.parent, link.child): [] for link in alt.preorder}
+        node_terms: dict[int, list] = {}
+        arc_terms: dict[int, list] = {}
+        if root_size and root_row[origin]:
+            node_terms[origin] = [(root_size, root_row[origin])]
+        for moves in answers:
+            for caps, i, factor, coeff, _, link in moves:
+                if caps is node_cap:
+                    node_map[link.child] = ids[i]
+                    terms = node_terms
+                else:
+                    paths[(link.parent, link.child)].append(pairs[i])
+                    terms = arc_terms
+                if factor and coeff:
+                    terms.setdefault(i, []).append((factor, coeff))
+        plan = [(self.node_left, node_cap, i, tuple(t)) for i, t in node_terms.items()]
+        plan += [(self.arc_left, self.arc_cap, i, tuple(t)) for i, t in arc_terms.items()]
+        link_map = {pair: tuple(path) for pair, path in paths.items()}
+        return answers, MappingProxyType(node_map), MappingProxyType(link_map), tuple(plan)
 
 
 @dataclass
@@ -440,24 +442,33 @@ def greedy_embed_all(
     ranked = {a: sorted(app.alternatives, key=lambda alt: alt.index) for a, app in apps.items()}
     order = _rng.stream(order_seed, "greedy-order").permutation(len(requests))
     results: list[Optional[IntegralEmbedding]] = [None] * len(requests)
-    report = GreedyReport(order=tuple(int(i) for i in order))
-    for pos in order:
+    report = GreedyReport(order=tuple(order.tolist()))
+    embed, take = search.embed, search.take
+    for pos in report.order:
         req = requests[pos]
+        demand = req.demand
         origin = search.node_index.get(req.origin)
         candidates = []
+        best = maps = None
         for alt in ranked[req.app] if origin is not None else ():
-            got = search.embed(alt, origin, req.demand)
+            got = embed(alt, origin, demand)
             if got is not None:
                 candidates.append((got[0], alt, got[1]))
-        # cheapest first, equal costs in alternative order (a stable sort)
-        candidates.sort(key=lambda cand: cand[0])
-        for cost, alt, answers in candidates:
-            if search.take(alt, origin, req.demand, answers):
-                node_map, link_map = search.id_maps(alt, origin, answers)
-                results[pos] = IntegralEmbedding(req, alt.index, node_map, link_map)
-                report.accepted += 1
-                report.embed_cost += cost
-                break
+                if best is None or got[0] < best[0]:  # equal costs keep the lower index
+                    best = candidates[-1]
+        if best is not None:
+            maps = take(best[1], origin, demand, best[2])
+            if maps is None:
+                # the rest cheapest first; a stable sort puts best first
+                for cand in sorted(candidates, key=lambda cand: cand[0])[1:]:
+                    maps = take(cand[1], origin, demand, cand[2])
+                    if maps is not None:
+                        best = cand
+                        break
+        if maps is not None:
+            results[pos] = IntegralEmbedding(req, best[1].index, *maps)
+            report.accepted += 1
+            report.embed_cost += best[0]
         else:
             results[pos] = IntegralEmbedding.reject(req)
             report.rejected += 1

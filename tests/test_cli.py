@@ -957,15 +957,27 @@ def test_report_refuses_a_row_whose_field_count_differs_from_its_header(
         ("scenario,algorithm,total_cost\ns,,1.0\n", ", line 2: 'algorithm': expected a name"),
         (None, ": Is a directory"),
         (b"\xff\xfe", ": 'utf-8' codec can't decode byte 0xff in position 0"),
+        (
+            "scenario,algorithm,total_cost\ns,lp," + "1" * 200_000 + "\n",
+            ", line 2: field larger than field limit",
+        ),
     ],
-    ids=["no-algorithm-column", "text-metric", "boolean-metric", "empty-algorithm", "directory", "not-utf-8"],
+    ids=[
+        "no-algorithm-column",
+        "text-metric",
+        "boolean-metric",
+        "empty-algorithm",
+        "directory",
+        "not-utf-8",
+        "field-too-large",
+    ],
 )
 def test_report_refuses_a_row_it_cannot_summarize(runner, tmp_path, body, where):
     """A file without an algorithm column, a row without an algorithm, or
     a summarized metric that is not a number is an input error naming
     the file, the line and the column, not a traceback or a mean of
-    booleans; so is a rows file that is a directory (None) or not
-    UTF-8 text."""
+    booleans; so is a rows file that is a directory (None), not UTF-8
+    text or a field longer than the csv module reads."""
     path = tmp_path / "x_rows.csv"
     if body is None:
         path.mkdir()

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import hashlib
 import json
 import math
 from dataclasses import dataclass
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from scipy import sparse
 from scipy.sparse.csgraph import dijkstra
 
+from vneap import greedy
 from vneap.greedy import _BOUND_SHRINK, _EPS, _ChainSearch, greedy_embed_all
 from vneap.model import (
     FORBIDDEN,
@@ -46,6 +48,7 @@ from oracle import chain_finish_costs, dijkstra_chain
 
 PSI_TOY = 1050.0
 RECORDED = Path(__file__).parent / "data" / "greedy_recorded.jsonl"
+DIGESTS = Path(__file__).parent / "data" / "greedy_digests.json"
 
 
 def theta_chain(size: float) -> AlternativeTopology:
@@ -145,27 +148,81 @@ class Candidate:
     cost: float
     node_loads: dict
     arc_loads: dict
+    answers: list
+
+
+def residual_lists(search: _ChainSearch) -> tuple[list, ...]:
+    """``search``'s residual: left and cap of the nodes, then of the arcs."""
+    return search.node_left, search.node_cap, search.arc_left, search.arc_cap
+
+
+def residual(search: _ChainSearch) -> tuple[list, ...]:
+    """A snapshot of :func:`residual_lists`."""
+    return tuple(map(list, residual_lists(search)))
+
+
+def restore(search: _ChainSearch, snapshot: tuple[list, ...]) -> None:
+    """Put a :func:`residual` snapshot back, in the same list objects
+    (the accept plans hold them)."""
+    for now, then in zip(residual_lists(search), snapshot):
+        now[:] = then
+
+
+def checked_take(search: _ChainSearch, alt, origin: int, demand: float, answers):
+    """:meth:`_ChainSearch.take` of a candidate, checked against loads
+    summed here from its chain ``answers``: per node and arc index, the
+    root's load and then each move's, ``demand * factor * coeff``, in
+    order, zero loads left out.  The candidate must be refused, leaving
+    the residual as it was, exactly when one of those loads exceeds its
+    cap; otherwise the residual must have moved by exactly those loads
+    (clipped at 0, the caps ``_EPS`` above) and nowhere else.  Returns
+    None when refused, else (node map, link map, node loads, arc loads)."""
+    root_row, root_size, _ = search.plan(alt)
+    loads: tuple[dict, dict] = ({}, {})  # per node index, per arc index
+    load = demand * root_size * root_row[origin]
+    if load:
+        loads[0][origin] = load
+    for moves in answers:
+        for caps, i, factor, coeff, _, _ in moves:
+            load = demand * factor * coeff
+            if load:
+                element = loads[caps is not search.node_cap]
+                element[i] = element.get(i, 0.0) + load
+    before = residual(search)
+    fits = all(
+        load <= before[2 * arc + 1][i] for arc in (0, 1) for i, load in loads[arc].items()
+    )
+    maps = _ChainSearch.take(search, alt, origin, demand, answers)
+    assert (maps is not None) == fits
+    if maps is None:
+        assert residual(search) == before
+        return None
+    want = [list(r) for r in before]
+    for arc in (0, 1):
+        for i, load in loads[arc].items():
+            rest = want[2 * arc][i] = max(0.0, before[2 * arc][i] - load)
+            want[2 * arc + 1][i] = rest + _EPS
+    assert residual(search) == tuple(want)
+    return (*maps, *loads)
 
 
 def embed_ids(search: _ChainSearch, alt, origin: str, demand: float):
     """``search.embed`` of ``alt`` rooted at substrate node ``origin``, as
     a :class:`Candidate`, or None when it finds none or the candidate
     fails ``search.take``'s cumulative recheck.  The residual is left as
-    it was: the loads ``take`` would consume are kept instead."""
+    it was: the loads ``take`` would take off it are kept instead."""
     o = search.node_index[origin]
     got = search.embed(alt, o, demand)
     if got is None:
         return None
     cost, chain_moves = got
-    taken = []
-    search.consume = lambda node_loads, arc_loads: taken.append((node_loads, arc_loads))
-    try:
-        fits = search.take(alt, o, demand, chain_moves)
-    finally:
-        del search.consume
-    if not fits:
+    before = residual(search)
+    taken = checked_take(search, alt, o, demand, chain_moves)
+    restore(search, before)
+    if taken is None:
         return None
-    return Candidate(*search.id_maps(alt, o, chain_moves), cost, *taken[0])
+    node_map, link_map, node_loads, arc_loads = taken
+    return Candidate(node_map, link_map, cost, node_loads, arc_loads, chain_moves)
 
 
 def embed_one(net, alt, eff=None):
@@ -270,6 +327,41 @@ def test_shared_virtual_ids_keep_their_own_sizes():
         assert report.objective == 300.0
 
 
+def test_a_load_within_eps_of_the_residual_takes_it_to_zero():
+    """f's load on E exceeds E's one unit by less than ``_EPS``: it fits,
+    and takes E's residual to 0, not below."""
+    search = _ChainSearch(toy_net(node_cap=1.0), EfficiencyMap())
+    alt = theta_chain(1.0 + _EPS / 2)
+    e = search.node_index["E"]
+    _, answers = search.embed(alt, e, 1.0)
+    node_map, *_ = checked_take(search, alt, e, 1.0, answers)
+    assert node_map == {"theta": "E", "f": "E"}  # 10 * f beats 100 + f
+    assert search.node_left[e] == 0.0 and search.node_cap[e] == _EPS
+
+
+def test_loads_on_a_shared_arc_are_summed_in_move_order():
+    """theta at E has three children that may only sit on C, so all
+    three links cross E->C, sized 1, 2**-53 and 2**-53.  Summed in move
+    order, (1 + 2**-53) + 2**-53 rounds to 1; the other way round it
+    would be 1 + 2**-52.  Of the arc's 1.5 units, exactly 0.5 are left."""
+    kids = ("a", "b", "c")
+    alt = AlternativeTopology(
+        "fan",
+        0,
+        [VirtualNode("theta", 0.0), *(VirtualNode(k, 1.0) for k in kids)],
+        [VirtualLink("theta", k, size) for k, size in zip(kids, (1.0, 2.0**-53, 2.0**-53))],
+        "theta",
+    )
+    eff = EfficiencyMap(node_coeffs={(k, "E"): FORBIDDEN for k in kids})
+    search = _ChainSearch(toy_net(link_cap=1.5), eff)
+    e, arc = search.node_index["E"], search.arc_index[("E", "C")]
+    _, answers = search.embed(alt, e, 1.0)
+    node_map, _, _, arc_loads = checked_take(search, alt, e, 1.0, answers)
+    assert node_map == {"theta": "E", "a": "C", "b": "C", "c": "C"}
+    assert arc_loads == {arc: 1.0}
+    assert search.arc_left[arc] == 0.5
+
+
 # -- invariants over random instances -----------------------------------------
 
 
@@ -310,31 +402,58 @@ def test_each_choice_is_the_argmin_over_alternatives(seed):
             t for t, c in candidates.items() if c.cost <= best_cost * (1 + 1e-12)
         )
         assert emb.node_map == chosen.node_map
-        replay.consume(chosen.node_loads, chosen.arc_loads)
+        origin = replay.node_index[req.origin]
+        chosen_alt = next(alt for alt in apps[req.app].alternatives if alt.index == emb.alternative)
+        assert checked_take(replay, chosen_alt, origin, req.demand, chosen.answers) is not None
+
+
+class RecordingSearch(_ChainSearch):
+    """A chain search whose every :meth:`take` runs through
+    :func:`checked_take` and is logged: (node left, arc left, result)
+    after the call, the result None or :func:`checked_take`'s."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.taken: list[tuple] = []
+
+    def take(self, alt, origin, demand, answers):
+        got = checked_take(self, alt, origin, demand, answers)
+        self.taken.append((list(self.node_left), list(self.arc_left), got))
+        return None if got is None else got[:2]
+
+
+def recorded_searches(monkeypatch) -> list[RecordingSearch]:
+    """Make greedy run on :class:`RecordingSearch`; returns the list each
+    run's search is appended to."""
+    searches = []
+
+    def made(*args):
+        searches.append(RecordingSearch(*args))
+        return searches[-1]
+
+    monkeypatch.setattr(greedy, "_ChainSearch", made)
+    return searches
 
 
 @pytest.mark.parametrize("seed", [4, 11])
-def test_residuals_never_increase(seed):
+def test_residuals_never_increase(monkeypatch, seed):
+    """Along a whole greedy run, every take leaves each node's and arc's
+    residual at most what it was, never below 0, and its cap ``_EPS``
+    above it."""
     net, apps, eff, requests, psi = random_instance(seed)
-    embeddings, report = greedy_embed_all(net, apps, eff, requests, psi, seed)
-    search = _ChainSearch(net, eff)
-    previous_node = list(search.node_left)
-    previous_arc = list(search.arc_left)
-    for pos in report.order:
-        emb = embeddings[pos]
-        if not emb.rejected:
-            loads = load_vector(net, apps, eff, [emb])
-            search.consume(
-                {search.node_index[v]: x for v, x in loads.node.items()},
-                {search.arc_index[a]: x for a, x in loads.arc.items()},
-            )
-        assert all(now <= before + 1e-12 for now, before in zip(search.node_left, previous_node))
-        assert all(now <= before + 1e-12 for now, before in zip(search.arc_left, previous_arc))
-        assert all(v >= 0.0 for v in search.node_left + search.arc_left)
-        assert search.node_cap == [v + _EPS for v in search.node_left]
-        assert search.arc_cap == [v + _EPS for v in search.arc_left]
-        previous_node = list(search.node_left)
-        previous_arc = list(search.arc_left)
+    searches = recorded_searches(monkeypatch)
+    _, report = greedy_embed_all(net, apps, eff, requests, psi, seed)
+    (search,) = searches
+    assert sum(got is not None for *_, got in search.taken) == report.accepted > 0
+    previous_node = [n.capacity for n in net.nodes]
+    previous_arc = [a.capacity for a in net.arcs]
+    for node_left, arc_left, _ in search.taken:
+        assert all(now <= before + 1e-12 for now, before in zip(node_left, previous_node))
+        assert all(now <= before + 1e-12 for now, before in zip(arc_left, previous_arc))
+        assert all(v >= 0.0 for v in node_left + arc_left)
+        previous_node, previous_arc = node_left, arc_left
+    assert search.node_cap == [v + _EPS for v in search.node_left]
+    assert search.arc_cap == [v + _EPS for v in search.arc_left]
 
 
 def test_fixed_seed_reproduces_the_run():
@@ -370,10 +489,18 @@ def test_requests_embedded_by_the_same_answers_share_read_only_maps():
     search = _ChainSearch(net, eff)
     alt = apps["cctv"].alternatives[0]
     origin = search.node_index[requests[0].origin]
-    _, answers = search.embed(alt, origin, requests[0].demand)
-    maps = search.id_maps(alt, origin, answers)
-    assert all(a is b for a, b in zip(search.id_maps(alt, origin, list(answers)), maps))
-    copies = search.id_maps(alt, origin, [list(moves) for moves in answers])
+    demand = requests[0].demand
+    _, answers = search.embed(alt, origin, demand)
+    before = residual(search)
+
+    def maps_of(chain_answers):
+        maps = checked_take(search, alt, origin, demand, chain_answers)[:2]
+        restore(search, before)
+        return maps
+
+    maps = maps_of(answers)
+    assert all(a is b for a, b in zip(maps_of(list(answers)), maps))
+    copies = maps_of([list(moves) for moves in answers])
     assert copies == maps and not any(a is b for a, b in zip(copies, maps))
 
 
@@ -409,26 +536,52 @@ def test_output_matches_the_recorded_run():
         assert got == want, name
 
 
+def run_digest(embeddings, report) -> str:
+    """SHA-256 of a greedy run: its embeddings as the recorded fixtures
+    store them, the report's costs to the bit and its counters."""
+    form = {
+        "embeddings": recorded_embeddings(embeddings),
+        "embed_cost": report.embed_cost.hex(),
+        "objective": report.objective.hex(),
+        "rejected_demand": report.rejected_demand.hex(),
+        "counters": [report.accepted, report.rejected, report.chain_searches, report.chain_reuses],
+    }
+    return hashlib.sha256(json.dumps(form, sort_keys=True).encode()).hexdigest()
+
+
+DIGESTED_RUNS = {
+    "arnes_si-1000": (lambda: bench_instance("arnes_si", 1000), 1),
+    "amres_rs-12000": (lambda: bench_instance("amres_rs", 12000), 1),
+    "dfn_de-cctv_four-3000": (lambda: bundled_instance("dfn_de", "cctv_four", 3000), 3),
+}
+
+
+@pytest.mark.parametrize("name", list(DIGESTED_RUNS))
+def test_bench_scale_runs_match_the_recorded_digests(name):
+    """Greedy on both benchmark-shaped instances and on dfn_de with
+    cctv_four's four alternatives (where the cheapest candidate is often
+    refused by the cumulative recheck) gives, to the bit, the embeddings,
+    costs and search counters recorded from an earlier implementation."""
+    make, order_seed = DIGESTED_RUNS[name]
+    embeddings, report = greedy_embed_all(*make(), order_seed)
+    assert run_digest(embeddings, report) == json.loads(DIGESTS.read_text())[name]
+
+
 def test_consumed_loads_equal_the_validators(monkeypatch):
     """Over pinned runs, the loads greedy takes off the residual for each
-    accepted request, summed from its chain moves, equal the validator's
+    accepted request, summed from its accept plan, equal the validator's
     load vector of the embedding it returns, keyed by the same node and
     arc indices (rel 1e-12)."""
-    consume = _ChainSearch.consume
-    consumed = []
-
-    def recorded(self, node_loads, arc_loads):
-        consumed.append((self, node_loads, arc_loads))
-        consume(self, node_loads, arc_loads)
-
-    monkeypatch.setattr(_ChainSearch, "consume", recorded)
+    searches = recorded_searches(monkeypatch)
     checked = 0
     for _, (net, apps, eff, requests, psi), order_seed in pinned_runs():
-        consumed.clear()
+        searches.clear()
         embeddings, report = greedy_embed_all(net, apps, eff, requests, psi, order_seed)
+        (search,) = searches
+        consumed = [got[2:] for *_, got in search.taken if got is not None]
         accepted = [embeddings[pos] for pos in report.order if not embeddings[pos].rejected]
         assert len(consumed) == len(accepted) == report.accepted
-        for (search, node_loads, arc_loads), emb in zip(consumed, accepted):
+        for (node_loads, arc_loads), emb in zip(consumed, accepted):
             want = load_vector(net, apps, eff, [emb])
             node_want = {search.node_index[v]: x for v, x in want.node.items()}
             arc_want = {search.arc_index[arc]: x for arc, x in want.arc.items()}
@@ -722,10 +875,11 @@ def test_reuse_on_random_residuals_and_demands(taken, calls):
 
     def cut(element: int, fraction: float) -> None:
         if element < n:
-            search.consume({element: search.node_left[element] * fraction}, {})
+            left, caps, i = search.node_left, search.node_cap, element
         else:
-            a = element - n
-            search.consume({}, {a: search.arc_left[a] * fraction})
+            left, caps, i = search.arc_left, search.arc_cap, element - n
+        rest = left[i] = max(0.0, left[i] - left[i] * fraction)
+        caps[i] = rest + _EPS
 
     for element, fraction in enumerate(taken):
         cut(element, fraction)
