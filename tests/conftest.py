@@ -215,12 +215,10 @@ def arnes_overloaded_instance():
     return net, apps, eff, requests, compute_rejection_penalty(net, apps, eff)
 
 
-def bench_instance(topology: str, count: int, seed: int = 1):
-    """An instance shaped like the benchmark's: ``topology`` with
-    cctv_two, capacities calibrated to TU 0.8 for ``count`` requests on a
-    20 000-request sample, and ``count`` requests drawn with the origin
-    cap off (``arnes_si``/1 000 and ``amres_rs``/12 000 are its two
-    workloads)."""
+def bench_draws(topology: str, count: int, seed: int = 1):
+    """(apps, sample, net, requests) of :func:`bench_instance`: the
+    20 000-request calibration sample, the calibrated substrate and the
+    run requests."""
     root = resources.files("vneap")
     graph = harness.ingest_graphml(str(root.joinpath(f"fixtures/topologies/{topology}.graphml")))
     base = harness.assign_costs_capacities(graph, harness.classify_tiers(graph))
@@ -228,7 +226,16 @@ def bench_instance(topology: str, count: int, seed: int = 1):
     gen = harness.GenParams(count=count, app="cctv", enforce_origin_cap=False)
     sample = harness.generate_requests(base, apps, replace(gen, count=20_000), seed)
     net = harness.calibrate_target_utilization(base, apps, sample, 0.8, 0.8, population=count)
-    requests = harness.generate_requests(net, apps, gen, seed + 1)
+    return apps, sample, net, harness.generate_requests(net, apps, gen, seed + 1)
+
+
+def bench_instance(topology: str, count: int, seed: int = 1):
+    """An instance shaped like the benchmark's: ``topology`` with
+    cctv_two, capacities calibrated to TU 0.8 for ``count`` requests on a
+    20 000-request sample, and ``count`` requests drawn with the origin
+    cap off (``arnes_si``/1 000 and ``amres_rs``/12 000 are its two
+    workloads)."""
+    apps, _, net, requests = bench_draws(topology, count, seed)
     eff = EfficiencyMap()
     return net, apps, eff, requests, compute_rejection_penalty(net, apps, eff)
 

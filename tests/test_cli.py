@@ -133,6 +133,18 @@ def test_generate_same_seed_same_bytes(runner, tmp_path, arnes_substrate):
     assert gen("a.json", 5) != gen("c.json", 6)
 
 
+def test_generate_matches_golden_requests(runner, tmp_path):
+    """40 cctv requests on the tiny substrate with the origin cap on are,
+    byte for byte, the file an earlier implementation wrote."""
+    out = tmp_path / "requests.json"
+    result = runner.invoke(main, [
+        "generate", "--substrate", str(GOLDEN / "tiny_substrate.json"), "--apps", "cctv_two",
+        "--count", "40", "--seed", "1", "--origin-cap", "--out", str(out),
+    ])
+    assert result.exit_code == 0, result.output
+    assert out.read_bytes() == (GOLDEN / "tiny_requests.json").read_bytes()
+
+
 def test_generate_unknown_app_is_input_error(runner, tmp_path, arnes_substrate):
     result = runner.invoke(main, [
         "generate", "--substrate", str(arnes_substrate), "--apps", "cctv_two",

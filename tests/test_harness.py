@@ -6,11 +6,14 @@ from __future__ import annotations
 
 import collections
 import csv
+import functools
+import hashlib
 import io as stdio
 import itertools
 import json
 import math
 import random
+from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
@@ -48,7 +51,7 @@ from vneap.io import FormatError
 from vneap.model import SubstrateNetwork, SubstrateNode
 from vneap.tanto import tanto
 
-from conftest import toy_apps, toy_net
+from conftest import bench_draws, toy_apps, toy_net
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -363,6 +366,64 @@ def test_generate_draws_what_generator_choice_draws(spatial, cap):
         got = [(r.origin, r.demand) for r in generate_requests(net, apps, params, seed)]
         assert got == reference_requests(net, apps, params, seed)
         assert got
+
+
+GENERATE_DIGESTS = Path(__file__).parent / "data" / "generate_digests.json"
+
+
+def sha256_json(form) -> str:
+    return hashlib.sha256(json.dumps(form).encode()).hexdigest()
+
+
+def draws_digest(requests) -> str:
+    return sha256_json([(r.origin, r.demand.hex()) for r in requests])
+
+
+@functools.lru_cache(maxsize=None)
+def bench_draws_once(topology: str, count: int):
+    return bench_draws(topology, count)
+
+
+def digested_draw(name: str) -> str:
+    """The digest named ``name``: a benchmark-shaped set-up's
+    (``topology-count/part``) calibration sample, calibrated capacities,
+    run requests or their aggregates, or ``capped-lognormal``, a
+    lognormal draw on amres_rs whose origin caps turn draws away."""
+    if name == "capped-lognormal":
+        apps, _, net, _ = bench_draws_once("amres_rs", 12000)
+        params = GenParams(count=5000, app="cctv", spatial="lognormal", enforce_origin_cap=True)
+        capped = generate_requests(net, apps, params, 1)
+        assert len(capped) == 5000
+        assert capped != generate_requests(net, apps, replace(params, enforce_origin_cap=False), 1)
+        return draws_digest(capped)
+    run, part = name.split("/")
+    topology, count = run.split("-")
+    _, sample, net, requests = bench_draws_once(topology, int(count))
+    if part == "sample":
+        return draws_digest(sample)
+    if part == "requests":
+        return draws_digest(requests)
+    if part == "capacities":
+        return sha256_json([x.capacity.hex() for x in (*net.nodes, *net.arcs)])
+    return sha256_json([
+        (g.owner, g.origin, g.app, g.demand.hex(), list(g.members))
+        for g in vneap.formulation.aggregate_requests(requests)
+    ])
+
+
+DIGESTED_DRAWS = [
+    f"{run}/{part}"
+    for run in ("arnes_si-1000", "amres_rs-12000")
+    for part in ("sample", "capacities", "requests", "aggregates")
+] + ["capped-lognormal"]
+
+
+@pytest.mark.parametrize("name", DIGESTED_DRAWS)
+def test_draws_match_the_recorded_digests(name):
+    """Both benchmark set-ups' calibration samples, calibrated capacities,
+    run requests and aggregates, and a capped lognormal draw, are to the
+    bit those an earlier implementation drew."""
+    assert digested_draw(name) == json.loads(GENERATE_DIGESTS.read_text())[name]
 
 
 def test_generate_requires_edge_nodes():
