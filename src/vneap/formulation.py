@@ -286,22 +286,20 @@ def aggregate_requests(requests: Sequence[Request]) -> list[AggregatedRequest]:
     """Merge requests by (origin, application).  Aggregates are ordered
     by (origin, application) so the result is independent of request
     order."""
-    groups: dict[tuple[str, str], list[int]] = {}
+    # (origin, app) -> [demand total, member indices]; the total starts
+    # from 0 and adds in request order, as sum_in_order does
+    groups: dict[tuple[str, str], list] = {}
     for k, r in enumerate(requests):
-        groups.setdefault((r.origin, r.app), []).append(k)
-    out = []
-    for i, (origin, app) in enumerate(sorted(groups)):
-        members = groups[(origin, app)]
-        out.append(
-            AggregatedRequest(
-                owner=f"g{i}",
-                origin=origin,
-                app=app,
-                demand=sum_in_order(requests[k].demand for k in members),
-                members=tuple(members),
-            )
-        )
-    return out
+        key = r.origin, r.app
+        group = groups.get(key)
+        if group is None:
+            group = groups[key] = [0, []]
+        group[0] += r.demand
+        group[1].append(k)
+    return [
+        AggregatedRequest(f"g{i}", origin, app, demand, tuple(members))
+        for i, ((origin, app), (demand, members)) in enumerate(sorted(groups.items()))
+    ]
 
 
 class _Pricing:

@@ -212,6 +212,10 @@ class GenParams:
     enforce_origin_cap: bool = True
 
     def __post_init__(self):
+        # a float or bool count would compare as a number and draw a
+        # count nobody asked for (NaN none, 2.5 three, True one)
+        if isinstance(self.count, bool) or not isinstance(self.count, int):
+            raise ValueError(f"count must be an integer, not {self.count!r}")
         if self.count < 1:
             raise ValueError(f"count must be >= 1, not {self.count}")
         if not (math.isfinite(self.size_mean) and 0 < self.size_sigma < math.inf):
@@ -271,10 +275,14 @@ def generate_requests(
     overload its own capacity or its outgoing arcs under the main
     alternative's footprint; generation then redraws, and gives up with
     a warning if the count is unreachable.
+
+    A size is drawn as ``mean + sigma * standard_normal()``: numpy's
+    ``Generator.normal(mean, sigma)`` computes exactly that from the same
+    one standard normal draw, so the sizes and the stream's state are
+    the same to the bit, without parsing two arguments on every call.
     """
     edges, probabilities = _origin_weights(net, params)
-    app = apps[params.app]
-    node_fp, _, first_link = _main_footprint(app)
+    node_fp, _, first_link = _main_footprint(apps[params.app])
     stream = _rng.stream(seed, "generate")
     # Generator.choice(len(edges), p=probabilities) builds this CDF on
     # every call and maps one random() to its searchsorted(side="right")
@@ -284,8 +292,9 @@ def generate_requests(
     cdf = cdf.tolist()
     ids = [n.id for n in edges]
 
-    caps = {}
-    if params.enforce_origin_cap:
+    capped = params.enforce_origin_cap
+    if capped:
+        caps = {}
         for n in edges:
             out_cap = sum_in_order(a.capacity for a in net.out_arcs.get(n.id, ()))
             bounds = []
@@ -294,23 +303,27 @@ def generate_requests(
             if first_link > 0:
                 bounds.append(out_cap / first_link)
             caps[n.id] = min(bounds) if bounds else math.inf
-    used = {n.id: 0.0 for n in edges}
+        used = dict.fromkeys(ids, 0.0)
 
+    count, app, mean, sigma = params.count, params.app, params.size_mean, params.size_sigma
+    uniform, standard_normal, pick = stream.random, stream.standard_normal, bisect.bisect_right
     out: list[Request] = []
-    attempts = 0
-    limit = max(10 * params.count, 1000)
-    while len(out) < params.count and attempts < limit:
-        attempts += 1
-        origin = ids[bisect.bisect_right(cdf, stream.random())]
-        size = max(_SIZE_FLOOR, float(stream.normal(params.size_mean, params.size_sigma)))
-        if params.enforce_origin_cap and used[origin] + size > caps[origin]:
-            continue
-        used[origin] += size
-        out.append(Request(origin=origin, app=params.app, demand=size))
-    if len(out) < params.count:
-        log.warning(
-            "origin caps exhausted: generated %d of %d requests", len(out), params.count
-        )
+    append = out.append
+    for _ in range(max(10 * count, 1000)):  # the attempt limit
+        origin = ids[pick(cdf, uniform())]
+        size = mean + sigma * standard_normal()
+        if size < _SIZE_FLOOR:
+            size = _SIZE_FLOOR
+        if capped:
+            load = used[origin] + size
+            if load > caps[origin]:
+                continue
+            used[origin] = load
+        append(Request(origin, app, size))
+        if len(out) == count:
+            break
+    else:
+        log.warning("origin caps exhausted: generated %d of %d requests", len(out), count)
     return out
 
 

@@ -35,6 +35,7 @@ from vneap.model import (
     SubstrateNode,
     VirtualLink,
     VirtualNode,
+    sum_in_order,
 )
 
 from conftest import (
@@ -318,6 +319,9 @@ def test_aggregate_demand_conserves_total():
     assert math.fsum(g.demand for g in aggs) == pytest.approx(total, rel=1e-12)
     seen = sorted(k for g in aggs for k in g.members)
     assert seen == list(range(60_000))
+    for g in aggs:
+        assert list(g.members) == sorted(g.members)
+        assert g.demand.hex() == sum_in_order(requests[k].demand for k in g.members).hex()
 
 
 def test_aggregate_lp_size_is_independent_of_request_count():

@@ -314,6 +314,14 @@ def test_generate_rejects_unknown_spatial_profile():
         )
 
 
+@pytest.mark.parametrize("count, shown", [(math.nan, "nan"), (2.5, "2.5"), (True, "True"), (3.0, "3.0")])
+def test_gen_params_refuse_a_count_that_is_not_an_integer(count, shown):
+    """NaN would draw no request, 2.5 three and True one; each is refused
+    by name instead."""
+    with pytest.raises(ValueError, match=f"count must be an integer, not {shown}$"):
+        GenParams(count=count, app="cam")
+
+
 def test_generate_rejects_a_degenerate_lognormal_profile():
     """sigma 0 gives NaN weights; they are refused before any draw."""
     params = GenParams(count=5, app="cam", spatial="lognormal", lognormal_sigma=0.0)
@@ -352,20 +360,45 @@ def reference_requests(net, apps, params, seed) -> list[tuple[str, float]]:
     return out
 
 
-@pytest.mark.parametrize("spatial", ["uniform", "lognormal"])
-@pytest.mark.parametrize("cap", [False, True])
-def test_generate_draws_what_generator_choice_draws(spatial, cap):
-    """Origins come from a CDF built once, yet every draw, redraw and size
-    is the one numpy's per-call ``choice`` gives."""
+def capped_amres_net() -> SubstrateNetwork:
+    """amres_rs calibrated to TU 0.5 for 300 cam requests of the default
+    size: the origin cap turns some draws away."""
     base, apps = amres_net(), toy_apps()
     calib = generate_requests(base, apps, GenParams(count=300, app="cam", enforce_origin_cap=False), 1)
-    net = calibrate_target_utilization(base, apps, calib, 0.5, 0.5)  # the cap turns some draws away
+    return calibrate_target_utilization(base, apps, calib, 0.5, 0.5)
+
+
+@pytest.mark.parametrize("spatial", ["uniform", "lognormal"])
+@pytest.mark.parametrize("cap", [False, True])
+@pytest.mark.parametrize("mean, sigma", [(10.0, 2.0), (0.7, 3.3)])
+def test_generate_draws_what_generator_choice_draws(spatial, cap, mean, sigma):
+    """Origins come from a CDF built once and sizes from one standard
+    normal draw each, yet every draw, redraw and size is the one numpy's
+    per-call ``choice`` and ``normal`` give, also where the floor clips
+    about two sizes in five and neither mean nor sigma is a binary
+    fraction."""
+    net, apps = capped_amres_net(), toy_apps()
     for seed in range(5):
-        params = GenParams(count=250, app="cam", spatial=spatial, lognormal_mu=0.3 * seed,
-                           lognormal_sigma=0.5 + seed, enforce_origin_cap=cap)
+        params = GenParams(count=250, app="cam", size_mean=mean, size_sigma=sigma, spatial=spatial,
+                           lognormal_mu=0.3 * seed, lognormal_sigma=0.5 + seed, enforce_origin_cap=cap)
         got = [(r.origin, r.demand) for r in generate_requests(net, apps, params, seed)]
         assert got == reference_requests(net, apps, params, seed)
         assert got
+        if mean < 1:
+            assert sum(size == vneap.harness._SIZE_FLOOR for _, size in got) > len(got) / 4
+
+
+def test_generate_gives_up_at_the_attempt_limit_as_the_reference_does(caplog):
+    """With the cap on and more requests asked for than the origins hold,
+    every draw up to the attempt limit is the reference's, and the
+    shortfall is logged."""
+    net, apps = capped_amres_net(), toy_apps()
+    params = GenParams(count=2000, app="cam", spatial="lognormal", enforce_origin_cap=True)
+    with caplog.at_level("WARNING"):
+        got = [(r.origin, r.demand) for r in generate_requests(net, apps, params, 3)]
+    assert got == reference_requests(net, apps, params, 3)
+    assert 0 < len(got) < 2000
+    assert f"origin caps exhausted: generated {len(got)} of 2000 requests" in caplog.text
 
 
 GENERATE_DIGESTS = Path(__file__).parent / "data" / "generate_digests.json"
