@@ -370,15 +370,14 @@ def capped_amres_net() -> SubstrateNetwork:
 
 @pytest.mark.parametrize("spatial", ["uniform", "lognormal"])
 @pytest.mark.parametrize("cap", [False, True])
-@pytest.mark.parametrize("mean, sigma", [(10.0, 2.0), (0.7, 3.3)])
-def test_generate_draws_what_generator_choice_draws(spatial, cap, mean, sigma):
+def test_generate_draws_what_generator_choice_draws(spatial, cap):
     """Origins come from a CDF built once and sizes from one standard
     normal draw each, yet every draw, redraw and size is the one numpy's
-    per-call ``choice`` and ``normal`` give, also where the floor clips
-    about two sizes in five and neither mean nor sigma is a binary
-    fraction."""
+    per-call ``choice`` and ``normal`` give, also at sizes 0.7 ± 3.3,
+    where the floor clips about two in five and neither mean nor sigma
+    is a binary fraction."""
     net, apps = capped_amres_net(), toy_apps()
-    for seed in range(5):
+    for (mean, sigma), seed in itertools.product([(10.0, 2.0), (0.7, 3.3)], range(5)):
         params = GenParams(count=250, app="cam", size_mean=mean, size_sigma=sigma, spatial=spatial,
                            lognormal_mu=0.3 * seed, lognormal_sigma=0.5 + seed, enforce_origin_cap=cap)
         got = [(r.origin, r.demand) for r in generate_requests(net, apps, params, seed)]
@@ -388,14 +387,34 @@ def test_generate_draws_what_generator_choice_draws(spatial, cap, mean, sigma):
             assert sum(size == vneap.harness._SIZE_FLOOR for _, size in got) > len(got) / 4
 
 
-def test_generate_gives_up_at_the_attempt_limit_as_the_reference_does(caplog):
+def test_generate_gives_up_at_the_attempt_limit_as_the_reference_does(caplog, monkeypatch):
     """With the cap on and more requests asked for than the origins hold,
-    every draw up to the attempt limit is the reference's, and the
+    every draw is the reference's, generation stops after exactly
+    ``10 * count`` attempts (one origin and one size drawn each), and the
     shortfall is logged."""
     net, apps = capped_amres_net(), toy_apps()
     params = GenParams(count=2000, app="cam", spatial="lognormal", enforce_origin_cap=True)
+    draws = collections.Counter()
+    make = vneap.rng.stream
+
+    class Counted:
+        def __init__(self, generator):
+            self.generator = generator
+
+        def __getattr__(self, name):
+            method = getattr(self.generator, name)
+
+            def counted(*args):
+                draws[name] += 1
+                return method(*args)
+
+            return counted
+
+    monkeypatch.setattr(vneap.rng, "stream", lambda *labels: Counted(make(*labels)))
     with caplog.at_level("WARNING"):
         got = [(r.origin, r.demand) for r in generate_requests(net, apps, params, 3)]
+    monkeypatch.undo()
+    assert draws == {"random": 20_000, "standard_normal": 20_000}
     assert got == reference_requests(net, apps, params, 3)
     assert 0 < len(got) < 2000
     assert f"origin caps exhausted: generated {len(got)} of 2000 requests" in caplog.text
