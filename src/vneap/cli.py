@@ -1,9 +1,10 @@
 """Command-line interface: reproducible runs over substrate/application
 JSON files, GraphML topologies, and scenario configs.
 
-Exit codes: 0 success, 2 input error, 3 infeasible or unbounded, 4
-iteration limit or solver failure (from the solver status, not the
-message).
+Exit codes, mapped from the error's type in one place (``_Main``), never
+from its message; docs/FORMATS.md states the mapping in full: 0 success,
+2 input error, 3 infeasible or unbounded solve or a compare without a
+row, 4 iteration limit or solver failure.
 Set VNEAP_LOG=debug|info|warning|error to control logging.  All
 randomness derives from --seed through stable per-component labels.
 """
@@ -39,12 +40,9 @@ from .io import FormatError
 from .lp import INFEASIBLE, UNBOUNDED, SolverError
 from .model import check_instance
 
-EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_INFEASIBLE = 3
 EXIT_LIMIT = 4
-
-log = logging.getLogger("vneap.cli")
 
 
 def _setup_logging() -> None:
@@ -86,7 +84,21 @@ def _load_inputs(substrate: str, apps: str, requests_path=None, efficiency=None,
     return net, catalog, reqs, eff
 
 
-@click.group()
+class _Main(click.Group):
+    """Maps a command's failure to its exit code by the error's type, for
+    every command: a SolverError by its status, any other ValueError
+    (FormatError is one) to EXIT_INPUT.  Other errors propagate unmapped."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except SolverError as exc:
+            _fail(str(exc), _status_exit(exc.status))
+        except ValueError as exc:
+            _fail(str(exc), EXIT_INPUT)
+
+
+@click.group(cls=_Main)
 def main() -> None:
     """Virtual network embedding with alternative topologies."""
     _setup_logging()
@@ -98,13 +110,10 @@ def main() -> None:
 @click.option("--tier-ratios", default=TIER_RATIO, show_default=True, help="Cost/capacity ratio between tiers.")
 def ingest(graphml: str, out: str, tier_ratios: float) -> None:
     """Classify a GraphML topology into tiers and assign costs/capacities."""
-    try:
-        g = ingest_graphml(graphml)
-        tiers = classify_tiers(g)
-        net = assign_costs_capacities(g, tiers, tier_ratios)
-        vio.write_json(out, vio.dump_substrate(net))
-    except ValueError as exc:  # FormatError is one
-        _fail(str(exc), EXIT_INPUT)
+    g = ingest_graphml(graphml)
+    tiers = classify_tiers(g)
+    net = assign_costs_capacities(g, tiers, tier_ratios)
+    vio.write_json(out, vio.dump_substrate(net))
     click.echo(f"{len(net.nodes)} nodes, {len(net.arcs)} arcs -> {out}")
 
 
@@ -123,23 +132,20 @@ def ingest(graphml: str, out: str, tier_ratios: float) -> None:
 @click.option("--out", required=True, type=click.Path())
 def generate(substrate, apps, app, count, seed, spatial, size_mean, size_sigma, origin_cap, out):
     """Generate a request population over the substrate's edge nodes."""
-    try:
-        net, catalog, _, _ = _load_inputs(substrate, apps)
-        app = app or sorted(catalog)[0]
-        if app not in catalog:
-            raise FormatError(f"unknown application {app!r}")
-        params = GenParams(
-            count=count,
-            app=app,
-            size_mean=size_mean,
-            size_sigma=size_sigma,
-            spatial=spatial,
-            enforce_origin_cap=origin_cap,
-        )
-        requests = generate_requests(net, catalog, params, seed)
-        vio.write_json(out, vio.dump_requests(requests))
-    except ValueError as exc:  # FormatError is one
-        _fail(str(exc), EXIT_INPUT)
+    net, catalog, _, _ = _load_inputs(substrate, apps)
+    app = app or sorted(catalog)[0]
+    if app not in catalog:
+        raise FormatError(f"unknown application {app!r}")
+    params = GenParams(
+        count=count,
+        app=app,
+        size_mean=size_mean,
+        size_sigma=size_sigma,
+        spatial=spatial,
+        enforce_origin_cap=origin_cap,
+    )
+    requests = generate_requests(net, catalog, params, seed)
+    vio.write_json(out, vio.dump_requests(requests))
     click.echo(f"{len(requests)} requests -> {out}")
 
 
@@ -159,14 +165,11 @@ def generate(substrate, apps, app, count, seed, spatial, size_mean, size_sigma, 
 @click.option("--out", required=True, type=click.Path())
 def calibrate(substrate, apps, requests_path, node_tu, link_tu, population, out):
     """Scale substrate capacities to hit the target utilizations."""
-    try:
-        net, catalog, reqs, _ = _load_inputs(substrate, apps, requests_path)
-        scaled = calibrate_target_utilization(
-            net, catalog, reqs, node_tu, link_tu, population=population
-        )
-        vio.write_json(out, vio.dump_substrate(scaled))
-    except ValueError as exc:  # FormatError is one
-        _fail(str(exc), EXIT_INPUT)
+    net, catalog, reqs, _ = _load_inputs(substrate, apps, requests_path)
+    scaled = calibrate_target_utilization(
+        net, catalog, reqs, node_tu, link_tu, population=population
+    )
+    vio.write_json(out, vio.dump_substrate(scaled))
     click.echo(f"calibrated substrate -> {out}")
 
 
@@ -197,21 +200,15 @@ def solve(substrate, apps, requests_path, algo, seed, psi, efficiency, out):
     """Run one algorithm on one instance and write its report."""
     out = Path(out)
     sidecar = out.with_name(f"{out.stem}_timings.json")
-    try:
-        net, catalog, reqs, eff = _load_inputs(substrate, apps, requests_path, efficiency, psi)
-        for path in (out, sidecar):
-            vio.check_writable(path)  # a bad --out costs no solve
-        if psi is None:
-            psi = compute_rejection_penalty(net, catalog, eff)
-        row, timing, embeddings = harness._run_algorithm(algo, net, catalog, eff, reqs, psi, seed)
-    except ValueError as exc:  # FormatError is one
-        _fail(str(exc), EXIT_INPUT)
-    except SolverError as exc:
-        _fail(str(exc), _status_exit(exc.status))
-
+    net, catalog, reqs, eff = _load_inputs(substrate, apps, requests_path, efficiency, psi)
+    for path in (out, sidecar):
+        vio.check_writable(path)  # a bad --out costs no solve
+    if psi is None:
+        psi = compute_rejection_penalty(net, catalog, eff)
+    row, timing, embeddings = harness._run_algorithm(algo, net, catalog, eff, reqs, psi, seed)
     status = row.get("status", "ok")
     if status != "ok":
-        _fail(f"solver status: {status}", _status_exit(status))
+        raise SolverError(status, f"solver status: {status}")
 
     report = {"schema_version": vio.SCHEMA_VERSION, "psi": psi}
     report.update({k: v for k, v in sorted(row.items())})
@@ -219,11 +216,8 @@ def solve(substrate, apps, requests_path, algo, seed, psi, efficiency, out):
         report["embeddings"] = [_serialize_embedding(e) for e in embeddings]
     # wall-clock timings go beside the report, so the report stays byte-reproducible
     timings = {"schema_version": vio.SCHEMA_VERSION, **timing}
-    try:
-        vio.write_json(out, report)
-        vio.write_json(sidecar, timings)
-    except FormatError as exc:
-        _fail(str(exc), EXIT_INPUT)
+    vio.write_json(out, report)
+    vio.write_json(sidecar, timings)
     click.echo(f"{algo}: total_cost={row.get('total_cost')!r} -> {out}")
 
 
@@ -235,16 +229,10 @@ def solve(substrate, apps, requests_path, algo, seed, psi, efficiency, out):
 @click.option("--seed", default=None, type=int, help="Override the scenario seed.")
 def compare(scenario, out_dir, jobs, seed):
     """Run a full scenario (all repetitions and algorithms)."""
-    try:
-        config = load_scenario(scenario, jobs=jobs, seed=seed)
-        vio.make_dir(out_dir)  # a bad --out costs no repetition
-    except ValueError as exc:  # FormatError is one
-        _fail(str(exc), EXIT_INPUT)
+    config = load_scenario(scenario, jobs=jobs, seed=seed)
+    vio.make_dir(out_dir)  # a bad --out costs no repetition
     result = run_scenario(config)  # records each failure of a repetition
-    try:
-        paths = write_result(result, out_dir, config.apps)
-    except FormatError as exc:
-        _fail(str(exc), EXIT_INPUT)
+    paths = write_result(result, out_dir, config.apps)
     for err in result.errors:
         click.echo(
             f"repetition {err['repetition']} {err['algorithm']}: {err['type']}: {err['error']}",
@@ -264,7 +252,7 @@ def _csv_rows(path: Path, lines: list[str]):
         for fields in reader:
             yield reader.line_num, fields
     except csv.Error as exc:
-        _fail(f"{path}, line {reader.line_num}: {exc}", EXIT_INPUT)
+        raise FormatError(f"{path}, line {reader.line_num}: {exc}")
 
 
 @main.command()
@@ -278,28 +266,28 @@ def report(results_dir, out):
     rows = []
     paths = sorted(Path(results_dir).glob("*_rows.csv"))
     if not paths:
-        _fail(f"no *_rows.csv under {results_dir}", EXIT_INPUT)
+        raise FormatError(f"no *_rows.csv under {results_dir}")
     for path in paths:
         try:
             with open(path, newline="") as fh:
                 lines = list(fh)  # as csv.reader reads the file
         except OSError as exc:
-            _fail(f"{path}: {exc.strerror}", EXIT_INPUT)
+            raise FormatError(f"{path}: {exc.strerror}")
         except UnicodeDecodeError as exc:
-            _fail(f"{path}: {exc}", EXIT_INPUT)
+            raise FormatError(f"{path}: {exc}")
         rows_read = _csv_rows(path, lines)
         _, header = next(rows_read, (1, []))
         if "algorithm" not in header:
-            _fail(f"{path}, line 1: no 'algorithm' column", EXIT_INPUT)
+            raise FormatError(f"{path}, line 1: no 'algorithm' column")
         for line_num, fields in rows_read:
             if not fields:  # a blank line
                 continue
             where = f"{path}, line {line_num}"
             if len(fields) != len(header):
-                _fail(f"{where}: {len(fields)} fields, but the header has {len(header)}", EXIT_INPUT)
+                raise FormatError(f"{where}: {len(fields)} fields, but the header has {len(header)}")
             cells = dict(zip(header, fields))
             if not cells["algorithm"]:
-                _fail(f"{where}: 'algorithm': expected a name, not an empty field", EXIT_INPUT)
+                raise FormatError(f"{where}: 'algorithm': expected a name, not an empty field")
             row = {"algorithm": cells["algorithm"]}
             for metric in harness.SUMMARY_METRICS:
                 value = cells.get(metric, "")
@@ -310,14 +298,10 @@ def report(results_dir, out):
                 except ValueError:
                     row[metric] = math.nan
                 if not math.isfinite(row[metric]):
-                    message = f"{metric!r}: expected a finite number, not {value}"
-                    _fail(f"{where}: {message}", EXIT_INPUT)
+                    raise FormatError(f"{where}: {metric!r}: expected a finite number, not {value}")
             rows.append(row)
     summary = harness.summarize(rows)
-    try:
-        vio.write_json(out, {"schema_version": vio.SCHEMA_VERSION, "aggregates": summary})
-    except FormatError as exc:
-        _fail(str(exc), EXIT_INPUT)
+    vio.write_json(out, {"schema_version": vio.SCHEMA_VERSION, "aggregates": summary})
     click.echo(f"{len(rows)} rows summarized -> {out}")
 
 

@@ -25,6 +25,7 @@ import json
 import logging
 import math
 import multiprocessing
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -455,7 +456,14 @@ class ScenarioConfig:
     jobs: int = 1
 
     def __post_init__(self):
+        # the name prefixes each file write_result writes inside --out
+        if self.name in ("", ".", "..") or "/" in self.name or os.sep in self.name:
+            raise ValueError(f"name must be a plain file-name prefix, not {self.name!r}")
         check_instance(self.substrate, self.apps, self.efficiency, psi=self.psi)
+        for key in ("requests", "repetitions", "jobs", "seed"):
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{key} must be an integer, not {value!r}")
         for key in ("requests", "repetitions", "jobs"):
             if getattr(self, key) < 1:
                 raise ValueError(f"{key} must be >= 1, not {getattr(self, key)}")

@@ -22,7 +22,7 @@ import vneap.harness
 import vneap.io as vio
 from vneap.cli import load_scenario, main
 from vneap.formulation import solve_relaxation
-from vneap.lp import Solution
+from vneap.lp import Solution, SolverError
 from vneap.harness import ScenarioConfig, measured_utilization
 from vneap.model import EfficiencyMap, IntegralEmbedding
 
@@ -1076,6 +1076,94 @@ def test_an_output_path_that_cannot_be_written_is_an_input_error(runner, toy_fil
     assert result.exit_code == 2, result.output
     assert isinstance(result.exception, SystemExit)
     assert f"error: {path}: {why}\n" in result.output
+
+
+# ------------------------------------------------------------- exit codes
+
+# One library call each command makes, which a test replaces to see how
+# the command ends when it raises.
+LIBRARY_CALL = {
+    "ingest": (vneap.cli, "classify_tiers"),
+    "generate": (vneap.cli, "generate_requests"),
+    "calibrate": (vneap.cli, "calibrate_target_utilization"),
+    "solve": (vneap.harness, "_run_algorithm"),
+    "compare": (vneap.cli, "run_scenario"),
+    "report": (vneap.harness, "summarize"),
+}
+
+
+def command_args(command: str, files: dict) -> list[str]:
+    """Arguments under which ``command`` runs on the toy files."""
+    d = files["dir"]
+    inputs = ["--substrate", str(files["substrate"]), "--apps", "cctv_two"]
+    return {
+        "ingest": ["ingest", "--graphml", str(ARNES), "--out", str(d / "sub.json")],
+        "generate": ["generate", *inputs, "--count", "3", "--out", str(d / "reqs.json")],
+        "calibrate": ["calibrate", *inputs, "--requests", str(files["requests"]),
+                      "--node-tu", "0.5", "--link-tu", "0.5", "--out", str(d / "cal.json")],
+        "solve": solve_args(files, "greedy", d / "x.json"),
+        "compare": ["compare", "--scenario", str(GOLDEN / "tiny_scenario.json"), "--out", str(d / "out")],
+        "report": ["report", "--results", str(GOLDEN / "report_rows"), "--out", str(d / "summary.json")],
+    }[command]
+
+
+def raising(exc: Exception):
+    def call(*args, **kwargs):
+        raise exc
+
+    return call
+
+
+@pytest.mark.parametrize("command", list(LIBRARY_CALL))
+@pytest.mark.parametrize("error, code, ends_in", [(ValueError, 2, SystemExit), (RuntimeError, 1, RuntimeError)])
+def test_every_command_exits_by_the_type_of_its_failure(runner, toy_files, monkeypatch, command, error, code, ends_in):
+    """A ValueError from any library call a command makes, even one no
+    command catches itself, is an input error: exit 2, no traceback.  An
+    error that is neither that nor a solver status is a defect: it
+    propagates as itself and exits 1."""
+    monkeypatch.setattr(*LIBRARY_CALL[command], raising(error("boom")))
+    result = runner.invoke(main, command_args(command, toy_files))
+    assert result.exit_code == code, result.output
+    assert isinstance(result.exception, ends_in)
+    assert ("error: boom\n" in result.output) == (code == 2)
+
+
+@pytest.mark.parametrize("status, code", [("infeasible", 3), ("unbounded", 3), ("failure", 4)])
+def test_solve_maps_a_solver_error_from_its_algorithm_by_status(runner, toy_files, monkeypatch, status, code):
+    monkeypatch.setattr(vneap.harness, "_run_algorithm", raising(SolverError(status, "boom")))
+    result = runner.invoke(main, solve_args(toy_files, "greedy", toy_files["dir"] / "x.json"))
+    assert result.exit_code == code, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "error: boom\n" in result.output
+
+
+@pytest.mark.parametrize("status, code", [("infeasible", 3), ("iteration_limit", 4)])
+def test_solve_maps_a_row_status_other_than_ok(runner, toy_files, monkeypatch, status, code):
+    """An algorithm that reports a solver status in its row, as ``lp``
+    does, writes no report and exits by that status."""
+    monkeypatch.setattr(vneap.harness, "_run_algorithm", lambda *args: ({"status": status}, {}, None))
+    out = toy_files["dir"] / "x.json"
+    result = runner.invoke(main, solve_args(toy_files, "lp", out))
+    assert result.exit_code == code, result.output
+    assert f"error: solver status: {status}\n" in result.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["sub/x", "../x"])
+def test_compare_refuses_a_scenario_name_with_a_path_before_any_repetition(runner, tmp_path, monkeypatch, name):
+    """The name prefixes the files written inside --out: "sub/x" failed
+    only after every repetition had run, and "../x" wrote beside --out."""
+
+    def run(config):
+        raise AssertionError("a repetition ran before the name was checked")
+
+    monkeypatch.setattr(vneap.cli, "run_scenario", run)
+    scenario = write_scenario(tmp_path / "scenario.json", name=name)
+    result = runner.invoke(main, ["compare", "--scenario", str(scenario), "--out", str(tmp_path / "out")])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert f"error: name must be a plain file-name prefix, not {name!r}\n" in result.output
+    assert list(tmp_path.iterdir()) == [scenario]
 
 
 # ---------------------------------------------------------- mutated inputs

@@ -13,6 +13,7 @@ import itertools
 import json
 import math
 import random
+import re
 from dataclasses import replace
 from importlib import resources
 from pathlib import Path
@@ -889,6 +890,25 @@ def test_scenario_config_validation():
                          ({"size_sigma": math.inf}, "inf")):
         with pytest.raises(ValueError, match=f"calibration cannot size .* node capacity scale {scale} "):
             tiny_config(**sizes)
+
+
+@pytest.mark.parametrize("key", ["requests", "repetitions", "jobs", "seed"])
+@pytest.mark.parametrize("value", [2.5, True])
+def test_scenario_config_refuses_an_integer_field_that_is_not_an_integer(key, value):
+    """A float or bool would compare as a number: requests 2.5 failed only
+    in the first repetition, repetitions 2.5 in ``range``, and jobs 2.5,
+    repetitions True and seed 2.5 (seed 2's rows) ran as if asked for."""
+    with pytest.raises(ValueError, match=f"^{key} must be an integer, not {value!r}$"):
+        tiny_config(**{key: value})
+
+
+@pytest.mark.parametrize("name", ["", ".", "..", "sub/x", "../x", "/tmp/x"])
+def test_scenario_config_refuses_a_name_that_is_not_a_file_name_prefix(name):
+    """The name prefixes the files written inside the output directory:
+    a separator would write them elsewhere, or nowhere, after every
+    repetition had run."""
+    with pytest.raises(ValueError, match=f"^name must be a plain file-name prefix, not {re.escape(repr(name))}$"):
+        tiny_config(name=name)
 
 
 # ------------------------------------------------------- reporting helpers
