@@ -1,7 +1,7 @@
 """Sequential greedy embedding: each request gets the cheapest feasible
 alternative against residual capacity, or is rejected.
 
-The per-alternative search (`_ChainSearch.embed`) splits the service
+The per-alternative search (`_ChainSearch.price`) splits the service
 tree into maximal downward chains and embeds each chain with an A* run
 over (substrate node, chain progress) states, so hops pay bandwidth and
 placements pay compute.  A chain starts at the root or at the branch
@@ -32,27 +32,42 @@ A chain's answer is its list of moves (placements and hops) on node and
 arc indices.  A candidate's cost is summed from those moves.  The
 cheapest candidate (the lowest alternative index among equal costs) is
 tried first; only when the cumulative recheck refuses it are the others
-sorted and tried in turn.  What the recheck needs is built once per
-(alternative, origin, chain answers), keyed by the answers' identity, and
-shared by every request embedded with the same answers: an accept plan
-of each loaded node and arc with its (size factor, coefficient) terms,
-and the id-keyed node and link maps, read-only, of the
-:class:`IntegralEmbedding` an accepted request gets.  Accepting a
-request sums each element's terms at its demand, checks every sum
-against the residual and only then takes them off it.
+sorted and tried in turn.
 
 Most searches repeat the last answer for their (chain, start node), so
-`_ChainSearch` keeps that answer's moves, with the demand d0 it was
-found at and the moves the search refused for capacity alone.  A later
-call at demand d returns it, its cost replayed move by move in the
-search's own float order, when (i) every move of the answer still fits
-at d and (ii) every refused move is still refused at d.  That answer is
-then still a cheapest one: every move's cost and load is linear in
-demand, so scaling demand keeps the cost order of whole paths; by (ii)
-no move refused at d0 has opened up, and any move the earlier search
-never examined lay beyond its goal's key, so no other path can now
-undercut the answer.  When d >= d0, (ii) holds by itself: float products
-are monotone and the residual only shrinks.
+`_ChainSearch` keeps that answer's moves, with the moves the search
+refused for capacity alone and a watermark: the lowest demand at which
+those were all checked as still refused, at first the demand d0 the
+search ran at.  A later call at demand d returns it, its cost replayed
+move by move in the search's own float order, when (i) every move of
+the answer still fits at d and (ii) every refused move is still refused
+at d.  That answer is then still a cheapest one: every move's cost and
+load is linear in demand, so scaling demand keeps the cost order of
+whole paths; by (ii) no move refused at d0 has opened up, and any move
+the earlier search never examined lay beyond its goal's key, so no
+other path can now undercut the answer.  (ii) is checked only when d is
+below the watermark, and a passed check lowers the watermark to d.
+That is exact: if every refused move's load d1 * f * c exceeded its cap
+at some earlier call, then at d >= d1 the load d * f * c is at least
+d1 * f * c (float products of non-negative numbers are monotone) and
+the cap is at most what it was (capacity is only ever taken off the
+residual), so the move is still refused.  The search itself passes the
+check at d0, which is why the watermark starts there.
+
+Each (alternative, origin) keeps one record of its last candidate: the
+``_answers`` entries its chains used and, from the first time the
+candidate is offered for acceptance, an accept plan of each loaded node
+and arc with its (size factor, coefficient) terms and the id-keyed node
+and link maps, read-only, of the :class:`IntegralEmbedding` an accepted
+request gets.  A request prices the alternative in one pass over the
+record: each chain's entry must still be the current one for its
+(chain, start node), which another origin's search can replace, and
+pass (i) and (ii), its cost summed as it goes.  From the first chain
+that fails, the chains are embedded as above, reusing or searching, and
+a new record replaces the old, so every request priced through one
+record shares its plan and maps.  Accepting a request sums each
+element's terms at its demand, checks every sum against the residual
+and only then takes them off it.
 """
 
 from __future__ import annotations
@@ -94,7 +109,7 @@ class _ChainSearch:
     plans, each with its chains' A* bounds (the pricing's DP at zero
     duals over the chain's links), are filled on first use and shared
     by every later search.  The residual capacity starts at the
-    network's and shrinks on every :meth:`take`: ``node_left`` and
+    network's and shrinks on every :meth:`accept`: ``node_left`` and
     ``arc_left`` hold it, ``node_cap`` and ``arc_cap`` the same values
     with ``_EPS`` already added, as the search tests them.
 
@@ -107,24 +122,27 @@ class _ChainSearch:
     Beside the residual, ``_answers`` keeps the last answer of every
     (chain, start node index), keyed by the chain's slot (its position
     among the planned chains, times the node count) plus the start
-    index.  An entry is (d0, moves, refused): the demand the A* search
-    ran at, the answer's moves (None when no chain embedding fit) and
-    the moves refused for capacity alone, as (caps, index, size factor,
-    coefficient).  :meth:`embed_chain` returns the answer again at
+    index.  An entry is [watermark, moves, refused]: the lowest demand
+    at which the refused moves were all checked as refused (at first
+    the demand the A* search ran at), the answer's moves (None when no
+    chain embedding fit) and the moves refused for capacity alone, as
+    (caps, index, size factor, coefficient).  :meth:`_replay` holds at
     demand d when every move's load still fits its ``node_cap``/
-    ``arc_cap`` entry and, if d < d0, every refused move's load still
-    does not; the module docstring says why that answer is still a
-    cheapest one.  ``chain_searches`` counts the A* runs and
-    ``chain_reuses`` the answers returned again.
+    ``arc_cap`` entry and, if d is below the watermark, every refused
+    move's load still does not; the module docstring says why that
+    answer is still a cheapest one.  ``chain_searches`` counts the A*
+    runs and ``chain_reuses`` the answers returned again.
 
-    ``_accepts`` keeps, per candidate :meth:`take` has seen, keyed by
-    (alternative, origin index, *ids of its chain answers*), the entry
-    (answers, node map, link map, accept plan).  The entry holds the
-    answers, so no id in a live key is reused.  The maps are id-keyed
-    and read-only, as :class:`IntegralEmbedding` keeps them.  The plan
-    has one (left, caps, index, terms) per loaded node and arc: its
-    residual lists and its (size factor, coefficient) terms, the root's
-    first and then each move's in order, with zero terms left out.
+    Each plan ends with the alternative's records, one per origin index
+    (None until first priced there).  A record is [chains, accepted]:
+    (key, entry) per chain :meth:`price` embedded, in order, each entry
+    the ``_answers`` one it used, and None until :meth:`accept` first
+    sees the record, then (node map, link map, accept plan).  The maps
+    are id-keyed and read-only, as :class:`IntegralEmbedding` keeps
+    them.  The plan has one (left, caps, index, terms) per loaded node
+    and arc: its residual lists and its (size factor, coefficient)
+    terms, the root's first and then each move's in order, with zero
+    terms left out.
     """
 
     def __init__(self, net: SubstrateNetwork, efficiency: EfficiencyMap):
@@ -146,13 +164,12 @@ class _ChainSearch:
         self.arc_cap = [c + _EPS for c in self.arc_left]
         self._plans: dict[AlternativeTopology, tuple] = {}
         self._slots = 0  # node count times the number of chains planned
-        self._answers: dict[int, tuple] = {}
-        self._accepts: dict[tuple, tuple] = {}
+        self._answers: dict[int, list] = {}
         self.chain_searches = 0
         self.chain_reuses = 0
 
     def plan(self, alt: AlternativeTopology) -> tuple:
-        """(root row, root size, chains) of ``alt``.  The chains split
+        """(root row, root size, chains, records) of ``alt``.  The chains split
         ``alt.preorder`` into maximal downward chains: a link extends the
         last chain when its parent is that chain's end and has exactly
         one child.  A chain is (start, slot, steps, bound): ``start`` is 0
@@ -163,7 +180,7 @@ class _ChainSearch:
         ``m * n + v`` (+inf where no sequence of allowed moves finishes
         it), shrunk by ``_BOUND_SHRINK``: the pricing's distances at zero
         duals of links m = 0 .. k - 1 from node v, then zeros for the
-        last layer."""
+        last layer.  The records are :meth:`price`'s, per origin index."""
         plan = self._plans.get(alt)
         if plan is None:
             pricing, n = self.pricing, len(self.ids)
@@ -193,7 +210,7 @@ class _ChainSearch:
                 chains.append((ends.get(chain[0][0].parent, 0), self._slots, steps, bound))
                 self._slots += n
             root = (pricing.node_row(alt.root), alt.node_by_id[alt.root].size)
-            plan = self._plans[alt] = (*root, chains)
+            plan = self._plans[alt] = (*root, chains, [None] * n)
         return plan
 
     def embed_chain(
@@ -204,31 +221,41 @@ class _ChainSearch:
         placed function.  Returns (moves, cost) or None.
 
         The last answer for (``slot``, ``start``) is returned again when
-        the class docstring's reuse rule holds at ``demand``; otherwise
-        :meth:`_search` runs and its answer replaces the entry.  Either
-        way the answer's cost is replayed move by move in the search's
-        float order, which gives a fresh answer's ``dist[]`` to the bit.
+        :meth:`_replay` holds at ``demand``; otherwise :meth:`_search`
+        runs and its answer replaces the entry.  Either way the cost is
+        :meth:`_replay`'s, which gives a fresh answer's ``dist[]`` to the
+        bit.
         """
         key = slot + start
         entry = self._answers.get(key)
-        # (ii): a move refused at d0 is refused at every d >= d0
-        reused = entry is not None and (
-            demand >= entry[0] or all(demand * f * c > caps[i] for caps, i, f, c in entry[2])
-        )
-        while True:
-            if not reused:
-                self.chain_searches += 1
-                entry = self._answers[key] = (demand, *self._search(steps, bound, start, demand))
-            moves, cost = entry[1], 0.0
-            for caps, i, factor, coeff, unit, _ in moves or ():  # (i), cost summed as dist[] is
-                load = demand * factor * coeff
-                if reused and load > caps[i]:  # a fresh answer fits by construction
-                    reused = False
-                    break
-                cost = cost + load * unit
-            else:
-                self.chain_reuses += reused
-                return None if moves is None else (moves, cost)
+        cost = None if entry is None else self._replay(entry, demand)
+        if cost is None:
+            self.chain_searches += 1
+            entry = self._answers[key] = [demand, *self._search(steps, bound, start, demand)]
+            cost = self._replay(entry, demand)  # a fresh answer fits by construction
+        else:
+            self.chain_reuses += 1
+        return None if entry[1] is None else (entry[1], cost)
+
+    def _replay(self, entry: list, demand: float) -> Optional[float]:
+        """The cost of ``_answers`` entry ``entry``'s answer at ``demand``,
+        summed move by move as the search sums ``dist[]`` (0.0 when the
+        answer is None), or None when the reuse rule fails: (ii) some
+        refused move fits, checked only below the entry's watermark,
+        which a passed check lowers to ``demand``, or (i) some move of
+        the answer does not fit."""
+        if demand < entry[0]:
+            for caps, i, factor, coeff in entry[2]:
+                if demand * factor * coeff <= caps[i]:
+                    return None
+            entry[0] = demand
+        cost = 0.0
+        for caps, i, factor, coeff, unit, _ in entry[1] or ():
+            load = demand * factor * coeff
+            if load > caps[i]:
+                return None
+            cost = cost + load * unit
+        return cost
 
     def _search(
         self, steps: Sequence[tuple], bound: Sequence[float], start: int, demand: float
@@ -325,45 +352,64 @@ class _ChainSearch:
         path.reverse()
         return path, refused
 
-    def embed(self, alt: AlternativeTopology, origin: int, demand: float):
+    def price(self, alt: AlternativeTopology, origin: int, demand: float):
         """Minimal-cost embedding of one alternative rooted at node index
-        ``origin`` against this search's residual capacities: (cost, its
-        chains' answers in turn, each a list of moves), or None if the
-        search finds no feasible placement.
+        ``origin`` against this search's residual capacities: (cost, the
+        alternative's record for ``origin``), or None if no feasible
+        placement is found.
 
-        Chains are embedded greedily in preorder, each move checked
-        against the residual alone; :meth:`take` rechecks the candidate
-        cumulatively before it is accepted.
+        Chains are embedded in preorder, each move checked against the
+        residual alone; :meth:`accept` rechecks the candidate cumulatively.
+        A chain whose record entry is still ``_answers``' current one and
+        passes :meth:`_replay` is reused in place; from the first one that
+        is not, the chains go through :meth:`embed_chain` and a new record
+        replaces the old.
         """
-        root_row, _, chains = self.plan(alt)
+        root_row, _, chains, records = self._plans.get(alt) or self.plan(alt)
         if root_row[origin] is FORBIDDEN:
             return None
-        answers: list[list[tuple]] = []
-        placed = [origin]  # the root's node, then each chain's last function's
+        record = records[origin]
+        held = [] if record is None else record[0]
+        answers, replay = self._answers, self._replay
         cost = 0.0
-        for start, slot, steps, bound in chains:
-            got = self.embed_chain(slot, steps, bound, placed[start], demand)
-            if got is None:
-                return None
-            moves, chain_cost = got
-            answers.append(moves)
-            placed.append(moves[-1][1])
+        hits = 0
+        for key, entry in held:
+            chain_cost = replay(entry, demand) if answers[key] is entry else None
+            if chain_cost is None:
+                break
+            hits += 1
             cost += chain_cost
-        return cost, answers
+        self.chain_reuses += hits
+        if record is not None and hits == len(held):
+            # every chain reused; a record stops at its first chain without an answer
+            return None if held and entry[1] is None else (cost, record)
+        held = held[:hits]
+        placed = [origin, *(entry[1][-1][1] for _, entry in held)]
+        for start, slot, steps, bound in chains[hits:]:
+            start = placed[start]
+            got = self.embed_chain(slot, steps, bound, start, demand)
+            held.append((slot + start, answers[slot + start]))
+            if got is None:
+                records[origin] = [held, None]
+                return None
+            placed.append(got[0][-1][1])
+            cost += got[1]
+        record = records[origin] = [held, None]
+        return cost, record
 
-    def take(self, alt: AlternativeTopology, origin: int, demand: float, answers: Sequence[list]):
-        """Accept :meth:`embed`'s candidate of ``alt`` rooted at node index
+    def accept(self, alt: AlternativeTopology, origin: int, demand: float, record: list):
+        """Accept :meth:`price`'s candidate of ``alt`` rooted at node index
         ``origin`` if it fits: sum each loaded element's terms from the
-        candidate's accept plan at ``demand``, check every sum against the
+        record's accept plan at ``demand``, check every sum against the
         residual (per-move checks were against the untouched residual, so
         co-located functions and shared arcs need a joint pass) and, only
         if every one fits, take them off it (never below 0).  Returns the
-        candidate's (node map, link map), or None when it does not fit."""
-        key = (alt, origin, *map(id, answers))
-        entry = self._accepts.get(key)
-        if entry is None:
-            entry = self._accepts[key] = self._accept_plan(alt, origin, answers)
-        plan = entry[3]
+        record's (node map, link map), or None when it does not fit."""
+        accepted = record[1]
+        if accepted is None:
+            answers = [entry[1] for _, entry in record[0]]
+            accepted = record[1] = self._accept_plan(alt, origin, answers)
+        plan = accepted[2]
         loads = []
         for _, caps, i, terms in plan:
             load = 0.0
@@ -378,11 +424,12 @@ class _ChainSearch:
                 rest = 0.0
             left[i] = rest
             caps[i] = rest + _EPS
-        return entry[1], entry[2]
+        return accepted[0], accepted[1]
 
     def _accept_plan(self, alt: AlternativeTopology, origin: int, answers: Sequence[list]):
-        """The ``_accepts`` entry of a candidate :meth:`take` has not seen."""
-        root_row, root_size, _ = self.plan(alt)
+        """A record's (node map, link map, accept plan), from its chains'
+        ``answers``."""
+        root_row, root_size, *_ = self.plan(alt)
         ids, pairs, node_cap = self.ids, self.pairs, self.node_cap
         node_map = {alt.root: ids[origin]}
         paths = {(link.parent, link.child): [] for link in alt.preorder}
@@ -403,7 +450,7 @@ class _ChainSearch:
         plan = [(self.node_left, node_cap, i, tuple(t)) for i, t in node_terms.items()]
         plan += [(self.arc_left, self.arc_cap, i, tuple(t)) for i, t in arc_terms.items()]
         link_map = {pair: tuple(path) for pair, path in paths.items()}
-        return answers, MappingProxyType(node_map), MappingProxyType(link_map), tuple(plan)
+        return MappingProxyType(node_map), MappingProxyType(link_map), tuple(plan)
 
 
 @dataclass
@@ -443,7 +490,7 @@ def greedy_embed_all(
     order = _rng.stream(order_seed, "greedy-order").permutation(len(requests))
     results: list[Optional[IntegralEmbedding]] = [None] * len(requests)
     report = GreedyReport(order=tuple(order.tolist()))
-    embed, take = search.embed, search.take
+    price, accept = search.price, search.accept
     for pos in report.order:
         req = requests[pos]
         demand = req.demand
@@ -451,17 +498,17 @@ def greedy_embed_all(
         candidates = []
         best = maps = None
         for alt in ranked[req.app] if origin is not None else ():
-            got = embed(alt, origin, demand)
+            got = price(alt, origin, demand)
             if got is not None:
                 candidates.append((got[0], alt, got[1]))
                 if best is None or got[0] < best[0]:  # equal costs keep the lower index
                     best = candidates[-1]
         if best is not None:
-            maps = take(best[1], origin, demand, best[2])
+            maps = accept(best[1], origin, demand, best[2])
             if maps is None:
                 # the rest cheapest first; a stable sort puts best first
                 for cand in sorted(candidates, key=lambda cand: cand[0])[1:]:
-                    maps = take(cand[1], origin, demand, cand[2])
+                    maps = accept(cand[1], origin, demand, cand[2])
                     if maps is not None:
                         best = cand
                         break

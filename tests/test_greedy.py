@@ -140,7 +140,7 @@ def test_equal_cost_alternatives_go_to_the_lower_index():
 
 @dataclass
 class Candidate:
-    """One alternative as :meth:`_ChainSearch.embed` embeds it, its chain
+    """One alternative as :meth:`_ChainSearch.price` embeds it, its chain
     moves turned into node and link maps; loads keyed by index."""
 
     node_map: dict
@@ -148,7 +148,7 @@ class Candidate:
     cost: float
     node_loads: dict
     arc_loads: dict
-    answers: list
+    record: list
 
 
 def residual_lists(search: _ChainSearch) -> tuple[list, ...]:
@@ -163,26 +163,33 @@ def residual(search: _ChainSearch) -> tuple[list, ...]:
 
 def restore(search: _ChainSearch, snapshot: tuple[list, ...]) -> None:
     """Put a :func:`residual` snapshot back, in the same list objects
-    (the accept plans hold them)."""
+    (the accept plans hold them).  Only a residual the chain answers were
+    found at may be put back: their watermarks assume it never grows."""
     for now, then in zip(residual_lists(search), snapshot):
         now[:] = then
 
 
-def checked_take(search: _ChainSearch, alt, origin: int, demand: float, answers):
-    """:meth:`_ChainSearch.take` of a candidate, checked against loads
-    summed here from its chain ``answers``: per node and arc index, the
+def record_answers(record) -> list:
+    """The chain answers (lists of moves) of a :meth:`_ChainSearch.price`
+    record, in order."""
+    return [entry[1] for _, entry in record[0]]
+
+
+def checked_accept(search: _ChainSearch, alt, origin: int, demand: float, record):
+    """:meth:`_ChainSearch.accept` of a priced record, checked against
+    loads summed here from its chain answers: per node and arc index, the
     root's load and then each move's, ``demand * factor * coeff``, in
     order, zero loads left out.  The candidate must be refused, leaving
     the residual as it was, exactly when one of those loads exceeds its
     cap; otherwise the residual must have moved by exactly those loads
     (clipped at 0, the caps ``_EPS`` above) and nowhere else.  Returns
     None when refused, else (node map, link map, node loads, arc loads)."""
-    root_row, root_size, _ = search.plan(alt)
+    root_row, root_size, *_ = search.plan(alt)
     loads: tuple[dict, dict] = ({}, {})  # per node index, per arc index
     load = demand * root_size * root_row[origin]
     if load:
         loads[0][origin] = load
-    for moves in answers:
+    for moves in record_answers(record):
         for caps, i, factor, coeff, _, _ in moves:
             load = demand * factor * coeff
             if load:
@@ -192,7 +199,7 @@ def checked_take(search: _ChainSearch, alt, origin: int, demand: float, answers)
     fits = all(
         load <= before[2 * arc + 1][i] for arc in (0, 1) for i, load in loads[arc].items()
     )
-    maps = _ChainSearch.take(search, alt, origin, demand, answers)
+    maps = _ChainSearch.accept(search, alt, origin, demand, record)
     assert (maps is not None) == fits
     if maps is None:
         assert residual(search) == before
@@ -207,22 +214,22 @@ def checked_take(search: _ChainSearch, alt, origin: int, demand: float, answers)
 
 
 def embed_ids(search: _ChainSearch, alt, origin: str, demand: float):
-    """``search.embed`` of ``alt`` rooted at substrate node ``origin``, as
+    """``search.price`` of ``alt`` rooted at substrate node ``origin``, as
     a :class:`Candidate`, or None when it finds none or the candidate
-    fails ``search.take``'s cumulative recheck.  The residual is left as
-    it was: the loads ``take`` would take off it are kept instead."""
+    fails ``search.accept``'s cumulative recheck.  The residual is left
+    as it was: the loads ``accept`` would take off it are kept instead."""
     o = search.node_index[origin]
-    got = search.embed(alt, o, demand)
+    got = search.price(alt, o, demand)
     if got is None:
         return None
-    cost, chain_moves = got
+    cost, record = got
     before = residual(search)
-    taken = checked_take(search, alt, o, demand, chain_moves)
+    taken = checked_accept(search, alt, o, demand, record)
     restore(search, before)
     if taken is None:
         return None
     node_map, link_map, node_loads, arc_loads = taken
-    return Candidate(node_map, link_map, cost, node_loads, arc_loads, chain_moves)
+    return Candidate(node_map, link_map, cost, node_loads, arc_loads, record)
 
 
 def embed_one(net, alt, eff=None):
@@ -333,8 +340,8 @@ def test_a_load_within_eps_of_the_residual_takes_it_to_zero():
     search = _ChainSearch(toy_net(node_cap=1.0), EfficiencyMap())
     alt = theta_chain(1.0 + _EPS / 2)
     e = search.node_index["E"]
-    _, answers = search.embed(alt, e, 1.0)
-    node_map, *_ = checked_take(search, alt, e, 1.0, answers)
+    _, record = search.price(alt, e, 1.0)
+    node_map, *_ = checked_accept(search, alt, e, 1.0, record)
     assert node_map == {"theta": "E", "f": "E"}  # 10 * f beats 100 + f
     assert search.node_left[e] == 0.0 and search.node_cap[e] == _EPS
 
@@ -355,8 +362,8 @@ def test_loads_on_a_shared_arc_are_summed_in_move_order():
     eff = EfficiencyMap(node_coeffs={(k, "E"): FORBIDDEN for k in kids})
     search = _ChainSearch(toy_net(link_cap=1.5), eff)
     e, arc = search.node_index["E"], search.arc_index[("E", "C")]
-    _, answers = search.embed(alt, e, 1.0)
-    node_map, _, _, arc_loads = checked_take(search, alt, e, 1.0, answers)
+    _, record = search.price(alt, e, 1.0)
+    node_map, _, _, arc_loads = checked_accept(search, alt, e, 1.0, record)
     assert node_map == {"theta": "E", "a": "C", "b": "C", "c": "C"}
     assert arc_loads == {arc: 1.0}
     assert search.arc_left[arc] == 0.5
@@ -404,20 +411,20 @@ def test_each_choice_is_the_argmin_over_alternatives(seed):
         assert emb.node_map == chosen.node_map
         origin = replay.node_index[req.origin]
         chosen_alt = next(alt for alt in apps[req.app].alternatives if alt.index == emb.alternative)
-        assert checked_take(replay, chosen_alt, origin, req.demand, chosen.answers) is not None
+        assert checked_accept(replay, chosen_alt, origin, req.demand, chosen.record) is not None
 
 
 class RecordingSearch(_ChainSearch):
-    """A chain search whose every :meth:`take` runs through
-    :func:`checked_take` and is logged: (node left, arc left, result)
-    after the call, the result None or :func:`checked_take`'s."""
+    """A chain search whose every :meth:`accept` runs through
+    :func:`checked_accept` and is logged: (node left, arc left, result)
+    after the call, the result None or :func:`checked_accept`'s."""
 
     def __init__(self, *args):
         super().__init__(*args)
         self.taken: list[tuple] = []
 
-    def take(self, alt, origin, demand, answers):
-        got = checked_take(self, alt, origin, demand, answers)
+    def accept(self, alt, origin, demand, record):
+        got = checked_accept(self, alt, origin, demand, record)
         self.taken.append((list(self.node_left), list(self.arc_left), got))
         return None if got is None else got[:2]
 
@@ -437,7 +444,7 @@ def recorded_searches(monkeypatch) -> list[RecordingSearch]:
 
 @pytest.mark.parametrize("seed", [4, 11])
 def test_residuals_never_increase(monkeypatch, seed):
-    """Along a whole greedy run, every take leaves each node's and arc's
+    """Along a whole greedy run, every accept leaves each node's and arc's
     residual at most what it was, never below 0, and its cap ``_EPS``
     above it."""
     net, apps, eff, requests, psi = random_instance(seed)
@@ -468,11 +475,12 @@ def test_fixed_seed_reproduces_the_run():
 
 
 def test_requests_embedded_by_the_same_answers_share_read_only_maps():
-    """Maps are built once per (alternative, origin, chain answers) and
-    keyed by the answers' identity: the same answer lists give the same
-    map objects, equal copies of them new ones.  On the overloaded
-    arnes_si run, requests share map objects (one origin and alternative
-    per pair of objects), and neither map takes item assignment."""
+    """Maps are built once per :meth:`_ChainSearch.price` record: pricing
+    again at the same demand and residual returns the same record, whose
+    maps are the same objects, and a record holding equal copies of its
+    answers gets new, equal ones.  On the overloaded arnes_si run,
+    requests share map objects (one origin and alternative per pair of
+    objects), and neither map takes item assignment."""
     net, apps, eff, requests, psi = arnes_overloaded_instance()
     embeddings, _ = greedy_embed_all(net, apps, eff, requests, psi, 5)
     accepted = [e for e in embeddings if not e.rejected]
@@ -490,17 +498,19 @@ def test_requests_embedded_by_the_same_answers_share_read_only_maps():
     alt = apps["cctv"].alternatives[0]
     origin = search.node_index[requests[0].origin]
     demand = requests[0].demand
-    _, answers = search.embed(alt, origin, demand)
+    _, record = search.price(alt, origin, demand)
     before = residual(search)
 
-    def maps_of(chain_answers):
-        maps = checked_take(search, alt, origin, demand, chain_answers)[:2]
+    def maps_of(priced):
+        maps = checked_accept(search, alt, origin, demand, priced)[:2]
         restore(search, before)
         return maps
 
-    maps = maps_of(answers)
-    assert all(a is b for a, b in zip(maps_of(list(answers)), maps))
-    copies = maps_of([list(moves) for moves in answers])
+    maps = maps_of(record)
+    assert search.price(alt, origin, demand)[1] is record
+    assert all(a is b for a, b in zip(maps_of(record), maps))
+    copied = [[(key, [entry[0], list(entry[1]), entry[2]]) for key, entry in record[0]], None]
+    copies = maps_of(copied)
     assert copies == maps and not any(a is b for a, b in zip(copies, maps))
 
 
@@ -738,25 +748,66 @@ def chain_ids(search: _ChainSearch, steps, got):
     return placements, {pair: tuple(path) for pair, path in paths.items()}, cost
 
 
+# the methods themselves, as the tests below wrap them
+PRICE = _ChainSearch.price
+EMBED_CHAIN = _ChainSearch.embed_chain
+
+
+def priced_chains(search: _ChainSearch, alt, origin: int, calls: int) -> list:
+    """The chains the last :meth:`_ChainSearch.price` of ``alt`` at node
+    index ``origin`` embedded, as (slot, steps, bound, start node index,
+    entry) in order, read from its record.  ``calls`` is the number of
+    chain calls that price counted (searches plus reuses): the record must
+    hold exactly that many chains, each keyed by its start node, and each
+    entry must be the current ``_answers`` one."""
+    _, _, chains, records = search.plan(alt)
+    held = [] if records[origin] is None else records[origin][0]
+    assert len(held) == calls
+    placed = [origin]  # the root's node, then each chain's last function's
+    out = []
+    for (start, slot, steps, bound), (key, entry) in zip(chains, held):
+        assert key == slot + placed[start] and search._answers[key] is entry
+        out.append((slot, steps, bound, placed[start], entry))
+        if entry[1] is not None:
+            placed.append(entry[1][-1][1])
+    return out
+
+
+def answer_at(entry, demand: float):
+    """An ``_answers`` entry's answer as :meth:`_ChainSearch.embed_chain`
+    returns it at ``demand``: (moves, cost), the cost summed move by move
+    as the search sums ``dist[]``, or None."""
+    if entry[1] is None:
+        return None
+    cost = 0.0
+    for _, _, factor, coeff, unit, _ in entry[1]:
+        cost = cost + demand * factor * coeff * unit
+    return entry[1], cost
+
+
 def test_a_star_returns_what_dijkstra_returns(monkeypatch):
-    """Replaying every pinned run, each chain search returns the same
-    placements, paths and cost, to the bit, as a plain Dijkstra over the
-    same residual capacities, or None in both."""
-    a_star = _ChainSearch.embed_chain
+    """Replaying every pinned run, each chain answer a pricing returns,
+    searched or reused, has the same placements, paths and cost, to the
+    bit, as a plain Dijkstra over the same residual capacities, or None
+    in both."""
     seen = {"calls": 0, "none": 0}
 
-    def checked(self, slot, steps, bound, start, demand):
-        got = a_star(self, slot, steps, bound, start, demand)
-        translated = chain_ids(self, steps, got)
-        want = dijkstra_chain(self, steps, start, demand)
-        assert translated == want
-        if got is not None:
-            assert translated[2].hex() == want[2].hex()
-        seen["calls"] += 1
-        seen["none"] += got is None
+    def checked(self, alt, origin, demand):
+        calls = self.chain_searches + self.chain_reuses
+        got = PRICE(self, alt, origin, demand)
+        calls = self.chain_searches + self.chain_reuses - calls
+        for _, steps, _, start, entry in priced_chains(self, alt, origin, calls):
+            answer = answer_at(entry, demand)
+            translated = chain_ids(self, steps, answer)
+            want = dijkstra_chain(self, steps, start, demand)
+            assert translated == want
+            if answer is not None:
+                assert translated[2].hex() == want[2].hex()
+            seen["calls"] += 1
+            seen["none"] += answer is None
         return got
 
-    monkeypatch.setattr(_ChainSearch, "embed_chain", checked)
+    monkeypatch.setattr(_ChainSearch, "price", checked)
     for _, (net, apps, eff, requests, psi), order_seed in pinned_runs():
         greedy_embed_all(net, apps, eff, requests, psi, order_seed)
     assert seen["calls"] > 1000 and seen["none"] > 0
@@ -774,10 +825,6 @@ def same_answer(search: _ChainSearch, steps, got, want) -> bool:
     return got[0] == want[0] and got_ids[:2] == want_ids[:2] and got[1].hex() == want[1].hex()
 
 
-# the method itself, as the tests below wrap it
-EMBED_CHAIN = _ChainSearch.embed_chain
-
-
 def fresh_answer(search: _ChainSearch, slot, steps, bound, start, demand):
     """What ``search`` returns from a new A* search: the same call on a
     copy of it (same tables, same residual) whose answer cache is empty."""
@@ -786,41 +833,67 @@ def fresh_answer(search: _ChainSearch, slot, steps, bound, start, demand):
     return EMBED_CHAIN(fresh, slot, steps, bound, start, demand)
 
 
-@pytest.mark.parametrize("workload", ["random", "arnes_si-1000", "amres_rs-12000"])
+@pytest.mark.parametrize(
+    "workload", ["random", "arnes_si-1000", "amres_rs-12000", "dfn_de-cctv_four-3000"]
+)
 def test_reused_answers_equal_a_fresh_search(monkeypatch, workload):
-    """Every answer a chain search reuses equals, to the bit, what a new
+    """Every chain answer a pricing reuses, from its record or through
+    :meth:`_ChainSearch.embed_chain`, equals, to the bit, what a new
     search on the same tables and residual returns, over whole greedy
     runs: random instances 0-29 (branching alternatives and tight
     capacities among them), each also with its requests repeated four
-    times, and instances shaped like both benchmark workloads.  The
-    reports count every chain call as a search or a reuse.  The random
-    runs reuse answers at lower and at higher demand than they were found
-    at, and for a chain that did not fit (None) as well as one that did."""
+    times, instances shaped like both benchmark workloads, and dfn_de
+    with cctv_four's four alternatives, where the cheapest candidate is
+    often refused and answers are often searched again.  Each priced
+    cost is its chains' costs summed in order.  The reports count every
+    chain call as a search or a reuse.  The random runs reuse answers
+    below and above their watermark, and for a chain that did not fit
+    (None) as well as one that did."""
     if workload == "random":
         runs = []
         for seed in range(30):
             net, apps, eff, requests, psi = random_instance(seed)
             runs.append(((net, apps, eff, requests, psi), seed))
             runs.append(((net, apps, eff, requests * 4, psi), seed))
+    elif workload == "dfn_de-cctv_four-3000":
+        runs = [(bundled_instance("dfn_de", "cctv_four", 3000), 3)]
     else:
         topology, count = workload.split("-")
         runs = [(bench_instance(topology, int(count)), 1)]
     seen = {"calls": 0, "reused": 0}
     kinds = set()
+    # per entry a pricing has held: (the entry, its watermark after that pricing)
+    known: dict[int, tuple] = {}
 
-    def checked(self, slot, steps, bound, start, demand):
-        entry = self._answers.get(slot + start)
-        reuses = self.chain_reuses
-        got = EMBED_CHAIN(self, slot, steps, bound, start, demand)
-        seen["calls"] += 1
-        if self.chain_reuses > reuses:
-            seen["reused"] += 1
-            kinds.add(("lower" if demand < entry[0] else "higher", got is None))
-            want = fresh_answer(self, slot, steps, bound, start, demand)
-            assert same_answer(self, steps, got, want)
+    def checked(self, alt, origin, demand):
+        searches, reuses = self.chain_searches, self.chain_reuses
+        got = PRICE(self, alt, origin, demand)
+        calls = self.chain_searches - searches + self.chain_reuses - reuses
+        cost, reused = 0.0, 0
+        priced = priced_chains(self, alt, origin, calls)
+        for slot, steps, bound, start, entry in priced:
+            answer = answer_at(entry, demand)
+            if id(entry) in known:
+                reused += 1
+                mark = known[id(entry)][1]
+                kinds.add(("lower" if demand < mark else "higher", answer is None))
+                want = fresh_answer(self, slot, steps, bound, start, demand)
+                assert same_answer(self, steps, answer, want)
+            assert entry[0] <= demand
+            known[id(entry)] = (entry, entry[0])
+            if answer is not None:
+                cost += answer[1]
+        assert reused == self.chain_reuses - reuses
+        root_row, _, chains, _ = self.plan(alt)
+        if got is None:  # the last chain has no answer, or the root cannot sit at the origin
+            assert priced[-1][4][1] is None if priced else root_row[origin] is FORBIDDEN
+        else:
+            assert len(priced) == len(chains) and got[0].hex() == cost.hex()
+        seen["calls"] += calls
+        seen["reused"] += reused
         return got
 
-    monkeypatch.setattr(_ChainSearch, "embed_chain", checked)
+    monkeypatch.setattr(_ChainSearch, "price", checked)
     searches = reuses = 0
     for instance, seed in runs:
         _, report = greedy_embed_all(*instance, seed)
@@ -830,7 +903,7 @@ def test_reused_answers_equal_a_fresh_search(monkeypatch, workload):
     if workload == "random":
         assert {("lower", False), ("higher", False), ("higher", True)} <= kinds
     else:
-        # nearly every call repeats its (chain, start node)'s last answer
+        # most calls repeat their (chain, start node)'s last answer
         assert reuses > 0.75 * seen["calls"]
 
 
@@ -865,10 +938,11 @@ def finite_detour_net() -> SubstrateNetwork:
 )
 def test_reuse_on_random_residuals_and_demands(taken, calls):
     """On a drawn residual, a drawn sequence of demands (each call
-    followed by a drawn cut to one node or arc) gets from the cached
-    search what a new search returns.  Then, after a call at a demand
-    nothing fits at, a demand below it at which a refused move fits is a
-    miss: the chain is searched again."""
+    followed by a drawn cut to one node or arc) gets from the priced
+    record what a new search returns, and leaves the watermark at or
+    below the demand.  Then, after a call at a demand nothing fits at, a
+    demand below it at which a refused move fits is a miss: the chain is
+    searched again."""
     alt = two_step_chain()
     search = _ChainSearch(finite_detour_net(), EfficiencyMap())
     n = len(search.ids)
@@ -881,25 +955,66 @@ def test_reuse_on_random_residuals_and_demands(taken, calls):
         rest = left[i] = max(0.0, left[i] - left[i] * fraction)
         caps[i] = rest + _EPS
 
+    def checked_price(demand: float) -> None:
+        got = search.price(alt, start, demand)
+        (_, entry), = search.plan(alt)[3][start][0]
+        answer = answer_at(entry, demand)
+        want = fresh_answer(search, slot, steps, bound, start, demand)
+        assert same_answer(search, steps, answer, want)
+        assert got is None if want is None else got[0].hex() == want[1].hex()
+        assert entry[0] <= demand
+
     for element, fraction in enumerate(taken):
         cut(element, fraction)
     (_, slot, steps, bound), = search.plan(alt)[2]
     start = search.node_index["E"]
     for demand, element, fraction in calls:
-        got = search.embed_chain(slot, steps, bound, start, demand)
-        want = fresh_answer(search, slot, steps, bound, start, demand)
-        assert same_answer(search, steps, got, want)
+        checked_price(demand)
         cut(element, fraction)
     # nothing fits at this demand, so the entry now holds a None answer
     # (found by this call or reused) and the moves its search refused
-    assert search.embed_chain(slot, steps, bound, start, 1e6) is None
-    d0, moves, refused = search._answers[slot + start]
+    assert search.price(alt, start, 1e6) is None
+    mark, moves, refused = search._answers[slot + start]
     assert moves is None and refused
     caps, i, factor, coeff = refused[0]
     demand = caps[i] / (factor * coeff) / 2
-    assert demand < d0 and demand * factor * coeff <= caps[i]
+    assert demand < mark and demand * factor * coeff <= caps[i]
     searches = search.chain_searches
-    got = search.embed_chain(slot, steps, bound, start, demand)
+    checked_price(demand)
     assert search.chain_searches == searches + 1
-    want = fresh_answer(search, slot, steps, bound, start, demand)
-    assert same_answer(search, steps, got, want)
+
+
+def test_a_record_does_not_outlive_its_chain_entry():
+    """Random instance 11's first alternative branches at f0: chains
+    [f1, f2] and [f3] start where f0 sits.  Priced at origin 0 (demand 3),
+    f0 sits on node 1, and both branch chains' searches refuse moves.  Priced
+    at origin 1 (demand 0.75), f0 sits on node 1 too, and those refused
+    moves fit, so both branch chains are searched again and their entries
+    replaced.  Origin 0's record still holds the old entries, whose answers
+    would pass (i) and (ii) at demand 3; its next pricing must not reuse
+    them but go back to the current entries, whose moves no longer fit,
+    and search both branch chains again.  The answer equals a new
+    search's, and the new record holds only current entries."""
+    net, apps, eff, _, _ = random_instance(11)
+    alt = apps["app"].alternatives[0]
+    search = _ChainSearch(net, eff)
+    assert [start for start, *_ in search.plan(alt)[2]] == [0, 1, 1]
+    records = search.plan(alt)[3]
+    _, record = search.price(alt, 0, 3.0)
+    branch = record[0][1:]
+    slots = [slot for _, slot, *_ in search.plan(alt)[2][1:]]
+    assert [key for key, _ in branch] == [slot + 1 for slot in slots]
+    assert all(entry[2] for _, entry in branch)
+    search.price(alt, 1, 0.75)
+    assert [key for key, _ in records[1][0][1:]] == [slot + 1 for slot in slots]
+    assert not any(search._answers[key] is entry for key, entry in branch)
+    assert all(search._replay(entry, 3.0) is not None for _, entry in branch)
+    searches, reuses = search.chain_searches, search.chain_reuses
+    cost, record = search.price(alt, 0, 3.0)
+    assert (search.chain_searches - searches, search.chain_reuses - reuses) == (2, 1)
+    assert all(search._answers[key] is entry for key, entry in record[0])
+    fresh = copy.copy(search)
+    fresh._answers, fresh._plans = {}, {}
+    fresh_cost, fresh_record = fresh.price(alt, 0, 3.0)
+    assert cost.hex() == fresh_cost.hex()
+    assert record_answers(record) == record_answers(fresh_record)
