@@ -63,7 +63,9 @@ request gets.  A request prices the alternative in one pass over the
 record: each chain's entry must still be the current one for its
 (chain, start node), which another origin's search can replace, and
 pass (i) and (ii), its cost summed as it goes.  From the first chain
-that fails, the chains are embedded as above, reusing or searching, and
+that fails, the chains are embedded as above, reusing or searching (the
+failed chain itself is searched when its entry was current: (i) and
+(ii) would fail again, the watermark already at d if (ii) passed), and
 a new record replaces the old, so every request priced through one
 record shares its plan and maps.  Accepting a request sums each
 element's terms at its demand, checks every sum against the residual
@@ -226,15 +228,21 @@ class _ChainSearch:
         :meth:`_replay`'s, which gives a fresh answer's ``dist[]`` to the
         bit.
         """
-        key = slot + start
-        entry = self._answers.get(key)
+        entry = self._answers.get(slot + start)
         cost = None if entry is None else self._replay(entry, demand)
         if cost is None:
-            self.chain_searches += 1
-            entry = self._answers[key] = [demand, *self._search(steps, bound, start, demand)]
-            cost = self._replay(entry, demand)  # a fresh answer fits by construction
-        else:
-            self.chain_reuses += 1
+            return self._search_chain(slot, steps, bound, start, demand)
+        self.chain_reuses += 1
+        return None if entry[1] is None else (entry[1], cost)
+
+    def _search_chain(
+        self, slot: int, steps: Sequence[tuple], bound: Sequence[float], start: int, demand: float
+    ):
+        """:meth:`embed_chain` with no answer to reuse: the answer of a new
+        :meth:`_search`, which replaces the entry for (``slot``, ``start``)."""
+        self.chain_searches += 1
+        entry = self._answers[slot + start] = [demand, *self._search(steps, bound, start, demand)]
+        cost = self._replay(entry, demand)  # a fresh answer fits by construction
         return None if entry[1] is None else (entry[1], cost)
 
     def _replay(self, entry: list, demand: float) -> Optional[float]:
@@ -363,7 +371,8 @@ class _ChainSearch:
         A chain whose record entry is still ``_answers``' current one and
         passes :meth:`_replay` is reused in place; from the first one that
         is not, the chains go through :meth:`embed_chain` and a new record
-        replaces the old.
+        replaces the old.  A first one that is current but failed
+        :meth:`_replay` is searched at once: a second replay fails too.
         """
         root_row, _, chains, records = self._plans.get(alt) or self.plan(alt)
         if root_row[origin] is FORBIDDEN:
@@ -383,11 +392,16 @@ class _ChainSearch:
         if record is not None and hits == len(held):
             # every chain reused; a record stops at its first chain without an answer
             return None if held and entry[1] is None else (cost, record)
+        # a held entry that is still the current one has just failed
+        # _replay and would fail it again, so its chain is searched at once
+        failed = record is not None and answers[key] is entry
+        embed = self._search_chain if failed else self.embed_chain
         held = held[:hits]
         placed = [origin, *(entry[1][-1][1] for _, entry in held)]
         for start, slot, steps, bound in chains[hits:]:
             start = placed[start]
-            got = self.embed_chain(slot, steps, bound, start, demand)
+            got = embed(slot, steps, bound, start, demand)
+            embed = self.embed_chain
             held.append((slot + start, answers[slot + start]))
             if got is None:
                 records[origin] = [held, None]

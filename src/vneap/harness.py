@@ -647,6 +647,7 @@ def _run_algorithm(
             timing["lp_runtime_s"] = rep.lp_runtime_s
             timing["rounding_runtime_s"] = rep.rounding_runtime_s
             timing["rounding_cpu_s"] = rep.rounding_cpu_s
+            timing["replayed_walks"] = rep.replayed_walks
         timing["runtime_s"] = rep.runtime_s
         try:
             cost = _validate(timing, total_cost, net, catalog, efficiency, embeddings, psi)
@@ -839,6 +840,7 @@ def timings_to_csv(timings: Sequence[dict]) -> str:
         "lp_columns", "lp_pricing_rounds", "setup_runtime_s", "chain_searches", "chain_reuses",
         "cpu_s", "setup_cpu_s", "aggregate_cpu_s", "build_cpu_s", "solve_cpu_s", "unpack_cpu_s",
         "validate_s", "validate_cpu_s", "lp_rows", "lp_nnz", "lp_total_iterations",
+        "replayed_walks",
     ]
     return _csv(columns, ([t.get(c) for c in columns] for t in timings))
 

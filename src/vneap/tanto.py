@@ -17,12 +17,49 @@ walk's uniforms are drawn from the aggregate's stream 64 at a time,
 which gives the same doubles as one draw per call.  A walk records only
 the slots it consumes; requests of an aggregate that consume the same
 slots get the same read-only node and link maps.
+
+A walk in which every site it visited offered exactly one option with
+mass (``y > 0``) was fixed once its alternative was picked: each draw
+could only take that option.  The first such walk of an alternative
+that is accepted leaves its consumed slots and its outcome as the
+alternative's route.  A later request that picks the alternative (its
+root drawn and consumed as in a walk) replays the route instead of
+walking: from the route's second slot on, a slot at or below
+:data:`_DUST` is a stranded rejection, a slot holding less than the
+demand (with :data:`_SLACK`) is a rounding rejection that zeroes it,
+and otherwise the demand is consumed, clipped at 0.  The draws the walk
+would have taken are skipped, so the stream ends where the walk leaves
+it: with ``steps`` the request's step count, ``steps - 1`` draws after
+the root's on an accept or a rounding rejection and ``steps - 2`` on a
+stranded one, whose last step draws nothing.
+
+The replay is the walk, and a route never needs to be dropped:
+
+* a slot without mass never regains it.  Only a rejection gives mass
+  back, and only to the slots its own walk consumed, each of which held
+  mass when the walk chose it (a walk chooses only an option with
+  mass); a slot at 0 cannot be chosen, so it is never given any;
+* so the options a route passed over, which held none when its walk
+  was taken, hold none for the rest of the aggregate.  At every route
+  site the walk's total is then the route slot's own residual, to the
+  bit (the others add nothing), and a draw over it takes the route
+  slot whatever the uniform: the walk visits the route's sites in the
+  route's order;
+* a route slot that has since run dry or short is met at the same step
+  at which the walk meets it: the replay's checks are the walk's
+  stranded check on that total and its rounding check on that slot;
+* the replay's step count at each slot is the walk's, so the per-link
+  cap and the request budget, which the route's own walk never reached,
+  are not reached either, and the counters and the rejection's restore
+  are the walk's.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from itertools import islice
+from operator import length_hint
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
@@ -79,7 +116,11 @@ class RoundingState:
     ``outcomes`` maps each accepted walk's consumed slots, in walk
     order, to (alternative index, node map, link map): the slots fix the
     alternative, every placement and every path, so every request that
-    walks them gets the same read-only pair of maps.
+    walks them gets the same read-only pair of maps.  ``routes[t]`` is
+    None, or alternative ``t``'s route (the module docstring): the
+    consumed slots and the outcome of its first accepted walk that met
+    one option with mass at every site; its step count is the number of
+    slots.  ``replayed_walks`` counts the requests rounded by a replay.
 
     Invariants: every residual value stays within [0, its initial
     value]; once a slot is zeroed by a rejection it stays zero.
@@ -104,7 +145,11 @@ class RoundingState:
     overflow_rejections: int = 0
     total_steps: int = 0
     max_request_steps: int = 0
+    replayed_walks: int = 0
     outcomes: dict[tuple[int, ...], tuple[int, Mapping, Mapping]] = field(default_factory=dict)
+    routes: list[Optional[tuple[tuple[int, ...], tuple[int, Mapping, Mapping]]]] = field(
+        default_factory=list
+    )
 
     @staticmethod
     def for_aggregate(
@@ -167,6 +212,7 @@ class RoundingState:
             roots=roots,
             sites=sites,
             links=links,
+            routes=[None] * len(alternatives),
             initial_nonzero=len(keys),
             per_link_cap=max(1, n_nodes * len(net.arcs)),
             request_budget=max(1, _STEP_FACTOR * n_nodes * biggest),
@@ -201,8 +247,8 @@ def embed_request(
 ) -> IntegralEmbedding:
     """Round one request against its aggregate's residual fractional
     solution; the walk reads the alternatives from the state's tables.
-    ``rng`` is anything with a ``random()`` method returning uniforms in
-    [0, 1).
+    ``rng`` serves uniforms in [0, 1) as :class:`_BlockUniforms` does:
+    ``random()``, and ``skip(n)`` to drop the next ``n``.
 
     The walk: pick an alternative by weighted random selection over the
     root variables, embed the root at the origin, then route each
@@ -220,7 +266,9 @@ def embed_request(
     whose running sum exceeds it, or the last positive one when float
     rounding leaves the draw at the total.  The walk records only the
     slots it consumes; an accepted request gets its outcome's shared
-    maps (:meth:`RoundingState.outcome`).
+    maps (:meth:`RoundingState.outcome`).  An alternative with a route
+    is replayed instead of walked, with ``rng.skip(n)`` dropping the
+    draws the walk would have taken (the module docstring).
     """
     state = Y_residual
     y = state.y
@@ -248,10 +296,36 @@ def embed_request(
         return _reject(state, r, consumed, d, steps, "rounding_rejections", slot)
     left = have - d
     y[slot] = left if left > 0.0 else 0.0  # max(0.0, left), without the call
+    route = state.routes[pick]
+    if route is not None:
+        # the walk's own checks on the kept route, slot by slot; slot i is
+        # the walk's step i + 1, and the draws the walk would have taken
+        # are skipped
+        slots, outcome = route
+        state.replayed_walks += 1
+        for i in range(1, len(slots)):
+            slot = slots[i]
+            have = y[slot]
+            if have <= _DUST:
+                rng.skip(i - 1)
+                return _reject(state, r, slots[:i], d, i + 1, "stranded_rejections")
+            if not d <= have + _SLACK:
+                rng.skip(i)
+                return _reject(state, r, slots[:i], d, i + 1, "rounding_rejections", slot)
+            left = have - d
+            y[slot] = left if left > 0.0 else 0.0
+        steps = len(slots)
+        rng.skip(steps - 1)
+        state.accepted += 1
+        state.total_steps += steps
+        if steps > state.max_request_steps:
+            state.max_request_steps = steps
+        return IntegralEmbedding(r, *outcome)
     consumed.append(slot)
     per_link_cap = state.per_link_cap
     budget = state.request_budget
     at = [state.origin]  # substrate node of the root, then of each link's child
+    fixed = True  # every site so far had one option with mass
 
     for link, sites in zip(state.links[pick], state.sites[pick]):
         v = at[link[0]]
@@ -267,10 +341,14 @@ def embed_request(
             steps += 1
             # the placement option comes first, even at zero mass
             acc = total = y[place] if place >= 0 else 0.0
+            options = 1 if total > 0.0 else 0
             for option in arcs:
                 mass = y[option[0]]
                 if mass > 0.0:
                     total += mass
+                    options += 1
+            if options != 1:
+                fixed = False
             if total <= _DUST:
                 return _reject(state, r, consumed, d, steps, "stranded_rejections")
             x = rng.random() * total
@@ -302,6 +380,8 @@ def embed_request(
     outcome = state.outcomes.get(key)
     if outcome is None:
         outcome = state.outcomes[key] = state.outcome(pick, key)
+    if fixed:
+        state.routes[pick] = (key, outcome)
     return IntegralEmbedding(r, *outcome)
 
 
@@ -339,18 +419,32 @@ class _BlockUniforms:
     aggregate.
     """
 
-    __slots__ = ("_stream", "_next")
+    __slots__ = ("_stream", "_block", "_next")
 
     def __init__(self, stream: np.random.Generator):
         self._stream = stream
-        self._next = iter(()).__next__
+        self._refill(())
+
+    def _refill(self, draws) -> None:
+        self._block = iter(draws)
+        self._next = self._block.__next__
 
     def random(self) -> float:
         try:
             return self._next()
         except StopIteration:
-            self._next = iter(self._stream.random(_BLOCK).tolist()).__next__
+            self._refill(self._stream.random(_BLOCK).tolist())
             return self._next()
+
+    def skip(self, n: int) -> None:
+        """Drop the next ``n`` draws, as ``n`` calls of :meth:`random`
+        would, drawing new blocks as those calls would."""
+        left = length_hint(self._block)
+        while n > left:
+            n -= left
+            self._refill(self._stream.random(_BLOCK).tolist())
+            left = _BLOCK
+        next(islice(self._block, n, n), None)
 
 
 @dataclass
@@ -372,6 +466,8 @@ class TantoReport:
     overflow_rejections: int = 0
     max_request_steps: int = 0
     total_steps: int = 0
+    # walks rounded by replaying a kept route (see the module docstring)
+    replayed_walks: int = 0
     request_step_budget: int = 0
     per_link_step_cap: int = 0
     psi: float = 0.0
@@ -453,6 +549,7 @@ def round_relaxation(
         report.lp_exhausted_rejections += state.lp_exhausted_rejections
         report.overflow_rejections += state.overflow_rejections
         report.total_steps += state.total_steps
+        report.replayed_walks += state.replayed_walks
         report.max_request_steps = max(report.max_request_steps, state.max_request_steps)
         report.request_step_budget = max(report.request_step_budget, state.request_budget)
         report.per_link_step_cap = max(report.per_link_step_cap, state.per_link_cap)

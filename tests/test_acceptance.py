@@ -52,7 +52,7 @@ from vneap.model import (
     SubstrateNode,
     VirtualNode,
 )
-from vneap.tanto import RoundingState, embed_request, round_relaxation, tanto
+from vneap.tanto import RoundingState, _BlockUniforms, embed_request, round_relaxation, tanto
 from vneap.validator import (
     check_feasibility,
     fractional_alternative_shares,
@@ -413,7 +413,7 @@ def test_a9_rounding_follows_frozen_weights():
     }
     aggregate = AggregatedRequest("g0", "E", "duo", float(supply), tuple(range(supply)))
     state = RoundingState.for_aggregate(toy_net(), aggregate, weights, alternatives)
-    rng = np.random.default_rng(97)
+    rng = _BlockUniforms(np.random.default_rng(97))
     chosen = [
         embed_request(Request("E", "duo", 1.0), state, rng).alternative
         for _ in range(draws)

@@ -416,7 +416,10 @@ def test_solve_writes_a_timings_sidecar(runner, toy_files, algo):
     expected = {
         "lp": {"runtime_s", *relaxation},
         "greedy": {"runtime_s", "chain_searches", "chain_reuses"},
-        "tanto": {"runtime_s", "lp_runtime_s", "rounding_runtime_s", "rounding_cpu_s", *relaxation},
+        "tanto": {
+            "runtime_s", "lp_runtime_s", "rounding_runtime_s", "rounding_cpu_s", "replayed_walks",
+            *relaxation,
+        },
         "milp": {"runtime_s"},
     }[algo] | {"validate_s", "validate_cpu_s"}
     assert sidecar.pop("schema_version") == 1 and sidecar.pop("algorithm") == algo
@@ -430,6 +433,9 @@ def test_solve_writes_a_timings_sidecar(runner, toy_files, algo):
         assert sidecar["lp_total_iterations"] >= sidecar["lp_iterations"]
         # one row per aggregate, then one per substrate node and arc
         assert sidecar["lp_rows"] == 1 + len(toy_net().nodes) + len(toy_net().arcs)
+    if algo == "tanto":
+        # one request walks; a route it keeps has no later request to replay it
+        assert sidecar["replayed_walks"] == 0
     if algo == "greedy":
         # one request, two alternatives of one chain each: both searched
         assert (sidecar["chain_searches"], sidecar["chain_reuses"]) == (2, 0)
@@ -601,6 +607,9 @@ def test_compare_matches_golden_rows(runner, tmp_path, jobs):
         # rounding's CPU seconds, beside its wall seconds, on tanto rows only
         assert float(tanto["rounding_cpu_s"]) >= 0
         assert [lp["rounding_cpu_s"], greedy["rounding_cpu_s"]] == ["", ""]
+        # the walks rounded by replaying a kept route, on tanto rows only
+        assert int(tanto["replayed_walks"]) >= 0
+        assert [lp["replayed_walks"], greedy["replayed_walks"]] == ["", ""]
         # the master's size and all its solves' iterations, on the relaxation's rows only
         sizes = ("lp_rows", "lp_nnz", "lp_total_iterations")
         assert [tanto[k] for k in sizes] == [lp[k] for k in sizes]

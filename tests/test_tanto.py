@@ -60,6 +60,7 @@ from vneap.validator import (
 from conftest import (
     arnes_overloaded_instance,
     assert_maps_are_read_only,
+    bench_instance,
     assert_rows_view,
     pinned_runs,
     random_instance,
@@ -69,7 +70,13 @@ from conftest import (
     toy_net,
     unit_requests,
 )
-from oracle import dict_round_relaxation, weighted_random_select
+from oracle import (
+    ROUNDING_COUNTERS,
+    DictRoundingState,
+    dict_embed_request,
+    dict_round_relaxation,
+    weighted_random_select,
+)
 
 PSI_TOY = 1050.0
 RECORDED = Path(__file__).parent / "data" / "tanto_recorded.jsonl"
@@ -117,6 +124,20 @@ def test_block_uniforms_are_the_streams_own_draws():
     assert [uniforms.random() for _ in range(200)] == [one.random() for _ in range(200)]
 
 
+@pytest.mark.parametrize("drawn, skipped", [(0, 0), (0, 64), (5, 59), (60, 10), (63, 130), (64, 1)])
+def test_skipped_uniforms_are_the_streams_next_draws(drawn, skipped):
+    """After ``drawn`` draws, ``skip(skipped)`` leaves the uniforms where
+    that many ``random()`` calls would, within a block, to its end or
+    across one or more block boundaries."""
+    one, block = vrng.stream(4, "round", "E", "cam"), vrng.stream(4, "round", "E", "cam")
+    uniforms = _BlockUniforms(block)
+    assert [uniforms.random() for _ in range(drawn)] == [one.random() for _ in range(drawn)]
+    uniforms.skip(skipped)
+    for _ in range(skipped):
+        one.random()
+    assert [uniforms.random() for _ in range(70)] == [one.random() for _ in range(70)]
+
+
 # -- the per-request walk --------------------------------------------------------
 
 
@@ -143,7 +164,7 @@ def zeroed_keys(state: RoundingState) -> set[VariableKey]:
 
 def walk_once(state: RoundingState):
     """One unit request at E through the toy catalog's walk."""
-    return embed_request(Request("E", "cam", 1.0), state, np.random.default_rng(0))
+    return embed_request(Request("E", "cam", 1.0), state, _BlockUniforms(np.random.default_rng(0)))
 
 
 def test_concentrated_solution_walks_deterministically():
@@ -154,7 +175,7 @@ def test_concentrated_solution_walks_deterministically():
         owner_key(0, ("n", "B", "C")): 1.0,
     }
     state = make_state(values)
-    emb = embed_request(Request("E", "cam", 1.0), state, np.random.default_rng(0))
+    emb = embed_request(Request("E", "cam", 1.0), state, _BlockUniforms(np.random.default_rng(0)))
     assert not emb.rejected
     assert emb.alternative == 0
     assert emb.node_map == {"theta": "E", "A": "C", "B": "C"}
@@ -166,7 +187,7 @@ def test_concentrated_solution_walks_deterministically():
 def test_insufficient_root_mass_rejects_and_zeroes():
     root = owner_key(0, ("n", "theta", "E"))
     state = make_state({root: 0.4})
-    emb = embed_request(Request("E", "cam", 1.0), state, np.random.default_rng(0))
+    emb = embed_request(Request("E", "cam", 1.0), state, _BlockUniforms(np.random.default_rng(0)))
     assert emb.rejected
     assert state.rounding_rejections == 1
     assert residual(state)[root] == 0.0
@@ -178,7 +199,7 @@ def test_rejection_restores_everything_but_the_zeroed_variable():
     hop = owner_key(0, ("l", "theta", "A", "E", "C"))
     place_a = owner_key(0, ("n", "A", "C"))
     state = make_state({root: 1.0, hop: 1.0, place_a: 0.3, owner_key(0, ("n", "B", "C")): 1.0})
-    emb = embed_request(Request("E", "cam", 1.0), state, np.random.default_rng(0))
+    emb = embed_request(Request("E", "cam", 1.0), state, _BlockUniforms(np.random.default_rng(0)))
     assert emb.rejected
     assert state.rounding_rejections == 1
     assert zeroed_keys(state) == {place_a}
@@ -190,7 +211,7 @@ def test_rejection_restores_everything_but_the_zeroed_variable():
 def test_zeroed_variables_stay_zero_for_later_requests():
     root = owner_key(0, ("n", "theta", "E"))
     state = make_state({root: 0.4}, demand=2.0)
-    rng = np.random.default_rng(0)
+    rng = _BlockUniforms(np.random.default_rng(0))
     first = embed_request(Request("E", "cam", 2.0), state, rng)
     assert first.rejected and state.rounding_rejections == 1
     second = embed_request(Request("E", "cam", 2.0), state, rng)
@@ -270,7 +291,7 @@ def test_a_walk_cut_by_the_request_budget_counts_no_extra_step():
     agg = AggregatedRequest("g0", "n0", "one", 1000.0, (0,))
     state = RoundingState.for_aggregate(net, agg, values, (alt,))
     assert (state.request_budget, state.per_link_cap) == (60, 100)
-    emb = embed_request(Request("n0", "one", 1.0), state, np.random.default_rng(0))
+    emb = embed_request(Request("n0", "one", 1.0), state, _BlockUniforms(np.random.default_rng(0)))
     assert emb.rejected and state.overflow_rejections == 1
     assert state.max_request_steps == state.total_steps == state.request_budget
 
@@ -290,7 +311,7 @@ def test_share_of_draws_tracks_the_fractional_weights():
     net = toy_net()
     agg = AggregatedRequest("g0", "E", "duo", float(supply), tuple(range(supply)))
     state = RoundingState.for_aggregate(net, agg, values, alts)
-    rng = np.random.default_rng(77)
+    rng = _BlockUniforms(np.random.default_rng(77))
     served = [
         embed_request(Request("E", "duo", 1.0), state, rng).alternative
         for _ in range(draws)
@@ -298,6 +319,113 @@ def test_share_of_draws_tracks_the_fractional_weights():
     share = served.count(0) / draws
     sigma = (0.7 * 0.3 / draws) ** 0.5
     assert abs(share - 0.7) <= 3 * sigma
+
+
+# -- replaying a kept route --------------------------------------------------------
+
+ROOT = owner_key(0, ("n", "theta", "E"))
+HOP = owner_key(0, ("l", "theta", "A", "E", "C"))
+PLACE_A = owner_key(0, ("n", "A", "C"))
+PLACE_B = owner_key(0, ("n", "B", "C"))
+
+
+def round_like_the_dict_walk(values, demands, aggregate=4.0, seed=0) -> RoundingState:
+    """Round requests of ``demands`` at E, in order, through
+    :func:`embed_request` on block uniforms and through the dict
+    reference walk with one ``random()`` per draw, each on the toy
+    catalog's aggregate of ``aggregate`` demand and the same stream: the
+    embeddings, the counters and the residual agree to the bit after
+    every request, and both streams are left at the same draw."""
+    net, alternatives = toy_net(), toy_apps()["cam"].alternatives
+    agg = AggregatedRequest("g0", "E", "cam", aggregate, (0,))
+    state = RoundingState.for_aggregate(net, agg, values, alternatives)
+    ref = DictRoundingState.for_aggregate(net, agg, values, alternatives)
+    uniforms, stream = _BlockUniforms(vrng.stream(seed, "t")), vrng.stream(seed, "t")
+    for demand in demands:
+        r = Request("E", "cam", demand)
+        assert embed_request(r, state, uniforms) == dict_embed_request(r, alternatives, ref, stream)
+        assert {c: getattr(state, c) for c in REF_COUNTERS} == {c: getattr(ref, c) for c in REF_COUNTERS}
+        assert {k: v.hex() for k, v in ref.y.items() if k in state.keys or v != 0.0} == {
+            k: v.hex() for k, v in zip(state.keys, state.y)
+        }
+        assert ref.zeroed & set(state.keys) == zeroed_keys(state)
+    assert [uniforms.random() for _ in range(3)] == [stream.random() for _ in range(3)]
+    return state
+
+
+#: the counters a rounding state and the dict reference's state both keep
+REF_COUNTERS = (*ROUNDING_COUNTERS[1:], "max_request_steps")
+
+
+def test_a_walk_with_one_option_per_site_keeps_its_route():
+    """theta at E, A and B at C: every site offers one option with mass,
+    so the first accepted walk keeps its four slots as alternative 0's
+    route, and the later requests replay it to the same outcome."""
+    state = round_like_the_dict_walk(
+        {ROOT: 1.0, HOP: 1.0, PLACE_A: 1.0, PLACE_B: 1.0}, [1.0, 0.5, 1.0, 0.25]
+    )
+    slots, _ = state.routes[0]
+    assert [state.keys[s] for s in slots] == [ROOT, HOP, PLACE_A, PLACE_B]
+    assert state.routes[1] is None
+    assert (state.accepted, state.replayed_walks) == (4, 3)
+    assert state.total_steps == 16
+
+
+def test_a_replayed_slot_fallen_to_dust_strands_the_walk():
+    """The first request leaves B's placement at C with dust: the second,
+    replayed, strands at that site after four steps and three draws, and
+    the root, the hop and A's placement get its demand back; the third
+    strands the same way."""
+    state = round_like_the_dict_walk(
+        {ROOT: 1.0, HOP: 1.0, PLACE_A: 1.0, PLACE_B: 0.25 + 5e-13}, [1.0, 1.0, 0.5]
+    )
+    assert (state.accepted, state.stranded_rejections, state.replayed_walks) == (1, 2, 2)
+    assert zeroed_keys(state) == set()
+    assert state.total_steps == 12
+
+
+def test_a_replayed_slot_run_short_rejects_and_zeroes_it():
+    """The first request leaves A's placement at C with 0.15 of 0.4: the
+    second, replayed, needs 0.25 there, so it is a rounding rejection at
+    step 3 that zeroes the slot; the third finds no mass at that site
+    and strands."""
+    state = round_like_the_dict_walk(
+        {ROOT: 1.0, HOP: 1.0, PLACE_A: 0.4, PLACE_B: 1.0}, [1.0, 1.0, 0.25]
+    )
+    assert (state.rounding_rejections, state.stranded_rejections) == (1, 1)
+    assert state.replayed_walks == 2
+    assert zeroed_keys(state) == {PLACE_A}
+
+
+def test_no_route_is_kept_through_a_site_with_two_options():
+    """A may sit at E or hop to C, both with mass: the walks draw their
+    way as the reference does, and none keeps a route, until A's
+    placement at E runs out and the hop alone is left."""
+    place_a_at_e = owner_key(0, ("n", "A", "E"))
+    values = {
+        ROOT: 1.0,
+        HOP: 0.75,
+        PLACE_A: 0.75,
+        PLACE_B: 0.75,
+        place_a_at_e: 0.25,
+        owner_key(0, ("n", "B", "E")): 0.25,
+    }
+    first = round_like_the_dict_walk(values, [1.0], aggregate=8.0, seed=6)
+    assert first.routes == [None, None]
+    state = round_like_the_dict_walk(values, [1.0] * 8, aggregate=8.0, seed=6)
+    assert residual(state)[place_a_at_e] == 0.0
+    assert state.accepted == 8 and state.replayed_walks == 3
+
+
+def test_replays_on_a_bench_shaped_instance_match_the_dict_walk():
+    """On an instance shaped like the amres_rs benchmark workload most
+    walks are replayed, and the run still equals the dict walk's to
+    the bit, residuals included."""
+    net, apps, eff, requests, psi = bench_instance("amres_rs", 12000)
+    relaxation = solve_relaxation(net, apps, eff, requests, psi)
+    _, report = round_relaxation(net, apps, requests, relaxation, psi, seed=1)
+    assert report.replayed_walks > 0.8 * len(requests)
+    assert_rounds_like_the_dict_walk(net, apps, requests, relaxation, psi, 1)
 
 
 # -- end-to-end --------------------------------------------------------------------
