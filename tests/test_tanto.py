@@ -341,20 +341,14 @@ def round_like_the_dict_walk(values, demands, aggregate=4.0, seed=0) -> Rounding
     state = RoundingState.for_aggregate(net, agg, values, alternatives)
     ref = DictRoundingState.for_aggregate(net, agg, values, alternatives)
     uniforms, stream = _BlockUniforms(vrng.stream(seed, "t")), vrng.stream(seed, "t")
+    counters = (*ROUNDING_COUNTERS[1:], "max_request_steps")
     for demand in demands:
         r = Request("E", "cam", demand)
         assert embed_request(r, state, uniforms) == dict_embed_request(r, alternatives, ref, stream)
-        assert {c: getattr(state, c) for c in REF_COUNTERS} == {c: getattr(ref, c) for c in REF_COUNTERS}
-        assert {k: v.hex() for k, v in ref.y.items() if k in state.keys or v != 0.0} == {
-            k: v.hex() for k, v in zip(state.keys, state.y)
-        }
-        assert ref.zeroed & set(state.keys) == zeroed_keys(state)
+        assert [getattr(state, c) for c in counters] == [getattr(ref, c) for c in counters]
+        assert_same_residual(state, ref)
     assert [uniforms.random() for _ in range(3)] == [stream.random() for _ in range(3)]
     return state
-
-
-#: the counters a rounding state and the dict reference's state both keep
-REF_COUNTERS = (*ROUNDING_COUNTERS[1:], "max_request_steps")
 
 
 def test_a_walk_with_one_option_per_site_keeps_its_route():
@@ -423,9 +417,8 @@ def test_replays_on_a_bench_shaped_instance_match_the_dict_walk():
     the bit, residuals included."""
     net, apps, eff, requests, psi = bench_instance("amres_rs", 12000)
     relaxation = solve_relaxation(net, apps, eff, requests, psi)
-    _, report = round_relaxation(net, apps, requests, relaxation, psi, seed=1)
+    report = assert_rounds_like_the_dict_walk(net, apps, requests, relaxation, psi, 1)
     assert report.replayed_walks > 0.8 * len(requests)
-    assert_rounds_like_the_dict_walk(net, apps, requests, relaxation, psi, 1)
 
 
 # -- end-to-end --------------------------------------------------------------------
@@ -599,7 +592,8 @@ def round_with_states(net, apps, requests, relaxation, psi, seed):
 
 def assert_rounds_like_the_dict_walk(net, apps, requests, relaxation, psi, seed):
     """The slot-table walk and the dict reference agree on the embeddings,
-    every counter, and each aggregate's final residual to the bit."""
+    every counter, and each aggregate's final residual to the bit.
+    Returns the slot-table run's report."""
     embeddings, report, states = round_with_states(net, apps, requests, relaxation, psi, seed)
     want, counters, residuals = dict_round_relaxation(net, apps, requests, relaxation, seed)
     assert embeddings == want
@@ -607,12 +601,18 @@ def assert_rounds_like_the_dict_walk(net, apps, requests, relaxation, psi, seed)
     assert report.rejected == sum(e.rejected for e in want)
     assert report.aggregates == len(residuals) == len(states)
     for state in states:
-        ref = residuals[state.owner]
-        got = {k: v.hex() for k, v in zip(state.keys, state.y)}
-        # the reference also zeroes placement keys that never held mass
-        assert {k: v.hex() for k, v in ref.y.items() if k in got or v != 0.0} == got
-        assert ref.zeroed & got.keys() == {k for k, z in zip(state.keys, state.zeroed) if z}
-        assert state.initial_nonzero == ref.initial_nonzero
+        assert_same_residual(state, residuals[state.owner])
+    return report
+
+
+def assert_same_residual(state: RoundingState, ref) -> None:
+    """A slot-table state and the dict reference's hold the same residual
+    to the bit and the same zeroed variables."""
+    got = {k: v.hex() for k, v in zip(state.keys, state.y)}
+    # the reference also zeroes placement keys that never held mass
+    assert {k: v.hex() for k, v in ref.y.items() if k in got or v != 0.0} == got
+    assert ref.zeroed & got.keys() == zeroed_keys(state)
+    assert state.initial_nonzero == ref.initial_nonzero
 
 
 def test_rounding_matches_the_dict_walk_on_the_pinned_runs():
