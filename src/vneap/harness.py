@@ -35,7 +35,7 @@ from typing import Callable, Mapping, Optional, Sequence, Union
 
 import networkx as nx
 import numpy as np
-from scipy import stats as _stats
+from scipy.special import ndtr
 
 from . import rng as _rng
 from .formulation import (
@@ -50,7 +50,7 @@ from .formulation import (
 )
 from .greedy import greedy_embed_all
 from .io import FormatError, make_dir, write_text
-from .lp import solve_milp_exact
+from .lp import _highs, solve_milp_exact
 from .model import (
     CORE,
     EDGE,
@@ -235,6 +235,23 @@ def _main_footprint(app: Application) -> tuple[float, float, float]:
     return node_fp, link_fp, first_link
 
 
+def _lognormal_pdf(xs: np.ndarray, s: float, scale: float) -> np.ndarray:
+    """The log-normal density of shape ``s`` and scale ``scale`` at
+    ``xs``, to the bit as ``scipy.stats.lognorm.pdf(xs, s, scale=scale)``
+    computes it: NaN everywhere unless ``s`` and ``scale`` are positive,
+    0 where ``x = xs/scale`` is not in (0, inf), else
+    ``exp(-log(x)²/(2s²) - log(s·x·√(2π)))/scale``."""
+    x = xs / scale
+    if not (s > 0 and scale > 0):
+        return np.full_like(x, np.nan)
+    out = np.zeros_like(x)
+    inside = (0 < x) & (x < np.inf)
+    if inside.any():
+        s, x = np.asarray(s, dtype=float), x[inside]  # numpy's powers and logs, not Python's
+        out[inside] = np.exp(-np.log(x) ** 2 / (2 * s**2) - np.log(s * x * np.sqrt(2 * np.pi))) / scale
+    return out
+
+
 def _origin_weights(net: SubstrateNetwork, profile) -> tuple[list[SubstrateNode], np.ndarray]:
     """The edge-tier nodes, sorted by id, and their origin probabilities
     under ``profile``'s (a GenParams' or ScenarioConfig's) ``spatial``,
@@ -249,7 +266,7 @@ def _origin_weights(net: SubstrateNetwork, profile) -> tuple[list[SubstrateNode]
     elif profile.spatial == "lognormal":
         xs = 3.0 * (np.arange(len(edges)) + 0.5) / len(edges)
         with np.errstate(all="ignore"):  # bad weights are refused by name below
-            weights = _stats.lognorm.pdf(xs, s=profile.lognormal_sigma, scale=math.exp(profile.lognormal_mu))
+            weights = _lognormal_pdf(xs, profile.lognormal_sigma, math.exp(profile.lognormal_mu))
     else:
         raise ValueError(f"spatial must be one of {', '.join(SPATIAL)}, not {profile.spatial!r}")
     total = weights.sum()
@@ -403,9 +420,15 @@ def calibrate_target_utilization(
 def _clipped_mean(mean: float, sigma: float) -> float:
     """E[max(f, N(mean, sigma))] for the size floor f, the mean size that
     generate_requests draws: ``f·Φ(a) + μ·(1 − Φ(a)) + σ·φ(a)`` with
-    ``a = (f − μ)/σ``; NaN or infinite unless both are finite."""
-    a, norm = (_SIZE_FLOOR - mean) / sigma, _stats.norm
-    return _SIZE_FLOOR * float(norm.cdf(a)) + mean * float(norm.sf(a)) + sigma * float(norm.pdf(a))
+    ``a = (f − μ)/σ``; NaN or infinite unless both are finite.  Φ, 1 − Φ
+    and φ are computed as ``scipy.stats.norm`` computes them, on a 0-d
+    array, so the result is its to the bit."""
+    a = (_SIZE_FLOOR - mean) / sigma
+    if math.isnan(a):
+        return math.nan  # scipy's Φ, 1 − Φ and φ are its NaN, sign bit clear
+    a = np.asarray(a)
+    phi = np.exp(-a**2 / 2.0) / np.sqrt(2 * np.pi)
+    return _SIZE_FLOOR * float(ndtr(a)) + mean * float(ndtr(-a)) + sigma * float(phi)
 
 
 def calibrated_substrate(config: ScenarioConfig) -> SubstrateNetwork:
@@ -743,7 +766,9 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     one_rep = functools.partial(_repetition, config, calibrated_substrate(config))
     reps = range(config.repetitions)
     if config.jobs > 1 and config.repetitions > 1:
-        # a forked worker starts without importing numpy and scipy again
+        # a forked worker starts without importing numpy and scipy again,
+        # HiGHS's bindings among them, which vneap.lp imports on first use
+        _highs()
         fork = "fork" in multiprocessing.get_all_start_methods()
         context = multiprocessing.get_context("fork" if fork else None)
         with ProcessPoolExecutor(min(config.jobs, config.repetitions), mp_context=context) as pool:

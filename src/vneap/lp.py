@@ -6,25 +6,23 @@ rows and its ``==`` rows as one canonical CSR matrix each, with their
 right-hand sides, and HiGHS is handed them as they are.  A program's
 ``solver_objective``, when set, is what HiGHS minimizes; the reported
 objective prices the answer by the program's ``objective``.
+
+The bindings are imported where a model is built, by :func:`_highs`,
+not when this module is: importing them imports ``scipy.optimize``,
+which a command that never solves (``report``, ``ingest``,
+``generate``, ``calibrate``, ``--help``) has no use for.  The status
+names, :class:`SolverError` and ``_TOL`` need no HiGHS.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace
 from itertools import chain
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize._highspy._core import (
-    HighsInfo,
-    HighsLp,
-    HighsModelStatus,
-    HighsStatus,
-    HighsVarType,
-    MatrixFormat,
-    _Highs as Highs,
-)
 
 from .model import sum_in_order
 
@@ -34,18 +32,32 @@ ITERATION_LIMIT = "iteration_limit"
 UNBOUNDED = "unbounded"
 FAILURE = "failure"
 
-# A program's HiGHS model status, read as scipy's ``linprog`` and
-# ``milp`` read it; any other status (numerical trouble, an undecided
-# "unbounded or infeasible") is a solver failure and raises
-# ``SolverError(FAILURE)``.
-_STATUS = {
-    HighsModelStatus.kOptimal: OPTIMAL,
-    HighsModelStatus.kTimeLimit: ITERATION_LIMIT,
-    HighsModelStatus.kIterationLimit: ITERATION_LIMIT,
-    HighsModelStatus.kInfeasible: INFEASIBLE,
-    HighsModelStatus.kModelError: INFEASIBLE,
-    HighsModelStatus.kUnbounded: UNBOUNDED,
-}
+
+@functools.cache
+def _highs():
+    """HiGHS's bindings, ``scipy.optimize._highspy._core``, imported on
+    the first call."""
+    from scipy.optimize._highspy import _core
+
+    return _core
+
+
+@functools.cache
+def _status_names() -> dict:
+    """A program's HiGHS model status, read as scipy's ``linprog`` and
+    ``milp`` read it; any other status (numerical trouble, an undecided
+    "unbounded or infeasible") is a solver failure and raises
+    ``SolverError(FAILURE)``."""
+    status = _highs().HighsModelStatus
+    return {
+        status.kOptimal: OPTIMAL,
+        status.kTimeLimit: ITERATION_LIMIT,
+        status.kIterationLimit: ITERATION_LIMIT,
+        status.kInfeasible: INFEASIBLE,
+        status.kModelError: INFEASIBLE,
+        status.kUnbounded: UNBOUNDED,
+    }
+
 
 # Primal feasibility and dual (optimality) tolerance handed to HiGHS.
 _TOL = 1e-7
@@ -183,16 +195,16 @@ class Solution:
         return self.status == OPTIMAL
 
 
-def _highs_lp(lp: LinearProgram) -> HighsLp:
-    """``lp``'s box, solver cost and rows as a HiGHS model: the ``<=``
-    rows and then the ``==`` rows, handed over row-wise as the CSR
-    matrices hold them.  Raises ValueError, as ``linprog`` does, on a
-    cost, coefficient or right-hand side that is not finite: HiGHS would
-    call a program with a NaN cost optimal."""
+def _highs_lp(lp: LinearProgram, core):
+    """``lp``'s box, solver cost and rows as a model of HiGHS's bindings
+    ``core``: the ``<=`` rows and then the ``==`` rows, handed over
+    row-wise as the CSR matrices hold them.  Raises ValueError, as
+    ``linprog`` does, on a cost, coefficient or right-hand side that is
+    not finite: HiGHS would call a program with a NaN cost optimal."""
     cost = lp.objective if lp.solver_objective is None else lp.solver_objective
     if not all(np.isfinite(v).all() for v in (cost, lp.A_ub.data, lp.b_ub, lp.A_eq.data, lp.b_eq)):
         raise ValueError("a cost, coefficient or right-hand side of the program is not finite")
-    model = HighsLp()
+    model = core.HighsLp()
     model.num_col_ = lp.n_vars
     model.num_row_ = len(lp.b_ub) + len(lp.b_eq)
     model.col_cost_ = cost
@@ -201,7 +213,7 @@ def _highs_lp(lp: LinearProgram) -> HighsLp:
     model.row_lower_ = np.concatenate([np.full(len(lp.b_ub), -np.inf), lp.b_eq])
     model.row_upper_ = np.concatenate([lp.b_ub, lp.b_eq])
     A = model.a_matrix_
-    A.format_ = MatrixFormat.kRowwise
+    A.format_ = core.MatrixFormat.kRowwise
     A.num_col_ = model.num_col_
     A.num_row_ = model.num_row_
     A.start_ = np.concatenate([lp.A_ub.indptr, lp.A_eq.indptr[1:] + lp.A_ub.nnz])
@@ -210,23 +222,25 @@ def _highs_lp(lp: LinearProgram) -> HighsLp:
     return model
 
 
-def _solve(lp: LinearProgram, options: dict, integral: bool = False) -> tuple[Solution, HighsInfo]:
+def _solve(lp: LinearProgram, options: dict, integral: bool = False) -> tuple[Solution, object]:
     """``lp``'s solution, its binaries integer columns if ``integral``, on
     a fresh HiGHS model under ``options``, with HiGHS's info on the run."""
-    highs = Highs()
+    core = _highs()
+    highs = core._Highs()
     for name, value in options.items():
-        if highs.setOptionValue(name, value) != HighsStatus.kOk:
+        if highs.setOptionValue(name, value) != core.HighsStatus.kOk:
             raise ValueError(f"HiGHS refused the option {name}={value!r}")
-    model = _highs_lp(lp)
+    model = _highs_lp(lp, core)
     if integral:  # kInteger is 1, kContinuous 0
-        model.integrality_ = [HighsVarType(int(i in lp.binary)) for i in range(lp.n_vars)]
-    if highs.passModel(model) == HighsStatus.kError:
-        model_status = HighsModelStatus.kModelError  # as linprog and milp read a refused model
+        var_type = core.HighsVarType
+        model.integrality_ = [var_type(int(i in lp.binary)) for i in range(lp.n_vars)]
+    if highs.passModel(model) == core.HighsStatus.kError:
+        model_status = core.HighsModelStatus.kModelError  # as linprog and milp read a refused model
     else:
         highs.run()
         model_status = highs.getModelStatus()
     info = highs.getInfo()
-    status = _STATUS.get(model_status)
+    status = _status_names().get(model_status)
     if status is None:
         raise SolverError(FAILURE, f"HiGHS failure: {highs.modelStatusToString(model_status)}")
     if status != OPTIMAL:

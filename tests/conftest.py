@@ -303,8 +303,9 @@ def record_highs_runs(monkeypatch) -> list:
     ``simplex_strategy``, ``presolve`` and ``mip_rel_gap`` options and the
     run's simplex iteration count."""
     runs = []
+    core = lp_module._highs()
 
-    class Spy(lp_module.Highs):
+    class Spy(core._Highs):
         def run(self):
             status = super().run()
             runs.append(
@@ -317,7 +318,7 @@ def record_highs_runs(monkeypatch) -> list:
             )
             return status
 
-    monkeypatch.setattr(lp_module, "Highs", Spy)
+    monkeypatch.setattr(core, "_Highs", Spy)  # what vneap.lp builds each model on
     return runs
 
 

@@ -178,12 +178,11 @@ def test_every_highs_status_is_read_as_linprog_reads_it(monkeypatch, status):
     solve_milp_exact the one that milp's code, reporting the same
     status, stands for."""
 
-    class Reporting(lp_module.Highs):
+    class Reporting(_core._Highs):
         def getModelStatus(self):
             return status
 
-    monkeypatch.setattr(lp_module, "Highs", Reporting)
-    monkeypatch.setattr(_core, "_Highs", Reporting)  # what milp runs
+    monkeypatch.setattr(_core, "_Highs", Reporting)  # what vneap.lp and milp run
     code, _ = _highs_to_scipy_status_message(status, "")
     lp = hand_lp([1.0], [0.0], [10.0], ub=[([(0, -1.0)], -3.0)])
     assert solve_answer(lp)[0] == LINPROG_STATUS.get(code, "failure")
