@@ -7,9 +7,11 @@ from __future__ import annotations
 import json
 from dataclasses import replace
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 import vneap.io as vio
 from vneap import harness
@@ -186,6 +188,38 @@ def random_instance(
 
 
 # -- runs pinned by the recorded-output fixtures in tests/data --------------------
+
+RECORDED_BUILD = Path(__file__).parent / "data" / "recorded_build.json"
+
+
+def running_build() -> dict:
+    """The scipy, HiGHS and numpy versions this process runs, in
+    recorded_build.json's form."""
+    core = lp_module._highs()
+    highs = (core.HIGHS_VERSION_MAJOR, core.HIGHS_VERSION_MINOR, core.HIGHS_VERSION_PATCH)
+    return {"scipy": scipy.__version__, "highs": ".".join(map(str, highs)), "numpy": np.__version__}
+
+
+def assert_recorded_build() -> None:
+    """Fail, with one message naming both builds, unless this process
+    runs the scipy, HiGHS and numpy that the recorded fixtures in
+    tests/data were made with.  A recorded-answer test calls it before
+    comparing any bit: HiGHS's answers and numpy's streams may change
+    with the build alone, and a build mismatch would otherwise show as
+    scattered bit differences that do not say why."""
+    recorded, running = json.loads(RECORDED_BUILD.read_text()), running_build()
+    if running != recorded:
+        shown = "scipy {scipy}, HiGHS {highs}, numpy {numpy}".format_map
+        pytest.fail(
+            f"the recorded fixtures in tests/data were made with {shown(recorded)} "
+            f"({RECORDED_BUILD.name}), but this run has {shown(running)}.  Install the "
+            "recorded build, or re-record: on the new build, rewrite lp_recorded.jsonl, "
+            "tanto_recorded.jsonl and generate_digests.json from the code of a commit whose "
+            "tests pass on the recorded build (test_lp.recorded_solves, "
+            "test_tanto.recorded_form and test_harness.digested_draw give each entry), "
+            f"write the new build into {RECORDED_BUILD.name} and log the re-record in CHANGES.md",
+            pytrace=False,
+        )
 
 
 def arnes_overloaded_instance():

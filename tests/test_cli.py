@@ -6,7 +6,10 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from importlib import resources
 from pathlib import Path
@@ -31,6 +34,7 @@ from conftest import arnes_overloaded_instance, toy_apps, toy_net, unit_requests
 GOLDEN = Path(__file__).parent / "golden"
 FORMATS = Path(__file__).parent.parent / "docs" / "FORMATS.md"
 ARNES = Path(str(resources.files("vneap").joinpath("fixtures/topologies/arnes_si.graphml")))
+SRC = Path(vneap.cli.__file__).parents[1]
 
 
 @pytest.fixture
@@ -1245,3 +1249,86 @@ def test_one_mutated_input_ends_in_a_mapped_exit(site, value):
             assert result.exception is None or isinstance(result.exception, SystemExit), (
                 args[0], result.output, repr(result.exception))
             assert result.exit_code in (0, 2, 3, 4), (args[0], result.output)
+
+
+# -------------------------------------------------------- import footprint
+
+# the test process has imported scipy.optimize already (pyproject's
+# filterwarnings names its OptimizeWarning), so what a command imports is
+# seen in a child process
+FOOTPRINT = ("scipy.stats", "scipy.optimize", "scipy.optimize._highspy._core")
+
+
+def loaded_modules(body: str, cwd: Path) -> dict:
+    """Which of FOOTPRINT a fresh interpreter has imported after running
+    ``body`` with vneap from this checkout."""
+    script = f"{body}\nimport json, sys\nprint(json.dumps({{m: m in sys.modules for m in {FOOTPRINT!r}}}))\n"
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run([sys.executable, "-c", script], cwd=cwd, env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def command_modules(args: list, cwd: Path) -> dict:
+    """loaded_modules after ``vneap *args``, which must exit 0."""
+    return loaded_modules(
+        f"from vneap.cli import main\nassert main({args!r}, standalone_mode=False) in (None, 0)", cwd
+    )
+
+
+def test_importing_the_cli_leaves_scipy_stats_and_highs_out(tmp_path):
+    assert loaded_modules("import vneap.cli", tmp_path) == dict.fromkeys(FOOTPRINT, False)
+
+
+def test_commands_that_never_solve_leave_highs_out(tmp_path):
+    """``--help``, ``ingest``, ``generate``, ``calibrate`` and ``report``
+    import neither scipy.stats nor scipy.optimize, HiGHS's bindings with
+    it."""
+    tiny = ["--substrate", str(GOLDEN / "tiny_substrate.json"), "--apps", "cctv_two"]
+    runs = [
+        ["--help"],
+        ["ingest", "--graphml", str(ARNES), "--out", str(tmp_path / "arnes.json")],
+        ["generate", *tiny, "--count", "40", "--seed", "1", "--out", str(tmp_path / "requests.json")],
+        ["calibrate", *tiny, "--requests", str(GOLDEN / "tiny_requests.json"), "--node-tu", "0.5",
+         "--link-tu", "0.5", "--out", str(tmp_path / "calibrated.json")],
+        ["report", "--results", str(GOLDEN / "report_rows"), "--out", str(tmp_path / "summary.json")],
+    ]
+    for args in runs:
+        assert command_modules(args, tmp_path) == dict.fromkeys(FOOTPRINT, False), args
+    assert {p.name for p in tmp_path.iterdir()} == {
+        "arnes.json", "requests.json", "calibrated.json", "summary.json"
+    }
+
+
+def test_solve_imports_highs_where_a_model_is_built(toy_files):
+    loaded = command_modules(solve_args(toy_files, "lp", toy_files["dir"] / "lp.json"), toy_files["dir"])
+    assert loaded == {"scipy.stats": False, "scipy.optimize": True, "scipy.optimize._highspy._core": True}
+    report = json.loads((toy_files["dir"] / "lp.json").read_text())
+    assert report["total_cost"] == pytest.approx(3 * 205.0, rel=1e-9)
+
+
+def test_compare_workers_fork_with_highs_imported(tmp_path):
+    """``run_scenario`` at jobs=2 imports HiGHS's bindings before its pool
+    forks, so no worker imports them again."""
+    body = f"""
+import sys
+from vneap import harness
+from vneap.cli import load_scenario
+
+at_fork = []
+
+
+class Pool(harness.ProcessPoolExecutor):
+    def __init__(self, *args, **kwargs):
+        at_fork.append("scipy.optimize._highspy._core" in sys.modules)
+        super().__init__(*args, **kwargs)
+
+
+harness.ProcessPoolExecutor = Pool
+config = load_scenario({str(GOLDEN / "tiny_scenario.json")!r}, jobs=2)
+assert "scipy.optimize" not in sys.modules
+result = harness.run_scenario(config)
+assert at_fork == [True] and result.rows and not result.errors, (at_fork, result.errors)
+"""
+    assert loaded_modules(body, tmp_path)["scipy.optimize._highspy._core"]

@@ -52,7 +52,7 @@ from vneap.io import FormatError
 from vneap.model import SubstrateNetwork, SubstrateNode
 from vneap.tanto import tanto
 
-from conftest import bench_draws, toy_apps, toy_net
+from conftest import assert_recorded_build, bench_draws, toy_apps, toy_net
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -476,6 +476,7 @@ def test_draws_match_the_recorded_digests(name):
     """Both benchmark set-ups' calibration samples, calibrated capacities,
     run requests and aggregates, and a capped lognormal draw, are to the
     bit those an earlier implementation drew."""
+    assert_recorded_build()
     assert digested_draw(name) == json.loads(GENERATE_DIGESTS.read_text())[name]
 
 
@@ -586,6 +587,119 @@ def test_clipped_mean_matches_a_large_sample(mean, sigma):
     sizes = np.array([r.demand for r in uncapped(amres_net(), 200_000, 5, mean, sigma)])
     standard_error = sizes.std(ddof=1) / math.sqrt(len(sizes))
     assert abs(vneap.harness._clipped_mean(mean, sigma) - sizes.mean()) < 4 * standard_error
+
+
+def outcome(compute):
+    """What ``compute()`` gives, as bytes for a float or an array (so a
+    NaN's or a zero's sign counts), or the type and message of what it
+    raises (under pyproject's warning filters, a RuntimeWarning among them)."""
+    try:
+        value = compute()
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+    return "value", np.asarray(value, dtype=float).tobytes()
+
+
+def scipy_clipped_mean(mean: float, sigma: float) -> float:
+    """E[max(f, N(mean, sigma))] through ``scipy.stats.norm``."""
+    a, norm = (vneap.harness._SIZE_FLOOR - mean) / sigma, scipy.stats.norm
+    floor = vneap.harness._SIZE_FLOOR
+    return floor * float(norm.cdf(a)) + mean * float(norm.sf(a)) + sigma * float(norm.pdf(a))
+
+
+SWEPT_MEANS = [0.0, 0.1, 0.7, 1.0, 10.0, -5.0, 1e3, -1e3, 1e300, math.inf, -math.inf, math.nan]
+SWEPT_SIGMAS = [5e-324, 1e-300, 1e-9, 0.2, 1.0, 2.0, 3.3, 1e300, math.inf, math.nan, 0.0, -1.0]
+
+
+def test_clipped_mean_is_scipys_to_the_bit():
+    """Φ, 1 − Φ and φ, taken from ``scipy.special.ndtr`` and numpy, give
+    the clipped mean ``scipy.stats.norm`` gives, to the bit (a NaN's sign
+    too), or fail as it fails: over a grid of means and sigmas, degenerate
+    ones among them, over ``a = (f − μ)/σ`` in [-40, 40] (at |a| ≈ 17 a
+    φ taken on a Python float is a bit off), and over 200 seeded draws."""
+    rng = np.random.default_rng(36)
+    cases = [
+        *itertools.product(SWEPT_MEANS, SWEPT_SIGMAS),
+        *((vneap.harness._SIZE_FLOOR - a, 1.0) for a in np.linspace(-40.0, 40.0, 801).tolist()),
+        *zip(rng.normal(0.0, 20.0, 200).tolist(), np.abs(rng.normal(0.0, 5.0, 200)).tolist()),
+    ]
+    outcomes = collections.Counter()
+    for mean, sigma in cases:
+        want = outcome(lambda: scipy_clipped_mean(mean, sigma))
+        assert outcome(lambda: vneap.harness._clipped_mean(mean, sigma)) == want, (mean, sigma)
+        outcomes[want[0]] += 1
+    # the sweep meets finite values, NaN and infinite ones, a zero sigma
+    # and an overflowing a², where scipy warns
+    assert set(outcomes) == {"value", "ZeroDivisionError", "RuntimeWarning"}
+
+
+# log-normal profiles: edge counts, then (mu, sigma) pairs, degenerate
+# ones among them: sigma <= 0 or NaN, and mu -800 (a scale of 0), give
+# NaN weights; sigma 1e-300 and mu inf give zeros; at mu -745 (a scale of
+# 5e-324) x overflows to inf; mu 800 overflows math.exp
+SWEPT_EDGES = [1, 2, 3, 7, 20, 64]
+SWEPT_PROFILES = list(itertools.product(
+    [0.0, 0.3, -0.3, 1.5, -5.0, 5.0, 700.0, -700.0, -745.0, 800.0, -800.0, math.inf, -math.inf, math.nan],
+    [1.0, 0.5, 3.0, 1e-300, 5e-324, 1e-9, 1e-160, 0.0, -1.0, math.nan, math.inf, 1e300],
+))
+
+
+def scipy_lognormal_pdf(xs, s, scale):
+    with np.errstate(all="ignore"):
+        return scipy.stats.lognorm.pdf(xs, s=s, scale=scale)
+
+
+def test_lognormal_density_is_scipys_to_the_bit():
+    """The private log-normal density equals ``scipy.stats.lognorm.pdf``
+    to the bit at every edge count and profile of the sweep, the scales
+    0, inf and NaN among them; and outside ``np.errstate``, under pyproject's
+    warning filters, it warns where scipy warns and nowhere else."""
+    warned = 0
+    for k, (mu, s) in itertools.product(SWEPT_EDGES, SWEPT_PROFILES):
+        if mu == 800.0:
+            continue  # math.exp overflows; test_origin_weights_are_scipys_to_the_bit has it
+        xs, scale = 3.0 * (np.arange(k) + 0.5) / k, math.exp(mu)
+        with np.errstate(all="ignore"):
+            got = vneap.harness._lognormal_pdf(xs, s, scale)
+        assert got.tobytes() == scipy_lognormal_pdf(xs, s, scale).tobytes(), (k, mu, s)
+        unguarded = outcome(lambda: scipy.stats.lognorm.pdf(xs, s=s, scale=scale))
+        assert outcome(lambda: vneap.harness._lognormal_pdf(xs, s, scale)) == unguarded, (k, mu, s)
+        warned += unguarded[0] == "RuntimeWarning"
+    assert warned
+
+
+def edge_only_net(k: int) -> SubstrateNetwork:
+    return SubstrateNetwork(
+        nodes=tuple(SubstrateNode(f"e{i:02d}", cost=1.0, capacity=1.0, tier="edge") for i in range(k)),
+        arcs=(),
+    )
+
+
+@pytest.mark.parametrize("k", SWEPT_EDGES)
+def test_origin_weights_are_scipys_to_the_bit(k):
+    """``_origin_weights``' log-normal weights equal, as bytes, those
+    ``scipy.stats.lognorm`` gives over the swept profiles, and a profile
+    whose weights are not valid is refused with the same message, or
+    fails as ``math.exp`` fails, as before."""
+    net = edge_only_net(k)
+    refused = 0
+    for mu, s in SWEPT_PROFILES:
+        params = GenParams(count=1, app="cam", spatial="lognormal", lognormal_mu=mu, lognormal_sigma=s)
+
+        def scipys():
+            weights = scipy_lognormal_pdf(3.0 * (np.arange(k) + 0.5) / k, s, math.exp(mu))
+            total = weights.sum()
+            if not (np.isfinite(weights).all() and (weights >= 0).all() and 0 < total < math.inf):
+                raise ValueError(
+                    f"spatial profile 'lognormal' (lognormal_mu={mu!r}, "
+                    f"lognormal_sigma={s!r}) gives no valid origin weights"
+                )
+            return weights / total
+
+        want = outcome(scipys)
+        assert outcome(lambda: vneap.harness._origin_weights(net, params)[1]) == want, (mu, s)
+        refused += want[0] != "value"
+    assert 0 < refused < len(SWEPT_PROFILES)
 
 
 def floor_config(**overrides) -> ScenarioConfig:

@@ -37,6 +37,7 @@ from vneap.model import EfficiencyMap, Request
 
 from conftest import (
     arnes_overloaded_instance,
+    assert_recorded_build,
     assert_rows_view,
     random_instance,
     record_highs_runs,
@@ -514,6 +515,7 @@ def test_solves_match_the_recorded_answers():
     equal, to the bit, those recorded from the programs as they were
     assembled before programs held their matrices (row tuples split per
     sense on every solve)."""
+    assert_recorded_build()
     recorded = [json.loads(line) for line in RECORDED.read_text().splitlines()]
     got = [{"name": name, **form} for name, form in recorded_solves()]
     assert [r["name"] for r in got] == [r["name"] for r in recorded]

@@ -60,8 +60,9 @@ from vneap.validator import (
 from conftest import (
     arnes_overloaded_instance,
     assert_maps_are_read_only,
-    bench_instance,
+    assert_recorded_build,
     assert_rows_view,
+    bench_instance,
     pinned_runs,
     random_instance,
     record_highs_runs,
@@ -567,6 +568,7 @@ def test_output_matches_the_recorded_run():
     """tanto's embeddings, LP objective and counters equal, exactly, those
     recorded from an earlier implementation (the greedy fixture's 30 random
     instances and overloaded arnes_si run, with tanto seed = instance seed)."""
+    assert_recorded_build()
     recorded = [json.loads(line) for line in RECORDED.read_text().splitlines()]
     runs = list(pinned_runs())
     assert [r["name"] for r in recorded] == [name for name, _, _ in runs]
