@@ -34,14 +34,16 @@ cheapest candidate (the lowest alternative index among equal costs) is
 tried first; only when the cumulative recheck refuses it are the others
 sorted and tried in turn.
 
-Most searches repeat the last answer for their (chain, start node), so
-`_ChainSearch` keeps that answer's moves, with the moves the search
-refused for capacity alone and a watermark: the lowest demand at which
-those were all checked as still refused, at first the demand d0 the
-search ran at.  A later call at demand d returns it, its cost replayed
-move by move in the search's own float order, when (i) every move of
-the answer still fits at d and (ii) every refused move is still refused
-at d.  That answer is then still a cheapest one: every move's cost and
+Each (alternative, origin) keeps one record of its last candidate.
+Most searches repeat their chain's last answer there, so the record
+keeps, per chain, the node the chain started on, the answer's moves,
+the moves the search refused for capacity alone and a watermark: the
+lowest demand at which those were all checked as still refused, at
+first the demand d0 the search ran at.  A later pricing at demand d
+from the same start node reuses the answer, its cost replayed move by
+move in the search's own float order, when (i) every move of the
+answer still fits at d and (ii) every refused move is still refused at
+d.  That answer is then still a cheapest one: every move's cost and
 load is linear in demand, so scaling demand keeps the cost order of
 whole paths; by (ii) no move refused at d0 has opened up, and any move
 the earlier search never examined lay beyond its goal's key, so no
@@ -52,24 +54,18 @@ at some earlier call, then at d >= d1 the load d * f * c is at least
 d1 * f * c (float products of non-negative numbers are monotone) and
 the cap is at most what it was (capacity is only ever taken off the
 residual), so the move is still refused.  The search itself passes the
-check at d0, which is why the watermark starts there.
+check at d0, which is why the watermark starts there.  A chain whose
+start node has moved, or whose answer fails (i) or (ii), is searched
+again and its new answer replaces the old.
 
-Each (alternative, origin) keeps one record of its last candidate: the
-``_answers`` entries its chains used and, from the first time the
-candidate is offered for acceptance, an accept plan of each loaded node
-and arc with its (size factor, coefficient) terms and the id-keyed node
-and link maps, read-only, of the :class:`IntegralEmbedding` an accepted
-request gets.  A request prices the alternative in one pass over the
-record: each chain's entry must still be the current one for its
-(chain, start node), which another origin's search can replace, and
-pass (i) and (ii), its cost summed as it goes.  From the first chain
-that fails, the chains are embedded as above, reusing or searching (the
-failed chain itself is searched when its entry was current: (i) and
-(ii) would fail again, the watermark already at d if (ii) passed), and
-a new record replaces the old, so every request priced through one
-record shares its plan and maps.  Accepting a request sums each
-element's terms at its demand, checks every sum against the residual
-and only then takes them off it.
+From the first time the candidate is offered for acceptance, the
+record also keeps an accept plan of each loaded node and arc with its
+(size factor, coefficient) terms and the id-keyed node and link maps,
+read-only, of the :class:`IntegralEmbedding` an accepted request gets.
+A search drops them, so they are rebuilt from the new answers, and
+every request priced from unchanged answers shares one plan and its
+maps.  Accepting a request sums each element's terms at its demand,
+checks every sum against the residual and only then takes them off it.
 """
 
 from __future__ import annotations
@@ -121,27 +117,23 @@ class _ChainSearch:
     ``link`` over arc ``index`` when it is ``arc_cap``, loading that
     element with ``(demand * factor) * coeff`` at ``unit`` cost each.
 
-    Beside the residual, ``_answers`` keeps the last answer of every
-    (chain, start node index), keyed by the chain's slot (its position
-    among the planned chains, times the node count) plus the start
-    index.  An entry is [watermark, moves, refused]: the lowest demand
-    at which the refused moves were all checked as refused (at first
-    the demand the A* search ran at), the answer's moves (None when no
-    chain embedding fit) and the moves refused for capacity alone, as
-    (caps, index, size factor, coefficient).  :meth:`_replay` holds at
-    demand d when every move's load still fits its ``node_cap``/
-    ``arc_cap`` entry and, if d is below the watermark, every refused
-    move's load still does not; the module docstring says why that
-    answer is still a cheapest one.  ``chain_searches`` counts the A*
-    runs and ``chain_reuses`` the answers returned again.
-
     Each plan ends with the alternative's records, one per origin index
-    (None until first priced there).  A record is [chains, accepted]:
-    (key, entry) per chain :meth:`price` embedded, in order, each entry
-    the ``_answers`` one it used, and None until :meth:`accept` first
-    sees the record, then (node map, link map, accept plan).  The maps
-    are id-keyed and read-only, as :class:`IntegralEmbedding` keeps
-    them.  The plan has one (left, caps, index, terms) per loaded node
+    (None until first priced there).  A record is [entries, accepted]:
+    one entry per chain, None until :meth:`price` first embeds that
+    chain, and None until :meth:`accept` first sees the record, then
+    (node map, link map, accept plan).  An entry is [watermark, moves,
+    refused, start]: the lowest demand at which the refused moves were
+    all checked as refused (at first the demand the A* search ran at),
+    the answer's moves (None when no chain embedding fit), the moves
+    refused for capacity alone, as (caps, index, size factor,
+    coefficient), and the node index the chain started on.
+    :meth:`_replay` holds at demand d when every move's load still fits
+    its ``node_cap``/``arc_cap`` entry and, if d is below the watermark,
+    every refused move's load still does not; the module docstring says
+    why that answer is still a cheapest one.  ``chain_searches`` counts
+    the A* runs and ``chain_reuses`` the answers reused.  The maps are
+    id-keyed and read-only, as :class:`IntegralEmbedding` keeps them.
+    The accept plan has one (left, caps, index, terms) per loaded node
     and arc: its residual lists and its (size factor, coefficient)
     terms, the root's first and then each move's in order, with zero
     terms left out.
@@ -165,8 +157,6 @@ class _ChainSearch:
         self.node_cap = [c + _EPS for c in self.node_left]
         self.arc_cap = [c + _EPS for c in self.arc_left]
         self._plans: dict[AlternativeTopology, tuple] = {}
-        self._slots = 0  # node count times the number of chains planned
-        self._answers: dict[int, list] = {}
         self.chain_searches = 0
         self.chain_reuses = 0
 
@@ -174,15 +164,15 @@ class _ChainSearch:
         """(root row, root size, chains, records) of ``alt``.  The chains split
         ``alt.preorder`` into maximal downward chains: a link extends the
         last chain when its parent is that chain's end and has exactly
-        one child.  A chain is (start, slot, steps, bound): ``start`` is 0
-        when it starts at the root and j when at the end of the j-th
-        chain, the slot keys its answers in ``_answers``, a step is (link,
-        child size, child row, link row) and the bound the chain's
-        uncapacitated finishing cost per unit of demand from every state
-        ``m * n + v`` (+inf where no sequence of allowed moves finishes
-        it), shrunk by ``_BOUND_SHRINK``: the pricing's distances at zero
-        duals of links m = 0 .. k - 1 from node v, then zeros for the
-        last layer.  The records are :meth:`price`'s, per origin index."""
+        one child.  A chain is (start, steps, bound): ``start`` is 0 when
+        it starts at the root and j when at the end of the j-th chain, a
+        step is (link, child size, child row, link row) and the bound the
+        chain's uncapacitated finishing cost per unit of demand from every
+        state ``m * n + v`` (+inf where no sequence of allowed moves
+        finishes it), shrunk by ``_BOUND_SHRINK``: the pricing's distances
+        at zero duals of links m = 0 .. k - 1 from node v, then zeros for
+        the last layer.  The records are :meth:`price`'s, per origin
+        index."""
         plan = self._plans.get(alt)
         if plan is None:
             pricing, n = self.pricing, len(self.ids)
@@ -209,44 +199,13 @@ class _ChainSearch:
                 _, runs = pricing.distances(alt, chain, pricing.node_cost, pricing.arc_cost)
                 table = np.concatenate([*(dist for dist, _ in runs), np.zeros(n)])
                 bound = (table * _BOUND_SHRINK).tolist()
-                chains.append((ends.get(chain[0][0].parent, 0), self._slots, steps, bound))
-                self._slots += n
+                chains.append((ends.get(chain[0][0].parent, 0), steps, bound))
             root = (pricing.node_row(alt.root), alt.node_by_id[alt.root].size)
             plan = self._plans[alt] = (*root, chains, [None] * n)
         return plan
 
-    def embed_chain(
-        self, slot: int, steps: Sequence[tuple], bound: Sequence[float], start: int, demand: float
-    ):
-        """Cheapest placement of one chain of functions, starting from the
-        fixed substrate position (node index) of the chain's first, already
-        placed function.  Returns (moves, cost) or None.
-
-        The last answer for (``slot``, ``start``) is returned again when
-        :meth:`_replay` holds at ``demand``; otherwise :meth:`_search`
-        runs and its answer replaces the entry.  Either way the cost is
-        :meth:`_replay`'s, which gives a fresh answer's ``dist[]`` to the
-        bit.
-        """
-        entry = self._answers.get(slot + start)
-        cost = None if entry is None else self._replay(entry, demand)
-        if cost is None:
-            return self._search_chain(slot, steps, bound, start, demand)
-        self.chain_reuses += 1
-        return None if entry[1] is None else (entry[1], cost)
-
-    def _search_chain(
-        self, slot: int, steps: Sequence[tuple], bound: Sequence[float], start: int, demand: float
-    ):
-        """:meth:`embed_chain` with no answer to reuse: the answer of a new
-        :meth:`_search`, which replaces the entry for (``slot``, ``start``)."""
-        self.chain_searches += 1
-        entry = self._answers[slot + start] = [demand, *self._search(steps, bound, start, demand)]
-        cost = self._replay(entry, demand)  # a fresh answer fits by construction
-        return None if entry[1] is None else (entry[1], cost)
-
     def _replay(self, entry: list, demand: float) -> Optional[float]:
-        """The cost of ``_answers`` entry ``entry``'s answer at ``demand``,
+        """The cost of record entry ``entry``'s answer at ``demand``,
         summed move by move as the search sums ``dist[]`` (0.0 when the
         answer is None), or None when the reuse rule fails: (ii) some
         refused move fits, checked only below the entry's watermark,
@@ -268,9 +227,11 @@ class _ChainSearch:
     def _search(
         self, steps: Sequence[tuple], bound: Sequence[float], start: int, demand: float
     ):
-        """The A* chain search of :meth:`embed_chain`: returns the answer's
-        moves in order (None when nothing fits) and the moves refused for
-        capacity alone, as ``_answers`` keeps them.
+        """Cheapest placement of one chain of functions, starting from the
+        fixed substrate position (node index) ``start`` of the chain's
+        first, already placed function: returns the answer's moves in
+        order (None when nothing fits) and the moves refused for capacity
+        alone, as a record entry keeps them.
 
         States are (substrate node, number of chain functions placed),
         stored at ``m * n + v``; A* explores 'place here' and 'hop one arc'
@@ -368,47 +329,36 @@ class _ChainSearch:
 
         Chains are embedded in preorder, each move checked against the
         residual alone; :meth:`accept` rechecks the candidate cumulatively.
-        A chain whose record entry is still ``_answers``' current one and
-        passes :meth:`_replay` is reused in place; from the first one that
-        is not, the chains go through :meth:`embed_chain` and a new record
-        replaces the old.  A first one that is current but failed
-        :meth:`_replay` is searched at once: a second replay fails too.
+        A chain's entry in the record is reused when it was found at the
+        node the chain now starts on and :meth:`_replay` holds at
+        ``demand``; otherwise :meth:`_search` runs, its answer replaces
+        the entry and the record's accept plan is dropped.  Either way the
+        chain's cost is :meth:`_replay`'s, which gives a fresh answer's
+        ``dist[]`` to the bit.
         """
         root_row, _, chains, records = self._plans.get(alt) or self.plan(alt)
         if root_row[origin] is FORBIDDEN:
             return None
         record = records[origin]
-        held = [] if record is None else record[0]
-        answers, replay = self._answers, self._replay
+        if record is None:
+            record = records[origin] = [[None] * len(chains), None]
+        entries, replay = record[0], self._replay
         cost = 0.0
-        hits = 0
-        for key, entry in held:
-            chain_cost = replay(entry, demand) if answers[key] is entry else None
+        for j, (start, steps, bound) in enumerate(chains):
+            # the root's node, or where an earlier chain's last move put its function
+            start = entries[start - 1][1][-1][1] if start else origin
+            entry = entries[j]
+            chain_cost = None if entry is None or entry[3] != start else replay(entry, demand)
             if chain_cost is None:
-                break
-            hits += 1
-            cost += chain_cost
-        self.chain_reuses += hits
-        if record is not None and hits == len(held):
-            # every chain reused; a record stops at its first chain without an answer
-            return None if held and entry[1] is None else (cost, record)
-        # a held entry that is still the current one has just failed
-        # _replay and would fail it again, so its chain is searched at once
-        failed = record is not None and answers[key] is entry
-        embed = self._search_chain if failed else self.embed_chain
-        held = held[:hits]
-        placed = [origin, *(entry[1][-1][1] for _, entry in held)]
-        for start, slot, steps, bound in chains[hits:]:
-            start = placed[start]
-            got = embed(slot, steps, bound, start, demand)
-            embed = self.embed_chain
-            held.append((slot + start, answers[slot + start]))
-            if got is None:
-                records[origin] = [held, None]
+                self.chain_searches += 1
+                entry = entries[j] = [demand, *self._search(steps, bound, start, demand), start]
+                chain_cost = replay(entry, demand)  # a fresh answer fits by construction
+                record[1] = None
+            else:
+                self.chain_reuses += 1
+            if entry[1] is None:
                 return None
-            placed.append(got[0][-1][1])
-            cost += got[1]
-        record = records[origin] = [held, None]
+            cost += chain_cost
         return cost, record
 
     def accept(self, alt: AlternativeTopology, origin: int, demand: float, record: list):
@@ -421,7 +371,7 @@ class _ChainSearch:
         record's (node map, link map), or None when it does not fit."""
         accepted = record[1]
         if accepted is None:
-            answers = [entry[1] for _, entry in record[0]]
+            answers = [entry[1] for entry in record[0]]
             accepted = record[1] = self._accept_plan(alt, origin, answers)
         plan = accepted[2]
         loads = []

@@ -265,8 +265,12 @@ def _origin_weights(net: SubstrateNetwork, profile) -> tuple[list[SubstrateNode]
         weights = np.ones(len(edges))
     elif profile.spatial == "lognormal":
         xs = 3.0 * (np.arange(len(edges)) + 0.5) / len(edges)
+        try:
+            scale = math.exp(profile.lognormal_mu)
+        except OverflowError:  # past the float range, as at lognormal_mu = inf: all weights 0
+            scale = math.inf
         with np.errstate(all="ignore"):  # bad weights are refused by name below
-            weights = _lognormal_pdf(xs, profile.lognormal_sigma, math.exp(profile.lognormal_mu))
+            weights = _lognormal_pdf(xs, profile.lognormal_sigma, scale)
     else:
         raise ValueError(f"spatial must be one of {', '.join(SPATIAL)}, not {profile.spatial!r}")
     total = weights.sum()
@@ -427,7 +431,8 @@ def _clipped_mean(mean: float, sigma: float) -> float:
     if math.isnan(a):
         return math.nan  # scipy's Φ, 1 − Φ and φ are its NaN, sign bit clear
     a = np.asarray(a)
-    phi = np.exp(-a**2 / 2.0) / np.sqrt(2 * np.pi)
+    with np.errstate(over="ignore"):  # a² past the float range: φ is 0, as scipy's
+        phi = np.exp(-a**2 / 2.0) / np.sqrt(2 * np.pi)
     return _SIZE_FLOOR * float(ndtr(a)) + mean * float(ndtr(-a)) + sigma * float(phi)
 
 

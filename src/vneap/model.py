@@ -2,9 +2,11 @@
 topologies, efficiency coefficients, requests, and integral embeddings.
 
 All types are immutable after construction and may be shared freely
-across worker processes.  Validation is data, not exceptions: the
-``validate_*`` functions return lists of :class:`Violation` so callers
-can collect and report every problem at once.
+across forked worker processes; an :class:`IntegralEmbedding`'s
+read-only maps do not pickle, so embeddings stay in the process that
+made them.  Validation is data, not exceptions: the ``validate_*``
+functions return lists of :class:`Violation` so callers can collect
+and report every problem at once.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
+from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence
 
 #: Marker for a (virtual element, substrate element) pairing that must
@@ -25,6 +28,9 @@ EDGE = "edge"
 TRANSPORT = "transport"
 CORE = "core"
 TIERS = (EDGE, TRANSPORT, CORE)
+
+#: The empty read-only map every rejection shares.
+_NO_MAP: Mapping = MappingProxyType({})
 
 
 def sum_in_order(values: Iterable[float]) -> float:
@@ -216,7 +222,8 @@ class Request:
 @dataclass(frozen=True)
 class IntegralEmbedding:
     """Outcome for one request: either the chosen alternative with full
-    node and link mappings, or a rejection with empty maps.
+    node and link mappings, or a rejection, whose maps are one empty
+    read-only map that every rejection shares.
 
     ``link_map`` values are ordered arc paths ``((src, dst), ...)``; an
     empty path means the link's endpoints are collocated.  The embedders
@@ -227,9 +234,9 @@ class IntegralEmbedding:
 
     request: Request
     alternative: Optional[int]  # None when the request was rejected
-    node_map: Mapping[str, str] = field(default_factory=dict)
+    node_map: Mapping[str, str] = field(default_factory=lambda: _NO_MAP)
     link_map: Mapping[tuple[str, str], tuple[tuple[str, str], ...]] = field(
-        default_factory=dict
+        default_factory=lambda: _NO_MAP
     )
 
     @property
@@ -238,7 +245,7 @@ class IntegralEmbedding:
 
     @staticmethod
     def reject(request: Request) -> "IntegralEmbedding":
-        return IntegralEmbedding(request, None, {}, {})
+        return IntegralEmbedding(request, None, _NO_MAP, _NO_MAP)
 
 
 def validate_substrate(net: SubstrateNetwork) -> list[Violation]:

@@ -5,10 +5,10 @@ Everything here recomputes loads and costs from first principles (walking the
 raw maps), sharing no code with the package's formulation or validator, so it
 can act as an independent referee.  Two exceptions are plain reference
 versions of fast code: `dijkstra_chain` runs on a greedy search's own tables
-so that it can be compared with `embed_chain` call by call, and
-`dict_round_relaxation` is tanto's rounding walk on a residual keyed by
-`VariableKey`, each draw a call of `weighted_random_select`, to be compared
-with `round_relaxation` run by run.
+so that it can be compared with every chain answer `_ChainSearch.price`
+finds or reuses, and `dict_round_relaxation` is tanto's rounding walk on a
+residual keyed by `VariableKey`, each draw a call of
+`weighted_random_select`, to be compared with `round_relaxation` run by run.
 """
 
 from __future__ import annotations
@@ -293,7 +293,7 @@ def chain_finish_costs(
 
 
 def dijkstra_chain(search, steps: Sequence[tuple], start: int, demand: float):
-    """Reference for ``_ChainSearch.embed_chain``: the same chain search as
+    """Reference for ``_ChainSearch._search``: the same chain search as
     plain Dijkstra (no bound), on ``search``'s tables and residual
     capacities.  Returns (placements, paths, cost) or None."""
     eps = 1e-9

@@ -736,6 +736,7 @@ def write_scenario(path: Path, **keys) -> Path:
         ({"algorithms": ["lp", "vnep:9"]}, "algorithms: algorithm 'vnep:9': no alternative with index 9"),
         ({"algorithms": ["lp", "lp", "greedy"]}, "algorithms: 'lp' is listed more than once"),
         ({"spatial": "lognormal", "lognormal_sigma": 1e-300}, "lognormal_sigma=1e-300) gives no valid origin weights"),
+        ({"spatial": "lognormal", "lognormal_mu": 800}, "lognormal_mu=800.0, lognormal_sigma=1.0) gives no valid"),
         ({"substrate": "core_only.json"}, "substrate has no edge-tier nodes"),
         ({"substrate": "no_links.json"}, "substrate has no node or no arc capacity to scale"),
         ({"node_tu": 1e-320}, "node capacity scale inf is not a finite positive factor"),
@@ -749,8 +750,8 @@ def write_scenario(path: Path, **keys) -> Path:
          "number-inf", "number-overflow", "tier-ratio-string", "negative-psi", "zero-requests",
          "zero-link-tu", "unknown-spatial", "app-not-in-catalog", "no-algorithms",
          "empty-catalog", "unknown-algorithm", "alternative-not-a-number", "absent-alternative",
-         "repeated-algorithm", "no-origin-weights", "no-edge-nodes", "no-arc-capacity", "tiny-node-tu",
-         "tiny-link-tu", "huge-link-size"],
+         "repeated-algorithm", "no-origin-weights", "overflowing-origin-scale", "no-edge-nodes",
+         "no-arc-capacity", "tiny-node-tu", "tiny-link-tu", "huge-link-size"],
 )
 def test_compare_names_the_bad_scenario_key(runner, tmp_path, keys, named):
     """A misspelled key is an input error, not a silent fall-back to the

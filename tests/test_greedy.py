@@ -172,7 +172,7 @@ def restore(search: _ChainSearch, snapshot: tuple[list, ...]) -> None:
 def record_answers(record) -> list:
     """The chain answers (lists of moves) of a :meth:`_ChainSearch.price`
     record, in order."""
-    return [entry[1] for _, entry in record[0]]
+    return [entry[1] for entry in record[0]]
 
 
 def checked_accept(search: _ChainSearch, alt, origin: int, demand: float, record):
@@ -509,7 +509,7 @@ def test_requests_embedded_by_the_same_answers_share_read_only_maps():
     maps = maps_of(record)
     assert search.price(alt, origin, demand)[1] is record
     assert all(a is b for a, b in zip(maps_of(record), maps))
-    copied = [[(key, [entry[0], list(entry[1]), entry[2]]) for key, entry in record[0]], None]
+    copied = [[[mark, list(moves), *rest] for mark, moves, *rest in record[0]], None]
     copies = maps_of(copied)
     assert copies == maps and not any(a is b for a, b in zip(copies, maps))
 
@@ -629,9 +629,9 @@ def planned_chains(search: _ChainSearch, alt: AlternativeTopology) -> list:
     """``search``'s plan of ``alt`` as (start function, links) per chain."""
     chains = search.plan(alt)[2]
     out = []
-    for j, (start, _, steps, _) in enumerate(chains):
+    for j, (start, steps, _) in enumerate(chains):
         assert start <= j
-        start_func = alt.root if start == 0 else chains[start - 1][2][-1][0].child
+        start_func = alt.root if start == 0 else chains[start - 1][1][-1][0].child
         out.append((start_func, [step[0] for step in steps]))
     return out
 
@@ -668,7 +668,7 @@ def test_bound_table_is_the_uncapacitated_finishing_cost():
                 split = descending_chains(alt)
                 assert planned_chains(search, alt) == split
                 multi_chain += len(chains) > 1
-                for (_, _, steps, bound), (_, links) in zip(chains, split):
+                for (_, steps, bound), (_, links) in zip(chains, split):
                     want = chain_finish_costs(net, alt, eff, links)
                     exact = finishing_costs(search, alt, steps)
                     assert len(exact) == len(bound) == len(want)
@@ -721,7 +721,7 @@ def test_shared_layered_graph_gives_the_listed_bound_table_to_the_bit():
         search = _ChainSearch(net, eff)
         for app in apps.values():
             for alt in app.alternatives:
-                for _, _, steps, bound in search.plan(alt)[2]:
+                for _, steps, bound in search.plan(alt)[2]:
                     want = listed_remaining_cost(search, steps)
                     exact = finishing_costs(search, alt, steps)
                     assert [h.hex() for h in exact] == [h.hex() for h in want]
@@ -731,9 +731,8 @@ def test_shared_layered_graph_gives_the_listed_bound_table_to_the_bit():
 
 
 def chain_ids(search: _ChainSearch, steps, got):
-    """An :meth:`_ChainSearch.embed_chain` answer, (moves, cost) or None,
-    as (placements, paths, cost) keyed by ids, as ``dijkstra_chain``
-    returns it."""
+    """A chain answer, (moves, cost) or None, as (placements, paths,
+    cost) keyed by ids, as ``dijkstra_chain`` returns it."""
     if got is None:
         return None
     moves, cost = got
@@ -750,32 +749,32 @@ def chain_ids(search: _ChainSearch, steps, got):
 
 # the methods themselves, as the tests below wrap them
 PRICE = _ChainSearch.price
-EMBED_CHAIN = _ChainSearch.embed_chain
 
 
 def priced_chains(search: _ChainSearch, alt, origin: int, calls: int) -> list:
     """The chains the last :meth:`_ChainSearch.price` of ``alt`` at node
-    index ``origin`` embedded, as (slot, steps, bound, start node index,
-    entry) in order, read from its record.  ``calls`` is the number of
-    chain calls that price counted (searches plus reuses): the record must
-    hold exactly that many chains, each keyed by its start node, and each
-    entry must be the current ``_answers`` one."""
+    index ``origin`` embedded, as (steps, bound, start node index, entry)
+    in order, read from its record: its entries up to the first without
+    an answer.  ``calls`` is the number of chain calls that price counted
+    (searches plus reuses): there must be exactly that many, each entry
+    found at the node its chain starts on."""
     _, _, chains, records = search.plan(alt)
-    held = [] if records[origin] is None else records[origin][0]
-    assert len(held) == calls
+    entries = [] if records[origin] is None else records[origin][0]
     placed = [origin]  # the root's node, then each chain's last function's
     out = []
-    for (start, slot, steps, bound), (key, entry) in zip(chains, held):
-        assert key == slot + placed[start] and search._answers[key] is entry
-        out.append((slot, steps, bound, placed[start], entry))
-        if entry[1] is not None:
-            placed.append(entry[1][-1][1])
+    for (start, steps, bound), entry in zip(chains, entries):
+        assert entry[3] == placed[start]
+        out.append((steps, bound, placed[start], entry))
+        if entry[1] is None:
+            break
+        placed.append(entry[1][-1][1])
+    assert len(out) == calls
     return out
 
 
 def answer_at(entry, demand: float):
-    """An ``_answers`` entry's answer as :meth:`_ChainSearch.embed_chain`
-    returns it at ``demand``: (moves, cost), the cost summed move by move
+    """A record entry's answer as :meth:`_ChainSearch.price` reads it at
+    ``demand``: (moves, cost), the cost summed move by move
     as the search sums ``dist[]``, or None."""
     if entry[1] is None:
         return None
@@ -796,7 +795,7 @@ def test_a_star_returns_what_dijkstra_returns(monkeypatch):
         calls = self.chain_searches + self.chain_reuses
         got = PRICE(self, alt, origin, demand)
         calls = self.chain_searches + self.chain_reuses - calls
-        for _, steps, _, start, entry in priced_chains(self, alt, origin, calls):
+        for steps, _, start, entry in priced_chains(self, alt, origin, calls):
             answer = answer_at(entry, demand)
             translated = chain_ids(self, steps, answer)
             want = dijkstra_chain(self, steps, start, demand)
@@ -825,24 +824,23 @@ def same_answer(search: _ChainSearch, steps, got, want) -> bool:
     return got[0] == want[0] and got_ids[:2] == want_ids[:2] and got[1].hex() == want[1].hex()
 
 
-def fresh_answer(search: _ChainSearch, slot, steps, bound, start, demand):
-    """What ``search`` returns from a new A* search: the same call on a
-    copy of it (same tables, same residual) whose answer cache is empty."""
-    fresh = copy.copy(search)
-    fresh._answers = {}
-    return EMBED_CHAIN(fresh, slot, steps, bound, start, demand)
+def fresh_answer(search: _ChainSearch, steps, bound, start, demand):
+    """What a new A* search on ``search``'s tables and residual returns,
+    as (moves, cost) or None, the cost as :meth:`_ChainSearch.price`
+    replays it."""
+    entry = [demand, *search._search(steps, bound, start, demand), start]
+    return None if entry[1] is None else (entry[1], search._replay(entry, demand))
 
 
 @pytest.mark.parametrize(
     "workload", ["random", "arnes_si-1000", "amres_rs-12000", "dfn_de-cctv_four-3000"]
 )
 def test_reused_answers_equal_a_fresh_search(monkeypatch, workload):
-    """Every chain answer a pricing reuses, from its record or through
-    :meth:`_ChainSearch.embed_chain`, equals, to the bit, what a new
-    search on the same tables and residual returns, over whole greedy
-    runs: random instances 0-29 (branching alternatives and tight
-    capacities among them), each also with its requests repeated four
-    times, instances shaped like both benchmark workloads, and dfn_de
+    """Every chain answer a pricing reuses from its record equals, to the
+    bit, what a new search on the same tables and residual returns, over
+    whole greedy runs: random instances 0-29 (branching alternatives and
+    tight capacities among them), each also with its requests repeated
+    four times, instances shaped like both benchmark workloads, and dfn_de
     with cctv_four's four alternatives, where the cheapest candidate is
     often refused and answers are often searched again.  Each priced
     cost is its chains' costs summed in order.  The reports count every
@@ -871,13 +869,13 @@ def test_reused_answers_equal_a_fresh_search(monkeypatch, workload):
         calls = self.chain_searches - searches + self.chain_reuses - reuses
         cost, reused = 0.0, 0
         priced = priced_chains(self, alt, origin, calls)
-        for slot, steps, bound, start, entry in priced:
+        for steps, bound, start, entry in priced:
             answer = answer_at(entry, demand)
             if id(entry) in known:
                 reused += 1
                 mark = known[id(entry)][1]
                 kinds.add(("lower" if demand < mark else "higher", answer is None))
-                want = fresh_answer(self, slot, steps, bound, start, demand)
+                want = fresh_answer(self, steps, bound, start, demand)
                 assert same_answer(self, steps, answer, want)
             assert entry[0] <= demand
             known[id(entry)] = (entry, entry[0])
@@ -886,7 +884,7 @@ def test_reused_answers_equal_a_fresh_search(monkeypatch, workload):
         assert reused == self.chain_reuses - reuses
         root_row, _, chains, _ = self.plan(alt)
         if got is None:  # the last chain has no answer, or the root cannot sit at the origin
-            assert priced[-1][4][1] is None if priced else root_row[origin] is FORBIDDEN
+            assert priced[-1][3][1] is None if priced else root_row[origin] is FORBIDDEN
         else:
             assert len(priced) == len(chains) and got[0].hex() == cost.hex()
         seen["calls"] += calls
@@ -903,7 +901,7 @@ def test_reused_answers_equal_a_fresh_search(monkeypatch, workload):
     if workload == "random":
         assert {("lower", False), ("higher", False), ("higher", True)} <= kinds
     else:
-        # most calls repeat their (chain, start node)'s last answer
+        # most calls repeat the last answer of their chain for that alternative and origin
         assert reuses > 0.75 * seen["calls"]
 
 
@@ -957,16 +955,16 @@ def test_reuse_on_random_residuals_and_demands(taken, calls):
 
     def checked_price(demand: float) -> None:
         got = search.price(alt, start, demand)
-        (_, entry), = search.plan(alt)[3][start][0]
+        entry, = search.plan(alt)[3][start][0]
         answer = answer_at(entry, demand)
-        want = fresh_answer(search, slot, steps, bound, start, demand)
+        want = fresh_answer(search, steps, bound, start, demand)
         assert same_answer(search, steps, answer, want)
         assert got is None if want is None else got[0].hex() == want[1].hex()
         assert entry[0] <= demand
 
     for element, fraction in enumerate(taken):
         cut(element, fraction)
-    (_, slot, steps, bound), = search.plan(alt)[2]
+    (_, steps, bound), = search.plan(alt)[2]
     start = search.node_index["E"]
     for demand, element, fraction in calls:
         checked_price(demand)
@@ -974,7 +972,7 @@ def test_reuse_on_random_residuals_and_demands(taken, calls):
     # nothing fits at this demand, so the entry now holds a None answer
     # (found by this call or reused) and the moves its search refused
     assert search.price(alt, start, 1e6) is None
-    mark, moves, refused = search._answers[slot + start]
+    (mark, moves, refused, _), = search.plan(alt)[3][start][0]
     assert moves is None and refused
     caps, i, factor, coeff = refused[0]
     demand = caps[i] / (factor * coeff) / 2
@@ -984,37 +982,39 @@ def test_reuse_on_random_residuals_and_demands(taken, calls):
     assert search.chain_searches == searches + 1
 
 
-def test_a_record_does_not_outlive_its_chain_entry():
+def test_a_branch_chain_is_searched_again_where_its_start_moved():
     """Random instance 11's first alternative branches at f0: chains
-    [f1, f2] and [f3] start where f0 sits.  Priced at origin 0 (demand 3),
-    f0 sits on node 1, and both branch chains' searches refuse moves.  Priced
-    at origin 1 (demand 0.75), f0 sits on node 1 too, and those refused
-    moves fit, so both branch chains are searched again and their entries
-    replaced.  Origin 0's record still holds the old entries, whose answers
-    would pass (i) and (ii) at demand 3; its next pricing must not reuse
-    them but go back to the current entries, whose moves no longer fit,
-    and search both branch chains again.  The answer equals a new
-    search's, and the new record holds only current entries."""
+    [f1, f2] and [f3] start where f0 sits.  Priced at origin 0 (demand
+    3), f0 sits on node 1 and [f3] hops to node 2; the record's accept
+    plan is built.  Once node 1 is full, f0 moves to node 0, so both
+    branch chains are searched again from there, even the [f3] entry
+    found at node 1, which would still replay.  The record's accept plan
+    and maps are rebuilt from the new answers, and the answer equals a
+    new search's."""
     net, apps, eff, _, _ = random_instance(11)
     alt = apps["app"].alternatives[0]
     search = _ChainSearch(net, eff)
     assert [start for start, *_ in search.plan(alt)[2]] == [0, 1, 1]
-    records = search.plan(alt)[3]
     _, record = search.price(alt, 0, 3.0)
-    branch = record[0][1:]
-    slots = [slot for _, slot, *_ in search.plan(alt)[2][1:]]
-    assert [key for key, _ in branch] == [slot + 1 for slot in slots]
-    assert all(entry[2] for _, entry in branch)
-    search.price(alt, 1, 0.75)
-    assert [key for key, _ in records[1][0][1:]] == [slot + 1 for slot in slots]
-    assert not any(search._answers[key] is entry for key, entry in branch)
-    assert all(search._replay(entry, 3.0) is not None for _, entry in branch)
+    before = residual(search)
+    maps = checked_accept(search, alt, 0, 3.0, record)[:2]
+    restore(search, before)
+    assert maps[0]["f0"] == "s1" and maps[1][("f0", "f3")] == (("s1", "s2"),)
+    old = list(record[0])
+    assert [entry[3] for entry in old] == [0, 1, 1]
+    search.node_left[1] = 0.0
+    search.node_cap[1] = _EPS
+    assert search._replay(old[2], 3.0) is not None
     searches, reuses = search.chain_searches, search.chain_reuses
-    cost, record = search.price(alt, 0, 3.0)
-    assert (search.chain_searches - searches, search.chain_reuses - reuses) == (2, 1)
-    assert all(search._answers[key] is entry for key, entry in record[0])
+    cost, again = search.price(alt, 0, 3.0)
+    assert again is record and record[1] is None
+    assert (search.chain_searches - searches, search.chain_reuses - reuses) == (3, 0)
+    assert [entry[3] for entry in record[0]] == [0, 0, 0]
+    assert not any(new is entry for new, entry in zip(record[0], old))
     fresh = copy.copy(search)
-    fresh._answers, fresh._plans = {}, {}
+    fresh._plans = {}
     fresh_cost, fresh_record = fresh.price(alt, 0, 3.0)
     assert cost.hex() == fresh_cost.hex()
     assert record_answers(record) == record_answers(fresh_record)
+    rebuilt = checked_accept(search, alt, 0, 3.0, record)[:2]
+    assert rebuilt[0]["f0"] == "s0" and not any(a is b for a, b in zip(rebuilt, maps))

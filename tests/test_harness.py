@@ -616,7 +616,9 @@ def test_clipped_mean_is_scipys_to_the_bit():
     the clipped mean ``scipy.stats.norm`` gives, to the bit (a NaN's sign
     too), or fail as it fails: over a grid of means and sigmas, degenerate
     ones among them, over ``a = (f − μ)/σ`` in [-40, 40] (at |a| ≈ 17 a
-    φ taken on a Python float is a bit off), and over 200 seeded draws."""
+    φ taken on a Python float is a bit off), and over 200 seeded draws.
+    Where a² overflows, scipy warns and the clipped mean gives, without a
+    warning, the value scipy gives with that overflow ignored."""
     rng = np.random.default_rng(36)
     cases = [
         *itertools.product(SWEPT_MEANS, SWEPT_SIGMAS),
@@ -625,18 +627,30 @@ def test_clipped_mean_is_scipys_to_the_bit():
     ]
     outcomes = collections.Counter()
     for mean, sigma in cases:
-        want = outcome(lambda: scipy_clipped_mean(mean, sigma))
+        unguarded = outcome(lambda: scipy_clipped_mean(mean, sigma))
+        with np.errstate(over="ignore"):
+            want = outcome(lambda: scipy_clipped_mean(mean, sigma))
         assert outcome(lambda: vneap.harness._clipped_mean(mean, sigma)) == want, (mean, sigma)
-        outcomes[want[0]] += 1
+        outcomes[unguarded[0]] += 1
     # the sweep meets finite values, NaN and infinite ones, a zero sigma
     # and an overflowing a², where scipy warns
     assert set(outcomes) == {"value", "ZeroDivisionError", "RuntimeWarning"}
 
 
+def test_clipped_mean_of_a_tiny_sigma_is_scipys_without_a_warning():
+    """At sigma 1e-300, a² overflows and ``scipy.stats.norm`` warns; the
+    clipped mean, under pyproject's filter that turns a RuntimeWarning
+    into an error, gives scipy's value to the bit, φ being 0."""
+    assert outcome(lambda: scipy_clipped_mean(1.0, 1e-300))[0] == "RuntimeWarning"
+    with np.errstate(over="ignore"):
+        want = scipy_clipped_mean(1.0, 1e-300)
+    assert vneap.harness._clipped_mean(1.0, 1e-300).hex() == want.hex()
+
+
 # log-normal profiles: edge counts, then (mu, sigma) pairs, degenerate
 # ones among them: sigma <= 0 or NaN, and mu -800 (a scale of 0), give
 # NaN weights; sigma 1e-300 and mu inf give zeros; at mu -745 (a scale of
-# 5e-324) x overflows to inf; mu 800 overflows math.exp
+# 5e-324) x overflows to inf; mu 800 overflows math.exp, a scale of inf
 SWEPT_EDGES = [1, 2, 3, 7, 20, 64]
 SWEPT_PROFILES = list(itertools.product(
     [0.0, 0.3, -0.3, 1.5, -5.0, 5.0, 700.0, -700.0, -745.0, 800.0, -800.0, math.inf, -math.inf, math.nan],
@@ -679,15 +693,16 @@ def edge_only_net(k: int) -> SubstrateNetwork:
 def test_origin_weights_are_scipys_to_the_bit(k):
     """``_origin_weights``' log-normal weights equal, as bytes, those
     ``scipy.stats.lognorm`` gives over the swept profiles, and a profile
-    whose weights are not valid is refused with the same message, or
-    fails as ``math.exp`` fails, as before."""
+    whose weights are not valid is refused with the same message, as is
+    one whose scale ``math.exp(mu)`` overflows, as at mu = inf."""
     net = edge_only_net(k)
     refused = 0
     for mu, s in SWEPT_PROFILES:
         params = GenParams(count=1, app="cam", spatial="lognormal", lognormal_mu=mu, lognormal_sigma=s)
 
         def scipys():
-            weights = scipy_lognormal_pdf(3.0 * (np.arange(k) + 0.5) / k, s, math.exp(mu))
+            scale = math.inf if mu == 800.0 else math.exp(mu)
+            weights = scipy_lognormal_pdf(3.0 * (np.arange(k) + 0.5) / k, s, scale)
             total = weights.sum()
             if not (np.isfinite(weights).all() and (weights >= 0).all() and 0 < total < math.inf):
                 raise ValueError(
@@ -833,8 +848,9 @@ def test_relaxation_timings_carry_its_four_stages():
 
 def test_scenario_config_refuses_origins_no_run_can_draw():
     """A substrate without edge-tier nodes, or a log-normal profile whose
-    weights are NaN (sigma 0) or all 0 (sigma 1e-300), is refused when
-    the scenario is built, as ``generate_requests`` refuses it."""
+    weights are NaN (sigma 0) or all 0 (sigma 1e-300, or mu 800, whose
+    scale overflows), is refused when the scenario is built, as
+    ``generate_requests`` refuses it."""
     lonely = SubstrateNetwork(
         nodes=(SubstrateNode("c", cost=1.0, capacity=5.0, tier="core"),), arcs=()
     )
@@ -843,6 +859,9 @@ def test_scenario_config_refuses_origins_no_run_can_draw():
     for sigma in (0.0, 1e-300):
         with pytest.raises(ValueError, match=f"lognormal_sigma={sigma!r}.*no valid origin weights"):
             tiny_config(spatial="lognormal", lognormal_sigma=sigma)
+    # e^800 is past the float range: a scale of inf, all weights 0
+    with pytest.raises(ValueError, match="lognormal_mu=800.0, .*no valid origin weights"):
+        tiny_config(spatial="lognormal", lognormal_mu=800.0)
 
 
 def test_repetitions_run_on_the_calibrated_substrate(monkeypatch):

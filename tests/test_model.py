@@ -10,6 +10,7 @@ from vneap.model import (
     AlternativeTopology,
     Application,
     EfficiencyMap,
+    IntegralEmbedding,
     Request,
     SubstrateArc,
     SubstrateNetwork,
@@ -23,7 +24,7 @@ from vneap.model import (
     validate_substrate,
 )
 
-from conftest import toy_apps, toy_net
+from conftest import assert_maps_are_read_only, toy_apps, toy_net
 
 
 def rules(violations):
@@ -210,6 +211,18 @@ def test_toy_requests_are_clean():
 def test_request_rule(request_, expected):
     out = validate_requests([request_], toy_net(), toy_apps())
     assert expected in rules(out)
+
+
+def test_rejections_share_one_empty_read_only_map():
+    """A rejection, made by ``reject`` or by the class's defaults, has
+    empty maps that take no item assignment, and all rejections share
+    one map object."""
+    made = IntegralEmbedding.reject(Request("E", "cam", 2.0))
+    default = IntegralEmbedding(Request("C", "cam", 0.5), None)
+    assert made.rejected and default.rejected
+    assert_maps_are_read_only([made, default])
+    maps = {id(e.node_map) for e in (made, default)} | {id(e.link_map) for e in (made, default)}
+    assert len(maps) == 1 and len(made.node_map) == 0
 
 
 # -- efficiency map --------------------------------------------------------
